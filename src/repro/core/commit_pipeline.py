@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 from repro.errors import GTMError, ProtocolError, SSTFailure
 from repro.core.events import EventBus
 from repro.core.history import OperationLog
-from repro.core.objects import CommitRecord, ManagedObject
+from repro.core.objects import ManagedObject
 from repro.core.opclass import Invocation, OperationClass
 from repro.core.pool import ScratchLists
 from repro.core.reconciliation import ReconcilerRegistry
@@ -237,10 +237,7 @@ class CommitPipeline:
 
             for obj, new_values in staged:
                 self._apply_permanent(obj, new_values)
-                invocations = obj.retire_committer(txn_id)
-                obj.committed.append(
-                    CommitRecord(txn_id, tuple(invocations.values()),
-                                 commit_time=now))
+                obj.record_commit(txn_id, obj.retire_committer(txn_id), now)
         finally:
             _SCRATCH.release(staged)
         txn.finish(_TS.COMMITTED, now)

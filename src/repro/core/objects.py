@@ -250,7 +250,11 @@ class ManagedObject:
         self.waiting: list[WaitEntry] = []
         #: X_committing: txn -> (member -> invocation) being committed.
         self.committing: dict[str, dict[str, Invocation]] = {}
-        #: X_committed: history of commit records (X_tc inside).
+        #: X_committed: commit records (X_tc inside) written while some
+        #: transaction sleeps on this object.  Algorithm 9 is the only
+        #: reader and its test ``X_tc > A_t_sleep`` is strict, so a
+        #: record matters only to transactions already in X_sleeping
+        #: when it was written; the list empties with X_sleeping.
         self.committed: list[CommitRecord] = []
         #: X_aborting: txn ids rolling back.
         self.aborting: set[str] = set()
@@ -378,6 +382,8 @@ class ManagedObject:
         self.new.pop(txn_id, None)
         self.remove_waiting(txn_id)
         self.sleeping.discard(txn_id)
+        if not self.sleeping:
+            self.committed.clear()
         self._bump()
 
     def mark_sleeping(self, txn_id: str) -> None:
@@ -394,6 +400,8 @@ class ManagedObject:
         if txn_id not in self.sleeping:
             return
         self.sleeping.discard(txn_id)
+        if not self.sleeping:
+            self.committed.clear()
         for op in self.pending.get(txn_id, {}).values():
             self.summary.add(op)
         self._bump()
@@ -423,6 +431,15 @@ class ManagedObject:
             self.waiting = remaining
             self.wait_edge_epochs.pop(txn_id, None)
             self._bump()
+
+    def record_commit(self, txn_id: str,
+                      invocations: Mapping[str, Invocation],
+                      now: float) -> None:
+        """X_committed gains (A, ops, X_tc) — if anybody can read it."""
+        if self.sleeping:
+            self.committed.append(
+                CommitRecord(txn_id, tuple(invocations.values()),
+                             commit_time=now))
 
     def committed_after(self, when: float) -> Iterator[CommitRecord]:
         """Commit records with ``X_tc > when`` (Algorithm 9's check)."""

@@ -47,7 +47,7 @@ from repro.core.conflicts import build_conflict_checker
 from repro.core.events import EventBus, GTMEvent, GTMObserver, dispatch_event
 from repro.core.gtm import GTMConfig
 from repro.core.history import OperationLog
-from repro.core.objects import CommitRecord, ManagedObject, ObjectBinding
+from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation, OperationClass
 from repro.core.policies import build_deadlock_policy
 from repro.core.pool import ScratchLists
@@ -489,10 +489,7 @@ class FederatedTransactionManager:
 
             for obj, new_values in staged:
                 self._apply_permanent(obj, new_values)
-                invocations = obj.retire_committer(txn_id)
-                obj.committed.append(
-                    CommitRecord(txn_id, tuple(invocations.values()),
-                                 commit_time=now))
+                obj.record_commit(txn_id, obj.retire_committer(txn_id), now)
         finally:
             _SCRATCH.release(staged)
         txn.finish(_TS.COMMITTED, now)

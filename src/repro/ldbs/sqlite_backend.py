@@ -15,10 +15,27 @@ item 1).  Design, following ``travel_dbms`` and libres (SNIPPETS.md):
   ``begin(write=False)`` issues plain ``BEGIN`` (deferred): a snapshot
   read at default isolation that never blocks, and never blocks the
   writer, under WAL.
-- **One connection per transaction** — concurrency between open
-  transactions is real (two ``BEGIN IMMEDIATE`` writers genuinely
-  race), which is what lets the conformance suite pin conflict
-  semantics without threads.
+- **One long-lived writer connection** — the GTM has already
+  serialized the commits, so the write path does not pay connection
+  set-up, statement re-preparation and a close-time WAL checkpoint per
+  SST.  The first ``begin(write=True)`` opens the writer; finishing a
+  write transaction (commit, abort, or a failed COMMIT/ROLLBACK)
+  releases it for the next one instead of closing it, unless it is
+  somehow still inside a transaction, in which case it is closed and
+  the next ``begin`` opens a fresh one.  ``crash()`` and ``close()``
+  hard-close it with every other connection.  A *second concurrent*
+  writer finds the slot empty and opens its own connection, so two
+  ``BEGIN IMMEDIATE`` writers genuinely race and SQLite itself refuses
+  the loser at begin — which is what lets the conformance suite pin
+  conflict semantics without threads.  Readers (``begin(write=False)``,
+  ``dump()``) open a fresh snapshot connection each.  The writer
+  belongs to the thread that first used it: connections keep
+  sqlite3's ``check_same_thread`` default, so misuse from another
+  thread raises instead of sharing a connection silently.
+- **Flush policy** — every connection, the writer included, comes from
+  :meth:`SQLiteBackend._connect` and runs at SQLite's default
+  ``synchronous=FULL``: a commit is on disk when ``commit()`` returns.
+  (The pragma is per connection; nothing here lowers it.)
 - **Error mapping into the repro taxonomy** — ``database is locked`` /
   busy becomes :class:`~repro.errors.BackendConflictError` (retryable,
   the ``TransactionRollbackError`` analogue); UNIQUE violations become
@@ -75,7 +92,8 @@ def _map_operational(exc: sqlite3.OperationalError) -> Exception:
 
 
 class SQLiteTransaction:
-    """One explicit SQLite transaction on its own connection."""
+    """One explicit SQLite transaction on a connection it holds until
+    it finishes."""
 
     def __init__(self, backend: "SQLiteBackend", txn_id: str,
                  connection: sqlite3.Connection, write: bool) -> None:
@@ -163,17 +181,19 @@ class SQLiteTransaction:
         try:
             conn.execute("COMMIT")
         except sqlite3.OperationalError as exc:
-            mapped = _map_operational(exc)
-            if isinstance(mapped, BackendConflictError):
-                conn.execute("ROLLBACK")
-                self._finish(committed=False)
-                raise mapped from exc
-            raise mapped from exc
+            self.abort()
+            raise _map_operational(exc) from exc
         self._finish(committed=True)
 
     def abort(self) -> None:
         conn = self._require_open()
-        conn.execute("ROLLBACK")
+        try:
+            conn.execute("ROLLBACK")
+        except sqlite3.OperationalError:
+            # SQLite rolled back by itself ("no transaction is active"),
+            # or cannot now; a connection still inside a transaction is
+            # closed by the backend, which rolls back as well.
+            pass
         self._finish(committed=False)
 
     def _finish(self, committed: bool) -> None:
@@ -200,7 +220,7 @@ class SQLiteTransaction:
 
 
 class SQLiteBackend:
-    """The LDBS on SQLite: WAL mode, connection-per-transaction."""
+    """The LDBS on SQLite: WAL mode, one long-lived writer connection."""
 
     name = "sqlite"
 
@@ -220,6 +240,9 @@ class SQLiteBackend:
         self._txn_counter = 0
         self._open: list[SQLiteTransaction] = []
         self._open_conns: dict[int, sqlite3.Connection] = {}
+        #: the idle writer connection (None while a write transaction
+        #: holds it, and before the first one).
+        self._writer: sqlite3.Connection | None = None
         self.commits = 0
         self.aborts = 0
         self._closed = False
@@ -231,7 +254,6 @@ class SQLiteBackend:
                 raise BackendError(
                     f"could not enable WAL mode on {self.path!r} "
                     f"(got {mode!r})")
-            conn.execute("PRAGMA synchronous=NORMAL")
         finally:
             conn.close()
 
@@ -294,7 +316,11 @@ class SQLiteBackend:
         self._txn_counter += 1
         if txn_id is None:
             txn_id = f"sqlite-{self._txn_counter}"
-        conn = self._connect()
+        conn = None
+        if write:
+            conn, self._writer = self._writer, None
+        if conn is None:
+            conn = self._connect()
         try:
             conn.execute("BEGIN IMMEDIATE" if write else "BEGIN")
         except sqlite3.OperationalError as exc:
@@ -312,7 +338,11 @@ class SQLiteBackend:
             self._open.remove(txn)
         self._open_conns.pop(id(txn), None)
         if conn is not None:
-            conn.close()
+            if txn.write and self._writer is None \
+                    and not conn.in_transaction:
+                self._writer = conn
+            else:
+                conn.close()
         if committed:
             self.commits += 1
         else:
@@ -388,7 +418,8 @@ class SQLiteBackend:
         return state
 
     def crash(self) -> tuple[str, ...]:
-        """Simulate a crash: drop every open connection mid-transaction.
+        """Simulate a crash: hard-close every connection, the idle
+        writer included, without COMMIT.
 
         SQLite's WAL recovery then does the real work on the next
         connection: committed transactions survive, uncommitted ones
@@ -404,6 +435,9 @@ class SQLiteBackend:
             lost.append(txn.txn_id)
             self.aborts += 1
         self._open.clear()
+        if self._writer is not None:
+            self._writer.close()
+            self._writer = None
         return tuple(lost)
 
     def close(self) -> None:

@@ -367,7 +367,9 @@ class GTMService:
             # Unknown and foreign transactions are indistinguishable on
             # purpose: a session cannot probe other sessions' ids.
             raise GTMError(f"unknown transaction {txn_id!r}")
-        return txn_id
+        # the id string the GTM already holds, not this frame's copy:
+        # the operation log keeps whichever it is given, forever.
+        return self.gtm.transactions[txn_id].txn_id
 
     # -- verbs ----------------------------------------------------------
 

@@ -87,7 +87,11 @@ class TestGlobalCommit:
         assert gtm.transaction("A").state is _S.COMMITTED
 
     def test_records_commit_time(self):
+        """X_committed exists for Algorithm 9: a commit is recorded
+        (with X_tc) while somebody sleeps on X, and only then."""
         gtm = make_gtm()
+        granted_txn(gtm, "S", add(1))
+        gtm.sleep("S")
         granted_txn(gtm, "A", add(1))
         gtm.local_commit("A", "X")
         gtm.global_commit("A")
@@ -95,6 +99,13 @@ class TestGlobalCommit:
         assert len(records) == 1
         assert records[0].txn_id == "A"
         assert records[0].commit_time > 0           # X_tc
+        assert gtm.awake("S")
+        assert gtm.object("X").committed == []      # last sleeper left
+
+        granted_txn(gtm, "B", add(1))
+        gtm.local_commit("B", "X")
+        gtm.global_commit("B")
+        assert gtm.object("X").committed == []      # nobody to read it
 
     def test_clears_transaction_residue(self):
         gtm = make_gtm()

@@ -7,8 +7,13 @@ abort semantics, crash/WAL recovery, write-write conflict mapping into
 the :class:`~repro.errors.LockError` taxonomy, read-your-own-writes
 upsert probes, and canonical ``dump()`` parity.  SQLite-specific
 behaviour (the deferred read path not blocking the serialized write
-path, conflict-at-begin) lives in :class:`TestSQLiteSpecific`.
+path, conflict-at-begin, the long-lived writer connection and what
+``crash()``/``close()``/a failed COMMIT do to it) lives in
+:class:`TestSQLiteSpecific`.
 """
+
+import os
+import sqlite3
 
 import pytest
 
@@ -219,6 +224,170 @@ class TestSQLiteSpecific:
         # ...and a fresh read sees the new state
         with sqlite.begin("R2") as probe:
             assert probe.get_row("obj", 1)["value"] == 99.0
+
+    # -- the long-lived writer connection ------------------------------
+
+    @pytest.fixture()
+    def connects(self, monkeypatch):
+        """Connections opened, counted at the ``_connect`` seam (the
+        class-level hook the end-to-end benchmark also wraps)."""
+        opened = []
+        connect = SQLiteBackend._connect
+
+        def counting_connect(backend):
+            conn = connect(backend)
+            opened.append(conn)
+            return conn
+
+        monkeypatch.setattr(SQLiteBackend, "_connect", counting_connect)
+        return opened
+
+    def test_sequential_writes_share_one_connection(self, connects, sqlite):
+        for index in range(2, 12):
+            with sqlite.begin(write=True) as txn:
+                txn.update_by_key("obj", 1, {"value": float(index)})
+            sqlite.seed("obj", [{"id": index, "value": 0.0}])
+        aborted = sqlite.begin(write=True)
+        aborted.delete_by_key("obj", 1)
+        aborted.abort()
+        # WAL set-up, CREATE TABLE, and one writer for the fixture's
+        # seed and all 21 write transactions here.
+        assert len(connects) == 3
+        assert sqlite.commits == 21 and sqlite.aborts == 1   # + the seed
+        assert sqlite.open_transactions() == ()
+        assert sorted(sqlite.dump()["obj"]) == list(range(1, 12))
+
+    def test_second_concurrent_writer_is_refused_at_begin(self, sqlite,
+                                                          connects):
+        holder = sqlite.begin("W1", write=True)     # on the idle writer
+        holder.update_by_key("obj", 1, {"value": 1.0})
+        with pytest.raises(BackendConflictError):
+            sqlite.begin("W2", write=True)      # its own connection: busy
+        assert sqlite.open_transactions() == ("W1",)
+        holder.commit()
+        with sqlite.begin("W3", write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 2.0})
+        assert sqlite.dump()["obj"][1]["value"] == 2.0
+        # the refused writer's own connection, and dump()'s reader
+        assert len(connects) == 2
+
+    def test_crash_mid_transaction_drops_the_writer(self, sqlite):
+        with sqlite.begin("T1", write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 5.0})
+        writer = sqlite._writer
+        open_txn = sqlite.begin("T2", write=True)
+        open_txn.insert("obj", {"id": 2, "value": 0.0})
+        assert sqlite._writer is None               # T2 holds it
+        assert sqlite.crash() == ("T2",)
+        assert sorted(sqlite.dump()["obj"]) == [1]
+        assert sqlite.dump()["obj"][1]["value"] == 5.0
+        with pytest.raises(sqlite3.ProgrammingError):
+            writer.execute("SELECT 1")              # hard-closed
+        with sqlite.begin("T3", write=True) as txn:
+            txn.insert("obj", {"id": 2, "value": 1.0})
+        assert sqlite.dump()["obj"][2]["value"] == 1.0
+
+    def test_crash_with_idle_writer_loses_nothing(self, sqlite):
+        with sqlite.begin("T1", write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 5.0})
+        writer = sqlite._writer
+        assert sqlite.crash() == ()
+        with pytest.raises(sqlite3.ProgrammingError):
+            writer.execute("SELECT 1")
+        assert sqlite.dump()["obj"][1]["value"] == 5.0
+        with sqlite.begin("T2", write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 6.0})
+        assert sqlite.dump()["obj"][1]["value"] == 6.0
+
+    def test_reader_keeps_its_snapshot_across_pooled_writes(self, sqlite):
+        with sqlite.begin(write=True) as txn:   # the writer exists
+            txn.update_by_key("obj", 1, {"value": 11.0})
+        reader = sqlite.begin("R", write=False)
+        assert reader.get_row("obj", 1)["value"] == 11.0
+        for value in (12.0, 13.0):
+            with sqlite.begin(write=True) as txn:
+                txn.update_by_key("obj", 1, {"value": value})
+            assert reader.get_row("obj", 1)["value"] == 11.0
+        reader.commit()
+        assert sqlite.dump()["obj"][1]["value"] == 13.0
+
+    def test_close_drops_the_writer_and_the_owned_files(self):
+        backend = make_backend("sqlite")
+        with backend.begin(write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 2.0})
+        assert os.path.exists(backend.path)
+        backend.close()
+        with pytest.raises(BackendError):
+            backend.begin(write=True)
+        for suffix in ("", "-wal", "-shm"):
+            assert not os.path.exists(backend.path + suffix)
+
+    def test_writer_reusable_after_statement_errors(self, sqlite, connects):
+        with pytest.raises(ConstraintViolation):
+            with sqlite.begin(write=True) as txn:
+                txn.update_by_key("obj", 1, {"value": -1.0})
+        with pytest.raises(StorageError):
+            with sqlite.begin(write=True) as txn:
+                txn.update_by_key("obj", 1, {"value": 3.0})
+                txn.insert("obj", {"id": 1, "value": 0.0})
+        with sqlite.begin(write=True) as txn:
+            txn.update_by_key("obj", 1, {"value": 4.0})
+        assert connects == []           # all on the fixture's writer
+        assert sqlite.dump()["obj"][1]["value"] == 4.0
+        assert sqlite.commits == 2 and sqlite.aborts == 2
+
+    @pytest.mark.parametrize("failing, message", [
+        ("COMMIT", "disk I/O error"),
+        ("ROLLBACK", "cannot rollback - no transaction is active"),
+    ])
+    def test_failed_commit_or_rollback_does_not_wedge_the_write_path(
+            self, monkeypatch, request, failing, message):
+        """Regression: a non-busy COMMIT failure, or a ROLLBACK that
+        itself raises, used to leave the transaction open on a
+        connection holding the write lock — every later SST failed
+        busy.  The writer must be released, or discarded when it is
+        still inside a transaction."""
+
+        armed = []
+
+        class FailingOnce:
+            """What ``_connect`` returns: the connection, except that
+            the next ``failing`` statement, once armed, raises instead
+            of running."""
+
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *params):
+                if armed and sql == failing:
+                    armed.clear()
+                    raise sqlite3.OperationalError(message)
+                return self._conn.execute(sql, *params)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        connect = SQLiteBackend._connect
+        monkeypatch.setattr(SQLiteBackend, "_connect",
+                            lambda backend: FailingOnce(connect(backend)))
+        sqlite = make_backend("sqlite")     # so its writer is a proxy
+        request.addfinalizer(sqlite.close)
+        armed.append(True)
+        txn = sqlite.begin("T1", write=True)
+        txn.update_by_key("obj", 1, {"value": 3.0})
+        if failing == "COMMIT":
+            with pytest.raises(BackendError) as caught:
+                txn.commit()
+            assert not isinstance(caught.value, BackendConflictError)
+        else:
+            txn.abort()     # SQLite's refusal leaves nothing to undo
+        assert sqlite.open_transactions() == ()
+        assert sqlite._writer is None or not sqlite._writer.in_transaction
+        assert sqlite.dump()["obj"][1]["value"] == 10.0
+        with sqlite.begin("T2", write=True) as again:
+            again.update_by_key("obj", 1, {"value": 4.0})
+        assert sqlite.dump()["obj"][1]["value"] == 4.0
+        assert (sqlite.commits, sqlite.aborts) == (2, 1)   # seed + T2; T1
 
     def test_explicit_path_and_wal_mode(self, tmp_path):
         target = tmp_path / "ldbs.sqlite3"
