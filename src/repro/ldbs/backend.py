@@ -152,15 +152,25 @@ class _MemoryTransaction:
 
     def commit(self) -> None:
         self._txn.commit()
+        self._backend._transaction_finished()
 
     def abort(self) -> None:
         self._txn.abort()
+        self._backend._transaction_finished()
 
     def __enter__(self) -> "_MemoryTransaction":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        return self._txn.__exit__(exc_type, exc, tb)
+        suppress = self._txn.__exit__(exc_type, exc, tb)
+        self._backend._transaction_finished()
+        return suppress
+
+
+#: WAL records after which the memory backend checkpoints the engine
+#: at the next quiescent moment.  SQLite's ``wal_autocheckpoint``
+#: default (there in pages); a constant, not a knob.
+WAL_AUTOCHECKPOINT = 1000
 
 
 class MemoryBackend:
@@ -170,6 +180,12 @@ class MemoryBackend:
     a fresh one).  Strict 2PL has no cheaper read path, so the
     ``write`` flag is accepted and ignored — every transaction runs at
     the engine's single (serializable) isolation level.
+
+    The engine's WAL is bounded here: a transaction that finishes with
+    :data:`WAL_AUTOCHECKPOINT` or more records logged and no other
+    transaction open takes the engine's quiesced checkpoint (snapshot
+    every table, truncate the log), so a long-lived service retains
+    the rows and a bounded log suffix, not its whole write history.
     """
 
     name = "memory"
@@ -185,12 +201,20 @@ class MemoryBackend:
 
     def seed(self, table: str, rows: Iterable[Mapping[str, Any]]) -> None:
         self.database.seed(table, rows)
+        self._transaction_finished()
 
     # -- transactions -------------------------------------------------------
 
     def begin(self, txn_id: str | None = None, *,
               write: bool = False) -> _MemoryTransaction:
         return _MemoryTransaction(self, self.database.begin(txn_id))
+
+    def _transaction_finished(self) -> None:
+        """Checkpoint once the WAL is long enough and nothing is open."""
+        database = self.database
+        if (len(database.wal) >= WAL_AUTOCHECKPOINT
+                and not database.open_transactions()):
+            database.checkpoint()
 
     # -- catalog introspection ----------------------------------------------
 

@@ -325,7 +325,7 @@ class Database:
             raise TransactionError(
                 f"cannot checkpoint with open transactions: "
                 f"{sorted(self._open)}")
-        self._snapshot = {table.name: tuple(table.scan())
+        self._snapshot = {table.name: table.rows()
                           for table in self.catalog}
         self.wal.truncate()
         return sum(len(rows) for rows in self._snapshot.values())

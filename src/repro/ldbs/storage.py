@@ -45,6 +45,11 @@ class HeapTable:
         """All live rids in insertion order."""
         return tuple(self._rows)
 
+    def rows(self) -> tuple[Row, ...]:
+        """Every current row version, in :meth:`scan` order, without a
+        predicate call per row (what a checkpoint snapshots)."""
+        return tuple(self._rows.values())
+
     # -- point access -------------------------------------------------------
 
     def get(self, rid: int) -> Row:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 from repro.errors import WALError
@@ -30,7 +31,12 @@ class RecordType(enum.Enum):
     CHECKPOINT = "checkpoint"
 
 
-@dataclass(frozen=True)
+#: What every record but CHECKPOINT carries as ``payload``: one shared,
+#: immutable empty mapping instead of a fresh dict per record.
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One WAL entry.
 
@@ -45,7 +51,7 @@ class LogRecord:
     rid: int | None = None
     before: Mapping[str, Any] | None = None
     after: Mapping[str, Any] | None = None
-    payload: Mapping[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = field(default_factory=lambda: _NO_PAYLOAD)
 
     def is_data(self) -> bool:
         return self.type in (RecordType.INSERT, RecordType.UPDATE,
@@ -148,8 +154,15 @@ class WriteAheadLog:
         return frozenset(self._active)
 
     def truncate(self) -> None:
-        """Drop the log (after a checkpoint flush, or between tests)."""
+        """Drop the log (after a checkpoint flush, or between tests).
+
+        The finished-transaction ids go with the records that described
+        them — a checkpointed log must not keep one string per commit
+        forever — so only a *still active* id is refused a second
+        BEGIN afterwards.
+        """
         self._records.clear()
+        self._finished.clear()
 
     def __repr__(self) -> str:
         return (f"<WriteAheadLog records={len(self._records)} "

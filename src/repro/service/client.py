@@ -3,13 +3,13 @@
 The client owns one transport and runs one background reader task that
 routes inbound frames:
 
-- a frame whose ``re`` matches an outstanding request resolves that
-  request's reply queue (a *queue*, not a future, because a queued op
+- a frame whose ``re`` matches an outstanding request lands in that
+  request's mailbox (a *mailbox*, not a future, because a queued op
   produces two frames under one id: ``queued`` now, ``granted`` when
   the admission layer regrants);
 - ``committed``/``aborted`` pushes for a known transaction land in
-  that transaction's event queue (how a ``commit-pending`` resolves,
-  and how an op waiting on a grant learns its transaction was wounded);
+  that transaction's mailbox (how a ``commit-pending`` resolves, and
+  how an op waiting on a grant learns its transaction was wounded);
 - everything else (``shutdown``, unsolicited errors) goes to ``inbox``.
 
 ``error`` frames resolve to the exception class they encode
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+from collections import deque
 from typing import Any
 
 from repro.errors import GTMError
@@ -36,6 +37,26 @@ class ConnectionLost(GTMError):
     """The transport died while a request was outstanding."""
 
 
+class _Mailbox:
+    """Frames for one consumer: a deque plus one parked future, which
+    :meth:`ServiceClient._next_frame` may park in several mailboxes at
+    once (a reply raced against a push, without a task per side)."""
+
+    __slots__ = ("frames", "waiter")
+
+    def __init__(self) -> None:
+        self.frames: deque[dict[str, Any]] = deque()
+        self.waiter: asyncio.Future | None = None
+
+    def put(self, frame: dict[str, Any]) -> None:
+        self.frames.append(frame)
+        waiter = self.waiter
+        if waiter is not None:
+            self.waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
+
+
 class ServiceClient:
     """One connection's view of the service."""
 
@@ -48,8 +69,8 @@ class ServiceClient:
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.shutdown_seen = False
         self._sequence = itertools.count(1)
-        self._replies: dict[Any, asyncio.Queue] = {}
-        self._txn_events: dict[str, asyncio.Queue] = {}
+        self._replies: dict[Any, _Mailbox] = {}
+        self._txn_events: dict[str, _Mailbox] = {}
         self._lost = False
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
@@ -72,16 +93,15 @@ class ServiceClient:
             self._lost = True
             poison = {"type": "error", "code": "gtm/error",
                       "message": "connection lost"}
-            for queue in self._replies.values():
-                queue.put_nowait(poison)
-            for queue in self._txn_events.values():
-                queue.put_nowait(poison)
+            for box in (*self._replies.values(),
+                        *self._txn_events.values()):
+                box.put(poison)
             self.inbox.put_nowait(poison)
 
     def _route(self, frame: dict[str, Any]) -> None:
         re = frame.get("re")
         if re is not None and re in self._replies:
-            self._replies[re].put_nowait(frame)
+            self._replies[re].put(frame)
             return
         if frame.get("type") == "shutdown":
             self.shutdown_seen = True
@@ -89,7 +109,7 @@ class ServiceClient:
         if (txn is not None and frame.get("type") in
                 ("committed", "aborted", "granted")
                 and txn in self._txn_events):
-            self._txn_events[txn].put_nowait(frame)
+            self._txn_events[txn].put(frame)
             return
         self.inbox.put_nowait(frame)
 
@@ -111,17 +131,33 @@ class ServiceClient:
             self._lost = True
             raise ConnectionLost(str(exc)) from None
 
+    async def _next_frame(self, *boxes: _Mailbox) -> dict[str, Any]:
+        """The next frame from any of ``boxes``; when several hold one,
+        the earliest-listed mailbox wins and the others keep theirs."""
+        while True:
+            for box in boxes:
+                if box.frames:
+                    return box.frames.popleft()
+            waiter = asyncio.get_running_loop().create_future()
+            for box in boxes:
+                box.waiter = waiter
+            try:
+                await waiter
+            finally:
+                for box in boxes:
+                    if box.waiter is waiter:
+                        box.waiter = None
+
     async def request(self, frame: dict[str, Any]) -> dict[str, Any]:
         """Send one request and await its direct reply."""
         fid = next(self._sequence)
         frame = {**frame, "id": fid}
-        queue: asyncio.Queue = asyncio.Queue()
-        self._replies[fid] = queue
+        replies = self._replies[fid] = _Mailbox()
         try:
             await self._send(frame)
-            return self._check_reply(await queue.get())
+            return self._check_reply(await self._next_frame(replies))
         finally:
-            self._replies.pop(fid, None)
+            del self._replies[fid]
 
     async def _request_followed(self, frame: dict[str, Any],
                                 txn_id: str,
@@ -129,34 +165,22 @@ class ServiceClient:
         """Request whose reply may be provisional (``queued`` /
         ``commit-pending``): wait for the follow-up frame — the regrant
         or the deferred outcome — racing it against the transaction's
-        event stream (an abort push while parked must not hang us)."""
+        event stream (an abort push while parked must not hang us).
+        When both raced in, the reply is returned and the event stays
+        in the transaction's mailbox."""
         fid = next(self._sequence)
         frame = {**frame, "id": fid}
-        reply_queue: asyncio.Queue = asyncio.Queue()
-        self._replies[fid] = reply_queue
-        txn_queue = self._txn_events.get(txn_id)
+        replies = self._replies[fid] = _Mailbox()
+        events = self._txn_events.get(txn_id)
         try:
             await self._send(frame)
-            reply = self._check_reply(await reply_queue.get())
+            reply = self._check_reply(await self._next_frame(replies))
             if reply.get("type") != pending_type:
                 return reply
-            if txn_queue is None:
-                return self._check_reply(await reply_queue.get())
-            get_reply = asyncio.ensure_future(reply_queue.get())
-            get_event = asyncio.ensure_future(txn_queue.get())
-            done, pending = await asyncio.wait(
-                {get_reply, get_event},
-                return_when=asyncio.FIRST_COMPLETED)
-            for task in pending:
-                task.cancel()
-            if get_reply in done and get_event in done:
-                # Both raced in: keep the reply, re-queue the event.
-                txn_queue.put_nowait(get_event.result())
-            winner = (get_reply if get_reply in done
-                      else get_event).result()
-            return self._check_reply(winner)
+            boxes = (replies,) if events is None else (replies, events)
+            return self._check_reply(await self._next_frame(*boxes))
         finally:
-            self._replies.pop(fid, None)
+            del self._replies[fid]
 
     # -- protocol verbs -------------------------------------------------
 
@@ -172,7 +196,8 @@ class ServiceClient:
     def adopt(self, txn_id: str) -> None:
         """Start routing pushes for a transaction begun on an earlier
         connection (reconnect with surviving work)."""
-        self._txn_events.setdefault(txn_id, asyncio.Queue())
+        if txn_id not in self._txn_events:
+            self._txn_events[txn_id] = _Mailbox()
 
     def release(self, txn_id: str) -> None:
         self._txn_events.pop(txn_id, None)

@@ -65,9 +65,10 @@ class ServiceConfig:
     #: transactions are aborted (the paper's bounded time-out for
     #: sleepers).  None disarms the timer: sleepers wait forever.
     bto_timeout: float | None = 60.0
-    #: Per-session outbox bound (frames).  A client that stops reading
-    #: past this is forcibly detached — backpressure by disconnection,
-    #: which the protocol already models as ⟨sleep⟩.
+    #: Per-session outbox bound: frames a transport may take on while
+    #: its write buffer is already over its high-water mark.  A client
+    #: that stops reading past this is forcibly detached — backpressure
+    #: by disconnection, which the protocol already models as ⟨sleep⟩.
     max_outbox: int = 1024
     #: Create unknown objects on first reference (value 0).  Off, an
     #: op on an unknown object is an error frame.
@@ -131,6 +132,15 @@ class GTMService:
         self.gtm.subscribe(_ServiceObserver(self))
         self.sessions = SessionStore()
         self.metrics = MetricsRegistry()
+        # The counters every frame or transaction bumps, resolved once
+        # (by name, each bump is a registry probe plus a kind check).
+        counter = self.metrics.counter
+        self._frames = counter("service_frames")
+        self._txn_begun = counter("service_txn_begun")
+        self._ops_granted = counter("service_ops_granted")
+        self._txn_finished = {
+            outcome: counter(f"service_txn_{outcome}")
+            for outcome in ("committed", "aborted")}
         #: txn id -> owning session.
         self._txn_session: dict[str, Session] = {}
         #: txn id -> {(object, member): FIFO of request ids} for
@@ -321,7 +331,7 @@ class GTMService:
     def handle(self, session: Session, frame: dict[str, Any]) -> None:
         """Apply one decoded client frame; replies go to the sink."""
         fid = frame.get("id")
-        self.metrics.counter("service_frames").inc()
+        self._frames.inc()
         try:
             frame_type = frame.get("type")
             if frame_type == "ping":
@@ -388,7 +398,7 @@ class GTMService:
         self.gtm.begin(txn_id)
         session.txns.add(txn_id)
         self._txn_session[txn_id] = session
-        self.metrics.counter("service_txn_begun").inc()
+        self._txn_begun.inc()
         self._reply(session, {"type": "begun", "txn": txn_id}, fid)
 
     def _handle_op(self, session: Session, frame: dict[str, Any],
@@ -401,7 +411,7 @@ class GTMService:
         outcome = self.gtm.invoke(txn_id, object_name, invocation)
         if outcome == GrantOutcome.GRANTED:
             value = self.gtm.apply(txn_id, object_name, invocation)
-            self.metrics.counter("service_ops_granted").inc()
+            self._ops_granted.inc()
             self._reply(session, {
                 "type": "granted", "txn": txn_id,
                 "object": object_name, "member": invocation.member,
@@ -427,7 +437,7 @@ class GTMService:
                 # yet — so nothing was applied or pushed: apply and
                 # answer it here, or the id would dangle forever.
                 value = self.gtm.apply(txn_id, object_name, invocation)
-                self.metrics.counter("service_ops_granted").inc()
+                self._ops_granted.inc()
                 self._reply(session, {
                     "type": "granted", "txn": txn_id,
                     "object": object_name, "member": invocation.member,
@@ -530,9 +540,13 @@ class GTMService:
     def _pump(self) -> None:
         """Finish deferred commits that became completable, then retire.
 
-        Per-transaction :meth:`try_finish_commit` keeps this O(pending)
-        — a long-lived service must not scan its whole transaction
-        registry after every frame.
+        Runs after every frame, so it must cost O(pending) — next to
+        nothing when no commit is deferred, no transaction finished and
+        no session expired or closed since the last call; otherwise one
+        :meth:`try_finish_commit` per deferred commit and one eviction
+        per finished transaction or dead session
+        (:meth:`SessionStore.purge_finished`).  It never scans the
+        transaction registry or the session directory.
         """
         progress = True
         while progress and self._pending_commits:
@@ -578,7 +592,7 @@ class GTMService:
         except ReproError as exc:
             self._push_correlated(session, error_frame(exc, re=fid))
             return
-        self.metrics.counter("service_ops_granted").inc()
+        self._ops_granted.inc()
         push = {"type": "granted", "txn": txn.txn_id,
                 "object": obj.name, "member": invocation.member,
                 "value": value}
@@ -610,7 +624,7 @@ class GTMService:
         self._pending_ops.pop(txn_id, None)
         was_pending_commit = txn_id in self._pending_commits
         self._pending_commits.discard(txn_id)
-        self.metrics.counter(f"service_txn_{outcome}").inc()
+        self._txn_finished[outcome].inc()
         if self.config.retire_finished:
             self._retire.append(txn_id)
         if session is None:

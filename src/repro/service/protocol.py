@@ -75,10 +75,15 @@ OP_NAMES: dict[str, OperationClass] = {
 # ---------------------------------------------------------------------------
 
 
+#: Built once: ``json.dumps`` with non-default arguments constructs a
+#: fresh ``JSONEncoder`` per call, and this is the same encoder.
+_encode_json = json.JSONEncoder(separators=(",", ":"),
+                                ensure_ascii=False).encode
+
+
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """Serialize one frame to its wire form (compact JSON + newline)."""
-    data = json.dumps(frame, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
+    data = _encode_json(frame).encode("utf-8")
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise WireFormatError(
             f"frame of {len(data)} bytes exceeds the "

@@ -1,15 +1,18 @@
 """The asyncio transport: TCP server and in-memory stream pairs.
 
-One connection = one reader loop + one writer task + one bounded
-outbox.  The transport is deliberately thin: every decision lives in
-the synchronous :class:`~repro.service.core.GTMService`, which is why
-the session state machine can be tested under the simulator while this
+One connection = one reader loop; there is no writer task.  The
+transport is deliberately thin: every decision lives in the
+synchronous :class:`~repro.service.core.GTMService`, which is why the
+session state machine can be tested under the simulator while this
 module only shuttles bytes.
 
-Backpressure: the service's sink enqueues into a bounded per-session
-outbox; the writer task drains it into the socket at the peer's pace.
-A client that stops reading until the outbox overflows is forcibly
-detached — which the protocol already models as ⟨sleep⟩, so a slow
+A reply is written in the loop turn of the handler that produced it:
+the sink encodes the frame and calls the transport's ``write``, which
+never blocks, so the transport's own write buffer is the outbox.
+Backpressure: frames written while that buffer sits above its
+high-water mark (the peer is not reading) are counted, and after
+``max_outbox`` of them the client is forcibly detached and its backlog
+discarded — which the protocol already models as ⟨sleep⟩, so a slow
 reader degrades into a disconnected one instead of growing the heap.
 
 The in-memory transport (:func:`memory_pair`) is the same duplex
@@ -32,9 +35,6 @@ from repro.service.protocol import (
     error_frame,
 )
 
-#: Sentinel pushed into an outbox to stop the writer task.
-_CLOSE = object()
-
 
 # ---------------------------------------------------------------------------
 # in-memory duplex transport
@@ -42,33 +42,53 @@ _CLOSE = object()
 
 
 class MemoryWriter:
-    """Write end of an in-memory stream, duck-typed to StreamWriter."""
+    """Write end of an in-memory stream, duck-typed to StreamWriter and
+    to its ``transport``: the write buffer is whatever the peer has not
+    yet read from its :class:`asyncio.StreamReader`."""
 
-    __slots__ = ("_reader", "_closed")
+    __slots__ = ("_reader", "_closed", "_peer")
 
     def __init__(self, reader: asyncio.StreamReader) -> None:
         self._reader = reader
         self._closed = False
+        #: the opposite direction's writer (see :func:`memory_pair`):
+        #: a peer that closed it reads no more.
+        self._peer = self
 
     def write(self, data: bytes) -> None:
         if not self._closed:
             self._reader.feed_data(data)
 
     async def drain(self) -> None:
-        # The peer consumes from the same loop; no kernel buffer to
-        # fill, so drain is a cancellation point and nothing more.
-        await asyncio.sleep(0)
+        # StreamWriter.drain's contract: return at once unless the
+        # peer's unread buffer is over its limit; then yield to the
+        # peer (same loop) until it caught up or either end closed.
+        while (self.get_write_buffer_size() > MAX_FRAME_BYTES
+               and not self._closed and not self._peer._closed):
+            await asyncio.sleep(0)
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
             self._reader.feed_eof()
 
+    abort = close
+
     def is_closing(self) -> bool:
         return self._closed
 
     async def wait_closed(self) -> None:
         return None
+
+    @property
+    def transport(self) -> "MemoryWriter":
+        return self
+
+    def get_write_buffer_size(self) -> int:
+        return len(self._reader._buffer)
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return 0, MAX_FRAME_BYTES
 
 
 def memory_pair() -> tuple[tuple[asyncio.StreamReader, MemoryWriter],
@@ -80,9 +100,10 @@ def memory_pair() -> tuple[tuple[asyncio.StreamReader, MemoryWriter],
     """
     to_server = asyncio.StreamReader(limit=MAX_FRAME_BYTES)
     to_client = asyncio.StreamReader(limit=MAX_FRAME_BYTES)
-    client_side = (to_client, MemoryWriter(to_server))
-    server_side = (to_server, MemoryWriter(to_client))
-    return client_side, server_side
+    client_writer, server_writer = (MemoryWriter(to_server),
+                                    MemoryWriter(to_client))
+    client_writer._peer, server_writer._peer = server_writer, client_writer
+    return (to_client, client_writer), (to_server, server_writer)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +161,7 @@ class ServiceServer:
 
 
 class _Connection:
-    """One live transport: reader loop, writer task, bounded outbox."""
+    """One live transport: a reader loop, and a sink that writes."""
 
     def __init__(self, server: ServiceServer,
                  reader: asyncio.StreamReader, writer: Any) -> None:
@@ -148,30 +169,35 @@ class _Connection:
         self.service = server.service
         self.reader = reader
         self.writer = writer
-        self.outbox: asyncio.Queue = asyncio.Queue(
-            maxsize=self.service.config.max_outbox)
+        transport = writer.transport
+        self._buffered = transport.get_write_buffer_size
+        self._high_water = transport.get_write_buffer_limits()[1]
+        #: frames written since the buffer last rose over the mark.
+        self._congested = 0
         self.session = None
-        self._overflowed = False
         self._closing = False
 
     # The service-facing sink: synchronous, never blocks the handler.
     def sink(self, frame: dict[str, Any]) -> None:
         if self._closing:
             return
-        try:
-            self.outbox.put_nowait(encode_frame(frame))
-        except asyncio.QueueFull:
-            # Slow reader: degrade to a disconnect (= ⟨sleep⟩).
-            self._overflowed = True
+        if self._buffered() <= self._high_water:
+            self._congested = 0
+        elif self._congested < self.service.config.max_outbox:
+            self._congested += 1
+        else:
+            # Slow reader: degrade to a disconnect (= ⟨sleep⟩).  The
+            # backlog would never flush, so it goes with the transport;
+            # the detach is left to the read loop's own turn — the
+            # service may be mid-cascade when this push goes out.
             self.service.metrics.counter("service_outbox_overflows").inc()
-            self._closing = True
+            self.writer.transport.abort()
+            self.request_close()
+            return
+        self.writer.write(encode_frame(frame))
 
     def request_close(self) -> None:
         self._closing = True
-        try:
-            self.outbox.put_nowait(_CLOSE)
-        except asyncio.QueueFull:
-            pass  # the writer will hit the _closing flag instead
         # Unblock a read loop parked in readline().
         try:
             self.reader.feed_eof()
@@ -179,12 +205,10 @@ class _Connection:
             pass
 
     async def run(self) -> None:
-        writer_task = asyncio.ensure_future(self._drain_outbox())
         try:
             await self._read_loop()
         finally:
-            self.request_close()
-            await writer_task
+            self._closing = True
             try:
                 self.writer.close()
                 await self.writer.wait_closed()
@@ -215,27 +239,11 @@ class _Connection:
             if self.session is None:
                 self.session = self.service.connect(frame, self.sink)
                 if self.session is None:
-                    return  # rejected hello; error frame is queued
+                    return  # rejected hello; error frame is written
             else:
                 self.service.handle(self.session, frame)
                 if not self.session.connected:
                     return  # `bye` closed the session
-            if self._overflowed:
-                return
-
-
-    async def _drain_outbox(self) -> None:
-        while True:
-            item = await self.outbox.get()
-            if item is _CLOSE:
-                break
-            try:
-                self.writer.write(item)
-                await self.writer.drain()
-            except (OSError, ConnectionError):
-                break
-            if self._closing and self.outbox.empty():
-                break
 
 
 # ---------------------------------------------------------------------------

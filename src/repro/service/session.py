@@ -110,6 +110,9 @@ class SessionStore:
     def __init__(self) -> None:
         self._sessions: dict[str, Session] = {}
         self._sequence = itertools.count(1)
+        #: tokens that turned EXPIRED / CLOSED since the last purge
+        #: (never purged = the sessions themselves are kept too).
+        self._dead: list[str] = []
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -164,12 +167,14 @@ class SessionStore:
         session.aborted_by_bto = aborted
         session.bto_timer = None
         session.held.clear()  # nothing will ever replay these
+        self._dead.append(session.token)
 
     def close(self, session: Session) -> None:
         """Graceful ``bye``: the token will never resume."""
         session.state = SessionState.CLOSED
         session.sink = None
         session.held.clear()
+        self._dead.append(session.token)
 
     def purge_finished(self) -> int:
         """Evict every EXPIRED / CLOSED session; returns the count.
@@ -180,10 +185,16 @@ class SessionStore:
         resumes as :class:`UnknownToken` rather than
         :class:`SessionExpired` — so eviction is opt-in, driven by
         ``ServiceConfig.retire_finished``.
+
+        Cost: O(sessions that expired or closed since the last call),
+        nothing when none did — :meth:`expire` and :meth:`close` are
+        the only ways into those states (neither is ever left again)
+        and record the token, so the service pump can call this after
+        every frame without scanning the directory.
         """
-        dead = [token for token, session in self._sessions.items()
-                if session.state in (SessionState.EXPIRED,
-                                     SessionState.CLOSED)]
-        for token in dead:
-            del self._sessions[token]
-        return len(dead)
+        evicted = 0
+        for token in self._dead:
+            if self._sessions.pop(token, None) is not None:
+                evicted += 1
+        self._dead.clear()
+        return evicted

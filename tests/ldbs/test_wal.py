@@ -85,3 +85,28 @@ class TestStatusTracking:
         wal.log_begin("T1")
         wal.truncate()
         assert len(wal) == 0
+
+    def test_truncate_forgets_finished_ids_not_active_ones(self):
+        wal = WriteAheadLog()
+        wal.log_begin("T1")
+        wal.log_commit("T1")
+        wal.log_begin("T2")
+        wal.log_abort("T2")
+        wal.log_begin("T3")  # still active across the truncate
+        wal.truncate()
+        assert wal._finished == set()  # one string per commit, gone
+        assert wal.active_transactions() == {"T3"}
+        with pytest.raises(WALError):
+            wal.log_begin("T3")
+        wal.log_commit("T3")
+        wal.log_begin("T1")  # a truncated-away id is not remembered
+
+    def test_records_are_slotted_and_share_the_empty_payload(self):
+        wal = WriteAheadLog()
+        first = wal.log_begin("T1")
+        second = wal.log_insert("T1", "t", 1, {"a": 1})
+        assert not hasattr(first, "__dict__")
+        assert first.payload is second.payload
+        assert dict(first.payload) == {}
+        with pytest.raises(TypeError):
+            first.payload["k"] = 1

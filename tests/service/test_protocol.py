@@ -1,6 +1,9 @@
 """Wire codec tests: frames, the op builder, and the error taxonomy."""
 
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 import repro.errors as errors_module
 from repro.errors import (
@@ -63,6 +66,42 @@ class TestFrameCodec:
 
     def test_vocabularies_are_disjoint(self):
         assert not REQUEST_TYPES & RESPONSE_TYPES
+
+
+def reference_encoding(frame) -> bytes:
+    """The wire form as first specified: what ``encode_frame`` must
+    keep producing byte for byte, however it gets there."""
+    return json.dumps(frame, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8") + b"\n"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(st.characters(blacklist_categories=("Cs",))),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+class TestEncodingIsUnchanged:
+    @given(st.dictionaries(st.text(max_size=8), _json_values,
+                           max_size=6))
+    def test_matches_json_dumps(self, frame):
+        assert encode_frame(frame) == reference_encoding(frame)
+
+    def test_non_ascii_goes_out_as_utf8(self):
+        frame = {"type": "op", "object": "vol/à-β-東京", "operand": 0.1}
+        assert encode_frame(frame) == reference_encoding(frame)
+        assert "東京".encode("utf-8") in encode_frame(frame)
+
+    def test_limit_is_on_the_encoded_bytes(self):
+        # 2 bytes per character: half the limit in characters is over
+        with pytest.raises(WireFormatError):
+            encode_frame({"type": "op", "blob": "é" * (MAX_FRAME_BYTES // 2)})
+        fits = {"type": "op", "blob": "x" * (MAX_FRAME_BYTES - 100)}
+        assert len(encode_frame(fits)) <= MAX_FRAME_BYTES
+        assert encode_frame(fits) == reference_encoding(fits)
 
 
 class TestBuildInvocation:

@@ -10,16 +10,22 @@ oracle.  (No pytest-asyncio here: each test drives its own loop via
 """
 
 import asyncio
+import socket
 
 import pytest
 
+from repro.core.states import TransactionState
 from repro.errors import GTMError, TokenInUse, WireFormatError
 from repro.driver.asyncio_driver import AsyncioDriver
-from repro.service import GTMService, ServiceConfig
+from repro.service import GTMService, ServiceConfig, SessionState
 from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.load import LoadConfig, run_load
+from repro.service.protocol import (
+    MAX_FRAME_BYTES,
+    decode_frame,
+    encode_frame,
+)
 from repro.service.server import (
-    MemoryWriter,
     ServiceServer,
     _Connection,
     memory_connector,
@@ -168,23 +174,102 @@ class TestTCPTransport:
         run(check())
 
 
+class StubWriter:
+    """Records writes; the test says how full the transport buffer is."""
+
+    HIGH_WATER = 100
+
+    def __init__(self) -> None:
+        self.written: list[bytes] = []
+        self.buffered = 0
+        self.aborted = False
+
+    @property
+    def transport(self) -> "StubWriter":
+        return self
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+    def get_write_buffer_limits(self) -> tuple[int, int]:
+        return 0, self.HIGH_WATER
+
+    def write(self, data: bytes) -> None:
+        self.written.append(data)
+
+    def abort(self) -> None:
+        self.aborted = True
+
+    close = abort
+
+    async def wait_closed(self) -> None:
+        return None
+
+
+def fat_ping(fid: int) -> bytes:
+    """A ping whose pong is ~32 KiB: a few of them outgrow any
+    transport buffer, so a reader that stops reading is soon behind."""
+    return encode_frame({"type": "ping", "id": f"{fid:06d}" + "x" * 32000})
+
+
+async def wait_for_overflow(service: GTMService) -> None:
+    """Yield to the server until it has detached the slow reader."""
+    for _ in range(200):
+        (session,) = service.sessions.values()
+        if not session.connected:
+            return
+        await asyncio.sleep(0.005)
+
+
+def assert_detached_asleep(service: GTMService, txn: str) -> None:
+    (session,) = service.sessions.values()
+    assert session.state is SessionState.DETACHED
+    assert service.gtm.transaction(txn).is_in(TransactionState.SLEEPING)
+    assert service.metrics.counter(
+        "service_outbox_overflows").value() == 1.0
+
+
 class TestBackpressure:
     def test_outbox_overflow_forces_detach(self):
         async def check():
             service, server = make_server(max_outbox=2)
-            reader, _ = memory_pair()[0]
-            conn = _Connection(server, reader,
-                               MemoryWriter(asyncio.StreamReader()))
-            # no writer task draining: the third frame overflows
+            writer = StubWriter()
+            conn = _Connection(server, asyncio.StreamReader(), writer)
+            writer.buffered = StubWriter.HIGH_WATER + 1
+            # the peer is not reading: two frames over the mark are
+            # written, the third overflows
             for _ in range(3):
                 conn.sink({"type": "pong"})
-            assert conn._overflowed
+            assert len(writer.written) == 2
+            assert writer.aborted  # the backlog goes with the transport
             assert conn._closing
+            assert conn.reader.at_eof()  # the read loop is woken
             assert service.metrics.counter(
                 "service_outbox_overflows").value() == 1.0
             # overflow is terminal for the sink: further frames drop
+            writer.buffered = 0
             conn.sink({"type": "pong"})
-            assert conn.outbox.qsize() == 2
+            assert len(writer.written) == 2
+            assert service.metrics.counter(
+                "service_outbox_overflows").value() == 1.0
+        run(check())
+
+    def test_frame_order_survives_congestion(self):
+        async def check():
+            service, server = make_server(max_outbox=3)
+            writer = StubWriter()
+            conn = _Connection(server, asyncio.StreamReader(), writer)
+            levels = [0, 0, 101, 500, 101, 0, 101, 101, 101, 100]
+            for serial, level in enumerate(levels):
+                writer.buffered = level
+                conn.sink({"type": "pong", "re": serial})
+            # uncongested -> congested -> uncongested: every frame is
+            # written at once and in order, and a buffer that fell back
+            # under the mark starts the count over (3 + 3 frames over
+            # the mark here, never more than 3 in a row)
+            assert [decode_frame(data)["re"] for data in writer.written] \
+                == list(range(len(levels)))
+            assert not conn._closing
         run(check())
 
     def test_overflowed_connection_sleeps_its_session(self):
@@ -194,17 +279,97 @@ class TestBackpressure:
             serve = asyncio.ensure_future(
                 server._on_connection(*server_side))
             reader, writer = client_side
-            from repro.service.protocol import encode_frame
             writer.write(encode_frame({"type": "hello", "id": 1}))
             await reader.readline()  # welcome
-            # a burst the 1-frame outbox cannot absorb while the
-            # writer task is parked behind an unread stream
-            for fid in range(2, 8):
-                writer.write(encode_frame({"type": "ping", "id": fid}))
+            writer.write(encode_frame({"type": "begin", "id": 2}))
+            txn = decode_frame(await reader.readline())["txn"]
+            # a burst of replies nobody reads: once they pass the
+            # high-water mark, one more frame is allowed, the next
+            # detaches the session
+            for fid in range(3, 11):
+                writer.write(fat_ping(fid))
             await asyncio.wait_for(serve, timeout=5.0)
-            (session,) = service.sessions.values()
-            assert not session.connected
+            assert_detached_asleep(service, txn)
+            # 64 KiB is passed by the third pong; the fourth is the one
+            # allowed over the mark; the rest were dropped, then EOF
+            pongs = []
+            while line := await reader.readline():
+                pongs.append(decode_frame(line)["re"][:6])
+            assert pongs == ["000003", "000004", "000005", "000006"]
             await server.shutdown()
+        run(check())
+
+    def test_slow_tcp_reader_is_detached_and_can_resume(self):
+        async def check():
+            service, server = make_server(max_outbox=2, bto_timeout=30.0)
+            service.create_object("x", value=0)
+            host, port = await server.start_tcp()
+            # a small receive buffer, so the kernel absorbs little
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.setblocking(False)
+            await asyncio.get_running_loop().sock_connect(
+                sock, (host, port))
+            reader, writer = await asyncio.open_connection(
+                sock=sock, limit=MAX_FRAME_BYTES)
+            writer.write(encode_frame({"type": "hello", "id": 1}))
+            token = decode_frame(await reader.readline())["token"]
+            writer.write(encode_frame({"type": "begin", "id": 2}))
+            txn = decode_frame(await reader.readline())["txn"]
+            writer.write(encode_frame({
+                "type": "op", "txn": txn, "op": "add", "object": "x",
+                "operand": 5, "id": 3}))
+            await reader.readline()  # granted
+            # stop reading; keep asking
+            sent = 0
+            (session,) = service.sessions.values()
+            while session.connected and sent < 4000:
+                writer.write(fat_ping(sent))
+                sent += 1
+                await asyncio.sleep(0)
+            await wait_for_overflow(service)
+            assert_detached_asleep(service, txn)
+            # the backlog was discarded with the connection: fewer
+            # pongs than pings arrive before the stream ends
+            received = 0
+            try:
+                while await reader.readline():
+                    received += 1
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass
+            assert received < sent
+            writer.close()
+
+            # slow reader = disconnected reader: the work survives
+            resumed = ServiceClient(*await tcp_connector(host, port)())
+            welcome = await resumed.hello(token)
+            assert welcome["awake"] == [{"txn": txn, "survived": True}]
+            resumed.adopt(txn)
+            assert (await resumed.commit(txn))["type"] == "committed"
+            await resumed.bye()
+            await server.shutdown()
+            assert service.gtm.object("x").permanent_value() == 5
+        run(check())
+
+    def test_memory_drain_waits_only_for_a_peer_that_is_behind(self):
+        async def check():
+            (reader, _), (_, writer) = memory_pair()
+            writer.write(b"x" * MAX_FRAME_BYTES)
+            await asyncio.wait_for(writer.drain(), timeout=1.0)
+            writer.write(b"y\n")  # over the limit now
+            drained = asyncio.ensure_future(writer.drain())
+            await settle()
+            assert not drained.done()
+            await reader.readexactly(MAX_FRAME_BYTES)
+            await asyncio.wait_for(drained, timeout=1.0)
+        run(check())
+
+    def test_memory_drain_gives_up_on_a_closed_peer(self):
+        async def check():
+            (_, client_writer), (_, server_writer) = memory_pair()
+            client_writer.write(b"x" * (MAX_FRAME_BYTES + 1))
+            server_writer.close()  # the peer will read no more
+            await asyncio.wait_for(client_writer.drain(), timeout=1.0)
         run(check())
 
 
@@ -225,6 +390,18 @@ class TestGracefulShutdown:
             with pytest.raises((ConnectionError, OSError)):
                 await tcp_connector(host, port)()
             await client.close()
+        run(check())
+
+    def test_shutdown_push_precedes_end_of_stream(self):
+        async def check():
+            service, server = make_server()
+            reader, writer = server.connect_memory()
+            writer.write(encode_frame({"type": "hello", "id": 1}))
+            await reader.readline()  # welcome
+            await server.shutdown()
+            assert decode_frame(await reader.readline())["type"] == \
+                "shutdown"
+            assert await reader.readline() == b""
         run(check())
 
     def test_hello_rejected_while_shutting_down(self):

@@ -8,6 +8,7 @@ fires at an exact virtual instant and every assertion is reproducible.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.states import TransactionState
 from repro.errors import SessionExpired, TokenInUse, UnknownToken
@@ -286,6 +287,59 @@ class TestStoreStateMachine:
         with pytest.raises(SessionExpired) as exc_info:
             store.resume(session.token)
         assert exc_info.value.aborted == ("t9",)
+
+
+def full_scan_purge(store) -> int:
+    """``purge_finished`` as it was first written: scan every session."""
+    dead = [token for token, session in store._sessions.items()
+            if session.state in (SessionState.EXPIRED,
+                                 SessionState.CLOSED)]
+    for token in dead:
+        del store._sessions[token]
+    return len(dead)
+
+
+class TestPurgeEvictsWhatAFullScanWould:
+    """``purge_finished`` only looks at sessions ``expire``/``close``
+    recorded; over any sequence of store operations it must evict
+    exactly what scanning the whole directory would."""
+
+    @given(st.lists(st.tuples(
+        st.sampled_from(["create", "detach", "expire", "close",
+                         "resume", "purge"]),
+        st.integers(min_value=0, max_value=7)), max_size=60))
+    def test_against_the_scan(self, steps):
+        from repro.service.session import SessionStore
+        store, model = SessionStore(), SessionStore()
+        for verb, pick in steps:
+            if verb == "create":
+                store.create()
+                model.create()
+                continue
+            if verb == "purge":
+                assert store.purge_finished() == full_scan_purge(model)
+                assert list(store._sessions) == list(model._sessions)
+                continue
+            if not model._sessions:
+                continue
+            token = sorted(model._sessions)[pick % len(model._sessions)]
+            state = model.get(token).state
+            for target in (store, model):
+                session = target.get(token)
+                if verb == "detach" and state is SessionState.CONNECTED:
+                    target.detach(session)
+                elif verb == "expire" and state is SessionState.DETACHED:
+                    target.expire(session, ())
+                elif verb == "close" and state is SessionState.CONNECTED:
+                    target.close(session)
+                elif verb == "resume":
+                    try:
+                        target.resume(token)
+                    except (SessionExpired, TokenInUse):
+                        pass
+        assert store.purge_finished() == full_scan_purge(model)
+        assert list(store._sessions) == list(model._sessions)
+        assert store.purge_finished() == 0
 
 
 class TestRetirementKeepsMemoryFlat:
