@@ -48,7 +48,7 @@ _EPISODES = 4
 
 def _run_episode(spec):
     scheduler = _gtm_variant_scheduler(
-        spec, {"conflict_engine": "bitmask", "lock_shards": 1}, False)
+        spec, {"conflict_engine": "bitmask"}, False)
     scheduler.run(episode_workload(spec))
 
 

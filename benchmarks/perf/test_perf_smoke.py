@@ -3,7 +3,7 @@
 Not a paper artifact — this pins the acceptance bar of the conflict
 kernel optimisation: the bitmask engine must beat the reference engine
 by >=3x on the contended hot path, the throughput run must produce
-byte-identical outcomes on every engine/shard variant, and the embedded
+byte-identical outcomes on every engine variant, and the embedded
 differential campaign must report zero divergences.  Runs the ``smoke``
 profile so it stays inside the benchmark-suite budget.
 """
@@ -30,14 +30,14 @@ def test_perf_smoke_meets_acceptance_bar():
     assert payload["differential"]["divergences"] == 0
     assert payload["throughput"]["outcomes_identical"] is True
     # episode throughput: every tier must be divergence-free across all
-    # engine variants (vector included) and report positive rates.
+    # engine variants and report positive rates.
     episodes = payload["episode_throughput"]
     assert {t["tier"] for t in episodes["tiers"]} == \
         {"light", "contended", "hotspot"}
     for tier_row in episodes["tiers"]:
         assert tier_row["outcomes_identical"] is True
         engines = {v["engine"] for v in tier_row["variants"]}
-        assert engines == {"reference", "bitmask", "vector"}
+        assert engines == {"reference", "bitmask"}
         for variant in tier_row["variants"]:
             assert variant["episodes_per_sec"] > 0
     # every variant reports a full latency profile
@@ -45,21 +45,6 @@ def test_perf_smoke_meets_acceptance_bar():
         assert variant["ops_per_sec"] > 0
         assert variant["grant_latency_p99_us"] >= \
             variant["grant_latency_p50_us"] >= 0
-    # the jobs-scaling curve: every swept point must have produced a
-    # byte-identical campaign (speedup is hardware-dependent; identity
-    # is not).
-    scaling = payload["parallel_scaling"]
-    assert scaling["outcomes_identical"] is True
-    assert scaling["cpu_count"] >= 1
-    assert [point["jobs"] for point in scaling["curve"]] == [1, 2]
-    for point in scaling["curve"]:
-        assert point["outcomes_identical_to_serial"] is True
-        assert point["elapsed_s"] > 0
-        assert point["speedup_vs_serial"] > 0
-    assert set(scaling["campaign_digests"]) == \
-        {"gtm", "2pl", "optimistic"}
-    for digest in scaling["campaign_digests"].values():
-        assert len(digest) == 64  # a full sha256 hex digest
     # observability: digest neutrality is a hard gate; the overhead
     # budget must tolerate the measurement noise of shared CI boxes.
     # The metric is a median of paired per-round ratios over a ~30 ms
@@ -84,4 +69,4 @@ def test_bench_cli_writes_json_and_exits_clean(tmp_path):
     payload = json.loads(target.read_text())
     assert payload["profile"] == "smoke"
     assert payload["differential"]["divergences"] == 0
-    assert payload["parallel_scaling"]["outcomes_identical"] is True
+    assert "parallel_scaling" not in payload

@@ -71,10 +71,6 @@ def main(argv: list[str] | None = None) -> int:
             print("BACKEND DIFFERENTIAL DIVERGENCE DETECTED",
                   file=sys.stderr)
             return 1
-        if not payload["parallel_scaling"]["outcomes_identical"]:
-            print("PARALLEL CAMPAIGN DIVERGED FROM SERIAL",
-                  file=sys.stderr)
-            return 1
         federation = payload["federation_scaling"]
         if not federation["identity_identical"]:
             for failure in federation["identity_failures"]:

@@ -23,19 +23,11 @@ times vary, outcomes never do):
 (:mod:`repro.check.differential`) and folds the divergence count into
 the emitted ``BENCH_gtm.json`` — a benchmark that got faster by
 changing behaviour must fail loudly, not report a speedup.
-
-A fourth measurement records the **parallel scaling curve**: the same
-seeded campaign (every scheduler) at ``jobs = 1, 2, 4, 8``, asserting
-the summaries and rolling digests stay byte-identical while wall-clock
-drops.  The curve lands in ``BENCH_gtm.json`` under
-``parallel_scaling`` so the perf trajectory accumulates jobs-scaling
-data run over run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from dataclasses import dataclass
@@ -74,19 +66,13 @@ class PerfProfile:
     backend_ssts: int = 200
     #: Backend-differential (memory vs SQLite) episodes per scheduler.
     backend_differential_episodes: int = 15
-    #: Parallel scaling curve: campaign episodes per scheduler and the
-    #: swept ``jobs`` values (jobs beyond the machine's cores are still
-    #: measured — the flat tail is part of the curve).
-    scaling_episodes: int = 40
-    scaling_jobs: tuple[int, ...] = (1, 2)
+    #: Observability-overhead stage: GTM campaign episodes per run.
+    observability_episodes: int = 40
     #: Episode-throughput stage: tier episode counts are multiplied by
     #: ``episode_scale`` and each variant is timed ``episode_reps``
     #: times (best-of, to reject scheduler hiccups).
     episode_scale: int = 1
     episode_reps: int = 3
-
-    def scaled(self) -> "PerfProfile":
-        return self
 
 
 PROFILES: dict[str, PerfProfile] = {
@@ -95,17 +81,12 @@ PROFILES: dict[str, PerfProfile] = {
                         rounds=400, differential_episodes=120,
                         backend_ssts=1500,
                         backend_differential_episodes=80,
-                        scaling_episodes=200,
-                        scaling_jobs=(1, 2, 4, 8),
+                        observability_episodes=200,
                         episode_scale=3, episode_reps=5),
 }
 
-#: Engine/shard variants measured by the throughput run.
-THROUGHPUT_VARIANTS: tuple[tuple[str, str, int], ...] = (
-    ("reference", "reference", 1),
-    ("bitmask", "bitmask", 1),
-    ("bitmask-8shard", "bitmask", 8),
-)
+#: Conflict engines measured by the throughput run.
+THROUGHPUT_ENGINES: tuple[str, ...] = ("reference", "bitmask")
 
 
 def get_profile(name: str) -> PerfProfile:
@@ -224,11 +205,9 @@ def bench_pump(profile: PerfProfile) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
-def _throughput_run(engine: str, shards: int,
-                    profile: PerfProfile) -> dict[str, Any]:
+def _throughput_run(engine: str, profile: PerfProfile) -> dict[str, Any]:
     """Windowed ADDSUB stream, driven straight at the facade."""
-    gtm = GlobalTransactionManager(
-        GTMConfig(conflict_engine=engine, lock_shards=shards))
+    gtm = GlobalTransactionManager(GTMConfig(conflict_engine=engine))
     for index in range(profile.throughput_objects):
         gtm.create_object(f"obj{index}", value=1000)
 
@@ -258,7 +237,7 @@ def _throughput_run(engine: str, shards: int,
                 grant_latencies.append(_CLOCK() - t0)
                 if outcome != "granted":
                     raise GTMError(
-                        f"throughput run ({engine}/{shards}): {txn_id} "
+                        f"throughput run ({engine}): {txn_id} "
                         f"unexpectedly {outcome}")
                 gtm.apply(txn_id, f"obj{target}", invocation)
                 operations += 1
@@ -279,7 +258,6 @@ def _throughput_run(engine: str, shards: int,
     }
     return {
         "engine": engine,
-        "lock_shards": shards,
         "transactions": commits,
         "operations": operations,
         "elapsed_s": elapsed,
@@ -294,17 +272,15 @@ def _throughput_run(engine: str, shards: int,
 
 
 def bench_throughput(profile: PerfProfile) -> dict[str, Any]:
-    runs = [_throughput_run(engine, shards, profile)
-            for _, engine, shards in THROUGHPUT_VARIANTS]
+    runs = [_throughput_run(engine, profile)
+            for engine in THROUGHPUT_ENGINES]
     digests = [run.pop("_digest") for run in runs]
     identical = all(digest == digests[0] for digest in digests[1:])
     if not identical:
         raise GTMError(
             "throughput run: engine variants produced different outcomes")
-    reference = next(r for r in runs if r["engine"] == "reference"
-                     and r["lock_shards"] == 1)
-    bitmask = next(r for r in runs if r["engine"] == "bitmask"
-                   and r["lock_shards"] == 1)
+    reference = next(r for r in runs if r["engine"] == "reference")
+    bitmask = next(r for r in runs if r["engine"] == "bitmask")
     return {
         "variants": runs,
         "outcomes_identical": identical,
@@ -418,7 +394,6 @@ def bench_episodes(profile: PerfProfile, seed: int = 2008) -> dict[str, Any]:
             rows.append({
                 "label": label,
                 "engine": config_overrides["conflict_engine"],
-                "lock_shards": config_overrides.get("lock_shards", 1),
                 "elapsed_s": best_elapsed,
                 "episodes_per_sec": count / max(best_elapsed, 1e-12),
             })
@@ -467,11 +442,9 @@ def bench_episodes(profile: PerfProfile, seed: int = 2008) -> dict[str, Any]:
 
 
 #: (label, GTMConfig overrides) of the federation shard sweep.  The
-#: monolith is the baseline; the 1-shard federation must be digest-
-#: identical to it per episode (the coordination layer priced, nothing
-#: reordered), while higher shard counts are correctness-gated by the
-#: federation differential campaign instead (their repolice drain
-#: order legitimately differs).
+#: monolith is the baseline; every shard count runs the same kernel and
+#: must be digest-identical to it per episode (externalization priced,
+#: nothing reordered).
 FEDERATION_SHARD_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("monolith", {"gtm_shards": 0}),
     ("fed-1shard", {"gtm_shards": 1}),
@@ -511,8 +484,8 @@ def bench_federation_scaling(profile: PerfProfile,
     ``episode_reps`` timings); the read-heavy tier additionally runs
     the 4-shard federation with MVCC reads on.  Two gates ride along:
 
-    - **identity** — per-episode digests of ``fed-1shard`` must equal
-      the monolith's (any mismatch is recorded with the tier, the
+    - **identity** — per-episode digests of every ``fed-Nshard`` must
+      equal the monolith's (any mismatch is recorded with the tier, the
       variant pair, the episode index and both digests, and fails the
       bench CLI);
     - **mvcc** — on the read-heavy tier the MVCC variant must finish
@@ -577,17 +550,19 @@ def bench_federation_scaling(profile: PerfProfile,
                 "sim_makespan_s": makespans[label],
                 "lock_free_reads": lock_free_reads[label],
             })
-        divergence = _first_digest_divergence(
-            "monolith", digests["monolith"],
-            "fed-1shard", digests["fed-1shard"])
-        if divergence is not None:
-            divergence["tier"] = tier
-            identity_failures.append(divergence)
+        divergences = []
+        for label, _ in FEDERATION_SHARD_VARIANTS[1:]:
+            divergence = _first_digest_divergence(
+                "monolith", digests["monolith"], label, digests[label])
+            if divergence is not None:
+                divergence["tier"] = tier
+                divergences.append(divergence)
+        identity_failures.extend(divergences)
         tier_row: dict[str, Any] = {
             "tier": tier,
             "episodes": count,
             "variants": rows,
-            "identity_identical": divergence is None,
+            "identity_identical": not divergences,
         }
         if tier == "read-heavy":
             locking = next(r for r in rows
@@ -724,58 +699,6 @@ def bench_differential(profile: PerfProfile, seed: int = 2008,
 
 
 # ---------------------------------------------------------------------------
-# parallel scaling curve
-# ---------------------------------------------------------------------------
-
-
-def bench_parallel_scaling(profile: PerfProfile,
-                           seed: int = 2008) -> dict[str, Any]:
-    """Campaign wall-clock vs ``jobs``, with byte-identity asserted.
-
-    Runs the same seeded campaign (every scheduler) at each swept
-    ``jobs`` value and a differential digest check on top; any summary
-    or digest drift is a correctness failure (reported in-band and via
-    :class:`GTMError` at the end, so the JSON still records the curve).
-    """
-    schedulers = ("gtm", "2pl", "optimistic")
-    curve: list[dict[str, Any]] = []
-    baseline: dict[str, tuple[str, str]] = {}
-    baseline_elapsed = None
-    identical = True
-    for jobs in profile.scaling_jobs:
-        start = _CLOCK()
-        summaries: dict[str, tuple[str, str]] = {}
-        for scheduler in schedulers:
-            report = run_campaign(
-                FuzzConfig(scheduler=scheduler), seed=seed,
-                episodes=profile.scaling_episodes,
-                shrink_failures=False, jobs=jobs)
-            summaries[scheduler] = (report.summary(), report.digest)
-        elapsed = _CLOCK() - start
-        if jobs == profile.scaling_jobs[0]:
-            baseline = summaries
-            baseline_elapsed = elapsed
-        matches = summaries == baseline
-        identical = identical and matches
-        curve.append({
-            "jobs": jobs,
-            "elapsed_s": elapsed,
-            "speedup_vs_serial":
-                (baseline_elapsed or elapsed) / max(elapsed, 1e-12),
-            "outcomes_identical_to_serial": matches,
-        })
-    return {
-        "episodes_per_scheduler": profile.scaling_episodes,
-        "schedulers": list(schedulers),
-        "cpu_count": os.cpu_count(),
-        "curve": curve,
-        "outcomes_identical": identical,
-        "campaign_digests": {scheduler: digest for scheduler,
-                             (_, digest) in baseline.items()},
-    }
-
-
-# ---------------------------------------------------------------------------
 # observability overhead + neutrality
 # ---------------------------------------------------------------------------
 
@@ -813,7 +736,7 @@ def bench_observability(profile: PerfProfile, seed: int = 2008,
     """
     from repro.obs import ObsConfig
     config = FuzzConfig(scheduler="gtm")
-    episodes = profile.scaling_episodes
+    episodes = profile.observability_episodes
     full = ObsConfig(tracing=True, metrics=True)
 
     def timed(observe) -> tuple[float, Any]:
@@ -873,9 +796,8 @@ def run_perf(profile_name: str = "smoke", seed: int = 2008,
              jobs: int | str = 1) -> dict[str, Any]:
     """Run every stage and assemble the ``BENCH_gtm.json`` payload.
 
-    ``jobs`` parallelizes the embedded differential campaign (its
-    digests are jobs-invariant by construction); the scaling stage
-    sweeps its own jobs values from the profile regardless.
+    ``jobs`` parallelizes the embedded differential campaigns (their
+    digests are jobs-invariant by construction).
     """
     profile = get_profile(profile_name)
     conflict = bench_conflict(profile)
@@ -887,7 +809,6 @@ def run_perf(profile_name: str = "smoke", seed: int = 2008,
     differential = bench_differential(profile, seed=seed, jobs=jobs)
     backend_differential = bench_backend_differential(profile, seed=seed,
                                                       jobs=jobs)
-    scaling = bench_parallel_scaling(profile, seed=seed)
     observability = bench_observability(profile, seed=seed)
     reference_hot = conflict["reference_s"] + pump["reference_s"]
     optimized_hot = conflict["bitmask_s"] + pump["bitmask_s"]
@@ -910,7 +831,6 @@ def run_perf(profile_name: str = "smoke", seed: int = 2008,
         "backend_sst": backend_sst,
         "differential": differential,
         "backend_differential": backend_differential,
-        "parallel_scaling": scaling,
         "observability": observability,
     }
 
@@ -949,12 +869,12 @@ def render_summary(payload: dict[str, Any]) -> str:
     ]
     for run in throughput["variants"]:
         lines.append(
-            f"throughput [{run['engine']}/{run['lock_shards']} shard]: "
+            f"throughput [{run['engine']}]: "
             f"{run['ops_per_sec']:.0f} ops/s, grant p50 "
             f"{run['grant_latency_p50_us']:.1f}us p99 "
             f"{run['grant_latency_p99_us']:.1f}us")
     lines.append(
-        f"outcomes identical across engines/shards: "
+        f"outcomes identical across engines: "
         f"{throughput['outcomes_identical']}")
     episodes = payload.get("episode_throughput")
     if episodes:
@@ -975,7 +895,7 @@ def render_summary(payload: dict[str, Any]) -> str:
             lines.append(
                 f"federation eps/sec [{tier_row['tier']}, "
                 f"{tier_row['episodes']} eps]: {rates}  "
-                f"(1shard-identical="
+                f"(identical-to-monolith="
                 f"{tier_row['identity_identical']})")
         mvcc = federation.get("mvcc")
         if mvcc:
@@ -1008,21 +928,6 @@ def render_summary(payload: dict[str, Any]) -> str:
             f"{backend_diff['episodes_per_scheduler']} episodes x "
             f"{len(backend_diff['schedulers'])} schedulers, "
             f"{backend_diff['divergences']} divergence(s)")
-    scaling = payload.get("parallel_scaling")
-    if scaling:
-        for point in scaling["curve"]:
-            lines.append(
-                f"campaign scaling [jobs={point['jobs']}]: "
-                f"{point['elapsed_s']:.2f}s  "
-                f"({point['speedup_vs_serial']:.2f}x vs serial, "
-                f"identical="
-                f"{point['outcomes_identical_to_serial']})")
-        lines.append(
-            f"parallel merge byte-identical across jobs: "
-            f"{scaling['outcomes_identical']} "
-            f"({scaling['cpu_count']} CPUs, "
-            f"{scaling['episodes_per_scheduler']} episodes x "
-            f"{len(scaling['schedulers'])} schedulers)")
     obs = payload.get("observability")
     if obs:
         lines.append(

@@ -7,8 +7,8 @@ from typing import Callable
 
 from repro.errors import ExperimentError
 from repro.bench.experiments import ablations, fig1, fig2, fig3, \
-    modelfit, readmix, sensitivity, service_load, table1, table2, \
-    throughput, workload_census
+    modelfit, readmix, sensitivity, table1, table2, throughput, \
+    workload_census
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,6 @@ EXPERIMENTS: dict[str, Experiment] = {
         Experiment("readmix", "Read/write mixing: Table I read "
                               "compatibility vs 2PL S/X blocking",
                    "extension", readmix.main),
-        Experiment("service", "Live-service load: asyncio wire "
-                              "protocol under churn, oracle-checked",
-                   "extension", service_load.main),
     )
 }
 

@@ -18,9 +18,9 @@ invariant / LDBS-dump divergence fails the run (the CI
 ``backend-differential`` job).
 
 ``--federation-differential`` runs every episode once per federation
-variant (monolith, 1/2/4 shards, 4 shards + MVCC reads): the 1-shard
-federation must be trace-identical to the monolith, and every variant
-must pass the serializability oracle and the invariant sweep (the CI
+variant (monolith, 1/2/4 shards, 4 shards + MVCC reads): every
+non-MVCC federation must be trace-identical to the monolith, and every
+variant must pass the serializability oracle and the invariant sweep (the CI
 ``federation-differential`` job).
 
 ``--service-fuzz`` fuzzes the live-service layer instead of the bare
@@ -100,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "campaign; any divergence fails the run")
     parser.add_argument("--federation-differential", action="store_true",
                         help="run the monolith-vs-federated GTM "
-                             "differential: the 1-shard federation must "
-                             "be trace-identical to the monolith and "
-                             "every multi-shard variant must pass the "
+                             "differential: every non-MVCC federation "
+                             "must be trace-identical to the monolith "
+                             "and every variant must pass the "
                              "serializability oracle and invariants")
     parser.add_argument("--service-fuzz", action="store_true",
                         help="fuzz the GTMService frame handler under "

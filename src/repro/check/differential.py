@@ -1,8 +1,8 @@
 """Differential equivalence harness for the conflict-engine optimisation.
 
-The bitmask kernel, the incremental lock-set summaries and the sharded
-lock table are *pure* performance work: every scheduling decision must
-be bit-identical to the reference implementation.  This module proves it
+The bitmask kernel and the incremental lock-set summaries are *pure*
+performance work: every scheduling decision must be bit-identical to
+the reference implementation.  This module proves it
 empirically — the same fuzz episodes the stress harness uses are run
 once per engine variant and the full observable outcome is compared:
 
@@ -11,9 +11,8 @@ once per engine variant and the full observable outcome is compared:
 - the permanent state of every managed object (values + existence);
 - the episode invariants, including the lock-set-summary drift check.
 
-Three GTM variants run per episode: the pairwise reference engine, the
-bitmask engine on the flat lock table, and the bitmask engine on an
-8-shard table.  For the 2PL/optimistic baselines (which have no engine
+Two GTM variants run per episode: the pairwise reference engine and
+the bitmask engine.  For the 2PL/optimistic baselines (which have no engine
 switch) the harness degrades to a run-twice determinism check, keeping
 the campaign interface uniform.
 
@@ -64,12 +63,8 @@ from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
 
 #: (label, GTMConfig overrides) for each GTM variant under comparison.
 GTM_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("reference", {"conflict_engine": "reference", "lock_shards": 1}),
-    ("bitmask", {"conflict_engine": "bitmask", "lock_shards": 1}),
-    ("bitmask-8shard", {"conflict_engine": "bitmask", "lock_shards": 8}),
-    # the numpy kernel; degrades to bitmask when numpy is absent, in
-    # which case this row still proves run-to-run determinism.
-    ("vector", {"conflict_engine": "vector", "lock_shards": 1}),
+    ("reference", {"conflict_engine": "reference"}),
+    ("bitmask", {"conflict_engine": "bitmask"}),
 )
 
 #: (label, GTMConfig overrides) for each LDBS backend under comparison
@@ -80,13 +75,12 @@ BACKEND_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 #: (label, GTMConfig overrides) for the federation axis
-#: (``mode="federation"``): the monolithic facade against federated
-#: coordinators at increasing shard counts, plus the MVCC read path.
-#: Only the 1-shard federation is held to bit-identity with the
-#: monolith (same subsystems, same tick bracket, one partition); at
-#: N >= 2 shards the re-police drain order legitimately differs, so
-#: those runs are held to the serializability oracle and the invariant
-#: sweeps instead.
+#: (``mode="federation"``): the monolith against federations at
+#: increasing shard counts, plus the MVCC read path.  Every variant is
+#: held to the serializability oracle and the invariant sweeps; the
+#: non-MVCC ones run the monolith's own code over one lock table, so
+#: they are also held to bit-identity with it.  MVCC reads never queue,
+#: so that variant legitimately schedules differently.
 FEDERATION_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("monolith", {"gtm_shards": 0}),
     ("federated-1shard", {"gtm_shards": 1}),
@@ -96,7 +90,9 @@ FEDERATION_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
 )
 
 #: Federation variants compared bit-for-bit against the monolith run.
-FEDERATION_IDENTITY_LABELS = frozenset({"federated-1shard"})
+FEDERATION_IDENTITY_LABELS = frozenset(
+    label for label, overrides in FEDERATION_VARIANTS[1:]
+    if not overrides.get("mvcc_reads"))
 
 #: Comparison axes accepted by the campaign entry points.
 DIFFERENTIAL_MODES: tuple[str, ...] = ("engine", "backend", "federation")
@@ -117,8 +113,8 @@ class VariantRun:
     #: the LDBS backend's committed state (``backend.dump()``), only
     #: populated in backend mode where SSTs write a real database.
     ldbs: dict[str, Any] | None = None
-    #: serializability-oracle violations (federation mode: N-shard runs
-    #: are not held to bit-identity, but their final state must still
+    #: serializability-oracle violations (federation mode: the MVCC
+    #: run is not held to bit-identity, but its final state must still
     #: be explained by some serial order).
     oracle: list[str] = field(default_factory=list)
 
@@ -237,7 +233,7 @@ def compare_episode(spec: EpisodeSpec,
                     mode: str = "engine") -> EpisodeComparison:
     """Run every variant of one episode and diff the outcomes.
 
-    In ``mode="engine"`` GTM episodes compare the three conflict-engine
+    In ``mode="engine"`` GTM episodes compare the two conflict-engine
     variants against each other; ``mode="backend"`` compares the same
     engine with SSTs bound to each LDBS backend (in-memory vs SQLite),
     additionally diffing the commit-order witness and the backends'
@@ -291,9 +287,9 @@ def compare_episode(spec: EpisodeSpec,
         return comparison
     identity_runs = runs[1:]
     if mode == "federation" and spec.scheduler == "gtm":
-        # N-shard coordinators may legitimately schedule differently
-        # (per-shard re-police drain order); only the 1-shard
-        # federation is held to bit-identity with the monolith.
+        # lock-free readers never queue, so the MVCC run may
+        # legitimately schedule differently; every other federation is
+        # held to bit-identity with the monolith.
         identity_runs = [run for run in runs[1:]
                          if run.label in FEDERATION_IDENTITY_LABELS]
     for run in identity_runs:
@@ -423,7 +419,7 @@ def run_federation_differential_campaign(
         **kwargs: Any) -> DifferentialReport:
     """The monolith-vs-federation campaign:
     :func:`run_differential_campaign` with ``mode="federation"`` —
-    1-shard identity, N-shard oracle + invariants (the CI
+    N-shard identity, MVCC oracle + invariants (the CI
     ``federation-differential`` job)."""
     return run_differential_campaign(config, seed, episodes,
                                      mode="federation", **kwargs)

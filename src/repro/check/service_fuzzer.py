@@ -1,6 +1,6 @@
 """Deterministic chaos fuzzer for the service layer.
 
-The load harness (:mod:`repro.service.load`) exercises `GTMService`
+The end-to-end benchmark (``benchmarks/e2e``) exercises `GTMService`
 under wall-clock asyncio, which makes the interesting windows — a BTO
 timer racing a reconnect, a repolice cascade racing an in-flight
 ``op`` reply, an outbox overflow forcing a detach mid-grant —

@@ -73,7 +73,6 @@ from repro.core.policies import (
     WaitDiePolicy,
     WaitForGraphPolicy,
     WoundWaitPolicy,
-    build_deadlock_policy,
 )
 from repro.core.sleep_manager import SleepManager
 from repro.core.states import TransactionState
@@ -110,7 +109,6 @@ __all__ = [
     "SleepManager",
     "check_serializable",
     "serial_replay",
-    "build_deadlock_policy",
     "PriorityAgingPolicy",
     "Reconciler",
     "ReconcilerRegistry",

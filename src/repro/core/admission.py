@@ -11,14 +11,12 @@ and throttle.
 
 The commit pipeline and sleep manager call back into this layer only
 through :meth:`AdmissionController.grant` and
-:meth:`AdmissionController.pump_unlock` — the seams the ROADMAP needs
-for per-shard lock tables later.
+:meth:`AdmissionController.pump_unlock`.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.errors import GTMError, ProtocolError
 from repro.core.conflicts import ConflictChecker
@@ -70,8 +68,7 @@ class LockTable:
     """The per-object registry: every ``ManagedObject`` the GTM controls.
 
     Grant/wait queues live *inside* each :class:`ManagedObject`; the
-    table is the directory that finds them.  Keeping the directory
-    separate from the admission logic is what lets a later PR shard it.
+    table is the directory that finds them, in registration order.
     """
 
     def __init__(self) -> None:
@@ -100,72 +97,6 @@ class LockTable:
         return tuple(self.objects.values())
 
 
-class ShardedLockTable:
-    """N hash-partitioned :class:`LockTable` shards, same interface.
-
-    Objects are routed by a stable crc32 of the object name (Python's
-    salted ``hash`` would shuffle shards across processes).  Admission
-    state lives entirely inside each :class:`ManagedObject`, so shard
-    count can never change behaviour — the differential harness asserts
-    1-shard and 8-shard runs are trace-identical.  Iteration order is
-    registration order regardless of shard count, which is what keeps
-    reports and final-value dumps byte-stable.
-
-    In-process the split buys contention-free directories for future
-    parallel front-ends (one lock / one event loop per shard); today it
-    is the seam the LockTable docstring reserved.
-    """
-
-    def __init__(self, shards: int = 8) -> None:
-        if shards < 1:
-            raise GTMError(f"shard count must be >= 1, got {shards}")
-        self.shard_count = shards
-        self.shards: tuple[LockTable, ...] = tuple(
-            LockTable() for _ in range(shards))
-        #: registration order, shared across shards (stable iteration).
-        self._order: list[str] = []
-
-    def shard_of(self, name: str) -> LockTable:
-        index = zlib.crc32(name.encode("utf-8")) % self.shard_count
-        return self.shards[index]
-
-    def register(self, obj: ManagedObject) -> ManagedObject:
-        shard = self.shard_of(obj.name)
-        shard.register(obj)
-        self._order.append(obj.name)
-        return obj
-
-    def get(self, name: str) -> ManagedObject:
-        return self.shard_of(name).get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.shard_of(name)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._order)
-
-    @property
-    def objects(self) -> dict[str, ManagedObject]:
-        """Merged name -> object view, in registration order.
-
-        Built per access; use :meth:`get`/:meth:`values` on hot paths.
-        """
-        return {name: self.get(name) for name in self._order}
-
-    def values(self) -> tuple[ManagedObject, ...]:
-        return tuple(self.get(name) for name in self._order)
-
-
-def build_lock_table(shards: int = 1) -> "LockTable | ShardedLockTable":
-    """One flat table for ``shards == 1``, else the sharded directory."""
-    if shards == 1:
-        return LockTable()
-    return ShardedLockTable(shards)
-
-
 class AdmissionController:
     """Algorithm 2 (grant-or-wait) and Algorithm 11 (unlock) in one place.
 
@@ -174,13 +105,12 @@ class AdmissionController:
     commit pipeline directly.
     """
 
-    def __init__(self, lock_table: LockTable, checker: ConflictChecker,
+    def __init__(self, checker: ConflictChecker,
                  grant_policy: Any, throttle: Any,
                  deadlock_policy: DeadlockPolicy, bus: EventBus,
                  transactions: Mapping[str, GTMTransaction],
                  clock: Callable[[], float],
                  abort_txn: Callable[[str, str], None]) -> None:
-        self.lock_table = lock_table
         self.checker = checker
         self.grant_policy = grant_policy
         self.throttle = throttle

@@ -48,7 +48,9 @@ class CommitPipeline:
                  pump_unlock: Callable[[ManagedObject], tuple[str, ...]],
                  on_finished: Callable[[str], None],
                  abort_from_committing: Callable[[GTMTransaction, float,
-                                                  str], None]) -> None:
+                                                  str], None],
+                 on_externalize: Callable[[str, list[ManagedObject]],
+                                          None] | None = None) -> None:
         self.registry = registry
         self.history = history
         self.bus = bus
@@ -66,6 +68,10 @@ class CommitPipeline:
         #: another transaction held X_committing (Algorithm 3).
         self.deferred: dict[str, list[str]] = {}
         self.sst_reports: list[SSTReport] = []
+        #: Called as ``on_externalize(txn_id, involved)`` right after a
+        #: commit is announced: the federation's commit-order logs and
+        #: version rings.  None for the monolith.
+        self._on_externalize = on_externalize
 
     def _involved(self, txn: GTMTransaction) -> list[ManagedObject]:
         """A's involved objects in name order, on a pooled scratch list.
@@ -225,7 +231,7 @@ class CommitPipeline:
                 staged.append((obj, new_values))
 
             report: SSTReport | None = None
-            if self.sst_executor is not None:
+            if self.sst_executor is not None and staged:
                 writes = [self._staged_write(obj, values)
                           for obj, values in staged]
                 try:
@@ -244,6 +250,8 @@ class CommitPipeline:
         self._on_finished(txn_id)
         self.history.record_commit(txn_id)
         self.bus.on_global_commit(txn, now)
+        if self._on_externalize is not None:
+            self._on_externalize(txn_id, involved)
         return report
 
     def _staged_write(self, obj: ManagedObject,
@@ -333,6 +341,11 @@ class CommitPipeline:
             _SCRATCH.release(involved)
         if not all_staged:
             return None
+        if not txn.involved and txn.is_in(_TS.ACTIVE):
+            # nothing was ever granted (or every read was served
+            # lock-free), so no local commit made the Active ->
+            # Committing transition: the commit is trivial.
+            txn.transition(_TS.COMMITTING)
         return self.finish_commit(txn, self._clock())
 
     def try_finish_commit(self, txn: GTMTransaction) -> SSTReport | None:

@@ -38,17 +38,8 @@ from repro.errors import GTMError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.objects import LockSetSummary, ManagedObject
 
-try:  # the vector engine is optional: no numpy -> bitmask fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on the environment
-    _np = None
-
-#: True when the ``"vector"`` engine can actually vectorize (numpy
-#: importable); when False it silently degrades to the bitmask kernel.
-HAVE_NUMPY = _np is not None
-
 #: Names accepted by :func:`build_conflict_checker` / ``GTMConfig``.
-CONFLICT_ENGINES = ("bitmask", "reference", "vector")
+CONFLICT_ENGINES = ("bitmask", "reference")
 
 #: Signature of the per-round blocked test built by
 #: :meth:`ConflictChecker.blocked_tester`.
@@ -338,59 +329,8 @@ class BitmaskConflictChecker(ConflictChecker):
         return MaskRoundSet(self._masks, self.dependence)
 
 
-class VectorConflictChecker(BitmaskConflictChecker):
-    """Bitmask engine with numpy-vectorized summary counts.
-
-    The fan-out cost of :meth:`summary_conflicts` is the inner loop over
-    conflicting class bits per dependent member.  This engine compiles
-    each class's conflict row into an int64 0/1 vector and answers the
-    count as dot products against zero-copy views of the summary's
-    ``array('q')`` buffers — one ``row @ totals`` per member instead of
-    a Python loop per bit.  Results are exactly the bitmask engine's
-    (integer dot product of the same counts), so the differential
-    harness sees identical traces.
-
-    Only constructed when numpy imports; ``build_conflict_checker``
-    falls back to :class:`BitmaskConflictChecker` otherwise.
-    """
-
-    def __init__(self, matrix: CompatibilityMatrix = DEFAULT_MATRIX,
-                 dependence: LogicalDependence = INDEPENDENT_MEMBERS) -> None:
-        super().__init__(matrix=matrix, dependence=dependence)
-        count = len(self._masks)
-        #: per class: 0/1 int64 rows over all / whole-object-only /
-        #: member-scoped-only conflicting classes.
-        self._all_rows = _np.zeros((count, count), dtype=_np.int64)
-        self._whole_rows = _np.zeros((count, count), dtype=_np.int64)
-        self._member_rows = _np.zeros((count, count), dtype=_np.int64)
-        for bit in range(count):
-            for b in self._all_bits[bit]:
-                self._all_rows[bit, b] = 1
-            for b in self._whole_bits[bit]:
-                self._whole_rows[bit, b] = 1
-            for b in self._member_bits[bit]:
-                self._member_rows[bit, b] = 1
-
-    def summary_conflicts(self, summary: "LockSetSummary",
-                          invocation: Invocation) -> int:
-        bit = invocation.op_class.bit
-        totals = _np.frombuffer(summary.class_totals, dtype=_np.int64)
-        if invocation.op_class.is_whole_object:
-            return int(self._all_rows[bit] @ totals)
-        count = int(self._whole_rows[bit] @ totals)
-        member_row = self._member_rows[bit]
-        masks = summary.member_masks
-        counts = summary.member_counts
-        for member in self.dependence.dependent_members(invocation.member):
-            if not masks.get(member):
-                continue
-            row = _np.frombuffer(counts[member], dtype=_np.int64)
-            count += int(member_row @ row)
-        return count
-
-
 #: Interned checkers keyed by ⟨engine, matrix, dependence⟩.  Checkers
-#: are stateless after construction (precomputed masks/rows only), so
+#: are stateless after construction (precomputed masks only), so
 #: every GTM with the same configuration shares one instance — profiling
 #: showed per-episode ``BitmaskConflictChecker`` construction at ~8% of
 #: fuzz-campaign runtime.  ``CompatibilityMatrix`` hashes by identity
@@ -404,12 +344,8 @@ def build_conflict_checker(engine: str,
                            = INDEPENDENT_MEMBERS) -> ConflictChecker:
     """Engine name -> interned checker.
 
-    ``"bitmask"`` is the default, ``"reference"`` the pairwise oracle,
-    ``"vector"`` the numpy kernel (silently degrading to bitmask when
-    numpy is absent, so configurations stay portable).
+    ``"bitmask"`` is the default, ``"reference"`` the pairwise oracle.
     """
-    if engine == "vector" and not HAVE_NUMPY:
-        engine = "bitmask"
     try:
         key = (engine, matrix, dependence)
         cached = _CHECKER_CACHE.get(key)
@@ -423,8 +359,6 @@ def build_conflict_checker(engine: str,
             matrix=matrix, dependence=dependence)
     elif engine == "reference":
         checker = ConflictChecker(matrix=matrix, dependence=dependence)
-    elif engine == "vector":
-        checker = VectorConflictChecker(matrix=matrix, dependence=dependence)
     else:
         raise GTMError(
             f"unknown conflict engine {engine!r}; expected one of "

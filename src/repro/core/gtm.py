@@ -22,13 +22,7 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import GTMError, ProtocolError
 from repro.driver.clock import Clock
-from repro.core.admission import (
-    AdmissionController,
-    GrantOutcome,
-    LockTable,
-    ShardedLockTable,
-    build_lock_table,
-)
+from repro.core.admission import AdmissionController, GrantOutcome, LockTable
 from repro.core.commit_pipeline import CommitPipeline
 from repro.core.compatibility import (
     CompatibilityMatrix,
@@ -41,7 +35,7 @@ from repro.core.events import EventBus, GTMEvent, GTMObserver, dispatch_event
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
-from repro.core.policies import DeadlockPolicy, build_deadlock_policy
+from repro.core.policies import DeadlockPolicy, WaitForGraphPolicy
 from repro.core.reconciliation import ReconcilerRegistry, default_registry
 from repro.core.sleep_manager import SleepManager
 from repro.core.sst import SSTExecutor, SSTReport
@@ -49,7 +43,6 @@ from repro.core.starvation import FifoGrantPolicy, GrantPolicy
 from repro.core.states import TransactionState
 from repro.core.throttle import NoThrottle
 from repro.core.transaction import GTMTransaction
-from repro.ldbs.deadlock import VictimPolicy
 
 __all__ = [
     "GlobalTransactionManager",
@@ -106,33 +99,28 @@ class GTMConfig:
     registry: ReconcilerRegistry = field(default_factory=default_registry)
     grant_policy: GrantPolicy = field(default_factory=FifoGrantPolicy)
     throttle: Any = field(default_factory=NoThrottle)
-    #: Legacy Section VII knobs: maintain a wait-for graph on
-    #: multi-object waits and abort the chosen victim on a cycle.
-    deadlock_detection: bool = True
-    victim_policy: VictimPolicy = VictimPolicy.YOUNGEST
-    #: Explicit policy (wound-wait / wait-die / graph / none);
-    #: overrides the two legacy knobs above when set.
+    #: Section VII deadlock policing (wait-for graph / wound-wait /
+    #: wait-die / none).  Policies are stateful, so the default is None
+    #: and each manager builds its own ``WaitForGraphPolicy()`` — never
+    #: share one instance between managers through a config default.
     deadlock_policy: DeadlockPolicy | None = None
     #: Conflict engine: ``"bitmask"`` (compiled Table I + lock-set
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
     #: kept as the differential-testing oracle).
     conflict_engine: str = "bitmask"
-    #: Lock-table shards; 1 keeps the flat directory.  Shard count never
-    #: changes scheduling outcomes (asserted by the differential tests).
-    lock_shards: int = 1
     #: LDBS backend for SST execution: ``"memory"`` (in-memory strict-2PL
     #: engine) or ``"sqlite"`` (WAL mode, libres-style read/write path
     #: split).  Consumed by whoever builds the SSTExecutor — the
     #: schedulers, the check harness and the service; the backends are
     #: proven state-identical by the backend-differential campaign.
     ldbs_backend: str = "memory"
-    #: GTM federation shards: 0 keeps the monolithic facade; N >= 1
-    #: builds a :class:`repro.federation.FederatedTransactionManager`
-    #: with N object-partitioned shards, each running its own
-    #: admission/commit/sleep subsystems under a commitment-ordering
-    #: coordinator.  Consumed by ``build_transaction_manager`` — the
-    #: monolithic facade ignores it.  The federation differential
-    #: asserts 1-shard federated runs are trace-identical to this class.
+    #: GTM federation shards: 0 keeps the plain manager; N >= 1 builds
+    #: a :class:`repro.federation.FederatedTransactionManager` — this
+    #: same kernel plus N object partitions, each with its own
+    #: commit-order log under one commitment-ordering certifier.
+    #: Consumed by ``build_transaction_manager`` — this class ignores
+    #: it.  The federation differential asserts every non-MVCC shard
+    #: count is trace-identical to this class.
     gtm_shards: int = 0
     #: Federation-only: admit the READ class without ever entering the
     #: wait queue, against a ring of recent committed versions
@@ -145,7 +133,17 @@ class GTMConfig:
 
 
 class GlobalTransactionManager:
-    """The paper's middleware: pre-serialization over virtual data."""
+    """The paper's middleware: pre-serialization over virtual data.
+
+    Every Algorithm 1-11 step is written here (or in the subsystems this
+    class wires), once.  :class:`repro.federation.FederatedTransactionManager`
+    subclasses it and adds only partition state: ``_externalize`` is its
+    seam into the commit pipeline.
+    """
+
+    #: Commit externalization callback handed to the commit pipeline;
+    #: None here (the pipeline then skips it with one ``is not None``).
+    _externalize: "Callable[[str, list[ManagedObject]], None] | None" = None
 
     def __init__(self, config: GTMConfig | None = None,
                  clock: "Callable[[], float] | Clock | None" = None,
@@ -173,17 +171,14 @@ class GlobalTransactionManager:
         #: operation log + commit order for serializability checking.
         self.history = OperationLog()
 
-        self.deadlock_policy = (
-            self.config.deadlock_policy
-            or build_deadlock_policy(self.config.deadlock_detection,
-                                     self.config.victim_policy))
+        self.deadlock_policy = (self.config.deadlock_policy
+                                or WaitForGraphPolicy())
         self.deadlock_policy.bind(
             lambda t: (self.transactions[t].begin_time
                        if t in self.transactions else 0.0))
-        self.lock_table: LockTable | ShardedLockTable = \
-            build_lock_table(self.config.lock_shards)
+        self.lock_table = LockTable()
         self.admission = AdmissionController(
-            lock_table=self.lock_table, checker=self.checker,
+            checker=self.checker,
             grant_policy=self.config.grant_policy,
             throttle=self.config.throttle,
             deadlock_policy=self.deadlock_policy, bus=self.bus,
@@ -197,7 +192,8 @@ class GlobalTransactionManager:
             pump_unlock=self.admission.pump_unlock,
             on_finished=self.deadlock_policy.on_finished,
             abort_from_committing=lambda txn, now, reason:
-                self.abort(txn.txn_id, reason=reason))
+                self.abort(txn.txn_id, reason=reason),
+            on_externalize=self._externalize)
         self.sleep_manager = SleepManager(
             checker=self.checker, bus=self.bus,
             pump_unlock=self.admission.pump_unlock,
@@ -438,5 +434,5 @@ class GlobalTransactionManager:
         states: dict[str, int] = {}
         for txn in self.transactions.values():
             states[txn.state.value] = states.get(txn.state.value, 0) + 1
-        return (f"<GlobalTransactionManager objects={len(self.lock_table)} "
+        return (f"<{type(self).__name__} objects={len(self.lock_table)} "
                 f"transactions={states}>")

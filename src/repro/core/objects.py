@@ -30,10 +30,9 @@ from repro.errors import GTMError
 from repro.core.opclass import OP_CLASS_COUNT, Invocation
 from repro.core.pool import FreeList
 
-#: Template for a zeroed per-class count row.  ``array("q")`` (signed
-#: 64-bit) instead of a list: same O(1) indexed access for the bitmask
-#: kernel, but a flat C buffer the vector engine can wrap zero-copy
-#: with ``numpy.frombuffer``.
+#: Template for a zeroed per-class count row: a flat ``array("q")``
+#: (signed 64-bit) buffer, copied per row, O(1) indexed access for the
+#: bitmask kernel.
 _ZERO_ROW = array("q", [0] * OP_CLASS_COUNT)
 
 

@@ -177,11 +177,3 @@ class WaitDiePolicy(_TimestampedPolicy):
         return DeadlockResolution(victim=waiter,
                                   cycle=(waiter, min(older,
                                                      key=self._age_key)))
-
-
-def build_deadlock_policy(enabled: bool,
-                          victim_policy: VictimPolicy) -> DeadlockPolicy:
-    """The legacy GTMConfig knobs mapped onto a policy object."""
-    if not enabled:
-        return NoDeadlockPolicy()
-    return WaitForGraphPolicy(victim_policy=victim_policy)

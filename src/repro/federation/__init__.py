@@ -1,22 +1,19 @@
 """Object-partitioned GTM federation (see docs/PERFORMANCE.md §10).
 
-The monolithic :class:`~repro.core.gtm.GlobalTransactionManager` runs
-one lock table, one admission controller and one commit pipeline; after
-PR 8 flattened the per-event constants, that single serialization point
-*is* the remaining structural ceiling.  This package partitions the
-managed objects across N independent shards — each with its own
-admission/commit/sleep subsystems — under a coordinator that certifies
-cross-shard transactions via commitment ordering and (optionally)
-serves the READ class lock-free from versioned permanent state.
+There is one transaction manager:
+:class:`~repro.core.gtm.GlobalTransactionManager` runs Algorithms 1-11
+over one lock table, admission controller, commit pipeline and sleep
+manager.  A federation is that kernel plus state
+keyed by object *partition*: per-partition commit-order logs under a
+commitment-ordering certifier, and the version rings that serve the
+READ class lock-free (``GTMConfig.mvcc_reads``).
 
 Module map:
 
-- :mod:`~repro.federation.routing` — stable crc32 object partitioning
-  and the merged lock directory;
-- :mod:`~repro.federation.shard` — one partition's subsystem bundle;
-- :mod:`~repro.federation.certifier` — per-shard commit-order logs,
+- :mod:`~repro.federation.routing` — stable crc32 object partitioning;
+- :mod:`~repro.federation.certifier` — per-partition commit-order logs,
   snapshot pins, the promotion order check and the inversion audit;
-- :mod:`~repro.federation.manager` — the facade-compatible coordinator.
+- :mod:`~repro.federation.manager` — the kernel subclass that wires them.
 
 Every construction site (schedulers, the check harness, the bench
 harness, the live service) goes through
@@ -26,22 +23,15 @@ switch: ``gtm_shards=0`` (the default) returns the monolith unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.federation.certifier import CommitLogEntry, CommitmentOrderCertifier
 from repro.federation.manager import FederatedTransactionManager
-from repro.federation.routing import FederationDirectory, ObjectRouter
-from repro.federation.shard import FederationShard
-
-if TYPE_CHECKING:
-    from repro.core.gtm import GlobalTransactionManager
+from repro.federation.routing import ObjectRouter
 
 __all__ = [
     "CommitLogEntry",
     "CommitmentOrderCertifier",
     "FederatedTransactionManager",
-    "FederationDirectory",
-    "FederationShard",
     "ObjectRouter",
     "build_transaction_manager",
 ]
@@ -49,22 +39,17 @@ __all__ = [
 
 def build_transaction_manager(
         config=None, clock=None, sst_executor=None, observer=None
-) -> "GlobalTransactionManager | FederatedTransactionManager":
+) -> GlobalTransactionManager:
     """The one construction seam for monolith vs. federation.
 
     ``GTMConfig(gtm_shards=0, mvcc_reads=False)`` — the default —
     returns the plain :class:`GlobalTransactionManager`; any shard
     count >= 1 (or ``mvcc_reads=True``, which implies one shard)
-    returns the federated coordinator.  Both are facade-compatible, so
-    callers never branch again after construction.
+    returns its federated subclass.
     """
-    from repro.core.gtm import GlobalTransactionManager, GTMConfig
-
     config = config or GTMConfig()
-    if config.gtm_shards <= 0 and not config.mvcc_reads:
-        return GlobalTransactionManager(
-            config=config, clock=clock, sst_executor=sst_executor,
-            observer=observer)
-    return FederatedTransactionManager(
-        config=config, clock=clock, sst_executor=sst_executor,
-        observer=observer)
+    cls = (GlobalTransactionManager
+           if config.gtm_shards <= 0 and not config.mvcc_reads
+           else FederatedTransactionManager)
+    return cls(config=config, clock=clock, sst_executor=sst_executor,
+               observer=observer)

@@ -1,28 +1,24 @@
-"""Object-to-shard routing and the federation's merged lock directory.
+"""Object-to-partition routing for the federation.
 
-Partitioning generalizes the crc32 scheme already proven in
-:class:`~repro.core.admission.ShardedLockTable`: a stable crc32 of the
-object name modulo the shard count (Python's salted ``hash`` would
-shuffle partitions across processes and break every digest).  The same
-function routes lock-table registration, admission, commit staging and
-version publication, so one shard owns *all* state for an object — the
-property the commitment-ordering argument in docs/PERFORMANCE.md
-section 10 rests on.
+A stable crc32 of the object name modulo the shard count (Python's
+salted ``hash`` would shuffle partitions across processes and break
+every digest).  The same function routes MVCC snapshot pins, commit-log
+externalization and version stamping, so one partition's commit
+sequence orders *all* committed state of an object — the property the
+commitment-ordering argument in docs/PERFORMANCE.md section 10 rests on.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterable
 
 from repro.errors import GTMError
-from repro.core.admission import LockTable, ShardedLockTable
 
-__all__ = ["ObjectRouter", "FederationDirectory"]
+__all__ = ["ObjectRouter"]
 
 
 class ObjectRouter:
-    """Stable name -> shard-index routing for N federation shards."""
+    """Stable name -> partition-index routing for N federation shards."""
 
     __slots__ = ("shard_count",)
 
@@ -33,27 +29,5 @@ class ObjectRouter:
         self.shard_count = shard_count
 
     def index_of(self, name: str) -> int:
-        """The owning shard's index; total and stable per name."""
+        """The owning partition's index; total and stable per name."""
         return zlib.crc32(name.encode("utf-8")) % self.shard_count
-
-
-class FederationDirectory(ShardedLockTable):
-    """The federation's merged object directory.
-
-    Same interface (and crc32 routing) as
-    :class:`~repro.core.admission.ShardedLockTable`, but built *over*
-    the per-shard lock tables the federation shards own, instead of
-    allocating its own: registering here lands the object in the owning
-    shard's table, and the shared ``_order`` list keeps iteration in
-    registration order regardless of shard count — what keeps reports
-    and final-value dumps byte-stable.  The ``shards`` tuple satisfies
-    the observability layer's per-shard occupancy snapshot unchanged.
-    """
-
-    def __init__(self, tables: Iterable[LockTable]) -> None:
-        tables = tuple(tables)
-        if not tables:
-            raise GTMError("federation directory needs >= 1 shard table")
-        self.shard_count = len(tables)
-        self.shards = tables
-        self._order: list[str] = []

@@ -94,7 +94,7 @@ class VersionRing:
 
 
 class VersionStore:
-    """Per-object version rings for one federation shard."""
+    """Per-object version rings (csns come from the owning partition)."""
 
     __slots__ = ("capacity", "rings")
 

@@ -109,7 +109,7 @@ class Observability:
         self._metrics_observer.finalize(now)
 
     def snapshot_lock_table(self, lock_table) -> None:
-        """Record per-shard lock-directory occupancy."""
+        """Record the lock directory's occupancy."""
         self._metrics_observer.snapshot_lock_table(lock_table)
 
     def frame(self, scheduler: str = "gtm") -> ObsFrame:

@@ -35,7 +35,7 @@ gtm_pool_created           counter   pool (``wait-entry``, ``sim-event``)
 gtm_pool_reused            counter   pool (``wait-entry``, ``sim-event``)
 gtm_wait_seconds           histogram —
 gtm_sleep_seconds          histogram —
-gtm_lock_shard_occupancy   gauge     ``shard<i>`` (set via snapshot)
+gtm_lock_shard_occupancy   gauge     ``shard0`` (set via snapshot)
 ========================== ========= =====================================
 """
 
@@ -264,16 +264,7 @@ class MetricsObserver(GTMObserver):
                     reused - base_reused, label=label)
 
     def snapshot_lock_table(self, lock_table) -> None:
-        """Record per-shard directory occupancy as a gauge.
-
-        Accepts either a flat :class:`~repro.core.admission.LockTable`
-        (reported as one shard) or a
-        :class:`~repro.core.admission.ShardedLockTable`.
-        """
-        gauge = self.registry.gauge("gtm_lock_shard_occupancy")
-        shards = getattr(lock_table, "shards", None)
-        if shards is None:
-            gauge.set(len(lock_table), label="shard0")
-        else:
-            for index, shard in enumerate(shards):
-                gauge.set(len(shard), label=f"shard{index}")
+        """Record the lock directory's occupancy as a gauge (the one
+        :class:`~repro.core.admission.LockTable` reports as shard 0)."""
+        self.registry.gauge("gtm_lock_shard_occupancy").set(
+            len(lock_table), label="shard0")

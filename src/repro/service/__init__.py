@@ -15,12 +15,10 @@ with *real* connections under the wall-clock
 - :mod:`repro.service.core` — :class:`GTMService`, the
   transport-agnostic frame handler (testable under the simulator);
 - :mod:`repro.service.server` — the asyncio TCP server and the
-  in-memory transport used by tests and large load runs;
-- :mod:`repro.service.load` — the concurrent-session load harness
-  (``python -m repro.service.load``) reporting sustained txn/s and
-  tail latency into ``BENCH_service.json``, oracle-checked.
+  in-memory transport used by tests and large load runs.
 
-See ``docs/SERVICE.md`` for the grammar and the lifecycle diagrams.
+See ``docs/SERVICE.md`` for the grammar and the lifecycle diagrams;
+the load harness is the end-to-end benchmark, ``benchmarks/e2e/run.py``.
 """
 
 from repro.service.core import GTMService, ServiceConfig

@@ -1,13 +1,12 @@
 """Seeded differential fuzz campaigns: the optimisation changes nothing.
 
 Per episode the harness compares the full observable outcome (trace,
-permanent object state, invariants) of the reference conflict engine,
-the bitmask engine, the bitmask engine on an 8-shard lock table and —
-when numpy is importable — the vectorized mask engine.  Baseline
-schedulers (which have no engine switch) degrade to run-twice
-determinism checks.  The satellite requirement is >=200 episodes x 3
-schedulers across reference/bitmask/vector; they are parametrized so
-each scheduler stays inside the default per-test budget.
+permanent object state, invariants) of the reference conflict engine
+and the bitmask engine.  Baseline schedulers (which have no engine
+switch) degrade to run-twice determinism checks.  The satellite
+requirement is >=200 episodes x 3 schedulers across reference/bitmask;
+they are parametrized so each scheduler stays inside the default
+per-test budget.
 """
 
 import pytest
@@ -17,6 +16,7 @@ from repro.check.differential import (
     compare_episode,
     run_differential_campaign,
 )
+from repro.core.conflicts import CONFLICT_ENGINES
 from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig, generate_episode
 
 EPISODES_PER_SCHEDULER = 200
@@ -33,17 +33,11 @@ def test_differential_campaign_has_zero_divergences(scheduler):
 
 def test_gtm_variant_matrix_covers_every_conflict_engine():
     """The 200-episode campaigns above derive their coverage from
-    GTM_VARIANTS, so pin what that matrix actually contains: all three
-    conflict engines (vector included when numpy is present)."""
-    engines = {overrides.get("conflict_engine", "bitmask")
+    GTM_VARIANTS, so pin what that matrix actually contains: every
+    engine ``build_conflict_checker`` accepts."""
+    engines = {overrides["conflict_engine"]
                for _, overrides in GTM_VARIANTS}
-    expected = {"reference", "bitmask"}
-    try:
-        import numpy  # noqa: F401
-        expected.add("vector")
-    except ImportError:
-        pass
-    assert engines == expected
+    assert engines == set(CONFLICT_ENGINES) == {"reference", "bitmask"}
 
 
 def test_gtm_episode_compares_all_variants():

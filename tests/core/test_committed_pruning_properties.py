@@ -55,7 +55,7 @@ def build_federation(clock, observer):
     gtm = FederatedTransactionManager(
         GTMConfig(gtm_shards=2, mvcc_reads=True),
         clock=clock, observer=observer)
-    return gtm, gtm._owner("X").sleep_manager
+    return gtm, gtm.sleep_manager
 
 
 class Driver:

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.core.gtm import GlobalTransactionManager
+from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.core.opclass import add, assign, multiply, read, subtract
+from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
+from repro.federation import build_transaction_manager
+from repro.ldbs.backend import create_backend
 
 _S = TransactionState
 
@@ -242,3 +245,36 @@ class TestRequestCommitDriver:
             gtm.request_commit(f"T{index:03d}")
         gtm.pump_commits()
         assert gtm.object("X").permanent_value() == count
+
+
+class TestEmptyCommit:
+    """Benchmark finding F4: ⟨commit⟩ on a transaction that invoked
+    nothing commits trivially — under *both* managers, since both run
+    the one commit pipeline."""
+
+    @pytest.fixture(params=[0, 1, 4], ids=["monolith", "fed-1", "fed-4"])
+    def gtm(self, request):
+        gtm = build_transaction_manager(
+            GTMConfig(gtm_shards=request.param),
+            sst_executor=SSTExecutor(create_backend("memory")))
+        gtm.create_object("X", value=100)
+        return gtm
+
+    def test_commits_without_an_sst(self, gtm):
+        gtm.begin("A")
+        assert gtm.request_commit("A") is None      # no SST ran
+        assert gtm.transaction("A").state is _S.COMMITTED
+        assert gtm.sst_reports == []
+        assert list(gtm.history.commit_order) == ["A"]
+        assert gtm.object("X").permanent == {"value": 100}
+        gtm.check_invariants()
+
+    def test_a_waiting_transaction_is_still_refused(self, gtm):
+        granted_txn(gtm, "H", assign(1))
+        gtm.begin("W")
+        assert gtm.invoke("W", "X", assign(2)) == "queued"
+        assert gtm.transaction("W").t_wait
+        assert not gtm.object("X").is_pending("W")  # nothing granted
+        with pytest.raises(ProtocolError, match="is waiting"):
+            gtm.request_commit("W")                 # constraint (iii)
+        assert gtm.transaction("W").state is _S.WAITING

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
 from repro.core.opclass import assign, multiply, subtract
+from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy
 from repro.core.states import TransactionState
 from repro.ldbs.deadlock import VictimPolicy
 
@@ -54,7 +55,8 @@ class TestDetection:
         assert gtm.object("Y").permanent_value() == 1
 
     def test_oldest_victim_policy_kills_holder(self):
-        gtm = make_gtm(victim_policy=VictimPolicy.OLDEST)
+        gtm = make_gtm(deadlock_policy=WaitForGraphPolicy(
+            victim_policy=VictimPolicy.OLDEST))
         outcome = build_cycle(gtm)
         # A (oldest) dies; the requester B gets its grant on X
         assert gtm.transaction("A").state is _S.ABORTED
@@ -62,7 +64,7 @@ class TestDetection:
         assert gtm.object("X").is_pending("B")
 
     def test_detection_disabled_leaves_both_waiting(self):
-        gtm = make_gtm(deadlock_detection=False)
+        gtm = make_gtm(deadlock_policy=NoDeadlockPolicy())
         outcome = build_cycle(gtm)
         assert outcome == GrantOutcome.QUEUED
         assert gtm.transaction("A").state is _S.WAITING

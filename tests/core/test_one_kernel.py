@@ -1,0 +1,57 @@
+"""Structural pins for "one kernel" (ROADMAP item 2).
+
+Algorithms 1-11 are written once, in
+:class:`~repro.core.gtm.GlobalTransactionManager` and the subsystems it
+wires; the federation inherits them.  These tests fail the moment a
+second copy of a driver, a second subsystem construction site, or a
+second ``X_committed`` writer appears.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.gtm import GlobalTransactionManager
+from repro.federation import FederatedTransactionManager
+
+SRC = Path(repro.__file__).resolve().parent
+
+KERNEL_DRIVERS = ("begin", "local_commit", "global_commit", "request_commit",
+                  "try_finish_commit", "pump_commits", "local_abort",
+                  "abort", "sleep")
+
+
+def _call_sites(pattern: str) -> list[str]:
+    regex = re.compile(pattern)
+    return sorted(
+        f"{path.relative_to(SRC)}:{number}"
+        for path in SRC.rglob("*.py")
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1)
+        if regex.search(line))
+
+
+@pytest.mark.parametrize("name", KERNEL_DRIVERS)
+def test_the_federation_defines_no_algorithm_driver(name):
+    assert issubclass(FederatedTransactionManager, GlobalTransactionManager)
+    assert getattr(FederatedTransactionManager, name) \
+        is getattr(GlobalTransactionManager, name)
+
+
+@pytest.mark.parametrize("constructor", ["AdmissionController",
+                                         "CommitPipeline", "SleepManager"])
+def test_each_subsystem_is_constructed_at_one_site(constructor):
+    sites = _call_sites(rf"(?<![\w.]){constructor}\(")
+    assert len(sites) == 1 and sites[0].startswith("core/gtm.py:"), sites
+
+
+def test_committed_state_has_one_writer():
+    """``X_committed`` and the commit-order witness are each recorded
+    at one site, the commit pipeline (the oracle rebuilding its
+    baseline log is not a GTM commit path)."""
+    for pattern in (r"\bobj\.record_commit\(", r"history\.record_commit\("):
+        sites = _call_sites(pattern)
+        assert len(sites) == 1, sites
+        assert sites[0].startswith("core/commit_pipeline.py:"), sites

@@ -6,11 +6,9 @@ from repro.core.policies import (
     WaitDiePolicy,
     WaitForGraphPolicy,
     WoundWaitPolicy,
-    build_deadlock_policy,
 )
 from repro.core.opclass import assign
 from repro.core.states import TransactionState
-from repro.ldbs.deadlock import VictimPolicy
 
 _S = TransactionState
 
@@ -115,16 +113,21 @@ class TestNoPolicy:
 
 
 class TestBuildPolicy:
-    def test_legacy_knobs_map_to_policies(self):
-        assert isinstance(build_deadlock_policy(False,
-                                                VictimPolicy.YOUNGEST),
-                          NoDeadlockPolicy)
-        policy = build_deadlock_policy(True, VictimPolicy.OLDEST)
-        assert isinstance(policy, WaitForGraphPolicy)
+    def test_default_is_a_fresh_wait_for_graph_per_manager(self):
+        """Policies are stateful: the ``None`` default must never hand
+        two managers the same instance."""
+        config = GTMConfig()
+        assert config.deadlock_policy is None
+        first = GlobalTransactionManager(config=config)
+        second = GlobalTransactionManager(config=config)
+        assert isinstance(first.deadlock_policy, WaitForGraphPolicy)
+        assert first.deadlock_policy is not second.deadlock_policy
 
-    def test_explicit_policy_overrides_legacy_knobs(self):
+    def test_explicit_policy_is_the_only_knob(self):
         policy = WoundWaitPolicy()
         gtm = GlobalTransactionManager(
-            config=GTMConfig(deadlock_detection=False,
-                             deadlock_policy=policy))
+            config=GTMConfig(deadlock_policy=policy))
         assert gtm.deadlock_policy is policy
+        fields = GTMConfig.__dataclass_fields__
+        assert "deadlock_detection" not in fields
+        assert "victim_policy" not in fields

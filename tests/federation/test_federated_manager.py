@@ -46,7 +46,8 @@ def test_builder_dispatches_on_the_config():
     # mvcc_reads with no explicit shard count implies a 1-shard federation
     mvcc = build_transaction_manager(GTMConfig(mvcc_reads=True))
     assert isinstance(mvcc, FederatedTransactionManager)
-    assert len(mvcc.shards) == 1
+    assert mvcc.router.shard_count == 1
+    assert len(mvcc.certifier.commit_logs) == 1
 
 
 def test_single_shard_commit_updates_permanent_state():
@@ -93,7 +94,7 @@ def test_committed_versions_are_published_to_the_owning_ring():
     gtm.invoke("t1", "x", assign(30))
     gtm.apply("t1", "x", assign(30))
     gtm.request_commit("t1")
-    ring = gtm._owner("x").versions.ring("x")
+    ring = gtm.versions.ring("x")
     assert [version.csn for version in ring] == [0, 1]
     assert ring.latest().values == {"value": 30}
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.admission import build_lock_table
+from repro.core.admission import LockTable
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add, assign, multiply
 from repro.obs.observers import MetricsObserver
@@ -100,23 +100,12 @@ class TestLockTableSnapshot:
     def test_flat_table_reports_one_shard(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        table = build_lock_table(1)
+        table = LockTable()
         table.register(SimpleNamespace(name="X"))
         table.register(SimpleNamespace(name="Y"))
         observer.snapshot_lock_table(table)
         assert registry.gauge("gtm_lock_shard_occupancy") \
             .value("shard0") == 2.0
-
-    def test_sharded_table_reports_per_shard(self):
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        table = build_lock_table(4)
-        for name in ("A", "B", "C", "D", "E"):
-            table.register(SimpleNamespace(name=name))
-        observer.snapshot_lock_table(table)
-        gauge = registry.gauge("gtm_lock_shard_occupancy")
-        total = sum(gauge.value(f"shard{i}") for i in range(4))
-        assert total == 5.0
 
 
 class TestBusDrivenMetrics:

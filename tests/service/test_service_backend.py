@@ -109,3 +109,16 @@ class TestServiceBackend:
             service.shutdown()
         assert dumps["memory"] == dumps["sqlite"]
         assert dumps["sqlite"]["gtm_objects"]["pre"]["value"] == 7.0
+
+    def test_empty_transaction_commits_over_the_wire(self, served):
+        """F4: ``begin`` -> ``commit`` answers ``committed`` (it used to
+        be a ``gtm/protocol`` error frame), with no SST and no row."""
+        service, session, frames = served
+        before = service.backend.dump()
+        service.handle(session, {"type": "begin", "id": 2})
+        txn = frames[-1]["txn"]
+        service.handle(session, {"type": "commit", "id": 3, "txn": txn})
+        assert frames[-1] == {"type": "committed", "txn": txn, "re": 3}
+        assert service.metrics.counter("service_error_frames").total() == 0
+        assert service.gtm.sst_reports == []
+        assert service.backend.dump() == before
