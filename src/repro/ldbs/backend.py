@@ -55,6 +55,9 @@ class BackendTransaction(Protocol):
     Usable as a context manager: commits on clean exit, aborts on
     exception.  Every read answers *through* the transaction — an
     uncommitted insert is visible to its own ``has_key``/``get_row``.
+    ``update_by_key`` and ``delete_by_key`` return the rows touched: 0,
+    not an error, for a key that is not there (the SST's upsert probes
+    with the update itself).
     """
 
     txn_id: str

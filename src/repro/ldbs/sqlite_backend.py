@@ -159,7 +159,10 @@ class SQLiteTransaction:
             return 0
         # validate the post-image exactly like the eager in-memory
         # engine: current row (read through this transaction) + changes.
-        current = self.get_row(table, key)
+        try:
+            current = self.get_row(table, key)
+        except StorageError:
+            return 0  # no such row: nothing to update, not an error
         current.update(updated)
         self._backend.constraints.validate(table, current)
         assignments = ", ".join(f'"{name}" = ?' for name in updated)

@@ -1,7 +1,9 @@
 """An asyncio client for the GTM wire protocol.
 
-The client owns one transport and runs one background reader task that
-routes inbound frames:
+The client is the receiving end of its transport (an
+:class:`asyncio.Protocol`): ``data_received`` decodes and routes inbound
+frames in the turn they arrive, so a reply wakes the requesting
+coroutine directly — there is no reader task in between:
 
 - a frame whose ``re`` matches an outstanding request lands in that
   request's mailbox (a *mailbox*, not a future, because a queued op
@@ -27,9 +29,11 @@ from typing import Any
 
 from repro.errors import GTMError
 from repro.service.protocol import (
+    MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
     frame_to_exception,
+    split_lines,
 )
 
 
@@ -57,12 +61,11 @@ class _Mailbox:
                 waiter.set_result(None)
 
 
-class ServiceClient:
+class ServiceClient(asyncio.Protocol):
     """One connection's view of the service."""
 
-    def __init__(self, reader: asyncio.StreamReader, writer: Any) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, transport: Any) -> None:
+        self.transport = transport
         self.token: str | None = None
         #: the last ``welcome`` frame (awake verdicts, outage outcomes).
         self.last_welcome: dict[str, Any] | None = None
@@ -71,32 +74,47 @@ class ServiceClient:
         self._sequence = itertools.count(1)
         self._replies: dict[Any, _Mailbox] = {}
         self._txn_events: dict[str, _Mailbox] = {}
-        self._lost = False
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        self._buffer = b""  # the unterminated tail of what was received
+        self._lost = transport.is_closing()
+        #: parked senders wait on it while ``pause_writing`` is in force.
+        self._writable: asyncio.Future | None = None
+        self._closed = asyncio.get_running_loop().create_future()
+        transport.set_protocol(self)
+
+    # -- the transport's callbacks ---------------------------------------
+
+    def data_received(self, data: bytes) -> None:
+        lines, self._buffer = split_lines(self._buffer + data)
+        for line in lines:
+            try:
+                frame = decode_frame(line)
+            except GTMError:
+                continue  # a hostile/buggy server; drop the line
+            self._route(frame)
+        if len(self._buffer) > MAX_FRAME_BYTES:
+            self.transport.abort()  # a line no frame can be
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        waiter, self._writable = self._writable, None
+        if waiter is not None:
+            waiter.set_result(None)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._lost = True
+        poison = {"type": "error", "code": "gtm/error",
+                  "message": "connection lost"}
+        for box in (*self._replies.values(),
+                    *self._txn_events.values()):
+            box.put(poison)
+        self.inbox.put_nowait(poison)
+        self.resume_writing()
+        if not self._closed.done():
+            self._closed.set_result(None)
 
     # -- plumbing -------------------------------------------------------
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                line = await self.reader.readline()
-                if not line:
-                    break
-                try:
-                    frame = decode_frame(line)
-                except GTMError:
-                    continue  # a hostile/buggy server; drop the line
-                self._route(frame)
-        except (OSError, ConnectionError, ValueError):
-            pass
-        finally:
-            self._lost = True
-            poison = {"type": "error", "code": "gtm/error",
-                      "message": "connection lost"}
-            for box in (*self._replies.values(),
-                        *self._txn_events.values()):
-                box.put(poison)
-            self.inbox.put_nowait(poison)
 
     def _route(self, frame: dict[str, Any]) -> None:
         re = frame.get("re")
@@ -124,12 +142,13 @@ class ServiceClient:
     async def _send(self, frame: dict[str, Any]) -> None:
         if self._lost:
             raise ConnectionLost("transport is gone")
-        try:
-            self.writer.write(encode_frame(frame))
-            await self.writer.drain()
-        except (OSError, ConnectionError) as exc:
-            self._lost = True
-            raise ConnectionLost(str(exc)) from None
+        self.transport.write(encode_frame(frame))
+        if self._writable is not None:
+            # The transport's buffer is over its mark: wait for it to
+            # drain (shielded: the future is shared by every sender).
+            await asyncio.shield(self._writable)
+            if self._lost:
+                raise ConnectionLost("transport died while paused")
 
     async def _next_frame(self, *boxes: _Mailbox) -> dict[str, Any]:
         """The next frame from any of ``boxes``; when several hold one,
@@ -254,25 +273,13 @@ class ServiceClient:
     # -- teardown -------------------------------------------------------
 
     async def close(self) -> None:
-        """Close the transport (abrupt unless ``bye`` was sent first)."""
-        self._lost = True
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
+        """Close the transport (abrupt unless ``bye`` was sent first)
+        and wait until it reported the loss."""
+        self.drop()
+        await self._closed
 
     def drop(self) -> None:
         """Abandon the transport without closing handshakes — the
         load harness's simulated connection loss."""
         self._lost = True
-        try:
-            self.writer.close()
-        except (OSError, ConnectionError):
-            pass
-        self._reader_task.cancel()
+        self.transport.close()

@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.core.opclass import Invocation, OperationClass
 
 #: Hard cap on one encoded frame; longer lines are a protocol error
-#: (and the reader's line limit enforces it before parsing).
+#: (and the receiving end enforces it before parsing).
 MAX_FRAME_BYTES = 64 * 1024
 
 #: Client-initiated frame types.
@@ -91,6 +91,12 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
     return data + b"\n"
 
 
+#: The scanner ``json.loads`` ends up in, without what it runs around
+#: it for every call (encoding detection, two whitespace regexes).
+_scan_json = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def decode_frame(line: bytes | str) -> dict[str, Any]:
     """Parse one wire line into a frame dict, validating the envelope."""
     if isinstance(line, bytes) and len(line) > MAX_FRAME_BYTES:
@@ -98,9 +104,20 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
             f"frame of {len(line)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit")
     try:
-        frame = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise WireFormatError(f"frame is not valid JSON: {exc}") from None
+        text = line.decode("utf-8") if isinstance(line, bytes) else line
+        text = text.strip(_JSON_WHITESPACE)
+        frame, end = _scan_json(text)
+        if end != len(text):
+            raise ValueError("data after the frame")
+    except ValueError:
+        # Not one UTF-8 JSON value: BOMs, UTF-16/32 and every malformed
+        # line go the long way, so what is accepted and what each error
+        # says stay exactly ``json.loads``'s.
+        try:
+            frame = json.loads(line)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise WireFormatError(
+                f"frame is not valid JSON: {exc}") from None
     if not isinstance(frame, dict):
         raise WireFormatError(
             f"frame must be a JSON object, got {type(frame).__name__}")
@@ -108,6 +125,17 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
     if not isinstance(frame_type, str):
         raise WireFormatError("frame has no string 'type' field")
     return frame
+
+
+def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
+    """Cut received bytes into the complete lines (newline kept) and
+    the unterminated rest, which the receiver keeps for the next call."""
+    lines = []
+    start = 0
+    while end := data.find(b"\n", start) + 1:
+        lines.append(data[start:end])
+        start = end
+    return lines, data[start:]
 
 
 def build_invocation(frame: dict[str, Any]) -> Invocation:

@@ -1,24 +1,38 @@
-"""The asyncio transport: TCP server and in-memory stream pairs.
+"""The asyncio transport: TCP server and in-memory transport pairs.
 
-One connection = one reader loop; there is no writer task.  The
-transport is deliberately thin: every decision lives in the
-synchronous :class:`~repro.service.core.GTMService`, which is why the
-session state machine can be tested under the simulator while this
-module only shuttles bytes.
+A connection is an :class:`asyncio.Protocol`: there is no reader
+coroutine and no writer task.  The transport is deliberately thin:
+every decision lives in the synchronous
+:class:`~repro.service.core.GTMService`, which is why the session state
+machine can be tested under the simulator while this module only
+shuttles bytes.  What it guarantees, on TCP and in memory alike:
 
-A reply is written in the loop turn of the handler that produced it:
-the sink encodes the frame and calls the transport's ``write``, which
-never blocks, so the transport's own write buffer is the outbox.
-Backpressure: frames written while that buffer sits above its
-high-water mark (the peer is not reading) are counted, and after
-``max_outbox`` of them the client is forcibly detached and its backlog
-discarded — which the protocol already models as ⟨sleep⟩, so a slow
-reader degrades into a disconnected one instead of growing the heap.
+- **One turn per request.**  ``data_received`` cuts the complete lines
+  off a small buffer and runs decode → ``connect``/``handle`` → sink →
+  ``transport.write`` for every one of them before it returns; replies
+  are written in the handler's own turn and never block, so the
+  transport's write buffer is the outbox.
+- **Backpressure by disconnection.**  Frames written while that buffer
+  sits above its high-water mark (the peer is not reading) are counted,
+  and after ``max_outbox`` of them the transport is aborted, its
+  backlog discarded and ``service_outbox_overflows`` bumped; the
+  session is detached when the transport reports the loss, in the
+  connection's own turn (the service may be mid-cascade when the push
+  goes out) — which the protocol already models as ⟨sleep⟩, so a slow
+  reader degrades into a disconnected one instead of growing the heap.
+- **Frame limit before parsing.**  A line longer than
+  ``MAX_FRAME_BYTES``, complete or still missing its newline, is
+  answered with one ``WireFormatError`` frame and the connection closed;
+  any other bad line is answered and the connection survives.
+- **Loss is ⟨sleep⟩, once.**  End of stream, a drop or an overflow ends
+  in ``connection_lost``, which calls ``service.disconnect`` only while
+  the session's sink is still this connection's (a session resumed
+  elsewhere is left alone).  An unterminated last line is discarded.
 
-The in-memory transport (:func:`memory_pair`) is the same duplex
-stream discipline without file descriptors, so load runs can hold
-thousands of concurrent sessions without touching the fd limit, and
-unit tests can run a full client/server conversation in one loop.
+The in-memory transport (:func:`memory_pair`) is the same discipline
+without file descriptors, so load runs can hold thousands of concurrent
+sessions without touching the fd limit, and unit tests can run a full
+client/server conversation in one loop.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
     error_frame,
+    split_lines,
 )
 
 
@@ -41,69 +56,113 @@ from repro.service.protocol import (
 # ---------------------------------------------------------------------------
 
 
-class MemoryWriter:
-    """Write end of an in-memory stream, duck-typed to StreamWriter and
-    to its ``transport``: the write buffer is whatever the peer has not
-    yet read from its :class:`asyncio.StreamReader`."""
+class MemoryTransport:
+    """One end of an in-memory link, duck-typed to an asyncio transport.
 
-    __slots__ = ("_reader", "_closed", "_peer")
+    The write buffer is whatever the peer has not received yet.  The
+    client end receives in the writer's turn (its ``data_received`` only
+    fills mailboxes and sets futures); the server end receives in its
+    own next turn, one ``call_soon`` per burst, so a handler never runs
+    on a client's stack, a round trip cannot finish without yielding,
+    and a push sent mid-cascade cannot re-enter the service.
+    """
 
-    def __init__(self, reader: asyncio.StreamReader) -> None:
-        self._reader = reader
+    __slots__ = ("_loop", "_own_turn", "_protocol", "_peer", "_inbound",
+                 "_scheduled", "_reading", "_write_paused", "_closed")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 own_turn: bool) -> None:
+        self._loop = loop
+        self._own_turn = own_turn
+        self._protocol: asyncio.BaseProtocol = asyncio.Protocol()
+        self._peer = self  # the opposite end (see :func:`memory_pair`)
+        self._inbound = b""  # written by the peer, not yet received
+        self._scheduled = False
+        self._reading = True
+        self._write_paused = False
         self._closed = False
-        #: the opposite direction's writer (see :func:`memory_pair`):
-        #: a peer that closed it reads no more.
-        self._peer = self
+
+    def set_protocol(self, protocol: asyncio.BaseProtocol) -> None:
+        self._protocol = protocol
 
     def write(self, data: bytes) -> None:
-        if not self._closed:
-            self._reader.feed_data(data)
+        peer = self._peer
+        if self._closed or peer._closed:
+            return
+        peer._inbound += data
+        if peer._reading:
+            if not peer._own_turn:
+                peer._deliver()
+                return
+            if not peer._scheduled:
+                peer._scheduled = True
+                self._loop.call_soon(peer._deliver)
+        if (len(peer._inbound) > MAX_FRAME_BYTES
+                and not self._write_paused):
+            self._write_paused = True
+            self._protocol.pause_writing()
 
-    async def drain(self) -> None:
-        # StreamWriter.drain's contract: return at once unless the
-        # peer's unread buffer is over its limit; then yield to the
-        # peer (same loop) until it caught up or either end closed.
-        while (self.get_write_buffer_size() > MAX_FRAME_BYTES
-               and not self._closed and not self._peer._closed):
-            await asyncio.sleep(0)
+    def _deliver(self) -> None:
+        self._scheduled = False
+        if self._closed or not self._reading or not self._inbound:
+            return
+        data, self._inbound = self._inbound, b""
+        peer = self._peer
+        if peer._write_paused:
+            peer._write_paused = False
+            peer._protocol.resume_writing()
+        try:
+            self._protocol.data_received(data)
+        except Exception as exc:
+            # As on a socket: a receiver that raises is a dead peer,
+            # never an exception inside whoever wrote the bytes.
+            self._loop.call_exception_handler({
+                "message": "receiver failed on an in-memory transport",
+                "exception": exc, "protocol": self._protocol})
+            self.abort()
+
+    def pause_reading(self) -> None:
+        self._reading = False
+
+    def resume_reading(self) -> None:
+        self._reading = True
+        self._deliver()
 
     def close(self) -> None:
+        """Both protocols see ``connection_lost``, each in a turn of
+        its own, the peer after what was already on its way to it."""
         if not self._closed:
             self._closed = True
-            self._reader.feed_eof()
+            self._loop.call_soon(self._protocol.connection_lost, None)
+            self._loop.call_soon(self._peer._hang_up)
 
-    abort = close
+    def _hang_up(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._protocol.connection_lost(None)
+
+    def abort(self) -> None:
+        self._peer._inbound = b""  # the backlog goes with the transport
+        self.close()
 
     def is_closing(self) -> bool:
         return self._closed
 
-    async def wait_closed(self) -> None:
-        return None
-
-    @property
-    def transport(self) -> "MemoryWriter":
-        return self
-
     def get_write_buffer_size(self) -> int:
-        return len(self._reader._buffer)
+        return len(self._peer._inbound)
 
     def get_write_buffer_limits(self) -> tuple[int, int]:
         return 0, MAX_FRAME_BYTES
 
 
-def memory_pair() -> tuple[tuple[asyncio.StreamReader, MemoryWriter],
-                           tuple[asyncio.StreamReader, MemoryWriter]]:
-    """A connected duplex pair: ``(client_side, server_side)``.
-
-    Each side is a ``(reader, writer)`` tuple with the stream API the
-    server and client already speak — no sockets, no fds.
-    """
-    to_server = asyncio.StreamReader(limit=MAX_FRAME_BYTES)
-    to_client = asyncio.StreamReader(limit=MAX_FRAME_BYTES)
-    client_writer, server_writer = (MemoryWriter(to_server),
-                                    MemoryWriter(to_client))
-    client_writer._peer, server_writer._peer = server_writer, client_writer
-    return (to_client, client_writer), (to_server, server_writer)
+def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
+    """A connected link: ``(client_end, server_end)``, each waiting for
+    its protocol (``set_protocol``) — no sockets, no fds."""
+    loop = asyncio.get_running_loop()
+    client_end = MemoryTransport(loop, own_turn=False)
+    server_end = MemoryTransport(loop, own_turn=True)
+    client_end._peer, server_end._peer = server_end, client_end
+    return client_end, server_end
 
 
 # ---------------------------------------------------------------------------
@@ -112,70 +171,61 @@ def memory_pair() -> tuple[tuple[asyncio.StreamReader, MemoryWriter],
 
 
 class ServiceServer:
-    """Serves a :class:`GTMService` over asyncio streams."""
+    """Serves a :class:`GTMService` over asyncio transports."""
 
     def __init__(self, service: GTMService) -> None:
         self.service = service
         self._tcp_server: asyncio.AbstractServer | None = None
         self._connections: set["_Connection"] = set()
-        self._shutting_down = False
 
     # -- lifecycle ------------------------------------------------------
 
     async def start_tcp(self, host: str = "127.0.0.1",
                         port: int = 0) -> tuple[str, int]:
         """Listen on TCP; returns the bound ``(host, port)``."""
-        self._tcp_server = await asyncio.start_server(
-            self._on_connection, host, port, limit=MAX_FRAME_BYTES)
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port)
         sockname = self._tcp_server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    def connect_memory(self) -> tuple[asyncio.StreamReader, MemoryWriter]:
-        """Open an in-memory connection; returns the client side."""
-        client_side, server_side = memory_pair()
-        asyncio.ensure_future(self._on_connection(*server_side))
-        return client_side
+    def connect_memory(self) -> MemoryTransport:
+        """Open an in-memory connection; returns the client end."""
+        client_end, server_end = memory_pair()
+        conn = _Connection(self)
+        server_end.set_protocol(conn)
+        conn.connection_made(server_end)
+        return client_end
 
     async def shutdown(self) -> None:
         """Graceful stop: no new connections, notify, flush, close."""
-        self._shutting_down = True
         if self._tcp_server is not None:
             self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         self.service.shutdown()
         for conn in list(self._connections):
             conn.request_close()
         while self._connections:
             await asyncio.sleep(0.01)
-
-    # -- per-connection machinery --------------------------------------
-
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: Any) -> None:
-        conn = _Connection(self, reader, writer)
-        self._connections.add(conn)
-        try:
-            await conn.run()
-        finally:
-            self._connections.discard(conn)
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
 
 
-class _Connection:
-    """One live transport: a reader loop, and a sink that writes."""
+class _Connection(asyncio.Protocol):
+    """One live transport: its receiving end, and a sink that writes."""
 
-    def __init__(self, server: ServiceServer,
-                 reader: asyncio.StreamReader, writer: Any) -> None:
+    def __init__(self, server: ServiceServer) -> None:
         self.server = server
         self.service = server.service
-        self.reader = reader
-        self.writer = writer
-        transport = writer.transport
-        self._buffered = transport.get_write_buffer_size
-        self._high_water = transport.get_write_buffer_limits()[1]
+        self.session = None
+        self._buffer = b""  # the unterminated tail of what was received
         #: frames written since the buffer last rose over the mark.
         self._congested = 0
-        self.session = None
         self._closing = False
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self._buffered = transport.get_write_buffer_size
+        self._high_water = transport.get_write_buffer_limits()[1]
+        self.server._connections.add(self)
 
     # The service-facing sink: synchronous, never blocks the handler.
     def sink(self, frame: dict[str, Any]) -> None:
@@ -187,50 +237,27 @@ class _Connection:
             self._congested += 1
         else:
             # Slow reader: degrade to a disconnect (= ⟨sleep⟩).  The
-            # backlog would never flush, so it goes with the transport;
-            # the detach is left to the read loop's own turn — the
-            # service may be mid-cascade when this push goes out.
+            # backlog would never flush, so it goes with the transport,
+            # which reports the loss in a turn of this connection's own.
             self.service.metrics.counter("service_outbox_overflows").inc()
-            self.writer.transport.abort()
-            self.request_close()
+            self._closing = True
+            self.transport.abort()
             return
-        self.writer.write(encode_frame(frame))
+        self.transport.write(encode_frame(frame))
 
     def request_close(self) -> None:
+        """Stop handling; the transport flushes what was written."""
         self._closing = True
-        # Unblock a read loop parked in readline().
-        try:
-            self.reader.feed_eof()
-        except (AssertionError, RuntimeError):
-            pass
+        self.transport.close()
 
-    async def run(self) -> None:
-        try:
-            await self._read_loop()
-        finally:
-            self._closing = True
-            try:
-                self.writer.close()
-                await self.writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-            if (self.session is not None
-                    and self.session.sink == self.sink):
-                # Dropped (or overflowed) without `bye`: ⟨sleep⟩.
-                self.service.disconnect(self.session)
-
-    async def _read_loop(self) -> None:
-        while not self._closing:
-            try:
-                line = await self.reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                self.sink(error_frame(WireFormatError(
-                    f"frame exceeds {MAX_FRAME_BYTES} bytes")))
+    def data_received(self, data: bytes) -> None:
+        lines, self._buffer = split_lines(self._buffer + data)
+        for line in lines:
+            if self._closing:
                 return
-            except (OSError, ConnectionError):
+            if len(line) > MAX_FRAME_BYTES:
+                self._refuse_oversize()
                 return
-            if not line:
-                return  # EOF: the peer dropped
             try:
                 frame = decode_frame(line)
             except ReproError as exc:
@@ -239,11 +266,26 @@ class _Connection:
             if self.session is None:
                 self.session = self.service.connect(frame, self.sink)
                 if self.session is None:
-                    return  # rejected hello; error frame is written
+                    self.request_close()  # rejected; the error is written
             else:
                 self.service.handle(self.session, frame)
                 if not self.session.connected:
-                    return  # `bye` closed the session
+                    self.request_close()  # `bye` closed the session
+        if len(self._buffer) > MAX_FRAME_BYTES:
+            self._refuse_oversize()
+
+    def _refuse_oversize(self) -> None:
+        self.sink(error_frame(WireFormatError(
+            f"frame exceeds {MAX_FRAME_BYTES} bytes")))
+        self.request_close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._closing = True
+        self.server._connections.discard(self)
+        if (self.session is not None
+                and self.session.sink == self.sink):
+            # Dropped (or overflowed) without `bye`: ⟨sleep⟩.
+            self.service.disconnect(self.session)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +293,21 @@ class _Connection:
 # ---------------------------------------------------------------------------
 
 
+#: Opens one link and returns the arguments of ``ServiceClient``: the
+#: transport, on which the client installs itself as the protocol (the
+#: server never speaks first, so nothing can arrive before it has).
 Connector = Callable[[], Any]
 
 
 def tcp_connector(host: str, port: int) -> Connector:
     async def _connect():
-        return await asyncio.open_connection(
-            host, port, limit=MAX_FRAME_BYTES)
+        transport, _ = await asyncio.get_running_loop().create_connection(
+            asyncio.Protocol, host, port)
+        return (transport,)
     return _connect
 
 
 def memory_connector(server: ServiceServer) -> Connector:
     async def _connect():
-        return server.connect_memory()
+        return (server.connect_memory(),)
     return _connect

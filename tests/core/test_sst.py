@@ -5,8 +5,7 @@ import pytest
 from repro.errors import GTMError, SSTFailure
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.objects import ObjectBinding
-from repro.core.opclass import Invocation, OperationClass, add, assign, \
-    subtract
+from repro.core.opclass import assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor, StagedWrite
 from repro.core.states import TransactionState
 from repro.ldbs.backend import create_backend
@@ -269,6 +268,50 @@ class TestBackendSeam:
         row = db.catalog.table("pair").get_by_key(1)
         assert row["a"] == 1.0
         assert row["b"] == 2.0
+
+    @pytest.mark.parametrize("name", ["memory", "sqlite"])
+    def test_one_statement_per_write_to_an_existing_row(self, name):
+        """The update is its own existence probe: a write to a row that
+        is there costs one backend call, a write to one that is not
+        costs the failed update and the insert — and no ``has_key``."""
+        backend = create_backend(name)
+        calls: list[str] = []
+
+        class Recording:
+            def __init__(self, txn):
+                self._txn = txn
+
+            def __getattr__(self, verb):
+                calls.append(verb)
+                return getattr(self._txn, verb)
+
+            def __enter__(self):
+                self._txn.__enter__()
+                return self
+
+            def __exit__(self, *exc_info):
+                return self._txn.__exit__(*exc_info)
+
+        try:
+            backend.create_table(TableSchema(
+                "flight", (Column("id", ColumnType.INT),
+                           Column("free", ColumnType.INT)),
+                primary_key="id"))
+            backend.seed("flight", [{"id": 1, "free": 10}])
+            executor = SSTExecutor(backend)
+            begin = backend.begin
+            executor.backend.begin = lambda *args, **kwargs: Recording(
+                begin(*args, **kwargs))
+            report = executor.execute("T", [
+                StagedWrite("seats", binding(), {"value": 9}),
+                StagedWrite("new", ObjectBinding.cell("flight", 2, "free"),
+                            {"value": 4})])
+            assert report.rows_written == 2
+            assert calls == ["update_by_key", "update_by_key", "insert"]
+            assert backend.dump()["flight"] == {
+                1: {"id": 1, "free": 9}, 2: {"id": 2, "free": 4}}
+        finally:
+            backend.close()
 
     def test_runs_directly_on_sqlite_backend(self):
         backend = create_backend("sqlite")

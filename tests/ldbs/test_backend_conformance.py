@@ -104,6 +104,28 @@ class TestConformance:
             assert row["label"] == "b"
             txn.abort()
 
+    def test_update_of_a_missing_key_touches_nothing(self, backend):
+        # "no such row" is a count of 0, not an error: the SST's upsert
+        # probes with the update itself
+        before = backend.dump()
+        with backend.begin("T1", write=True) as txn:
+            assert txn.update_by_key("obj", 99, {"value": 1.0}) == 0
+            assert txn.delete_by_key("obj", 99) == 0
+            assert not txn.has_key("obj", 99)
+        assert backend.dump() == before
+
+    def test_upsert_inside_one_transaction_sees_its_own_insert(
+            self, backend):
+        with backend.begin("T1", write=True) as txn:
+            assert txn.update_by_key("obj", 7, {"value": 1.0}) == 0
+            txn.insert("obj", {"id": 7, "value": 1.0})
+            # the second write to the same key finds the first
+            assert txn.update_by_key("obj", 7, {"label": "new"}) == 1
+            assert txn.get_row("obj", 7) == {
+                "id": 7, "value": 1.0, "label": "new", "flag": None}
+        assert backend.dump()["obj"][7] == {
+            "id": 7, "value": 1.0, "label": "new", "flag": None}
+
     def test_delete_by_key(self, backend):
         with backend.begin("T1", write=True) as txn:
             assert txn.delete_by_key("obj", 1) == 1

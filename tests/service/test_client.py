@@ -9,29 +9,27 @@ import asyncio
 import pytest
 
 from repro.service.client import ConnectionLost, ServiceClient, _Mailbox
-from repro.service.protocol import decode_frame, encode_frame
 from repro.service.server import memory_pair
+from tests.service.wire import RawEnd
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-class ScriptedServer:
-    """The server end of a memory pair, driven frame by frame."""
+class ScriptedServer(RawEnd):
+    """The server end of a memory pair, driven frame by frame.
+
+    ``send(*frames)`` writes them back to back: they reach the client's
+    mailboxes in this turn, before any consumer runs."""
 
     def __init__(self) -> None:
-        client_side, (self.reader, self.writer) = memory_pair()
-        self.client = ServiceClient(*client_side)
+        client_end, server_end = memory_pair()
+        super().__init__(server_end)
+        self.client = ServiceClient(client_end)
 
     async def next_request(self) -> dict:
-        return decode_frame(await self.reader.readline())
-
-    def send(self, *frames: dict) -> None:
-        """Write ``frames`` back to back: they reach the client's read
-        loop in one turn, before any consumer runs."""
-        for frame in frames:
-            self.writer.write(encode_frame(frame))
+        return await self.next()
 
     async def begin(self, txn: str) -> None:
         """Walk the client through ``begin`` so it routes ``txn``."""
@@ -192,7 +190,7 @@ class TestReplyRacesAbortPush:
             fid = (await server.next_request())["id"]
             server.send({"type": "queued", "txn": "t1", "re": fid})
             await asyncio.sleep(0.01)
-            server.writer.close()
+            server.transport.close()
             with pytest.raises(ConnectionLost):
                 await asyncio.wait_for(op, timeout=5.0)
         run(check())

@@ -2,11 +2,13 @@
 
 Every ``loop.call_soon`` is a trip through the event loop's ready
 queue, and what a frame costs outside the protocol is mostly those.
-One request/response pair needs three: the server's read loop wakes on
-the request, the client's read loop wakes on the reply, and the
-requesting coroutine wakes on its mailbox.  The reply itself is written
-in the handler's own turn.  (A writer task behind a queue, a forced
-yield in ``drain`` and a queue per request made it six.)
+One request/response pair needs two: the server end of the link
+receives the request in a turn of its own, and the requesting coroutine
+wakes on its mailbox.  The reply is written in the handler's own turn
+and routed into the mailbox by the client's ``data_received`` in that
+same turn.  (A server read loop parked in ``readline`` and a client
+reader task made it three; a writer task behind a queue, a forced yield
+in ``drain`` and a queue per request made it six.)
 
 The count is a property of the code path, not of timing, so it repeats
 exactly and can be pinned.
@@ -19,7 +21,7 @@ from repro.service import GTMService, ServiceConfig
 from repro.service.client import ServiceClient
 from repro.service.server import ServiceServer, memory_connector
 
-ROUND_TRIP_BUDGET = 3
+ROUND_TRIP_BUDGET = 2
 OPS_PER_TXN = 4
 
 
@@ -61,9 +63,9 @@ def test_callbacks_per_round_trip_stay_within_budget():
             del loop.call_soon
 
         assert len(set(per_ping)) == len(set(per_txn)) == 1  # repeats
-        assert per_ping[0] <= ROUND_TRIP_BUDGET
+        assert per_ping[0] == ROUND_TRIP_BUDGET
         # begin + the ops + commit, one round trip each
-        assert per_txn[0] <= ROUND_TRIP_BUDGET * (OPS_PER_TXN + 2)
+        assert per_txn[0] == ROUND_TRIP_BUDGET * (OPS_PER_TXN + 2)
         await client.bye()
         await server.shutdown()
     asyncio.run(check())

@@ -104,6 +104,127 @@ class TestEncodingIsUnchanged:
         assert encode_frame(fits) == reference_encoding(fits)
 
 
+def reference_decode_frame(line):
+    """``decode_frame`` as it stood before it learned a fast path
+    (``json.loads`` for everything): what it must keep accepting,
+    returning and saying, whatever it does first."""
+    if isinstance(line, bytes) and len(line) > MAX_FRAME_BYTES:
+        raise WireFormatError(
+            f"frame of {len(line)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit")
+    try:
+        frame = json.loads(line)
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise WireFormatError(f"frame is not valid JSON: {exc}") from None
+    if not isinstance(frame, dict):
+        raise WireFormatError(
+            f"frame must be a JSON object, got {type(frame).__name__}")
+    frame_type = frame.get("type")
+    if not isinstance(frame_type, str):
+        raise WireFormatError("frame has no string 'type' field")
+    return frame
+
+
+def decoding(decode, line) -> tuple[str, str]:
+    """What ``decode`` makes of ``line``, comparable across decoders
+    (``repr``: a NaN in a frame is not equal to itself)."""
+    try:
+        return "frame", repr(decode(line))
+    except WireFormatError as exc:
+        return "error", str(exc)
+
+
+#: JSON's own whitespace, and four characters ``str.strip()`` would
+#: take for whitespace although JSON does not.
+_padding = st.text(" \t\n\r\x0b\x0c\xa0\u2028", max_size=3)
+_garbage = st.sampled_from(["", "", "", "x", "{}", ",", "\x00", "]", "1"])
+_payloads = st.one_of(
+    # frames, and objects that are not: no 'type', or not a string
+    st.builds(lambda frame, kind: {**frame, "type": kind},
+              st.dictionaries(st.text(max_size=8), _json_values,
+                              max_size=5),
+              st.sampled_from(sorted(REQUEST_TYPES)) | st.text(max_size=6)),
+    st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+    st.fixed_dictionaries({"type": _json_values}),
+    _json_values,  # not an object at all
+)
+_texts = st.one_of(
+    st.builds(
+        lambda payload, ascii_only, indent, before, after, garbage:
+        before + json.dumps(payload, ensure_ascii=ascii_only,
+                            indent=indent) + after + garbage,
+        _payloads, st.booleans(), st.sampled_from([None, None, 1]),
+        _padding, _padding, _garbage),
+    st.text(max_size=40),  # mostly not JSON
+)
+_encodings = st.sampled_from([
+    "utf-8", "utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-16-be",
+    "utf-32", "utf-32-le", "utf-32-be"])
+
+
+def _spoil(data: bytes, at: int, junk: bytes) -> bytes:
+    at %= len(data) + 1
+    return data[:at] + junk + data[at:]
+
+
+_lines = st.one_of(
+    _texts,                                    # str, as tests pass it
+    _texts.map(lambda text: "\ufeff" + text),  # ...with a BOM
+    st.builds(lambda text, encoding: text.encode(encoding,
+                                                 "surrogatepass"),
+              _texts, _encodings),
+    # bytes that are not (all) text: truncated and spoiled encodings
+    st.builds(_spoil, _texts.map(lambda text: text.encode("utf-8")),
+              st.integers(min_value=0), st.binary(min_size=1, max_size=3)),
+    st.binary(max_size=24),
+)
+
+
+class TestDecodingIsUnchanged:
+    @given(_lines)
+    def test_matches_the_json_loads_decoder(self, line):
+        assert decoding(decode_frame, line) == \
+            decoding(reference_decode_frame, line)
+
+    @pytest.mark.parametrize("line", [
+        b'{"type":"ping","id":1}\n',
+        ' \t\r\n{"type": "ping"}\r\n ',
+        b'{"type":"ping"} x\n',              # trailing garbage
+        b'{"type":"ping"}{"type":"ping"}\n',
+        b'{"type":"ping"}\x0b\n',            # not JSON whitespace
+        '\xa0{"type":"ping"}',               # nor is NBSP
+        b'\xef\xbb\xbf{"type":"ping"}\n',    # UTF-8 BOM: bytes may
+        '\ufeff{"type":"ping"}',             # ...a str may not
+        '{"type":"ping"}'.encode("utf-16"),
+        '{"type":"ping"}'.encode("utf-16-le"),
+        '{"type":"ping"}'.encode("utf-32-be"),
+        b'{"type":"p\xed\xa0\x80"}\n',       # an encoded surrogate
+        b'{"type":"p\xff"}\n',                # not UTF-8 at all
+        b'{"type":"ping","nul":"\x00"}\n',
+        b'"\x00"', b"1\x00", b"\x00", b"", b"\n", "", "nul",
+        b'{"type":"ping","n":NaN,"i":-Infinity}\n',
+        b'{"type":"a","type":"b"}\n',         # the last key wins
+        b"[1,2]\n", b"17\n", b'"ping"\n', b"null\n",
+        b'{"id":3}\n', b'{"type":7}\n', b'{"type":null}\n',
+        b'{"type":"ping"', b"{nope}\n",
+        b'{"type":"ping","n":' + b"9" * 5000 + b"}\n",  # int digit limit
+        b'{"type":"ping","blob":"' + b"x" * MAX_FRAME_BYTES + b'"}\n',
+        '{"type":"ping","blob":"' + "x" * MAX_FRAME_BYTES + '"}',
+    ])
+    def test_named_corner(self, line):
+        assert decoding(decode_frame, line) == \
+            decoding(reference_decode_frame, line)
+
+    def test_the_fast_path_is_what_frames_take(self, monkeypatch):
+        # every frame the program itself writes decodes without the
+        # json.loads fallback (the differential above would not notice
+        # a fast path that never succeeds)
+        monkeypatch.setattr(json, "loads", None)
+        frame = {"type": "op", "object": "vol/à-β-東京", "operand": 0.1}
+        assert decode_frame(encode_frame(frame)) == frame
+        assert decode_frame(' {"type": "ping"}\r\n') == {"type": "ping"}
+
+
 class TestBuildInvocation:
     def test_every_op_name_maps(self):
         for name, op_class in OP_NAMES.items():

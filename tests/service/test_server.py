@@ -10,28 +10,30 @@ oracle.  (No pytest-asyncio here: each test drives its own loop via
 """
 
 import asyncio
+import os
 import random
-import socket
+import re
+import signal
+import sys
 
 import pytest
 
 from repro.check.oracle import check_episode, record_gtm
 from repro.core.states import TransactionState
 from repro.errors import GTMError, TokenInUse, WireFormatError
-from repro.driver.asyncio_driver import AsyncioDriver
-from repro.service import GTMService, ServiceConfig, SessionState
+from repro.service import GTMService, SessionState
 from repro.service.client import ConnectionLost, ServiceClient
-from repro.service.protocol import (
-    MAX_FRAME_BYTES,
-    decode_frame,
-    encode_frame,
-)
-from repro.service.server import (
-    ServiceServer,
-    _Connection,
-    memory_connector,
-    memory_pair,
-    tcp_connector,
+from repro.service.protocol import decode_frame, encode_frame
+from repro.service.server import memory_connector, tcp_connector
+from tests.service.wire import (
+    LOST,
+    StubTransport,
+    listening,
+    make_server,
+    open_raw,
+    settle,
+    stub_connection,
+    wait_until_detached,
 )
 
 
@@ -39,23 +41,12 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def make_server(**config) -> tuple[GTMService, ServiceServer]:
-    service = GTMService(AsyncioDriver(), config=ServiceConfig(**config))
-    return service, ServiceServer(service)
-
-
-async def settle() -> None:
-    """Yield a few times so server-side tasks observe stream events."""
-    for _ in range(10):
-        await asyncio.sleep(0)
-
-
 class TestMemoryTransport:
     def test_full_conversation(self):
         async def check():
             service, server = make_server()
             service.create_object("x", value=10)
-            client = ServiceClient(*server.connect_memory())
+            client = ServiceClient(server.connect_memory())
             welcome = await client.hello()
             assert welcome["type"] == "welcome"
             txn = await client.begin()
@@ -74,8 +65,8 @@ class TestMemoryTransport:
         async def check():
             service, server = make_server()
             service.create_object("x", value=0)
-            a = ServiceClient(*server.connect_memory())
-            b = ServiceClient(*server.connect_memory())
+            a = ServiceClient(server.connect_memory())
+            b = ServiceClient(server.connect_memory())
             await a.hello()
             await b.hello()
             txn_a = await a.begin()
@@ -100,7 +91,7 @@ class TestMemoryTransport:
     def test_wire_errors_cross_as_taxonomy(self):
         async def check():
             service, server = make_server()
-            client = ServiceClient(*server.connect_memory())
+            client = ServiceClient(server.connect_memory())
             await client.hello()
             txn = await client.begin()
             with pytest.raises(WireFormatError):
@@ -246,51 +237,10 @@ class TestTCPTransport:
         run(check())
 
 
-class StubWriter:
-    """Records writes; the test says how full the transport buffer is."""
-
-    HIGH_WATER = 100
-
-    def __init__(self) -> None:
-        self.written: list[bytes] = []
-        self.buffered = 0
-        self.aborted = False
-
-    @property
-    def transport(self) -> "StubWriter":
-        return self
-
-    def get_write_buffer_size(self) -> int:
-        return self.buffered
-
-    def get_write_buffer_limits(self) -> tuple[int, int]:
-        return 0, self.HIGH_WATER
-
-    def write(self, data: bytes) -> None:
-        self.written.append(data)
-
-    def abort(self) -> None:
-        self.aborted = True
-
-    close = abort
-
-    async def wait_closed(self) -> None:
-        return None
-
-
 def fat_ping(fid: int) -> bytes:
     """A ping whose pong is ~32 KiB: a few of them outgrow any
     transport buffer, so a reader that stops reading is soon behind."""
     return encode_frame({"type": "ping", "id": f"{fid:06d}" + "x" * 32000})
-
-
-async def wait_for_overflow(service: GTMService) -> None:
-    """Yield to the server until it has detached the slow reader."""
-    for _ in range(200):
-        (session,) = service.sessions.values()
-        if not session.connected:
-            return
-        await asyncio.sleep(0.005)
 
 
 def assert_detached_asleep(service: GTMService, txn: str) -> None:
@@ -305,23 +255,21 @@ class TestBackpressure:
     def test_outbox_overflow_forces_detach(self):
         async def check():
             service, server = make_server(max_outbox=2)
-            writer = StubWriter()
-            conn = _Connection(server, asyncio.StreamReader(), writer)
-            writer.buffered = StubWriter.HIGH_WATER + 1
+            conn, transport = stub_connection(server)
+            transport.buffered = StubTransport.HIGH_WATER + 1
             # the peer is not reading: two frames over the mark are
             # written, the third overflows
             for _ in range(3):
                 conn.sink({"type": "pong"})
-            assert len(writer.written) == 2
-            assert writer.aborted  # the backlog goes with the transport
+            assert len(transport.written) == 2
+            assert transport.aborted  # the backlog goes with the transport
             assert conn._closing
-            assert conn.reader.at_eof()  # the read loop is woken
             assert service.metrics.counter(
                 "service_outbox_overflows").value() == 1.0
             # overflow is terminal for the sink: further frames drop
-            writer.buffered = 0
+            transport.buffered = 0
             conn.sink({"type": "pong"})
-            assert len(writer.written) == 2
+            assert len(transport.written) == 2
             assert service.metrics.counter(
                 "service_outbox_overflows").value() == 1.0
         run(check())
@@ -329,17 +277,17 @@ class TestBackpressure:
     def test_frame_order_survives_congestion(self):
         async def check():
             service, server = make_server(max_outbox=3)
-            writer = StubWriter()
-            conn = _Connection(server, asyncio.StreamReader(), writer)
+            conn, transport = stub_connection(server)
             levels = [0, 0, 101, 500, 101, 0, 101, 101, 101, 100]
             for serial, level in enumerate(levels):
-                writer.buffered = level
+                transport.buffered = level
                 conn.sink({"type": "pong", "re": serial})
             # uncongested -> congested -> uncongested: every frame is
             # written at once and in order, and a buffer that fell back
             # under the mark starts the count over (3 + 3 frames over
             # the mark here, never more than 3 in a row)
-            assert [decode_frame(data)["re"] for data in writer.written] \
+            assert [decode_frame(data)["re"]
+                    for data in transport.written] \
                 == list(range(len(levels)))
             assert not conn._closing
         run(check())
@@ -347,27 +295,29 @@ class TestBackpressure:
     def test_overflowed_connection_sleeps_its_session(self):
         async def check():
             service, server = make_server(max_outbox=1)
-            client_side, server_side = memory_pair()
-            serve = asyncio.ensure_future(
-                server._on_connection(*server_side))
-            reader, writer = client_side
-            writer.write(encode_frame({"type": "hello", "id": 1}))
-            await reader.readline()  # welcome
-            writer.write(encode_frame({"type": "begin", "id": 2}))
-            txn = decode_frame(await reader.readline())["txn"]
+            raw = await open_raw(server, "memory")
+            raw.send({"type": "hello", "id": 1})
+            await raw.next()  # welcome
+            raw.send({"type": "begin", "id": 2})
+            txn = (await raw.next())["txn"]
             # a burst of replies nobody reads: once they pass the
             # high-water mark, one more frame is allowed, the next
-            # detaches the session
-            for fid in range(3, 11):
-                writer.write(fat_ping(fid))
-            await asyncio.wait_for(serve, timeout=5.0)
+            # aborts the transport
+            raw.transport.pause_reading()
+            raw.send(*(fat_ping(fid) for fid in range(3, 11)))
+            await asyncio.sleep(0)  # the server end's turn: the burst
+            counter = service.metrics.counter("service_outbox_overflows")
+            assert counter.value() == 1.0
+            # ...but the detach waits for the connection's own turn:
+            # the overflowing push may have left mid-cascade
+            (session,) = service.sessions.values()
+            assert session.connected
+            await asyncio.sleep(0)
             assert_detached_asleep(service, txn)
-            # 64 KiB is passed by the third pong; the fourth is the one
-            # allowed over the mark; the rest were dropped, then EOF
-            pongs = []
-            while line := await reader.readline():
-                pongs.append(decode_frame(line)["re"][:6])
-            assert pongs == ["000003", "000004", "000005", "000006"]
+            # the backlog went with the transport: a reader that wakes
+            # up now finds the link gone and nothing to read
+            raw.transport.resume_reading()
+            assert await raw.until_lost() == []
             await server.shutdown()
         run(check())
 
@@ -375,45 +325,32 @@ class TestBackpressure:
         async def check():
             service, server = make_server(max_outbox=2, bto_timeout=30.0)
             service.create_object("x", value=0)
-            host, port = await server.start_tcp()
-            # a small receive buffer, so the kernel absorbs little
-            sock = socket.socket()
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-            sock.setblocking(False)
-            await asyncio.get_running_loop().sock_connect(
-                sock, (host, port))
-            reader, writer = await asyncio.open_connection(
-                sock=sock, limit=MAX_FRAME_BYTES)
-            writer.write(encode_frame({"type": "hello", "id": 1}))
-            token = decode_frame(await reader.readline())["token"]
-            writer.write(encode_frame({"type": "begin", "id": 2}))
-            txn = decode_frame(await reader.readline())["txn"]
-            writer.write(encode_frame({
-                "type": "op", "txn": txn, "op": "add", "object": "x",
-                "operand": 5, "id": 3}))
-            await reader.readline()  # granted
+            raw = await open_raw(server, "tcp", rcvbuf=4096)
+            raw.send({"type": "hello", "id": 1})
+            token = (await raw.next())["token"]
+            raw.send({"type": "begin", "id": 2})
+            txn = (await raw.next())["txn"]
+            raw.send({"type": "op", "txn": txn, "op": "add",
+                      "object": "x", "operand": 5, "id": 3})
+            assert (await raw.next())["type"] == "granted"
             # stop reading; keep asking
+            raw.transport.pause_reading()
             sent = 0
             (session,) = service.sessions.values()
             while session.connected and sent < 4000:
-                writer.write(fat_ping(sent))
+                raw.send(fat_ping(sent))
                 sent += 1
                 await asyncio.sleep(0)
-            await wait_for_overflow(service)
+            await wait_until_detached(service)
             assert_detached_asleep(service, txn)
             # the backlog was discarded with the connection: fewer
             # pongs than pings arrive before the stream ends
-            received = 0
-            try:
-                while await reader.readline():
-                    received += 1
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-            assert received < sent
-            writer.close()
+            raw.transport.resume_reading()
+            assert len(await raw.until_lost()) < sent
 
             # slow reader = disconnected reader: the work survives
-            resumed = ServiceClient(*await tcp_connector(host, port)())
+            resumed = ServiceClient(
+                *await tcp_connector(*await listening(server))())
             welcome = await resumed.hello(token)
             assert welcome["awake"] == [{"txn": txn, "survived": True}]
             resumed.adopt(txn)
@@ -421,27 +358,6 @@ class TestBackpressure:
             await resumed.bye()
             await server.shutdown()
             assert service.gtm.object("x").permanent_value() == 5
-        run(check())
-
-    def test_memory_drain_waits_only_for_a_peer_that_is_behind(self):
-        async def check():
-            (reader, _), (_, writer) = memory_pair()
-            writer.write(b"x" * MAX_FRAME_BYTES)
-            await asyncio.wait_for(writer.drain(), timeout=1.0)
-            writer.write(b"y\n")  # over the limit now
-            drained = asyncio.ensure_future(writer.drain())
-            await settle()
-            assert not drained.done()
-            await reader.readexactly(MAX_FRAME_BYTES)
-            await asyncio.wait_for(drained, timeout=1.0)
-        run(check())
-
-    def test_memory_drain_gives_up_on_a_closed_peer(self):
-        async def check():
-            (_, client_writer), (_, server_writer) = memory_pair()
-            client_writer.write(b"x" * (MAX_FRAME_BYTES + 1))
-            server_writer.close()  # the peer will read no more
-            await asyncio.wait_for(client_writer.drain(), timeout=1.0)
         run(check())
 
 
@@ -464,23 +380,26 @@ class TestGracefulShutdown:
             await client.close()
         run(check())
 
+    async def check_shutdown_push_precedes_end_of_stream(self, kind):
+        service, server = make_server()
+        raw = await open_raw(server, kind)
+        raw.send({"type": "hello", "id": 1})
+        await raw.next()  # welcome
+        await server.shutdown()
+        assert (await raw.next())["type"] == "shutdown"
+        assert await raw.next() == LOST
+
     def test_shutdown_push_precedes_end_of_stream(self):
-        async def check():
-            service, server = make_server()
-            reader, writer = server.connect_memory()
-            writer.write(encode_frame({"type": "hello", "id": 1}))
-            await reader.readline()  # welcome
-            await server.shutdown()
-            assert decode_frame(await reader.readline())["type"] == \
-                "shutdown"
-            assert await reader.readline() == b""
-        run(check())
+        run(self.check_shutdown_push_precedes_end_of_stream("memory"))
+
+    def test_shutdown_push_precedes_end_of_stream_over_tcp(self):
+        run(self.check_shutdown_push_precedes_end_of_stream("tcp"))
 
     def test_hello_rejected_while_shutting_down(self):
         async def check():
             service, server = make_server()
             service.shutdown()
-            client = ServiceClient(*server.connect_memory())
+            client = ServiceClient(server.connect_memory())
             with pytest.raises(GTMError, match="shutting down"):
                 await client.hello()
             await client.close()
@@ -492,7 +411,7 @@ class TestInProcessLoad:
     def test_connection_lost_poisons_outstanding_requests(self):
         async def check():
             service, server = make_server()
-            client = ServiceClient(*server.connect_memory())
+            client = ServiceClient(server.connect_memory())
             await client.hello()
             txn = await client.begin()
             request = asyncio.ensure_future(client.op(txn, "read", "x"))
@@ -511,4 +430,27 @@ class TestInProcessLoad:
             assert (await client.hello())["type"] == "welcome"
             await client.bye()
             await server.shutdown()
+        run(check())
+
+
+class TestServiceMain:
+    def test_python_m_repro_service_serves_a_transaction(self):
+        """``python -m repro.service`` on port 0: one transaction
+        through ``tcp_connector``, then SIGINT shuts it down cleanly."""
+        async def check():
+            served = await asyncio.create_subprocess_exec(
+                sys.executable, "-m", "repro.service", "--port", "0",
+                "--objects", "2", stdout=asyncio.subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            banner = (await served.stdout.readline()).decode()
+            host, port = re.search(r"listening on (\S+):(\d+)", banner).groups()
+            client = ServiceClient(*await tcp_connector(host, int(port))())
+            await client.hello()
+            txn = await client.begin()
+            assert (await client.op(txn, "add", "o00000", 2))["value"] == 3
+            assert (await client.commit(txn))["type"] == "committed"
+            served.send_signal(signal.SIGINT)
+            pushed = await asyncio.wait_for(client.inbox.get(), 10.0)
+            assert pushed == {"type": "shutdown"}
+            assert await asyncio.wait_for(served.wait(), 10.0) == 0
         run(check())

@@ -1,0 +1,307 @@
+"""The transport contract, property by property (docs/SERVICE.md §2–§3).
+
+What ``server.py``'s docstring promises, pinned on both transports
+where the property is the transport's and on the in-memory pair where
+it is about loop turns: framing (split frames, several frames in one
+chunk, the frame limit, end of stream mid-frame), who runs in whose
+turn, a receiver that raises, and the client's write flow control.
+"""
+
+import asyncio
+import json
+
+import pytest
+
+from repro.core.states import TransactionState
+from repro.service import SessionState
+from repro.service.client import ConnectionLost, ServiceClient, _Mailbox
+from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
+from repro.service.server import memory_pair
+from tests.service.wire import (
+    LOST,
+    TRANSPORTS,
+    RawEnd,
+    make_server,
+    open_raw,
+    settle,
+    stub_connection,
+    wait_until_detached,
+)
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+async def greeted(server, kind: str) -> RawEnd:
+    raw = await open_raw(server, kind)
+    raw.send({"type": "hello", "id": 1})
+    assert (await raw.next())["type"] == "welcome"
+    return raw
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+class TestFraming:
+    def test_a_frame_split_across_reads_is_one_frame(self, kind):
+        async def check():
+            service, server = make_server()
+            raw = await greeted(server, kind)
+            data = encode_frame({"type": "ping", "id": "split"})
+            for piece in (data[:1], data[1:9], data[9:-1]):
+                raw.send(piece)
+                await asyncio.sleep(0.005)  # its own read on the far side
+                assert not raw.events  # nothing is answered early
+            raw.send(data[-1:] + data[:5])  # ...and the next one begins
+            assert await raw.next() == {"type": "pong", "re": "split"}
+            raw.send(data[5:])
+            assert await raw.next() == {"type": "pong", "re": "split"}
+            assert service.metrics.counter("service_frames").total() == 2
+            await server.shutdown()
+        run(check())
+
+    def test_frames_in_one_chunk_are_answered_in_order(self, kind):
+        async def check():
+            service, server = make_server()
+            raw = await open_raw(server, kind)
+            raw.send(b"".join(encode_frame(frame) for frame in (
+                {"type": "hello", "id": 1}, {"type": "ping", "id": 2},
+                {"type": "begin", "id": 3}, {"type": "ping", "id": 4},
+                {"type": "bye", "id": 5}, {"type": "ping", "id": 6})))
+            replies = await raw.until_lost()
+            # in order (the open transaction's abort is pushed ahead of
+            # the goodbye), and nothing after `bye` is handled
+            assert [(frame["type"], frame.get("re"))
+                    for frame in replies] == [
+                ("welcome", 1), ("pong", 2), ("begun", 3), ("pong", 4),
+                ("aborted", None), ("goodbye", 5)]
+            assert service.metrics.counter("service_frames").total() == 4
+            await server.shutdown()
+        run(check())
+
+    def test_end_of_stream_mid_frame_sleeps_the_session(self, kind):
+        async def check():
+            service, server = make_server(bto_timeout=30.0)
+            service.create_object("x", value=0)
+            raw = await greeted(server, kind)
+            raw.send({"type": "begin", "id": 2})
+            txn = (await raw.next())["txn"]
+            # a whole op frame but for its newline, then the drop
+            raw.send(encode_frame({
+                "type": "op", "txn": txn, "op": "add", "object": "x",
+                "operand": 5, "id": 3})[:-1])
+            await asyncio.sleep(0.005)
+            raw.transport.close()
+            await wait_until_detached(service)
+            (session,) = service.sessions.values()
+            assert session.state is SessionState.DETACHED
+            assert service.gtm.transaction(txn).is_in(
+                TransactionState.SLEEPING)
+            # the unterminated tail was not a frame: only `begin` ran
+            counter = service.metrics.counter
+            assert counter("service_frames").total() == 1
+            assert counter("service_disconnects").total() == 1
+            await server.shutdown()
+        run(check())
+
+    @pytest.mark.parametrize("terminated", [False, True])
+    def test_an_overlong_line_is_answered_then_the_link_closed(
+            self, kind, terminated):
+        async def check():
+            service, server = make_server()
+            raw = await greeted(server, kind)
+            # never parsed: valid JSON, but one byte over the limit
+            line = b'{"type":"ping","pad":"' + b"x" * MAX_FRAME_BYTES
+            line = line[:MAX_FRAME_BYTES - 2] + b'"}'
+            assert json.loads(line) and len(line) == MAX_FRAME_BYTES
+            raw.send(line + (b" \n" if terminated else b" "),
+                     {"type": "ping", "id": "after"})
+            (error,) = await raw.until_lost()
+            assert (error["type"], error["code"]) == \
+                ("error", "wire/malformed")
+            assert str(MAX_FRAME_BYTES) in error["message"]
+            assert service.metrics.counter("service_frames").total() == 0
+            # a dropped link, not a closed session
+            await wait_until_detached(service)
+            await server.shutdown()
+        run(check())
+
+    def test_a_line_at_the_limit_is_a_frame(self, kind):
+        async def check():
+            service, server = make_server()
+            raw = await greeted(server, kind)
+            line = b'{"type":"ping","id":7,"pad":"' + b"x" * MAX_FRAME_BYTES
+            line = line[:MAX_FRAME_BYTES - 3] + b'"}\n'
+            assert len(line) == MAX_FRAME_BYTES
+            raw.send(line)
+            assert await raw.next() == {"type": "pong", "re": 7}
+            await server.shutdown()
+        run(check())
+
+    def test_a_garbage_line_is_answered_and_the_link_survives(self, kind):
+        async def check():
+            service, server = make_server()
+            raw = await greeted(server, kind)
+            raw.send(b"{nope}\n", b"\xff\xfe\n", b"[1,2]\n",
+                     {"type": "ping", "id": 9})
+            codes = [(await raw.next())["code"] for _ in range(3)]
+            assert codes == ["wire/malformed"] * 3
+            assert await raw.next() == {"type": "pong", "re": 9}
+            (session,) = service.sessions.values()
+            assert session.connected
+            await server.shutdown()
+        run(check())
+
+
+class TestTurns:
+    def test_every_complete_frame_is_handled_in_the_receiving_turn(self):
+        async def check():
+            service, server = make_server()
+            conn, transport = stub_connection(server)
+            ping = encode_frame({"type": "ping", "id": 2})
+            conn.data_received(
+                encode_frame({"type": "hello", "id": 1}) + ping + ping[:4])
+            # no await since: both replies were written in that call
+            assert [json.loads(data)["type"]
+                    for data in transport.written] == ["welcome", "pong"]
+            conn.data_received(ping[4:] + ping)
+            assert len(transport.written) == 4
+        run(check())
+
+    def test_the_handler_does_not_run_inside_send(self):
+        async def check():
+            service, server = make_server()
+            client = ServiceClient(server.connect_memory())
+            await client.hello()
+            handled = service.metrics.counter("service_frames")
+            box = client._replies["probe"] = _Mailbox()
+            await client._send({"type": "ping", "id": "probe"})
+            # written, not yet received: the server end has its own turn
+            assert handled.total() == 0 and not box.frames
+            await asyncio.sleep(0)
+            # ...in which it handled the frame, replied, and the reply
+            # was routed into the mailbox
+            assert handled.total() == 1
+            assert list(box.frames) == [{"type": "pong", "re": "probe"}]
+            await server.shutdown()
+        run(check())
+
+    def test_two_clients_hammering_one_server_interleave(self):
+        async def check():
+            service, server = make_server()
+            order: list[str] = []
+
+            async def hammer(name: str) -> None:
+                client = ServiceClient(server.connect_memory())
+                await client.hello()
+                for _ in range(50):
+                    await client.ping()
+                    order.append(name)
+                await client.bye()
+
+            await asyncio.gather(hammer("a"), hammer("b"))
+            # a round trip cannot finish without yielding, so neither
+            # client ever gets more than one reply ahead of the other
+            lead = 0
+            for name in order:
+                lead += 1 if name == "a" else -1
+                assert abs(lead) <= 1
+            await server.shutdown()
+        run(check())
+
+    def test_a_raising_receiver_loses_its_link_not_the_service(self):
+        class Choker(RawEnd):
+            def data_received(self, data: bytes) -> None:
+                raise RuntimeError("choked on " + repr(data[:16]))
+
+        async def check():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context))
+            service, server = make_server(bto_timeout=30.0)
+            choker = Choker(server.connect_memory())
+            choker.send({"type": "hello", "id": 1})
+            await asyncio.sleep(0)
+            # the welcome was written inside `connect`, the receiver
+            # raised under it, and `connect` never saw the exception
+            (session,) = service.sessions.values()
+            assert session.connected
+            assert service.metrics.counter("service_connects").total() == 1
+            assert [type(context["exception"]) for context in reported] \
+                == [RuntimeError]
+            # a dead peer: the link goes, the session sleeps
+            assert await choker.next() == LOST
+            assert session.state is SessionState.DETACHED
+            # and the service serves on
+            client = ServiceClient(server.connect_memory())
+            await client.hello()
+            assert (await client.ping())["type"] == "pong"
+            await client.bye()
+            await server.shutdown()
+        run(check())
+
+
+class TestClientFlowControl:
+    """``_send`` never waits for the peer — unless the transport said
+    ``pause_writing``, and then only until ``resume_writing`` or the
+    end of the transport."""
+
+    PAD = "x" * (MAX_FRAME_BYTES // 2)
+
+    def frame(self, fid: int) -> dict:
+        return {"type": "ping", "id": fid, "pad": self.PAD}
+
+    def test_send_parks_only_while_writing_is_paused(self):
+        async def check():
+            client_end, server_end = memory_pair()
+            peer = RawEnd(server_end)
+            client = ServiceClient(client_end)
+            server_end.pause_reading()  # a peer that stopped reading
+            await asyncio.wait_for(client._send(self.frame(1)), 1.0)
+            assert client._writable is None  # still under the mark
+            # the second frame crosses it: this send and the next park
+            parked = [asyncio.ensure_future(client._send(self.frame(fid)))
+                      for fid in (2, 3)]
+            await settle()
+            assert not any(send.done() for send in parked)
+            assert client_end.get_write_buffer_size() > MAX_FRAME_BYTES
+            server_end.resume_reading()
+            await asyncio.wait_for(asyncio.gather(*parked), 1.0)
+            assert [frame["id"] for frame in peer.events] == [1, 2, 3]
+            # and a send after the buffer drained returns at once
+            await asyncio.wait_for(client._send(self.frame(4)), 1.0)
+        run(check())
+
+    def test_parked_send_raises_when_the_transport_dies(self):
+        async def check():
+            client_end, server_end = memory_pair()
+            RawEnd(server_end)
+            client = ServiceClient(client_end)
+            server_end.pause_reading()
+            await client._send(self.frame(1))
+            parked = asyncio.ensure_future(client._send(self.frame(2)))
+            await settle()
+            assert not parked.done()
+            server_end.abort()  # the peer will read no more
+            with pytest.raises(ConnectionLost):
+                await asyncio.wait_for(parked, 1.0)
+            with pytest.raises(ConnectionLost):
+                await client._send(self.frame(3))
+        run(check())
+
+    def test_a_cancelled_sender_does_not_release_the_others(self):
+        async def check():
+            client_end, server_end = memory_pair()
+            RawEnd(server_end)
+            client = ServiceClient(client_end)
+            server_end.pause_reading()
+            await client._send(self.frame(1))
+            first, second = (
+                asyncio.ensure_future(client._send(self.frame(fid)))
+                for fid in (2, 3))
+            await settle()
+            first.cancel()
+            await settle()
+            assert first.cancelled() and not second.done()
+            server_end.resume_reading()
+            await asyncio.wait_for(second, 1.0)
+        run(check())
