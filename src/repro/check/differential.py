@@ -241,7 +241,7 @@ def compare_episode(spec: EpisodeSpec,
     (determinism) on either axis.  ``observe`` switches the
     :mod:`repro.obs` layer on inside every variant run; traces exclude
     obs artifacts, so the comparison (and its digest) must be
-    unchanged — the obs-neutrality CI job diffs campaign digests with
+    unchanged — CI's ``selfcheck`` job diffs campaign digests with
     ``observe`` off vs on to prove it.
     """
     if mode not in DIFFERENTIAL_MODES:

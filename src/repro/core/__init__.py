@@ -21,7 +21,7 @@ al. (ICDE 2008):
 - :mod:`repro.core.sleep_manager` — the sleeping-transaction protocol
   (Algorithms 7-10);
 - :mod:`repro.core.policies` — pluggable deadlock policing (wait-for
-  graph, wound-wait, wait-die, none);
+  graph, none);
 - :mod:`repro.core.events` — the ⟨...⟩ event vocabulary, the observer
   contract and the fan-out :class:`~repro.core.events.EventBus`;
 - :mod:`repro.core.sst` — Secure System Transactions applying reconciled
@@ -70,9 +70,7 @@ from repro.core.starvation import (
 from repro.core.policies import (
     DeadlockPolicy,
     NoDeadlockPolicy,
-    WaitDiePolicy,
     WaitForGraphPolicy,
-    WoundWaitPolicy,
 )
 from repro.core.sleep_manager import SleepManager
 from repro.core.states import TransactionState
@@ -116,7 +114,5 @@ __all__ = [
     "SSTReport",
     "TransactionState",
     "ValueThrottle",
-    "WaitDiePolicy",
     "WaitForGraphPolicy",
-    "WoundWaitPolicy",
 ]

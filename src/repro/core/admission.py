@@ -58,9 +58,8 @@ class GrantOutcome:
 
     GRANTED = "granted"
     QUEUED = "queued"
-    #: the request closed a wait-for cycle (or lost a wound-wait /
-    #: wait-die tournament) and this transaction was chosen as the
-    #: victim (it is now Aborted).
+    #: the request closed a wait-for cycle and this transaction was
+    #: chosen as the victim (it is now Aborted).
     ABORTED = "aborted-deadlock"
 
 
@@ -155,7 +154,7 @@ class AdmissionController:
         txn.record_wait(obj.name, now)
         txn.operations.setdefault(obj.name, {})[invocation.member] = \
             invocation
-        obj.push_waiting(WaitEntry.acquire(txn.txn_id, invocation, now))
+        obj.push_waiting(WaitEntry(txn.txn_id, invocation, now))
         if not obj.is_pending(txn.txn_id):
             txn.clear_temp(obj.name)  # A_temp^X = ⊥ (no grant held)
         self.bus.on_wait(txn, obj, invocation, now)
@@ -329,7 +328,7 @@ class AdmissionController:
                 victim_txn = self._transactions.get(victim)
                 if victim_txn is not None and \
                         victim_txn.is_in(_TS.COMMITTING):
-                    # never wound a committer: it holds X_committing and
+                    # never abort a committer: it holds X_committing and
                     # finishes on its own — waiting behind it is finite.
                     return None
             self._abort_txn(victim, "deadlock-victim")
@@ -426,7 +425,6 @@ class AdmissionController:
         batch = self.grant_policy.select(obj, candidates, self.checker,
                                          self._clock(), holders)
         granted: list[str] = []
-        recycled: list[WaitEntry] = []
         now = self._clock()
         for entry in batch:
             txn = self._transactions.get(entry.txn_id)
@@ -439,9 +437,6 @@ class AdmissionController:
             txn.clear_wait(obj.name)
             self.grant(txn, obj, entry.invocation, now)
             granted.append(entry.txn_id)
-            # the grant path holds the last reference to the dequeued
-            # entry, so it (and only it) may recycle — see core.pool.
-            recycled.append(entry)
         if granted:
             self.bus.on_unlock(obj, tuple(granted), now)
         # pump telemetry: an *overtake* is a grant handed out while an
@@ -458,8 +453,6 @@ class AdmissionController:
                     blocked_ahead += 1
         self.bus.on_pump(obj, len(candidates), tuple(granted), overtakes,
                          now)
-        for entry in recycled:
-            entry.release()
         if self._tick_depth > 0:
             # tick-batched: sweep once at end_tick, however many unlock
             # events dirtied this object within the facade call.

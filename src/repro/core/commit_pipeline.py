@@ -21,19 +21,12 @@ from repro.core.events import EventBus
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject
 from repro.core.opclass import Invocation, OperationClass
-from repro.core.pool import ScratchLists
 from repro.core.reconciliation import ReconcilerRegistry
 from repro.core.sst import SSTExecutor, SSTReport, StagedWrite
 from repro.core.states import TransactionState
 from repro.core.transaction import GTMTransaction
 
 _TS = TransactionState
-
-#: Call-local accumulators (involved-object and staged-write lists) for
-#: the commit drivers; every commit used to allocate and discard a few
-#: of these.  Acquire/release pairs are strictly scoped try/finally, so
-#: a buffer is never live in two frames at once.
-_SCRATCH = ScratchLists(max_size=64)
 
 
 class CommitPipeline:
@@ -74,16 +67,9 @@ class CommitPipeline:
         self._on_externalize = on_externalize
 
     def _involved(self, txn: GTMTransaction) -> list[ManagedObject]:
-        """A's involved objects in name order, on a pooled scratch list.
-
-        Callers own the returned buffer and must hand it back via
-        ``_SCRATCH.release`` when done with it.
-        """
-        objs = _SCRATCH.acquire()
+        """A's involved objects in name order."""
         get_object = self._get_object
-        for name in sorted(txn.involved):
-            objs.append(get_object(name))
-        return objs
+        return [get_object(name) for name in sorted(txn.involved)]
 
     # ------------------------------------------------------------------
     # operating on virtual data (feeds reconciliation at commit)
@@ -215,37 +201,34 @@ class CommitPipeline:
             raise ProtocolError(
                 "global_commit",
                 f"{txn_id!r} is {txn.state.value}, not committing")
-        staged = _SCRATCH.acquire()
-        try:
-            for obj in involved:
-                if txn_id not in obj.committing:
-                    raise ProtocolError(
-                        "global_commit",
-                        f"{txn_id!r} missing from {obj.name!r}.committing "
-                        f"— local commit every involved object first")
-                new_values = obj.new.get(txn_id)
-                if new_values is None:
-                    raise ProtocolError(
-                        "global_commit",
-                        f"X_new is ⊥ for {txn_id!r} on {obj.name!r}")
-                staged.append((obj, new_values))
+        staged: list[tuple[ManagedObject, dict[str, Any]]] = []
+        for obj in involved:
+            if txn_id not in obj.committing:
+                raise ProtocolError(
+                    "global_commit",
+                    f"{txn_id!r} missing from {obj.name!r}.committing "
+                    f"— local commit every involved object first")
+            new_values = obj.new.get(txn_id)
+            if new_values is None:
+                raise ProtocolError(
+                    "global_commit",
+                    f"X_new is ⊥ for {txn_id!r} on {obj.name!r}")
+            staged.append((obj, new_values))
 
-            report: SSTReport | None = None
-            if self.sst_executor is not None and staged:
-                writes = [self._staged_write(obj, values)
-                          for obj, values in staged]
-                try:
-                    report = self.sst_executor.execute(txn_id, writes)
-                except SSTFailure:
-                    self._abort_from_committing(txn, now, "sst-failure")
-                    raise
-                self.sst_reports.append(report)
+        report: SSTReport | None = None
+        if self.sst_executor is not None and staged:
+            writes = [self._staged_write(obj, values)
+                      for obj, values in staged]
+            try:
+                report = self.sst_executor.execute(txn_id, writes)
+            except SSTFailure:
+                self._abort_from_committing(txn, now, "sst-failure")
+                raise
+            self.sst_reports.append(report)
 
-            for obj, new_values in staged:
-                self._apply_permanent(obj, new_values)
-                obj.record_commit(txn_id, obj.retire_committer(txn_id), now)
-        finally:
-            _SCRATCH.release(staged)
+        for obj, new_values in staged:
+            self._apply_permanent(obj, new_values)
+            obj.record_commit(txn_id, obj.retire_committer(txn_id), now)
         txn.finish(_TS.COMMITTED, now)
         self._on_finished(txn_id)
         self.history.record_commit(txn_id)
@@ -303,13 +286,10 @@ class CommitPipeline:
                       now: float) -> SSTReport | None:
         """⟨commit, A⟩ plus the post-commit pumps on every involved X."""
         involved = self._involved(txn)
-        try:
-            report = self.global_commit(txn, involved, now)
-            for obj in involved:
-                self.pump_deferred(obj)
-                self._pump_unlock(obj)
-        finally:
-            _SCRATCH.release(involved)
+        report = self.global_commit(txn, involved, now)
+        for obj in involved:
+            self.pump_deferred(obj)
+            self._pump_unlock(obj)
         return report
 
     def request_commit(self, txn: GTMTransaction) -> SSTReport | None:
@@ -329,16 +309,12 @@ class CommitPipeline:
                 "request_commit",
                 f"{txn_id!r} is waiting for an invocation (constraint iii)")
         all_staged = True
-        involved = self._involved(txn)
-        try:
-            for obj in involved:
-                if txn_id in obj.committing:
-                    continue
-                if obj.is_pending(txn_id):
-                    if not self.local_commit(txn, obj, self._clock()):
-                        all_staged = False
-        finally:
-            _SCRATCH.release(involved)
+        for obj in self._involved(txn):
+            if txn_id in obj.committing:
+                continue
+            if obj.is_pending(txn_id):
+                if not self.local_commit(txn, obj, self._clock()):
+                    all_staged = False
         if not all_staged:
             return None
         if not txn.involved and txn.is_in(_TS.ACTIVE):

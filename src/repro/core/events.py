@@ -139,12 +139,22 @@ class EventBus(GTMObserver):
     mid-algorithm, so every callback is isolated: exceptions are caught,
     recorded in :attr:`errors`, and optionally forwarded to ``on_error``.
 
-    Dispatch is through per-hook lists of bound methods, rebuilt on
-    (un)subscribe.  Observers that inherit a hook's no-op from
-    :class:`GTMObserver` are left out of that hook's list, so a
-    discrete-event run pays per event only for the hooks its observers
-    actually implement — this is what keeps observability inside its
-    overhead budget on sub-millisecond episodes.
+    A hook is delivered at the instant it is emitted: in emission order,
+    inside the facade call that caused it, against the state the
+    algorithm had reached at that step.  A subscriber may re-enter the
+    facade from a hook (the service applies a queued operation from
+    ``on_grant``); what it then emits is delivered, depth first, before
+    the outer emission returns.
+
+    Dispatch is through per-hook lists of bound methods.  Observers that
+    inherit a hook's no-op from :class:`GTMObserver` are left out of
+    that hook's list, so a discrete-event run pays per event only for
+    the hooks its observers actually implement — this is what keeps
+    observability inside its overhead budget on sub-millisecond
+    episodes.  The lists are copy-on-write: ``subscribe`` and
+    ``unsubscribe`` replace them and never mutate one in place, so a
+    change made from inside a hook takes effect from the next event —
+    the event in flight finishes on the list it started with.
     """
 
     def __init__(self, observers: tuple[GTMObserver, ...] | list = (),
@@ -154,12 +164,6 @@ class EventBus(GTMObserver):
         self._on_error = on_error
         #: Exceptions raised by subscribers, in dispatch order.
         self.errors: list[ObserverError] = []
-        #: tick-batched dispatch state: while a facade tick is open
-        #: (``_tick_depth > 0``) emissions append to the buffer and the
-        #: outermost ``end_tick`` delivers them in emission order.
-        self._buffer: list[tuple] = []
-        self._tick_depth = 0
-        self._flushing = False
         for hook in _HOOKS:
             setattr(self, "_h_" + hook, [])
         for observer in observers:
@@ -181,12 +185,14 @@ class EventBus(GTMObserver):
         return tuple(self._observers)
 
     def _add_handlers(self, observer: GTMObserver) -> None:
-        """Append one observer's overridden hooks to the per-hook lists.
+        """Add one observer's overridden hooks to the per-hook lists.
 
         Incremental on purpose: a fresh bus is built per episode, so
         subscription cost is part of the per-episode overhead budget —
         a full rebuild per subscribe was measurable on the perf smoke
-        profile.  Class-level overrides come from the per-class cache;
+        profile.  Each touched list is replaced by a longer copy, never
+        appended to: a hook being dispatched right now iterates the old
+        one.  Class-level overrides come from the per-class cache;
         instance-level callables (e.g. test doubles assigning plain
         functions onto an observer) are picked up by the ``__dict__``
         scan below.
@@ -195,13 +201,16 @@ class EventBus(GTMObserver):
         for hook in overridden:
             # getattr resolves instance-over-class shadowing too, so a
             # hook present in both is added exactly once.
-            getattr(self, "_h_" + hook).append(getattr(observer, hook))
+            self._add_handler(hook, getattr(observer, hook))
         instance_attrs = getattr(observer, "__dict__", None)
         if instance_attrs:
             for hook in _HOOKS:
                 if hook in instance_attrs and hook not in overridden:
-                    getattr(self, "_h_" + hook).append(
-                        instance_attrs[hook])
+                    self._add_handler(hook, instance_attrs[hook])
+
+    def _add_handler(self, hook: str, handler: Callable[..., None]) -> None:
+        name = "_h_" + hook
+        setattr(self, name, getattr(self, name) + [handler])
 
     def _record(self, hook: str, fn: Any, exc: Exception) -> None:
         record = ObserverError(hook=hook,
@@ -211,255 +220,103 @@ class EventBus(GTMObserver):
         if self._on_error is not None:
             self._on_error(record)
 
-    # -- tick batching ------------------------------------------------------
-    # Facade methods bracket their work in begin_tick/end_tick; while a
-    # tick is open every emission buffers (hook name, handler-list
-    # snapshot, args) and the outermost end_tick delivers the whole
-    # batch in emission order.  Two invariants make this trace-neutral:
-    #
-    # - delivery happens *inside* the facade call (its finally clause),
-    #   never deferred across simulation events, so an observer's
-    #   side-effects (scheduler signal fires, service pushes) land
-    #   before the caller regains control exactly as they used to;
-    # - total emission order is preserved across hooks — observers are
-    #   state machines over the event stream (wait→grant→commit), so
-    #   per-hook coalescing must never reorder across hooks.
-    #
-    # Handler lists are snapshotted by reference: unsubscribe replaces
-    # the per-hook lists, so buffered events keep delivering to the
-    # handlers that were subscribed when they were emitted.
-
-    def begin_tick(self) -> None:
-        """Open a facade tick: buffer emissions until ``end_tick``."""
-        self._tick_depth += 1
-
-    def end_tick(self) -> None:
-        """Close a facade tick; the outermost close flushes the buffer."""
-        self._tick_depth -= 1
-        if self._tick_depth == 0 and self._buffer:
-            self.flush()
-
-    def flush(self) -> None:
-        """Deliver every buffered emission now, in emission order.
-
-        Safe to call mid-tick (the sleep manager forces a flush before
-        clearing ``A_t_wait`` so grant observers see the queue-jump
-        regrant's documented state).  Handlers may re-enter the facade
-        (the service completes queued ops from ``on_grant``); emissions
-        appended during the flush are picked up by the index loop, and
-        the ``_flushing`` guard stops a nested ``end_tick`` from
-        starting a second drain of the same buffer.
-        """
-        if self._flushing:
-            return
-        self._flushing = True
-        try:
-            buffer = self._buffer
-            i = 0
-            while i < len(buffer):
-                hook, handlers, args = buffer[i]
-                i += 1
-                for fn in handlers:
-                    try:
-                        fn(*args)
-                    except Exception as exc:  # noqa: BLE001
-                        self._record(hook, fn, exc)
-            buffer.clear()
-        finally:
-            self._flushing = False
-
     # -- GTMObserver hooks, multiplexed -------------------------------------
     # Each hook iterates its prebuilt handler list; the try/except is
-    # effectively free in CPython 3.11 when nothing raises.  Hooks with
-    # no subscribed handlers return before touching the tick state, so
-    # unobserved runs stay allocation-free.
+    # effectively free in CPython 3.11 when nothing raises.
 
     def on_begin(self, txn, now):
-        handlers = self._h_on_begin
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_begin", handlers, (txn, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_begin:
             try:
                 fn(txn, now)
             except Exception as exc:  # noqa: BLE001 - isolation is the point
                 self._record("on_begin", fn, exc)
 
     def on_grant(self, txn, obj, invocation, now):
-        handlers = self._h_on_grant
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_grant", handlers, (txn, obj, invocation, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_grant:
             try:
                 fn(txn, obj, invocation, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_grant", fn, exc)
 
     def on_wait(self, txn, obj, invocation, now):
-        handlers = self._h_on_wait
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_wait", handlers, (txn, obj, invocation, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_wait:
             try:
                 fn(txn, obj, invocation, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_wait", fn, exc)
 
     def on_local_commit(self, txn, obj, now):
-        handlers = self._h_on_local_commit
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_local_commit", handlers, (txn, obj, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_local_commit:
             try:
                 fn(txn, obj, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_local_commit", fn, exc)
 
     def on_commit_deferred(self, txn, obj, now):
-        handlers = self._h_on_commit_deferred
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_commit_deferred", handlers, (txn, obj, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_commit_deferred:
             try:
                 fn(txn, obj, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_commit_deferred", fn, exc)
 
     def on_global_commit(self, txn, now):
-        handlers = self._h_on_global_commit
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_global_commit", handlers, (txn, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_global_commit:
             try:
                 fn(txn, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_global_commit", fn, exc)
 
     def on_global_abort(self, txn, now, reason):
-        handlers = self._h_on_global_abort
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_global_abort", handlers, (txn, now, reason)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_global_abort:
             try:
                 fn(txn, now, reason)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_global_abort", fn, exc)
 
     def on_sleep(self, txn, now):
-        handlers = self._h_on_sleep
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_sleep", handlers, (txn, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_sleep:
             try:
                 fn(txn, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_sleep", fn, exc)
 
     def on_awake(self, txn, now, survived):
-        handlers = self._h_on_awake
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_awake", handlers, (txn, now, survived)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_awake:
             try:
                 fn(txn, now, survived)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_awake", fn, exc)
 
     def on_unlock(self, obj, granted, now):
-        handlers = self._h_on_unlock
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_unlock", handlers, (obj, granted, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_unlock:
             try:
                 fn(obj, granted, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_unlock", fn, exc)
 
     def on_reconcile(self, txn, obj, invocation, now):
-        handlers = self._h_on_reconcile
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_reconcile", handlers, (txn, obj, invocation, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_reconcile:
             try:
                 fn(txn, obj, invocation, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_reconcile", fn, exc)
 
     def on_revalidate(self, txn, obj, conflicted, now):
-        handlers = self._h_on_revalidate
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_revalidate", handlers, (txn, obj, conflicted, now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_revalidate:
             try:
                 fn(txn, obj, conflicted, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_revalidate", fn, exc)
 
     def on_pump(self, obj, examined, granted, overtakes, now):
-        handlers = self._h_on_pump
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(
-                ("on_pump", handlers, (obj, examined, granted, overtakes,
-                                       now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_pump:
             try:
                 fn(obj, examined, granted, overtakes, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_pump", fn, exc)
 
     def on_repolice(self, obj, refreshed, now):
-        handlers = self._h_on_repolice
-        if not handlers:
-            return
-        if self._tick_depth:
-            self._buffer.append(("on_repolice", handlers, (obj, refreshed,
-                                                           now)))
-            return
-        for fn in handlers:
+        for fn in self._h_on_repolice:
             try:
                 fn(obj, refreshed, now)
             except Exception as exc:  # noqa: BLE001

@@ -55,25 +55,22 @@ _TS = TransactionState
 
 
 def _ticked(method):
-    """Bracket one facade mutation in a dispatch tick.
+    """Bracket one facade mutation in a re-police tick.
 
-    While the tick is open the :class:`~repro.core.events.EventBus`
-    buffers observer notifications and the admission controller defers
-    ⟨unlock, X⟩ re-police sweeps; the outermost ``finally`` drains both
-    — re-policing first (it emits into the still-open bus buffer), then
-    the bus in emission order.  Everything still happens *inside* the
-    facade call, so callers and observers see the same world as before,
-    minus the per-event cascade cost.  Nested ticks (abort inside
-    commit, the service re-entering from ``on_grant``) just deepen the
-    counters; only the outermost close flushes.
+    While the tick is open the admission controller queues the objects
+    that ⟨unlock, X⟩ dirtied instead of sweeping their wait-for edges on
+    every unlock; the outermost ``finally`` sweeps each queued object
+    once.  Everything still happens *inside* the facade call.  Nested
+    ticks (abort inside commit, the service re-entering from
+    ``on_grant``) just deepen the counter; only the outermost close
+    sweeps.  Observer hooks are not part of this: the bus delivers each
+    one when it is emitted.
     """
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         # begin/end_tick inlined: this wraps every facade call, and the
-        # counter twiddles are not worth four method calls apiece.
-        bus = self.bus
+        # counter twiddles are not worth two method calls apiece.
         admission = self.admission
-        bus._tick_depth += 1
         admission._tick_depth += 1
         try:
             return method(self, *args, **kwargs)
@@ -82,10 +79,6 @@ def _ticked(method):
             admission._tick_depth = depth
             if depth == 0 and admission._repolice_queue:
                 admission.flush_repolice()
-            depth = bus._tick_depth - 1
-            bus._tick_depth = depth
-            if depth == 0 and bus._buffer:
-                bus.flush()
     return wrapper
 
 
@@ -99,10 +92,10 @@ class GTMConfig:
     registry: ReconcilerRegistry = field(default_factory=default_registry)
     grant_policy: GrantPolicy = field(default_factory=FifoGrantPolicy)
     throttle: Any = field(default_factory=NoThrottle)
-    #: Section VII deadlock policing (wait-for graph / wound-wait /
-    #: wait-die / none).  Policies are stateful, so the default is None
-    #: and each manager builds its own ``WaitForGraphPolicy()`` — never
-    #: share one instance between managers through a config default.
+    #: Section VII deadlock policing (wait-for graph / none).  Policies
+    #: are stateful, so the default is None and each manager builds its
+    #: own ``WaitForGraphPolicy()`` — never share one instance between
+    #: managers through a config default.
     deadlock_policy: DeadlockPolicy | None = None
     #: Conflict engine: ``"bitmask"`` (compiled Table I + lock-set
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,

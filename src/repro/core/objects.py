@@ -28,7 +28,6 @@ from typing import Any, Iterator, Mapping
 
 from repro.errors import GTMError
 from repro.core.opclass import OP_CLASS_COUNT, Invocation
-from repro.core.pool import FreeList
 
 #: Template for a zeroed per-class count row: a flat ``array("q")``
 #: (signed 64-bit) buffer, copied per row, O(1) indexed access for the
@@ -164,13 +163,7 @@ class ObjectBinding:
 class WaitEntry:
     """One entry of ``X_waiting``: a transaction and its requested op.
 
-    Wait entries churn once per blocked request, so they are slotted and
-    pooled: the admission layer acquires via :meth:`acquire` and gives a
-    granted waiter's entry back via :meth:`release` once every reference
-    to it is dead (abort-path entries are just dropped to the GC — the
-    pool never guesses about liveness).  ``release`` scrubs every field,
-    so a recycled entry can never leak one transaction's state into
-    another's — pinned by the reuse-safety property tests.
+    Wait entries churn once per blocked request, so they are slotted.
     """
 
     __slots__ = ("txn_id", "invocation", "arrival")
@@ -181,30 +174,9 @@ class WaitEntry:
         self.invocation = invocation
         self.arrival = arrival
 
-    @classmethod
-    def acquire(cls, txn_id: str, invocation: Invocation,
-                arrival: float) -> "WaitEntry":
-        entry = _WAIT_ENTRY_POOL.acquire()
-        entry.txn_id = txn_id
-        entry.invocation = invocation
-        entry.arrival = arrival
-        return entry
-
-    def release(self) -> None:
-        self.txn_id = ""
-        self.invocation = None
-        self.arrival = 0.0
-        _WAIT_ENTRY_POOL.release(self)
-
     def __repr__(self) -> str:
         return (f"<WaitEntry {self.txn_id!r} "
-                f"{self.invocation.describe() if self.invocation else '⊥'} "
-                f"@{self.arrival}>")
-
-
-#: Per-process pool of recycled wait entries (see :mod:`repro.core.pool`).
-_WAIT_ENTRY_POOL: FreeList[WaitEntry] = FreeList(
-    lambda: WaitEntry.__new__(WaitEntry), max_size=4096)
+                f"{self.invocation.describe()} @{self.arrival}>")
 
 
 @dataclass(frozen=True)

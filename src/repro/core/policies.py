@@ -11,10 +11,6 @@ invocation must wait:
 - :class:`WaitForGraphPolicy` — detection: maintain waiter→holder edges
   and break cycles with a :class:`~repro.ldbs.deadlock.VictimPolicy`
   (the seed behaviour, still the default);
-- :class:`WoundWaitPolicy` — prevention: an *older* waiter wounds
-  (aborts) a younger blocker instead of queueing behind it;
-- :class:`WaitDiePolicy` — prevention: a *younger* waiter dies instead
-  of waiting behind an older holder;
 - :class:`NoDeadlockPolicy` — trust the workload (the paper's
   single-object experiments cannot deadlock).
 
@@ -83,10 +79,6 @@ class _TimestampedPolicy:
     def bind(self, start_time_of: StartTimeOf) -> None:
         self._start_time_of = start_time_of
 
-    def _age_key(self, txn_id: str) -> tuple[float, str]:
-        """Sort key: smaller is older (ties broken by id for determinism)."""
-        return (self._start_time_of(txn_id), txn_id)
-
     def refresh_wait(self, waiter: str,
                      blockers: Sequence[str]) -> DeadlockResolution | None:
         self.on_stop_waiting(waiter)
@@ -141,39 +133,3 @@ class WaitForGraphPolicy(_TimestampedPolicy):
 
     def on_finished(self, txn_id: str) -> None:
         self.detector.on_finished(txn_id)
-
-
-class WoundWaitPolicy(_TimestampedPolicy):
-    """Prevention: an older waiter *wounds* the youngest younger blocker.
-
-    The admission controller consults the policy in a loop, so every
-    younger blocker is wounded in turn until the waiter is either
-    granted or only older blockers remain (behind which it may safely
-    wait — no cycle can form when waits only ever point at older
-    transactions).
-    """
-
-    def on_wait(self, waiter: str,
-                blockers: Sequence[str]) -> DeadlockResolution | None:
-        younger = [txn_id for txn_id in blockers
-                   if self._age_key(txn_id) > self._age_key(waiter)]
-        if not younger:
-            return None
-        victim = max(younger, key=self._age_key)
-        self.detections += 1
-        return DeadlockResolution(victim=victim, cycle=(waiter, victim))
-
-
-class WaitDiePolicy(_TimestampedPolicy):
-    """Prevention: a younger waiter *dies* rather than wait on its elders."""
-
-    def on_wait(self, waiter: str,
-                blockers: Sequence[str]) -> DeadlockResolution | None:
-        older = [txn_id for txn_id in blockers
-                 if self._age_key(txn_id) < self._age_key(waiter)]
-        if not older:
-            return None
-        self.detections += 1
-        return DeadlockResolution(victim=waiter,
-                                  cycle=(waiter, min(older,
-                                                     key=self._age_key)))

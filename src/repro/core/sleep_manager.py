@@ -137,14 +137,10 @@ class SleepManager:
                 # snapshots (the sleeper jumps the queue, per the paper).
                 obj.remove_waiting(txn.txn_id)
                 self._regrant(txn, obj, entry.invocation, now)
-                entry.release()  # last reference — recycle (core.pool)
-        # Deliver any buffered queue-jump regrant notifications *before*
-        # A_t_wait clears: grant observers distinguish a regrant (t_wait
-        # still populated, wait interval stays open) from a pump grant
-        # by exactly that field, and the distinction is pinned by the
-        # timeline tests.
-        self.bus.flush()
-        # Algorithm 10 — ⟨awake, A⟩.
+        # Algorithm 10 — ⟨awake, A⟩.  A_t_wait clears only now, after
+        # the regrants above were announced: grant observers tell a
+        # queue-jump regrant (t_wait still populated, the wait interval
+        # stays open) from a pump grant by exactly that field.
         txn.transition(_TS.ACTIVE)
         txn.t_sleep = None
         txn.t_wait.clear()

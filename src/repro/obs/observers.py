@@ -31,8 +31,6 @@ gtm_pump_granted           counter   —
 gtm_overtakes              counter   —
 gtm_repolice_sweeps        counter   —
 gtm_repolice_edges         counter   —
-gtm_pool_created           counter   pool (``wait-entry``, ``sim-event``)
-gtm_pool_reused            counter   pool (``wait-entry``, ``sim-event``)
 gtm_wait_seconds           histogram —
 gtm_sleep_seconds          histogram —
 gtm_lock_shard_occupancy   gauge     ``shard0`` (set via snapshot)
@@ -40,8 +38,6 @@ gtm_lock_shard_occupancy   gauge     ``shard0`` (set via snapshot)
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.events import GTMObserver
 from repro.core.opclass import OperationClass
@@ -60,34 +56,6 @@ RECONCILE_RULE = {
 }
 
 
-def _pools() -> dict[str, Any]:
-    """The process-wide free lists whose telemetry is exported."""
-    from repro.core.objects import _WAIT_ENTRY_POOL
-    from repro.sim.engine import _EVENT_POOL
-    return {"wait-entry": _WAIT_ENTRY_POOL, "sim-event": _EVENT_POOL}
-
-
-def _pool_counts(drain: bool = False) -> dict[str, tuple[int, int]]:
-    """(created, reused) of every exported free list, by label.
-
-    The pools are module-level singletons whose telemetry accumulates
-    across episodes, so the observer snapshots them at construction and
-    reports the *delta* at finalize — the pool activity of this episode
-    alone.  The construction-time snapshot also **drains** the pools:
-    starting each measured episode from a known-cold pool makes the
-    created/reused split deterministic whether the episode runs in a
-    long-lived serial process or a fresh :mod:`repro.parallel` worker
-    (draining recycles records to the garbage collector and cannot
-    change protocol outcomes, so digests stay put).
-    """
-    counts: dict[str, tuple[int, int]] = {}
-    for label, pool in _pools().items():
-        if drain:
-            pool.drain()
-        counts[label] = (pool.created, pool.reused)
-    return counts
-
-
 class MetricsObserver(GTMObserver):
     """Counts protocol episodes; folds into the registry at finalize."""
 
@@ -97,7 +65,7 @@ class MetricsObserver(GTMObserver):
         "pump_passes", "pump_examined", "pump_granted", "overtakes",
         "repolice_sweeps", "repolice_edges", "wait_durations",
         "sleep_durations", "_wait_started", "_sleep_started",
-        "_pool_baseline", "_finalized")
+        "_finalized")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
@@ -126,9 +94,6 @@ class MetricsObserver(GTMObserver):
         #: disjointness semantics so the histograms agree with RunStats.
         self._wait_started: dict[str, float] = {}
         self._sleep_started: dict[str, float] = {}
-        #: pool label -> (created, reused) at attach time; finalize
-        #: reports this episode's delta under ``gtm_pool_*``.
-        self._pool_baseline = _pool_counts(drain=True)
         self._finalized = False
 
     # -- lifecycle ----------------------------------------------------
@@ -254,14 +219,6 @@ class MetricsObserver(GTMObserver):
             sleep_hist = registry.histogram("gtm_sleep_seconds")
             for duration in self.sleep_durations:
                 sleep_hist.observe(duration)
-        for label, (created, reused) in _pool_counts().items():
-            base_created, base_reused = self._pool_baseline[label]
-            if created > base_created:
-                registry.counter("gtm_pool_created").inc(
-                    created - base_created, label=label)
-            if reused > base_reused:
-                registry.counter("gtm_pool_reused").inc(
-                    reused - base_reused, label=label)
 
     def snapshot_lock_table(self, lock_table) -> None:
         """Record the lock directory's occupancy as a gauge (the one

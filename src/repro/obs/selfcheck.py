@@ -21,7 +21,7 @@ per-worker frame merge is exercised; the merged fleet metrics are
 printed as evidence the aggregation pipeline works.
 
 Exit status 0 iff every pair of digests matches — CI runs this as the
-``obs-neutrality`` job.
+second step of the ``selfcheck`` job.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ processes, then requires *exact* agreement:
 
 Exit status 0 = parallel execution is observably indistinguishable
 from serial; 1 = a divergence, printed with both sides.  CI runs this
-as the ``parallel-determinism`` job; see docs/PERFORMANCE.md.
+as the first step of the ``selfcheck`` job; see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations

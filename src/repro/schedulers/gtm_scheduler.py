@@ -134,11 +134,9 @@ class _SignallingObserver(GTMObserver):
         return signal
 
     def _fire_later(self, signal: Signal, payload: Any) -> None:
-        # transient: the handle is discarded here, so the engine may
-        # recycle the heap entry as soon as the fire dispatches.
         self.engine.schedule_after(
             0.0, lambda _e: signal.fire(payload),
-            label=f"fire:{signal.name}", transient=True)
+            label=f"fire:{signal.name}")
 
     # -- GTMObserver hooks -----------------------------------------------------
 

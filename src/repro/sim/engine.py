@@ -6,7 +6,6 @@ import heapq
 import itertools
 from typing import Any, Callable
 
-from repro.core.pool import FreeList
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
 
@@ -28,12 +27,11 @@ class ScheduledEvent:
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "label",
-                 "cancelled", "dispatched", "transient", "_engine")
+                 "cancelled", "dispatched", "_engine")
 
     def __init__(self, time: float, priority: int, sequence: int,
                  callback: Callback, label: str = "",
-                 engine: "SimulationEngine | None" = None,
-                 transient: bool = False) -> None:
+                 engine: "SimulationEngine | None" = None) -> None:
         self.time = time
         self.priority = priority
         self.sequence = sequence
@@ -41,10 +39,6 @@ class ScheduledEvent:
         self.label = label
         self.cancelled = False
         self.dispatched = False
-        #: fire-and-forget: the scheduler discards the handle, so the
-        #: engine may recycle the entry after dispatch (see the free
-        #: list in :meth:`SimulationEngine.schedule_at`).
-        self.transient = transient
         self._engine = engine
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
@@ -71,16 +65,6 @@ class ScheduledEvent:
             "dispatched" if self.dispatched else "pending")
         label = f" {self.label!r}" if self.label else ""
         return f"<ScheduledEvent t={self.time}{label} {state}>"
-
-
-#: Per-process pool of recycled transient heap entries, shared across
-#: engines so short-lived episodes do not each pay a cold-ramp of fresh
-#: allocations (campaigns build one engine per episode).  Safe to share:
-#: an entry is released only after its callback returned with no handle
-#: outstanding, and every field — ``_engine`` included — is overwritten
-#: on acquire.  See :mod:`repro.core.pool` for the ground rules.
-_EVENT_POOL: FreeList[ScheduledEvent] = FreeList(
-    lambda: ScheduledEvent.__new__(ScheduledEvent), max_size=4096)
 
 
 class SimulationEngine:
@@ -143,52 +127,26 @@ class SimulationEngine:
 
     def schedule_at(self, when: float, callback: Callback, *,
                     priority: int = DEFAULT_PRIORITY,
-                    label: str = "",
-                    transient: bool = False) -> ScheduledEvent:
-        """Schedule ``callback`` at absolute virtual time ``when``.
-
-        ``transient=True`` promises the caller discards the returned
-        handle (never cancels it or reads it after dispatch); the engine
-        then reuses a recycled heap entry and reclaims it right after
-        the callback returns.  Sequence numbers are assigned identically
-        either way, so schedules stay deterministic.
-        """
+                    label: str = "") -> ScheduledEvent:
+        """Schedule ``callback`` at absolute virtual time ``when``."""
         if when < self.clock.now:
             raise SimulationError(
                 f"cannot schedule event in the past: {when} < {self.clock.now}"
             )
-        if transient:
-            # recycled entries come back with every field stale;
-            # overwrite all of them (fresh pool records are blank
-            # ``__new__`` shells initialised the same way).
-            event = _EVENT_POOL.acquire()
-            event.time = when
-            event.priority = priority
-            event.sequence = next(self._sequence)
-            event.callback = callback
-            event.label = label
-            event.cancelled = False
-            event.dispatched = False
-            event.transient = True
-            event._engine = self
-        else:
-            event = ScheduledEvent(when, priority, next(self._sequence),
-                                   callback, label, engine=self,
-                                   transient=False)
+        event = ScheduledEvent(when, priority, next(self._sequence),
+                               callback, label, engine=self)
         heapq.heappush(self._queue, event)
         self._live += 1
         return event
 
     def schedule_after(self, delay: float, callback: Callback, *,
                        priority: int = DEFAULT_PRIORITY,
-                       label: str = "",
-                       transient: bool = False) -> ScheduledEvent:
+                       label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self.clock.now + delay, callback,
-                                priority=priority, label=label,
-                                transient=transient)
+                                priority=priority, label=label)
 
     # -- execution ----------------------------------------------------------
 
@@ -203,13 +161,6 @@ class SimulationEngine:
         self._live -= 1
         self._events_dispatched += 1
         event.callback(self)
-        if event.transient:
-            # the callback returned and nobody holds the handle: recycle.
-            # A raising callback skips this, keeping the entry out of
-            # circulation rather than risking a double-use.
-            event.callback = None
-            event._engine = None
-            _EVENT_POOL.release(event)
         return True
 
     def run(self, until: float | None = None,

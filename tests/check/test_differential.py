@@ -14,6 +14,7 @@ import pytest
 from repro.check.differential import (
     GTM_VARIANTS,
     compare_episode,
+    comparison_digest,
     run_differential_campaign,
 )
 from repro.core.conflicts import CONFLICT_ENGINES
@@ -56,3 +57,16 @@ def test_baseline_episode_runs_twice():
     assert comparison.ok, comparison.summary()
     assert [run.label for run in comparison.runs] == \
         ["2pl-run1", "2pl-run2"]
+
+
+def test_second_run_in_one_process_reproduces_the_digest():
+    """No state outlives an episode: the same contended episode run
+    twice through the full comparison (all conflict engines) in one
+    process gives byte-identical digests."""
+    config = FuzzConfig(scheduler="gtm", max_objects=1, max_txns=24,
+                        max_ops_per_txn=3, arrival_spread=1.0)
+    spec = generate_episode(config, seed=2008, index=0)
+    first = compare_episode(spec)
+    second = compare_episode(spec)
+    assert first.ok and second.ok
+    assert comparison_digest(first) == comparison_digest(second)

@@ -81,6 +81,68 @@ class TestFanOut:
         assert order == ["first", "second"]
 
 
+class TestChangesDuringDispatch:
+    """Subscribe or unsubscribe from inside a hook: the event in flight
+    finishes on the handler list it started with, the change takes
+    effect from the next event.  (``subscribe`` used to append to the
+    live list, so a late subscriber also heard the event that was
+    being delivered when it subscribed.)"""
+
+    class Latecomer(GTMObserver):
+        def __init__(self):
+            self.begins = []
+
+        def on_begin(self, txn, now):
+            self.begins.append(txn)
+
+    def test_subscribe_in_a_hook_takes_effect_from_the_next_event(self):
+        latecomer = self.Latecomer()
+
+        class Inviter(GTMObserver):
+            def on_begin(self, txn, now):
+                if txn == "first":
+                    bus.subscribe(latecomer)
+
+        bus = EventBus([Inviter()])
+        bus.on_begin("first", 0.0)
+        assert latecomer.begins == []
+        bus.on_begin("second", 1.0)
+        assert latecomer.begins == ["second"]
+
+    def test_unsubscribe_in_a_hook_takes_effect_from_the_next_event(self):
+        victim = self.Latecomer()
+
+        class Bouncer(GTMObserver):
+            def on_begin(self, txn, now):
+                bus.unsubscribe(victim)
+
+        bus = EventBus([Bouncer(), victim])
+        bus.on_begin("first", 0.0)
+        assert victim.begins == ["first"]
+        bus.on_begin("second", 1.0)
+        assert victim.begins == ["first"]
+        assert bus.errors == []
+
+    def test_subscribe_inside_a_facade_call(self):
+        """The same rule through the kernel: a recorder attached from
+        ``on_grant`` hears nothing of the invoke that attached it."""
+        recorder = Recorder()
+
+        class Inviter(GTMObserver):
+            def on_grant(self, txn, obj, invocation, now):
+                if recorder not in gtm.bus.observers():
+                    gtm.subscribe(recorder)
+
+        gtm = GlobalTransactionManager(observer=Inviter())
+        gtm.create_object("X", value=10)
+        gtm.begin("A")
+        gtm.invoke("A", "X", add(1))
+        assert recorder.events == []
+        gtm.apply("A", "X", add(1))
+        gtm.request_commit("A")
+        assert recorder.events == [("commit", "A")]
+
+
 class TestExceptionIsolation:
     """A raising observer must not corrupt GTM state (satellite fix)."""
 

@@ -1,12 +1,8 @@
 """Tests for the pluggable deadlock policies (Section VII policing)."""
 
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
-from repro.core.policies import (
-    NoDeadlockPolicy,
-    WaitDiePolicy,
-    WaitForGraphPolicy,
-    WoundWaitPolicy,
-)
+from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy
+from repro.ldbs.deadlock import DeadlockResolution
 from repro.core.opclass import assign
 from repro.core.states import TransactionState
 
@@ -31,40 +27,18 @@ def build_cycle(gtm) -> str:
     return gtm.invoke("B", "X", assign(2))
 
 
-class TestWoundWait:
-    def test_older_waiter_wounds_younger_holder(self):
-        gtm = make_gtm(WoundWaitPolicy())
-        gtm.begin("old")
-        gtm.begin("young")
-        gtm.invoke("young", "X", assign(2))
-        # the older transaction wounds the younger holder and is granted
-        assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.GRANTED
-        assert gtm.transaction("young").state is _S.ABORTED
-        assert gtm.deadlocks_detected == 1
+class TestCommitterProtection:
+    """The admission controller's own guard, whatever the policy says:
+    a transaction that is already Committing is never aborted as a
+    victim — it holds ``X_committing`` and finishes by itself."""
 
-    def test_younger_waiter_waits_behind_older_holder(self):
-        gtm = make_gtm(WoundWaitPolicy())
-        gtm.begin("old")
-        gtm.begin("young")
-        gtm.invoke("old", "X", assign(1))
-        assert gtm.invoke("young", "X", assign(2)) == GrantOutcome.QUEUED
-        assert gtm.transaction("young").state is _S.WAITING
+    class NameTheBlocker(NoDeadlockPolicy):
+        def on_wait(self, waiter, blockers):
+            return DeadlockResolution(victim=blockers[0],
+                                      cycle=(waiter, blockers[0]))
 
-    def test_cycle_never_forms(self):
-        """A's wait wounds the younger holder, so no cycle can close."""
-        gtm = make_gtm(WoundWaitPolicy())
-        gtm.begin("A")
-        gtm.begin("B")
-        gtm.invoke("A", "X", assign(1))
-        gtm.invoke("B", "Y", assign(2))
-        # A (older) requests Y: wounds the younger holder B and inherits
-        # the object through the unlock pump.
-        assert gtm.invoke("A", "Y", assign(1)) == GrantOutcome.GRANTED
-        assert gtm.transaction("B").state is _S.ABORTED
-        assert gtm.deadlocks_detected == 1
-
-    def test_committing_blocker_never_wounded(self):
-        gtm = make_gtm(WoundWaitPolicy())
+    def test_committing_blocker_is_never_the_victim(self):
+        gtm = make_gtm(self.NameTheBlocker())
         gtm.begin("old")
         gtm.begin("young")
         gtm.invoke("young", "X", assign(2))
@@ -73,33 +47,13 @@ class TestWoundWait:
         assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.QUEUED
         assert gtm.transaction("young").state is _S.COMMITTING
 
-
-class TestWaitDie:
-    def test_younger_waiter_dies(self):
-        gtm = make_gtm(WaitDiePolicy())
-        gtm.begin("old")
-        gtm.begin("young")
-        gtm.invoke("old", "X", assign(1))
-        assert gtm.invoke("young", "X", assign(2)) == GrantOutcome.ABORTED
-        assert gtm.transaction("young").state is _S.ABORTED
-        assert gtm.transaction("old").state is _S.ACTIVE
-
-    def test_older_waiter_allowed_to_wait(self):
-        gtm = make_gtm(WaitDiePolicy())
+    def test_active_blocker_named_by_the_policy_is_aborted(self):
+        gtm = make_gtm(self.NameTheBlocker())
         gtm.begin("old")
         gtm.begin("young")
         gtm.invoke("young", "X", assign(2))
-        assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.QUEUED
-        assert gtm.transaction("old").state is _S.WAITING
-        assert gtm.transaction("young").state is _S.ACTIVE
-
-    def test_cycle_broken_by_dying_younger(self):
-        gtm = make_gtm(WaitDiePolicy())
-        outcome = build_cycle(gtm)
-        assert outcome == GrantOutcome.ABORTED
-        assert gtm.transaction("B").state is _S.ABORTED
-        # A inherits Y through the unlock pump
-        assert gtm.object("Y").is_pending("A")
+        assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.GRANTED
+        assert gtm.transaction("young").state is _S.ABORTED
 
 
 class TestNoPolicy:
@@ -124,7 +78,7 @@ class TestBuildPolicy:
         assert first.deadlock_policy is not second.deadlock_policy
 
     def test_explicit_policy_is_the_only_knob(self):
-        policy = WoundWaitPolicy()
+        policy = NoDeadlockPolicy()
         gtm = GlobalTransactionManager(
             config=GTMConfig(deadlock_policy=policy))
         assert gtm.deadlock_policy is policy

@@ -148,3 +148,40 @@ class TestBusDrivenMetrics:
         assert snap["gtm_grants"]["series"][""] >= 2.0
         assert snap["gtm_pump_passes"]["series"][""] >= 1.0
         assert snap["gtm_wait_seconds"]["count"] == 1
+
+
+class TestObserversAreIndependent:
+    """Constructing an observer touches nothing outside it: two built
+    back to back, each watching its own manager run the same episode,
+    report the same metrics.  (Construction used to drain process-wide
+    record pools and baseline their counters, so the second observer's
+    ``gtm_pool_*`` series depended on what ran in between.)"""
+
+    @staticmethod
+    def contended_episode(gtm):
+        gtm.create_object("X", value=10)
+        for txn_id in ("T1", "T2", "T3"):
+            gtm.begin(txn_id)
+        assert gtm.invoke("T1", "X", assign(1)) == "granted"
+        assert gtm.invoke("T2", "X", assign(2)) == "queued"
+        assert gtm.invoke("T3", "X", add(3)) == "queued"
+        gtm.sleep("T3")
+        gtm.apply("T1", "X", assign(1))
+        gtm.request_commit("T1")
+        gtm.apply("T2", "X", assign(2))
+        gtm.abort("T2")
+        assert not gtm.awake("T3")
+
+    def test_two_observers_built_back_to_back_agree(self):
+        registries = (MetricsRegistry(), MetricsRegistry())
+        observers = [MetricsObserver(registry) for registry in registries]
+        for observer in observers:
+            gtm = GlobalTransactionManager()
+            gtm.subscribe(observer)
+            self.contended_episode(gtm)
+            observer.finalize(gtm.now())
+        first, second = (registry.snapshot() for registry in registries)
+        assert first == second
+        assert first["gtm_waits"]["series"] == {"": 2.0}
+        assert first["gtm_awakes"]["series"] == {"sleep-conflict": 1.0}
+        assert not [name for name in first if "pool" in name]
