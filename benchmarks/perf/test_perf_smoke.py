@@ -3,9 +3,10 @@
 Not a paper artifact — this pins the acceptance bar of the conflict
 kernel optimisation: the bitmask engine must beat the reference engine
 by >=3x on the contended hot path, the throughput run must produce
-byte-identical outcomes on every engine variant, and the embedded
-differential campaign must report zero divergences.  Runs the ``smoke``
-profile so it stays inside the benchmark-suite budget.
+byte-identical outcomes on every engine variant, MVCC reads must beat
+locking reads on the read-heavy mix, and the embedded differential
+campaign must report zero divergences.  Runs the ``smoke`` profile so
+it stays inside the benchmark-suite budget.
 """
 
 import json
@@ -40,6 +41,13 @@ def test_perf_smoke_meets_acceptance_bar():
         assert engines == {"reference", "bitmask"}
         for variant in tier_row["variants"]:
             assert variant["episodes_per_sec"] > 0
+    # lock-free READs must finish the read-heavy mix in less simulated
+    # time than locking READs (deterministic: no wall clock involved).
+    mvcc = payload["mvcc_reads"]
+    assert mvcc["lock_free_reads"] > 0
+    assert mvcc["mvcc_dominates"] is True, (
+        f"sim makespan {mvcc['sim_makespan_mvcc_s']:.3f}s (mvcc) vs "
+        f"{mvcc['sim_makespan_locking_s']:.3f}s (locking)")
     # every variant reports a full latency profile
     for variant in payload["throughput"]["variants"]:
         assert variant["ops_per_sec"] > 0

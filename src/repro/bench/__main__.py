@@ -71,18 +71,8 @@ def main(argv: list[str] | None = None) -> int:
             print("BACKEND DIFFERENTIAL DIVERGENCE DETECTED",
                   file=sys.stderr)
             return 1
-        federation = payload["federation_scaling"]
-        if not federation["identity_identical"]:
-            for failure in federation["identity_failures"]:
-                print(f"FEDERATION DIGEST GATE FAILED "
-                      f"[{failure['tier']} tier]: "
-                      f"{failure['label']} diverged from "
-                      f"{failure['baseline_label']} at episode "
-                      f"{failure['episode']}: {failure['digest']} != "
-                      f"{failure['baseline_digest']}", file=sys.stderr)
-            return 1
-        mvcc = federation.get("mvcc")
-        if mvcc is not None and not mvcc["mvcc_dominates"]:
+        mvcc = payload["mvcc_reads"]
+        if not mvcc["mvcc_dominates"]:
             print(f"MVCC READS DID NOT DOMINATE LOCKING READS: "
                   f"{mvcc['lock_free_reads']} lock-free reads, "
                   f"sim makespan {mvcc['sim_makespan_mvcc_s']:.3f}s "

@@ -437,159 +437,87 @@ def bench_episodes(profile: PerfProfile, seed: int = 2008) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# federation scaling
+# MVCC reads
 # ---------------------------------------------------------------------------
 
 
-#: (label, GTMConfig overrides) of the federation shard sweep.  The
-#: monolith is the baseline; every shard count runs the same kernel and
-#: must be digest-identical to it per episode (externalization priced,
-#: nothing reordered).
-FEDERATION_SHARD_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("monolith", {"gtm_shards": 0}),
-    ("fed-1shard", {"gtm_shards": 1}),
-    ("fed-2shard", {"gtm_shards": 2}),
-    ("fed-4shard", {"gtm_shards": 4}),
-    ("fed-8shard", {"gtm_shards": 8}),
-)
-
-#: (tier, FuzzConfig overrides, episodes) of the federation sweep:
-#: the three contention tiers of :data:`EPISODE_TIERS` (trimmed — five
-#: shard variants already multiply the work) plus a read-heavy tier
-#: where the MVCC read path should dominate the locking one.
-FEDERATION_TIERS: tuple[tuple[str, dict[str, Any], int], ...] = (
-    ("light", {}, 20),
-    ("contended", {"max_objects": 2, "max_txns": 24,
-                   "max_ops_per_txn": 3, "arrival_spread": 2.0}, 8),
-    ("hotspot", {"max_objects": 1, "max_txns": 48, "max_ops_per_txn": 3,
-                 "arrival_spread": 1.0, "p_outage": 0.1,
-                 "p_wait_timeout": 0.0}, 6),
-    ("read-heavy", {"max_objects": 4, "max_txns": 24,
-                    "max_ops_per_txn": 3, "p_read": 0.85,
-                    "arrival_spread": 2.0, "p_outage": 0.0,
-                    "p_wait_timeout": 0.0}, 10),
-)
-
-#: The MVCC-vs-locking pair compared on the read-heavy tier.
-MVCC_LOCKING_LABEL = "fed-4shard"
-MVCC_VARIANT: tuple[str, dict[str, Any]] = (
-    "fed-4shard-mvcc", {"gtm_shards": 4, "mvcc_reads": True})
+#: FuzzConfig overrides of the read-heavy mix — the one mix where the
+#: READ path decides the schedule — and its episode count.
+READ_HEAVY_MIX: dict[str, Any] = {
+    "max_objects": 4, "max_txns": 24, "max_ops_per_txn": 3,
+    "p_read": 0.85, "arrival_spread": 2.0, "p_outage": 0.0,
+    "p_wait_timeout": 0.0}
+READ_HEAVY_EPISODES = 10
 
 
-def bench_federation_scaling(profile: PerfProfile,
-                             seed: int = 2008) -> dict[str, Any]:
-    """Episodes/sec across GTM shard counts, identity- and MVCC-gated.
+def bench_mvcc_reads(profile: PerfProfile,
+                     seed: int = 2008) -> dict[str, Any]:
+    """Locking READs vs lock-free MVCC READs on the read-heavy mix.
 
-    Each tier's seeded episode set runs once per shard variant (best of
-    ``episode_reps`` timings); the read-heavy tier additionally runs
-    the 4-shard federation with MVCC reads on.  Two gates ride along:
-
-    - **identity** — per-episode digests of every ``fed-Nshard`` must
-      equal the monolith's (any mismatch is recorded with the tier, the
-      variant pair, the episode index and both digests, and fails the
-      bench CLI);
-    - **mvcc** — on the read-heavy tier the MVCC variant must finish
-      the same episodes in less *simulated* time than its locking twin
-      (reads never park in the wait queue), with the lock-free read
-      count recorded as evidence.  Simulated makespan is deterministic,
-      so this gate cannot flake with wall-clock noise.
+    The same seeded episodes run on the kernel and on its MVCC subclass
+    (:data:`~repro.check.differential.MVCC_VARIANTS`; best of
+    ``episode_reps`` timings).  The gate: the MVCC manager must finish
+    them in less *simulated* time than the locking one (reads never
+    park in the wait queue), with the lock-free read count recorded as
+    evidence.  Simulated makespan is deterministic, so the gate cannot
+    flake with wall-clock noise.
     """
-    from repro.check.differential import _gtm_variant_scheduler
+    from repro.check.differential import (
+        MVCC_VARIANTS,
+        _gtm_variant_scheduler,
+    )
     from repro.check.fuzzer import FuzzConfig, episode_workload, \
         generate_episode
 
-    tiers: list[dict[str, Any]] = []
-    identity_failures: list[dict[str, Any]] = []
-    mvcc_gate: dict[str, Any] | None = None
-    for tier, overrides, base_count in FEDERATION_TIERS:
-        count = base_count * profile.episode_scale
-        config = FuzzConfig(**overrides)
-        specs = [generate_episode(config, seed, index)
-                 for index in range(count)]
-        variants = FEDERATION_SHARD_VARIANTS
-        if tier == "read-heavy":
-            variants = variants + (MVCC_VARIANT,)
-        digests: dict[str, list[str]] = {}
-        makespans: dict[str, float] = {}
-        lock_free_reads: dict[str, int] = {}
-        rows: list[dict[str, Any]] = []
-        for label, config_overrides in variants:
-            best_elapsed = None
-            for rep in range(profile.episode_reps):
-                elapsed = 0.0
-                run_digests: list[str] = []
-                sim_makespan = 0.0
-                served = 0
-                for spec in specs:
-                    scheduler = _gtm_variant_scheduler(
-                        spec, config_overrides, False)
-                    workload = episode_workload(spec)
-                    start = _CLOCK()
-                    result = scheduler.run(workload)
-                    elapsed += _CLOCK() - start
-                    if rep == 0:
-                        run_digests.append(
-                            _episode_digest(scheduler, result))
-                        sim_makespan += result.stats.makespan
-                        certifier = getattr(scheduler.last_gtm,
-                                            "certifier", None)
-                        if certifier is not None:
-                            served += certifier.reads_served
+    count = READ_HEAVY_EPISODES * profile.episode_scale
+    config = FuzzConfig(**READ_HEAVY_MIX)
+    specs = [generate_episode(config, seed, index)
+             for index in range(count)]
+    rows: dict[str, dict[str, Any]] = {}
+    for label, config_overrides in MVCC_VARIANTS:
+        best_elapsed = None
+        sim_makespan = 0.0
+        served = 0
+        for rep in range(profile.episode_reps):
+            elapsed = 0.0
+            for spec in specs:
+                scheduler = _gtm_variant_scheduler(
+                    spec, config_overrides, False)
+                workload = episode_workload(spec)
+                start = _CLOCK()
+                result = scheduler.run(workload)
+                elapsed += _CLOCK() - start
                 if rep == 0:
-                    digests[label] = run_digests
-                    makespans[label] = sim_makespan
-                    lock_free_reads[label] = served
-                if best_elapsed is None or elapsed < best_elapsed:
-                    best_elapsed = elapsed
-            rows.append({
-                "label": label,
-                "gtm_shards": config_overrides["gtm_shards"],
-                "mvcc_reads": config_overrides.get("mvcc_reads", False),
-                "elapsed_s": best_elapsed,
-                "episodes_per_sec": count / max(best_elapsed, 1e-12),
-                "sim_makespan_s": makespans[label],
-                "lock_free_reads": lock_free_reads[label],
-            })
-        divergences = []
-        for label, _ in FEDERATION_SHARD_VARIANTS[1:]:
-            divergence = _first_digest_divergence(
-                "monolith", digests["monolith"], label, digests[label])
-            if divergence is not None:
-                divergence["tier"] = tier
-                divergences.append(divergence)
-        identity_failures.extend(divergences)
-        tier_row: dict[str, Any] = {
-            "tier": tier,
-            "episodes": count,
-            "variants": rows,
-            "identity_identical": not divergences,
+                    sim_makespan += result.stats.makespan
+                    certifier = getattr(scheduler.last_gtm,
+                                        "certifier", None)
+                    if certifier is not None:
+                        served += certifier.reads_served
+            if best_elapsed is None or elapsed < best_elapsed:
+                best_elapsed = elapsed
+        rows[label] = {
+            "label": label,
+            "mvcc_reads": config_overrides.get("mvcc_reads", False),
+            "elapsed_s": best_elapsed,
+            "episodes_per_sec": count / max(best_elapsed, 1e-12),
+            "sim_makespan_s": sim_makespan,
+            "lock_free_reads": served,
         }
-        if tier == "read-heavy":
-            locking = next(r for r in rows
-                           if r["label"] == MVCC_LOCKING_LABEL)
-            mvcc = next(r for r in rows
-                        if r["label"] == MVCC_VARIANT[0])
-            mvcc_gate = {
-                "locking_label": locking["label"],
-                "mvcc_label": mvcc["label"],
-                "lock_free_reads": mvcc["lock_free_reads"],
-                "sim_makespan_locking_s": locking["sim_makespan_s"],
-                "sim_makespan_mvcc_s": mvcc["sim_makespan_s"],
-                "mvcc_vs_locking_eps":
-                    mvcc["episodes_per_sec"]
-                    / max(locking["episodes_per_sec"], 1e-12),
-                "mvcc_dominates":
-                    mvcc["sim_makespan_s"] < locking["sim_makespan_s"]
-                    and mvcc["lock_free_reads"] > 0,
-            }
-            tier_row["mvcc"] = mvcc_gate
-        tiers.append(tier_row)
+    locking, mvcc = rows["monolith"], rows["mvcc"]
     return {
         "seed": seed,
-        "tiers": tiers,
-        "identity_identical": not identity_failures,
-        "identity_failures": identity_failures,
-        "mvcc": mvcc_gate,
+        "tier": "read-heavy",
+        "episodes": count,
+        "variants": list(rows.values()),
+        "lock_free_reads": mvcc["lock_free_reads"],
+        "sim_makespan_locking_s": locking["sim_makespan_s"],
+        "sim_makespan_mvcc_s": mvcc["sim_makespan_s"],
+        "mvcc_vs_locking_eps":
+            mvcc["episodes_per_sec"]
+            / max(locking["episodes_per_sec"], 1e-12),
+        "mvcc_dominates":
+            mvcc["sim_makespan_s"] < locking["sim_makespan_s"]
+            and mvcc["lock_free_reads"] > 0,
     }
 
 
@@ -804,7 +732,7 @@ def run_perf(profile_name: str = "smoke", seed: int = 2008,
     pump = bench_pump(profile)
     throughput = bench_throughput(profile)
     episodes = bench_episodes(profile, seed=seed)
-    federation = bench_federation_scaling(profile, seed=seed)
+    mvcc_reads = bench_mvcc_reads(profile, seed=seed)
     backend_sst = bench_backend_sst(profile)
     differential = bench_differential(profile, seed=seed, jobs=jobs)
     backend_differential = bench_backend_differential(profile, seed=seed,
@@ -827,7 +755,7 @@ def run_perf(profile_name: str = "smoke", seed: int = 2008,
         },
         "throughput": throughput,
         "episode_throughput": episodes,
-        "federation_scaling": federation,
+        "mvcc_reads": mvcc_reads,
         "backend_sst": backend_sst,
         "differential": differential,
         "backend_differential": backend_differential,
@@ -886,26 +814,16 @@ def render_summary(payload: dict[str, Any]) -> str:
                 f"episodes/sec [{tier_row['tier']}, "
                 f"{tier_row['episodes']} eps]: {rates}  "
                 f"(identical={tier_row['outcomes_identical']})")
-    federation = payload.get("federation_scaling")
-    if federation:
-        for tier_row in federation["tiers"]:
-            rates = ", ".join(
-                f"{v['label']} {v['episodes_per_sec']:.0f}"
-                for v in tier_row["variants"])
-            lines.append(
-                f"federation eps/sec [{tier_row['tier']}, "
-                f"{tier_row['episodes']} eps]: {rates}  "
-                f"(identical-to-monolith="
-                f"{tier_row['identity_identical']})")
-        mvcc = federation.get("mvcc")
-        if mvcc:
-            lines.append(
-                f"mvcc reads [read-heavy]: {mvcc['lock_free_reads']} "
-                f"reads served lock-free, sim makespan "
-                f"{mvcc['sim_makespan_locking_s']:.1f}s locking -> "
-                f"{mvcc['sim_makespan_mvcc_s']:.1f}s mvcc, "
-                f"{mvcc['mvcc_vs_locking_eps']:.2f}x eps/sec  "
-                f"(dominates={mvcc['mvcc_dominates']})")
+    mvcc = payload.get("mvcc_reads")
+    if mvcc:
+        lines.append(
+            f"mvcc reads [read-heavy, {mvcc['episodes']} eps]: "
+            f"{mvcc['lock_free_reads']} "
+            f"reads served lock-free, sim makespan "
+            f"{mvcc['sim_makespan_locking_s']:.1f}s locking -> "
+            f"{mvcc['sim_makespan_mvcc_s']:.1f}s mvcc, "
+            f"{mvcc['mvcc_vs_locking_eps']:.2f}x eps/sec  "
+            f"(dominates={mvcc['mvcc_dominates']})")
     backend_sst = payload.get("backend_sst")
     if backend_sst:
         for run in backend_sst["runs"]:

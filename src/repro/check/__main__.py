@@ -8,7 +8,7 @@ Examples::
         --emit-test tests/check/test_regression_auto.py
     python -m repro.check --backend-differential --scheduler all \\
         --episodes 200 --jobs auto
-    python -m repro.check --federation-differential --scheduler all \\
+    python -m repro.check --mvcc-differential --scheduler all \\
         --episodes 200 --jobs auto
 
 ``--backend-differential`` switches from the oracle campaign to the
@@ -17,11 +17,10 @@ backend and any trace / permanent-state / commit-order-witness /
 invariant / LDBS-dump divergence fails the run (the CI
 ``backend-differential`` job).
 
-``--federation-differential`` runs every episode once per federation
-variant (monolith, 1/2/4 shards, 4 shards + MVCC reads): every
-non-MVCC federation must be trace-identical to the monolith, and every
-variant must pass the serializability oracle and the invariant sweep (the CI
-``federation-differential`` job).
+``--mvcc-differential`` runs every episode on the kernel and on its
+lock-free-READ subclass (``GTMConfig.mvcc_reads``): the two schedule
+differently, and each must pass the serializability oracle and the
+invariant sweep (a step of the CI ``stress-smoke`` job).
 
 ``--service-fuzz`` fuzzes the live-service layer instead of the bare
 schedulers: seeded chaos episodes drive :class:`GTMService` through
@@ -29,8 +28,7 @@ the clock/driver seam — drops, reconnects, token replays,
 exact-instant BTO expiries, outbox overflows, backend conflict bursts
 — and every episode must satisfy the wire contract, the service
 bookkeeping sweep, the GTM invariants, and the serializability oracle
-(the CI ``service-fuzz`` job).  ``--gtm-shards N`` pins the campaign
-to one federation layout (default: mixed monolith / 2-shard).
+(the CI ``service-fuzz`` job).
 
 Exit status 0 = every episode passed the serializability oracle and
 the invariant suite; 1 = at least one failure (the minimized episode
@@ -45,7 +43,7 @@ from pathlib import Path
 
 from repro.check.differential import (
     run_backend_differential_campaign,
-    run_federation_differential_campaign,
+    run_mvcc_differential_campaign,
 )
 from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig
 from repro.check.runner import (
@@ -98,22 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the memory-vs-SQLite LDBS backend "
                              "differential instead of the oracle "
                              "campaign; any divergence fails the run")
-    parser.add_argument("--federation-differential", action="store_true",
-                        help="run the monolith-vs-federated GTM "
-                             "differential: every non-MVCC federation "
-                             "must be trace-identical to the monolith "
-                             "and every variant must pass the "
-                             "serializability oracle and invariants")
+    parser.add_argument("--mvcc-differential", action="store_true",
+                        help="run every episode on the kernel and on "
+                             "its lock-free-READ subclass: each must "
+                             "pass the serializability oracle and the "
+                             "invariants")
     parser.add_argument("--service-fuzz", action="store_true",
                         help="fuzz the GTMService frame handler under "
                              "a virtual clock (drops, reconnects, BTO "
                              "expiries, outbox overflows, backend "
                              "faults) instead of the bare schedulers")
-    parser.add_argument("--gtm-shards", type=int, default=None,
-                        metavar="N",
-                        help="with --service-fuzz: serve every episode "
-                             "from N federated shards (0 = monolith; "
-                             "default mixes monolith and 2 shards)")
     parser.add_argument("--observe", action="store_true",
                         help="record per-episode metrics and print the "
                              "merged fleet table (digest-neutral: never "
@@ -187,7 +179,7 @@ def _run_differential(args: argparse.Namespace, schedulers: list[str],
 
 
 def _run_service_fuzz(args: argparse.Namespace) -> int:
-    config = ServiceFuzzConfig(gtm_shards=args.gtm_shards)
+    config = ServiceFuzzConfig()
     progress = None
     if not args.quiet:
         def progress(index: int, outcome: object,
@@ -235,10 +227,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run_differential(args, schedulers,
                                  run_backend_differential_campaign,
                                  "backend-diff")
-    if args.federation_differential:
+    if args.mvcc_differential:
         return _run_differential(args, schedulers,
-                                 run_federation_differential_campaign,
-                                 "federation-diff")
+                                 run_mvcc_differential_campaign,
+                                 "mvcc-diff")
     exit_code = 0
     for scheduler in schedulers:
         config = FuzzConfig(scheduler=scheduler,

@@ -26,6 +26,12 @@ paper's "ordinary ACID transactions against the LDBS" claim, proven
 against a real database.  Every divergence this mode finds is a bug to
 fix and pin, in the PR 2/PR 5 style.
 
+A third axis (``mode="mvcc"``) runs each GTM episode on the kernel and
+on :class:`~repro.core.mvcc.MVCCTransactionManager`.  Lock-free readers
+never queue, so the two schedules legitimately differ and are not
+compared; each must pass the invariant sweeps and the serializability
+oracle.
+
 Campaigns fan out across worker processes (``jobs=N``): each worker
 regenerates its episodes from the warm ``(config, seed)`` context and
 sends back only a verdict and a canonical SHA-256 digest of the full
@@ -74,28 +80,18 @@ BACKEND_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("sqlite", {"ldbs_backend": "sqlite"}),
 )
 
-#: (label, GTMConfig overrides) for the federation axis
-#: (``mode="federation"``): the monolith against federations at
-#: increasing shard counts, plus the MVCC read path.  Every variant is
-#: held to the serializability oracle and the invariant sweeps; the
-#: non-MVCC ones run the monolith's own code over one lock table, so
-#: they are also held to bit-identity with it.  MVCC reads never queue,
-#: so that variant legitimately schedules differently.
-FEDERATION_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("monolith", {"gtm_shards": 0}),
-    ("federated-1shard", {"gtm_shards": 1}),
-    ("federated-2shard", {"gtm_shards": 2}),
-    ("federated-4shard", {"gtm_shards": 4}),
-    ("federated-4shard-mvcc", {"gtm_shards": 4, "mvcc_reads": True}),
+#: (label, GTMConfig overrides) for the MVCC axis (``mode="mvcc"``):
+#: the kernel against its lock-free-READ subclass.  MVCC reads never
+#: queue, so that run legitimately schedules differently: it is not
+#: compared with the kernel's, but both are held to the serializability
+#: oracle and the invariant sweeps.
+MVCC_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
+    ("monolith", {}),
+    ("mvcc", {"mvcc_reads": True}),
 )
 
-#: Federation variants compared bit-for-bit against the monolith run.
-FEDERATION_IDENTITY_LABELS = frozenset(
-    label for label, overrides in FEDERATION_VARIANTS[1:]
-    if not overrides.get("mvcc_reads"))
-
 #: Comparison axes accepted by the campaign entry points.
-DIFFERENTIAL_MODES: tuple[str, ...] = ("engine", "backend", "federation")
+DIFFERENTIAL_MODES: tuple[str, ...] = ("engine", "backend", "mvcc")
 
 
 @dataclass
@@ -113,9 +109,9 @@ class VariantRun:
     #: the LDBS backend's committed state (``backend.dump()``), only
     #: populated in backend mode where SSTs write a real database.
     ldbs: dict[str, Any] | None = None
-    #: serializability-oracle violations (federation mode: the MVCC
-    #: run is not held to bit-identity, but its final state must still
-    #: be explained by some serial order).
+    #: serializability-oracle violations (mvcc mode: the MVCC run is
+    #: not held to bit-identity, but its final state must still be
+    #: explained by some serial order).
     oracle: list[str] = field(default_factory=list)
 
 
@@ -237,12 +233,14 @@ def compare_episode(spec: EpisodeSpec,
     variants against each other; ``mode="backend"`` compares the same
     engine with SSTs bound to each LDBS backend (in-memory vs SQLite),
     additionally diffing the commit-order witness and the backends'
-    committed LDBS state.  Baseline episodes compare two identical runs
-    (determinism) on either axis.  ``observe`` switches the
-    :mod:`repro.obs` layer on inside every variant run; traces exclude
-    obs artifacts, so the comparison (and its digest) must be
-    unchanged — CI's ``selfcheck`` job diffs campaign digests with
-    ``observe`` off vs on to prove it.
+    committed LDBS state; ``mode="mvcc"`` runs the kernel and its
+    lock-free-READ subclass and holds each to the serializability
+    oracle and the invariants, not to each other.  Baseline episodes
+    compare two identical runs (determinism) on every axis.  ``observe``
+    switches the :mod:`repro.obs` layer on inside every variant run;
+    traces exclude obs artifacts, so the comparison (and its digest)
+    must be unchanged — CI's ``selfcheck`` job diffs campaign digests
+    with ``observe`` off vs on to prove it.
     """
     if mode not in DIFFERENTIAL_MODES:
         raise WorkloadError(f"unknown differential mode {mode!r}; "
@@ -254,12 +252,12 @@ def compare_episode(spec: EpisodeSpec,
                                  _gtm_variant_scheduler(spec, o, observe,
                                                         bind_ldbs=True))
                     for label, overrides in BACKEND_VARIANTS]
-        elif mode == "federation":
+        elif mode == "mvcc":
             runs = [_run_variant(spec, label,
                                  lambda o=overrides:
                                  _gtm_variant_scheduler(spec, o, observe),
                                  oracle=True)
-                    for label, overrides in FEDERATION_VARIANTS]
+                    for label, overrides in MVCC_VARIANTS]
         else:
             runs = [_run_variant(spec, label,
                                  lambda o=overrides:
@@ -285,14 +283,11 @@ def compare_episode(spec: EpisodeSpec,
             comparison.diffs.append(f"{run.label}: oracle: {violation}")
     if any(run.crash for run in runs):
         return comparison
-    identity_runs = runs[1:]
-    if mode == "federation" and spec.scheduler == "gtm":
+    if mode == "mvcc" and spec.scheduler == "gtm":
         # lock-free readers never queue, so the MVCC run may
-        # legitimately schedule differently; every other federation is
-        # held to bit-identity with the monolith.
-        identity_runs = [run for run in runs[1:]
-                         if run.label in FEDERATION_IDENTITY_LABELS]
-    for run in identity_runs:
+        # legitimately schedule differently from the kernel's.
+        return comparison
+    for run in runs[1:]:
         if run.trace != baseline.trace:
             comparison.diffs.append(
                 f"{run.label} trace != {baseline.label} trace: "
@@ -356,7 +351,8 @@ def run_differential_campaign(
     """Run ``episodes`` seeded episodes through every variant.
 
     ``mode`` picks the comparison axis: conflict engines (``"engine"``,
-    the default) or LDBS backends (``"backend"``, in-memory vs SQLite).
+    the default), LDBS backends (``"backend"``, in-memory vs SQLite) or
+    READ paths (``"mvcc"``, locking vs lock-free).
     ``jobs`` shards episodes across worker processes; the merge runs in
     episode order with the serial early-stop rule, so the report and
     its rolling ``digest`` are identical for every ``jobs`` /
@@ -414,15 +410,15 @@ def run_backend_differential_campaign(
                                      mode="backend", **kwargs)
 
 
-def run_federation_differential_campaign(
+def run_mvcc_differential_campaign(
         config: FuzzConfig, seed: int, episodes: int,
         **kwargs: Any) -> DifferentialReport:
-    """The monolith-vs-federation campaign:
-    :func:`run_differential_campaign` with ``mode="federation"`` —
-    N-shard identity, MVCC oracle + invariants (the CI
-    ``federation-differential`` job)."""
+    """The monolith-vs-MVCC campaign:
+    :func:`run_differential_campaign` with ``mode="mvcc"`` — oracle +
+    invariants on both managers (a step of the CI ``stress-smoke``
+    job)."""
     return run_differential_campaign(config, seed, episodes,
-                                     mode="federation", **kwargs)
+                                     mode="mvcc", **kwargs)
 
 
 def _recompare_or_crash(config: FuzzConfig, seed: int, index: int,

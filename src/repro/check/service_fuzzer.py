@@ -25,8 +25,7 @@ One episode interleaves, on a single virtual timeline:
   executor's ``begin(write=True)`` raise
   :class:`~repro.errors.BackendConflictError`, so short bursts consume
   conflict retries and long bursts exhaust them into an SST failure;
-- the monolith or the federated (``gtm_shards``) manager, with or
-  without transaction/session retirement.
+- transaction/session retirement on or off.
 
 The verdict glue lives in :mod:`repro.check.service_oracle`; campaign
 fan-out mirrors :mod:`repro.check.runner` exactly (worker context,
@@ -56,7 +55,6 @@ from repro.check.service_oracle import (
     check_service_state,
     check_transcripts,
 )
-from repro.core.gtm import GTMConfig
 from repro.errors import BackendConflictError
 from repro.obs.registry import accumulate_snapshot
 from repro.parallel import ParallelMap, WorkerContext, WorkerCrash, \
@@ -124,7 +122,6 @@ class ServiceEpisodeSpec:
     clients: tuple[ServiceClientSpec, ...]
     bto_timeout: float | None = 8.0
     max_outbox: int = 1024
-    gtm_shards: int = 0
     backend: str | None = None
     #: 0-based ordinals of SST-executor ``begin(write=True)`` calls
     #: that raise BackendConflictError (consecutive ordinals form a
@@ -140,8 +137,6 @@ class ServiceEpisodeSpec:
             knobs.append(f"bto={self.bto_timeout:g}")
         if self.max_outbox < 1024:
             knobs.append(f"outbox={self.max_outbox}")
-        if self.gtm_shards:
-            knobs.append(f"shards={self.gtm_shards}")
         if self.backend:
             knobs.append(self.backend)
         if self.fault_calls:
@@ -162,16 +157,12 @@ class ServiceFuzzConfig:
     max_objects: int = 3
     max_txns_per_client: int = 3
     max_ops_per_txn: int = 3
-    #: None = mix monolith and 2-shard federation per episode;
-    #: an int forces every episode onto that shard count (0=monolith).
-    gtm_shards: int | None = None
     p_mul_domain: float = 0.3
     p_no_bto: float = 0.15
     p_tiny_outbox: float = 0.25
     p_backend: float = 0.35
     p_sqlite: float = 0.25
     p_faults: float = 0.5
-    p_federated: float = 0.35
     p_retire: float = 0.3
     #: Chance a client keeps two transactions open at once and
     #: interleaves their ops — the only way to open the
@@ -192,8 +183,6 @@ class ServiceFuzzConfig:
                 or self.max_txns_per_client < 1 \
                 or self.max_ops_per_txn < 1:
             raise ValueError("ServiceFuzzConfig bounds must be >= 1")
-        if self.gtm_shards is not None and self.gtm_shards < 0:
-            raise ValueError("gtm_shards must be >= 0 or None")
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +246,6 @@ def generate_service_episode(config: ServiceFuzzConfig, seed: int,
                 faults.update(range(start,
                                     start + int(rng.integers(1, 5))))
             fault_calls = tuple(sorted(faults))
-    if config.gtm_shards is not None:
-        gtm_shards = config.gtm_shards
-    else:
-        gtm_shards = (2 if float(rng.random()) < config.p_federated
-                      else 0)
     retire_finished = float(rng.random()) < config.p_retire
 
     clients = []
@@ -272,7 +256,7 @@ def generate_service_episode(config: ServiceFuzzConfig, seed: int,
     return ServiceEpisodeSpec(
         seed=int(seed), index=int(index), objects=tuple(objects),
         clients=tuple(clients), bto_timeout=bto_timeout,
-        max_outbox=max_outbox, gtm_shards=gtm_shards, backend=backend,
+        max_outbox=max_outbox, backend=backend,
         fault_calls=fault_calls, retire_finished=retire_finished)
 
 
@@ -484,12 +468,10 @@ class _EpisodeRunner:
     def __init__(self, spec: ServiceEpisodeSpec) -> None:
         self.spec = spec
         self.engine = SimulationEngine()
-        gtm_config = (GTMConfig(gtm_shards=spec.gtm_shards)
-                      if spec.gtm_shards else None)
         self.service = GTMService(self.engine, config=ServiceConfig(
             bto_timeout=spec.bto_timeout, max_outbox=spec.max_outbox,
             retire_finished=spec.retire_finished,
-            ldbs_backend=spec.backend, gtm_config=gtm_config))
+            ldbs_backend=spec.backend))
         self.metrics = self.service.metrics
         if spec.fault_calls:
             executor = getattr(self.service.gtm, "sst_executor", None)

@@ -168,9 +168,8 @@ def shrink_service_episode(spec, still_fails,
 
     Greedy passes to a fixpoint: drop whole clients, drop individual
     client actions, drop injected backend faults, reset chaos knobs
-    (shards, backend, retirement, outbox bound) to their tame
-    defaults, prune unreferenced objects.  ``still_fails(spec)`` must
-    be True on entry.
+    (backend, retirement, outbox bound) to their tame defaults, prune
+    unreferenced objects.  ``still_fails(spec)`` must be True on entry.
     """
     current = _prune_service_objects(spec)
     if not still_fails(current):
@@ -239,7 +238,6 @@ def _tame_service_knobs(spec, still_fails):
     changed = False
     for candidate in (
             replace(spec, retire_finished=False),
-            replace(spec, gtm_shards=0),
             replace(spec, max_outbox=1024),
             replace(spec, backend=None, fault_calls=()),
             replace(spec, backend="memory")):

@@ -119,7 +119,7 @@ class AdmissionController:
         self._clock = clock
         self._abort_txn = abort_txn
         #: tick-batched re-policing state: objects dirtied by ⟨unlock,X⟩
-        #: while a facade tick is open, swept once at ``end_tick``.
+        #: while a facade tick is open, swept once when it closes.
         self._repolice_queue: list[ManagedObject] = []
         self._tick_depth = 0
         self._flushing = False
@@ -454,8 +454,8 @@ class AdmissionController:
         self.bus.on_pump(obj, len(candidates), tuple(granted), overtakes,
                          now)
         if self._tick_depth > 0:
-            # tick-batched: sweep once at end_tick, however many unlock
-            # events dirtied this object within the facade call.
+            # tick-batched: sweep once when the tick closes, however many
+            # unlock events dirtied this object within the facade call.
             if not obj.repolice_queued:
                 obj.repolice_queued = True
                 self._repolice_queue.append(obj)
@@ -467,23 +467,13 @@ class AdmissionController:
     # tick batching — one re-police sweep per dirtied object per tick
     # ------------------------------------------------------------------
 
-    def begin_tick(self) -> None:
-        """Open a facade tick: defer re-police sweeps until ``end_tick``."""
-        self._tick_depth += 1
-
-    def end_tick(self) -> None:
-        """Close a facade tick; the outermost close drains the queue."""
-        self._tick_depth -= 1
-        if self._tick_depth == 0:
-            self.flush_repolice()
-
     def flush_repolice(self) -> None:
         """Sweep every queued object once, including sweep-added ones.
 
         A sweep can abort a deadlock victim, whose teardown re-enters the
         facade (nested ticks) and may dirty further objects; those append
         to the queue and the index loop picks them up.  The ``_flushing``
-        guard keeps the nested ``end_tick`` from starting a second drain
+        guard keeps the nested tick's close from starting a second drain
         of the same queue.
         """
         if self._flushing:

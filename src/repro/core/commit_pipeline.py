@@ -62,8 +62,8 @@ class CommitPipeline:
         self.deferred: dict[str, list[str]] = {}
         self.sst_reports: list[SSTReport] = []
         #: Called as ``on_externalize(txn_id, involved)`` right after a
-        #: commit is announced: the federation's commit-order logs and
-        #: version rings.  None for the monolith.
+        #: commit is announced: the MVCC manager's csn and version
+        #: rings.  None for the plain kernel.
         self._on_externalize = on_externalize
 
     def _involved(self, txn: GTMTransaction) -> list[ManagedObject]:

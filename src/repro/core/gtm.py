@@ -68,8 +68,8 @@ def _ticked(method):
     """
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
-        # begin/end_tick inlined: this wraps every facade call, and the
-        # counter twiddles are not worth two method calls apiece.
+        # the counter twiddles are inline: this wraps every facade call,
+        # and they are not worth two method calls apiece.
         admission = self.admission
         admission._tick_depth += 1
         try:
@@ -107,31 +107,21 @@ class GTMConfig:
     #: schedulers, the check harness and the service; the backends are
     #: proven state-identical by the backend-differential campaign.
     ldbs_backend: str = "memory"
-    #: GTM federation shards: 0 keeps the plain manager; N >= 1 builds
-    #: a :class:`repro.federation.FederatedTransactionManager` — this
-    #: same kernel plus N object partitions, each with its own
-    #: commit-order log under one commitment-ordering certifier.
-    #: Consumed by ``build_transaction_manager`` — this class ignores
-    #: it.  The federation differential asserts every non-MVCC shard
-    #: count is trace-identical to this class.
-    gtm_shards: int = 0
-    #: Federation-only: admit the READ class without ever entering the
-    #: wait queue, against a ring of recent committed versions
-    #: (multi-version ``X_permanent``).  Implies a 1-shard federation
-    #: when ``gtm_shards`` is 0.
+    #: Admit the READ class without a lock and without ever entering
+    #: the wait queue: every lock-free read of a transaction is served
+    #: from one snapshot of the commit order, out of a ring of recent
+    #: committed versions per object (:mod:`repro.core.mvcc`).  Consumed
+    #: by ``build_transaction_manager`` — this class ignores it.
     mvcc_reads: bool = False
-    #: Committed versions retained per object for MVCC reads; a reader
-    #: whose pinned snapshot falls off the ring aborts (snapshot-too-old).
-    version_ring: int = 8
 
 
 class GlobalTransactionManager:
     """The paper's middleware: pre-serialization over virtual data.
 
     Every Algorithm 1-11 step is written here (or in the subsystems this
-    class wires), once.  :class:`repro.federation.FederatedTransactionManager`
-    subclasses it and adds only partition state: ``_externalize`` is its
-    seam into the commit pipeline.
+    class wires), once.  :class:`repro.core.mvcc.MVCCTransactionManager`
+    subclasses it and adds only the lock-free READ path: ``_externalize``
+    is its seam into the commit pipeline.
     """
 
     #: Commit externalization callback handed to the commit pipeline;

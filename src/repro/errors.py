@@ -183,10 +183,10 @@ class ReconciliationError(GTMError):
 
 class CertificationError(GTMError):
     """Commitment-ordering certification rejected a transaction: its
-    commit (or snapshot promotion) would invert an order another
-    transaction already externalized.  Raised by the federation
-    coordinator; schedulers observe it as an abort with a
-    ``certification-*`` reason."""
+    snapshot promotion would contradict an order another transaction
+    already externalized.  Raised by the MVCC manager's certifier;
+    schedulers observe it as an abort with a ``certification-*``
+    reason."""
 
     def __init__(self, txn_id: str, reason: str = "") -> None:
         self.txn_id = txn_id

@@ -1,20 +1,20 @@
 """Multi-version permanent state: a ring of recent committed versions.
 
-The monolithic GTM keeps exactly one ``X_permanent`` image per object;
+The GTM kernel keeps exactly one ``X_permanent`` image per object;
 every READ must therefore take (at least) a semantic lock so the image
-cannot change under it.  The federation's MVCC read path instead pins a
-*commit sequence number* (csn) per shard and reads the newest committed
-version at or below the pin — never blocking, never entering the wait
-queue ("Rethinking serializable multiversion concurrency control" is
-the motivating design; the pin is the read timestamp).
+cannot change under it.  The MVCC read path (:mod:`repro.core.mvcc`)
+instead pins a *commit sequence number* (csn) and reads the newest
+committed version at or below the pin — never blocking, never entering
+the wait queue ("Rethinking serializable multiversion concurrency
+control" is the motivating design; the pin is the read timestamp).
 
-Versions are published only at the single externalization point of the
-federation coordinator (one append per committed transaction per
-object), so a ring is always csn-monotonic by construction.  Capacity
-is deliberately small: a reader that outlives ``capacity`` commits on
-one object gets :class:`~repro.errors.SnapshotTooOld` and the
-coordinator aborts it — the classic MVCC trade of abort-on-ancient
-instead of unbounded version retention.
+Versions are published only at the manager's single externalization
+point (one append per committed transaction per object), so a ring is
+always csn-monotonic by construction.  Capacity is deliberately small:
+a reader that outlives :data:`RING_CAPACITY` commits on one object gets
+:class:`~repro.errors.SnapshotTooOld` and the manager aborts it — the
+classic MVCC trade of abort-on-ancient instead of unbounded version
+retention.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ from typing import Any, Iterator, Mapping
 
 from repro.errors import GTMError, SnapshotTooOld
 
-__all__ = ["Version", "VersionRing", "VersionStore"]
+__all__ = ["RING_CAPACITY", "Version", "VersionRing", "VersionStore"]
+
+#: Committed versions retained per object.
+RING_CAPACITY = 8
 
 
 class Version:
@@ -48,7 +51,8 @@ class VersionRing:
 
     __slots__ = ("object_name", "capacity", "_versions")
 
-    def __init__(self, object_name: str, capacity: int = 8) -> None:
+    def __init__(self, object_name: str,
+                 capacity: int = RING_CAPACITY) -> None:
         if capacity < 1:
             raise GTMError(
                 f"version ring capacity must be >= 1, got {capacity}")
@@ -94,11 +98,11 @@ class VersionRing:
 
 
 class VersionStore:
-    """Per-object version rings (csns come from the owning partition)."""
+    """Per-object version rings (csns come from the manager)."""
 
     __slots__ = ("capacity", "rings")
 
-    def __init__(self, capacity: int = 8) -> None:
+    def __init__(self, capacity: int = RING_CAPACITY) -> None:
         self.capacity = capacity
         self.rings: dict[str, VersionRing] = {}
 

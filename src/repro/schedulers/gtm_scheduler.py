@@ -35,12 +35,12 @@ from repro.core.gtm import (
     GTMObserver,
     GrantOutcome,
 )
+from repro.core.mvcc import build_transaction_manager
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
 from repro.core.transaction import GTMTransaction
-from repro.federation import build_transaction_manager
 from repro.ldbs.backend import LDBSBackend, create_backend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.metrics.collectors import MetricsCollector, TimelineObserver

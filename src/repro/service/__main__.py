@@ -25,17 +25,15 @@ async def _serve(args: argparse.Namespace) -> int:
     service = GTMService(driver, config=ServiceConfig(
         bto_timeout=args.bto_timeout,
         ldbs_backend=args.backend,
-        gtm_config=GTMConfig(gtm_shards=args.gtm_shards,
-                             mvcc_reads=args.mvcc_reads)))
+        gtm_config=GTMConfig(mvcc_reads=args.mvcc_reads)))
     for index in range(args.objects):
         service.create_object(f"o{index:05d}", value=args.initial_value)
     server = ServiceServer(service)
     host, port = await server.start_tcp(args.host, args.port)
     backend = args.backend or "none (virtual objects)"
-    shards = args.gtm_shards or "monolith"
     print(f"gtm service listening on {host}:{port} "
           f"({args.objects} objects, bto={args.bto_timeout}s, "
-          f"ldbs backend: {backend}, gtm shards: {shards}, "
+          f"ldbs backend: {backend}, "
           f"mvcc reads: {'on' if args.mvcc_reads else 'off'})",
           flush=True)
     stop = asyncio.Event()
@@ -66,14 +64,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="run commits as real SSTs against this "
                              "LDBS backend (default: virtual objects, "
                              "no SSTs)")
-    parser.add_argument("--gtm-shards", type=int, default=0,
-                        help="partition managed objects across this "
-                             "many federated GTM shards (default 0 = "
-                             "the monolithic GTM)")
     parser.add_argument("--mvcc-reads", action="store_true",
                         help="serve the READ class lock-free from "
-                             "versioned permanent state (implies at "
-                             "least one shard)")
+                             "versioned permanent state")
     args = parser.parse_args(argv)
     return asyncio.run(_serve(args))
 

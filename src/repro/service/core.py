@@ -37,12 +37,12 @@ from repro.errors import (
 )
 from repro.core.events import GTMObserver
 from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
+from repro.core.mvcc import build_transaction_manager
 from repro.core.objects import ObjectBinding
 from repro.core.opclass import OperationClass
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
 from repro.ldbs.backend import LDBSBackend, create_backend
-from repro.federation import build_transaction_manager
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.obs.registry import MetricsRegistry
 from repro.service.protocol import build_invocation, error_frame
@@ -85,9 +85,8 @@ class ServiceConfig:
     #: no SST).  None keeps the whole service virtual.
     ldbs_backend: str | None = None
     #: Protocol knobs for a service-built GTM (ignored when an explicit
-    #: ``gtm`` is passed in).  ``GTMConfig(gtm_shards=N)`` serves the
-    #: object space from N federated shards; ``mvcc_reads=True`` makes
-    #: the READ class never-blocking (see docs/PERFORMANCE.md §10).
+    #: ``gtm`` is passed in).  ``GTMConfig(mvcc_reads=True)`` makes the
+    #: READ class never-blocking (see docs/PERFORMANCE.md §10).
     gtm_config: GTMConfig | None = None
 
 
@@ -154,6 +153,8 @@ class GTMService:
         #: txn id whose direct reply is being produced right now; its
         #: own outcome push is suppressed (the reply covers it).
         self._responding_txn: str | None = None
+        #: why the kernel aborted ``_responding_txn``, for that reply.
+        self._responding_reason = ""
         #: finished txn ids awaiting retirement (config.retire_finished).
         self._retire: list[str] = []
         self._shutting_down = False
@@ -425,10 +426,7 @@ class GTMService:
                 # transaction that no longer exists.  Its outcome push
                 # was suppressed (we are its direct reply), so report
                 # the abort here.
-                self.metrics.counter("service_deadlock_aborts").inc()
-                self._reply(session, {
-                    "type": "aborted", "txn": txn_id,
-                    "reason": "deadlock"}, fid)
+                self._reply_op_aborted(session, txn_id, fid)
             elif txn.is_in(_TS.ACTIVE):
                 # The same end-of-tick cascade can instead *grant* the
                 # just-queued request (a victim's teardown pumped the
@@ -450,11 +448,21 @@ class GTMService:
                     "type": "queued", "txn": txn_id,
                     "object": object_name,
                     "member": invocation.member}, fid)
-        else:  # GrantOutcome.ABORTED — deadlock victim
-            self.metrics.counter("service_deadlock_aborts").inc()
-            self._reply(session, {
-                "type": "aborted", "txn": txn_id,
-                "reason": "deadlock"}, fid)
+        else:  # GrantOutcome.ABORTED
+            self._reply_op_aborted(session, txn_id, fid)
+
+    def _reply_op_aborted(self, session: Session, txn_id: str,
+                          fid: Any) -> None:
+        """The kernel aborted the transaction inside ``invoke``: answer
+        with its reason — a deadlock victim or, under ``mvcc_reads``, a
+        stale or evicted snapshot — and count it under that reason."""
+        reason = self._responding_reason
+        if reason == "deadlock-victim":
+            reason = "deadlock"  # the wire's name for it
+        self.metrics.counter(
+            f"service_{reason.replace('-', '_')}_aborts").inc()
+        self._reply(session, {"type": "aborted", "txn": txn_id,
+                              "reason": reason}, fid)
 
     def _handle_commit(self, session: Session, frame: dict[str, Any],
                        fid: Any) -> None:
@@ -631,6 +639,7 @@ class GTMService:
             return
         session.txns.discard(txn_id)
         if self._responding_txn == txn_id:
+            self._responding_reason = reason
             return  # the direct reply carries the outcome
         if not session.connected:
             # Unreachable: hold the outcome for the reconnect welcome.

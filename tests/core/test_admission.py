@@ -31,6 +31,16 @@ class TestLockTable:
         with pytest.raises(GTMError):
             LockTable().get("missing")
 
+    def test_iteration_follows_registration_order(self):
+        """Not name order: what keeps reports and final-value dumps
+        byte-stable."""
+        names = ["obj-7", "obj-30", "obj-1", "obj-12", "obj-4"]
+        gtm = GlobalTransactionManager()
+        for name in names:
+            gtm.create_object(name, value=0)
+        assert [obj.name for obj in gtm.lock_table.values()] == names
+        assert list(gtm.objects) == names
+
 
 def make_gtm():
     gtm = GlobalTransactionManager()

@@ -2,9 +2,9 @@
 
 ``X_committed`` keeps a commit record only while some transaction
 sleeps on X.  Random interleavings of invoke / commit / sleep / awake /
-abort on one object are replayed against the monolith and against the
-federation (each has its own copy of the commit loop, the second with
-its lock-free MVCC read path on); the test keeps the *unpruned* history
+abort on one object are replayed against the kernel and against its
+MVCC subclass (the lock-free read path on); the test keeps the
+*unpruned* history
 itself, from the commit notifications, and at every ⟨awake⟩ the
 predicate must answer the same on both lists.  The clock is the test's
 and often stands still, so ``X_tc == A_t_sleep`` ties are exercised.
@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.events import GTMObserver
-from repro.core.gtm import GlobalTransactionManager, GTMConfig
+from repro.core.gtm import GlobalTransactionManager
+from repro.core.mvcc import MVCCTransactionManager
 from repro.core.objects import CommitRecord
 from repro.core.opclass import add, assign, multiply, read
 from repro.core.states import TransactionState
-from repro.federation.manager import FederatedTransactionManager
 
 _S = TransactionState
 
@@ -51,10 +51,8 @@ def build_monolith(clock, observer):
     return gtm, gtm.sleep_manager
 
 
-def build_federation(clock, observer):
-    gtm = FederatedTransactionManager(
-        GTMConfig(gtm_shards=2, mvcc_reads=True),
-        clock=clock, observer=observer)
+def build_mvcc(clock, observer):
+    gtm = MVCCTransactionManager(clock=clock, observer=observer)
     return gtm, gtm.sleep_manager
 
 
@@ -113,7 +111,7 @@ class Driver:
         assert obj.sleeping or not obj.committed
 
 
-@pytest.mark.parametrize("build", [build_monolith, build_federation])
+@pytest.mark.parametrize("build", [build_monolith, build_mvcc])
 @settings(max_examples=150, deadline=None)
 @given(steps)
 def test_pruned_history_gives_the_same_awake_verdicts(build, actions):

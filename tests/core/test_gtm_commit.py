@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
+from repro.core.mvcc import build_transaction_manager
 from repro.core.opclass import add, assign, multiply, read, subtract
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
-from repro.federation import build_transaction_manager
 from repro.ldbs.backend import create_backend
 
 _S = TransactionState
@@ -252,10 +252,10 @@ class TestEmptyCommit:
     nothing commits trivially — under *both* managers, since both run
     the one commit pipeline."""
 
-    @pytest.fixture(params=[0, 1, 4], ids=["monolith", "fed-1", "fed-4"])
+    @pytest.fixture(params=[False, True], ids=["monolith", "mvcc"])
     def gtm(self, request):
         gtm = build_transaction_manager(
-            GTMConfig(gtm_shards=request.param),
+            GTMConfig(mvcc_reads=request.param),
             sst_executor=SSTExecutor(create_backend("memory")))
         gtm.create_object("X", value=100)
         return gtm

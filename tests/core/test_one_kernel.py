@@ -2,7 +2,7 @@
 
 Algorithms 1-11 are written once, in
 :class:`~repro.core.gtm.GlobalTransactionManager` and the subsystems it
-wires; the federation inherits them.  These tests fail the moment a
+wires; the MVCC subclass inherits them.  These tests fail the moment a
 second copy of a driver, a second subsystem construction site, or a
 second ``X_committed`` writer appears.
 """
@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.core.gtm import GlobalTransactionManager
-from repro.federation import FederatedTransactionManager
+from repro.core.mvcc import MVCCTransactionManager
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -35,8 +35,9 @@ def _call_sites(pattern: str) -> list[str]:
 
 @pytest.mark.parametrize("name", KERNEL_DRIVERS)
 def test_the_federation_defines_no_algorithm_driver(name):
-    assert issubclass(FederatedTransactionManager, GlobalTransactionManager)
-    assert getattr(FederatedTransactionManager, name) \
+    # "federation": the subclass's former name, kept in this test's id.
+    assert issubclass(MVCCTransactionManager, GlobalTransactionManager)
+    assert getattr(MVCCTransactionManager, name) \
         is getattr(GlobalTransactionManager, name)
 
 

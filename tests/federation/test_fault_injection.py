@@ -21,7 +21,7 @@ from repro.check.fuzzer import FuzzConfig, episode_workload, \
     generate_episode
 from repro.check.oracle import check_episode, record_gtm
 from repro.core.gtm import GTMConfig
-from repro.federation.certifier import CommitmentOrderCertifier
+from repro.core.mvcc import CommitmentOrderCertifier
 from repro.schedulers.gtm_scheduler import GTMScheduler, \
     GTMSchedulerConfig
 
@@ -40,7 +40,7 @@ CONTROL_EPISODES = 60
 def _run_episode(index):
     spec = generate_episode(CONFIG, SEED, index)
     scheduler = GTMScheduler(GTMSchedulerConfig(
-        gtm_config=GTMConfig(gtm_shards=4, mvcc_reads=True),
+        gtm_config=GTMConfig(mvcc_reads=True),
         wait_timeout=spec.wait_timeout))
     scheduler.run(episode_workload(spec))
     return scheduler.last_gtm
@@ -51,8 +51,8 @@ def broken_certifier(monkeypatch):
     """Disable promotion validation in every certifier built below."""
     original = CommitmentOrderCertifier.__init__
 
-    def sabotaged(self, shard_count, validate_promotions=True):
-        original(self, shard_count, validate_promotions=False)
+    def sabotaged(self, validate_promotions=True):
+        original(self, validate_promotions=False)
 
     monkeypatch.setattr(CommitmentOrderCertifier, "__init__", sabotaged)
 

@@ -1,25 +1,25 @@
 """Never-blocking MVCC reads: the lock-free path and its promotion.
 
-Direct exercises of the federation's READ fast path: reads are granted
-without entering the wait queue even against an incompatible holder,
-all of a transaction's reads observe one pinned cut of history,
+Direct exercises of the MVCC manager's READ fast path: reads are
+granted without entering the wait queue even against an incompatible
+holder, all of a transaction's reads observe one pinned cut of history,
 readers that outlive the version ring abort (snapshot-too-old), a
 reader promoting its snapshot into a write is certified against the
 commit order (abort when stale, grant when current), and pure readers
-commit without touching the commit-order logs.
+commit without publishing a version.
 """
 
 import pytest
 
 from repro.core.gtm import GrantOutcome, GTMConfig
+from repro.core.mvcc import build_transaction_manager
 from repro.core.opclass import add, assign, delete_object, read
 from repro.errors import GTMError
-from repro.federation import build_transaction_manager
+from repro.ldbs.versions import RING_CAPACITY
 
 
-def _mvcc(shards=1, **overrides):
-    return build_transaction_manager(
-        GTMConfig(gtm_shards=shards, mvcc_reads=True, **overrides))
+def _mvcc():
+    return build_transaction_manager(GTMConfig(mvcc_reads=True))
 
 
 def _commit_update(gtm, txn_id, name, invocation):
@@ -33,7 +33,7 @@ def _commit_update(gtm, txn_id, name, invocation):
 def test_read_never_enters_the_wait_queue():
     """Table I queues READ behind a structural holder; the MVCC path
     serves it from the version ring instead."""
-    locking = build_transaction_manager(GTMConfig(gtm_shards=1))
+    locking = build_transaction_manager()
     for gtm in (locking, _mvcc()):
         gtm.create_object("x", value=7)
         gtm.begin("w")
@@ -63,19 +63,22 @@ def test_reads_observe_one_pinned_cut():
 
 
 def test_reader_outliving_the_ring_aborts_snapshot_too_old():
-    gtm = _mvcc(version_ring=1)
+    gtm = _mvcc()
     gtm.create_object("x", value=1)
     gtm.begin("r")
     assert gtm.invoke("r", "x", read()) == GrantOutcome.GRANTED
-    _commit_update(gtm, "w", "x", add(1))  # evicts the pinned csn 0
+    for index in range(RING_CAPACITY - 1):
+        _commit_update(gtm, f"w{index}", "x", add(1))
+    assert gtm.invoke("r", "x", read()) == GrantOutcome.GRANTED
+    _commit_update(gtm, "last", "x", add(1))  # evicts the pinned csn 0
     assert gtm.invoke("r", "x", read()) == GrantOutcome.ABORTED
     assert gtm.transaction("r").state.value == "aborted"
 
 
 def test_stale_snapshot_promotion_is_certified_and_aborted():
     """A lock-free reader writing its read object after another commit
-    superseded the pin would externalize an inverted order — the
-    certifier rejects the promotion and the coordinator aborts."""
+    superseded the pin would contradict the commit order — the
+    certifier rejects the promotion and the manager aborts."""
     gtm = _mvcc()
     gtm.create_object("x", value=1)
     gtm.begin("r")
@@ -122,13 +125,17 @@ def test_read_your_writes_uses_the_virtual_copy():
 
 
 def test_pure_readers_commit_without_externalizing():
-    gtm = _mvcc(shards=2)
+    """A pure lock-free reader takes its place in the commit order and
+    publishes nothing."""
+    gtm = _mvcc()
     gtm.create_object("x", value=5)
     gtm.begin("r")
     gtm.invoke("r", "x", read())
     gtm.request_commit("r")
     assert gtm.transaction("r").state.value == "committed"
-    assert all(not log for log in gtm.certifier.commit_logs)
+    assert gtm.certifier.csn == len(gtm.history.commit_order) == 1
+    assert gtm.certifier.object_csn == {}
+    assert [version.csn for version in gtm.versions.ring("x")] == [0]
     assert gtm.certifier.served_version("r", "x") is None  # forgotten
 
 

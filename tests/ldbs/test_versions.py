@@ -1,8 +1,8 @@
 """Multi-version permanent state: ring semantics the MVCC path rests on.
 
-The federation's lock-free READ serves ``ring.as_of(pin)`` — these
+The MVCC manager's lock-free READ serves ``ring.as_of(pin)`` — these
 tests pin the ring's csn monotonicity, bounded retention (the
-snapshot-too-old trade), the as-of lookup, and the per-shard
+snapshot-too-old trade), the as-of lookup, and the
 :class:`VersionStore` seeding/publication discipline.
 """
 

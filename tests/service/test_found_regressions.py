@@ -11,8 +11,6 @@ Provenance of the shrunk specs: campaign seed 42, default
 :class:`~repro.check.service_fuzzer.ServiceFuzzConfig`.
 """
 
-import pytest
-
 from repro.check.service_fuzzer import (
     ClientActionSpec,
     ServiceClientSpec,
@@ -57,7 +55,7 @@ def test_reconnect_replays_grant_held_across_outage():
             ClientActionSpec(at=6.181, kind="reconnect"),
             ClientActionSpec(at=6.386, kind="commit", txn="c0t1"),
         )),),
-        bto_timeout=None, gtm_shards=2, backend="memory")
+        bto_timeout=None, backend="memory")
     outcome = run_service_episode(spec)
     assert outcome.ok, outcome.summary()
     # the held grant is replayed on the reconnect stream, after welcome
