@@ -73,12 +73,9 @@ GTM_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
     ("bitmask", {"conflict_engine": "bitmask"}),
 )
 
-#: (label, GTMConfig overrides) for each LDBS backend under comparison
-#: (``mode="backend"``): same engine, SSTs bound to different databases.
-BACKEND_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("memory", {"ldbs_backend": "memory"}),
-    ("sqlite", {"ldbs_backend": "sqlite"}),
-)
+#: The LDBS backends under comparison (``mode="backend"``): same engine,
+#: SSTs bound to different databases.  The name is the variant's label.
+BACKEND_VARIANTS: tuple[str, ...] = ("memory", "sqlite")
 
 #: (label, GTMConfig overrides) for the MVCC axis (``mode="mvcc"``):
 #: the kernel against its lock-free-READ subclass.  MVCC reads never
@@ -181,13 +178,13 @@ def comparison_digest(comparison: EpisodeComparison) -> str:
 def _gtm_variant_scheduler(spec: EpisodeSpec,
                            overrides: dict[str, Any],
                            observe: "bool | ObsConfig" = False,
-                           bind_ldbs: bool = False) -> GTMScheduler:
+                           ldbs_backend: str | None = None) -> GTMScheduler:
     from repro.check.runner import OBSERVE_DEFAULT
     obs = OBSERVE_DEFAULT if observe is True else (observe or None)
     return GTMScheduler(GTMSchedulerConfig(
         gtm_config=GTMConfig(**overrides),
         wait_timeout=spec.wait_timeout,
-        bind_ldbs=bind_ldbs,
+        ldbs_backend=ldbs_backend,
         obs=obs))
 
 
@@ -247,11 +244,11 @@ def compare_episode(spec: EpisodeSpec,
                             f"expected one of {DIFFERENTIAL_MODES}")
     if spec.scheduler == "gtm":
         if mode == "backend":
-            runs = [_run_variant(spec, label,
-                                 lambda o=overrides:
-                                 _gtm_variant_scheduler(spec, o, observe,
-                                                        bind_ldbs=True))
-                    for label, overrides in BACKEND_VARIANTS]
+            runs = [_run_variant(spec, name,
+                                 lambda b=name:
+                                 _gtm_variant_scheduler(spec, {}, observe,
+                                                        ldbs_backend=b))
+                    for name in BACKEND_VARIANTS]
         elif mode == "mvcc":
             runs = [_run_variant(spec, label,
                                  lambda o=overrides:

@@ -1,31 +1,11 @@
-"""GTM event vocabulary and observer plumbing (paper Section IV).
+"""The GTM's observer stream (paper Section IV).
 
-Two things live here:
-
-1. the ⟨...⟩ *event dataclasses* — the wire format between workload
-   drivers / schedulers and the
-   :class:`~repro.core.gtm.GlobalTransactionManager`;
-2. the *observer stream*: :class:`GTMObserver` (the hook contract) and
-   :class:`EventBus` (a fan-out multiplexer that isolates the GTM from
-   misbehaving observers).
-
-Every event the paper lists is present:
-
-====================  =========================================
-Paper notation        Class
-====================  =========================================
-⟨begin, A⟩            :class:`Begin`
-⟨op, X, A⟩            :class:`Invoke`
-⟨commit, X, A⟩        :class:`LocalCommit`
-⟨commit, A⟩           :class:`GlobalCommit`
-⟨abort, X, A⟩         :class:`LocalAbort`
-⟨abort, A⟩            :class:`GlobalAbort`
-⟨sleep, X, A⟩         :class:`LocalSleep`
-⟨sleep, A⟩            :class:`GlobalSleep`
-⟨awake, X, A⟩         :class:`LocalAwake`
-⟨awake, A⟩            :class:`GlobalAwake`
-⟨unlock, X⟩           :class:`Unlock`
-====================  =========================================
+:class:`GTMObserver` is the hook contract — one hook per thing the GTM
+announces while it runs the ⟨...⟩ events of Algorithms 1-11 — and
+:class:`EventBus` the fan-out multiplexer that isolates the GTM from
+misbehaving observers.  The events themselves have no objects: each is
+a method of :class:`~repro.core.gtm.GlobalTransactionManager`
+(``docs/PROTOCOL.md`` lists event against method).
 """
 
 from __future__ import annotations
@@ -321,127 +301,3 @@ class EventBus(GTMObserver):
                 fn(obj, refreshed, now)
             except Exception as exc:  # noqa: BLE001
                 self._record("on_repolice", fn, exc)
-
-
-@dataclass(frozen=True)
-class GTMEvent:
-    """Base class for all GTM events."""
-
-
-@dataclass(frozen=True)
-class Begin(GTMEvent):
-    """⟨begin, A⟩ — transaction A starts."""
-
-    txn_id: str
-
-
-@dataclass(frozen=True)
-class Invoke(GTMEvent):
-    """⟨op, X, A⟩ — A requests the grant for an operation on X."""
-
-    txn_id: str
-    object_name: str
-    invocation: Invocation
-
-
-@dataclass(frozen=True)
-class LocalCommit(GTMEvent):
-    """⟨commit, X, A⟩ — A asks object X to reconcile and stage its value."""
-
-    txn_id: str
-    object_name: str
-
-
-@dataclass(frozen=True)
-class GlobalCommit(GTMEvent):
-    """⟨commit, A⟩ — A commits globally (triggers the SST)."""
-
-    txn_id: str
-
-
-@dataclass(frozen=True)
-class LocalAbort(GTMEvent):
-    """⟨abort, X, A⟩ — A abandons its work on X."""
-
-    txn_id: str
-    object_name: str
-
-
-@dataclass(frozen=True)
-class GlobalAbort(GTMEvent):
-    """⟨abort, A⟩ — A aborts globally."""
-
-    txn_id: str
-
-
-@dataclass(frozen=True)
-class LocalSleep(GTMEvent):
-    """⟨sleep, X, A⟩ — object X learns that A went to sleep."""
-
-    txn_id: str
-    object_name: str
-
-
-@dataclass(frozen=True)
-class GlobalSleep(GTMEvent):
-    """⟨sleep, A⟩ — A transitions to the Sleeping state."""
-
-    txn_id: str
-
-
-@dataclass(frozen=True)
-class LocalAwake(GTMEvent):
-    """⟨awake, X, A⟩ — object X re-validates the sleeper A."""
-
-    txn_id: str
-    object_name: str
-
-
-@dataclass(frozen=True)
-class GlobalAwake(GTMEvent):
-    """⟨awake, A⟩ — A leaves the Sleeping state."""
-
-    txn_id: str
-
-
-@dataclass(frozen=True)
-class Unlock(GTMEvent):
-    """⟨unlock, X⟩ — X has no pending operations; waiters may be granted."""
-
-    object_name: str
-
-
-def dispatch_event(gtm: Any, event: GTMEvent) -> Any:
-    """Drive a GTM facade with one ⟨...⟩ event object.
-
-    Event-sourced drivers (e.g. replaying a recorded trace) can feed the
-    GTM the paper's event vocabulary directly instead of calling the
-    per-algorithm methods.  Returns whatever the handler returns.
-    """
-    from repro.errors import GTMError
-    from repro.core.states import TransactionState as _TS
-
-    if isinstance(event, Begin):
-        return gtm.begin(event.txn_id)
-    if isinstance(event, Invoke):
-        return gtm.invoke(event.txn_id, event.object_name, event.invocation)
-    if isinstance(event, LocalCommit):
-        return gtm.local_commit(event.txn_id, event.object_name)
-    if isinstance(event, GlobalCommit):
-        return gtm.global_commit(event.txn_id)
-    if isinstance(event, LocalAbort):
-        return gtm.local_abort(event.txn_id, event.object_name)
-    if isinstance(event, GlobalAbort):
-        return gtm.global_abort(event.txn_id)
-    if isinstance(event, (LocalSleep, GlobalSleep)):
-        # the driver-facing sleep covers both granularities
-        if not gtm.transaction(event.txn_id).is_in(_TS.SLEEPING):
-            return gtm.sleep(event.txn_id)
-        return None
-    if isinstance(event, (LocalAwake, GlobalAwake)):
-        if gtm.transaction(event.txn_id).is_in(_TS.SLEEPING):
-            return gtm.awake(event.txn_id)
-        return None
-    if isinstance(event, Unlock):
-        return gtm.admission.pump_unlock(gtm.object(event.object_name))
-    raise GTMError(f"unknown GTM event {event!r}")

@@ -31,7 +31,7 @@ from repro.core.compatibility import (
     LogicalDependence,
 )
 from repro.core.conflicts import build_conflict_checker
-from repro.core.events import EventBus, GTMEvent, GTMObserver, dispatch_event
+from repro.core.events import EventBus, GTMObserver
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
@@ -101,17 +101,13 @@ class GTMConfig:
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
     #: kept as the differential-testing oracle).
     conflict_engine: str = "bitmask"
-    #: LDBS backend for SST execution: ``"memory"`` (in-memory strict-2PL
-    #: engine) or ``"sqlite"`` (WAL mode, libres-style read/write path
-    #: split).  Consumed by whoever builds the SSTExecutor — the
-    #: schedulers, the check harness and the service; the backends are
-    #: proven state-identical by the backend-differential campaign.
-    ldbs_backend: str = "memory"
     #: Admit the READ class without a lock and without ever entering
     #: the wait queue: every lock-free read of a transaction is served
     #: from one snapshot of the commit order, out of a ring of recent
-    #: committed versions per object (:mod:`repro.core.mvcc`).  Consumed
-    #: by ``build_transaction_manager`` — this class ignores it.
+    #: committed versions per object (:mod:`repro.core.mvcc`).  Only
+    #: :class:`~repro.core.mvcc.MVCCTransactionManager` serves such
+    #: reads — ``build_transaction_manager`` picks the class from this
+    #: field, and the plain kernel refuses a config that sets it.
     mvcc_reads: bool = False
 
 
@@ -127,12 +123,20 @@ class GlobalTransactionManager:
     #: Commit externalization callback handed to the commit pipeline;
     #: None here (the pipeline then skips it with one ``is not None``).
     _externalize: "Callable[[str, list[ManagedObject]], None] | None" = None
+    #: Whether this class admits READs lock-free, i.e. may be handed
+    #: ``GTMConfig(mvcc_reads=True)``.
+    serves_lock_free_reads = False
 
     def __init__(self, config: GTMConfig | None = None,
                  clock: "Callable[[], float] | Clock | None" = None,
                  sst_executor: SSTExecutor | None = None,
                  observer: GTMObserver | None = None) -> None:
         self.config = config or GTMConfig()
+        if self.config.mvcc_reads and not self.serves_lock_free_reads:
+            raise GTMError(
+                "GTMConfig(mvcc_reads=True) needs MVCCTransactionManager "
+                "(build_transaction_manager selects it); "
+                f"{type(self).__name__} would lock every READ")
         # Definition 1 condition 3: a class that commutes with itself
         # must have a reconciler — catch misconfiguration at startup.
         self.config.registry.validate_against(self.config.matrix)
@@ -394,12 +398,8 @@ class GlobalTransactionManager:
         return True
 
     # ------------------------------------------------------------------
-    # event-object dispatch and diagnostics
+    # diagnostics
     # ------------------------------------------------------------------
-
-    def dispatch(self, event: GTMEvent) -> Any:
-        """Process one ⟨...⟩ event object from :mod:`repro.core.events`."""
-        return dispatch_event(self, event)
 
     def check_invariants(self) -> None:
         """Cross-object structural invariants (used by property tests)."""

@@ -157,6 +157,8 @@ class CommitmentOrderCertifier:
 class MVCCTransactionManager(GlobalTransactionManager):
     """The kernel, plus the certifier and the version rings."""
 
+    serves_lock_free_reads = True
+
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.certifier = CommitmentOrderCertifier()

@@ -89,15 +89,11 @@ class SleepManager:
                     return True
         return False
 
-    def any_conflict(self, txn: GTMTransaction,
-                     involved: list[ManagedObject]) -> bool:
-        return any(self.conflicts(txn, obj) for obj in involved)
-
     def revalidate(self, txn: GTMTransaction,
                    involved: list[ManagedObject], now: float) -> bool:
-        """:meth:`any_conflict` with per-object observer telemetry.
+        """True when :meth:`conflicts` holds on any involved object.
 
-        Same evaluation order and short-circuit as ``any_conflict`` —
+        Evaluated in ``involved`` order, stopping at the first conflict;
         the hook only *reports* each predicate result, so wiring
         observability cannot change which objects get examined."""
         for obj in involved:

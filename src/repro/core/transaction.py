@@ -34,9 +34,9 @@ class GTMTransaction:
         self._machine = StateMachine(txn_id)
         #: A_temp — per (object, member) virtual values.
         self.temp: dict[tuple[str, str], Any] = {}
-        #: The granted invocation per object (at most one pending
-        #: invocation of a single object data member at any time).
-        self.operations: dict[str, Invocation] = {}
+        #: The granted invocation per object and data member (at most
+        #: one pending invocation of a single member at any time).
+        self.operations: dict[str, dict[str, Invocation]] = {}
         #: A_t_sleep — when the transaction went to sleep (⊥ = None).
         self.t_sleep: float | None = None
         #: A_t_wait — per-object arrival time in the object's wait queue.

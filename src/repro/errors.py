@@ -51,10 +51,6 @@ class StorageError(LDBSError):
     """Row-level storage failure (unknown rid, duplicate key, ...)."""
 
 
-class QueryError(LDBSError):
-    """Malformed query against the LDBS."""
-
-
 class TransactionError(LDBSError):
     """Generic transaction-protocol violation at the LDBS layer."""
 
@@ -91,10 +87,6 @@ class DeadlockError(TransactionError):
         self.cycle = cycle
         detail = f" (cycle: {' -> '.join(cycle)})" if cycle else ""
         super().__init__(f"deadlock detected; victim {victim!r}{detail}")
-
-
-class WaitTimeoutError(TransactionError):
-    """A lock wait exceeded the configured timeout."""
 
 
 class ConstraintViolation(LDBSError):

@@ -103,12 +103,13 @@ class GTMSchedulerConfig:
     sst_executor: SSTExecutor | None = None
     #: Bindings applied to created objects (object name -> binding).
     bindings: dict[str, ObjectBinding] = field(default_factory=dict)
-    #: When true (and no explicit ``sst_executor`` was given), build an
-    #: LDBS backend named by ``gtm_config.ldbs_backend``, auto-bind
+    #: When set (and no explicit ``sst_executor`` was given), build the
+    #: LDBS backend of that name (``"memory"`` / ``"sqlite"``), auto-bind
     #: every workload object onto it (:func:`bind_workload_backend`)
     #: and execute SSTs against it.  The backend of the most recent run
-    #: is exposed as :attr:`GTMScheduler.last_backend`.
-    bind_ldbs: bool = False
+    #: is exposed as :attr:`GTMScheduler.last_backend`.  ``None``: run
+    #: virtual-only, no SST reaches a database.
+    ldbs_backend: str | None = None
     #: Observability: an :class:`~repro.obs.ObsConfig`, ``True`` for
     #: everything on, or ``None``/``False`` for off.  Recording rides
     #: the event bus read-only, so enabling it cannot change grant
@@ -164,7 +165,7 @@ class GTMScheduler(Scheduler):
         #: e.g. repro.core.history.check_serializable).
         self.last_gtm: GlobalTransactionManager | None = None
         #: the auto-built LDBS backend of the most recent run (only set
-        #: when ``bind_ldbs`` built one; its ``dump()`` is the SST-side
+        #: when ``ldbs_backend`` built one; its ``dump()`` is the SST-side
         #: permanent state the backend-differential harness compares).
         self.last_backend: LDBSBackend | None = None
 
@@ -175,8 +176,8 @@ class GTMScheduler(Scheduler):
         sst_executor = self.config.sst_executor
         bindings = dict(self.config.bindings)
         self.last_backend = None
-        if sst_executor is None and self.config.bind_ldbs:
-            backend = create_backend(self.config.gtm_config.ldbs_backend)
+        if sst_executor is None and self.config.ldbs_backend is not None:
+            backend = create_backend(self.config.ldbs_backend)
             auto = bind_workload_backend(backend, workload)
             auto.update(bindings)
             bindings = auto

@@ -44,7 +44,7 @@ def test_backend_comparison_structure():
     for run in comparison.runs:
         assert run.crash is None
         assert run.witness is not None
-        assert run.ldbs is not None  # bind_ldbs gave every object a row
+        assert run.ldbs is not None  # the bound backend has a row per object
     assert comparison.runs[0].ldbs == comparison.runs[1].ldbs
     assert not comparison.diffs
 

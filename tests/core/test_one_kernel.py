@@ -3,8 +3,8 @@
 Algorithms 1-11 are written once, in
 :class:`~repro.core.gtm.GlobalTransactionManager` and the subsystems it
 wires; the MVCC subclass inherits them.  These tests fail the moment a
-second copy of a driver, a second subsystem construction site, or a
-second ``X_committed`` writer appears.
+second copy of a driver, a second subsystem construction site, a
+second ``X_committed`` writer or a second way into the kernel appears.
 """
 
 import re
@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.gtm import GlobalTransactionManager
-from repro.core.mvcc import MVCCTransactionManager
+from repro.core import events
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
+from repro.core.mvcc import MVCCTransactionManager, build_transaction_manager
+from repro.core.opclass import delete_object, read
+from repro.errors import GTMError
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -56,3 +59,30 @@ def test_committed_state_has_one_writer():
         sites = _call_sites(pattern)
         assert len(sites) == 1, sites
         assert sites[0].startswith("core/commit_pipeline.py:"), sites
+
+
+def test_the_kernel_has_one_way_in_its_methods():
+    """No event-object front door: the ⟨...⟩ events are the facade's
+    methods, and ``core/events.py`` is the observer contract only."""
+    assert not hasattr(GlobalTransactionManager, "dispatch")
+    defined = {name for name, value in vars(events).items()
+               if isinstance(value, type)
+               and value.__module__ == events.__name__}
+    assert defined == {"GTMObserver", "ObserverError", "EventBus"}
+
+
+def test_the_kernel_refuses_a_config_it_will_not_honour():
+    """``mvcc_reads`` on the locking kernel used to be ignored in
+    silence: a READ behind a DELETE holder queued where the same config
+    through ``build_transaction_manager`` granted it."""
+    config = GTMConfig(mvcc_reads=True)
+    with pytest.raises(GTMError, match="mvcc_reads"):
+        GlobalTransactionManager(config)
+    MVCCTransactionManager()  # the default config stays legal
+    for gtm in (MVCCTransactionManager(config),
+                build_transaction_manager(config)):
+        gtm.create_object("x", value=7)
+        gtm.begin("w")
+        gtm.invoke("w", "x", delete_object())
+        gtm.begin("r")
+        assert gtm.invoke("r", "x", read()) == GrantOutcome.GRANTED

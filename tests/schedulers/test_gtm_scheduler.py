@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gtm import GTMConfig
-from repro.core.opclass import add, assign, subtract
+from repro.core.opclass import assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor
 from repro.core.objects import ObjectBinding
 from repro.ldbs.constraints import NonNegative
@@ -180,6 +180,21 @@ class TestSSTIntegration:
             initial=10.0, config=config)
         assert result.stats.aborted == 1
         assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_naming_a_backend_binds_it(self, backend):
+        """One field on the object that reads it: naming the backend is
+        all it takes for commits to run SSTs against it (it used to take
+        ``GTMConfig.ldbs_backend`` *and* a second boolean here)."""
+        scheduler = GTMScheduler(GTMSchedulerConfig(ldbs_backend=backend))
+        result = scheduler.run(Workload(
+            [single_step_profile("T", 0.0, "X", subtract(1), plan())],
+            initial_values={"X": 10.0}))
+        assert scheduler.last_backend.name == backend
+        assert result.extra["sst_executions"] == 1
+        assert scheduler.last_backend.dump()["X"][1]["value"] == 9.0
+        scheduler.last_backend.close()
+        assert not hasattr(GTMConfig(), "ldbs_backend")
 
 
 class TestSerializability:

@@ -14,6 +14,7 @@ import os
 import random
 import re
 import signal
+import subprocess
 import sys
 
 import pytest
@@ -454,3 +455,16 @@ class TestServiceMain:
             assert pushed == {"type": "shutdown"}
             assert await asyncio.wait_for(served.wait(), 10.0) == 0
         run(check())
+
+    def test_the_service_imports_no_numerics(self):
+        """The middleware sits beside mobile clients: numpy alone is a
+        third of its idle footprint, and nothing it runs needs it (the
+        SST failure injector builds its generator on the first draw).
+        A fresh interpreter, because the test process has numpy."""
+        probe = ("import repro.service.__main__, repro.service.client, sys; "
+                 "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

@@ -24,5 +24,4 @@ def test_example_runs_clean(script, capsys):
 def test_all_examples_discovered():
     names = {path.stem for path in EXAMPLES}
     assert {"quickstart", "travel_agency", "mobile_booking",
-            "analytic_model", "sql_semantics",
-            "archive_and_replay"} <= names
+            "analytic_model", "archive_and_replay"} <= names
