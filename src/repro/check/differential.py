@@ -177,15 +177,13 @@ def comparison_digest(comparison: EpisodeComparison) -> str:
 
 def _gtm_variant_scheduler(spec: EpisodeSpec,
                            overrides: dict[str, Any],
-                           observe: "bool | ObsConfig" = False,
+                           observe: bool = False,
                            ldbs_backend: str | None = None) -> GTMScheduler:
-    from repro.check.runner import OBSERVE_DEFAULT
-    obs = OBSERVE_DEFAULT if observe is True else (observe or None)
     return GTMScheduler(GTMSchedulerConfig(
         gtm_config=GTMConfig(**overrides),
         wait_timeout=spec.wait_timeout,
         ldbs_backend=ldbs_backend,
-        obs=obs))
+        obs=observe))
 
 
 def _run_variant(spec: EpisodeSpec, label: str,
@@ -222,7 +220,7 @@ def _run_variant(spec: EpisodeSpec, label: str,
 
 
 def compare_episode(spec: EpisodeSpec,
-                    observe: "bool | ObsConfig" = False,
+                    observe: bool = False,
                     mode: str = "engine") -> EpisodeComparison:
     """Run every variant of one episode and diff the outcomes.
 
@@ -316,7 +314,7 @@ def _first_trace_diff(a: dict[str, Any] | None,
 
 
 def _init_differential_worker(config: FuzzConfig, seed: int,
-                              observe: "bool | ObsConfig" = False,
+                              observe: bool = False,
                               mode: str = "engine") -> None:
     """Pool initializer: campaign constants, built once per worker."""
     WorkerContext.install(config=config, seed=seed, observe=observe,
@@ -342,7 +340,7 @@ def run_differential_campaign(
         max_divergences: int = 5,
         progress: Callable[[int, bool], None] | None = None,
         jobs: int | str = 1, chunk_size: int | None = None,
-        observe: "bool | ObsConfig" = False,
+        observe: bool = False,
         mode: str = "engine",
 ) -> DifferentialReport:
     """Run ``episodes`` seeded episodes through every variant.

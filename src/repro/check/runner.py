@@ -40,13 +40,7 @@ from repro.check.oracle import (
 )
 from repro.check.shrinker import render_regression_test, shrink_episode
 from repro.errors import WorkloadError
-from repro.obs import (
-    ObsConfig,
-    ObsFrame,
-    frame_from_collector,
-    merge_frames,
-)
-
+from repro.obs import ObsFrame, episode_frame, merge_frames
 from repro.parallel import (
     ParallelMap,
     WorkerContext,
@@ -59,13 +53,6 @@ from repro.schedulers.twopl_scheduler import (
     TwoPLScheduler,
     TwoPLSchedulerConfig,
 )
-
-#: What ``observe=True`` means throughout the campaign stack: the
-#: always-on metrics path (measured <= 10% overhead on the perf smoke
-#: profile).  Span tracing allocates per-event and costs ~2x that on
-#: sub-millisecond episodes, so it stays an explicit opt-in — pass an
-#: :class:`ObsConfig` with ``tracing=True`` as the ``observe`` value.
-OBSERVE_DEFAULT = ObsConfig(tracing=False, metrics=True)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schedulers.base import Scheduler, SchedulerResult
@@ -108,19 +95,19 @@ class EpisodeOutcome:
 
 
 def build_scheduler(spec: EpisodeSpec,
-                    observe: "bool | ObsConfig" = False) -> "Scheduler":
+                    observe: bool = False) -> "Scheduler":
     """The scheduler under test, configured from the spec.
 
-    ``observe`` switches on the :mod:`repro.obs` layer for schedulers
-    that support it (the GTM's event bus); it must never change the
-    run itself — ``repro.obs.selfcheck`` holds us to that.  ``True``
-    means :data:`OBSERVE_DEFAULT` (metrics, no tracing); pass an
-    :class:`ObsConfig` to choose the mode explicitly.
+    ``observe`` switches on the :mod:`repro.obs` layer for the
+    scheduler that has an event bus to listen on (the GTM's); it must
+    never change the run itself — ``repro.obs.selfcheck`` holds us to
+    that.  2PL and optimistic runs need no switch: their frame is read
+    off the timelines they keep anyway.
     """
     if spec.scheduler == "gtm":
-        obs = OBSERVE_DEFAULT if observe is True else (observe or None)
         return GTMScheduler(
-            GTMSchedulerConfig(wait_timeout=spec.wait_timeout, obs=obs))
+            GTMSchedulerConfig(wait_timeout=spec.wait_timeout,
+                               obs=observe))
     if spec.scheduler == "2pl":
         return TwoPLScheduler(
             TwoPLSchedulerConfig(wait_timeout=spec.wait_timeout))
@@ -129,7 +116,7 @@ def build_scheduler(spec: EpisodeSpec,
     raise WorkloadError(f"unknown scheduler {spec.scheduler!r}")
 
 
-def run_episode(spec: EpisodeSpec, observe: "bool | ObsConfig" = False) -> EpisodeOutcome:
+def run_episode(spec: EpisodeSpec, observe: bool = False) -> EpisodeOutcome:
     """Run one episode and verdict it (oracle + invariants)."""
     workload = episode_workload(spec)
     scheduler = build_scheduler(spec, observe=observe)
@@ -154,13 +141,7 @@ def run_episode(spec: EpisodeSpec, observe: "bool | ObsConfig" = False) -> Episo
     committed = len(result.collector.committed())
     aborted = len(result.collector.aborted())
     ok = oracle.serializable and not violations
-    obs_frame = None
-    if observe:
-        obs = getattr(result, "obs", None)
-        obs_frame = (obs.frame(scheduler=spec.scheduler)
-                     if obs is not None
-                     else frame_from_collector(result.collector,
-                                               spec.scheduler))
+    obs_frame = episode_frame(result, spec.scheduler) if observe else None
     return EpisodeOutcome(spec, ok=ok, committed=committed,
                           aborted=aborted, oracle=oracle,
                           invariant_violations=violations, result=result,
@@ -178,7 +159,7 @@ def compact_outcome(outcome: EpisodeOutcome) -> EpisodeOutcome:
 
 
 def run_episode_compact(spec: EpisodeSpec,
-                        observe: "bool | ObsConfig" = False) -> EpisodeOutcome:
+                        observe: bool = False) -> EpisodeOutcome:
     """:func:`run_episode` without the raw result — the worker task.
 
     The obs frame (small, picklable aggregates) survives compaction;
@@ -202,7 +183,7 @@ def rehydrate_outcome(outcome: EpisodeOutcome) -> EpisodeOutcome:
 
 def _init_campaign_worker(config: FuzzConfig, seed: int,
                           crash_indices: tuple[int, ...],
-                          observe: "bool | ObsConfig" = False) -> None:
+                          observe: bool = False) -> None:
     """Pool initializer: campaign constants, built once per worker."""
     WorkerContext.install(config=config, seed=seed,
                           crash_indices=frozenset(crash_indices),
@@ -264,7 +245,7 @@ def run_campaign(config: FuzzConfig, seed: int, episodes: int,
                  = None, jobs: int | str = 1,
                  chunk_size: int | None = None,
                  crash_indices: Iterable[int] = (),
-                 observe: "bool | ObsConfig" = False) -> CampaignReport:
+                 observe: bool = False) -> CampaignReport:
     """Run ``episodes`` seeded episodes; stop after ``max_failures``.
 
     ``jobs`` shards the episodes over worker processes (``"auto"`` =
@@ -280,7 +261,7 @@ def run_campaign(config: FuzzConfig, seed: int, episodes: int,
     workers and merges them *in episode order* into
     :attr:`CampaignReport.metrics`, so a ``jobs=N`` campaign reports
     the same fleet-wide metrics as a serial one.  Frames never feed
-    the digest: tracing on vs off is digest-neutral by contract.
+    the digest: observing is digest-neutral by contract.
     """
     check_spec_concrete(config, "campaign config")
     report = CampaignReport(config=config, seed=seed, episodes=episodes)

@@ -1,12 +1,16 @@
-"""Deterministic observability for the GTM: spans, metrics, exporters.
+"""Deterministic observability: one metric vocabulary, two sources.
 
-Everything here rides the :class:`~repro.core.events.EventBus` as a
-read-only subscriber and stamps the *virtual* clock, never the wall
-clock.  The load-bearing property is **digest neutrality**: enabling
-tracing or metrics must not change scheduling, grant order, or any
+The wait and sleep intervals, and every lifecycle count, are kept by
+the always-on timelines (:mod:`repro.metrics.collectors`); this package
+only *reads* them (:func:`~repro.obs.observers.fold_timelines`, the
+same fold for every scheduler) and adds, for a GTM run, what only the
+:class:`~repro.core.events.EventBus` knows — a read-only
+:class:`~repro.obs.observers.MetricsObserver` stamping nothing but
+counts.  The load-bearing property is **digest neutrality**: switching
+observability on must not change scheduling, grant order, or any
 campaign/differential digest.  That holds by construction —
 
-- observers only read hook arguments the protocol already computed;
+- the observer only reads hook arguments the protocol already computed;
 - the bus isolates observer exceptions, so an observer can never
   corrupt GTM state mid-algorithm;
 - results carry observability in ``SchedulerResult.obs``, which is
@@ -16,123 +20,49 @@ campaign/differential digest.  That holds by construction —
 (differential campaigns with observability off vs on must produce
 byte-identical digests; CI runs it on every push).
 
-Entry point::
+Entry point (``GTMSchedulerConfig(obs=True)`` does exactly this)::
 
-    obs = build_observability(ObsConfig(tracing=True, metrics=True))
-    # GTMScheduler does this wiring itself via GTMSchedulerConfig.obs:
-    for observer in obs.observers():
-        gtm.subscribe(observer)
+    obs = Observability()
+    obs.attach(gtm)
     ...run...
-    obs.finalize(makespan)
-    print(obs.summary())
+    collector.finalize(makespan)
+    obs.finalize(collector, gtm.lock_table)
+    print(render_metrics_summary(obs.registry.snapshot()))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.metrics.collectors import MetricsCollector
 from repro.obs.export import (
     ObsFrame,
-    frame_from_collector,
-    frame_from_observability,
+    episode_frame,
     merge_frames,
-    observed_episode_trace,
     render_frame_summary,
-    render_metrics_summary,
-    spans_jsonl,
-    write_spans_jsonl,
 )
-from repro.obs.observers import MetricsObserver
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    merge_snapshots,
-)
-from repro.obs.spans import Span, SpanObserver, SpanRecorder
+from repro.obs.observers import MetricsObserver, fold_timelines
+from repro.obs.registry import MetricsRegistry, accumulate_snapshot
 
 __all__ = [
-    "ObsConfig", "Observability", "build_observability",
-    "ObsFrame", "frame_from_collector", "frame_from_observability",
-    "merge_frames", "observed_episode_trace", "render_frame_summary",
-    "render_metrics_summary", "spans_jsonl", "write_spans_jsonl",
-    "MetricsObserver", "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
-    "Counter", "Gauge", "Histogram", "merge_snapshots",
-    "Span", "SpanObserver", "SpanRecorder",
+    "Observability", "ObsFrame", "episode_frame", "merge_frames",
+    "render_frame_summary", "MetricsRegistry", "accumulate_snapshot",
 ]
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    """What to record.  Both off -> :func:`build_observability` is None."""
-
-    tracing: bool = True
-    metrics: bool = True
-
-
 class Observability:
-    """One episode's recording surface: a recorder, a registry, observers."""
+    """One GTM episode's registry and the bus observer that feeds it."""
 
-    def __init__(self, config: ObsConfig | None = None) -> None:
-        self.config = config or ObsConfig()
-        self.recorder: SpanRecorder | None = \
-            SpanRecorder() if self.config.tracing else None
-        self.registry: MetricsRegistry = \
-            MetricsRegistry() if self.config.metrics else NULL_REGISTRY
-        self._metrics_observer = MetricsObserver(self.registry)
-        # The EventBus dispatches through per-hook handler lists that
-        # already skip unimplemented hooks, so subscribing both
-        # observers directly costs exactly one bound call per
-        # implemented hook — no fan-out shim needed.
-        if self.recorder is not None:
-            self._observers: tuple = (SpanObserver(self.recorder),
-                                      self._metrics_observer)
-        else:
-            self._observers = (self._metrics_observer,)
-
-    def observers(self) -> tuple:
-        """Bus subscribers, in subscription order."""
-        return self._observers
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self._observer = MetricsObserver(self.registry)
 
     def attach(self, gtm) -> None:
-        """Subscribe every observer to a GTM facade's bus."""
-        for observer in self._observers:
-            gtm.subscribe(observer)
+        """Subscribe the observer to a GTM facade's bus."""
+        gtm.subscribe(self._observer)
 
-    def finalize(self, now: float) -> None:
-        """Close open spans/intervals at makespan (unfinished work)."""
-        if self.recorder is not None:
-            self.recorder.finalize(now)
-        self._metrics_observer.finalize(now)
-
-    def snapshot_lock_table(self, lock_table) -> None:
-        """Record the lock directory's occupancy."""
-        self._metrics_observer.snapshot_lock_table(lock_table)
-
-    def frame(self, scheduler: str = "gtm") -> ObsFrame:
-        """The picklable per-episode payload for campaign aggregation."""
-        return frame_from_observability(self, scheduler=scheduler)
-
-    def summary(self) -> str:
-        """Console summary of this episode's metrics."""
-        return render_metrics_summary(self.registry.snapshot(),
-                                      title="episode metrics")
-
-
-def build_observability(config: "ObsConfig | bool | None"
-                        ) -> "Observability | None":
-    """Config -> recording surface, or None when nothing is enabled.
-
-    Accepts ``True``/``False`` as shorthand for everything-on/off, so
-    CLI flags plumb straight through.
-    """
-    if config is None or config is False:
-        return None
-    if config is True:
-        config = ObsConfig()
-    if not (config.tracing or config.metrics):
-        return None
-    return Observability(config)
+    def finalize(self, collector: MetricsCollector, lock_table) -> None:
+        """Fill the registry once the run is over: the lifecycle series
+        from the (already finalized) timelines, the bus counters, and
+        the lock table's size."""
+        fold_timelines(collector, self.registry)
+        self._observer.finalize()
+        self._observer.snapshot_lock_table(lock_table)

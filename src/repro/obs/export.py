@@ -1,70 +1,24 @@
-"""Exporters: spans -> JSONL, metrics -> console, frames -> fleet merge.
+"""Exporters: episodes -> frames, frames -> fleet merge -> console.
 
-Three consumers:
-
-1. **JSONL traces** — :func:`write_spans_jsonl` emits one span record
-   per line, and :func:`observed_episode_trace` produces a superset of
-   :func:`repro.metrics.trace.episode_trace` (same keys, plus ``spans``
-   and ``metrics``), so existing trace tooling keeps working on
-   observed runs.
+1. **Per-worker aggregation** — :class:`ObsFrame` is the small,
+   picklable unit a campaign worker ships back through
+   :mod:`repro.parallel.pmap`; :func:`episode_frame` builds one from an
+   observed run of any scheduler and :func:`merge_frames` folds frames
+   in episode order, so a ``--jobs N`` campaign reports the same
+   fleet-wide numbers as ``--jobs 1``.
 2. **Console summaries** — :func:`render_metrics_summary` renders a
    registry snapshot through :mod:`repro.metrics.report`'s table
    renderer for humans.
-3. **Per-worker aggregation** — :class:`ObsFrame` is the small,
-   picklable unit a campaign worker ships back through
-   :mod:`repro.parallel.pmap`; :func:`merge_frames` folds frames in
-   episode order, so a ``--jobs N`` campaign reports the same
-   fleet-wide numbers as ``--jobs 1``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable
 
 from repro.metrics.report import render_records
-from repro.metrics.trace import episode_trace
-from repro.obs.registry import accumulate_snapshot
-from repro.obs.spans import SpanRecorder
-
-
-# -- JSONL span export -------------------------------------------------------
-
-
-def spans_jsonl(recorder: SpanRecorder) -> str:
-    """Every span as one compact JSON object per line."""
-    return "\n".join(
-        json.dumps(span.as_record(), sort_keys=True, default=str)
-        for span in recorder.spans)
-
-
-def write_spans_jsonl(path: str | Path, recorder: SpanRecorder) -> Path:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    text = spans_jsonl(recorder)
-    target.write_text(text + "\n" if text else "", encoding="utf-8")
-    return target
-
-
-def observed_episode_trace(result: Any, description: str = "") -> dict:
-    """:func:`~repro.metrics.trace.episode_trace`, plus obs artifacts.
-
-    The returned dict is a strict superset of the plain trace: tooling
-    that reads ``final_values`` / ``transactions`` is unaffected, and
-    the spans/metrics ride along under their own keys.  When the run
-    carried no observability the extra keys are empty, never absent.
-    """
-    trace = episode_trace(result, description)
-    obs = getattr(result, "obs", None)
-    trace["spans"] = ([span.as_record() for span in obs.recorder.spans]
-                      if obs is not None and obs.recorder is not None
-                      else [])
-    trace["metrics"] = (obs.registry.snapshot()
-                        if obs is not None and obs.registry.enabled
-                        else {})
-    return trace
+from repro.obs.observers import fold_timelines
+from repro.obs.registry import MetricsRegistry, accumulate_snapshot
 
 
 # -- per-worker frames and the fleet merge -----------------------------------
@@ -72,17 +26,11 @@ def observed_episode_trace(result: Any, description: str = "") -> dict:
 
 @dataclass
 class ObsFrame:
-    """The picklable observability payload of one episode (or a merge).
-
-    Only aggregates cross process boundaries — span *records* stay in
-    the worker (they can number thousands per episode); the frame
-    carries their count so fleet totals still add up.
-    """
+    """The picklable observability payload of one episode (or a merge)."""
 
     episodes: int = 0
     #: registry snapshot (see :meth:`MetricsRegistry.snapshot`).
     metrics: dict[str, dict] = field(default_factory=dict)
-    span_count: int = 0
     #: episodes per scheduler label, e.g. {"gtm": 40, "2pl": 40}.
     schedulers: dict[str, int] = field(default_factory=dict)
 
@@ -93,53 +41,26 @@ class ObsFrame:
         return sum(snap["series"].values())
 
 
-def frame_from_observability(obs: Any, scheduler: str = "gtm") -> ObsFrame:
-    """Fold one episode's :class:`~repro.obs.Observability` into a frame.
+def episode_frame(result: Any, scheduler: str) -> ObsFrame:
+    """One observed episode's frame, whichever scheduler ran it.
+
+    A GTM run carries its registry in ``result.obs`` — the timeline
+    fold plus the bus counters.  2PL and optimistic runs have no bus,
+    so their timelines are folded here, by the same
+    :func:`~repro.obs.observers.fold_timelines`: all three report the
+    lifecycle series under the same names.
 
     Uses the registry's zero-copy :meth:`dump` view — the episode's
     registry is dead after this, and :func:`merge_frames` copies before
     accumulating, so sharing the storage is safe and saves a per-episode
     sorted deep copy (visible on the perf smoke profile).
     """
-    return ObsFrame(
-        episodes=1,
-        metrics=obs.registry.dump(),
-        span_count=(len(obs.recorder) if obs.recorder is not None else 0),
-        schedulers={scheduler: 1},
-    )
-
-
-def frame_from_collector(collector: Any, scheduler: str) -> ObsFrame:
-    """Frame for bus-less schedulers (2PL, optimistic).
-
-    Those drive :class:`~repro.metrics.collectors.TxnTimeline` directly,
-    so the frame reports what the timelines know: commits, aborts by
-    reason, and total wait/sleep seconds as single-label counters.
-    """
-    commits = aborts = 0
-    reasons: dict[str, float] = {}
-    wait = sleep = 0.0
-    for timeline in collector.timelines.values():
-        wait += timeline.wait_time
-        sleep += timeline.sleep_time
-        if timeline.outcome.value == "committed":
-            commits += 1
-        elif timeline.outcome.value == "aborted":
-            aborts += 1
-            reason = timeline.abort_reason or "unspecified"
-            reasons[reason] = reasons.get(reason, 0.0) + 1
-    metrics = {
-        "gtm_commits": {"kind": "counter", "series": {"": float(commits)}},
-        "gtm_wait_seconds_total": {"kind": "counter",
-                                   "series": {"": wait}},
-        "gtm_sleep_seconds_total": {"kind": "counter",
-                                    "series": {"": sleep}},
-    }
-    if aborts:
-        metrics["gtm_aborts"] = {
-            "kind": "counter",
-            "series": {k: reasons[k] for k in sorted(reasons)}}
-    return ObsFrame(episodes=1, metrics=metrics,
+    if result.obs is not None:
+        registry = result.obs.registry
+    else:
+        registry = MetricsRegistry()
+        fold_timelines(result.collector, registry)
+    return ObsFrame(episodes=1, metrics=registry.dump(),
                     schedulers={scheduler: 1})
 
 
@@ -154,7 +75,6 @@ def merge_frames(frames: Iterable["ObsFrame | None"]) -> ObsFrame:
         if frame is None:
             continue
         merged.episodes += frame.episodes
-        merged.span_count += frame.span_count
         accumulate_snapshot(merged.metrics, frame.metrics)
         for label, count in frame.schedulers.items():
             merged.schedulers[label] = \
@@ -192,8 +112,7 @@ def render_metrics_summary(metrics: dict[str, dict],
 
 def render_frame_summary(frame: ObsFrame) -> str:
     """Fleet-wide summary of a merged campaign frame."""
-    header = (f"observability: {frame.episodes} episodes, "
-              f"{frame.span_count} spans, schedulers="
+    header = (f"observability: {frame.episodes} episodes, schedulers="
               + ",".join(f"{k}:{v}"
                          for k, v in sorted(frame.schedulers.items())))
     return header + "\n" + render_metrics_summary(frame.metrics,

@@ -1,7 +1,6 @@
 """Deterministic metrics registry: counters, gauges, histograms.
 
-The registry is the numeric half of the observability layer (the span
-recorder in :mod:`repro.obs.spans` is the temporal half).  Three design
+The registry holds the numbers of the observability layer.  Two design
 constraints shape it:
 
 1. **Determinism.**  Instruments are keyed by name and label string;
@@ -11,10 +10,6 @@ constraints shape it:
    of worker count or chunking.
 2. **Neutrality.**  Instruments only ever *receive* already-computed
    values from observer hooks; nothing in the protocol reads them back.
-3. **Cheap when off.**  :data:`NULL_REGISTRY` hands out shared no-op
-   instruments, so call sites never branch on "is observability on?" —
-   they always call ``counter.inc()`` and the disabled path is a single
-   empty method call.
 
 Histograms use fixed bucket boundaries chosen at construction (never
 derived from the data), so two runs that observe the same values produce
@@ -174,9 +169,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-        #: True for the real registry; the null registry reports False
-        #: so exporters can skip snapshot work entirely.
-        self.enabled = True
 
     def _check_kind(self, instrument, kind: str) -> None:
         if instrument.kind != kind:
@@ -224,56 +216,14 @@ class MetricsRegistry:
                 for name, instrument in self._instruments.items()}
 
 
-def merge_snapshots(left: dict[str, dict],
-                    right: dict[str, dict]) -> dict[str, dict]:
-    """Fold two registry snapshots into one (pure; inputs untouched).
-
-    Counters and histograms add; gauges take the maximum per label
-    (occupancy-style gauges report peaks fleet-wide).  Merging is
-    commutative, but campaign aggregation always folds frames in
-    episode order anyway so the question never arises.
-    """
-    merged: dict[str, dict] = {}
-    for name in sorted(set(left) | set(right)):
-        a, b = left.get(name), right.get(name)
-        if a is None or b is None:
-            src = a if b is None else b
-            merged[name] = _copy_snapshot(src)
-            continue
-        if a["kind"] != b["kind"]:
-            raise GTMError(
-                f"metric {name!r} kind mismatch: {a['kind']} vs {b['kind']}")
-        if a["kind"] in ("counter", "gauge"):
-            series = dict(a["series"])
-            for label, value in b["series"].items():
-                if a["kind"] == "counter":
-                    series[label] = series.get(label, 0.0) + value
-                else:
-                    series[label] = max(series.get(label, value), value)
-            merged[name] = {"kind": a["kind"],
-                            "series": {k: series[k] for k in sorted(series)}}
-        else:  # histogram
-            if a["buckets"] != b["buckets"]:
-                raise GTMError(
-                    f"histogram {name!r} bucket mismatch")
-            mins = [m for m in (a["min"], b["min"]) if m is not None]
-            maxs = [m for m in (a["max"], b["max"]) if m is not None]
-            merged[name] = {
-                "kind": "histogram", "buckets": list(a["buckets"]),
-                "counts": [x + y for x, y in zip(a["counts"], b["counts"])],
-                "sum": a["sum"] + b["sum"],
-                "count": a["count"] + b["count"],
-                "min": min(mins) if mins else None,
-                "max": max(maxs) if maxs else None,
-            }
-    return merged
-
-
 def accumulate_snapshot(acc: dict[str, dict],
                         snap: dict[str, dict]) -> None:
-    """Fold ``snap`` into ``acc`` in place (same rules as
-    :func:`merge_snapshots`, without the per-step copying — campaign
-    merges fold hundreds of frames, so allocation cost matters)."""
+    """Fold ``snap`` into ``acc`` in place (``snap`` is untouched).
+
+    Counters and histograms add; gauges take the maximum per label
+    (occupancy-style gauges report peaks fleet-wide).  The fold is
+    commutative, but campaign aggregation always folds frames in
+    episode order anyway so the question never arises."""
     for name, incoming in snap.items():
         current = acc.get(name)
         if current is None:
@@ -314,47 +264,3 @@ def _copy_snapshot(snap: dict) -> dict:
             out[key] = (dict(out[key]) if isinstance(out[key], dict)
                         else list(out[key]))
     return out
-
-
-# ----------------------------------------------------------------------
-# No-op stubs: the disabled path must cost one empty method call.
-# ----------------------------------------------------------------------
-
-class _NullCounter(Counter):
-    def inc(self, amount: float = 1.0, label: str = "") -> None: ...
-
-
-class _NullGauge(Gauge):
-    def set(self, value: float, label: str = "") -> None: ...
-
-
-class _NullHistogram(Histogram):
-    def observe(self, value: float) -> None: ...
-
-
-class NullRegistry(MetricsRegistry):
-    """Hands out shared no-op instruments; snapshots are always empty."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = False
-        self._counter = _NullCounter("null")
-        self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._gauge
-
-    def histogram(self, name: str,
-                  buckets: Iterable[float] = DURATION_BUCKETS) -> Histogram:
-        return self._histogram
-
-    def snapshot(self) -> dict[str, dict]:
-        return {}
-
-
-#: Shared process-wide disabled registry.
-NULL_REGISTRY = NullRegistry()

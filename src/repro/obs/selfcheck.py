@@ -1,24 +1,22 @@
-"""Observability-neutrality proof: tracing on must change nothing.
+"""Observability-neutrality proof: observing must change nothing.
 
 Runs the same seeded campaigns twice — observability off, then on —
 and demands byte-identical digests:
 
-- one stress campaign per scheduler (``gtm``, ``2pl``, ``optimistic``)
-  with the **full stack** (span tracing + metrics), comparing
-  :attr:`CampaignReport.digest` (rolling hash over episode summaries,
-  which deliberately exclude obs artifacts);
-- one ``gtm`` campaign with the **default metrics-only mode** (what
-  ``observe=True`` / ``--observe`` enables), since its observer set
-  differs from the full stack's;
-- one differential campaign (every GTM engine variant) under full
-  tracing, comparing :attr:`DifferentialReport.digest` (rolling hash
-  over canonical full-trace digests — the strongest neutrality
-  statement we have: not a single timeline, final value or grant
-  order moved).
+- one ``gtm`` stress campaign, comparing :attr:`CampaignReport.digest`
+  (rolling hash over episode summaries, which deliberately exclude obs
+  artifacts).  The observed side runs with ``--jobs`` workers, so the
+  per-worker frame merge is exercised; the merged fleet metrics are
+  printed as evidence the aggregation pipeline works;
+- one differential campaign (every GTM engine variant), comparing
+  :attr:`DifferentialReport.digest` (rolling hash over canonical
+  full-trace digests — the strongest neutrality statement we have: not
+  a single timeline, final value or grant order moved).
 
-The observed campaigns also run with ``--jobs`` workers so the
-per-worker frame merge is exercised; the merged fleet metrics are
-printed as evidence the aggregation pipeline works.
+Only the GTM has an event bus to subscribe to; a 2PL or optimistic run
+executes the same code observed or not (its frame is read off the
+timelines afterwards), so comparing those with themselves would prove
+nothing and is not done.
 
 Exit status 0 iff every pair of digests matches — CI runs this as the
 second step of the ``selfcheck`` job.
@@ -31,39 +29,28 @@ import sys
 
 from repro.check.differential import run_differential_campaign
 from repro.check.fuzzer import FuzzConfig
-from repro.check.runner import run_campaign
-from repro.obs import ObsConfig
+from repro.check.runner import CampaignReport, run_campaign
 from repro.obs.export import render_frame_summary
 
-SCHEDULERS = ("gtm", "2pl", "optimistic")
 
-#: The full stack: span tracing + metrics.  The campaign default
-#: (``observe=True``) is metrics-only; neutrality must hold for both.
-FULL = ObsConfig(tracing=True, metrics=True)
-
-
-def check_campaign_neutrality(scheduler: str, seed: int, episodes: int,
-                              jobs: int,
-                              mode: "ObsConfig | bool" = FULL,
-                              label: str = "") -> tuple[bool, str]:
-    """(ok, evidence) for one scheduler's stress campaign."""
-    config = FuzzConfig(scheduler=scheduler)
+def check_campaign_neutrality(seed: int, episodes: int, jobs: int
+                              ) -> tuple[bool, str, CampaignReport]:
+    """(ok, evidence, observed report) for the ``gtm`` stress campaign."""
+    config = FuzzConfig(scheduler="gtm")
     baseline = run_campaign(config, seed, episodes, shrink_failures=False)
     observed = run_campaign(config, seed, episodes, shrink_failures=False,
-                            observe=mode, jobs=jobs)
+                            observe=True, jobs=jobs)
     ok = baseline.digest == observed.digest
-    tag = f"{scheduler}{'/' + label if label else ''}"
-    lines = [f"[{tag}] {episodes} episodes (seed {seed}): "
+    lines = [f"[gtm] {episodes} episodes (seed {seed}): "
              f"{'digests identical' if ok else 'DIGEST MISMATCH'}"]
     if not ok:
         lines.append(f"  off: {baseline.digest}")
         lines.append(f"  on:  {observed.digest}")
-    elif observed.metrics is not None:
+    else:
         lines.append(f"  merged frame: {observed.metrics.episodes} "
-                     f"episodes, {observed.metrics.span_count} spans, "
-                     f"commits="
+                     f"episodes, commits="
                      f"{observed.metrics.counter_total('gtm_commits'):g}")
-    return ok, "\n".join(lines)
+    return ok, "\n".join(lines), observed
 
 
 def check_differential_neutrality(seed: int, episodes: int,
@@ -72,7 +59,7 @@ def check_differential_neutrality(seed: int, episodes: int,
     config = FuzzConfig(scheduler="gtm")
     baseline = run_differential_campaign(config, seed, episodes, jobs=jobs)
     observed = run_differential_campaign(config, seed, episodes, jobs=jobs,
-                                         observe=FULL)
+                                         observe=True)
     ok = (baseline.digest == observed.digest
           and baseline.ok and observed.ok)
     lines = [f"[differential] {episodes} episodes (seed {seed}): "
@@ -97,33 +84,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="print the merged fleet metrics table")
     args = parser.parse_args(argv)
 
-    all_ok = True
-    summary_frame = None
-    for scheduler in SCHEDULERS:
-        ok, evidence = check_campaign_neutrality(
-            scheduler, args.seed, args.episodes, args.jobs,
-            mode=FULL, label="full")
-        print(evidence)
-        all_ok &= ok
-    # the metrics-only default attaches a different observer set, so
-    # prove it separately (gtm only: baselines have no bus to observe)
-    ok, evidence = check_campaign_neutrality(
-        "gtm", args.seed, args.episodes, args.jobs,
-        mode=True, label="metrics")
-    print(evidence)
-    all_ok &= ok
-    if args.summary:
-        config = FuzzConfig(scheduler="gtm")
-        report = run_campaign(config, args.seed, args.episodes,
-                              shrink_failures=False, observe=FULL)
-        summary_frame = report.metrics
-    ok, evidence = check_differential_neutrality(
+    campaign_ok, evidence, observed = check_campaign_neutrality(
         args.seed, args.episodes, args.jobs)
     print(evidence)
-    all_ok &= ok
-    if summary_frame is not None:
+    differential_ok, evidence = check_differential_neutrality(
+        args.seed, args.episodes, args.jobs)
+    print(evidence)
+    if args.summary:
         print()
-        print(render_frame_summary(summary_frame))
+        print(render_frame_summary(observed.metrics))
+    all_ok = campaign_ok and differential_ok
     print()
     print("observability neutrality:", "PROVEN" if all_ok else "VIOLATED")
     return 0 if all_ok else 1

@@ -94,10 +94,11 @@ class SchedulerResult:
     final_values: dict[str, float] = field(default_factory=dict)
     #: Scheduler-specific counters (deadlocks, SST retries, ...).
     extra: dict[str, float] = field(default_factory=dict)
-    #: Observability artifacts (:class:`repro.obs.Observability`) when
-    #: the run was traced; None otherwise.  Deliberately *excluded*
-    #: from episode traces and digests — enabling observability must
-    #: never change what a run reports about the protocol itself.
+    #: The run's metrics (:class:`repro.obs.Observability`) when
+    #: ``GTMSchedulerConfig.obs`` (a ``bool``) was on; None otherwise.
+    #: Deliberately *excluded* from episode traces and digests —
+    #: enabling observability must never change what a run reports
+    #: about the protocol itself.
     obs: object | None = field(default=None, repr=False, compare=False)
 
 

@@ -44,7 +44,7 @@ from repro.core.transaction import GTMTransaction
 from repro.ldbs.backend import LDBSBackend, create_backend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.metrics.collectors import MetricsCollector, TimelineObserver
-from repro.obs import build_observability
+from repro.obs import Observability
 from repro.schedulers.base import (
     CommitAction,
     InvokeAction,
@@ -110,11 +110,11 @@ class GTMSchedulerConfig:
     #: is exposed as :attr:`GTMScheduler.last_backend`.  ``None``: run
     #: virtual-only, no SST reaches a database.
     ldbs_backend: str | None = None
-    #: Observability: an :class:`~repro.obs.ObsConfig`, ``True`` for
-    #: everything on, or ``None``/``False`` for off.  Recording rides
-    #: the event bus read-only, so enabling it cannot change grant
-    #: order or digests (``python -m repro.obs.selfcheck`` proves it).
-    obs: Any = None
+    #: Observability on/off (a ``bool``).  On, the run's metrics land
+    #: in :attr:`SchedulerResult.obs`.  Recording rides the event bus
+    #: read-only, so enabling it cannot change grant order or digests
+    #: (``python -m repro.obs.selfcheck`` proves it).
+    obs: bool = False
 
 
 class _SignallingObserver(GTMObserver):
@@ -190,7 +190,7 @@ class GTMScheduler(Scheduler):
             observer=observer,
         )
         gtm.subscribe(TimelineObserver(collector))
-        obs = build_observability(self.config.obs)
+        obs = Observability() if self.config.obs else None
         if obs is not None:
             obs.attach(gtm)
         for name, value in workload.initial_values.items():
@@ -217,8 +217,7 @@ class GTMScheduler(Scheduler):
         }
         result = self._result(collector, makespan, final_values, extra)
         if obs is not None:
-            obs.finalize(makespan)
-            obs.snapshot_lock_table(gtm.lock_table)
+            obs.finalize(collector, gtm.lock_table)
             result.obs = obs
         return result
 

@@ -1,87 +1,23 @@
-"""Exporters: JSONL spans, episode traces, frames and their merge."""
-
-import json
+"""Exporters: frames, their merge, and the console tables."""
 
 from repro.check.fuzzer import FuzzConfig, episode_workload, generate_episode
 from repro.check.runner import build_scheduler
 from repro.metrics.collectors import MetricsCollector
-from repro.metrics.trace import episode_trace
-from repro.obs import ObsConfig
 from repro.obs.export import (
     ObsFrame,
-    frame_from_collector,
+    episode_frame,
     merge_frames,
-    observed_episode_trace,
     render_frame_summary,
     render_metrics_summary,
-    spans_jsonl,
-    write_spans_jsonl,
 )
-from repro.obs.spans import SpanRecorder
-
-FULL = ObsConfig(tracing=True, metrics=True)
+from repro.schedulers.base import SchedulerResult
 
 
-def observed_result(seed=2008, index=0):
-    spec = generate_episode(FuzzConfig(scheduler="gtm"), seed, index)
-    scheduler = build_scheduler(spec, observe=FULL)
-    return scheduler.run(episode_workload(spec))
-
-
-class TestSpansJsonl:
-    def test_one_record_per_line(self):
-        recorder = SpanRecorder()
-        recorder.event("pump", "X", 1.0, examined=2)
-        span = recorder.begin("txn", "T1", 0.0)
-        recorder.end(span, 3.0, "committed")
-        lines = spans_jsonl(recorder).splitlines()
-        assert len(lines) == 2
-        records = [json.loads(line) for line in lines]
-        assert records[0]["name"] == "pump"
-        assert records[1]["status"] == "committed"
-        assert records[1]["duration"] == 3.0
-
-    def test_write_jsonl_file(self, tmp_path):
-        recorder = SpanRecorder()
-        recorder.event("pump", "X", 1.0)
-        target = write_spans_jsonl(tmp_path / "out" / "spans.jsonl",
-                                   recorder)
-        content = target.read_text(encoding="utf-8")
-        assert content.endswith("\n")
-        assert json.loads(content.splitlines()[0])["subject"] == "X"
-
-    def test_empty_recorder_writes_empty_file(self, tmp_path):
-        target = write_spans_jsonl(tmp_path / "spans.jsonl",
-                                   SpanRecorder())
-        assert target.read_text(encoding="utf-8") == ""
-
-
-class TestObservedEpisodeTrace:
-    def test_superset_of_plain_trace(self):
-        result = observed_result()
-        plain = episode_trace(result)
-        observed = observed_episode_trace(result)
-        for key, value in plain.items():
-            assert observed[key] == value
-        assert isinstance(observed["spans"], list)
-        assert observed["spans"], "traced run should have spans"
-        assert observed["metrics"], "traced run should have metrics"
-
-    def test_unobserved_run_has_empty_obs_keys(self):
-        spec = generate_episode(FuzzConfig(scheduler="gtm"), 2008, 0)
-        result = build_scheduler(spec, observe=False) \
-            .run(episode_workload(spec))
-        observed = observed_episode_trace(result)
-        assert observed["spans"] == []
-        assert observed["metrics"] == {}
-
-
-def frame(commits, spans=0):
+def frame(commits):
     return ObsFrame(
         episodes=1,
         metrics={"gtm_commits": {"kind": "counter",
                                  "series": {"": float(commits)}}},
-        span_count=spans,
         schedulers={"gtm": 1})
 
 
@@ -91,9 +27,8 @@ class TestFrames:
         assert frame(3).counter_total("missing") == 0.0
 
     def test_merge_adds_everything(self):
-        merged = merge_frames([frame(2, spans=5), frame(3, spans=7)])
+        merged = merge_frames([frame(2), frame(3)])
         assert merged.episodes == 2
-        assert merged.span_count == 12
         assert merged.counter_total("gtm_commits") == 5.0
         assert merged.schedulers == {"gtm": 2}
 
@@ -108,7 +43,7 @@ class TestFrames:
         assert first.counter_total("gtm_commits") == 2.0
 
     def test_episode_order_merge_is_deterministic(self):
-        frames = [frame(i, spans=i) for i in range(5)]
+        frames = [frame(i) for i in range(5)]
         a = merge_frames(frames)
         b = merge_frames(frames)
         assert a == b
@@ -120,11 +55,28 @@ class TestFrames:
         done.on_wait_end(3.0)
         done.on_commit(4.0)
         collector.arrival("B", 0.0).on_abort(2.0, reason="deadlock")
-        built = frame_from_collector(collector, "2pl")
+        result = SchedulerResult(scheduler="2pl", stats=None,
+                                 collector=collector)
+        built = episode_frame(result, "2pl")
         assert built.counter_total("gtm_commits") == 1.0
         assert built.metrics["gtm_aborts"]["series"] == {"deadlock": 1.0}
-        assert built.metrics["gtm_wait_seconds_total"]["series"][""] == 2.0
+        assert built.metrics["gtm_wait_seconds"]["sum"] == 2.0
         assert built.schedulers == {"2pl": 1}
+
+    def test_gtm_frame_is_the_fold_plus_the_bus_counters(self):
+        spec = generate_episode(FuzzConfig(scheduler="gtm"), 2008, 0)
+        result = build_scheduler(spec, observe=True) \
+            .run(episode_workload(spec))
+        built = episode_frame(result, "gtm")
+        assert built.metrics == result.obs.registry.dump()
+        assert built.counter_total("gtm_commits") \
+            == len(result.collector.committed())
+        assert built.counter_total("gtm_grants") > 0
+
+    def test_unobserved_gtm_run_carries_no_registry(self):
+        spec = generate_episode(FuzzConfig(scheduler="gtm"), 2008, 0)
+        result = build_scheduler(spec).run(episode_workload(spec))
+        assert result.obs is None
 
 
 class TestRendering:
@@ -147,8 +99,7 @@ class TestRendering:
         assert "no metrics" in render_metrics_summary({})
 
     def test_frame_summary_header(self):
-        text = render_frame_summary(merge_frames([frame(2, spans=9),
-                                                  frame(1)]))
+        text = render_frame_summary(merge_frames([frame(2), frame(1)]))
         assert "2 episodes" in text
-        assert "9 spans" in text
+        assert "spans" not in text
         assert "gtm:2" in text

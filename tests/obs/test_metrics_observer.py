@@ -1,13 +1,17 @@
-"""MetricsObserver: deferred materialization and bus-driven counts."""
+"""MetricsObserver: deferred materialization and bus-driven counts.
+
+The observer counts what only the bus knows.  Lifecycle counts and the
+wait/sleep intervals are read off the timelines instead
+(``test_lifecycle_fold.py``).
+"""
 
 from types import SimpleNamespace
-
-import pytest
 
 from repro.core.admission import LockTable
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add, assign, multiply
-from repro.obs.observers import MetricsObserver
+from repro.metrics.collectors import MetricsCollector
+from repro.obs.observers import MetricsObserver, fold_timelines
 from repro.obs.registry import MetricsRegistry
 
 
@@ -20,92 +24,67 @@ class TestDeferredMaterialization:
     def test_counts_absent_until_finalize(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        observer.on_begin(txn("A"), 0.0)
-        observer.on_global_commit(txn("A"), 2.0)
+        observer.on_wait(txn("A"), None, None, 0.0)
+        observer.on_grant(txn("A"), None, None, 2.0)
         assert registry.snapshot() == {}
-        observer.finalize(2.0)
+        observer.finalize()
         snap = registry.snapshot()
-        assert snap["gtm_txn_begins"]["series"] == {"": 1.0}
-        assert snap["gtm_commits"]["series"] == {"": 1.0}
+        assert snap["gtm_waits"]["series"] == {"": 1.0}
+        assert snap["gtm_grants"]["series"] == {"": 1.0}
 
     def test_zero_valued_instruments_skipped(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        observer.on_begin(txn("A"), 0.0)
-        observer.finalize(1.0)
-        # no grants/waits/aborts happened -> those names never register
+        observer.on_grant(txn("A"), None, None, 0.0)
+        observer.finalize()
+        # no waits/pumps/awakes happened -> those names never register
         # (absent and zero merge identically downstream)
-        assert list(registry.snapshot()) == ["gtm_txn_begins"]
+        assert list(registry.snapshot()) == ["gtm_grants"]
 
     def test_finalize_is_idempotent(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        observer.on_begin(txn("A"), 0.0)
-        observer.finalize(1.0)
-        observer.finalize(5.0)
-        assert registry.counter("gtm_txn_begins").total() == 1.0
+        observer.on_grant(txn("A"), None, None, 0.0)
+        observer.finalize()
+        observer.finalize()
+        assert registry.counter("gtm_grants").total() == 1.0
 
-    def test_finalize_flushes_open_intervals(self):
+    def test_observer_keeps_no_lifecycle_series(self):
+        # begins, commits, aborts, sleeps and both interval histograms
+        # belong to the timelines; a second count here would be a
+        # second accountant
+        gtm = GlobalTransactionManager()
         registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        observer.on_wait(txn("A"), None, None, 1.0)
-        observer.on_sleep(txn("B"), 2.0)
-        observer.finalize(10.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(9.0)
-        assert snap["gtm_sleep_seconds"]["sum"] == pytest.approx(8.0)
-
-    def test_sleep_closes_wait_interval(self):
-        # same disjointness rule as TxnTimeline.on_sleep_start
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        observer.on_wait(txn("A"), None, None, 1.0)
-        observer.on_sleep(txn("A"), 4.0)
-        observer.on_awake(txn("A"), 9.0, True)
-        observer.finalize(9.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(3.0)
-        assert snap["gtm_sleep_seconds"]["sum"] == pytest.approx(5.0)
-
-    def test_grant_with_pending_t_wait_keeps_wait_open(self):
-        registry = MetricsRegistry()
-        observer = MetricsObserver(registry)
-        still_queued = txn("A", t_wait={"X": object()})
-        observer.on_wait(still_queued, None, None, 1.0)
-        observer.on_grant(still_queued, None, None, 3.0)
-        still_queued.t_wait = {}
-        observer.on_grant(still_queued, None, None, 5.0)
-        observer.finalize(5.0)
-        snap = registry.snapshot()
-        assert snap["gtm_wait_seconds"]["sum"] == pytest.approx(4.0)
-        assert snap["gtm_grants"]["series"] == {"": 2.0}
+        observer = gtm.subscribe(MetricsObserver(registry))
+        TestObserversAreIndependent.contended_episode(gtm)
+        observer.finalize()
+        lifecycle = MetricsRegistry()
+        fold_timelines(MetricsCollector(), lifecycle)
+        assert len(lifecycle.snapshot()) == 6
+        assert not set(registry.snapshot()) & set(lifecycle.snapshot())
 
     def test_labelled_series(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
-        observer.on_global_abort(txn("A"), 1.0, "deadlock-victim")
-        observer.on_global_abort(txn("B"), 2.0, "deadlock-victim")
         observer.on_awake(txn("C"), 3.0, True)
         observer.on_awake(txn("D"), 4.0, False)
         observer.on_revalidate(txn("E"), None, True, 5.0)
-        observer.finalize(5.0)
+        observer.finalize()
         snap = registry.snapshot()
-        assert snap["gtm_aborts"]["series"] == {"deadlock-victim": 2.0}
         assert snap["gtm_awakes"]["series"] == {"sleep-conflict": 1.0,
                                                 "survived": 1.0}
         assert snap["gtm_revalidations"]["series"] == {"conflicted": 1.0}
 
 
 class TestLockTableSnapshot:
-    def test_flat_table_reports_one_shard(self):
+    def test_gauge_is_the_number_of_objects(self):
         registry = MetricsRegistry()
         observer = MetricsObserver(registry)
         table = LockTable()
         table.register(SimpleNamespace(name="X"))
         table.register(SimpleNamespace(name="Y"))
         observer.snapshot_lock_table(table)
-        assert registry.gauge("gtm_lock_shard_occupancy") \
-            .value("shard0") == 2.0
+        assert registry.gauge("gtm_lock_table_objects").value() == 2.0
 
 
 class TestBusDrivenMetrics:
@@ -124,11 +103,10 @@ class TestBusDrivenMetrics:
         for txn_id in ("T1", "T2"):
             gtm.request_commit(txn_id)
         gtm.pump_commits()
-        observer.finalize(gtm.now())
+        observer.finalize()
         snap = registry.snapshot()
         assert snap["gtm_reconciliations"]["series"] == {"eq1": 1.0,
                                                          "eq2": 1.0}
-        assert snap["gtm_commits"]["series"] == {"": 2.0}
 
     def test_contended_run_counts_waits_and_pumps(self):
         gtm = GlobalTransactionManager()
@@ -142,12 +120,11 @@ class TestBusDrivenMetrics:
         gtm.apply("T1", "X", assign(1))
         gtm.request_commit("T1")
         gtm.pump_commits()
-        observer.finalize(gtm.now())
+        observer.finalize()
         snap = registry.snapshot()
         assert snap["gtm_waits"]["series"] == {"": 1.0}
         assert snap["gtm_grants"]["series"][""] >= 2.0
         assert snap["gtm_pump_passes"]["series"][""] >= 1.0
-        assert snap["gtm_wait_seconds"]["count"] == 1
 
 
 class TestObserversAreIndependent:
@@ -179,7 +156,7 @@ class TestObserversAreIndependent:
             gtm = GlobalTransactionManager()
             gtm.subscribe(observer)
             self.contended_episode(gtm)
-            observer.finalize(gtm.now())
+            observer.finalize()
         first, second = (registry.snapshot() for registry in registries)
         assert first == second
         assert first["gtm_waits"]["series"] == {"": 2.0}

@@ -2,39 +2,25 @@
 
 ``python -m repro.obs.selfcheck`` proves neutrality at campaign scale;
 these tests keep a fast in-suite version so a regression is caught by
-plain ``pytest`` too, for both observability modes:
-
-- the always-on default (``observe=True`` -> metrics only);
-- the full stack (``ObsConfig(tracing=True, metrics=True)``).
+plain ``pytest`` too.
 """
 
 from repro.check.fuzzer import FuzzConfig
-from repro.check.runner import OBSERVE_DEFAULT, run_campaign
-from repro.obs import ObsConfig
+from repro.check.runner import run_campaign
 from repro.obs.selfcheck import (
     check_campaign_neutrality,
     check_differential_neutrality,
+    main,
 )
 
 EPISODES = 6
-FULL = ObsConfig(tracing=True, metrics=True)
 
 
-def test_default_mode_is_metrics_only():
-    assert OBSERVE_DEFAULT.metrics is True
-    assert OBSERVE_DEFAULT.tracing is False
-
-
-def test_campaign_digest_neutral_metrics_mode():
-    ok, evidence = check_campaign_neutrality(
-        "gtm", seed=2008, episodes=EPISODES, jobs=1, mode=True)
+def test_campaign_digest_neutral():
+    ok, evidence, observed = check_campaign_neutrality(
+        seed=2008, episodes=EPISODES, jobs=1)
     assert ok, evidence
-
-
-def test_campaign_digest_neutral_full_tracing():
-    ok, evidence = check_campaign_neutrality(
-        "gtm", seed=2008, episodes=EPISODES, jobs=1, mode=FULL)
-    assert ok, evidence
+    assert observed.metrics.episodes == EPISODES
 
 
 def test_differential_digest_neutral():
@@ -43,21 +29,23 @@ def test_differential_digest_neutral():
     assert ok, evidence
 
 
+def test_selfcheck_main_reads_proven(capsys):
+    assert main(["--episodes", "3", "--jobs", "1", "--summary"]) == 0
+    out = capsys.readouterr().out
+    assert "observability neutrality: PROVEN" in out
+    assert "gtm_wait_seconds" in out
+    # one leg per harness: bus-less schedulers would compare a run
+    # with itself
+    assert "[2pl" not in out and "[optimistic" not in out
+
+
 def test_observed_campaign_carries_merged_frame():
     report = run_campaign(FuzzConfig(scheduler="gtm"), 2008, EPISODES,
                           shrink_failures=False, observe=True)
     frame = report.metrics
     assert frame is not None
     assert frame.episodes == EPISODES
-    assert frame.span_count == 0  # default mode records no spans
     assert frame.counter_total("gtm_commits") > 0
-
-
-def test_traced_campaign_counts_spans():
-    report = run_campaign(FuzzConfig(scheduler="gtm"), 2008, EPISODES,
-                          shrink_failures=False, observe=FULL)
-    assert report.metrics is not None
-    assert report.metrics.span_count > 0
 
 
 def test_jobs_merge_matches_serial():

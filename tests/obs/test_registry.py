@@ -1,15 +1,15 @@
 """Registry instrument semantics and the snapshot merge algebra."""
 
+import copy
+
+
 import pytest
 
 from repro.errors import GTMError
 from repro.obs.registry import (
-    NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     accumulate_snapshot,
-    merge_snapshots,
 )
 
 
@@ -105,15 +105,6 @@ class TestRegistry:
         registry.counter("alpha").inc()
         assert list(registry.snapshot()) == ["alpha", "zeta"]
 
-    def test_null_registry_records_nothing(self):
-        registry = NullRegistry()
-        registry.counter("c").inc(100)
-        registry.gauge("g").set(5)
-        registry.histogram("h").observe(1.0)
-        assert registry.snapshot() == {}
-        assert registry.enabled is False
-        assert NULL_REGISTRY.enabled is False
-
 
 def sample_snapshot(scale=1.0):
     registry = MetricsRegistry()
@@ -124,6 +115,14 @@ def sample_snapshot(scale=1.0):
     hist.observe(0.5 * scale)
     hist.observe(20.0 * scale)
     return registry.snapshot()
+
+
+def merge_snapshots(left, right):
+    """Two snapshots folded into a fresh accumulator."""
+    merged = {}
+    accumulate_snapshot(merged, left)
+    accumulate_snapshot(merged, right)
+    return merged
 
 
 class TestMergeSnapshots:
@@ -149,9 +148,9 @@ class TestMergeSnapshots:
 
     def test_inputs_untouched(self):
         a, b = sample_snapshot(), sample_snapshot()
-        a_before = repr(a)
+        before = copy.deepcopy((a, b))
         merge_snapshots(a, b)
-        assert repr(a) == a_before
+        assert (a, b) == before
 
     def test_kind_mismatch_raises(self):
         with pytest.raises(GTMError):
@@ -169,17 +168,6 @@ class TestMergeSnapshots:
 
 
 class TestAccumulateSnapshot:
-    def test_matches_pure_merge(self):
-        acc = {}
-        accumulate_snapshot(acc, sample_snapshot(1.0))
-        accumulate_snapshot(acc, sample_snapshot(2.0))
-        merged = merge_snapshots(sample_snapshot(1.0), sample_snapshot(2.0))
-        # accumulate preserves insertion order, merge sorts; compare
-        # contents key by key
-        assert set(acc) == set(merged)
-        for name in merged:
-            assert acc[name] == merged[name]
-
     def test_first_fold_copies(self):
         source = sample_snapshot()
         acc = {}

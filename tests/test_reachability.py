@@ -8,11 +8,20 @@ the benchmarks are roots).  A module outside the import closure of
 those roots is a door nobody walks through: delete it, or give it a
 caller.  An example documents the system; it does not keep a module
 alive, so the examples are checked against the closure, not added to it.
+
+One level down, for the two measurement packages: a name exported in
+``repro.obs.__all__`` or ``repro.metrics.__all__`` must be used by code
+outside that package — under ``src/``, ``benchmarks/`` or ``examples/``.
+An export only its own package and its tests touch is the same unused
+door at a smaller scale.
 """
 
 import ast
 import functools
+import importlib
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -84,3 +93,33 @@ def test_examples_import_only_reachable_modules():
         if (unreached := _repro_imports(path) - _reachable())}
     assert not kept_alive, (
         f"an example is the only importer of {kept_alive}")
+
+
+def _names_used(path: Path) -> set[str]:
+    """Every identifier, attribute and imported name in one file."""
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rpartition(".")[2]
+                        for alias in node.names)
+    return used
+
+
+@pytest.mark.parametrize("package", ["repro.obs", "repro.metrics"])
+def test_every_export_is_used_outside_its_package(package):
+    own = SRC.joinpath(*package.split("."))
+    used: set[str] = set()
+    for root in (SRC, REPO / "benchmarks", REPO / "examples"):
+        for path in root.rglob("*.py"):
+            if own not in path.parents:
+                used |= _names_used(path)
+    exports = importlib.import_module(package).__all__
+    assert exports
+    unused = sorted(set(exports) - used)
+    assert not unused, (
+        f"{package}.__all__ exports {unused}, which nothing outside "
+        f"{package} uses: drop the export (or the code behind it)")
