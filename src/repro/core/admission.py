@@ -169,7 +169,7 @@ class AdmissionController:
     def _validate(self, txn: GTMTransaction, obj: ManagedObject,
                   invocation: Invocation) -> None:
         """Algorithm 2's preconditions and the paper's constraint (i)."""
-        if not txn.is_in(_TS.ACTIVE):
+        if txn.state is not _TS.ACTIVE:
             raise ProtocolError(
                 "invoke",
                 f"{txn.txn_id!r} is {txn.state.value}, not active")
@@ -414,6 +414,8 @@ class AdmissionController:
         reorder.  Granted transactions become Active with fresh
         snapshots.
         """
+        if not obj.waiting:
+            return ()  # the common case: nobody to build anything for
         candidates = [entry for entry in obj.waiting
                       if entry.txn_id not in obj.sleeping]
         if not candidates:
@@ -422,13 +424,13 @@ class AdmissionController:
         # the pump skips materialising the holder_ops dict entirely.
         holders = (None if self.checker.uses_summaries
                    else obj.holder_ops(include_sleeping=False))
-        batch = self.grant_policy.select(obj, candidates, self.checker,
-                                         self._clock(), holders)
-        granted: list[str] = []
         now = self._clock()
+        batch = self.grant_policy.select(obj, candidates, self.checker,
+                                         now, holders)
+        granted: list[str] = []
         for entry in batch:
             txn = self._transactions.get(entry.txn_id)
-            if txn is None or not txn.is_in(_TS.WAITING):
+            if txn is None or txn.state is not _TS.WAITING:
                 continue
             if not self.throttle.admits(obj, entry.invocation):
                 continue

@@ -85,13 +85,14 @@ class CommitPipeline:
         value.
         """
         txn_id = txn.txn_id
-        if not txn.is_in(_TS.ACTIVE):
+        if txn.state is not _TS.ACTIVE:
             raise ProtocolError(
                 "apply", f"{txn_id!r} is {txn.state.value}, not active")
-        if not obj.is_pending(txn_id):
+        held = obj.pending.get(txn_id)
+        if held is None:
             raise ProtocolError(
                 "apply", f"{txn_id!r} holds no grant on {obj.name!r}")
-        granted = obj.pending[txn_id].get(invocation.member)
+        granted = held.get(invocation.member)
         is_read = invocation.op_class is OperationClass.READ
         if not is_read and (granted is None
                             or invocation.op_class is not granted.op_class):
@@ -128,34 +129,33 @@ class CommitPipeline:
     def local_commit(self, txn: GTMTransaction, obj: ManagedObject,
                      now: float) -> bool:
         """Reconcile and stage A's value for X; False when deferred."""
-        if not txn.is_in(_TS.ACTIVE, _TS.COMMITTING):
+        txn_id = txn.txn_id
+        if txn.state not in (_TS.ACTIVE, _TS.COMMITTING):
             raise ProtocolError(
                 "local_commit",
-                f"{txn.txn_id!r} is {txn.state.value}, not "
-                f"active/committing")
-        if not obj.is_pending(txn.txn_id):
+                f"{txn_id!r} is {txn.state.value}, not active/committing")
+        if txn_id not in obj.pending:
             raise ProtocolError(
-                "local_commit",
-                f"{txn.txn_id!r} not pending on {obj.name!r}")
-        if any(other != txn.txn_id for other in obj.committing):
+                "local_commit", f"{txn_id!r} not pending on {obj.name!r}")
+        if txn.state is _TS.ACTIVE:
+            txn.transition(_TS.COMMITTING)
+        committing = obj.committing
+        if committing and (len(committing) > 1 or txn_id not in committing):
+            # another committer holds X_committing: A queues behind it.
             queue = self.deferred.setdefault(obj.name, [])
-            if txn.txn_id not in queue:
-                queue.append(txn.txn_id)
-            if txn.is_in(_TS.ACTIVE):
-                txn.transition(_TS.COMMITTING)
+            if txn_id not in queue:
+                queue.append(txn_id)
             self.bus.on_commit_deferred(txn, obj, now)
             return False
 
-        if txn.is_in(_TS.ACTIVE):
-            txn.transition(_TS.COMMITTING)
         # X_pending -> X_committing atomically (reconcile reads only
         # X_read / A_temp / X_permanent, so staging first is safe).
-        invocations = obj.stage_commit(txn.txn_id)
+        invocations = obj.stage_commit(txn_id)
         new_values: dict[str, Any] = {}
         for invocation in invocations.values():
             new_values.update(self.reconcile(txn, obj, invocation))
             self.bus.on_reconcile(txn, obj, invocation, now)
-        obj.new[txn.txn_id] = new_values
+        obj.new[txn_id] = new_values
         # NOTE: Algorithm 3's postcondition clears A_temp and X_read here,
         # but the paper's own Table II shows both still populated on the
         # "req commit" row and cleared only at the commit row.  The two
@@ -197,7 +197,7 @@ class CommitPipeline:
         extension) and the :class:`~repro.errors.SSTFailure` propagates.
         """
         txn_id = txn.txn_id
-        if not txn.is_in(_TS.COMMITTING):
+        if txn.state is not _TS.COMMITTING:
             raise ProtocolError(
                 "global_commit",
                 f"{txn_id!r} is {txn.state.value}, not committing")
@@ -264,9 +264,9 @@ class CommitPipeline:
         while queue:
             txn_id = queue.pop(0)
             txn = self._transactions.get(txn_id)
-            if txn is None or not txn.is_in(_TS.COMMITTING):
+            if txn is None or txn.state is not _TS.COMMITTING:
                 continue
-            if not obj.is_pending(txn_id):
+            if txn_id not in obj.pending:
                 continue
             self.local_commit(txn, obj, self._clock())
             # only one committer at a time: stop after a success
@@ -283,16 +283,19 @@ class CommitPipeline:
     # ------------------------------------------------------------------
 
     def finish_commit(self, txn: GTMTransaction,
+                      involved: list[ManagedObject],
                       now: float) -> SSTReport | None:
-        """⟨commit, A⟩ plus the post-commit pumps on every involved X."""
-        involved = self._involved(txn)
+        """⟨commit, A⟩ plus the post-commit pumps on every X of
+        ``involved`` (:meth:`_involved`'s list, sorted once by the
+        caller)."""
         report = self.global_commit(txn, involved, now)
         for obj in involved:
             self.pump_deferred(obj)
             self._pump_unlock(obj)
         return report
 
-    def request_commit(self, txn: GTMTransaction) -> SSTReport | None:
+    def request_commit(self, txn: GTMTransaction,
+                       now: float) -> SSTReport | None:
         """Local commit on every involved object, then global commit.
 
         If any local commit is deferred (another committer active), the
@@ -301,34 +304,36 @@ class CommitPipeline:
         the SST report when the commit completed now, else None.
         """
         txn_id = txn.txn_id
-        if not txn.is_in(_TS.ACTIVE, _TS.COMMITTING):
+        if txn.state not in (_TS.ACTIVE, _TS.COMMITTING):
             raise ProtocolError(
                 "request_commit", f"{txn_id!r} is {txn.state.value}")
         if txn.t_wait:
             raise ProtocolError(
                 "request_commit",
                 f"{txn_id!r} is waiting for an invocation (constraint iii)")
+        involved = self._involved(txn)
         all_staged = True
-        for obj in self._involved(txn):
+        for obj in involved:
             if txn_id in obj.committing:
                 continue
-            if obj.is_pending(txn_id):
-                if not self.local_commit(txn, obj, self._clock()):
+            if txn_id in obj.pending:
+                if not self.local_commit(txn, obj, now):
                     all_staged = False
         if not all_staged:
             return None
-        if not txn.involved and txn.is_in(_TS.ACTIVE):
+        if not involved and txn.state is _TS.ACTIVE:
             # nothing was ever granted (or every read was served
             # lock-free), so no local commit made the Active ->
             # Committing transition: the commit is trivial.
             txn.transition(_TS.COMMITTING)
-        return self.finish_commit(txn, self._clock())
+        return self.finish_commit(txn, involved, now)
 
-    def try_finish_commit(self, txn: GTMTransaction) -> SSTReport | None:
+    def try_finish_commit(self, txn: GTMTransaction,
+                          now: float) -> SSTReport | None:
         """Retry a commit left pending by deferred local commits."""
-        if not txn.is_in(_TS.COMMITTING):
+        if txn.state is not _TS.COMMITTING:
             return None
-        return self.request_commit(txn)
+        return self.request_commit(txn, now)
 
     def commit_ready(self, txn: GTMTransaction) -> bool:
         """True when every involved object has A staged in X_committing."""
@@ -352,7 +357,8 @@ class CommitPipeline:
             progress = False
             for txn_id, txn in list(self._transactions.items()):
                 if txn.is_in(_TS.COMMITTING) and self.commit_ready(txn):
-                    self.finish_commit(txn, self._clock())
+                    self.finish_commit(txn, self._involved(txn),
+                                       self._clock())
                     completed.append(txn_id)
                     progress = True
         return completed

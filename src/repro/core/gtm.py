@@ -140,14 +140,18 @@ class GlobalTransactionManager:
         # Definition 1 condition 3: a class that commutes with itself
         # must have a reconciler — catch misconfiguration at startup.
         self.config.registry.validate_against(self.config.matrix)
-        # The clock seam accepts either a zero-argument callable (the
-        # historical contract, what the sim schedulers pass) or any
-        # repro.driver Clock object (what the live service passes).
-        if clock is not None and not callable(clock):
+        # The clock seam accepts a zero-argument callable, any
+        # repro.driver Clock object (what the schedulers and the live
+        # service pass), or nothing: then time is a logical counter.
+        if clock is None:
+            ticks = itertools.count(1)
+            clock = lambda: float(next(ticks))  # noqa: E731
+        elif not callable(clock):
             clock_obj = clock
             clock = lambda: clock_obj.now  # noqa: E731
-        self._external_clock = clock
-        self._logical_time = itertools.count(1)
+        #: ``gtm.now()``: current time.  Bound here, not a method, so a
+        #: read is the seam's own frames and no facade frame above them.
+        self.now: Callable[[], float] = clock
         self.sst_executor = sst_executor
         self.observer = observer or GTMObserver()
         self.bus = EventBus([self.observer])
@@ -175,7 +179,7 @@ class GlobalTransactionManager:
             registry=self.config.registry, history=self.history,
             bus=self.bus, transactions=self.transactions,
             sst_executor=sst_executor, clock=self.now,
-            get_object=self.object,
+            get_object=self.lock_table.get,
             pump_unlock=self.admission.pump_unlock,
             on_finished=self.deadlock_policy.on_finished,
             abort_from_committing=lambda txn, now, reason:
@@ -205,12 +209,6 @@ class GlobalTransactionManager:
     def subscribe(self, observer: GTMObserver) -> GTMObserver:
         """Attach one more observer to the GTM's event stream."""
         return self.bus.subscribe(observer)
-
-    def now(self) -> float:
-        """Current time: external clock if wired, else a logical counter."""
-        if self._external_clock is not None:
-            return self._external_clock()
-        return float(next(self._logical_time))
 
     # ------------------------------------------------------------------
     # object registry
@@ -301,18 +299,21 @@ class GlobalTransactionManager:
     @_ticked
     def global_commit(self, txn_id: str) -> SSTReport | None:
         """⟨commit, A⟩: apply X_new everywhere via the SST."""
-        return self.pipeline.finish_commit(self.transaction(txn_id),
+        txn = self.transaction(txn_id)
+        return self.pipeline.finish_commit(txn, self._involved_objects(txn),
                                            self.now())
 
     @_ticked
     def request_commit(self, txn_id: str) -> SSTReport | None:
         """Local commit on every involved object, then global commit."""
-        return self.pipeline.request_commit(self.transaction(txn_id))
+        return self.pipeline.request_commit(self.transaction(txn_id),
+                                            self.now())
 
     @_ticked
     def try_finish_commit(self, txn_id: str) -> SSTReport | None:
         """Retry a commit left pending by deferred local commits."""
-        return self.pipeline.try_finish_commit(self.transaction(txn_id))
+        return self.pipeline.try_finish_commit(self.transaction(txn_id),
+                                               self.now())
 
     def commit_ready(self, txn_id: str) -> bool:
         """True when every involved object has A staged in X_committing."""

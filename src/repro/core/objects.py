@@ -298,11 +298,8 @@ class ManagedObject:
     # -- lock-state mutators ----------------------------------------------------
     #
     # Every change to pending/committing/sleeping/waiting flows through
-    # these, so the :class:`LockSetSummary` and the lock epoch stay
-    # exact without any rebuild on the hot path.
-
-    def _bump(self) -> None:
-        self.lock_epoch += 1
+    # these, so the :class:`LockSetSummary` and the lock epoch (bumped
+    # by each of them) stay exact without any rebuild on the hot path.
 
     def grant_pending(self, txn_id: str, invocation: Invocation) -> None:
         """Record a granted invocation in ``X_pending``."""
@@ -313,7 +310,7 @@ class ManagedObject:
             if previous is not None:
                 self.summary.remove(previous)
             self.summary.add(invocation)
-        self._bump()
+        self.lock_epoch += 1
 
     def stage_commit(self, txn_id: str) -> dict[str, Invocation]:
         """Move a holder from ``X_pending`` to ``X_committing``."""
@@ -325,7 +322,7 @@ class ManagedObject:
             # ops are always effective.
             for op in invocations.values():
                 self.summary.add(op)
-        self._bump()
+        self.lock_epoch += 1
         return invocations
 
     def retire_committer(self, txn_id: str) -> dict[str, Invocation]:
@@ -335,7 +332,7 @@ class ManagedObject:
             self.summary.remove(op)
         self.new.pop(txn_id, None)
         self.read.pop(txn_id, None)   # X_read^A = ⊥
-        self._bump()
+        self.lock_epoch += 1
         return invocations
 
     def release_claims(self, txn_id: str) -> None:
@@ -355,7 +352,7 @@ class ManagedObject:
         self.sleeping.discard(txn_id)
         if not self.sleeping:
             self.committed.clear()
-        self._bump()
+        self.lock_epoch += 1
 
     def mark_sleeping(self, txn_id: str) -> None:
         """⟨sleep, X, A⟩: subtract A's grants from the effective set."""
@@ -364,7 +361,7 @@ class ManagedObject:
         self.sleeping.add(txn_id)
         for op in self.pending.get(txn_id, {}).values():
             self.summary.remove(op)
-        self._bump()
+        self.lock_epoch += 1
 
     def wake_sleeping(self, txn_id: str) -> None:
         """⟨awake, X, A⟩ survivor path: grants rejoin the effective set."""
@@ -375,11 +372,11 @@ class ManagedObject:
             self.committed.clear()
         for op in self.pending.get(txn_id, {}).values():
             self.summary.add(op)
-        self._bump()
+        self.lock_epoch += 1
 
     def push_waiting(self, entry: WaitEntry) -> None:
         self.waiting.append(entry)
-        self._bump()
+        self.lock_epoch += 1
 
     def verify_summary(self) -> None:
         """Raise when the incremental summary drifted from the raw sets."""
@@ -401,7 +398,7 @@ class ManagedObject:
         if len(remaining) != len(self.waiting):
             self.waiting = remaining
             self.wait_edge_epochs.pop(txn_id, None)
-            self._bump()
+            self.lock_epoch += 1
 
     def record_commit(self, txn_id: str,
                       invocations: Mapping[str, Invocation],

@@ -15,7 +15,11 @@ from repro.errors import IllegalTransition
 
 
 class TransactionState(enum.Enum):
-    """Operating states of a GTM transaction (paper Section IV)."""
+    """Operating states of a GTM transaction (paper Section IV).
+
+    Each member carries ``successors``, its legal next states (set by
+    the module loop below the transition table).
+    """
 
     ACTIVE = "active"
     WAITING = "waiting"
@@ -43,26 +47,37 @@ _S = TransactionState
 #: - Alg. 9 (conflict case): SLEEPING -> ABORTED directly;
 #: - Alg. 10: SLEEPING -> ACTIVE at global awakening;
 #: - Alg. 11: WAITING -> ACTIVE when the unlock grants the waiter.
-_ALLOWED: dict[TransactionState, frozenset[TransactionState]] = {
-    _S.ACTIVE: frozenset({_S.WAITING, _S.SLEEPING, _S.COMMITTING,
-                          _S.ABORTING}),
-    _S.WAITING: frozenset({_S.ACTIVE, _S.SLEEPING, _S.ABORTING}),
-    _S.SLEEPING: frozenset({_S.ACTIVE, _S.ABORTED, _S.ABORTING}),
-    _S.COMMITTING: frozenset({_S.COMMITTED, _S.ABORTING}),
-    _S.ABORTING: frozenset({_S.ABORTED}),
-    _S.COMMITTED: frozenset(),
-    _S.ABORTED: frozenset(),
+_ALLOWED: dict[TransactionState, tuple[TransactionState, ...]] = {
+    _S.ACTIVE: (_S.WAITING, _S.SLEEPING, _S.COMMITTING, _S.ABORTING),
+    _S.WAITING: (_S.ACTIVE, _S.SLEEPING, _S.ABORTING),
+    _S.SLEEPING: (_S.ACTIVE, _S.ABORTED, _S.ABORTING),
+    _S.COMMITTING: (_S.COMMITTED, _S.ABORTING),
+    _S.ABORTING: (_S.ABORTED,),
+    _S.COMMITTED: (),
+    _S.ABORTED: (),
 }
+
+# Each state carries its legal successors as a plain tuple attribute:
+# the test on every transition is then identity comparisons in C, where
+# a dict or frozenset lookup hashes Enum members through
+# ``Enum.__hash__`` — a Python-level call, twice per transition.
+for _source, _targets in _ALLOWED.items():
+    _source.successors = _targets
+del _source, _targets
 
 
 def can_transition(source: TransactionState,
                    target: TransactionState) -> bool:
     """True when ``source -> target`` is a legal edge."""
-    return target in _ALLOWED[source]
+    return target in source.successors
 
 
 class StateMachine:
-    """Holds one transaction's state and validates every transition."""
+    """Holds one transaction's state and validates every transition.
+
+    ``state`` is a plain attribute: hot paths test it with ``is`` / ``in``
+    directly; :meth:`is_in` is the readable form for the others.
+    """
 
     __slots__ = ("txn_id", "state", "history")
 
@@ -75,7 +90,7 @@ class StateMachine:
 
     def transition(self, target: TransactionState) -> None:
         """Take an edge, or raise :class:`IllegalTransition`."""
-        if not can_transition(self.state, target):
+        if target not in self.state.successors:
             raise IllegalTransition(self.txn_id, self.state.value,
                                     target.value)
         self.state = target

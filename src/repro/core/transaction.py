@@ -16,22 +16,26 @@ from repro.core.opclass import Invocation
 from repro.core.states import StateMachine, TransactionState
 
 
-class GTMTransaction:
-    """One transaction as the GTM sees it."""
+class GTMTransaction(StateMachine):
+    """One transaction as the GTM sees it.
+
+    A_state is the inherited :class:`~repro.core.states.StateMachine`
+    (``state``, ``history``, ``transition``, ``is_in``): the transaction
+    *is* its state machine, so a state test reads one attribute.
+    """
 
     # Flattened hot record: thousands are created per campaign and every
     # admission/commit step reads several fields, so no per-instance
     # __dict__.
-    __slots__ = ("txn_id", "begin_time", "priority", "_machine", "temp",
-                 "operations", "t_sleep", "t_wait", "involved", "end_time")
+    __slots__ = ("begin_time", "priority", "temp", "operations", "t_sleep",
+                 "t_wait", "involved", "end_time")
 
     def __init__(self, txn_id: str, begin_time: float = 0.0,
                  priority: int = 0) -> None:
-        self.txn_id = txn_id
+        super().__init__(txn_id)
         self.begin_time = begin_time
         #: Starvation-mitigation hook (Section VII): larger wins ties.
         self.priority = priority
-        self._machine = StateMachine(txn_id)
         #: A_temp — per (object, member) virtual values.
         self.temp: dict[tuple[str, str], Any] = {}
         #: The granted invocation per object and data member (at most
@@ -50,18 +54,8 @@ class GTMTransaction:
     # -- state --------------------------------------------------------------
 
     @property
-    def state(self) -> TransactionState:
-        return self._machine.state
-
-    @property
     def state_history(self) -> tuple[TransactionState, ...]:
-        return tuple(self._machine.history)
-
-    def transition(self, target: TransactionState) -> None:
-        self._machine.transition(target)
-
-    def is_in(self, *states: TransactionState) -> bool:
-        return self._machine.is_in(*states)
+        return tuple(self.history)
 
     # -- virtual data --------------------------------------------------------
 

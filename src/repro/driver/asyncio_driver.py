@@ -92,7 +92,7 @@ class AsyncioDriver:
         ``priority`` is accepted for signature parity with the
         simulation engine; the loop's own timer ordering applies.
         """
-        if when < self.now:
+        if not (when >= self.now):  # also refuses NaN
             raise SimulationError(
                 f"cannot schedule event in the past: {when} < {self.now}")
         timer = AsyncioTimer(when, label)
@@ -112,7 +112,7 @@ class AsyncioDriver:
                        callback: Callable[["AsyncioDriver"], Any], *,
                        priority: int = 0, label: str = "") -> AsyncioTimer:
         """Run ``callback(driver)`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(f"negative delay: {delay}")
         return self.schedule_at(self.now + delay, callback,
                                 priority=priority, label=label)

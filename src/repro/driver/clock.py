@@ -56,7 +56,7 @@ class VirtualClock:
         Raises :class:`~repro.errors.ClockError` if ``when`` precedes the
         current time: the discrete-event invariant is that time is monotone.
         """
-        if when < self._now:
+        if not (when >= self._now):  # also refuses NaN
             raise ClockError(
                 f"cannot move clock backwards: {when} < {self._now}"
             )

@@ -135,9 +135,7 @@ class _SignallingObserver(GTMObserver):
         return signal
 
     def _fire_later(self, signal: Signal, payload: Any) -> None:
-        self.engine.schedule_after(
-            0.0, lambda _e: signal.fire(payload),
-            label=f"fire:{signal.name}")
+        self.engine.schedule_after(0.0, lambda _e: signal.fire(payload))
 
     # -- GTMObserver hooks -----------------------------------------------------
 
@@ -185,7 +183,7 @@ class GTMScheduler(Scheduler):
             self.last_backend = backend
         gtm = build_transaction_manager(
             config=self.config.gtm_config,
-            clock=lambda: engine.now,
+            clock=engine.clock,
             sst_executor=sst_executor,
             observer=observer,
         )
@@ -259,34 +257,38 @@ class GTMScheduler(Scheduler):
     def _await_grant(self, txn_id: str, gtm: GlobalTransactionManager,
                      wake: Any) -> Generator[Any, Any, bool]:
         """Wait until granted; handles timeout-abort and external abort."""
+        txn = gtm.transaction(txn_id)
         while True:
             payload = yield WaitEvent(wake, timeout=self.config.wait_timeout)
             if payload is WaitEvent.TIMED_OUT:
                 gtm.abort(txn_id, reason="wait-timeout")
                 return False
             kind = payload[0] if isinstance(payload, tuple) else payload
-            if kind == "grant":
-                return True
             if kind == "aborted":
                 return False
+            # A "grant" wake may be stale: every grant schedules one, also
+            # a grant made inside the client's own invoke, and that one
+            # arrives while the client already waits for something else.
+            # The kernel knows: a granted waiter has left Waiting.
+            if kind == "grant" and txn.state is not TransactionState.WAITING:
+                return True
 
     def _commit(self, txn_id: str, gtm: GlobalTransactionManager,
                 observer: _SignallingObserver) -> Generator[Any, Any, bool]:
         """Drive the commit to completion, retrying deferred staging."""
+        txn = gtm.transaction(txn_id)
         try:
             report = gtm.request_commit(txn_id)
         except SSTFailure:
             return False  # the GTM already aborted and reported it
-        if report is not None or gtm.transaction(txn_id).is_in(
-                TransactionState.COMMITTED):
+        if report is not None or txn.state is TransactionState.COMMITTED:
             return True
-        while gtm.transaction(txn_id).is_in(TransactionState.COMMITTING):
+        while txn.state is TransactionState.COMMITTING:
             yield WaitEvent(observer.commit_slot)
-            if not gtm.transaction(txn_id).is_in(
-                    TransactionState.COMMITTING):
+            if txn.state is not TransactionState.COMMITTING:
                 break
             try:
                 gtm.try_finish_commit(txn_id)
             except SSTFailure:
                 return False
-        return gtm.transaction(txn_id).is_in(TransactionState.COMMITTED)
+        return txn.state is TransactionState.COMMITTED

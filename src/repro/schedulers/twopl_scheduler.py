@@ -94,8 +94,7 @@ class _Run:
 
     def fire_later(self, txn_id: str, payload: Any) -> None:
         signal = self.signal_for(txn_id)
-        self.engine.schedule_after(0.0, lambda _e: signal.fire(payload),
-                                   label=f"fire:{signal.name}")
+        self.engine.schedule_after(0.0, lambda _e: signal.fire(payload))
 
     def abort_txn(self, txn_id: str, reason: str,
                   notify: bool = True) -> None:
@@ -255,5 +254,4 @@ class TwoPLScheduler(Scheduler):
             run.abort_txn(txn_id, "sleep-timeout", notify=False)
             timeline.on_abort(run.engine.now, reason="sleep-timeout")
 
-        return run.engine.schedule_after(self.config.sleep_timeout, fire,
-                                         label=f"sleep-abort:{txn_id}")
+        return run.engine.schedule_after(self.config.sleep_timeout, fire)

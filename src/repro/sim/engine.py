@@ -15,9 +15,11 @@ Callback = Callable[["SimulationEngine"], Any]
 class ScheduledEvent:
     """Handle for an event sitting in (or already popped from) the queue.
 
-    The handle is the heap entry itself — ordering is (time, priority,
-    sequence) via :meth:`__lt__` — so scheduling allocates one slotted
-    object instead of an entry/handle pair.
+    The heap entry is the tuple ``(time, priority, sequence, handle)``:
+    ``sequence`` is unique, so tuple comparison settles the order in C
+    and never reaches the handle.  (The handle used to *be* the entry,
+    ordered by a Python ``__lt__`` — one allocation saved, fourteen
+    Python comparisons per event paid; docs/PERFORMANCE.md §18.)
 
     The handle supports cancellation: a cancelled event stays in the heap
     but is skipped by the dispatcher.  This gives O(1) cancel without heap
@@ -26,24 +28,17 @@ class ScheduledEvent:
     its live-event count stays O(1) too.
     """
 
-    __slots__ = ("time", "priority", "sequence", "callback", "label",
-                 "cancelled", "dispatched", "_engine")
+    __slots__ = ("time", "callback", "label", "cancelled", "dispatched",
+                 "_engine")
 
-    def __init__(self, time: float, priority: int, sequence: int,
-                 callback: Callback, label: str = "",
-                 engine: "SimulationEngine | None" = None) -> None:
+    def __init__(self, time: float, callback: Callback, label: str,
+                 engine: "SimulationEngine") -> None:
         self.time = time
-        self.priority = priority
-        self.sequence = sequence
         self.callback = callback
         self.label = label
         self.cancelled = False
         self.dispatched = False
         self._engine = engine
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.priority, self.sequence) < \
-               (other.time, other.priority, other.sequence)
 
     def cancel(self) -> bool:
         """Cancel the event.  Returns False if it already ran."""
@@ -51,8 +46,7 @@ class ScheduledEvent:
             return False
         if not self.cancelled:
             self.cancelled = True
-            if self._engine is not None:
-                self._engine._on_cancelled()
+            self._engine._live -= 1
         return True
 
     @property
@@ -63,7 +57,15 @@ class ScheduledEvent:
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else (
             "dispatched" if self.dispatched else "pending")
-        label = f" {self.label!r}" if self.label else ""
+        label = self.label
+        if not label:
+            # unlabelled (every process timer, every signal fire): named
+            # after the callback and its owner, here, when somebody looks.
+            label = getattr(self.callback, "__qualname__", "")
+            owner = getattr(self.callback, "__self__", None)
+            if owner is not None:
+                label = f"{label} of {owner!r}"
+        label = f" {label!r}" if label else ""
         return f"<ScheduledEvent t={self.time}{label} {state}>"
 
 
@@ -89,7 +91,7 @@ class SimulationEngine:
         # it, so a bare clock.reset() mid-run would silently rewind
         # their timelines.  Resetting goes through engine.reset().
         self.clock.bind_driver(self)
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[tuple[float, int, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._events_dispatched = 0
         #: live (scheduled, not cancelled, not dispatched) events;
@@ -118,10 +120,8 @@ class SimulationEngine:
 
     def peek(self) -> float | None:
         """Timestamp of the next live event, or None if the queue is drained."""
-        self._drop_dead_head()
-        if not self._queue:
-            return None
-        return self._queue[0].time
+        head = self._live_head()
+        return None if head is None else head.time
 
     # -- scheduling ---------------------------------------------------------
 
@@ -129,13 +129,15 @@ class SimulationEngine:
                     priority: int = DEFAULT_PRIORITY,
                     label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` at absolute virtual time ``when``."""
-        if when < self.clock.now:
+        # written so that NaN — for which every comparison is False —
+        # is refused with everything else that is not "now or later".
+        if not (when >= self.clock.now):
             raise SimulationError(
                 f"cannot schedule event in the past: {when} < {self.clock.now}"
             )
-        event = ScheduledEvent(when, priority, next(self._sequence),
-                               callback, label, engine=self)
-        heapq.heappush(self._queue, event)
+        event = ScheduledEvent(when, callback, label, self)
+        heapq.heappush(self._queue,
+                       (when, priority, next(self._sequence), event))
         self._live += 1
         return event
 
@@ -143,19 +145,23 @@ class SimulationEngine:
                        priority: int = DEFAULT_PRIORITY,
                        label: str = "") -> ScheduledEvent:
         """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(f"negative delay: {delay}")
-        return self.schedule_at(self.clock.now + delay, callback,
-                                priority=priority, label=label)
+        when = self.clock.now + delay
+        event = ScheduledEvent(when, callback, label, self)
+        heapq.heappush(self._queue,
+                       (when, priority, next(self._sequence), event))
+        self._live += 1
+        return event
 
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
         """Dispatch the next live event.  Returns False when none remain."""
-        self._drop_dead_head()
-        if not self._queue:
+        event = self._live_head()
+        if event is None:
             return False
-        event = heapq.heappop(self._queue)
+        heapq.heappop(self._queue)
         self.clock.advance_to(event.time)
         event.dispatched = True
         self._live -= 1
@@ -172,22 +178,34 @@ class SimulationEngine:
             raise SimulationError("engine is already running (re-entrant run)")
         self._running = True
         self._stopped = False
+        # step() written out: one frame per event, not peek + step and
+        # a head sweep under each.
+        queue = self._queue
+        clock = self.clock
+        heappop = heapq.heappop
         dispatched = 0
         try:
             while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
+                while queue and queue[0][3].cancelled:
+                    heappop(queue)
+                if not queue:
                     break
-                if until is not None and next_time > until:
-                    self.clock.advance_to(until)
+                when, _, _, event = queue[0]
+                if until is not None and when > until:
+                    clock.advance_to(until)
                     break
                 if max_events is not None and dispatched >= max_events:
                     break
-                self.step()
+                heappop(queue)
+                clock.advance_to(when)
+                event.dispatched = True
+                self._live -= 1
+                self._events_dispatched += 1
                 dispatched += 1
+                event.callback(self)
         finally:
             self._running = False
-        return self.clock.now
+        return clock.now
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to stop after the current event."""
@@ -202,10 +220,10 @@ class SimulationEngine:
         """
         if self._running:
             raise SimulationError("cannot reset a running engine")
-        for event in self._queue:
+        for entry in self._queue:
             # outstanding handles must not read as alive after the
             # queue they lived in is gone
-            event.cancelled = True
+            entry[3].cancelled = True
         self._queue.clear()
         self._sequence = itertools.count()
         self._events_dispatched = 0
@@ -215,14 +233,16 @@ class SimulationEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _on_cancelled(self) -> None:
-        """A queued event was cancelled (called by the event handle)."""
-        self._live -= 1
-
-    def _drop_dead_head(self) -> None:
-        """Pop cancelled events off the heap head (lazy deletion)."""
-        while self._queue and not self._queue[0].alive:
-            heapq.heappop(self._queue)
+    def _live_head(self) -> ScheduledEvent | None:
+        """The next live event, left queued; cancelled events ahead of
+        it are popped on the way (lazy deletion)."""
+        queue = self._queue
+        while queue:
+            event = queue[0][3]
+            if not event.cancelled:
+                return event
+            heapq.heappop(queue)
+        return None
 
     def __repr__(self) -> str:
         return (f"<SimulationEngine now={self.now} pending={self.pending} "

@@ -34,7 +34,7 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
+        if not (delay >= 0):  # NaN fails every comparison: refuse it too
             raise ProcessError(f"negative timeout: {delay}")
         self.delay = float(delay)
 
@@ -118,8 +118,7 @@ class Process:
         self.done_signal = Signal(f"{self.name}.done")
         self._pending_timer: ScheduledEvent | None = None
         self._waiting_on: Signal | None = None
-        engine.schedule_after(start_delay, self._start,
-                              label=f"start:{self.name}")
+        engine.schedule_after(start_delay, self._start)
 
     # -- engine callbacks ---------------------------------------------------
 
@@ -164,20 +163,17 @@ class Process:
     def _apply(self, command: Any) -> None:
         if isinstance(command, Timeout):
             self._pending_timer = self.engine.schedule_after(
-                command.delay, self._resume_from_timer,
-                label=f"timeout:{self.name}")
+                command.delay, self._resume_from_timer)
         elif isinstance(command, WaitEvent):
             self._waiting_on = command.signal
             command.signal._register(self)
             if command.timeout is not None:
                 self._pending_timer = self.engine.schedule_after(
-                    command.timeout, self._resume_from_timeout,
-                    label=f"waittimeout:{self.name}")
+                    command.timeout, self._resume_from_timeout)
         elif isinstance(command, Process):
             if command.finished:
                 self.engine.schedule_after(
-                    0.0, lambda _e, r=command.result: self._advance(r),
-                    label=f"join:{self.name}")
+                    0.0, lambda _e, r=command.result: self._advance(r))
             else:
                 self._waiting_on = command.done_signal
                 command.done_signal._register(self)

@@ -74,7 +74,7 @@ class TestCorruptions:
 
     def test_illegal_recorded_transition_flagged(self):
         gtm = _finished_gtm()
-        machine = gtm.transactions["T1"]._machine
-        machine.history.append(TransactionState.ACTIVE)  # COMMITTED->ACTIVE
+        gtm.transactions["T1"].history.append(
+            TransactionState.ACTIVE)  # COMMITTED->ACTIVE
         violations = check_episode_invariants(gtm)
         assert any("illegal recorded transition" in v for v in violations)

@@ -91,6 +91,15 @@ class TestAsyncioDriver:
                 driver.schedule_after(-0.5, lambda drv: None)
         run(check())
 
+    def test_nan_times_rejected(self):
+        async def check():
+            driver = AsyncioDriver()
+            with pytest.raises(SimulationError):
+                driver.schedule_at(float("nan"), lambda drv: None)
+            with pytest.raises(SimulationError):
+                driver.schedule_after(float("nan"), lambda drv: None)
+        run(check())
+
 
 class TestSeamEquivalence:
     """The same timer code runs under either driver."""

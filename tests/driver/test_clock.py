@@ -44,6 +44,24 @@ class TestWallClock:
         assert clock.now >= first >= 0.0
 
 
+class TestVirtualClockMonotone:
+    def test_backwards_is_refused(self):
+        clock = VirtualClock(5.0)
+        with pytest.raises(ClockError, match="backwards"):
+            clock.advance_to(4.0)
+
+    def test_nan_is_refused(self):
+        # nan < now is False, and once now is nan every later check
+        # passes too: time could then run backwards.
+        clock = VirtualClock(5.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(float("nan"))
+        assert clock.now == 5.0
+        clock.advance_to(6.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(5.5)
+
+
 class TestDriverOwnedReset:
     """Satellite (a): reset is explicit per-driver, not per-clock."""
 

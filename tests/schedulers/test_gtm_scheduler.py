@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.gtm import GTMConfig
-from repro.core.opclass import assign, subtract
+from repro.core.opclass import add, assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor
 from repro.core.objects import ObjectBinding
 from repro.ldbs.constraints import NonNegative
@@ -142,6 +142,49 @@ class TestMultiStep:
         assert result.stats.committed == 1
         assert result.final_values["X"] == 9
         assert result.final_values["Y"] == 8
+
+
+class TestStaleWake:
+    """Every grant schedules a wake for ``now + 0`` — also a grant made
+    inside the client's own ``invoke``.  That wake arrives when the
+    client, an instant later, already waits for something else, and must
+    not be taken for the grant it is waiting for (the client then
+    operated while Waiting: ``ProtocolError`` out of ``run``)."""
+
+    def test_wake_for_another_object_is_not_the_awaited_grant(self):
+        holder = single_step_profile("H", 0.0, "y", assign(5), plan(10.0))
+        late = TransactionProfile(
+            "T", 1.0,
+            (TransactionStep("x", add(1), 0.0),      # granted in invoke
+             TransactionStep("y", assign(7), 1.0)),  # queued behind H
+            plan(2.0))
+        workload = Workload([holder, late],
+                            initial_values={"x": 0.0, "y": 0.0})
+        result = GTMScheduler().run(workload)
+        assert result.stats.committed == 2
+        assert result.final_values == {"x": 1.0, "y": 7.0}
+        # T got y when H committed at 10, not at its own arrival
+        assert result.collector.timelines["T"].wait_time == \
+            pytest.approx(9.0)
+
+    def test_wake_for_another_member_is_not_the_awaited_grant(self):
+        holder = single_step_profile("H", 0.0, "x", assign(5, "m2"),
+                                     plan(10.0))
+        late = TransactionProfile(
+            "T", 1.0,
+            (TransactionStep("x", add(1, "m1"), 0.0),
+             TransactionStep("x", assign(7, "m2"), 1.0)),
+            plan(2.0))
+        workload = Workload(
+            [holder, late],
+            initial_members={"x": {"m1": 0.0, "m2": 0.0}})
+        scheduler = GTMScheduler()
+        result = scheduler.run(workload)
+        assert result.stats.committed == 2
+        assert scheduler.last_gtm.object("x").permanent == \
+            {"m1": 1.0, "m2": 7.0}
+        assert result.collector.timelines["T"].wait_time == \
+            pytest.approx(9.0)
 
 
 class TestSSTIntegration:

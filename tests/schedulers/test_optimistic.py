@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.opclass import add, assign, subtract
+from repro.core.opclass import assign, subtract
 from repro.metrics.collectors import Outcome
 from repro.mobile.network import DisconnectionEvent
 from repro.mobile.session import SessionPlan

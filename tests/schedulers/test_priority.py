@@ -1,7 +1,5 @@
 """Tests for transaction priority threading and abort-reason stats."""
 
-import pytest
-
 from repro.core.gtm import GTMConfig
 from repro.core.opclass import assign, subtract
 from repro.core.starvation import PriorityAgingPolicy

@@ -64,6 +64,26 @@ class TestExclusion:
         assert result.final_values["X"] == 8
 
 
+class TestNoStaleWake:
+    def test_lock_taken_in_acquire_schedules_no_wake(self):
+        """The GTM scheduler's stale-wake schedule (its TestStaleWake):
+        2PL has no such hole — ``LockManager`` calls ``on_grant`` only
+        for a request it queued, and the wait loop matches the wake's
+        resource against the one awaited."""
+        holder = single_step_profile("H", 0.0, "Y", assign(5), plan(10.0))
+        late = TransactionProfile(
+            "T", 1.0,
+            (TransactionStep("X", add(1), 0.0),      # taken in acquire
+             TransactionStep("Y", assign(7), 1.0)),  # queued behind H
+            plan(2.0))
+        result = run_workload([holder, late], initial=0.0,
+                              extra_objects={"Y": 0.0})
+        assert result.stats.committed == 2
+        assert result.final_values == {"X": 1.0, "Y": 7.0}
+        assert result.collector.timelines["T"].wait_time == \
+            pytest.approx(9.0)
+
+
 class TestSleepTimeout:
     def test_short_outage_survives(self):
         outage = DisconnectionEvent(0.5, 2.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
+from repro.sim.process import Process, Timeout
 
 
 class TestScheduling:
@@ -59,6 +60,26 @@ class TestScheduling:
         engine.schedule_at(1.0, lambda e: order.append("high"), priority=-5)
         engine.run()
         assert order == ["high", "low"]
+
+
+class TestHandleRepr:
+    def test_a_given_label_is_shown(self):
+        engine = SimulationEngine()
+        handle = engine.schedule_at(1.0, lambda e: None, label="bto:abc")
+        assert repr(handle) == "<ScheduledEvent t=1.0 'bto:abc' pending>"
+
+    def test_an_unlabelled_event_is_named_after_its_callback(self):
+        # nobody formats a label per event; repr derives one on demand
+        engine = SimulationEngine()
+
+        def client():
+            yield Timeout(2.0)
+
+        process = Process(engine, client(), name="T7")
+        engine.step()  # start: the process now sleeps on its timer
+        text = repr(process._pending_timer)
+        assert "_resume_from_timer" in text and "'T7'" in text
+        assert text.endswith("pending>")
 
 
 class TestCancellation:

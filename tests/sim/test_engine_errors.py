@@ -4,12 +4,14 @@ import pytest
 
 from repro.errors import (
     DeadlockError,
+    ProcessError,
     ReproError,
     SimulationError,
     SSTFailure,
     TransactionAborted,
 )
 from repro.sim.engine import SimulationEngine
+from repro.sim.process import Timeout
 
 
 class TestEngineErrorPaths:
@@ -39,6 +41,40 @@ class TestEngineErrorPaths:
             engine.run()
         # the _running flag was released by the finally block
         assert engine.run() == 2.0
+
+
+class TestNaNTimes:
+    """``nan < now`` is False, so a ``when < now`` guard lets NaN in; the
+    event dispatches last, ``engine.now`` reads nan, and from then on
+    every monotonicity check passes — time can run backwards."""
+
+    NAN = float("nan")
+
+    def test_schedule_at_nan_raises(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(self.NAN, lambda e: None)
+        assert engine.pending == 0
+
+    def test_schedule_after_nan_raises(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_after(self.NAN, lambda e: None)
+        assert engine.pending == 0
+
+    def test_timeout_nan_raises(self):
+        with pytest.raises(ProcessError):
+            Timeout(self.NAN)
+
+    def test_time_stays_monotone_after_the_refusals(self):
+        engine = SimulationEngine()
+        engine.schedule_at(2.0, lambda e: None)
+        for schedule in (engine.schedule_at, engine.schedule_after):
+            with pytest.raises(SimulationError):
+                schedule(self.NAN, lambda e: None)
+        assert engine.run() == 2.0
+        with pytest.raises(SimulationError):
+            engine.schedule_at(1.0, lambda e: None)
 
 
 class TestErrorHierarchy:
