@@ -217,8 +217,9 @@ class CommitPipeline:
 
         report: SSTReport | None = None
         if self.sst_executor is not None and staged:
+            # a pure READ stages {}: nothing for the SST to store
             writes = [self._staged_write(obj, values)
-                      for obj, values in staged]
+                      for obj, values in staged if values]
             try:
                 report = self.sst_executor.execute(txn_id, writes)
             except SSTFailure:
@@ -243,7 +244,7 @@ class CommitPipeline:
             return StagedWrite(object_name=obj.name, binding=obj.binding,
                                values={}, delete=True)
         return StagedWrite(object_name=obj.name, binding=obj.binding,
-                           values=dict(new_values))
+                           values=new_values)
 
     def _apply_permanent(self, obj: ManagedObject,
                          new_values: dict[str, Any]) -> None:

@@ -36,7 +36,6 @@ from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 from repro.errors import BackendError, StorageError
 from repro.ldbs.constraints import CheckConstraint
 from repro.ldbs.engine import Database, Transaction
-from repro.ldbs.predicate import P
 from repro.ldbs.schema import TableSchema
 
 __all__ = [
@@ -56,8 +55,9 @@ class BackendTransaction(Protocol):
     exception.  Every read answers *through* the transaction — an
     uncommitted insert is visible to its own ``has_key``/``get_row``.
     ``update_by_key`` and ``delete_by_key`` return the rows touched: 0,
-    not an error, for a key that is not there (the SST's upsert probes
-    with the update itself).
+    not an error, and only for a key that is not there (the SST's
+    upsert probes with the update itself) — an existing row with
+    nothing to change answers 1 and writes nothing.
     """
 
     txn_id: str
@@ -145,13 +145,12 @@ class _MemoryTransaction:
 
     def update_by_key(self, table: str, key: Any,
                       changes: Mapping[str, Any]) -> int:
-        column = self._backend._key_column_required(table)
-        return len(self._txn.update(table, P(column) == key,
-                                    dict(changes)))
+        if not changes:
+            return int(self.has_key(table, key))
+        return int(self._txn.update_by_key(table, key, changes) is not None)
 
     def delete_by_key(self, table: str, key: Any) -> int:
-        column = self._backend._key_column_required(table)
-        return self._txn.delete(table, P(column) == key)
+        return self._txn.delete_by_key(table, key)
 
     def commit(self) -> None:
         self._txn.commit()
@@ -226,14 +225,6 @@ class MemoryBackend:
 
     def key_column(self, table: str) -> str | None:
         return self.database.catalog.table(table).schema.primary_key
-
-    def _key_column_required(self, table: str) -> str:
-        column = self.key_column(table)
-        if column is None:
-            raise BackendError(
-                f"table {table!r} has no primary key; key-oriented "
-                f"backend operations need one")
-        return column
 
     # -- state / lifecycle --------------------------------------------------
 

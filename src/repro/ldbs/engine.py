@@ -42,6 +42,7 @@ from repro.ldbs.predicate import ALWAYS, Predicate
 from repro.ldbs.recovery import RecoveryManager, RecoveryReport
 from repro.ldbs.rows import Row
 from repro.ldbs.schema import TableSchema
+from repro.ldbs.storage import HeapTable
 from repro.ldbs.wal import WriteAheadLog
 
 
@@ -158,42 +159,71 @@ class Transaction:
         """
         self._require_active()
         heap = self._db.catalog.table(table)
-        if isinstance(where, int):
-            targets = [heap.get(where)]
-        else:
-            targets = list(heap.candidates(where))
-        updated: list[Row] = []
-        for row in targets:
-            self._db._lock(self, (table, row.rid), LockMode.X)
-            current = heap.get(row.rid)
-            new_values = (changes(current) if callable(changes)
-                          else dict(changes))
-            before, after = heap.update(row.rid, new_values)
-            if self._db.config.eager_constraints:
-                try:
-                    self._db.constraints.validate(table, after)
-                except ConstraintViolation:
-                    heap.restore(before)
-                    raise
-            self._db.wal.log_update(self.txn_id, table, row.rid,
-                                    before.as_dict(), after.as_dict())
-            updated.append(after)
-        return updated
+        return [self._update_row(heap, table, row.rid, changes)
+                for row in self._targets(heap, where)]
+
+    def update_by_key(self, table: str, key: Any,
+                      changes: Mapping[str, Any]) -> Row | None:
+        """Point update by primary key under an X lock, through the key
+        index (no predicate, no scan).  Returns the new row version, or
+        None when no row has the key."""
+        self._require_active()
+        heap = self._db.catalog.table(table)
+        rid = heap.rid_of_key(key)
+        if rid is None:
+            return None
+        return self._update_row(heap, table, rid, changes)
 
     def delete(self, table: str, where: Predicate | int) -> int:
         """Delete matching rows under X locks; returns the count."""
         self._require_active()
         heap = self._db.catalog.table(table)
-        if isinstance(where, int):
-            targets = [heap.get(where)]
-        else:
-            targets = list(heap.candidates(where))
+        targets = self._targets(heap, where)
         for row in targets:
-            self._db._lock(self, (table, row.rid), LockMode.X)
-            before = heap.delete(row.rid)
-            self._db.wal.log_delete(self.txn_id, table, row.rid,
-                                    before.as_dict())
+            self._delete_row(heap, table, row.rid)
         return len(targets)
+
+    def delete_by_key(self, table: str, key: Any) -> int:
+        """Point delete by primary key under an X lock; returns the
+        count (0 when no row has the key)."""
+        self._require_active()
+        heap = self._db.catalog.table(table)
+        rid = heap.rid_of_key(key)
+        if rid is None:
+            return 0
+        self._delete_row(heap, table, rid)
+        return 1
+
+    @staticmethod
+    def _targets(heap: HeapTable, where: Predicate | int) -> list[Row]:
+        if isinstance(where, int):
+            return [heap.get(where)]
+        return list(heap.candidates(where))
+
+    def _update_row(self, heap: HeapTable, table: str, rid: int,
+                    changes: Mapping[str, Any]
+                    | Callable[[Row], Mapping[str, Any]]) -> Row:
+        """One row's update, however it was found: X lock, schema and
+        eager constraint validation (undone on violation), WAL record."""
+        db = self._db
+        db._lock(self, (table, rid), LockMode.X)
+        if callable(changes):
+            changes = changes(heap.get(rid))
+        before, after = heap.update(rid, changes)
+        if db.config.eager_constraints:
+            try:
+                db.constraints.validate(table, after)
+            except ConstraintViolation:
+                heap.restore(before)
+                raise
+        db.wal.log_update(self.txn_id, table, rid,
+                          before.as_dict(), after.as_dict())
+        return after
+
+    def _delete_row(self, heap: HeapTable, table: str, rid: int) -> None:
+        self._db._lock(self, (table, rid), LockMode.X)
+        before = heap.delete(rid)
+        self._db.wal.log_delete(self.txn_id, table, rid, before.as_dict())
 
     # -- completion ---------------------------------------------------------------
 

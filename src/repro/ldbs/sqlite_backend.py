@@ -57,6 +57,7 @@ from __future__ import annotations
 import os
 import sqlite3
 import tempfile
+from functools import lru_cache
 from typing import Any, Iterable, Mapping
 
 from repro.errors import (
@@ -89,6 +90,22 @@ def _map_operational(exc: sqlite3.OperationalError) -> Exception:
         return BackendConflictError(
             f"sqlite serialization conflict: {exc}")
     return BackendError(f"sqlite operational error: {exc}")
+
+
+def _no_primary_key(table: str) -> BackendError:
+    return BackendError(
+        f"table {table!r} has no primary key; key-oriented "
+        f"backend operations need one")
+
+
+@lru_cache(maxsize=256)
+def _update_sql(table: str, key_column: str | None,
+                names: tuple[str, ...]) -> str:
+    """The keyed UPDATE of one (table, column set), built once."""
+    if key_column is None:
+        raise _no_primary_key(table)
+    assignments = ", ".join(f'"{name}" = ?' for name in names)
+    return f'UPDATE "{table}" SET {assignments} WHERE "{key_column}" = ?'
 
 
 class SQLiteTransaction:
@@ -152,23 +169,25 @@ class SQLiteTransaction:
 
     def update_by_key(self, table: str, key: Any,
                       changes: Mapping[str, Any]) -> int:
-        schema = self._backend._schema(table)
-        column = self._backend._key_column_required(table)
+        backend = self._backend
+        schema = backend._schema(table)
         updated = schema.validate_update(changes)
         if not updated:
-            return 0
-        # validate the post-image exactly like the eager in-memory
-        # engine: current row (read through this transaction) + changes.
-        try:
-            current = self.get_row(table, key)
-        except StorageError:
-            return 0  # no such row: nothing to update, not an error
-        current.update(updated)
-        self._backend.constraints.validate(table, current)
-        assignments = ", ".join(f'"{name}" = ?' for name in updated)
+            return int(self.has_key(table, key))
+        if backend.constraints.for_table(table):
+            # validate the post-image exactly like the eager in-memory
+            # engine: current row (read through this transaction) +
+            # changes.  Only a constrained table pays for the read; the
+            # UPDATE's own rowcount says whether the key was there.
+            try:
+                current = self.get_row(table, key)
+            except StorageError:
+                return 0  # no such row: nothing to update, not an error
+            current.update(updated)
+            backend.constraints.validate(table, current)
         cursor = self._execute(
-            f'UPDATE "{table}" SET {assignments} WHERE "{column}" = ?',
-            (*(self._backend._to_sql(v) for v in updated.values()), key))
+            _update_sql(table, schema.primary_key, tuple(updated)),
+            (*(backend._to_sql(v) for v in updated.values()), key))
         return cursor.rowcount
 
     def delete_by_key(self, table: str, key: Any) -> int:
@@ -371,9 +390,7 @@ class SQLiteBackend:
     def _key_column_required(self, table: str) -> str:
         column = self.key_column(table)
         if column is None:
-            raise BackendError(
-                f"table {table!r} has no primary key; key-oriented "
-                f"backend operations need one")
+            raise _no_primary_key(table)
         return column
 
     # -- value canonicalization ---------------------------------------------

@@ -59,11 +59,15 @@ class HeapTable:
             raise StorageError(
                 f"table {self.name!r} has no row with rid {rid}") from None
 
-    def get_by_key(self, key: Any) -> Row:
-        """Fetch a row by primary key value."""
+    def rid_of_key(self, key: Any) -> int | None:
+        """The rid of the row with primary key ``key``; None: no such row."""
         if self._key_index is None:
             raise StorageError(f"table {self.name!r} has no primary key")
-        rid = self._key_index.get(key)
+        return self._key_index.get(key)
+
+    def get_by_key(self, key: Any) -> Row:
+        """Fetch a row by primary key value."""
+        rid = self.rid_of_key(key)
         if rid is None:
             raise StorageError(
                 f"table {self.name!r} has no row with key {key!r}")
@@ -208,6 +212,8 @@ class HeapTable:
         previous = self._rows.get(row.rid)
         if previous is not None:
             self._index_remove(previous)
+            if self._key_index is not None:  # an undone re-key
+                self._key_index.pop(previous[self.schema.primary_key], None)
         self._rows[row.rid] = row
         if self._key_index is not None:
             self._key_index[row[self.schema.primary_key]] = row.rid

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Any, Callable
 
 from repro.errors import (
@@ -75,15 +76,25 @@ OP_NAMES: dict[str, OperationClass] = {
 # ---------------------------------------------------------------------------
 
 
-#: Built once: ``json.dumps`` with non-default arguments constructs a
-#: fresh ``JSONEncoder`` per call, and this is the same encoder.
-_encode_json = json.JSONEncoder(separators=(",", ":"),
-                                ensure_ascii=False).encode
+#: The compact UTF-8 encoder, and the C encoder ``JSONEncoder.encode``
+#: builds from it inside every call, built once.  No marker dict (the
+#: circular-reference check): frames are trees this package builds
+#: from scalars and decoded JSON.  Without the C accelerator the
+#: stdlib falls back to its Python encoder, and so does this.
+_encoder = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+if json.encoder.c_make_encoder is not None:
+    _iterencode = json.encoder.c_make_encoder(
+        None, _encoder.default, json.encoder.encode_basestring, None,
+        _encoder.key_separator, _encoder.item_separator, False, False,
+        True)
+else:  # pragma: no cover - CPython ships the accelerator
+    def _iterencode(frame: Any, _level: int) -> tuple[str]:
+        return (_encoder.encode(frame),)
 
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """Serialize one frame to its wire form (compact JSON + newline)."""
-    data = _encode_json(frame).encode("utf-8")
+    data = "".join(_iterencode(frame, 0)).encode("utf-8")
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise WireFormatError(
             f"frame of {len(data)} bytes exceeds the "
@@ -153,8 +164,16 @@ def build_invocation(frame: dict[str, Any]) -> Invocation:
     member = frame.get("member", "value")
     if not isinstance(member, str):
         raise WireFormatError(f"op member must be a string: {member!r}")
-    return Invocation(OP_NAMES[op_name], member=member,
-                      operand=frame.get("operand"))
+    operand = frame.get("operand")
+    # The codec takes what ``json.loads`` takes, NaN, Infinity and
+    # 1e999 included; a value that compares unequal to itself, once
+    # committed, is a lost update that never heals.
+    for value in (operand.values() if isinstance(operand, dict)
+                  else (operand,)):
+        if isinstance(value, float) and not isfinite(value):
+            raise WireFormatError(
+                f"op operand must be finite: {operand!r}")
+    return Invocation(OP_NAMES[op_name], member=member, operand=operand)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ abort semantics, crash/WAL recovery, write-write conflict mapping into
 the :class:`~repro.errors.LockError` taxonomy, read-your-own-writes
 upsert probes, and canonical ``dump()`` parity.  SQLite-specific
 behaviour (the deferred read path not blocking the serialized write
-path, conflict-at-begin, the long-lived writer connection and what
+path, one statement per keyed update, conflict-at-begin, the long-lived writer connection and what
 ``crash()``/``close()``/a failed COMMIT do to it) lives in
 :class:`TestSQLiteSpecific`.
 """
@@ -30,7 +30,7 @@ from repro.ldbs.backend import (
     backend_names,
     create_backend,
 )
-from repro.ldbs.constraints import NonNegative
+from repro.ldbs.constraints import CheckConstraint, NonNegative
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.ldbs.sqlite_backend import SQLiteBackend
 
@@ -187,6 +187,113 @@ class TestConformance:
         assert row == {"id": 2, "value": None, "label": None,
                        "flag": False}
         assert row["flag"] is False  # BOOL survives the INTEGER column
+
+
+def make_stock(name: str, constrained: bool) -> LDBSBackend:
+    """A two-row table whose constraint, when it has one, needs the
+    post-image: ``held <= cap`` cannot be checked from ``held`` alone."""
+    backend = create_backend(name)
+    backend.create_table(
+        TableSchema("stock",
+                    (Column("sku", ColumnType.TEXT),
+                     Column("held", ColumnType.FLOAT, nullable=True),
+                     Column("cap", ColumnType.FLOAT, nullable=True)),
+                    primary_key="sku"),
+        constraints=[CheckConstraint(
+            "stock.held<=cap", "stock",
+            lambda row: row["held"] <= row["cap"])] if constrained else [])
+    backend.seed("stock", [{"sku": "a", "held": 1.0, "cap": 5.0},
+                           {"sku": "b", "held": 2.0, "cap": 5.0}])
+    return backend
+
+
+@pytest.fixture(params=[False, True], ids=["unconstrained", "constrained"])
+def constrained(request):
+    return request.param
+
+
+@pytest.fixture(params=BACKENDS)
+def stock(request, constrained):
+    built = make_stock(request.param, constrained)
+    yield built
+    built.close()
+
+
+class TestKeyedWriteContract:
+    """What ``update_by_key``'s count means, and when the row is read:
+    the seam's cost contract (docs/BACKENDS.md), on both adapters, on a
+    table with and without a constraint."""
+
+    def test_zero_means_the_key_is_absent(self, stock):
+        before = stock.dump()
+        with stock.begin("T1", write=True) as txn:
+            assert txn.update_by_key("stock", "zz", {"held": 1.0}) == 0
+            assert txn.update_by_key("stock", "zz", {}) == 0
+            assert txn.delete_by_key("stock", "zz") == 0
+        assert stock.dump() == before
+
+    def test_empty_update_answers_one_and_writes_nothing(self, stock):
+        """It used to answer 1 on memory (logging an UPDATE and bumping
+        the row version for nothing) and 0 on SQLite — which the SST
+        reads as "no such row, insert it"."""
+        before = stock.dump()
+        memory = isinstance(stock, MemoryBackend)
+        if memory:
+            heap = stock.database.catalog.table("stock")
+            version = heap.get_by_key("a").version
+            logged = len(stock.database.wal)
+        txn = stock.begin("T1", write=True)
+        assert txn.update_by_key("stock", "a", {}) == 1
+        if memory:  # nothing but what begin logged
+            assert heap.get_by_key("a").version == version
+            assert len(stock.database.wal) == logged + 1
+        txn.commit()
+        assert stock.dump() == before
+
+    def test_update_of_an_existing_row_answers_one(self, stock):
+        with stock.begin("T1", write=True) as txn:
+            assert txn.update_by_key("stock", "a", {"held": 4.0}) == 1
+            assert txn.get_row("stock", "a")["held"] == 4.0
+        assert stock.dump()["stock"]["a"] == {
+            "sku": "a", "held": 4.0, "cap": 5.0}
+
+    def test_post_image_is_validated_and_the_row_left_intact(
+            self, stock, constrained):
+        """Only the constraint's table pays for reading the row: the
+        check needs ``cap``, which the update does not carry."""
+        before = stock.dump()
+        txn = stock.begin("T1", write=True)
+        if constrained:
+            with pytest.raises(ConstraintViolation):
+                txn.update_by_key("stock", "a", {"held": 9.0})
+            assert txn.get_row("stock", "a")["held"] == 1.0
+            # the transaction is still usable, and a legal value lands
+            assert txn.update_by_key("stock", "a", {"held": 5.0}) == 1
+            txn.abort()
+            assert stock.dump() == before
+        else:
+            assert txn.update_by_key("stock", "a", {"held": 9.0}) == 1
+            txn.commit()
+            assert stock.dump()["stock"]["a"]["held"] == 9.0
+
+    def test_colliding_primary_key_change_is_refused(self, stock):
+        before = stock.dump()
+        txn = stock.begin("T1", write=True)
+        with pytest.raises(StorageError):
+            txn.update_by_key("stock", "a", {"sku": "b"})
+        assert txn.get_row("stock", "a")["held"] == 1.0
+        assert txn.get_row("stock", "b")["held"] == 2.0
+        txn.abort()
+        assert stock.dump() == before
+
+    def test_free_primary_key_change_moves_the_row(self, stock):
+        with stock.begin("T1", write=True) as txn:
+            assert txn.update_by_key("stock", "a", {"sku": "c"}) == 1
+            assert not txn.has_key("stock", "a")
+            assert txn.update_by_key("stock", "c", {"held": 3.0}) == 1
+        assert stock.dump()["stock"] == {
+            "b": {"sku": "b", "held": 2.0, "cap": 5.0},
+            "c": {"sku": "c", "held": 3.0, "cap": 5.0}}
 
 
 class TestDumpParity:
@@ -410,6 +517,25 @@ class TestSQLiteSpecific:
             again.update_by_key("obj", 1, {"value": 4.0})
         assert sqlite.dump()["obj"][1]["value"] == 4.0
         assert (sqlite.commits, sqlite.aborts) == (2, 1)   # seed + T2; T1
+
+    def test_keyed_update_reads_the_row_only_under_a_constraint(
+            self, constrained, connects):
+        """One statement per write to an existing row; a constrained
+        table adds the SELECT its post-image check needs."""
+        stock = make_stock("sqlite", constrained)
+        statements = []
+        # the writer: the seed opened it last, and every SST reuses it
+        connects[-1].set_trace_callback(statements.append)
+        try:
+            with stock.begin("T1", write=True) as txn:
+                txn.update_by_key("stock", "a", {"held": 3.0})
+                txn.update_by_key("stock", "b", {"held": 4.0})
+            verbs = [statement.split()[0] for statement in statements]
+            assert verbs == (
+                ["BEGIN", "SELECT", "UPDATE", "SELECT", "UPDATE", "COMMIT"]
+                if constrained else ["BEGIN", "UPDATE", "UPDATE", "COMMIT"])
+        finally:
+            stock.close()
 
     def test_explicit_path_and_wal_mode(self, tmp_path):
         target = tmp_path / "ldbs.sqlite3"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import LockError, LockUpgradeError
+from repro.errors import LockError
 from repro.ldbs.locks import LockManager, LockMode
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.ldbs.predicate import ALWAYS, P, Predicate
+from repro.ldbs.predicate import ALWAYS, P
 from repro.ldbs.rows import Row
 
 

@@ -159,6 +159,18 @@ class TestRestore:
         fresh = table.insert({"id": 2})
         assert fresh.rid > row.rid
 
+    def test_restore_of_an_undone_rekey_forgets_the_new_key(self):
+        """Found by tests/ldbs/test_keyed_path_properties.py: undoing an
+        update that changed the primary key left the new key in the key
+        index, pointing at a row that no longer carries it."""
+        table = make_table()
+        row = table.insert({"id": 1, "value": 5})
+        before, _after = table.update(row.rid, {"id": 3})
+        table.restore(before)
+        assert table.has_key(1) and not table.has_key(3)
+        assert list(table.candidates(P("id") == 3)) == []
+        table.insert({"id": 3})  # and the key is free again
+
     def test_remove_if_present_idempotent(self):
         table = make_table()
         row = table.insert({"id": 1})

@@ -1,0 +1,158 @@
+"""A call budget for one wire transaction, beside the hop budget.
+
+The hop budget pins what a round trip costs the event loop; this pins
+what a transaction costs the interpreter between the two codecs.  One
+transaction is begin, four ops on distinct objects (read / add / assign
+/ mul at the benchmark's 3 / 5 / 1 / 1) and commit, and every request
+goes ``encode_frame`` → ``decode_frame`` → ``GTMService.handle`` → sink
+→ ``encode_frame`` → ``decode_frame``, in process: no loop, no clock.
+Counted by ``sys.setprofile`` (``"call"`` events: Python functions,
+generator resumptions, comprehension frames; C functions — the JSON
+scanner and encoder, ``sqlite3`` — are not counted), so the figure is a
+property of the code path and repeats exactly from process to process
+and under any ``PYTHONHASHSEED``.
+
+Calls per transaction, 400 transactions over 64 objects, CPython 3.11:
+
+============================================  ======  ======  ==========
+                                              memory  sqlite  no backend
+============================================  ======  ======  ==========
+before ISSUE 24 (a predicate built and        565.5   499.8   403.0
+applied per row, a SELECT before every
+UPDATE, a C encoder built per frame)
+ISSUE 24                                      516.7   436.9   379.0
+budget                                        525     444     386
+============================================  ======  ======  ==========
+
+What a re-added level costs, in calls per transaction: one more frame
+per *encoded frame* (``JSONEncoder.encode`` under ``encode_frame``) is
+12, per *decoded* one as many; one more frame per *request* is 6; one
+more per *written row* (a key-column helper, a ``get_row`` before the
+``UPDATE``; a predicate built, compared and applied was 5 of them) is
+2.8; one more per *SST* (a report helper, a second context manager) is
+1.  The budgets leave room for a frame per request or per row, not for
+one per codec call.  CPython 3.12 inlines comprehensions and counts a
+few calls fewer.
+
+The second test counts what SQLite itself is asked to run: one SST of
+*n* written rows is ``BEGIN IMMEDIATE``, *n* statements, ``COMMIT``.
+"""
+
+import random
+import sys
+
+import pytest
+
+from repro.ldbs.sqlite_backend import SQLiteBackend
+from repro.service import GTMService, ServiceConfig
+from repro.service.protocol import decode_frame, encode_frame
+from repro.sim.engine import SimulationEngine
+
+TRANSACTIONS = 400
+OBJECTS = 64
+OPS_PER_TXN = 4
+OP_MIX = ("read",) * 3 + ("add",) * 5 + ("assign", "mul")
+#: backend name (None = virtual service) -> calls per transaction.
+CALL_BUDGETS = {"memory": 525.0, "sqlite": 444.0, None: 386.0}
+
+
+def _scripts(count):
+    rng = random.Random(24)
+    for _ in range(count):
+        yield [(OP_MIX[rng.randrange(len(OP_MIX))], f"o{index:03d}",
+                rng.randrange(1, 10))
+               for index in rng.sample(range(OBJECTS), OPS_PER_TXN)]
+
+
+class _WireSession:
+    """One client's side of the wire, without the wire."""
+
+    def __init__(self, backend):
+        self.service = GTMService(SimulationEngine(), config=ServiceConfig(
+            retire_finished=True, ldbs_backend=backend))
+        for index in range(OBJECTS):
+            self.service.create_object(f"o{index:03d}", value=1)
+        self.replies = []
+        self.session = self.service.connect(
+            {"type": "hello", "id": 0}, self._sink)
+        self._next_id = 1
+
+    def _sink(self, frame):
+        self.replies.append(decode_frame(encode_frame(frame)))
+
+    def request(self, frame):
+        frame["id"] = self._next_id
+        self._next_id += 1
+        self.service.handle(self.session, decode_frame(encode_frame(frame)))
+        return self.replies.pop()
+
+    def transact(self, script):
+        txn = self.request({"type": "begin"})["txn"]
+        for op, name, operand in script:
+            frame = {"type": "op", "txn": txn, "op": op, "object": name,
+                     "member": "value"}
+            if op != "read":
+                frame["operand"] = operand
+            assert self.request(frame)["type"] == "granted"
+        assert self.request({"type": "commit", "txn": txn}) == {
+            "type": "committed", "txn": txn, "re": self._next_id - 1}
+
+
+def _counted(run):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("backend", CALL_BUDGETS, ids=str)
+def test_a_wire_transaction_stays_inside_its_call_budget(backend):
+    wire = _WireSession(backend)
+    try:
+        for script in _scripts(8):  # warm: statement caches, lazy imports
+            wire.transact(script)
+        scripts = list(_scripts(TRANSACTIONS))
+        calls = _counted(lambda: [wire.transact(s) for s in scripts])
+    finally:
+        wire.service.shutdown()
+    assert wire.service.metrics.counter("service_error_frames").total() == 0
+    per_transaction = calls / TRANSACTIONS
+    assert per_transaction <= CALL_BUDGETS[backend], (
+        f"{per_transaction:.1f} Python-level calls per wire transaction "
+        f"on backend {backend!r}, budget {CALL_BUDGETS[backend]:.0f}: see "
+        f"this module's docstring for what each re-added level costs")
+
+
+def test_a_sqlite_sst_of_n_rows_executes_n_plus_two_statements(monkeypatch):
+    statements = []
+    connect = SQLiteBackend._connect
+
+    def traced_connect(backend):
+        conn = connect(backend)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(SQLiteBackend, "_connect", traced_connect)
+    wire = _WireSession("sqlite")
+    try:
+        for written in (1, 2, 3, 4):
+            script = [("add" if index < written else "read",
+                       f"o{index:03d}", 2) for index in range(OPS_PER_TXN)]
+            del statements[:]
+            wire.transact(script)
+            assert len(statements) == written + 2, statements
+            assert statements[0] == "BEGIN IMMEDIATE"
+            assert statements[-1] == "COMMIT"
+            assert all(s.startswith("UPDATE") for s in statements[1:-1])
+    finally:
+        wire.service.shutdown()

@@ -250,6 +250,33 @@ class TestBuildInvocation:
         assert not isinstance(exc_info.value, WireFormatError)
 
 
+    @pytest.mark.parametrize("line", [
+        b'{"type":"op","op":"assign","operand":NaN}',
+        b'{"type":"op","op":"assign","operand":Infinity}',
+        b'{"type":"op","op":"add","operand":-Infinity}',
+        b'{"type":"op","op":"add","operand":1e999}',
+        b'{"type":"op","op":"mul","operand":-1e999}',
+        b'{"type":"op","op":"insert","operand":{"value":NaN}}',
+        b'{"type":"op","op":"insert","operand":{"a":1,"b":1e999}}',
+    ])
+    def test_non_finite_operand_refused_at_the_door(self, line):
+        """The scanner takes these on purpose (``json.loads`` does); a
+        committed NaN is unequal to itself for good, so no op is built
+        from one."""
+        frame = decode_frame(line)  # the codec is not the door
+        with pytest.raises(WireFormatError, match="finite"):
+            build_invocation(frame)
+
+    @pytest.mark.parametrize("operand", [
+        0, -3, 2.5, 1e308, 10 ** 400, True, "NaN",
+        {"value": 1.5}, {"value": None}])
+    def test_finite_operands_pass(self, operand):
+        name = "insert" if isinstance(operand, dict) else "assign"
+        invocation = build_invocation(
+            {"type": "op", "op": name, "operand": operand})
+        assert invocation.operand == operand
+
+
 def _public_gtm_error_classes():
     """Every public GTMError subclass, the bijection's domain."""
     found = {GTMError}

@@ -12,6 +12,7 @@ import pytest
 
 from repro.ldbs.backend import backend_names
 from repro.service import GTMService, ServiceConfig
+from repro.service.protocol import decode_frame
 from repro.sim.engine import SimulationEngine
 
 
@@ -122,3 +123,35 @@ class TestServiceBackend:
         assert service.metrics.counter("service_error_frames").total() == 0
         assert service.gtm.sst_reports == []
         assert service.backend.dump() == before
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-1e999"])
+    def test_non_finite_operand_is_refused_and_heals_nothing(
+            self, served, literal):
+        """It used to be granted and committed: the GTM's value was
+        ``nan`` for good, the memory row ``nan`` and the SQLite row
+        ``NULL``.  Now: one error frame, the session survives, nothing
+        is granted, and the next ``add`` commits a finite value."""
+        service, session, frames = served
+        service.create_object("x", value=5)
+        before = service.backend.dump()
+        service.handle(session, {"type": "begin", "id": 2})
+        txn = frames[-1]["txn"]
+        service.handle(session, decode_frame(
+            '{"type":"op","id":3,"txn":"%s","op":"assign","object":"x",'
+            '"operand":%s}' % (txn, literal)))
+        assert frames[-1]["type"] == "error"
+        assert frames[-1]["code"] == "wire/malformed"
+        assert frames[-1]["re"] == 3
+        assert session.connected
+        assert service.gtm.object("x").pending == {}
+        assert service.gtm.object("x").permanent_value("value") == 5
+        assert service.backend.dump() == before
+        service.handle(session, {"type": "op", "id": 4, "txn": txn,
+                                 "op": "add", "object": "x",
+                                 "operand": 2})
+        assert frames[-1]["type"] == "granted"
+        assert frames[-1]["value"] == 7
+        service.handle(session, {"type": "commit", "id": 5, "txn": txn})
+        assert frames[-1]["type"] == "committed"
+        assert service.backend.dump()["gtm_objects"]["x"] == {
+            "name": "x", "value": 7.0}
