@@ -26,6 +26,13 @@ Candidate orders, cheapest first:
 If no candidate matches, the episode is not final-state serializable
 and the report carries the member-level mismatches of the witness
 replay.
+
+On a folded log (:data:`repro.core.history.FOLD_AFTER`) every candidate
+starts from the folded baseline and orders the retained suffix only.
+The witness replay is unchanged — folded prefix plus suffix *is* the
+commit-order replay — while the fallback search can no longer reorder a
+folded transaction: folding can make the oracle stricter, never more
+lenient.
 """
 
 from __future__ import annotations
@@ -129,7 +136,8 @@ def check_episode(recorded: RecordedEpisode,
                   max_orders: int = 1000) -> OracleReport:
     """Search for a serial order that explains the concurrent outcome."""
     committed = list(recorded.log.commit_order)
-    report = OracleReport(serializable=False, committed=len(committed))
+    report = OracleReport(serializable=False,
+                          committed=recorded.log.committed)
 
     witness_mismatches = replay_mismatches(recorded, committed)
     report.orders_tried = 1
@@ -219,9 +227,7 @@ def _conflict_components(log: OperationLog, committed: list[str],
     commute under plain serial replay, so only the relative order
     *inside* a component can change the final state.
     """
-    by_txn: dict[str, list] = {}
-    for op in log.applied:
-        by_txn.setdefault(op.txn_id, []).append(op)
+    by_txn = log.ops
 
     def conflict(a: str, b: str) -> bool:
         for op_a in by_txn.get(a, ()):

@@ -135,7 +135,16 @@ def check_transcripts(service: "GTMService",
                       transcripts: Transcripts) -> list[str]:
     """Wire-contract checks over every client's frame transcript."""
     violations: list[str] = []
-    commit_order = set(service.gtm.history.commit_order)
+    history = service.gtm.history
+    if history.folded:
+        # A folded transaction left the commit order: its 'committed'
+        # frame would read as an outcome the GTM never had.  Episodes
+        # stay far below the fold threshold, so this cannot happen.
+        violations.append(
+            f"service: the operation log folded {history.folded} "
+            f"committed transactions; outcome frames need the whole "
+            f"commit order")
+    commit_order = set(history.commit_order)
 
     def outcome_check(client: str, txn: Any, ftype: str) -> None:
         if not isinstance(txn, str):

@@ -60,6 +60,8 @@ class CommitPipeline:
         #: Per object: txn ids whose local commit was deferred because
         #: another transaction held X_committing (Algorithm 3).
         self.deferred: dict[str, list[str]] = {}
+        #: Reports of the SSTs that needed more than one attempt; a
+        #: clean SST's report is returned to the caller, not kept.
         self.sst_reports: list[SSTReport] = []
         #: Called as ``on_externalize(txn_id, involved)`` right after a
         #: commit is announced: the MVCC manager's csn and version
@@ -225,7 +227,8 @@ class CommitPipeline:
             except SSTFailure:
                 self._abort_from_committing(txn, now, "sst-failure")
                 raise
-            self.sst_reports.append(report)
+            if report.attempts > 1:
+                self.sst_reports.append(report)
 
         for obj, new_values in staged:
             self._apply_permanent(obj, new_values)

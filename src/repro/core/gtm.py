@@ -186,7 +186,7 @@ class GlobalTransactionManager:
                 self.abort(txn.txn_id, reason=reason),
             on_externalize=self._externalize)
         self.sleep_manager = SleepManager(
-            checker=self.checker, bus=self.bus,
+            checker=self.checker, bus=self.bus, history=self.history,
             pump_unlock=self.admission.pump_unlock,
             regrant=lambda txn, obj, inv, now:
                 self.admission.grant(txn, obj, inv, now),
@@ -346,6 +346,7 @@ class GlobalTransactionManager:
                 f"{txn_id!r} is {txn.state.value}, not aborting")
         txn.finish(_TS.ABORTED, now)
         self.deadlock_policy.on_finished(txn_id)
+        self.history.record_abort(txn_id)
         touched = self._involved_objects(txn)
         for obj in touched:
             obj.aborting.discard(txn_id)

@@ -21,6 +21,7 @@ from typing import Callable
 from repro.errors import ProtocolError
 from repro.core.conflicts import ConflictChecker
 from repro.core.events import EventBus
+from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject
 from repro.core.states import TransactionState
 from repro.core.transaction import GTMTransaction
@@ -32,11 +33,13 @@ class SleepManager:
     """Sleep/awake state keeping for disconnected mobile transactions."""
 
     def __init__(self, checker: ConflictChecker, bus: EventBus,
+                 history: OperationLog,
                  pump_unlock: Callable[[ManagedObject], tuple[str, ...]],
                  regrant: "Callable[..., None]",
                  on_finished: Callable[[str], None]) -> None:
         self.checker = checker
         self.bus = bus
+        self.history = history
         #: admission-layer callbacks (Algorithm 11 pump + case-1 regrant).
         self._pump_unlock = pump_unlock
         self._regrant = regrant
@@ -115,6 +118,7 @@ class SleepManager:
             obj.clear_txn(txn.txn_id)
         txn.finish(_TS.ABORTED, now)
         self._on_finished(txn.txn_id)
+        self.history.record_abort(txn.txn_id)
         self.bus.on_awake(txn, now, survived=False)
         self.bus.on_global_abort(txn, now, "sleep-conflict")
         for obj in involved:

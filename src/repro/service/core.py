@@ -74,8 +74,10 @@ class ServiceConfig:
     #: op on an unknown object is an error frame.
     auto_create_objects: bool = True
     #: Drop terminal transactions from the GTM's registry once their
-    #: outcome is delivered (keeps a long-lived service's memory flat;
-    #: the operation log — what the oracle replays — is untouched).
+    #: outcome is delivered; off, the registry keeps every transaction
+    #: for the life of the service.  The operation log — what the
+    #: oracle replays — is bounded either way: it drops an aborted
+    #: transaction's operations and folds old commits into its baseline.
     retire_finished: bool = False
     #: LDBS backend name (see :func:`repro.ldbs.backend_names`).  When
     #: set — and no explicit ``gtm`` is passed to the service — commits
@@ -192,15 +194,18 @@ class GTMService:
     def _ensure_object(self, name: Any, op_class: OperationClass) -> str:
         if not isinstance(name, str) or not name:
             raise WireFormatError(f"op object must be a string: {name!r}")
-        if name not in self.gtm.lock_table:
+        obj = self.gtm.lock_table.objects.get(name)
+        if obj is None:
             if not self.config.auto_create_objects:
                 raise GTMError(f"unknown object {name!r}")
             # INSERT expects a shell it can bring into existence.
             exists = op_class is not OperationClass.INSERT
             binding = self._bind_object(name, 0, exists=exists)
-            self.gtm.create_object(name, value=0, exists=exists,
-                                   binding=binding)
-        return name
+            obj = self.gtm.create_object(name, value=0, exists=exists,
+                                         binding=binding)
+        # the name string the lock table already holds, not this
+        # frame's copy (as _own_txn does for transaction ids).
+        return obj.name
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -379,7 +384,7 @@ class GTMService:
             # purpose: a session cannot probe other sessions' ids.
             raise GTMError(f"unknown transaction {txn_id!r}")
         # the id string the GTM already holds, not this frame's copy:
-        # the operation log keeps whichever it is given, forever.
+        # the operation log keeps whichever it is given until it folds.
         return self.gtm.transactions[txn_id].txn_id
 
     # -- verbs ----------------------------------------------------------

@@ -65,6 +65,12 @@ class MemoryTransport:
     own next turn, one ``call_soon`` per burst, so a handler never runs
     on a client's stack, a round trip cannot finish without yielding,
     and a push sent mid-cascade cannot re-enter the service.
+
+    Once ``connection_lost`` has been delivered an end lets go of its
+    protocol and its peer, as asyncio's own transports drop
+    ``_protocol``: a lost link leaves no reference cycle behind, so
+    reference counting frees it and not the cyclic collector.  Every
+    method stays safe to call on a lost end.
     """
 
     __slots__ = ("_loop", "_own_turn", "_protocol", "_peer", "_inbound",
@@ -86,8 +92,10 @@ class MemoryTransport:
         self._protocol = protocol
 
     def write(self, data: bytes) -> None:
+        if self._closed:
+            return
         peer = self._peer
-        if self._closed or peer._closed:
+        if peer._closed:
             return
         peer._inbound += data
         if peer._reading:
@@ -133,23 +141,33 @@ class MemoryTransport:
         its own, the peer after what was already on its way to it."""
         if not self._closed:
             self._closed = True
-            self._loop.call_soon(self._protocol.connection_lost, None)
+            self._loop.call_soon(self._lose)
             self._loop.call_soon(self._peer._hang_up)
 
     def _hang_up(self) -> None:
         if not self._closed:
             self._closed = True
+            self._lose()
+
+    def _lose(self) -> None:
+        try:
             self._protocol.connection_lost(None)
+        finally:
+            self._protocol = self._peer = None
+            self._inbound = b""
 
     def abort(self) -> None:
-        self._peer._inbound = b""  # the backlog goes with the transport
+        peer = self._peer
+        if peer is not None:
+            peer._inbound = b""  # the backlog goes with the transport
         self.close()
 
     def is_closing(self) -> bool:
         return self._closed
 
     def get_write_buffer_size(self) -> int:
-        return len(self._peer._inbound)
+        peer = self._peer
+        return 0 if peer is None else len(peer._inbound)
 
     def get_write_buffer_limits(self) -> tuple[int, int]:
         return 0, MAX_FRAME_BYTES

@@ -1,7 +1,5 @@
 """Tests for Eq. (3)-(5) and the abort model."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

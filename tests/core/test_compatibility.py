@@ -18,7 +18,6 @@ from repro.core.opclass import (
     OperationClass,
     add,
     assign,
-    multiply,
     read,
 )
 

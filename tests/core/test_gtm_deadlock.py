@@ -1,7 +1,5 @@
 """Tests for GTM-level deadlock detection (Section VII, wait-for graph)."""
 
-import pytest
-
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
 from repro.core.opclass import assign, multiply, subtract
 from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy

@@ -10,7 +10,7 @@ committed on it.
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome
+from repro.core.gtm import GlobalTransactionManager
 from repro.core.history import check_serializable
 from repro.core.opclass import add, assign
 from repro.core.states import TransactionState

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome
+from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add, assign, read, subtract
 from repro.core.states import TransactionState
 

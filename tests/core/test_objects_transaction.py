@@ -9,7 +9,7 @@ from repro.core.objects import (
     ObjectBinding,
     WaitEntry,
 )
-from repro.core.opclass import add, read
+from repro.core.opclass import add
 from repro.core.transaction import GTMTransaction
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.conflicts import ConflictChecker
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
 from repro.core.objects import ManagedObject, WaitEntry
-from repro.core.opclass import add, assign, multiply, read, subtract
+from repro.core.opclass import add, assign, read, subtract
 from repro.core.starvation import (
     FifoGrantPolicy,
     LockDenyPolicy,

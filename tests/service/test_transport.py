@@ -8,6 +8,7 @@ turn, a receiver that raises, and the client's write flow control.
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.states import TransactionState
 from repro.service import SessionState
 from repro.service.client import ConnectionLost, ServiceClient, _Mailbox
 from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
-from repro.service.server import memory_pair
+from repro.service.server import memory_connector, memory_pair
 from tests.service.wire import (
     LOST,
     TRANSPORTS,
@@ -304,4 +305,64 @@ class TestClientFlowControl:
             assert first.cancelled() and not second.done()
             server_end.resume_reading()
             await asyncio.wait_for(second, 1.0)
+        run(check())
+
+
+class TestLostLinks:
+    """An in-memory end that delivered ``connection_lost`` lets go of
+    its protocol and its peer, so a dropped link is freed by reference
+    counting — the cyclic collector never has to find it."""
+
+    DROPS = 20
+
+    def test_drop_and_resume_cycles_leave_no_cyclic_garbage(self):
+        async def cycle(connector, token, index):
+            client = ServiceClient(*await connector())
+            await client.hello(token)
+            txn = await client.begin()
+            await client.op(txn, "add", f"o{index % 4}", 1)
+            client.drop()  # the mobile client's outage
+            await settle()
+            return client.token
+
+        async def check():
+            service, server = make_server(bto_timeout=30.0)
+            for index in range(4):
+                service.create_object(f"o{index}", value=1)
+            connector = memory_connector(server)
+            token = await cycle(connector, None, 0)
+            gc.collect()
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                for index in range(self.DROPS):
+                    await cycle(connector, token, index)
+                gc.collect()
+                garbage = [type(thing).__name__ for thing in gc.garbage]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            assert garbage == []
+            assert service.metrics.counter("service_resumes").total() \
+                == self.DROPS
+            await server.shutdown()
+        run(check())
+
+    def test_a_lost_end_is_still_safe_to_use(self):
+        async def check():
+            client_end, server_end = memory_pair()
+            client, server = RawEnd(client_end), RawEnd(server_end)
+            server_end.pause_reading()
+            client.send({"type": "ping", "id": 1})
+            client_end.close()
+            assert await client.next() == LOST
+            assert await server.next() == LOST
+            for end in (client_end, server_end):
+                assert end._protocol is None and end._peer is None
+                end.write(b"late\n")
+                assert end.get_write_buffer_size() == 0
+                end.resume_reading()
+                end.abort()
+                end.close()
+                assert end.is_closing()
+            assert client.events == server.events == []
         run(check())
