@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.gtm import GlobalTransactionManager
-from repro.core.opclass import add, read
+from repro.core.opclass import add
 from repro.metrics.report import render_table
 
 #: The paper's expected rows: (A code, B code, permanent, X_read^A,

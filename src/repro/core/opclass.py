@@ -67,8 +67,8 @@ OP_CLASS_COUNT = len(OperationClass)
 
 # Stable bit position per class (definition order).  The bitmask
 # conflict kernel in repro.core.compatibility / repro.core.conflicts
-# indexes occupancy and conflict masks by these bits, so they must not
-# change once persisted artefacts (BENCH_gtm.json) reference them.
+# indexes occupancy and conflict masks by these bits; they live only in
+# memory (workload files record a class by its value, never its bit).
 # ``mask``/``is_whole_object``/``is_update``/``mutates`` ride along as
 # precomputed plain attributes (see the class docstring).
 for _bit, _op_class in enumerate(OperationClass):

@@ -93,7 +93,7 @@ class FifoGrantPolicy:
         # The batch and blocked-ahead sets are round accumulators: the
         # bitmask engine backs them with per-member occupancy masks, so
         # judging each waiter is O(1) instead of pairwise against every
-        # earlier entry (the O(n²) the perf harness measures).  The
+        # earlier entry (the O(n²) of the pairwise reference engine).  The
         # holder test is likewise built once per round: the engine hoists
         # the txn-independent work (summary counts, holder snapshots) out
         # of the per-waiter loop.

@@ -53,7 +53,7 @@ def episode_frame(result: Any, scheduler: str) -> ObsFrame:
     Uses the registry's zero-copy :meth:`dump` view — the episode's
     registry is dead after this, and :func:`merge_frames` copies before
     accumulating, so sharing the storage is safe and saves a per-episode
-    sorted deep copy (visible on the perf smoke profile).
+    sorted deep copy (visible on sub-millisecond fuzz episodes).
     """
     if result.obs is not None:
         registry = result.obs.registry

@@ -19,7 +19,7 @@ class ScheduledEvent:
     ``sequence`` is unique, so tuple comparison settles the order in C
     and never reaches the handle.  (The handle used to *be* the entry,
     ordered by a Python ``__lt__`` — one allocation saved, fourteen
-    Python comparisons per event paid; docs/PERFORMANCE.md §18.)
+    Python comparisons per event paid; docs/perf/18-calls-per-transaction.md.)
 
     The handle supports cancellation: a cancelled event stays in the heap
     but is skipped by the dispatcher.  This gives O(1) cancel without heap

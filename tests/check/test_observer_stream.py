@@ -24,10 +24,9 @@ SEED = 42
 EPISODES = 50
 _BUILD = gtm_scheduler.build_transaction_manager
 
-#: The contended fuzz mixes (the perf harness's episode tiers): the
-#: default mix is where outages put transactions to sleep, ``contended``
-#: queues two dozen transactions on two objects, ``hotspot`` four dozen
-#: on one.
+#: The contended fuzz mixes: the default mix is where outages put
+#: transactions to sleep, ``contended`` queues two dozen transactions on
+#: two objects, ``hotspot`` four dozen on one.
 CONFIGS = {
     "default": FuzzConfig(scheduler="gtm"),
     "contended": FuzzConfig(scheduler="gtm", max_objects=2, max_txns=24,

@@ -4,6 +4,11 @@ Exhaustive pairwise agreement over every OperationClass pair and member
 relation (same member, independent members, logically dependent
 members), plus randomized lock-state equivalence for the summary-based
 ``object_blocked`` test and the grant-round accumulators.
+
+``TestHotPathCounts`` pins why the kernel is fast, as counts rather than
+as speed-ups: a pump asks the summary once per distinct ⟨class,
+member⟩, not once per waiter, and the admission probe never walks the
+holders.
 """
 
 import numpy as np
@@ -184,6 +189,52 @@ class TestObjectBlockedEquivalence:
         obj = ManagedObject("X", value=1)
         with pytest.raises(GTMError, match="underflow"):
             obj.summary.remove(assign(3))
+
+
+class TestHotPathCounts:
+    WAITERS = 64
+
+    def test_a_pump_asks_the_summary_once_per_invocation_shape(
+            self, monkeypatch):
+        # one ASSIGN holder on ``hot``, 64 queued ASSIGN waiters behind it
+        gtm = GlobalTransactionManager(GTMConfig())
+        gtm.create_object("hot", value=100)
+        gtm.begin("H0")
+        assert gtm.invoke("H0", "hot", assign(1)) == "granted"
+        for index in range(self.WAITERS):
+            gtm.begin(f"W{index}")
+            assert gtm.invoke(f"W{index}", "hot", assign(index)) == "queued"
+        obj = gtm.object("hot")
+        gtm.admission.pump_unlock(obj)  # reach the steady state
+        calls = 0
+        summary_conflicts = BitmaskConflictChecker.summary_conflicts
+
+        def counted(checker, summary, invocation):
+            nonlocal calls
+            calls += 1
+            return summary_conflicts(checker, summary, invocation)
+
+        monkeypatch.setattr(BitmaskConflictChecker, "summary_conflicts",
+                            counted)
+        assert gtm.admission.pump_unlock(obj) == ()
+        assert len(obj.waiting) == self.WAITERS
+        assert calls == 1
+
+    def test_the_probe_never_walks_the_holders(self, monkeypatch):
+        obj = ManagedObject("X", value=100)
+        for index in range(self.WAITERS):
+            obj.grant_pending(f"H{index}", read())
+
+        def walked(*args, **kwargs):
+            raise AssertionError("object_blocked walked the holders")
+
+        monkeypatch.setattr(ManagedObject, "holder_ops", walked)
+        bitmask = BitmaskConflictChecker()
+        # READ and ASSIGN commute with every READ holder: a holder walk
+        # could not stop early on either
+        assert not bitmask.object_blocked(obj, "probe", read())
+        assert not bitmask.object_blocked(obj, "probe", assign(7))
+        assert bitmask.object_blocked(obj, "probe", delete_object())
 
 
 class TestRoundSets:

@@ -15,6 +15,8 @@ counted) over ``GTMScheduler().run`` of the paper workload at α 0.5,
 before PR 22 (``ScheduledEvent.__lt__`` in the heap)   356.4
 PR 22, CPython 3.11                                     206.6
 budget                                                  215
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       212.3
+observed budget                                         220
 ====================================================  =========
 
 What a re-added level costs, in calls per transaction: one more frame
@@ -26,11 +28,20 @@ per *clock read* is 4.2 for the kernel's reads and 4.3 for the engine's;
 a state test that is a call again (``txn.is_in`` delegating to a second
 object) is about 8.  The budget leaves room for one of these, not two.
 CPython 3.12 inlines comprehensions and counts a few calls fewer.
+
+The observed leg runs the same workload with :mod:`repro.obs` attached:
+the observers ride the event bus, so they add calls, never events, and
+the same 4306 events must be dispatched.  Its budget is the observers'
+cost pinned the same way — a count, where a wall-clock overhead share
+swung by more than the overhead itself from run to run.  A second
+bus-fed interval tracker beside the timelines costs 15.6; a bus that
+hands every observer every hook, overridden or not, 11.5 (and 8.0
+unobserved); either fails it.
 """
 
 import sys
 
-from repro.schedulers import GTMScheduler
+from repro.schedulers import GTMScheduler, GTMSchedulerConfig
 from repro.workload.generator import (
     PaperWorkloadConfig,
     generate_paper_workload,
@@ -38,9 +49,10 @@ from repro.workload.generator import (
 
 TRANSACTIONS = 1000
 CALLS_PER_TRANSACTION_BUDGET = 215.0
+OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 220.0
 
 
-def _counted_run(workload):
+def _counted_run(workload, config=None):
     calls = 0
 
     def count(frame, event, arg):
@@ -48,7 +60,7 @@ def _counted_run(workload):
         if event == "call":
             calls += 1
 
-    scheduler = GTMScheduler()
+    scheduler = GTMScheduler(config)
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
@@ -58,17 +70,30 @@ def _counted_run(workload):
     return calls, result
 
 
-def test_a_simulated_transaction_stays_inside_its_call_budget():
+def _calls_per_transaction(config=None):
     workload = generate_paper_workload(PaperWorkloadConfig(
         n_transactions=TRANSACTIONS, alpha=0.5, beta=0.3,
         seed=2008)).workload
-    GTMScheduler().run(workload)  # warm: imports, per-class hook caches
-    calls, result = _counted_run(workload)
+    GTMScheduler(config).run(workload)  # warm: imports, hook caches
+    calls, result = _counted_run(workload, config)
     # events got cheaper, not fewer: the schedule itself is untouched
     assert result.extra["events_dispatched"] == 4306
     assert result.stats.total == TRANSACTIONS
-    per_transaction = calls / TRANSACTIONS
+    return calls / TRANSACTIONS
+
+
+def test_a_simulated_transaction_stays_inside_its_call_budget():
+    per_transaction = _calls_per_transaction()
     assert per_transaction <= CALLS_PER_TRANSACTION_BUDGET, (
         f"{per_transaction:.1f} Python-level calls per simulated "
         f"transaction, budget {CALLS_PER_TRANSACTION_BUDGET:.0f}: "
         f"see this module's docstring for what each re-added level costs")
+
+
+def test_an_observed_transaction_stays_inside_its_call_budget():
+    per_transaction = _calls_per_transaction(GTMSchedulerConfig(obs=True))
+    assert per_transaction <= OBSERVED_CALLS_PER_TRANSACTION_BUDGET, (
+        f"{per_transaction:.1f} Python-level calls per observed "
+        f"transaction, budget "
+        f"{OBSERVED_CALLS_PER_TRANSACTION_BUDGET:.0f}: see this module's "
+        f"docstring for what each re-added level costs")
