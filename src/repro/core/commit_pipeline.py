@@ -220,7 +220,9 @@ class CommitPipeline:
         report: SSTReport | None = None
         if self.sst_executor is not None and staged:
             # a pure READ stages {}: nothing for the SST to store
-            writes = [self._staged_write(obj, values)
+            writes = [StagedWrite(obj.name, obj.binding, {}, delete=True)
+                      if "__deleted__" in values
+                      else StagedWrite(obj.name, obj.binding, values)
                       for obj, values in staged if values]
             try:
                 report = self.sst_executor.execute(txn_id, writes)
@@ -240,14 +242,6 @@ class CommitPipeline:
         if self._on_externalize is not None:
             self._on_externalize(txn_id, involved)
         return report
-
-    def _staged_write(self, obj: ManagedObject,
-                      new_values: dict[str, Any]) -> StagedWrite:
-        if "__deleted__" in new_values:
-            return StagedWrite(object_name=obj.name, binding=obj.binding,
-                               values={}, delete=True)
-        return StagedWrite(object_name=obj.name, binding=obj.binding,
-                           values=new_values)
 
     def _apply_permanent(self, obj: ManagedObject,
                          new_values: dict[str, Any]) -> None:

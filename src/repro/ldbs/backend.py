@@ -35,7 +35,7 @@ from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.errors import BackendError, StorageError
 from repro.ldbs.constraints import CheckConstraint
-from repro.ldbs.engine import Database, Transaction
+from repro.ldbs.engine import Database, Transaction, TxnStatus
 from repro.ldbs.schema import TableSchema
 
 __all__ = [
@@ -164,9 +164,14 @@ class _MemoryTransaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        suppress = self._txn.__exit__(exc_type, exc, tb)
+        txn = self._txn
+        if txn.status is TxnStatus.ACTIVE:
+            if exc_type is None:
+                txn.commit()
+            else:
+                txn.abort()
         self._backend._transaction_finished()
-        return suppress
+        return False
 
 
 #: WAL records after which the memory backend checkpoints the engine

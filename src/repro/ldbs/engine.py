@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NoReturn
 
 from repro.errors import (
     ConstraintViolation,
@@ -130,22 +130,25 @@ class Transaction:
     # -- mutations ---------------------------------------------------------------
 
     def insert(self, table: str, values: Mapping[str, Any]) -> Row:
-        """Insert a row under an X lock on the new rid."""
+        """Insert a row under an X lock on the new rid.
+
+        The table's constraints judge the row before the heap checks its
+        key — SQLite's adapter checks in that order too, so a duplicate
+        key that also breaks a constraint is a ConstraintViolation on
+        both backends.
+        """
         self._require_active()
-        heap = self._db.catalog.table(table)
+        db = self._db
+        heap = db.catalog.table(table)
+        if db.config.eager_constraints and db.constraints.for_table(table):
+            db.constraints.validate(table, heap.schema.validate_row(values))
         row = heap.insert(values)
         try:
-            self._db._lock(self, (table, row.rid), LockMode.X)
+            db._lock(self, (table, row.rid), LockMode.X)
         except (LockConflictError, DeadlockError):  # pragma: no cover
             heap.remove_if_present(row.rid)  # fresh rid: nobody can hold it
             raise
-        if self._db.config.eager_constraints:
-            try:
-                self._db.constraints.validate(table, row)
-            except ConstraintViolation:
-                heap.remove_if_present(row.rid)
-                raise
-        self._db.wal.log_insert(self.txn_id, table, row.rid, row.as_dict())
+        db.wal.log_insert(self.txn_id, table, row.rid, row)
         return row
 
     def update(self, table: str, where: Predicate | int,
@@ -167,7 +170,8 @@ class Transaction:
         """Point update by primary key under an X lock, through the key
         index (no predicate, no scan).  Returns the new row version, or
         None when no row has the key."""
-        self._require_active()
+        if self.status is not TxnStatus.ACTIVE:
+            self._require_active()  # raises
         heap = self._db.catalog.table(table)
         rid = heap.rid_of_key(key)
         if rid is None:
@@ -204,9 +208,12 @@ class Transaction:
                     changes: Mapping[str, Any]
                     | Callable[[Row], Mapping[str, Any]]) -> Row:
         """One row's update, however it was found: X lock, schema and
-        eager constraint validation (undone on violation), WAL record."""
+        eager constraint validation (undone on violation), and a WAL
+        record that keeps the two row versions themselves."""
         db = self._db
-        db._lock(self, (table, rid), LockMode.X)
+        # _lock without its frame: this is every written row's lock
+        if not db.locks.acquire(self.txn_id, (table, rid), LockMode.X):
+            db._refuse(self, (table, rid), LockMode.X)
         if callable(changes):
             changes = changes(heap.get(rid))
         before, after = heap.update(rid, changes)
@@ -216,25 +223,25 @@ class Transaction:
             except ConstraintViolation:
                 heap.restore(before)
                 raise
-        db.wal.log_update(self.txn_id, table, rid,
-                          before.as_dict(), after.as_dict())
+        db.wal.log_update(self.txn_id, table, rid, before, after)
         return after
 
     def _delete_row(self, heap: HeapTable, table: str, rid: int) -> None:
         self._db._lock(self, (table, rid), LockMode.X)
-        before = heap.delete(rid)
-        self._db.wal.log_delete(self.txn_id, table, rid, before.as_dict())
+        self._db.wal.log_delete(self.txn_id, table, rid, heap.delete(rid))
 
     # -- completion ---------------------------------------------------------------
 
     def commit(self) -> None:
         """Validate deferred constraints, log COMMIT, release all locks."""
-        self._require_active()
-        if not self._db.config.eager_constraints:
+        if self.status is not TxnStatus.ACTIVE:
+            self._require_active()  # raises
+        db = self._db
+        if not db.config.eager_constraints:
             self._validate_written_rows()
-        self._db.wal.log_commit(self.txn_id)
+        db.wal.log_commit(self.txn_id)
         self.status = TxnStatus.COMMITTED
-        self._db._finish(self)
+        db._finish(self)
 
     def abort(self, reason: str = "") -> None:
         """Undo all effects via the WAL, log ABORT, release all locks."""
@@ -292,6 +299,9 @@ class Database:
         )
         self.commits = 0
         self.aborts = 0
+        #: lock requests refused (:meth:`_refuse`); until the first,
+        #: the wait-for graph has never held anything to forget.
+        self.refusals = 0
 
     # -- schema ---------------------------------------------------------------
 
@@ -378,16 +388,20 @@ class Database:
     # -- internals -------------------------------------------------------------------
 
     def _lock(self, txn: Transaction, resource: Any, mode: LockMode) -> None:
-        """Acquire a lock for ``txn`` or raise.
+        """Acquire a lock for ``txn`` or raise (:meth:`_refuse`)."""
+        if not self.locks.acquire(txn.txn_id, resource, mode):
+            self._refuse(txn, resource, mode)
 
-        On conflict the wait edge is recorded in the wait-for graph; a
-        cycle raises :class:`DeadlockError` naming the victim, otherwise
+    def _refuse(self, txn: Transaction, resource: Any,
+                mode: LockMode) -> NoReturn:
+        """``txn``'s request for ``resource`` was queued, not granted.
+
+        The wait edge is recorded in the wait-for graph; a cycle raises
+        :class:`DeadlockError` naming the victim, otherwise
         :class:`LockConflictError` is raised (this engine never blocks —
         the simulated schedulers model waiting).
         """
-        granted = self.locks.acquire(txn.txn_id, resource, mode)
-        if granted:
-            return
+        self.refusals += 1
         blockers = self.locks.blockers_of(txn.txn_id, resource)
         self.locks.cancel_request(txn.txn_id, resource)
         resolution = self.detector.on_wait(txn.txn_id, blockers)
@@ -401,7 +415,8 @@ class Database:
     def _finish(self, txn: Transaction) -> None:
         self._open.pop(txn.txn_id, None)
         self.locks.release_all(txn.txn_id)
-        self.detector.on_finished(txn.txn_id)
+        if self.refusals:
+            self.detector.on_finished(txn.txn_id)
         if txn.status is TxnStatus.COMMITTED:
             self.commits += 1
         else:

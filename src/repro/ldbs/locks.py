@@ -21,7 +21,7 @@ Grant policy:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from repro.errors import LockError, LockUpgradeError
@@ -39,7 +39,7 @@ class LockMode(enum.Enum):
         return self is LockMode.S and other is LockMode.S
 
 
-@dataclass
+@dataclass(slots=True)
 class LockRequest:
     """A queued lock request."""
 
@@ -51,12 +51,18 @@ class LockRequest:
     on_grant: Callable[[str, ResourceId], None] | None = None
 
 
-@dataclass
 class _ResourceState:
-    """Holders and waiters for one resource."""
+    """Holders and waiters for one resource.
 
-    holders: dict[str, LockMode] = field(default_factory=dict)
-    queue: list[LockRequest] = field(default_factory=list)
+    A resource has a state only while someone holds or awaits it, and
+    it gets one the moment its first holder is granted.
+    """
+
+    __slots__ = ("holders", "queue")
+
+    def __init__(self, txn_id: str, mode: LockMode) -> None:
+        self.holders: dict[str, LockMode] = {txn_id: mode}
+        self.queue: list[LockRequest] = []
 
 
 class LockManager:
@@ -129,7 +135,11 @@ class LockManager:
         Re-acquiring an already-held compatible mode is a no-op grant;
         holding S and requesting X queues an upgrade.
         """
-        state = self._resources.setdefault(resource, _ResourceState())
+        state = self._resources.get(resource)
+        if state is None:
+            # uncontended: granted with no request built or queued
+            self._resources[resource] = _ResourceState(txn_id, mode)
+            return True
         held = state.holders.get(txn_id)
 
         if held is not None:
@@ -154,11 +164,10 @@ class LockManager:
             raise LockError(
                 f"{txn_id!r} already has a queued request on {resource!r}")
 
-        request = LockRequest(txn_id, mode, on_grant=on_grant)
-        if self._grantable(state, request, position=len(state.queue)):
+        if self._grantable(state, txn_id, mode, position=len(state.queue)):
             state.holders[txn_id] = mode
             return True
-        state.queue.append(request)
+        state.queue.append(LockRequest(txn_id, mode, on_grant=on_grant))
         return False
 
     def release(self, txn_id: str, resource: ResourceId) -> tuple[str, ...]:
@@ -183,9 +192,18 @@ class LockManager:
         path).  Returns the resources that were released.
         """
         released: list[ResourceId] = []
-        for resource in tuple(self._resources):
-            state = self._resources.get(resource)
+        resources = self._resources
+        for resource in tuple(resources):
+            state = resources.get(resource)
             if state is None:
+                continue
+            if not state.queue:
+                # nobody waits here: nothing to cancel, nobody to grant
+                if txn_id in state.holders:
+                    del state.holders[txn_id]
+                    released.append(resource)
+                    if not state.holders:
+                        del resources[resource]
                 continue
             before = len(state.queue)
             state.queue = [r for r in state.queue if r.txn_id != txn_id]
@@ -214,17 +232,18 @@ class LockManager:
 
     # -- internals -----------------------------------------------------------
 
-    def _grantable(self, state: _ResourceState, request: LockRequest,
-                   position: int) -> bool:
-        """Can ``request`` (at queue ``position``) be granted right now?"""
-        for holder, mode in state.holders.items():
-            if holder == request.txn_id:
+    def _grantable(self, state: _ResourceState, txn_id: str,
+                   mode: LockMode, position: int) -> bool:
+        """Can ``txn_id``'s request for ``mode`` (at queue ``position``)
+        be granted right now?"""
+        for holder, held in state.holders.items():
+            if holder == txn_id:
                 continue  # upgrade: ignore own S hold
-            if not request.mode.compatible_with(mode):
+            if not mode.compatible_with(held):
                 return False
         for ahead in state.queue[:position]:
-            if (not request.mode.compatible_with(ahead.mode)
-                    or not ahead.mode.compatible_with(request.mode)):
+            if (not mode.compatible_with(ahead.mode)
+                    or not ahead.mode.compatible_with(mode)):
                 return False
         return True
 
@@ -236,7 +255,8 @@ class LockManager:
         while progress:
             progress = False
             for index, request in enumerate(state.queue):
-                if self._grantable(state, request, position=index):
+                if self._grantable(state, request.txn_id, request.mode,
+                                   position=index):
                     state.queue.pop(index)
                     state.holders[request.txn_id] = request.mode
                     granted.append(request.txn_id)

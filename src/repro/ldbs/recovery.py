@@ -34,7 +34,11 @@ class RecoveryReport:
 
 
 class RecoveryManager:
-    """Applies WAL records to a catalog, forwards (redo) or backwards (undo)."""
+    """Applies WAL records to a catalog, forwards (redo) or backwards (undo).
+
+    Both directions put back the row version a record logged — rid,
+    version and values — not a fresh version 0 of its values.
+    """
 
     def __init__(self, catalog: Catalog, wal: WriteAheadLog) -> None:
         self.catalog = catalog
@@ -81,13 +85,13 @@ class RecoveryManager:
     def _redo(self, record: LogRecord) -> None:
         table = self.catalog.table(record.table)  # type: ignore[arg-type]
         if record.type is RecordType.INSERT:
-            if record.after is None or record.rid is None:
+            if record.new is None or record.rid is None:
                 raise RecoveryError(f"malformed INSERT record {record!r}")
-            table.restore(Row(record.rid, record.after))
+            table.restore(record.new)
         elif record.type is RecordType.UPDATE:
-            if record.after is None or record.rid is None:
+            if record.new is None or record.rid is None:
                 raise RecoveryError(f"malformed UPDATE record {record!r}")
-            table.restore(Row(record.rid, record.after))
+            table.restore(record.new)
         elif record.type is RecordType.DELETE:
             if record.rid is None:
                 raise RecoveryError(f"malformed DELETE record {record!r}")
@@ -114,10 +118,10 @@ class RecoveryManager:
         if record.type is RecordType.INSERT:
             table.remove_if_present(record.rid)  # type: ignore[arg-type]
         elif record.type is RecordType.UPDATE:
-            if record.before is None or record.rid is None:
+            if record.old is None or record.rid is None:
                 raise RecoveryError(f"malformed UPDATE record {record!r}")
-            table.restore(Row(record.rid, record.before))
+            table.restore(record.old)
         elif record.type is RecordType.DELETE:
-            if record.before is None or record.rid is None:
+            if record.old is None or record.rid is None:
                 raise RecoveryError(f"malformed DELETE record {record!r}")
-            table.restore(Row(record.rid, record.before))
+            table.restore(record.old)

@@ -156,7 +156,13 @@ class TableSchema:
 
     def validate_update(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """Validate a partial update (only the supplied columns)."""
+        by_name = self._by_name
         updated: dict[str, Any] = {}
         for name, value in values.items():
-            updated[name] = self.column(name).validate(value)
+            column = by_name.get(name)
+            if column is None:
+                column = self.column(name)  # raises
+            # what Column.validate does with a value that is not None
+            updated[name] = (column.validate(value) if value is None
+                             else column.type.validate(value))
         return updated

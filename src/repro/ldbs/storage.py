@@ -175,21 +175,25 @@ class HeapTable:
 
     def update(self, rid: int, updates: Mapping[str, Any]) -> tuple[Row, Row]:
         """Apply a partial update; returns ``(before, after)`` versions."""
-        before = self.get(rid)
+        before = self._rows.get(rid)
+        if before is None:
+            before = self.get(rid)  # raises
         validated = self.schema.validate_update(updates)
         key_column = self.schema.primary_key
-        if key_column is not None and key_column in validated:
+        rekey = key_column is not None and key_column in validated
+        if rekey:
             new_key = validated[key_column]
             if new_key != before[key_column] and new_key in self._key_index:  # type: ignore[operator]
                 raise StorageError(
                     f"duplicate key {new_key!r} for table {self.name!r}")
         after = before.replace(validated)
-        self._index_remove(before)
         self._rows[rid] = after
-        if key_column is not None and key_column in validated:
+        if rekey:
             del self._key_index[before[key_column]]  # type: ignore[arg-type]
             self._key_index[after[key_column]] = rid  # type: ignore[index]
-        self._index_add(after)
+        if self._indexes:
+            self._index_remove(before)
+            self._index_add(after)
         return before, after
 
     def delete(self, rid: int) -> Row:

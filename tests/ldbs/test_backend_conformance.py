@@ -144,6 +144,16 @@ class TestConformance:
                 txn.insert("obj", {"id": 1, "value": 0.0})
             txn.abort()
 
+    def test_duplicate_key_breaking_a_constraint_is_the_constraint(
+            self, backend):
+        # both check the row's constraints before its key (the memory
+        # engine used to check the key first: a StorageError there)
+        with backend.begin("T1", write=True) as txn:
+            with pytest.raises(ConstraintViolation):
+                txn.insert("obj", {"id": 1, "value": -1.0})
+            txn.abort()
+        assert backend.dump()["obj"][1]["value"] == 10.0
+
     def test_constraint_violation_maps_identically(self, backend):
         # Python-side CheckConstraints run on both backends, so the
         # SST executor sees the same ConstraintViolation either way.

@@ -11,9 +11,10 @@ identical locks while a transaction is open and none after it
 finished, and identical recovery.
 
 The same sequences through the backend seam, SQLite against memory:
-identical answers from every call and an identical ``dump()`` after
-every finish, on a table without a constraint (where SQLite no longer
-reads the row before it updates it) and on one with.
+identical answers from every call — a refusal is the same exception
+class on both — and an identical ``dump()`` after every finish, on a
+table without a constraint (where SQLite no longer reads the row before
+it updates it) and on one with.
 """
 
 import pytest
@@ -150,11 +151,10 @@ class _Seam:
         verb, *args = action
         if verb == "insert":
             key, value = args
-            # a duplicate key that also breaks the constraint: the heap
-            # checks the key first, the SQLite adapter the constraint
-            answer = _answer(lambda: self._open().insert(
+            # a duplicate key that also breaks the constraint is refused
+            # for the constraint on both: each checks it before the key
+            return _answer(lambda: self._open().insert(
                 "obj", {"id": key, "value": value}))
-            return "refused" if answer else answer
         if verb in ("update", "rekey"):
             key, new = args
             changes = {"value": new} if verb == "update" else {"id": new}

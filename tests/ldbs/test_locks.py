@@ -217,3 +217,42 @@ class TestBlockers:
         locks.acquire("A", "X", LockMode.X)
         locks.acquire("A", "Y", LockMode.S)
         assert set(locks.resources_held_by("A")) == {"X", "Y"}
+
+
+class TestUncontendedAcquire:
+    """The one path every SST row takes: a lock nobody holds or awaits
+    is granted with one slotted state and no queued-request object."""
+
+    def test_builds_no_request(self, monkeypatch):
+        from repro.ldbs import locks as locks_module
+
+        built = []
+
+        class CountedRequest(locks_module.LockRequest):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(locks_module, "LockRequest", CountedRequest)
+        locks = LockManager()
+        assert locks.acquire("A", ("t", 1), LockMode.X)
+        assert locks.acquire("A", ("t", 2), LockMode.S)
+        assert locks.acquire("B", ("t", 2), LockMode.S)  # shares, no wait
+        assert built == []
+        state = locks._resources[("t", 1)]
+        assert not hasattr(state, "__dict__")
+        assert state.holders == {"A": LockMode.X} and state.queue == []
+        # a request that has to wait is still queued as one
+        assert not locks.acquire("C", ("t", 1), LockMode.S)
+        assert built == ["C"]
+
+    def test_release_all_without_waiters_forgets_the_resources(self):
+        locks = LockManager()
+        locks.acquire("A", ("t", 1), LockMode.X)
+        locks.acquire("A", ("t", 2), LockMode.S)
+        locks.acquire("B", ("t", 2), LockMode.S)
+        assert locks.release_all("A") == (("t", 1), ("t", 2))
+        assert list(locks._resources) == [("t", 2)]
+        assert locks.holders(("t", 2)) == {"B": LockMode.S}
+        assert locks.release_all("B") == (("t", 2),)
+        assert locks._resources == {}

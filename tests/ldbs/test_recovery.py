@@ -1,6 +1,7 @@
 """Tests for WAL replay: crash recovery and online rollback."""
 
 from repro.ldbs.catalog import Catalog
+from repro.ldbs.engine import Database
 from repro.ldbs.recovery import RecoveryManager
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.ldbs.wal import WriteAheadLog
@@ -150,3 +151,50 @@ class TestOnlineRollback:
     def test_rollback_unknown_txn_is_noop(self):
         _catalog, _wal, recovery = setup()
         assert recovery.rollback("ghost") == 0
+
+
+class TestRowVersions:
+    """Undo and redo put back the row version the WAL logged: rid,
+    version and values.  They used to rebuild a version 0 from the
+    logged values, so an update committed at v1 came back as v0 after
+    a later abort or a crash (``dump()`` carries no version, which is
+    why no digest ever showed it)."""
+
+    @staticmethod
+    def committed_at_v1() -> Database:
+        db = Database()
+        db.create_table(TableSchema(
+            "t", (Column("id", ColumnType.INT), Column("v", ColumnType.INT)),
+            primary_key="id"))
+        db.seed("t", [{"id": 1, "v": 1}])
+        with db.begin("T1") as txn:
+            txn.update_by_key("t", 1, {"v": 2})
+        assert db.catalog.table("t").get_by_key(1).version == 1
+        return db
+
+    def test_an_aborted_update_puts_back_the_committed_version(self):
+        db = self.committed_at_v1()
+        committed = db.catalog.table("t").get_by_key(1)
+        txn = db.begin("T2")
+        assert txn.update_by_key("t", 1, {"v": 3}).version == 2
+        txn.abort()
+        assert db.catalog.table("t").get_by_key(1) is committed
+
+    def test_an_aborted_delete_puts_back_the_deleted_version(self):
+        db = self.committed_at_v1()
+        committed = db.catalog.table("t").get_by_key(1)
+        txn = db.begin("T2")
+        assert txn.delete_by_key("t", 1) == 1
+        txn.abort()
+        assert db.catalog.table("t").get_by_key(1) is committed
+
+    def test_a_crash_recovers_the_committed_version(self):
+        db = self.committed_at_v1()
+        loser = db.begin("T2")
+        loser.update_by_key("t", 1, {"v": 3})
+        db.crash()
+        row = db.catalog.table("t").get_by_key(1)
+        assert (row.version, dict(row)) == (1, {"id": 1, "v": 2})
+        # and the next update numbers on from there
+        with db.begin("T3") as txn:
+            assert txn.update_by_key("t", 1, {"v": 4}).version == 2

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import WALError
+from repro.ldbs.engine import Database
+from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.ldbs.wal import RecordType, WriteAheadLog
 
 
@@ -51,6 +53,27 @@ class TestLogging:
         record = wal.log_insert("T1", "t", 1, values)
         values["a"] = 99
         assert record.after == {"a": 1}
+
+    def test_an_update_record_keeps_the_row_versions_themselves(self):
+        """No copy per record: the engine's UPDATE record holds the
+        version it replaced and the one it wrote, images and all."""
+        db = Database()
+        db.create_table(TableSchema(
+            "t", (Column("id", ColumnType.INT), Column("a", ColumnType.INT)),
+            primary_key="id"))
+        db.seed("t", [{"id": 1, "a": 1}])
+        before = db.catalog.table("t").get_by_key(1)
+        with db.begin("T1") as txn:
+            after = txn.update_by_key("t", 1, {"a": 2})
+            record = db.wal.records()[-1]
+        assert record.type is RecordType.UPDATE
+        assert record.after is after.image
+        assert record.before is before.image
+        assert (record.old, record.new) == (before, after)
+        assert record.new is after and record.old is before
+        # and the images are read-only
+        with pytest.raises(TypeError):
+            record.after["a"] = 3
 
 
 class TestStatusTracking:
