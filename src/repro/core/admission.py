@@ -31,26 +31,37 @@ _TS = TransactionState
 
 
 class _SweepScratch:
-    """Holder/conflict state shared across one re-police sweep.
+    """Queue and conflict state shared across one re-police sweep.
 
-    Valid only while ``epoch`` matches the object's ``lock_epoch``; a
-    mid-sweep abort bumps the epoch and forces a rebuild.
+    Made for the first waiter that needs it, and valid only while
+    ``epoch`` matches the object's ``lock_epoch``; a mid-sweep abort
+    bumps the epoch and forces a rebuild.
     """
 
-    __slots__ = ("epoch", "holders", "memo", "queue_pos", "ahead")
+    __slots__ = ("epoch", "memo", "queue_pos", "ahead", "moved_since")
 
     def __init__(self) -> None:
         self.epoch = -1
-        #: txn -> its granted/committing ops (non-sleeping holders).
-        self.holders: Mapping[str, tuple[Invocation, ...]] = {}
-        #: (op-class bit, member) -> conflicting holder tuple.
-        self.memo: dict[tuple[int, str], tuple[str, ...]] = {}
+        #: (op-class bit, member) -> conflicting holders.
+        self.memo: dict[tuple[int, str], list[str]] = {}
         #: txn -> its (first) position in the wait queue.
         self.queue_pos: dict[str, int] = {}
         #: (op-class bit, member) -> ((position, txn), ...) of queue
         #: entries whose queued invocation conflicts with that shape.
         self.ahead: dict[tuple[int, str],
                          tuple[tuple[int, str], ...]] = {}
+        #: recorded epoch -> the transactions whose claim moved since,
+        #: each once, in order (``RepoliceState.since``).
+        self.moved_since: dict[int, dict[str, None]] = {}
+
+    def rebuild(self, obj: ManagedObject) -> None:
+        self.memo = {}
+        self.queue_pos = {}
+        for i, entry in enumerate(obj.waiting):
+            self.queue_pos.setdefault(entry.txn_id, i)
+        self.ahead = {}
+        self.moved_since = {}
+        self.epoch = obj.lock_epoch
 
 
 class GrantOutcome:
@@ -162,8 +173,10 @@ class AdmissionController:
             outcome = self._police_deadlock(txn, obj, invocation)
             if outcome is not None:
                 return outcome
-        if obj.is_waiting(txn.txn_id):
-            obj.wait_edge_epochs[txn.txn_id] = obj.lock_epoch
+        elif obj.is_waiting(txn.txn_id):
+            # queued by the throttle or the grant policy with no edges
+            # derived at all: whatever it waits on, they are not exact.
+            obj.wait_edges[txn.txn_id] = (obj.lock_epoch, None)
         return GrantOutcome.QUEUED
 
     def _validate(self, txn: GTMTransaction, obj: ManagedObject,
@@ -208,13 +221,19 @@ class AdmissionController:
                             f"{txn.txn_id!r}'s own {own.describe()!r} on "
                             f"{obj.name!r} (constraint i)")
 
-    def conflicting_holders(self, obj: ManagedObject, txn_id: str,
-                            invocation: Invocation) -> tuple[str, ...]:
-        """Transactions in (pending − sleeping) ∪ committing that conflict."""
-        holders = obj.holder_ops(exclude=txn_id, include_sleeping=False)
-        return tuple(
-            holder for holder, ops in holders.items()
-            if self.checker.conflicts_with_any(invocation, ops))
+    def _conflicting_holders(self, obj: ManagedObject,
+                             invocation: Invocation) -> list[str]:
+        """Transactions in (pending − sleeping) ∪ committing that conflict,
+        in that order, read straight from the object's sets."""
+        conflicts = self.checker.conflicts_with_any
+        sleeping = obj.sleeping
+        holders = [holder for holder, ops in obj.pending.items()
+                   if holder not in sleeping
+                   and conflicts(invocation, ops.values())]
+        for holder, ops in obj.committing.items():
+            if conflicts(invocation, ops.values()):
+                holders.append(holder)
+        return holders
 
     def _queue_blockers(self, obj: ManagedObject, txn_id: str,
                         invocation: Invocation,
@@ -228,14 +247,15 @@ class AdmissionController:
         wait-for edges — a cycle through a queue position is as much a
         deadlock as one through a held member.
 
-        ``scratch`` (the re-police path) shares the holder lock-set and
-        the per-(class, member) conflict result across every waiter of
-        one sweep: conflicts are class/member-level, so all waiters with
-        the same invocation shape see the same conflicting holders.
+        ``scratch`` (the re-police path) shares the per-(class, member)
+        conflict result across every waiter of one sweep: conflicts are
+        class/member-level, so all waiters with the same invocation
+        shape see the same conflicting holders.
         """
         if scratch is None:
-            blockers = list(
-                self.conflicting_holders(obj, txn_id, invocation))
+            blockers = [holder for holder
+                        in self._conflicting_holders(obj, invocation)
+                        if holder != txn_id]
             for entry in obj.waiting:
                 if entry.txn_id == txn_id:
                     break
@@ -247,21 +267,12 @@ class AdmissionController:
             return tuple(blockers)
         if scratch.epoch != obj.lock_epoch:
             # a mid-sweep abort moved the lock state: rebuild.
-            scratch.holders = obj.holder_ops(include_sleeping=False)
-            scratch.memo = {}
-            scratch.queue_pos = {}
-            for i, entry in enumerate(obj.waiting):
-                scratch.queue_pos.setdefault(entry.txn_id, i)
-            scratch.ahead = {}
-            scratch.epoch = obj.lock_epoch
+            scratch.rebuild(obj)
         key = (invocation.op_class.bit, invocation.member)
         conflicting = scratch.memo.get(key)
         if conflicting is None:
-            checker = self.checker
-            conflicting = tuple(
-                holder for holder, ops in scratch.holders.items()
-                if checker.conflicts_with_any(invocation, ops))
-            scratch.memo[key] = conflicting
+            conflicting = scratch.memo[key] = \
+                self._conflicting_holders(obj, invocation)
         blockers = [h for h in conflicting if h != txn_id]
         ahead = scratch.ahead.get(key)
         if ahead is None:
@@ -285,6 +296,66 @@ class AdmissionController:
             blockers.append(waiter_id)
         return tuple(blockers)
 
+    def _edges_now(self, obj: ManagedObject, txn_id: str,
+                   invocation: Invocation, recorded_epoch: int,
+                   edges: tuple[str, ...], scratch: "_SweepScratch",
+                   ) -> tuple[str, ...] | None:
+        """This waiter's edges as the graph holds them now, when those are
+        still exactly what :meth:`_queue_blockers` would derive; None
+        when they may not be.
+
+        ``edges`` were its blockers at ``recorded_epoch``.  Whether a
+        transaction blocks the waiter depends only on its own claim on
+        the object (held ops, sleep mark, queue entry) and the waiter's,
+        so only the transactions whose claim moved since then (the
+        object's claim log) are asked again.  One that stopped blocking
+        because it finished is already gone from the graph
+        (``on_finished``) and just drops out; any other change, the
+        waiter's own move, or a log that no longer reaches back answers
+        None.
+        """
+        if scratch.epoch != obj.lock_epoch:
+            scratch.rebuild(obj)
+        moved = scratch.moved_since.get(recorded_epoch)
+        if moved is None:
+            since = obj.repolice.since(recorded_epoch)
+            if since is None:
+                return None
+            moved = scratch.moved_since[recorded_epoch] = \
+                dict.fromkeys(since)
+        if txn_id in moved:
+            return None
+        queue_pos = scratch.queue_pos
+        limit = queue_pos.get(txn_id)
+        if limit is None:
+            return None
+        checker = self.checker
+        sleeping = obj.sleeping
+        for other in moved:
+            asleep = other in sleeping
+            held = obj.committing.get(other)
+            if held is None and not asleep:
+                held = obj.pending.get(other)
+            if held is not None \
+                    and checker.conflicts_with_any(invocation, held.values()):
+                blocks = True
+            elif asleep:
+                blocks = False
+            else:
+                i = queue_pos.get(other)
+                blocks = i is not None and i < limit and \
+                    checker.in_conflict(invocation, obj.waiting[i].invocation)
+            if blocks:
+                if other not in edges:
+                    return None
+            elif other in edges:
+                txn = self._transactions.get(other)
+                if txn is not None and not txn.state.terminal:
+                    return None
+                i = edges.index(other)
+                edges = edges[:i] + edges[i + 1:]
+        return edges
+
     # ------------------------------------------------------------------
     # deadlock policing (delegated to the policy object)
     # ------------------------------------------------------------------
@@ -298,13 +369,18 @@ class AdmissionController:
         Returns :data:`GrantOutcome.ABORTED` when the requester itself is
         the victim, :data:`GrantOutcome.GRANTED` when killing another
         victim freed the object and the requester got the grant, and None
-        when the requester still (legitimately) waits.
+        when the requester still (legitimately) waits.  Then its edges
+        go into ``obj.wait_edges`` at the current epoch: the blockers of
+        the one consult, or None when a victim loop added a second set
+        to the first (the union is not its blockers at any epoch).
 
         ``refresh`` marks the re-police path: the first policy consult
         *replaces* the waiter's recorded edges (stale ones must go) where
         the request path only ever adds fresh ones.
         """
         txn_id = txn.txn_id
+        epoch = obj.lock_epoch
+        edges: tuple[str, ...] | None = ()
         first = True
         while True:
             blockers = self._queue_blockers(obj, txn_id, invocation,
@@ -320,9 +396,11 @@ class AdmissionController:
                     txn_id, blockers)
             else:
                 resolution = self.deadlock_policy.on_wait(txn_id, blockers)
+            if first:
+                edges = blockers
             first = False
             if resolution is None:
-                return None
+                break
             victim = resolution.victim
             if victim != txn_id:
                 victim_txn = self._transactions.get(victim)
@@ -330,13 +408,17 @@ class AdmissionController:
                         victim_txn.is_in(_TS.COMMITTING):
                     # never abort a committer: it holds X_committing and
                     # finishes on its own — waiting behind it is finite.
-                    return None
+                    break
             self._abort_txn(victim, "deadlock-victim")
             if victim == txn_id:
                 return GrantOutcome.ABORTED
             if txn.is_in(_TS.ACTIVE):
                 # the victim's objects unlocked and the pump granted us.
                 return GrantOutcome.GRANTED
+            edges = None
+        # still queued: certainly so when nothing moved since it was.
+        if obj.lock_epoch == epoch or obj.is_waiting(txn_id):
+            obj.wait_edges[txn_id] = (obj.lock_epoch, edges)
         return None
 
     # ------------------------------------------------------------------
@@ -419,6 +501,9 @@ class AdmissionController:
         candidates = [entry for entry in obj.waiting
                       if entry.txn_id not in obj.sleeping]
         if not candidates:
+            # every waiter sleeps, and each re-derives in full once its
+            # wake moves it: nobody will read the claim log before then.
+            obj.repolice.restart(obj.lock_epoch)
             return ()
         # Summary engines answer the per-waiter blocked test in O(1), so
         # the pump skips materialising the holder_ops dict entirely.
@@ -458,8 +543,8 @@ class AdmissionController:
         if self._tick_depth > 0:
             # tick-batched: sweep once when the tick closes, however many
             # unlock events dirtied this object within the facade call.
-            if not obj.repolice_queued:
-                obj.repolice_queued = True
+            if not obj.repolice.queued:
+                obj.repolice.queued = True
                 self._repolice_queue.append(obj)
         else:
             self._repolice_waiters(obj)
@@ -487,7 +572,7 @@ class AdmissionController:
             while i < len(queue):
                 obj = queue[i]
                 i += 1
-                obj.repolice_queued = False
+                obj.repolice.queued = False
                 self._repolice_waiters(obj)
             queue.clear()
         finally:
@@ -506,44 +591,56 @@ class AdmissionController:
         after every ⟨unlock, X⟩ keeps the graph current, and a cycle it
         closes is resolved exactly as at request time.
 
-        Cost control (the pump-regression fix): the sweep is gated at
-        *object* level by the lock epoch captured when the last sweep
-        started.  If the epoch has not moved since, every per-waiter
-        ``wait_edge_epochs`` check below would skip too (recording an
-        edge stores the then-current epoch, and every queue/lock
-        mutation bumps it), so the whole waiter walk — list copy, txn
-        lookups — is redundant and elided.
+        Cost control.  The sweep is gated at *object* level by the lock
+        epoch captured when the last sweep started: if it has not moved,
+        no waiter's edges can be stale (every mutation bumps it), and the
+        waiter walk is elided.  A waiter whose recorded epoch is current
+        is skipped.  A stale one whose edges were exactly its blockers
+        is asked only about the transactions whose claim moved since
+        (:meth:`_edges_now`); when none of them entered its blocker set
+        or left it other than by finishing, and the policy is
+        ``settled`` (a refresh that keeps the edges cannot find a
+        deadlock), re-deriving and re-consulting would reproduce the
+        graph it already holds, so only the record is renewed.
+        Every other stale waiter is re-derived and re-policed in full.
+        Either way it counts as refreshed.
         """
         start_epoch = obj.lock_epoch
-        if obj.repoliced_epoch == start_epoch:
+        state = obj.repolice
+        if state.swept_epoch == start_epoch:
             return
+        policy = self.deadlock_policy
+        settled = policy.settled
         refreshed = 0
-        scratch = _SweepScratch()
+        scratch = None
         for entry in list(obj.waiting):
-            txn = self._transactions.get(entry.txn_id)
-            if txn is None or not txn.is_in(_TS.WAITING):
+            txn_id = entry.txn_id
+            txn = self._transactions.get(txn_id)
+            if txn is None or txn.state is not _TS.WAITING:
                 continue
-            if entry.txn_id in obj.sleeping:
+            if txn_id in obj.sleeping:
                 continue
-            if obj.wait_edge_epochs.get(entry.txn_id) == obj.lock_epoch:
-                # the blocker state (pending/committing/sleeping/waiting)
-                # has not moved since this waiter's edges were recorded,
-                # so re-deriving them would reproduce the same graph.  A
-                # cycle can only close through a mutation, and every
-                # mutation bumps the epoch.
+            recorded = obj.wait_edges.get(txn_id)
+            if recorded is not None and recorded[0] == obj.lock_epoch:
                 continue
             refreshed += 1
+            if scratch is None:
+                scratch = _SweepScratch()
+            if settled and recorded is not None \
+                    and recorded[1] is not None:
+                edges = self._edges_now(obj, txn_id, entry.invocation,
+                                        recorded[0], recorded[1], scratch)
+                if edges is not None:
+                    obj.wait_edges[txn_id] = (obj.lock_epoch, edges)
+                    continue
             # refresh=True replaces the waiter's stale edges in one step
             # (a waiter waits on one object at a time, so this only
             # touches this object's edges).
             self._police_deadlock(txn, obj, entry.invocation,
                                   scratch, refresh=True)
-            # "still queued?" — the scratch queue index answers without
-            # rescanning when the policing did not move the lock state.
-            if (entry.txn_id in scratch.queue_pos
-                    if scratch.epoch == obj.lock_epoch
-                    else obj.is_waiting(entry.txn_id)):
-                obj.wait_edge_epochs[entry.txn_id] = obj.lock_epoch
-        obj.repoliced_epoch = start_epoch
+            settled = policy.settled
+        state.swept_epoch = start_epoch
+        # every waiter that could read the claim log was just recorded
+        state.restart(obj.lock_epoch)
         if refreshed:
             self.bus.on_repolice(obj, refreshed, self._clock())

@@ -179,6 +179,47 @@ class WaitEntry:
                 f"{self.invocation.describe()} @{self.arrival}>")
 
 
+class RepoliceState:
+    """What the admission layer's re-policing keeps for an object
+    somebody has waited on: the claim log and the sweep marks.
+
+    Made by the object's first ``push_waiting``; an object nobody ever
+    waited on holds none.
+    """
+
+    __slots__ = ("moved", "base", "swept_epoch", "queued")
+
+    def __init__(self) -> None:
+        #: While someone waits: the transaction behind each epoch bump
+        #: since ``base``, oldest first (``moved[i]`` made epoch
+        #: ``base + i + 1``).  It restarts when a wait starts on an
+        #: empty queue, and whenever the sweep has re-recorded every
+        #: waiter it could use it for.
+        self.moved: list[str] = []
+        self.base = 0
+        #: ``lock_epoch`` captured at the *start* of the last completed
+        #: sweep.  When it still equals ``lock_epoch`` the sweep would
+        #: refresh nothing (every waiter's edges were re-recorded then
+        #: and nothing moved since), so the whole waiter walk is skipped.
+        self.swept_epoch = -1
+        #: True while the object sits in the deferred sweep queue (tick
+        #: batching).
+        self.queued = False
+
+    def restart(self, epoch: int) -> None:
+        """No waiter's edges predate ``epoch``: forget the moves before."""
+        self.moved.clear()
+        self.base = epoch
+
+    def since(self, epoch: int) -> list[str] | None:
+        """Transactions whose claim changed after ``epoch`` (in order,
+        repeats kept), or None when the log does not reach back that far.
+        """
+        if epoch < self.base:
+            return None
+        return self.moved[epoch - self.base:]
+
+
 @dataclass(frozen=True)
 class CommitRecord:
     """One entry of ``X_committed``: who committed what, and when (X_tc)."""
@@ -196,7 +237,7 @@ class ManagedObject:
     __slots__ = ("name", "permanent", "binding", "exists", "pending",
                  "waiting", "committing", "committed", "aborting",
                  "sleeping", "read", "new", "summary", "lock_epoch",
-                 "wait_edge_epochs", "repoliced_epoch", "repolice_queued")
+                 "wait_edges", "repolice")
 
     def __init__(self, name: str,
                  members: Mapping[str, Any] | None = None,
@@ -244,18 +285,14 @@ class ManagedObject:
         #: admission layer re-polices a waiter's wait-for edges only
         #: when this moved since the edges were recorded.
         self.lock_epoch = 0
-        #: txn -> ``lock_epoch`` at which its wait-for edges were last
-        #: recorded (owned by the admission layer's re-policing).
-        self.wait_edge_epochs: dict[str, int] = {}
-        #: ``lock_epoch`` captured at the *start* of the last completed
-        #: re-policing sweep.  When it still equals ``lock_epoch`` the
-        #: sweep would refresh nothing (every waiter's edges were
-        #: re-recorded then and nothing moved since), so the admission
-        #: layer skips the whole waiter walk.
-        self.repoliced_epoch = -1
-        #: True while this object sits in the admission layer's deferred
-        #: re-policing queue (tick batching; owned by that layer).
-        self.repolice_queued = False
+        #: txn -> (``lock_epoch`` at which its wait-for edges were last
+        #: recorded, those edges — or None when they are not exactly its
+        #: blockers at that epoch).  Owned by the admission layer's
+        #: re-policing.
+        self.wait_edges: dict[str, tuple[int, tuple[str, ...] | None]] = {}
+        #: The claim log the mutators below append to while someone
+        #: waits, and the sweep marks; None until the first wait.
+        self.repolice: RepoliceState | None = None
 
     # -- membership helpers ---------------------------------------------------
 
@@ -298,8 +335,10 @@ class ManagedObject:
     # -- lock-state mutators ----------------------------------------------------
     #
     # Every change to pending/committing/sleeping/waiting flows through
-    # these, so the :class:`LockSetSummary` and the lock epoch (bumped
-    # by each of them) stay exact without any rebuild on the hot path.
+    # these, so the :class:`LockSetSummary`, the lock epoch (bumped by
+    # each of them) and the re-policing claim log (which names the
+    # transaction behind each bump while someone waits) stay exact
+    # without any rebuild on the hot path.
 
     def grant_pending(self, txn_id: str, invocation: Invocation) -> None:
         """Record a granted invocation in ``X_pending``."""
@@ -311,6 +350,8 @@ class ManagedObject:
                 self.summary.remove(previous)
             self.summary.add(invocation)
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
 
     def stage_commit(self, txn_id: str) -> dict[str, Invocation]:
         """Move a holder from ``X_pending`` to ``X_committing``."""
@@ -323,6 +364,8 @@ class ManagedObject:
             for op in invocations.values():
                 self.summary.add(op)
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
         return invocations
 
     def retire_committer(self, txn_id: str) -> dict[str, Invocation]:
@@ -333,6 +376,8 @@ class ManagedObject:
         self.new.pop(txn_id, None)
         self.read.pop(txn_id, None)   # X_read^A = ⊥
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
         return invocations
 
     def release_claims(self, txn_id: str) -> None:
@@ -353,6 +398,8 @@ class ManagedObject:
         if not self.sleeping:
             self.committed.clear()
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
 
     def mark_sleeping(self, txn_id: str) -> None:
         """⟨sleep, X, A⟩: subtract A's grants from the effective set."""
@@ -362,6 +409,8 @@ class ManagedObject:
         for op in self.pending.get(txn_id, {}).values():
             self.summary.remove(op)
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
 
     def wake_sleeping(self, txn_id: str) -> None:
         """⟨awake, X, A⟩ survivor path: grants rejoin the effective set."""
@@ -373,10 +422,22 @@ class ManagedObject:
         for op in self.pending.get(txn_id, {}).values():
             self.summary.add(op)
         self.lock_epoch += 1
+        if self.waiting:
+            self.repolice.moved.append(txn_id)
 
     def push_waiting(self, entry: WaitEntry) -> None:
+        state = self.repolice
+        if not self.waiting:
+            # nobody waited, so nobody's edges predate this push
+            # (``restart`` inline: one frame fewer per wait)
+            if state is None:
+                state = self.repolice = RepoliceState()
+            else:
+                state.moved.clear()
+            state.base = self.lock_epoch
         self.waiting.append(entry)
         self.lock_epoch += 1
+        state.moved.append(entry.txn_id)
 
     def verify_summary(self) -> None:
         """Raise when the incremental summary drifted from the raw sets."""
@@ -397,8 +458,10 @@ class ManagedObject:
         remaining = [e for e in self.waiting if e.txn_id != txn_id]
         if len(remaining) != len(self.waiting):
             self.waiting = remaining
-            self.wait_edge_epochs.pop(txn_id, None)
+            self.wait_edges.pop(txn_id, None)
             self.lock_epoch += 1
+            if remaining:
+                self.repolice.moved.append(txn_id)
 
     def record_commit(self, txn_id: str,
                       invocations: Mapping[str, Invocation],

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
+from repro.errors import GTMError
 from repro.ldbs.deadlock import (
     DeadlockDetector,
     DeadlockResolution,
@@ -44,6 +45,9 @@ class DeadlockPolicy(Protocol):
 
     #: How many victims this policy has chosen so far.
     detections: int
+    #: True while re-consulting about a waiter whose blockers did not
+    #: change cannot name a victim; the re-police sweep then skips it.
+    settled: bool
 
     def bind(self, start_time_of: StartTimeOf) -> None:
         """Wire the transaction begin-time lookup (done by the GTM)."""
@@ -71,6 +75,9 @@ class DeadlockPolicy(Protocol):
 
 class _TimestampedPolicy:
     """Shared begin-time plumbing for the concrete policies."""
+
+    #: Unknown policies are asked again about every stale waiter.
+    settled = False
 
     def __init__(self) -> None:
         self.detections = 0
@@ -104,15 +111,27 @@ class WaitForGraphPolicy(_TimestampedPolicy):
 
     The seed's inline behaviour: record the wait edges, search for a
     cycle through the waiter, and pick the victim with ``victim_policy``
-    (youngest by default).
+    (youngest by default).  ``FEWEST_LOCKS`` is refused: the GTM has no
+    lock count to give it, so it would silently pick the smallest id.
     """
 
     def __init__(self,
                  victim_policy: VictimPolicy = VictimPolicy.YOUNGEST) -> None:
+        if victim_policy is VictimPolicy.FEWEST_LOCKS:
+            raise GTMError(
+                "WaitForGraphPolicy(victim_policy=FEWEST_LOCKS): the GTM "
+                "binds no lock count, so every victim would be the "
+                "smallest id; use YOUNGEST or OLDEST")
         super().__init__()
         self.detector = DeadlockDetector(
             policy=victim_policy,
             start_time_of=lambda txn_id: self._start_time_of(txn_id))
+
+    @property
+    def settled(self) -> bool:
+        """The graph is known acyclic, so a refresh that keeps a
+        waiter's edges finds no cycle."""
+        return self.detector.graph.acyclic
 
     def on_wait(self, waiter: str,
                 blockers: Sequence[str]) -> DeadlockResolution | None:

@@ -28,16 +28,37 @@ class VictimPolicy(enum.Enum):
 class WaitForGraph:
     """A directed graph of ``waiter -> holder`` edges with cycle detection.
 
-    Edges are maintained incrementally by the transactional layer; cycle
-    detection runs on demand (on each new wait edge) with an iterative
-    DFS, so a single check is O(V + E).
+    Edges are maintained incrementally by the transactional layer, with
+    a reverse map (who waits on a node), so removing a node touches only
+    its own edges and its in-neighbours'.
+
+    The graph also remembers where a cycle could be.  A new edge
+    ``W -> T`` closes a cycle only if somebody waits on ``W`` and ``T``
+    waits on somebody; losing edges closes none.  Such a ``W`` becomes a
+    *suspect*, so every cycle passes through a suspect.  With none,
+    :meth:`find_cycle` answers None without a walk — the common case, a
+    new waiter nobody waits on.  Otherwise it first walks from each
+    suspect (ordered DFS, sharing finished nodes); one that reaches no
+    cycle stops being a suspect, and if none is left the answer is None.
+    A suspect that does reach one stays, and the cycle stands (the
+    caller may spare its victim): until an edge is lost, later checks
+    walk from ``start`` alone.  Every answer is the one the ordered DFS
+    from ``start`` gives on its own.
     """
 
     def __init__(self) -> None:
         self._edges: dict[str, set[str]] = {}
+        #: node -> the waiters with an edge to it (the reverse of _edges;
+        #: a node nobody waits on has no entry).
+        self._waiters: dict[str, set[str]] = {}
         #: node -> its targets as a sorted tuple (the DFS visit order);
         #: filled lazily, dropped whenever the node's edge set changes.
         self._sorted: dict[str, tuple[str, ...]] = {}
+        #: every cycle passes through one of these (see above).
+        self._suspects: set[str] = set()
+        #: the suspects were walked, a cycle was found, and no edge has
+        #: been lost since: it still stands.
+        self._standing = False
 
     # -- edge maintenance ----------------------------------------------------
 
@@ -45,13 +66,16 @@ class WaitForGraph:
         targets = {h for h in holders if h != waiter}
         if not targets:
             return
-        self._edges.setdefault(waiter, set()).update(targets)
+        current = self._edges.setdefault(waiter, set())
         self._sorted.pop(waiter, None)
+        gained = targets - current
+        if gained:
+            current |= gained
+            self._link(waiter, gained)
 
     def replace_waits(self, waiter: str, holders: Iterable[str]) -> bool:
         """Set ``waiter``'s outgoing edges to exactly ``holders`` (minus
-        any self-loop).  Returns True when the edge set actually changed
-        — the re-police sweep uses this to skip redundant cycle checks.
+        any self-loop).  Returns True when the edge set actually changed.
         """
         targets = {h for h in holders if h != waiter}
         current = self._edges.get(waiter)
@@ -60,26 +84,83 @@ class WaitForGraph:
                 return False
             del self._edges[waiter]
             self._sorted.pop(waiter, None)
+            self._unlink(waiter, current)
             return True
         if current == targets:
             return False
         self._edges[waiter] = targets
         self._sorted.pop(waiter, None)
+        if current is None:
+            self._link(waiter, targets)
+            return True
+        lost = current - targets
+        if lost:
+            self._unlink(waiter, lost)
+        gained = targets - current
+        if gained:
+            self._link(waiter, gained)
         return True
 
     def clear_waits(self, waiter: str) -> None:
         """Remove all outgoing edges of ``waiter`` (it stopped waiting)."""
-        self._edges.pop(waiter, None)
+        targets = self._edges.pop(waiter, None)
         self._sorted.pop(waiter, None)
+        if targets:
+            self._unlink(waiter, targets)
 
     def remove_node(self, node: str) -> None:
-        """Remove a transaction entirely (commit/abort)."""
-        self._edges.pop(node, None)
+        """Remove a transaction entirely (commit/abort).
+
+        Its in-neighbours keep their (possibly now empty) edge sets, as
+        they always have: only their edge *to* ``node`` goes.
+        """
+        targets = self._edges.pop(node, None)
         self._sorted.pop(node, None)
-        for waiter, targets in self._edges.items():
-            if node in targets:
-                targets.discard(node)
+        if targets:
+            self._unlink(node, targets)
+        self._suspects.discard(node)
+        waiters = self._waiters.pop(node, None)
+        if waiters:
+            for waiter in waiters:
+                self._edges[waiter].discard(node)
                 self._sorted.pop(waiter, None)
+            self._standing = False
+
+    def _link(self, waiter: str, gained: set[str]) -> None:
+        """Record ``waiter``'s new edges in the reverse map and in what is
+        known about cycles: a new one must run ``waiter -> target -> ...
+        -> waiter``, so it needs somebody waiting on ``waiter`` and a
+        gained target that waits on somebody."""
+        waiters_of = self._waiters
+        edges = self._edges
+        onward = False
+        for target in gained:
+            into = waiters_of.get(target)
+            if into is None:
+                waiters_of[target] = {waiter}
+            else:
+                into.add(waiter)
+            if not onward and edges.get(target):
+                onward = True
+        if onward and waiter in waiters_of:
+            self._suspects.add(waiter)
+
+    def _unlink(self, waiter: str, targets: set[str]) -> None:
+        """Drop ``waiter``'s edges to ``targets`` from the reverse map."""
+        waiters_of = self._waiters
+        for target in targets:
+            into = waiters_of[target]
+            into.discard(waiter)
+            if not into:
+                del waiters_of[target]
+        if not self._edges.get(waiter):
+            self._suspects.discard(waiter)  # no edge out: on no cycle
+        self._standing = False
+
+    @property
+    def acyclic(self) -> bool:
+        """Known to hold no cycle, with no walk needed to say so."""
+        return not self._suspects
 
     def edges(self) -> tuple[tuple[str, str], ...]:
         return tuple((src, dst)
@@ -96,13 +177,37 @@ class WaitForGraph:
 
         If ``start`` is given only cycles reachable from it are searched
         (sufficient after adding edges from ``start``); otherwise the whole
-        graph is scanned.
+        graph is scanned, roots in sorted order.  Either way the answer
+        is the ordered DFS's, but the walk is skipped where the graph
+        already knows it finds nothing (see the class docstring).
         """
-        roots = [start] if start is not None else sorted(self._edges)
-        for root in roots:
-            cycle = self._cycle_from(root)
-            if cycle is not None:
-                return cycle
+        suspects = self._suspects
+        if not suspects:
+            return None
+        # a node finished by any walk reaches no cycle, so every walk of
+        # this call may skip it without changing what it finds.
+        done: set[str] = set()
+        if not self._standing:
+            found = None
+            for node in tuple(suspects):
+                cycle = (self._cycle_from(node, done)
+                         if node in self._waiters else None)
+                if cycle is None:
+                    suspects.discard(node)
+                elif node == start:
+                    found = cycle
+            if not suspects:
+                return None
+            self._standing = True
+            if found is not None:
+                return found
+        if start is not None:
+            return self._cycle_from(start, done)
+        for root in sorted(self._edges):
+            if root not in done:
+                cycle = self._cycle_from(root, done)
+                if cycle is not None:
+                    return cycle
         return None
 
     def _adjacency(self, node: str) -> tuple[str, ...]:
@@ -113,11 +218,13 @@ class WaitForGraph:
             self._sorted[node] = adj
         return adj
 
-    def _cycle_from(self, root: str) -> tuple[str, ...] | None:
+    def _cycle_from(self, root: str,
+                    done: set[str] | None = None) -> tuple[str, ...] | None:
         # Iterative DFS with an explicit path stack (colouring scheme).
         path: list[str] = []
         on_path: set[str] = set()
-        done: set[str] = set()
+        if done is None:
+            done = set()
         stack: list[tuple[str, Iterable[str]]] = [
             (root, iter(self._adjacency(root)))]
         path.append(root)
@@ -154,7 +261,13 @@ class DeadlockResolution:
 
 
 class DeadlockDetector:
-    """Combines a :class:`WaitForGraph` with a victim-selection policy."""
+    """Combines a :class:`WaitForGraph` with a victim-selection policy.
+
+    Every wait is checked for a cycle through the waiter, but a check
+    walks the graph only when the waiter's new edges can have closed one
+    (see :class:`WaitForGraph`): a waiter nobody waits on, or a refresh
+    that gained no edge, costs a few dictionary lookups.
+    """
 
     def __init__(self, policy: VictimPolicy = VictimPolicy.YOUNGEST,
                  start_time_of: Callable[[str], float] | None = None,
@@ -164,10 +277,6 @@ class DeadlockDetector:
         self._start_time_of = start_time_of or (lambda txn: 0.0)
         self._lock_count_of = lock_count_of or (lambda txn: 0)
         self.detections = 0
-        #: waiters whose last cycle check came back clean; while their
-        #: edge set stays put no pass since has dirtied them, the graph
-        #: is still acyclic from there and the DFS can be elided.
-        self._acyclic: set[str] = set()
 
     def on_wait(self, waiter: str,
                 holders: Iterable[str]) -> DeadlockResolution | None:
@@ -177,29 +286,14 @@ class DeadlockDetector:
 
     def refresh_wait(self, waiter: str,
                      holders: Iterable[str]) -> DeadlockResolution | None:
-        """Replace ``waiter``'s edges and re-check — the re-police path.
-
-        Edge removals never create cycles, so when the replacement turns
-        out to be a no-op and the waiter's last check was clean the DFS
-        is skipped entirely; that is the common case when one unlock
-        forces a sweep over many untouched waiters.
-        """
-        changed = self.graph.replace_waits(waiter, holders)
-        if not changed and waiter in self._acyclic:
-            return None
+        """Replace ``waiter``'s edges and re-check — the re-police path."""
+        self.graph.replace_waits(waiter, holders)
         return self._detect(waiter)
 
     def _detect(self, waiter: str) -> DeadlockResolution | None:
         cycle = self.graph.find_cycle(start=waiter)
         if cycle is None:
-            self._acyclic.add(waiter)
             return None
-        # every clean bit is void once a cycle is found: the admission
-        # layer may spare the victim (a committer), and a second cycle
-        # overlapping this one can stand through waiters the DFS never
-        # walked.  Detections are rare, so re-verifying everyone is
-        # cheap insurance.
-        self._acyclic.clear()
         self.detections += 1
         victim = self._choose_victim(cycle)
         return DeadlockResolution(victim=victim, cycle=cycle)
@@ -209,7 +303,6 @@ class DeadlockDetector:
 
     def on_finished(self, txn_id: str) -> None:
         self.graph.remove_node(txn_id)
-        self._acyclic.discard(txn_id)
 
     def _choose_victim(self, cycle: tuple[str, ...]) -> str:
         if self.policy is VictimPolicy.YOUNGEST:

@@ -646,6 +646,10 @@ class GTMService:
         if self._responding_txn == txn_id:
             self._responding_reason = reason
             return  # the direct reply carries the outcome
+        if reason == "deadlock-victim":
+            # a waiter wounded by another transaction's request; a
+            # requester chosen as the victim is counted with its reply.
+            self.metrics.counter("service_wounded_aborts").inc()
         if not session.connected:
             # Unreachable: hold the outcome for the reconnect welcome.
             session.finished[txn_id] = outcome

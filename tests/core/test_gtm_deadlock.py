@@ -1,9 +1,12 @@
 """Tests for GTM-level deadlock detection (Section VII, wait-for graph)."""
 
+import pytest
+
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
 from repro.core.opclass import assign, multiply, subtract
 from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy
 from repro.core.states import TransactionState
+from repro.errors import GTMError
 from repro.ldbs.deadlock import VictimPolicy
 
 _S = TransactionState
@@ -60,6 +63,13 @@ class TestDetection:
         assert gtm.transaction("A").state is _S.ABORTED
         assert outcome == GrantOutcome.GRANTED
         assert gtm.object("X").is_pending("B")
+
+    def test_fewest_locks_is_refused_at_construction(self):
+        """The GTM binds no lock count, so FEWEST_LOCKS saw 0 for every
+        transaction and aborted the smallest id: with "A-many" holding
+        two objects and "Z-few" one, "A-many" was the victim."""
+        with pytest.raises(GTMError, match="FEWEST_LOCKS"):
+            WaitForGraphPolicy(victim_policy=VictimPolicy.FEWEST_LOCKS)
 
     def test_detection_disabled_leaves_both_waiting(self):
         gtm = make_gtm(deadlock_policy=NoDeadlockPolicy())

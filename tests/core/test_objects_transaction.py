@@ -50,8 +50,8 @@ class TestManagedObject:
 
     def test_waiting_queue_helpers(self):
         obj = ManagedObject("X", value=0)
-        obj.waiting.append(WaitEntry("A", add(1), arrival=1.0))
-        obj.waiting.append(WaitEntry("B", add(2), arrival=2.0))
+        obj.push_waiting(WaitEntry("A", add(1), arrival=1.0))
+        obj.push_waiting(WaitEntry("B", add(2), arrival=2.0))
         assert obj.is_waiting("A")
         assert obj.waiting_entry("A").arrival == 1.0
         obj.remove_waiting("A")

@@ -83,3 +83,28 @@ def test_a_deadlock_victim_is_still_told_deadlock():
         assert _aborts(service) == {"service_deadlock_aborts": 1}
         await server.shutdown()
     asyncio.run(check())
+
+
+def test_a_wounded_waiter_is_pushed_the_kernel_reason_and_counted_apart():
+    async def check():
+        service, server = make_server()
+        for name in ("x", "y"):
+            service.create_object(name, value=0)
+        old, young = await _clients(server, 2)
+        txn_old, txn_young = await old.begin(), await young.begin()
+        assert (await old.op(txn_old, "assign", "x", 1))["type"] == \
+            "granted"
+        assert (await young.op(txn_young, "assign", "y", 1))["type"] == \
+            "granted"
+        waiting = asyncio.ensure_future(
+            young.op(txn_young, "assign", "x", 2))
+        await settle()
+        # closes the cycle; the youngest, the waiter, is the victim
+        assert (await old.op(txn_old, "assign", "y", 2))["type"] == \
+            "granted"
+        pushed = await waiting
+        assert (pushed["type"], pushed["reason"]) == \
+            ("aborted", "deadlock-victim")
+        assert _aborts(service) == {"service_wounded_aborts": 1}
+        await server.shutdown()
+    asyncio.run(check())
