@@ -10,7 +10,7 @@ shaping to the configured :class:`~repro.core.starvation.GrantPolicy`
 and throttle.
 
 The commit pipeline and sleep manager call back into this layer only
-through :meth:`AdmissionController.grant` and
+through :meth:`AdmissionController.regrant` and
 :meth:`AdmissionController.pump_unlock`.
 """
 
@@ -427,7 +427,11 @@ class AdmissionController:
 
     def grant(self, txn: GTMTransaction, obj: ManagedObject,
               invocation: Invocation, now: float) -> None:
-        self.deadlock_policy.on_stop_waiting(txn.txn_id)
+        """The grant postcondition.  The grantee holds no wait-for edge:
+        a requester is Active, so it has none (``check_invariants``
+        holds every Active transaction to that), and a waiter comes
+        through :meth:`regrant` or the unlock pump, which drop its
+        edges first."""
         already_held = invocation.member in obj.pending.get(txn.txn_id, {})
         obj.grant_pending(txn.txn_id, invocation)
         if txn.txn_id not in obj.read:
@@ -454,6 +458,13 @@ class AdmissionController:
             invocation
         txn.involved.add(obj.name)
         self.bus.on_grant(txn, obj, invocation, now)
+
+    def regrant(self, txn: GTMTransaction, obj: ManagedObject,
+                invocation: Invocation, now: float) -> None:
+        """Grant a transaction that waited (Algorithm 9's queue-jump):
+        its wait-for edges go first."""
+        self.deadlock_policy.on_stop_waiting(txn.txn_id)
+        self.grant(txn, obj, invocation, now)
 
     # ------------------------------------------------------------------
     # Algorithm 5 — ⟨abort, X, A⟩ (releasing A's claim on X)
@@ -522,6 +533,8 @@ class AdmissionController:
             obj.remove_waiting(entry.txn_id)
             txn.transition(_TS.ACTIVE)
             txn.clear_wait(obj.name)
+            # :meth:`regrant`, one frame shallower
+            self.deadlock_policy.on_stop_waiting(entry.txn_id)
             self.grant(txn, obj, entry.invocation, now)
             granted.append(entry.txn_id)
         if granted:

@@ -188,8 +188,7 @@ class GlobalTransactionManager:
         self.sleep_manager = SleepManager(
             checker=self.checker, bus=self.bus, history=self.history,
             pump_unlock=self.admission.pump_unlock,
-            regrant=lambda txn, obj, inv, now:
-                self.admission.grant(txn, obj, inv, now),
+            regrant=self.admission.regrant,
             on_finished=self.deadlock_policy.on_finished)
 
     # -- compatibility views over the subsystems ------------------------
@@ -407,6 +406,9 @@ class GlobalTransactionManager:
         """Cross-object structural invariants (used by property tests)."""
         for obj in self.lock_table.values():
             obj.check_invariants()
+        graph = (self.deadlock_policy.detector.graph
+                 if isinstance(self.deadlock_policy, WaitForGraphPolicy)
+                 else None)
         for txn in self.transactions.values():
             if txn.is_in(_TS.WAITING) and not txn.t_wait:
                 raise GTMError(
@@ -414,6 +416,13 @@ class GlobalTransactionManager:
             if txn.is_in(_TS.SLEEPING) and txn.t_sleep is None:
                 raise GTMError(
                     f"{txn.txn_id!r} is Sleeping with t_sleep = ⊥")
+            # a fresh grant drops no edges: it relies on this one
+            if graph is not None and graph.waits_of(txn.txn_id) \
+                    and not txn.is_in(_TS.WAITING, _TS.SLEEPING):
+                raise GTMError(
+                    f"{txn.txn_id!r} is {txn.state.value} but waits on "
+                    f"{sorted(graph.waits_of(txn.txn_id))} in the "
+                    f"wait-for graph")
 
     def __repr__(self) -> str:
         states: dict[str, int] = {}

@@ -100,6 +100,14 @@ class MultiplicativeReconciler:
         if x_read == 0:
             raise ReconciliationError(
                 "multiplicative reconciliation undefined for X_read == 0")
+        if type(x_read) is int and type(a_temp) is int \
+                and type(x_permanent) is int:
+            # The Fraction path below, in integers: exact when the
+            # division is, and the same correctly rounded float when not
+            # (true division of ints rounds the exact quotient once).
+            product = a_temp * x_permanent
+            quotient, remainder = divmod(product, x_read)
+            return quotient if remainder == 0 else product / x_read
         try:
             exact = (Fraction(a_temp) / Fraction(x_read)) \
                 * Fraction(x_permanent)
@@ -125,26 +133,36 @@ class ReconcilerRegistry:
     """
 
     def __init__(self) -> None:
-        self._by_class: dict[OperationClass, Reconciler] = {}
+        #: keyed by ``op_class.bit``: hashing the member itself runs
+        #: ``Enum.__hash__``, a Python frame per lookup.
+        self._by_bit: dict[int, Reconciler] = {}
 
     def register(self, op_class: OperationClass,
                  reconciler: Reconciler) -> None:
-        self._by_class[op_class] = reconciler
+        self._by_bit[op_class.bit] = reconciler
+
+    @staticmethod
+    def _unregistered(op_class: OperationClass) -> ReconciliationError:
+        return ReconciliationError(
+            f"no reconciler registered for {op_class.value!r}")
 
     def for_class(self, op_class: OperationClass) -> Reconciler:
-        reconciler = self._by_class.get(op_class)
+        reconciler = self._by_bit.get(op_class.bit)
         if reconciler is None:
-            raise ReconciliationError(
-                f"no reconciler registered for {op_class.value!r}")
+            raise self._unregistered(op_class)
         return reconciler
 
     def has(self, op_class: OperationClass) -> bool:
-        return op_class in self._by_class
+        return op_class.bit in self._by_bit
 
     def reconcile(self, op_class: OperationClass, x_read: Any, a_temp: Any,
                   x_permanent: Any) -> Any:
-        """Apply ρ for the given class."""
-        return self.for_class(op_class).reconcile(x_read, a_temp, x_permanent)
+        """Apply ρ for the given class (:meth:`for_class`, inlined: this
+        runs once per committed update)."""
+        reconciler = self._by_bit.get(op_class.bit)
+        if reconciler is None:
+            raise self._unregistered(op_class)
+        return reconciler.reconcile(x_read, a_temp, x_permanent)
 
     def validate_against(self, matrix: "CompatibilityMatrix") -> None:
         """Check Definition 1 condition 3 against a compatibility matrix.

@@ -9,10 +9,18 @@ coroutine directly — there is no reader task in between:
   request's mailbox (a *mailbox*, not a future, because a queued op
   produces two frames under one id: ``queued`` now, ``granted`` when
   the admission layer regrants);
-- ``committed``/``aborted`` pushes for a known transaction land in
-  that transaction's mailbox (how a ``commit-pending`` resolves, and
-  how an op waiting on a grant learns its transaction was wounded);
-- everything else (``shutdown``, unsolicited errors) goes to ``inbox``.
+- ``committed``/``aborted``/``granted`` pushes for a known transaction
+  land in that transaction's mailbox (how a ``commit-pending``
+  resolves, and how an op waiting on a grant learns its transaction was
+  wounded);
+- everything else (``shutdown``, unsolicited errors, a frame whose
+  ``re`` or ``txn`` is no id at all) goes to ``inbox``.
+
+A request is one coroutine, :meth:`ServiceClient._exchange`, from the
+caller's ``await`` to its reply: the verbs are plain methods that build
+their frame and return that coroutine, the write is a plain call that
+parks only while the transport has paused writing, and the wait on the
+request's mailbox is inline.
 
 ``error`` frames resolve to the exception class they encode
 (:func:`~repro.service.protocol.frame_to_exception`), so a server-side
@@ -25,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections import deque
-from typing import Any
+from typing import Any, Awaitable
 
 from repro.errors import GTMError
 from repro.service.protocol import (
@@ -35,6 +43,11 @@ from repro.service.protocol import (
     frame_to_exception,
     split_lines,
 )
+
+#: Pushes that belong in a transaction's mailbox.
+_TXN_PUSHES = frozenset({"committed", "aborted", "granted"})
+#: Verb -> the provisional reply its exchange awaits through.
+_PROVISIONAL = {"op": "queued", "commit": "commit-pending"}
 
 
 class ConnectionLost(GTMError):
@@ -71,6 +84,7 @@ class ServiceClient(asyncio.Protocol):
         self.last_welcome: dict[str, Any] | None = None
         self.inbox: asyncio.Queue = asyncio.Queue()
         self.shutdown_seen = False
+        self._loop = asyncio.get_running_loop()
         self._sequence = itertools.count(1)
         self._replies: dict[Any, _Mailbox] = {}
         self._txn_events: dict[str, _Mailbox] = {}
@@ -78,24 +92,32 @@ class ServiceClient(asyncio.Protocol):
         self._lost = transport.is_closing()
         #: parked senders wait on it while ``pause_writing`` is in force.
         self._writable: asyncio.Future | None = None
-        self._closed = asyncio.get_running_loop().create_future()
+        self._closed = self._loop.create_future()
         transport.set_protocol(self)
 
     # -- the transport's callbacks ---------------------------------------
 
     def data_received(self, data: bytes) -> None:
         lines, self._buffer = split_lines(self._buffer + data)
+        replies = self._replies
         for line in lines:
             try:
                 frame = decode_frame(line)
             except GTMError:
                 continue  # a hostile/buggy server; drop the line
-            self._route(frame)
+            try:
+                box = replies.get(frame.get("re"))
+            except TypeError:  # an unhashable "re" answers no request
+                box = None
+            if box is None:
+                self._route_push(frame)
+            else:
+                box.put(frame)
         if len(self._buffer) > MAX_FRAME_BYTES:
             self.transport.abort()  # a line no frame can be
 
     def pause_writing(self) -> None:
-        self._writable = asyncio.get_running_loop().create_future()
+        self._writable = self._loop.create_future()
 
     def resume_writing(self) -> None:
         waiter, self._writable = self._writable, None
@@ -116,39 +138,34 @@ class ServiceClient(asyncio.Protocol):
 
     # -- plumbing -------------------------------------------------------
 
-    def _route(self, frame: dict[str, Any]) -> None:
-        re = frame.get("re")
-        if re is not None and re in self._replies:
-            self._replies[re].put(frame)
-            return
-        if frame.get("type") == "shutdown":
+    def _route_push(self, frame: dict[str, Any]) -> None:
+        """A frame that answers no outstanding request."""
+        frame_type = frame["type"]
+        if frame_type == "shutdown":
             self.shutdown_seen = True
-        txn = frame.get("txn")
-        if (txn is not None and frame.get("type") in
-                ("committed", "aborted", "granted")
-                and txn in self._txn_events):
-            self._txn_events[txn].put(frame)
-            return
+        elif frame_type in _TXN_PUSHES:
+            try:
+                box = self._txn_events.get(frame.get("txn"))
+            except TypeError:  # an unhashable "txn" names no transaction
+                box = None
+            if box is not None:
+                box.put(frame)
+                return
         self.inbox.put_nowait(frame)
 
-    def _check_reply(self, frame: dict[str, Any]) -> dict[str, Any]:
-        if frame.get("type") == "error":
-            if frame.get("message") == "connection lost" and (
-                    "code" in frame and self._lost):
-                raise ConnectionLost("connection lost mid-request")
-            raise frame_to_exception(frame)
-        return frame
+    def _error(self, frame: dict[str, Any]) -> BaseException:
+        """The exception an ``error`` reply stands for."""
+        if frame.get("message") == "connection lost" and (
+                "code" in frame and self._lost):
+            return ConnectionLost("connection lost mid-request")
+        return frame_to_exception(frame)
 
-    async def _send(self, frame: dict[str, Any]) -> None:
+    async def _drain(self) -> None:
+        """Park while the transport has paused writing (shielded: the
+        future is shared by every parked sender)."""
+        await asyncio.shield(self._writable)
         if self._lost:
-            raise ConnectionLost("transport is gone")
-        self.transport.write(encode_frame(frame))
-        if self._writable is not None:
-            # The transport's buffer is over its mark: wait for it to
-            # drain (shielded: the future is shared by every sender).
-            await asyncio.shield(self._writable)
-            if self._lost:
-                raise ConnectionLost("transport died while paused")
+            raise ConnectionLost("transport died while paused")
 
     async def _next_frame(self, *boxes: _Mailbox) -> dict[str, Any]:
         """The next frame from any of ``boxes``; when several hold one,
@@ -157,7 +174,7 @@ class ServiceClient(asyncio.Protocol):
             for box in boxes:
                 if box.frames:
                     return box.frames.popleft()
-            waiter = asyncio.get_running_loop().create_future()
+            waiter = self._loop.create_future()
             for box in boxes:
                 box.waiter = waiter
             try:
@@ -167,39 +184,58 @@ class ServiceClient(asyncio.Protocol):
                     if box.waiter is waiter:
                         box.waiter = None
 
-    async def request(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """Send one request and await its direct reply."""
-        fid = next(self._sequence)
-        frame = {**frame, "id": fid}
-        replies = self._replies[fid] = _Mailbox()
-        try:
-            await self._send(frame)
-            return self._check_reply(await self._next_frame(replies))
-        finally:
-            del self._replies[fid]
+    async def _exchange(self, frame: dict[str, Any],
+                        tracked: bool = False) -> Any:
+        """Send ``frame``, which the client built (it gets its ``id``
+        here), and await its direct reply.
 
-    async def _request_followed(self, frame: dict[str, Any],
-                                txn_id: str,
-                                pending_type: str) -> dict[str, Any]:
-        """Request whose reply may be provisional (``queued`` /
-        ``commit-pending``): wait for the follow-up frame — the regrant
-        or the deferred outcome — racing it against the transaction's
-        event stream (an abort push while parked must not hang us).
-        When both raced in, the reply is returned and the event stays
-        in the transaction's mailbox."""
-        fid = next(self._sequence)
-        frame = {**frame, "id": fid}
+        ``tracked`` marks the transaction verbs.  A provisional reply
+        (``queued`` to an op, ``commit-pending`` to a commit) is awaited
+        through to the follow-up frame — the regrant or the deferred
+        outcome — racing it against the transaction's mailbox (an
+        abort push while parked must not hang us); when both raced in,
+        the reply is returned and the push stays in that mailbox.
+        ``begin`` opens the transaction's mailbox and returns its id;
+        the transaction's end closes it.
+        """
+        if self._lost:
+            raise ConnectionLost("transport is gone")
+        verb = frame.get("type")
+        provisional = _PROVISIONAL.get(verb) if tracked else None
+        txn_id = frame.get("txn")
+        events = None if provisional is None \
+            else self._txn_events.get(txn_id)
+        fid = frame["id"] = next(self._sequence)
         replies = self._replies[fid] = _Mailbox()
-        events = self._txn_events.get(txn_id)
         try:
-            await self._send(frame)
-            reply = self._check_reply(await self._next_frame(replies))
-            if reply.get("type") != pending_type:
-                return reply
-            boxes = (replies,) if events is None else (replies, events)
-            return self._check_reply(await self._next_frame(*boxes))
+            self.transport.write(encode_frame(frame))
+            if self._writable is not None:
+                await self._drain()
+            frames = replies.frames
+            while not frames:
+                waiter = replies.waiter = self._loop.create_future()
+                await waiter
+            reply = frames.popleft()
+            if reply["type"] == provisional:
+                reply = await self._next_frame(
+                    *((replies,) if events is None else (replies, events)))
         finally:
             del self._replies[fid]
+        if reply["type"] == "error":
+            raise self._error(reply)
+        if tracked:
+            if verb == "begin":
+                txn_id = reply["txn"]
+                self._txn_events.setdefault(txn_id, _Mailbox())
+                return txn_id
+            if verb != "op" or reply["type"] == "aborted":
+                self._txn_events.pop(txn_id, None)
+        return reply
+
+    def request(self, frame: dict[str, Any]) -> Awaitable[dict[str, Any]]:
+        """Send one request (a copy of ``frame``) and await its direct
+        reply."""
+        return self._exchange({**frame})
 
     # -- protocol verbs -------------------------------------------------
 
@@ -207,7 +243,7 @@ class ServiceClient(asyncio.Protocol):
         frame: dict[str, Any] = {"type": "hello"}
         if token is not None:
             frame["token"] = token
-        welcome = await self.request(frame)
+        welcome = await self._exchange(frame)
         self.token = welcome["token"]
         self.last_welcome = welcome
         return welcome
@@ -218,55 +254,42 @@ class ServiceClient(asyncio.Protocol):
         if txn_id not in self._txn_events:
             self._txn_events[txn_id] = _Mailbox()
 
-    def release(self, txn_id: str) -> None:
-        self._txn_events.pop(txn_id, None)
-
-    async def begin(self, txn_id: str | None = None) -> str:
+    def begin(self, txn_id: str | None = None) -> Awaitable[str]:
+        """⟨begin, A⟩; the awaited result is the transaction id."""
         frame: dict[str, Any] = {"type": "begin"}
         if txn_id is not None:
             frame["txn"] = txn_id
-        reply = await self.request(frame)
-        txn = reply["txn"]
-        self.adopt(txn)
-        return txn
+        return self._exchange(frame, True)
 
-    async def op(self, txn_id: str, op: str, object_name: str,
-                 operand: Any = None,
-                 member: str = "value") -> dict[str, Any]:
+    def op(self, txn_id: str, op: str, object_name: str,
+           operand: Any = None,
+           member: str = "value") -> Awaitable[dict[str, Any]]:
         """⟨op, X, A⟩ through to its *final* outcome: ``granted`` or
         ``aborted`` (a ``queued`` reply is awaited through)."""
         frame = {"type": "op", "txn": txn_id, "op": op,
                  "object": object_name, "member": member}
         if operand is not None:
             frame["operand"] = operand
-        result = await self._request_followed(frame, txn_id, "queued")
-        if result.get("type") == "aborted":
-            self.release(txn_id)
-        return result
+        return self._exchange(frame, True)
 
-    async def commit(self, txn_id: str) -> dict[str, Any]:
+    def commit(self, txn_id: str) -> Awaitable[dict[str, Any]]:
         """⟨commit, A⟩ through to ``committed`` or ``aborted``."""
-        result = await self._request_followed(
-            {"type": "commit", "txn": txn_id}, txn_id, "commit-pending")
-        self.release(txn_id)
-        return result
+        return self._exchange({"type": "commit", "txn": txn_id}, True)
 
-    async def abort(self, txn_id: str) -> dict[str, Any]:
-        result = await self.request({"type": "abort", "txn": txn_id})
-        self.release(txn_id)
-        return result
+    def abort(self, txn_id: str) -> Awaitable[dict[str, Any]]:
+        return self._exchange({"type": "abort", "txn": txn_id}, True)
 
-    async def sleep(self) -> dict[str, Any]:
-        return await self.request({"type": "sleep"})
+    def sleep(self) -> Awaitable[dict[str, Any]]:
+        return self._exchange({"type": "sleep"})
 
-    async def awake(self) -> dict[str, Any]:
-        return await self.request({"type": "awake"})
+    def awake(self) -> Awaitable[dict[str, Any]]:
+        return self._exchange({"type": "awake"})
 
-    async def ping(self) -> dict[str, Any]:
-        return await self.request({"type": "ping"})
+    def ping(self) -> Awaitable[dict[str, Any]]:
+        return self._exchange({"type": "ping"})
 
     async def bye(self) -> dict[str, Any]:
-        reply = await self.request({"type": "bye"})
+        reply = await self._exchange({"type": "bye"})
         await self.close()
         return reply
 

@@ -97,9 +97,12 @@ class _ServiceObserver(GTMObserver):
 
     def __init__(self, service: "GTMService") -> None:
         self._service = service
+        self._pending_ops = service._pending_ops
 
     def on_grant(self, txn, obj, invocation, now):
-        self._service._on_grant_hook(txn, obj, invocation)
+        # a grant with no op queued is synchronous: its reply covers it
+        if self._pending_ops:
+            self._service._on_grant_hook(txn, obj, invocation)
 
     def on_global_commit(self, txn, now):
         self._service._on_finished(txn.txn_id, "committed", "")
@@ -130,6 +133,10 @@ class GTMService:
                 sst_executor=SSTExecutor(self.backend))
         self.gtm = gtm or build_transaction_manager(
             config=self.config.gtm_config, clock=driver.clock)
+        #: txn id -> {(object, member): FIFO of request ids} for
+        #: queued ops (a list, so repeat ops on one member both get
+        #: their late grant pushed); empty while no op is queued.
+        self._pending_ops: dict[str, dict[tuple[str, str], list[Any]]] = {}
         self.gtm.subscribe(_ServiceObserver(self))
         self.sessions = SessionStore()
         self.metrics = MetricsRegistry()
@@ -144,10 +151,6 @@ class GTMService:
             for outcome in ("committed", "aborted")}
         #: txn id -> owning session.
         self._txn_session: dict[str, Session] = {}
-        #: txn id -> {(object, member): FIFO of request ids} for
-        #: queued ops (a list, so repeat ops on one member both get
-        #: their late grant pushed).
-        self._pending_ops: dict[str, dict[tuple[str, str], list[Any]]] = {}
         #: transactions whose ⟨commit, A⟩ is deferred behind another
         #: committer; completed via try_finish_commit in :meth:`_pump`
         #: (never the O(all-transactions) pump_commits scan).
@@ -366,7 +369,8 @@ class GTMService:
             session.send(error_frame(exc, re=fid))
         finally:
             self._responding_txn = None
-        self._pump()
+        if self._pending_commits or self._retire or self.sessions.dead:
+            self._pump()
 
     def _reply(self, session: Session, frame: dict[str, Any],
                fid: Any) -> None:
@@ -553,13 +557,16 @@ class GTMService:
     def _pump(self) -> None:
         """Finish deferred commits that became completable, then retire.
 
-        Runs after every frame, so it must cost O(pending) — next to
-        nothing when no commit is deferred, no transaction finished and
-        no session expired or closed since the last call; otherwise one
-        :meth:`try_finish_commit` per deferred commit and one eviction
-        per finished transaction or dead session
-        (:meth:`SessionStore.purge_finished`).  It never scans the
-        transaction registry or the session directory.
+        :meth:`handle` calls it after a frame only when there is work:
+        a commit is deferred, a finished transaction awaits retirement
+        or a session died (``SessionStore.dead``); ``connect``,
+        ``disconnect``, the BTO timer and ``shutdown`` always do.  It
+        costs O(pending): one :meth:`try_finish_commit` per deferred
+        commit and one eviction per finished transaction or dead
+        session (:meth:`SessionStore.purge_finished`).  It never scans
+        the transaction registry or the session directory.  Without
+        ``retire_finished`` nothing is evicted, so the dead-session log
+        is dropped instead of kept for a purge that never comes.
         """
         progress = True
         while progress and self._pending_commits:
@@ -585,6 +592,8 @@ class GTMService:
                     self.gtm.transactions.pop(txn_id, None)
                 self._retire.clear()
             self.sessions.purge_finished()
+        else:
+            self.sessions.dead.clear()
 
     def _on_grant_hook(self, txn, obj, invocation) -> None:
         """Bus ``on_grant``: complete a queued op asynchronously."""

@@ -139,14 +139,11 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
 
 
 def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
-    """Cut received bytes into the complete lines (newline kept) and
-    the unterminated rest, which the receiver keeps for the next call."""
-    lines = []
-    start = 0
-    while end := data.find(b"\n", start) + 1:
-        lines.append(data[start:end])
-        start = end
-    return lines, data[start:]
+    """Cut received bytes into the complete lines (newline dropped) and
+    the unterminated rest, which the receiver keeps for the next call:
+    one ``bytes.split``, whose last piece is that rest."""
+    lines = data.split(b"\n")
+    return lines, lines.pop()
 
 
 def build_invocation(frame: dict[str, Any]) -> Invocation:

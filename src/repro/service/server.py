@@ -49,6 +49,9 @@ from repro.service.protocol import (
     error_frame,
     split_lines,
 )
+from repro.service.session import SessionState
+
+_CONNECTED = SessionState.CONNECTED
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,8 @@ class _Connection(asyncio.Protocol):
         for line in lines:
             if self._closing:
                 return
-            if len(line) > MAX_FRAME_BYTES:
+            # the line has lost its newline: one byte of the limit is it
+            if len(line) >= MAX_FRAME_BYTES:
                 self._refuse_oversize()
                 return
             try:
@@ -281,13 +285,14 @@ class _Connection(asyncio.Protocol):
             except ReproError as exc:
                 self.sink(error_frame(exc))
                 continue
-            if self.session is None:
+            session = self.session
+            if session is None:
                 self.session = self.service.connect(frame, self.sink)
                 if self.session is None:
                     self.request_close()  # rejected; the error is written
             else:
-                self.service.handle(self.session, frame)
-                if not self.session.connected:
+                self.service.handle(session, frame)
+                if session.state is not _CONNECTED:
                     self.request_close()  # `bye` closed the session
         if len(self._buffer) > MAX_FRAME_BYTES:
             self._refuse_oversize()

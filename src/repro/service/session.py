@@ -110,9 +110,10 @@ class SessionStore:
     def __init__(self) -> None:
         self._sessions: dict[str, Session] = {}
         self._sequence = itertools.count(1)
-        #: tokens that turned EXPIRED / CLOSED since the last purge
-        #: (never purged = the sessions themselves are kept too).
-        self._dead: list[str] = []
+        #: tokens that turned EXPIRED / CLOSED since the last purge; the
+        #: service pumps while it is not empty (and, when it keeps every
+        #: session, clears it instead of purging).
+        self.dead: list[str] = []
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -167,14 +168,14 @@ class SessionStore:
         session.aborted_by_bto = aborted
         session.bto_timer = None
         session.held.clear()  # nothing will ever replay these
-        self._dead.append(session.token)
+        self.dead.append(session.token)
 
     def close(self, session: Session) -> None:
         """Graceful ``bye``: the token will never resume."""
         session.state = SessionState.CLOSED
         session.sink = None
         session.held.clear()
-        self._dead.append(session.token)
+        self.dead.append(session.token)
 
     def purge_finished(self) -> int:
         """Evict every EXPIRED / CLOSED session; returns the count.
@@ -193,8 +194,8 @@ class SessionStore:
         every frame without scanning the directory.
         """
         evicted = 0
-        for token in self._dead:
+        for token in self.dead:
             if self._sessions.pop(token, None) is not None:
                 evicted += 1
-        self._dead.clear()
+        self.dead.clear()
         return evicted

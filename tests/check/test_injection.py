@@ -36,7 +36,6 @@ INJECTION_CONFIG = FuzzConfig(
 
 def _buggy_grant(self, txn, obj, invocation, now):
     """grant() as it was before the late-grant snapshot fix."""
-    self.deadlock_policy.on_stop_waiting(txn.txn_id)
     obj.grant_pending(txn.txn_id, invocation)
     if txn.txn_id not in obj.read:
         obj.snapshot_for(txn.txn_id)

@@ -127,6 +127,37 @@ class TestDetection:
         assert gtm.deadlocks_detected == 0
 
 
+class TestWaitForInvariant:
+    """A transaction holds outgoing wait-for edges only while it waits
+    (or sleeps in a wait).  A grant on the request path drops none —
+    its requester is Active — so ``check_invariants`` holds every other
+    transaction to having none."""
+
+    def test_an_active_transaction_with_an_edge_is_reported(self):
+        gtm = make_gtm()
+        gtm.begin("A")
+        gtm.begin("B")
+        assert gtm.invoke("A", "X", assign(1)) == GrantOutcome.GRANTED
+        gtm.check_invariants()
+        gtm.deadlock_policy.detector.graph.add_waits("A", ["B"])  # planted
+        with pytest.raises(GTMError, match="'A' is active but waits on"):
+            gtm.check_invariants()
+
+    def test_a_waiters_edges_are_not_reported_and_go_with_its_grant(self):
+        gtm = make_gtm()
+        gtm.begin("A")
+        gtm.begin("B")
+        assert gtm.invoke("B", "Y", assign(2)) == GrantOutcome.GRANTED
+        assert gtm.invoke("A", "Y", assign(1)) == GrantOutcome.QUEUED
+        graph = gtm.deadlock_policy.detector.graph
+        assert graph.waits_of("A") == {"B"}
+        gtm.check_invariants()  # A waits: its edge is legitimate
+        gtm.request_commit("B")  # the pump grants A and drops the edge
+        assert gtm.transaction("A").state is _S.ACTIVE
+        assert not graph.waits_of("A")
+        gtm.check_invariants()
+
+
 class TestSchedulerIntegration:
     def test_crossing_multi_object_transactions_resolve(self):
         from repro.mobile.session import SessionPlan

@@ -1,7 +1,9 @@
 """Tests for the reconciliation algorithms (Eq. 1 and Eq. 2)."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from repro.errors import GTMError, ReconciliationError
 from repro.core.compatibility import DEFAULT_MATRIX
@@ -115,6 +117,70 @@ class TestMultiplicative:
         # bare int for what was a degenerate bool input.
         result = MultiplicativeReconciler().reconcile(True, True, True)
         assert result == 1.0 and isinstance(result, float)
+
+
+def fraction_eq2(x_read, a_temp, x_permanent):
+    """Eq. (2) the way ``MultiplicativeReconciler`` computed it for every
+    input before it gained an integer path: through ``Fraction``."""
+    if x_read == 0:
+        raise ReconciliationError("X_read == 0")
+    exact = (Fraction(a_temp) / Fraction(x_read)) * Fraction(x_permanent)
+    all_int = all(isinstance(v, int) and not isinstance(v, bool)
+                  for v in (x_read, a_temp, x_permanent))
+    if all_int and exact.denominator == 1:
+        return int(exact)
+    return float(exact)
+
+
+def _outcome(reconcile, *args):
+    """What ``reconcile`` returns, or the exception class it raises (a
+    product past the float range overflows)."""
+    try:
+        return "value", reconcile(*args)
+    except OverflowError:
+        return "raises", OverflowError
+
+
+class Count(int):
+    """An ``int`` subclass, as a column adapter might hand one back."""
+
+
+#: past 2**63 both ways, so products leave the machine-word range.
+_INTS = st.integers(min_value=-(2 ** 80), max_value=2 ** 80)
+_EQ2_VALUES = st.one_of(_INTS, st.integers(-50, 50), st.booleans(),
+                        _INTS.map(Count),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestEq2IntegerPath:
+    """Eq. (2) on three plain ints skips ``Fraction``; it must return
+    exactly what the ``Fraction`` path returns — the same value and the
+    same type — for every input."""
+
+    @given(_EQ2_VALUES, _EQ2_VALUES, _EQ2_VALUES)
+    @example(7, 21, 0)                      # a zero X_permanent
+    @example(-3, 9, -5)                     # negatives, exact
+    @example(-3, 10, 7)                     # negatives, inexact
+    @example(3, 2 ** 62 + 1, 2 ** 62 + 7)   # a product past 2**63
+    @example(13, 454777655439911096417, 827037)  # rounding p first errs
+    @example(True, 6, 4)                    # a bool among ints
+    @example(Count(4), Count(6), Count(10))  # an int subclass
+    @example(Count(4), 6, 7)                # ... inexact
+    def test_same_value_and_type_as_the_fraction_path(
+            self, x_read, a_temp, x_permanent):
+        assume(x_read != 0)
+        args = (x_read, a_temp, x_permanent)
+        expected = _outcome(fraction_eq2, *args)
+        actual = _outcome(MultiplicativeReconciler().reconcile, *args)
+        assert type(actual[1]) is type(expected[1])
+        assert actual == expected
+
+    def test_a_quotient_past_the_float_range_overflows_on_both(self):
+        big = 2 ** 1100
+        with pytest.raises(OverflowError):
+            fraction_eq2(3, big, big)
+        with pytest.raises(OverflowError):
+            MultiplicativeReconciler().reconcile(3, big, big)
 
 
 class TestIdentity:

@@ -194,3 +194,29 @@ class TestReplyRacesAbortPush:
             with pytest.raises(ConnectionLost):
                 await asyncio.wait_for(op, timeout=5.0)
         run(check())
+
+
+class TestHostileFrames:
+    def test_an_unhashable_re_or_txn_goes_to_the_inbox(self):
+        """A frame whose ``re`` or ``txn`` cannot be an id (a JSON list
+        or object) answers no request and names no transaction: it goes
+        to ``inbox`` like any unsolicited frame, and the connection
+        survives it.  It used to raise ``TypeError`` out of
+        ``data_received`` and cost the client its transport."""
+        async def check():
+            server = ScriptedServer()
+            await server.begin("t1")
+            server.send({"type": "granted", "re": [1]},
+                        {"type": "aborted", "txn": {"id": "t1"}},
+                        {"type": "shutdown"})
+            client = server.client
+            assert client.shutdown_seen
+            assert [client.inbox.get_nowait()["type"] for _ in range(3)] \
+                == ["granted", "aborted", "shutdown"]
+            # the link is still up: a request round-trips
+            ping = asyncio.ensure_future(client.ping())
+            fid = (await server.next_request())["id"]
+            server.send({"type": "pong", "re": fid})
+            assert await asyncio.wait_for(ping, timeout=5.0) == \
+                {"type": "pong", "re": fid}
+        run(check())

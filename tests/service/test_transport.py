@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.states import TransactionState
 from repro.service import SessionState
-from repro.service.client import ConnectionLost, ServiceClient, _Mailbox
+from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
 from repro.service.server import memory_connector, memory_pair
 from tests.service.wire import (
@@ -174,15 +174,17 @@ class TestTurns:
             client = ServiceClient(server.connect_memory())
             await client.hello()
             handled = service.metrics.counter("service_frames")
-            box = client._replies["probe"] = _Mailbox()
-            await client._send({"type": "ping", "id": "probe"})
+            ping = asyncio.ensure_future(client.ping())
+            await asyncio.sleep(0)  # the request ran up to its wait
+            (fid, box), = client._replies.items()
             # written, not yet received: the server end has its own turn
             assert handled.total() == 0 and not box.frames
             await asyncio.sleep(0)
             # ...in which it handled the frame, replied, and the reply
-            # was routed into the mailbox
-            assert handled.total() == 1
-            assert list(box.frames) == [{"type": "pong", "re": "probe"}]
+            # was routed into the mailbox before the request woke
+            assert handled.total() == 1 and not ping.done()
+            assert list(box.frames) == [{"type": "pong", "re": fid}]
+            assert await ping == {"type": "pong", "re": fid}
             await server.shutdown()
         run(check())
 
@@ -242,14 +244,20 @@ class TestTurns:
 
 
 class TestClientFlowControl:
-    """``_send`` never waits for the peer — unless the transport said
-    ``pause_writing``, and then only until ``resume_writing`` or the
-    end of the transport."""
+    """A request's write never waits for the peer — unless the transport
+    said ``pause_writing``, and then only until ``resume_writing`` or
+    the end of the transport.
+
+    The peer is a hand-held end whose reading is paused, and it answers
+    blind: a ``pong`` written back lands in the request's mailbox at
+    once, so a request that is not done has not finished its write."""
 
     PAD = "x" * (MAX_FRAME_BYTES // 2)
 
-    def frame(self, fid: int) -> dict:
-        return {"type": "ping", "id": fid, "pad": self.PAD}
+    def request(self, client):
+        # the client numbers its requests 1, 2, ... in the order made
+        return asyncio.ensure_future(
+            client.request({"type": "ping", "pad": self.PAD}))
 
     def test_send_parks_only_while_writing_is_paused(self):
         async def check():
@@ -257,54 +265,66 @@ class TestClientFlowControl:
             peer = RawEnd(server_end)
             client = ServiceClient(client_end)
             server_end.pause_reading()  # a peer that stopped reading
-            await asyncio.wait_for(client._send(self.frame(1)), 1.0)
-            assert client._writable is None  # still under the mark
-            # the second frame crosses it: this send and the next park
-            parked = [asyncio.ensure_future(client._send(self.frame(fid)))
-                      for fid in (2, 3)]
+            first = self.request(client)
             await settle()
-            assert not any(send.done() for send in parked)
+            assert client._writable is None  # still under the mark
+            peer.send({"type": "pong", "re": 1})
+            assert (await asyncio.wait_for(first, 1.0))["re"] == 1
+            # the second frame crosses it: this request and the next park
+            parked = [self.request(client) for _ in range(2)]
+            await settle()
+            peer.send({"type": "pong", "re": 2}, {"type": "pong", "re": 3})
+            await settle()
+            assert not any(request.done() for request in parked)
             assert client_end.get_write_buffer_size() > MAX_FRAME_BYTES
             server_end.resume_reading()
             await asyncio.wait_for(asyncio.gather(*parked), 1.0)
             assert [frame["id"] for frame in peer.events] == [1, 2, 3]
-            # and a send after the buffer drained returns at once
-            await asyncio.wait_for(client._send(self.frame(4)), 1.0)
+            # and a request after the buffer drained writes at once
+            last = self.request(client)
+            await settle()
+            peer.send({"type": "pong", "re": 4})
+            await asyncio.wait_for(last, 1.0)
         run(check())
 
     def test_parked_send_raises_when_the_transport_dies(self):
         async def check():
             client_end, server_end = memory_pair()
-            RawEnd(server_end)
+            peer = RawEnd(server_end)
             client = ServiceClient(client_end)
             server_end.pause_reading()
-            await client._send(self.frame(1))
-            parked = asyncio.ensure_future(client._send(self.frame(2)))
+            first = self.request(client)
+            await settle()
+            peer.send({"type": "pong", "re": 1})
+            await first
+            parked = self.request(client)
             await settle()
             assert not parked.done()
             server_end.abort()  # the peer will read no more
             with pytest.raises(ConnectionLost):
                 await asyncio.wait_for(parked, 1.0)
             with pytest.raises(ConnectionLost):
-                await client._send(self.frame(3))
+                await self.request(client)
         run(check())
 
     def test_a_cancelled_sender_does_not_release_the_others(self):
         async def check():
             client_end, server_end = memory_pair()
-            RawEnd(server_end)
+            peer = RawEnd(server_end)
             client = ServiceClient(client_end)
             server_end.pause_reading()
-            await client._send(self.frame(1))
-            first, second = (
-                asyncio.ensure_future(client._send(self.frame(fid)))
-                for fid in (2, 3))
+            first = self.request(client)
             await settle()
-            first.cancel()
+            peer.send({"type": "pong", "re": 1})
+            await first
+            cancelled, second = (self.request(client) for _ in range(2))
             await settle()
-            assert first.cancelled() and not second.done()
+            peer.send({"type": "pong", "re": 3})
+            cancelled.cancel()
+            await settle()
+            assert cancelled.cancelled() and not second.done()
             server_end.resume_reading()
-            await asyncio.wait_for(second, 1.0)
+            assert (await asyncio.wait_for(second, 1.0))["re"] == 3
         run(check())
 
 

@@ -15,9 +15,11 @@ counted) over ``GTMScheduler().run`` of the paper workload at α 0.5,
 before PR 22 (``ScheduledEvent.__lt__`` in the heap)   356.4
 PR 22, CPython 3.11                                     206.6
 deadlock checks that skip the walks they rule out       197.3
-budget (215 before the line above, lowered by 9.4)      205.6
-observed (``GTMSchedulerConfig(obs=True)``), 3.11       202.9
-observed budget (220, lowered by 9.4)                   210.6
+no edge clearing on a fresh grant, reconcilers keyed    194.2
+by class bit, Eq. 2 in integers
+budget (215, lowered by 9.4 and then by 3.1)            202.5
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       199.8
+observed budget (220, lowered by 9.4 and then by 3.1)   207.5
 ====================================================  =========
 
 What a re-added level costs, in calls per transaction: one more frame
@@ -49,8 +51,8 @@ from repro.workload.generator import (
 )
 
 TRANSACTIONS = 1000
-CALLS_PER_TRANSACTION_BUDGET = 205.6
-OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 210.6
+CALLS_PER_TRANSACTION_BUDGET = 202.5
+OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 207.5
 
 
 def _counted_run(workload, config=None):
