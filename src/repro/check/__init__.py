@@ -7,63 +7,7 @@ verdicts every run with the final-state serializability oracle
 (:mod:`repro.check.invariants`).  Failures are minimized by the
 delta-debugging shrinker (:mod:`repro.check.shrinker`) into ready-to-
 paste regression tests.  See ``docs/CHECKING.md``.
+
+The package re-exports nothing: importing one module (the oracle, say)
+must not drag in the fuzzers, the simulator and numpy.
 """
-
-from repro.check.differential import (
-    DifferentialReport,
-    compare_episode,
-    run_backend_differential_campaign,
-    run_differential_campaign,
-)
-from repro.check.fuzzer import (
-    EpisodeSpec,
-    FuzzConfig,
-    OpSpec,
-    TxnSpec,
-    episode_workload,
-    generate_episode,
-)
-from repro.check.invariants import check_episode_invariants
-from repro.check.oracle import (
-    OracleReport,
-    RecordedEpisode,
-    check_episode,
-    record_baseline,
-    record_gtm,
-)
-from repro.check.runner import (
-    CampaignReport,
-    EpisodeOutcome,
-    rehydrate_outcome,
-    run_campaign,
-    run_episode,
-    run_episode_compact,
-)
-from repro.check.shrinker import render_regression_test, shrink_episode
-
-__all__ = [
-    "CampaignReport",
-    "DifferentialReport",
-    "EpisodeOutcome",
-    "EpisodeSpec",
-    "FuzzConfig",
-    "OpSpec",
-    "OracleReport",
-    "RecordedEpisode",
-    "TxnSpec",
-    "check_episode",
-    "check_episode_invariants",
-    "compare_episode",
-    "episode_workload",
-    "generate_episode",
-    "record_baseline",
-    "record_gtm",
-    "rehydrate_outcome",
-    "render_regression_test",
-    "run_backend_differential_campaign",
-    "run_campaign",
-    "run_differential_campaign",
-    "run_episode",
-    "run_episode_compact",
-    "shrink_episode",
-]

@@ -176,7 +176,7 @@ class AdmissionController:
         elif obj.is_waiting(txn.txn_id):
             # queued by the throttle or the grant policy with no edges
             # derived at all: whatever it waits on, they are not exact.
-            obj.wait_edges[txn.txn_id] = (obj.lock_epoch, None)
+            obj.record_wait_edges(txn.txn_id, None)
         return GrantOutcome.QUEUED
 
     def _validate(self, txn: GTMTransaction, obj: ManagedObject,
@@ -370,7 +370,7 @@ class AdmissionController:
         the victim, :data:`GrantOutcome.GRANTED` when killing another
         victim freed the object and the requester got the grant, and None
         when the requester still (legitimately) waits.  Then its edges
-        go into ``obj.wait_edges`` at the current epoch: the blockers of
+        are recorded on the object at the current epoch: the blockers of
         the one consult, or None when a victim loop added a second set
         to the first (the union is not its blockers at any epoch).
 
@@ -418,7 +418,7 @@ class AdmissionController:
             edges = None
         # still queued: certainly so when nothing moved since it was.
         if obj.lock_epoch == epoch or obj.is_waiting(txn_id):
-            obj.wait_edges[txn_id] = (obj.lock_epoch, edges)
+            obj.record_wait_edges(txn_id, edges)
         return None
 
     # ------------------------------------------------------------------
@@ -486,7 +486,7 @@ class AdmissionController:
                 f"{obj.name!r}")
         if not txn.is_in(_TS.ABORTING):
             txn.transition(_TS.ABORTING)
-        obj.aborting.add(txn_id)
+        obj.mark_aborting(txn_id)
         txn.clear_temp(obj.name)
         obj.release_claims(txn_id)
 
@@ -644,7 +644,7 @@ class AdmissionController:
                 edges = self._edges_now(obj, txn_id, entry.invocation,
                                         recorded[0], recorded[1], scratch)
                 if edges is not None:
-                    obj.wait_edges[txn_id] = (obj.lock_epoch, edges)
+                    obj.record_wait_edges(txn_id, edges)
                     continue
             # refresh=True replaces the waiter's stale edges in one step
             # (a waiter waits on one object at a time, so this only

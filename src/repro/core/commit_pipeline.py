@@ -157,6 +157,8 @@ class CommitPipeline:
         for invocation in invocations.values():
             new_values.update(self.reconcile(txn, obj, invocation))
             self.bus.on_reconcile(txn, obj, invocation, now)
+        # X_new^A: ⊥ until every member reconciled (a reconcile that
+        # raises leaves it unset); stage_commit made the map.
         obj.new[txn_id] = new_values
         # NOTE: Algorithm 3's postcondition clears A_temp and X_read here,
         # but the paper's own Table II shows both still populated on the

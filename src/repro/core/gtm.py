@@ -348,7 +348,7 @@ class GlobalTransactionManager:
         self.history.record_abort(txn_id)
         touched = self._involved_objects(txn)
         for obj in touched:
-            obj.aborting.discard(txn_id)
+            obj.discard_aborting(txn_id)
         self.bus.on_global_abort(txn, now, reason)
         for obj in touched:
             self.pipeline.pump_deferred(obj)
@@ -403,9 +403,40 @@ class GlobalTransactionManager:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Cross-object structural invariants (used by property tests)."""
+        """Cross-object structural invariants (used by property tests),
+        and two progress properties that hold once a facade call
+        returns:
+
+        - **P1, work conservation**: θ (the grant policy's ``select``,
+          its own definition of "would grant") run over an object's
+          non-sleeping waiters picks no Waiting transaction the throttle
+          would admit.  θ sees the time of the latest arrival: the check
+          reads no clock, since the default logical clock advances on
+          every read.
+        - **P2, sleepers block nobody**: no Waiting transaction has a
+          wait-for edge to a Sleeping one.  A *sleeping* waiter keeps
+          its edges until its wake's queue-jump.
+        """
+        admission = self.admission
         for obj in self.lock_table.values():
             obj.check_invariants()
+            candidates = [entry for entry in obj.waiting
+                          if entry.txn_id not in obj.sleeping]
+            if not candidates:
+                continue
+            holders = (None if self.checker.uses_summaries
+                       else obj.holder_ops(include_sleeping=False))
+            latest = max(entry.arrival for entry in candidates)
+            stuck = [
+                entry.txn_id for entry in admission.grant_policy.select(
+                    obj, candidates, self.checker, latest, holders)
+                if (txn := self.transactions.get(entry.txn_id)) is not None
+                and txn.state is _TS.WAITING
+                and admission.throttle.would_admit(obj, entry.invocation)]
+            if stuck:
+                raise GTMError(
+                    f"P1: {stuck} grantable on {obj.name!r} but left "
+                    f"waiting")
         graph = (self.deadlock_policy.detector.graph
                  if isinstance(self.deadlock_policy, WaitForGraphPolicy)
                  else None)
@@ -423,6 +454,15 @@ class GlobalTransactionManager:
                     f"{txn.txn_id!r} is {txn.state.value} but waits on "
                     f"{sorted(graph.waits_of(txn.txn_id))} in the "
                     f"wait-for graph")
+            if graph is not None and txn.state is _TS.WAITING:
+                asleep = sorted(
+                    blocker for blocker in graph.waits_of(txn.txn_id)
+                    if (holder := self.transactions.get(blocker)) is not None
+                    and holder.state is _TS.SLEEPING)
+                if asleep:
+                    raise GTMError(
+                        f"P2: Waiting {txn.txn_id!r} has wait-for edges to "
+                        f"Sleeping {asleep}")
 
     def __repr__(self) -> str:
         states: dict[str, int] = {}

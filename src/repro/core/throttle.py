@@ -57,7 +57,16 @@ class ValueThrottle:
                 and invocation.operand < 0)
 
     def admits(self, obj: ManagedObject, invocation: Invocation) -> bool:
-        """May this invocation join the object's pending set now?"""
+        """May this invocation join the object's pending set now?  A
+        refusal is counted in ``denials``."""
+        admitted = self.would_admit(obj, invocation)
+        if not admitted:
+            self.denials += 1
+        return admitted
+
+    def would_admit(self, obj: ManagedObject,
+                    invocation: Invocation) -> bool:
+        """:meth:`admits`, uncounted (what the progress check asks)."""
         if not self._is_decrement(invocation):
             return True
         member = invocation.member
@@ -66,11 +75,7 @@ class ValueThrottle:
             if txn_id not in obj.sleeping
             and any(op.member == member and self._is_decrement(op)
                     for op in ops.values()))
-        limit = self.limit_fn(obj.permanent.get(member))
-        admitted = active_decrements < limit
-        if not admitted:
-            self.denials += 1
-        return admitted
+        return active_decrements < self.limit_fn(obj.permanent.get(member))
 
 
 class NoThrottle:
@@ -80,3 +85,5 @@ class NoThrottle:
 
     def admits(self, obj: ManagedObject, invocation: Invocation) -> bool:
         return True
+
+    would_admit = admits

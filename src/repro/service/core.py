@@ -170,7 +170,10 @@ class GTMService:
 
     def create_object(self, name: str, value: Any = 0,
                       members: dict[str, Any] | None = None) -> None:
-        """Register a managed object before (or while) serving."""
+        """Register a managed object before (or while) serving.  A name
+        the GTM already holds is refused before the backend is touched."""
+        if name in self.gtm.lock_table:
+            raise GTMError(f"object {name!r} already registered")
         binding = None
         if members is None:
             binding = self._bind_object(name, value, exists=True)

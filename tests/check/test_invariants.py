@@ -47,15 +47,15 @@ class TestCorruptions:
     def test_granted_and_queued_same_member_flagged(self):
         gtm = _finished_gtm()
         obj = gtm.objects["X"]
-        obj.pending["Z"] = {"value": add(1)}
-        obj.read["Z"] = {"value": 10}
-        obj.waiting.append(WaitEntry("Z", add(1), arrival=0.0))
+        obj.grant_pending("Z", add(1))
+        obj.snapshot_for("Z")
+        obj.push_waiting(WaitEntry("Z", add(1), arrival=0.0))
         violations = check_episode_invariants(gtm)
         assert any("both granted and queued" in v for v in violations)
 
     def test_leaked_waiting_entry_flagged(self):
         gtm = _finished_gtm()
-        gtm.objects["X"].waiting.append(
+        gtm.objects["X"].push_waiting(
             WaitEntry("GHOST", assign(1), arrival=0.0))
         violations = check_episode_invariants(gtm)
         assert any("leaked waiting" in v for v in violations)

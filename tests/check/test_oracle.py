@@ -1,5 +1,9 @@
 """The serializability oracle on hand-built operation logs."""
 
+import os
+import subprocess
+import sys
+
 from repro.check.oracle import (
     RecordedEpisode,
     check_episode,
@@ -146,3 +150,17 @@ class TestRecordBaseline:
         assert set(recorded.log.ops) <= committed
         report = check_episode(recorded)
         assert report.serializable
+
+
+def test_importing_the_oracle_loads_no_numerics():
+    """The oracle is what a live service check would import (the
+    benchmark's load generator already does): ``repro.check`` re-exports
+    nothing, so it does not bring in the fuzzers, the simulator and
+    numpy with it.  A fresh interpreter, because this one has numpy."""
+    probe = ("import repro.check.oracle, sys; "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -140,4 +140,4 @@ def test_the_interleavings_do_reach_conflicting_awakes():
     assert not gtm.object("X").holder_ops(exclude="T0")
     driver.check_awake("T0")
     assert gtm.awake("T0") is False
-    assert gtm.object("X").committed == []
+    assert gtm.object("X").committed == ()

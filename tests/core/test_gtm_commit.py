@@ -103,12 +103,12 @@ class TestGlobalCommit:
         assert records[0].txn_id == "A"
         assert records[0].commit_time > 0           # X_tc
         assert gtm.awake("S")
-        assert gtm.object("X").committed == []      # last sleeper left
+        assert gtm.object("X").committed == ()      # last sleeper left
 
         granted_txn(gtm, "B", add(1))
         gtm.local_commit("B", "X")
         gtm.global_commit("B")
-        assert gtm.object("X").committed == []      # nobody to read it
+        assert gtm.object("X").committed == ()      # nobody to read it
 
     def test_clears_transaction_residue(self):
         gtm = make_gtm()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import GTMError
 from repro.core.objects import (
-    CommitRecord,
     ManagedObject,
     ObjectBinding,
     WaitEntry,
@@ -60,8 +59,9 @@ class TestManagedObject:
 
     def test_committed_after_filters_by_tc(self):
         obj = ManagedObject("X", value=0)
-        obj.committed.append(CommitRecord("A", (add(1),), commit_time=1.0))
-        obj.committed.append(CommitRecord("B", (add(1),), commit_time=5.0))
+        obj.mark_sleeping("S")          # a record needs a reader
+        obj.record_commit("A", {"value": add(1)}, now=1.0)
+        obj.record_commit("B", {"value": add(1)}, now=5.0)
         assert [r.txn_id for r in obj.committed_after(2.0)] == ["B"]
         assert [r.txn_id for r in obj.committed_after(5.0)] == []
 
@@ -74,15 +74,19 @@ class TestManagedObject:
 
     def test_clear_txn_removes_all_roles(self):
         obj = ManagedObject("X", value=0)
-        obj.pending["A"] = {"value": add(1)}
-        obj.sleeping.add("A")
-        obj.read["A"] = {"value": 0}
+        obj.grant_pending("B", add(1))
+        obj.snapshot_for("B")
+        obj.stage_commit("B")           # makes the X_new map A writes to
+        obj.grant_pending("A", add(1))
+        obj.snapshot_for("A")
         obj.new["A"] = {"value": 1}
+        obj.mark_sleeping("A")
         obj.clear_txn("A")
         assert not obj.is_pending("A")
         assert "A" not in obj.sleeping
         assert "A" not in obj.read
         assert "A" not in obj.new
+        obj.verify_summary()            # A's pending grant was not effective
 
     def test_invariants_ok_on_fresh_object(self):
         ManagedObject("X", value=0).check_invariants()
@@ -90,28 +94,29 @@ class TestManagedObject:
     def test_pending_and_waiting_is_legal(self):
         """A transaction may hold one member while queued for another."""
         obj = ManagedObject("X", value=0)
-        obj.pending["A"] = {"value": add(1)}
-        obj.read["A"] = {"value": 0}
-        obj.waiting.append(WaitEntry("A", add(1), arrival=0.0))
+        obj.grant_pending("A", add(1))
+        obj.snapshot_for("A")
+        obj.push_waiting(WaitEntry("A", add(1), arrival=0.0))
         obj.check_invariants()  # no error
 
     def test_invariant_detects_pending_and_committing(self):
         obj = ManagedObject("X", value=0)
-        obj.pending["A"] = {"value": add(1)}
-        obj.read["A"] = {"value": 0}
-        obj.committing["A"] = {"value": add(1)}
+        obj.grant_pending("A", add(1))
+        obj.snapshot_for("A")
+        obj.stage_commit("A")
+        obj.grant_pending("A", add(1))
         with pytest.raises(GTMError):
             obj.check_invariants()
 
     def test_invariant_detects_pending_without_snapshot(self):
         obj = ManagedObject("X", value=0)
-        obj.pending["A"] = {"value": add(1)}
+        obj.grant_pending("A", add(1))
         with pytest.raises(GTMError):
             obj.check_invariants()
 
     def test_invariant_detects_stray_sleeper(self):
         obj = ManagedObject("X", value=0)
-        obj.sleeping.add("A")
+        obj.mark_sleeping("A")
         with pytest.raises(GTMError):
             obj.check_invariants()
 

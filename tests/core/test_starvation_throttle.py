@@ -88,24 +88,24 @@ class TestLockDenyPolicy:
     def test_denies_past_threshold(self):
         policy = LockDenyPolicy(max_incompatible_waiters=2)
         obj = ManagedObject("X", value=0)
-        obj.waiting.append(entry("W1", assign(0)))
+        obj.push_waiting(entry("W1", assign(0)))
         checker = ConflictChecker()
         assert not policy.deny_fresh_invocation(obj, add(1), checker, 0.0)
-        obj.waiting.append(entry("W2", assign(1)))
+        obj.push_waiting(entry("W2", assign(1)))
         assert policy.deny_fresh_invocation(obj, add(1), checker, 0.0)
 
     def test_sleeping_waiters_do_not_count(self):
         policy = LockDenyPolicy(max_incompatible_waiters=1)
         obj = ManagedObject("X", value=0)
-        obj.waiting.append(entry("W1", assign(0)))
-        obj.sleeping.add("W1")
+        obj.push_waiting(entry("W1", assign(0)))
+        obj.mark_sleeping("W1")
         assert not policy.deny_fresh_invocation(obj, add(1),
                                                 ConflictChecker(), 0.0)
 
     def test_compatible_waiters_do_not_count(self):
         policy = LockDenyPolicy(max_incompatible_waiters=1)
         obj = ManagedObject("X", value=0)
-        obj.waiting.append(entry("W1", add(5)))
+        obj.push_waiting(entry("W1", add(5)))
         assert not policy.deny_fresh_invocation(obj, add(1),
                                                 ConflictChecker(), 0.0)
 
@@ -158,7 +158,7 @@ class TestPriorityAgingPolicy:
     def test_denies_once_waiter_aged_past_threshold(self):
         policy = PriorityAgingPolicy(aging_rate=2.0, deny_threshold=10.0)
         obj = ManagedObject("X", value=0)
-        obj.waiting.append(entry("W", assign(0), arrival=0.0))
+        obj.push_waiting(entry("W", assign(0), arrival=0.0))
         checker = ConflictChecker()
         assert not policy.deny_fresh_invocation(obj, add(1), checker,
                                                 now=4.0)   # 8 < 10
@@ -196,9 +196,9 @@ class TestValueThrottle:
     def test_admits_up_to_stock(self):
         throttle = ValueThrottle()
         obj = ManagedObject("X", value=2)
-        obj.pending["A"] = {"value": subtract(1)}
+        obj.grant_pending("A", subtract(1))
         assert throttle.admits(obj, subtract(1))   # 1 active < 2
-        obj.pending["B"] = {"value": subtract(1)}
+        obj.grant_pending("B", subtract(1))
         assert not throttle.admits(obj, subtract(1))
         assert throttle.denials == 1
 
@@ -212,8 +212,8 @@ class TestValueThrottle:
     def test_sleeping_decrementers_not_counted(self):
         throttle = ValueThrottle()
         obj = ManagedObject("X", value=1)
-        obj.pending["A"] = {"value": subtract(1)}
-        obj.sleeping.add("A")
+        obj.grant_pending("A", subtract(1))
+        obj.mark_sleeping("A")
         assert throttle.admits(obj, subtract(1))
 
     def test_zero_stock_admits_nothing(self):
@@ -224,7 +224,7 @@ class TestValueThrottle:
     def test_custom_limit_fn(self):
         throttle = ValueThrottle(limit_fn=lambda value: 1)
         obj = ManagedObject("X", value=1000)
-        obj.pending["A"] = {"value": subtract(1)}
+        obj.grant_pending("A", subtract(1))
         assert not throttle.admits(obj, subtract(1))
 
     def test_no_throttle_admits_everything(self):

@@ -10,6 +10,7 @@ script.
 
 import pytest
 
+from repro.errors import GTMError
 from repro.ldbs.backend import backend_names
 from repro.service import GTMService, ServiceConfig
 from repro.service.protocol import decode_frame
@@ -155,3 +156,27 @@ class TestServiceBackend:
         assert frames[-1]["type"] == "committed"
         assert service.backend.dump()["gtm_objects"]["x"] == {
             "name": "x", "value": 7.0}
+
+    def test_refused_create_object_leaves_the_backend_alone(self, served):
+        """``create_object`` on a name the GTM already holds as an
+        INSERT shell used to seed the row, then raise "already
+        registered": the LDBS kept ``b = 5.0`` for an object the GTM
+        says does not exist.  The name is refused before the backend
+        is touched."""
+        service, session, frames = served
+        service.handle(session, {"type": "begin", "id": 2})
+        txn = frames[-1]["txn"]
+        service.handle(session, {"type": "op", "id": 3, "txn": txn,
+                                 "op": "insert", "object": "b",
+                                 "operand": {"value": 1}})
+        assert frames[-1]["type"] == "granted"
+        before = service.backend.dump()
+        assert "b" not in before["gtm_objects"]
+        with pytest.raises(GTMError, match="already registered"):
+            service.create_object("b", value=5.0)
+        assert service.backend.dump() == before
+        assert not service.gtm.object("b").exists
+        service.handle(session, {"type": "commit", "id": 4, "txn": txn})
+        assert frames[-1]["type"] == "committed"
+        assert service.backend.dump()["gtm_objects"]["b"] == {
+            "name": "b", "value": 1.0}

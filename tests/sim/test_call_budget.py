@@ -17,8 +17,12 @@ PR 22, CPython 3.11                                     206.6
 deadlock checks that skip the walks they rule out       197.3
 no edge clearing on a fresh grant, reconcilers keyed    194.2
 by class bit, Eq. 2 in integers
+wait-for edges recorded through a ``ManagedObject``     195.6
+mutator (1.19 waits per transaction), X_aborting
+emptied through one (0.1 per transaction, two frames
+more where it leaves the object idle)
 budget (215, lowered by 9.4 and then by 3.1)            202.5
-observed (``GTMSchedulerConfig(obs=True)``), 3.11       199.8
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       201.2
 observed budget (220, lowered by 9.4 and then by 3.1)   207.5
 ====================================================  =========
 
