@@ -8,19 +8,12 @@ Examples::
         --emit-test tests/check/test_regression_auto.py
     python -m repro.check --backend-differential --scheduler all \\
         --episodes 200 --jobs auto
-    python -m repro.check --mvcc-differential --scheduler all \\
-        --episodes 200 --jobs auto
 
 ``--backend-differential`` switches from the oracle campaign to the
 memory-vs-SQLite LDBS differential: every episode runs once per
 backend and any trace / permanent-state / commit-order-witness /
 invariant / LDBS-dump divergence fails the run (the CI
 ``backend-differential`` job).
-
-``--mvcc-differential`` runs every episode on the kernel and on its
-lock-free-READ subclass (``GTMConfig.mvcc_reads``): the two schedule
-differently, and each must pass the serializability oracle and the
-invariant sweep (a step of the CI ``stress-smoke`` job).
 
 ``--service-fuzz`` fuzzes the live-service layer instead of the bare
 schedulers: seeded chaos episodes drive :class:`GTMService` through
@@ -29,6 +22,9 @@ exact-instant BTO expiries, outbox overflows, backend conflict bursts
 — and every episode must satisfy the wire contract, the service
 bookkeeping sweep, the GTM invariants, and the serializability oracle
 (the CI ``service-fuzz`` job).
+
+The two campaign modes exclude each other: naming both is a usage
+error.
 
 Exit status 0 = every episode passed the serializability oracle and
 the invariant suite; 1 = at least one failure (the minimized episode
@@ -41,10 +37,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.check.differential import (
-    run_backend_differential_campaign,
-    run_mvcc_differential_campaign,
-)
+from repro.check.differential import run_backend_differential_campaign
 from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig
 from repro.check.runner import (
     CampaignReport,
@@ -92,20 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the generated regression test here")
     parser.add_argument("--trace-dir", metavar="DIR",
                         help="dump JSON episode traces of failures here")
-    parser.add_argument("--backend-differential", action="store_true",
-                        help="run the memory-vs-SQLite LDBS backend "
-                             "differential instead of the oracle "
-                             "campaign; any divergence fails the run")
-    parser.add_argument("--mvcc-differential", action="store_true",
-                        help="run every episode on the kernel and on "
-                             "its lock-free-READ subclass: each must "
-                             "pass the serializability oracle and the "
-                             "invariants")
-    parser.add_argument("--service-fuzz", action="store_true",
-                        help="fuzz the GTMService frame handler under "
-                             "a virtual clock (drops, reconnects, BTO "
-                             "expiries, outbox overflows, backend "
-                             "faults) instead of the bare schedulers")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--backend-differential", action="store_true",
+                      help="run the memory-vs-SQLite LDBS backend "
+                           "differential instead of the oracle "
+                           "campaign; any divergence fails the run")
+    mode.add_argument("--service-fuzz", action="store_true",
+                      help="fuzz the GTMService frame handler under "
+                           "a virtual clock (drops, reconnects, BTO "
+                           "expiries, outbox overflows, backend "
+                           "faults) instead of the bare schedulers")
     parser.add_argument("--observe", action="store_true",
                         help="record per-episode metrics and print the "
                              "merged fleet table (digest-neutral: never "
@@ -147,8 +136,8 @@ def _report_failures(report: CampaignReport,
             print(report.regression_test)
 
 
-def _run_differential(args: argparse.Namespace, schedulers: list[str],
-                      campaign, tag: str) -> int:
+def _run_backend_differential(args: argparse.Namespace,
+                              schedulers: list[str]) -> int:
     exit_code = 0
     for scheduler in schedulers:
         config = FuzzConfig(scheduler=scheduler,
@@ -161,9 +150,9 @@ def _run_differential(args: argparse.Namespace, schedulers: list[str],
                          _name: str = scheduler) -> None:
                 done = index + 1
                 if done % 100 == 0 or done == _total:
-                    print(f"[{tag} {_name}] {done}/{_total} "
+                    print(f"[backend-diff {_name}] {done}/{_total} "
                           f"episodes", file=sys.stderr)
-        report = campaign(
+        report = run_backend_differential_campaign(
             config, args.seed, args.episodes,
             max_divergences=args.max_failures,
             progress=progress, jobs=args.jobs,
@@ -223,13 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     schedulers = (list(SCHEDULER_NAMES) if args.scheduler == "all"
                   else [args.scheduler])
     if args.backend_differential:
-        return _run_differential(args, schedulers,
-                                 run_backend_differential_campaign,
-                                 "backend-diff")
-    if args.mvcc_differential:
-        return _run_differential(args, schedulers,
-                                 run_mvcc_differential_campaign,
-                                 "mvcc-diff")
+        return _run_backend_differential(args, schedulers)
     exit_code = 0
     for scheduler in schedulers:
         config = FuzzConfig(scheduler=scheduler,

@@ -26,12 +26,6 @@ paper's "ordinary ACID transactions against the LDBS" claim, proven
 against a real database.  Every divergence this mode finds is a bug to
 fix and pin, in the PR 2/PR 5 style.
 
-A third axis (``mode="mvcc"``) runs each GTM episode on the kernel and
-on :class:`~repro.core.mvcc.MVCCTransactionManager`.  Lock-free readers
-never queue, so the two schedules legitimately differ and are not
-compared; each must pass the invariant sweeps and the serializability
-oracle.
-
 Campaigns fan out across worker processes (``jobs=N``): each worker
 regenerates its episodes from the warm ``(config, seed)`` context and
 sends back only a verdict and a canonical SHA-256 digest of the full
@@ -77,18 +71,8 @@ GTM_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
 #: SSTs bound to different databases.  The name is the variant's label.
 BACKEND_VARIANTS: tuple[str, ...] = ("memory", "sqlite")
 
-#: (label, GTMConfig overrides) for the MVCC axis (``mode="mvcc"``):
-#: the kernel against its lock-free-READ subclass.  MVCC reads never
-#: queue, so that run legitimately schedules differently: it is not
-#: compared with the kernel's, but both are held to the serializability
-#: oracle and the invariant sweeps.
-MVCC_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("monolith", {}),
-    ("mvcc", {"mvcc_reads": True}),
-)
-
 #: Comparison axes accepted by the campaign entry points.
-DIFFERENTIAL_MODES: tuple[str, ...] = ("engine", "backend", "mvcc")
+DIFFERENTIAL_MODES: tuple[str, ...] = ("engine", "backend")
 
 
 @dataclass
@@ -106,10 +90,6 @@ class VariantRun:
     #: the LDBS backend's committed state (``backend.dump()``), only
     #: populated in backend mode where SSTs write a real database.
     ldbs: dict[str, Any] | None = None
-    #: serializability-oracle violations (mvcc mode: the MVCC run is
-    #: not held to bit-identity, but its final state must still be
-    #: explained by some serial order).
-    oracle: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -168,7 +148,9 @@ def comparison_digest(comparison: EpisodeComparison) -> str:
             {"label": run.label, "trace": run.trace,
              "permanent": run.permanent, "violations": run.violations,
              "crash": run.crash, "witness": run.witness,
-             "ldbs": run.ldbs, "oracle": run.oracle}
+             # always empty; dropping the key would move every
+             # recorded campaign digest
+             "ldbs": run.ldbs, "oracle": []}
             for run in comparison.runs],
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
@@ -187,8 +169,7 @@ def _gtm_variant_scheduler(spec: EpisodeSpec,
 
 
 def _run_variant(spec: EpisodeSpec, label: str,
-                 build: Callable[[], Any],
-                 oracle: bool = False) -> VariantRun:
+                 build: Callable[[], Any]) -> VariantRun:
     run = VariantRun(label=label)
     scheduler = build()
     try:
@@ -204,14 +185,6 @@ def _run_variant(spec: EpisodeSpec, label: str,
             for name, obj in gtm.objects.items()}
         run.violations = check_episode_invariants(gtm)
         run.witness = list(gtm.history.commit_order)
-        if oracle:
-            from repro.check.oracle import check_episode, record_gtm
-            report = check_episode(record_gtm(gtm))
-            if not report.serializable:
-                run.oracle = [
-                    f"no serial order explains the final state "
-                    f"({report.committed} committed, "
-                    f"{report.orders_tried} orders tried)"]
     backend = getattr(scheduler, "last_backend", None)
     if backend is not None:
         run.ldbs = backend.dump()
@@ -228,9 +201,7 @@ def compare_episode(spec: EpisodeSpec,
     variants against each other; ``mode="backend"`` compares the same
     engine with SSTs bound to each LDBS backend (in-memory vs SQLite),
     additionally diffing the commit-order witness and the backends'
-    committed LDBS state; ``mode="mvcc"`` runs the kernel and its
-    lock-free-READ subclass and holds each to the serializability
-    oracle and the invariants, not to each other.  Baseline episodes
+    committed LDBS state.  Baseline episodes
     compare two identical runs (determinism) on every axis.  ``observe``
     switches the :mod:`repro.obs` layer on inside every variant run;
     traces exclude obs artifacts, so the comparison (and its digest)
@@ -247,12 +218,6 @@ def compare_episode(spec: EpisodeSpec,
                                  _gtm_variant_scheduler(spec, {}, observe,
                                                         ldbs_backend=b))
                     for name in BACKEND_VARIANTS]
-        elif mode == "mvcc":
-            runs = [_run_variant(spec, label,
-                                 lambda o=overrides:
-                                 _gtm_variant_scheduler(spec, o, observe),
-                                 oracle=True)
-                    for label, overrides in MVCC_VARIANTS]
         else:
             runs = [_run_variant(spec, label,
                                  lambda o=overrides:
@@ -274,13 +239,7 @@ def compare_episode(spec: EpisodeSpec,
             comparison.diffs.append(f"{run.label}: crashed:\n{run.crash}")
         for violation in run.violations:
             comparison.diffs.append(f"{run.label}: invariant: {violation}")
-        for violation in run.oracle:
-            comparison.diffs.append(f"{run.label}: oracle: {violation}")
     if any(run.crash for run in runs):
-        return comparison
-    if mode == "mvcc" and spec.scheduler == "gtm":
-        # lock-free readers never queue, so the MVCC run may
-        # legitimately schedule differently from the kernel's.
         return comparison
     for run in runs[1:]:
         if run.trace != baseline.trace:
@@ -346,8 +305,7 @@ def run_differential_campaign(
     """Run ``episodes`` seeded episodes through every variant.
 
     ``mode`` picks the comparison axis: conflict engines (``"engine"``,
-    the default), LDBS backends (``"backend"``, in-memory vs SQLite) or
-    READ paths (``"mvcc"``, locking vs lock-free).
+    the default) or LDBS backends (``"backend"``, in-memory vs SQLite).
     ``jobs`` shards episodes across worker processes; the merge runs in
     episode order with the serial early-stop rule, so the report and
     its rolling ``digest`` are identical for every ``jobs`` /
@@ -403,17 +361,6 @@ def run_backend_differential_campaign(
     with ``mode="backend"`` (the CI ``backend-differential`` job)."""
     return run_differential_campaign(config, seed, episodes,
                                      mode="backend", **kwargs)
-
-
-def run_mvcc_differential_campaign(
-        config: FuzzConfig, seed: int, episodes: int,
-        **kwargs: Any) -> DifferentialReport:
-    """The monolith-vs-MVCC campaign:
-    :func:`run_differential_campaign` with ``mode="mvcc"`` — oracle +
-    invariants on both managers (a step of the CI ``stress-smoke``
-    job)."""
-    return run_differential_campaign(config, seed, episodes,
-                                     mode="mvcc", **kwargs)
 
 
 def _recompare_or_crash(config: FuzzConfig, seed: int, index: int,

@@ -29,10 +29,7 @@ al. (ICDE 2008):
 - :mod:`repro.core.starvation` — the Section VII starvation mitigations
   (lock-deny threshold and priority aging);
 - :mod:`repro.core.throttle` — the Section VII value-based limit on
-  concurrent compatible transactions;
-- :mod:`repro.core.mvcc` — ``GTMConfig.mvcc_reads``: the kernel subclass
-  that serves the READ class lock-free from one snapshot of the commit
-  order, and ``build_transaction_manager``.
+  concurrent compatible transactions.
 """
 
 from repro.core.admission import (

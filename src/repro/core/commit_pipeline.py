@@ -41,9 +41,7 @@ class CommitPipeline:
                  pump_unlock: Callable[[ManagedObject], tuple[str, ...]],
                  on_finished: Callable[[str], None],
                  abort_from_committing: Callable[[GTMTransaction, float,
-                                                  str], None],
-                 on_externalize: Callable[[str, list[ManagedObject]],
-                                          None] | None = None) -> None:
+                                                  str], None]) -> None:
         self.registry = registry
         self.history = history
         self.bus = bus
@@ -63,10 +61,6 @@ class CommitPipeline:
         #: Reports of the SSTs that needed more than one attempt; a
         #: clean SST's report is returned to the caller, not kept.
         self.sst_reports: list[SSTReport] = []
-        #: Called as ``on_externalize(txn_id, involved)`` right after a
-        #: commit is announced: the MVCC manager's csn and version
-        #: rings.  None for the plain kernel.
-        self._on_externalize = on_externalize
 
     def _involved(self, txn: GTMTransaction) -> list[ManagedObject]:
         """A's involved objects in name order."""
@@ -241,8 +235,6 @@ class CommitPipeline:
         self._on_finished(txn_id)
         self.history.record_commit(txn_id)
         self.bus.on_global_commit(txn, now)
-        if self._on_externalize is not None:
-            self._on_externalize(txn_id, involved)
         return report
 
     def _apply_permanent(self, obj: ManagedObject,
@@ -322,9 +314,8 @@ class CommitPipeline:
         if not all_staged:
             return None
         if not involved and txn.state is _TS.ACTIVE:
-            # nothing was ever granted (or every read was served
-            # lock-free), so no local commit made the Active ->
-            # Committing transition: the commit is trivial.
+            # nothing was ever granted, so no local commit made the
+            # Active -> Committing transition: the commit is trivial.
             txn.transition(_TS.COMMITTING)
         return self.finish_commit(txn, involved, now)
 

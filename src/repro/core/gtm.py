@@ -84,7 +84,16 @@ def _ticked(method):
 
 @dataclass
 class GTMConfig:
-    """Protocol tunables; the defaults reproduce the paper exactly."""
+    """Protocol tunables.
+
+    The paper's defaults: ``matrix`` is Table I, ``dependence`` treats
+    members as independent, ``registry`` holds the Eq. (1)/(2)
+    reconcilers, ``grant_policy`` is FIFO θ and ``throttle`` admits
+    everything.  This repository's choices: Section VII names no
+    deadlock policy, so ``deadlock_policy`` defaults to a wait-for
+    graph; ``conflict_engine`` picks how Definition 1 is evaluated,
+    not what it decides.
+    """
 
     matrix: CompatibilityMatrix = field(default_factory=lambda: DEFAULT_MATRIX)
     dependence: LogicalDependence = field(
@@ -101,42 +110,20 @@ class GTMConfig:
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
     #: kept as the differential-testing oracle).
     conflict_engine: str = "bitmask"
-    #: Admit the READ class without a lock and without ever entering
-    #: the wait queue: every lock-free read of a transaction is served
-    #: from one snapshot of the commit order, out of a ring of recent
-    #: committed versions per object (:mod:`repro.core.mvcc`).  Only
-    #: :class:`~repro.core.mvcc.MVCCTransactionManager` serves such
-    #: reads — ``build_transaction_manager`` picks the class from this
-    #: field, and the plain kernel refuses a config that sets it.
-    mvcc_reads: bool = False
 
 
 class GlobalTransactionManager:
     """The paper's middleware: pre-serialization over virtual data.
 
     Every Algorithm 1-11 step is written here (or in the subsystems this
-    class wires), once.  :class:`repro.core.mvcc.MVCCTransactionManager`
-    subclasses it and adds only the lock-free READ path: ``_externalize``
-    is its seam into the commit pipeline.
+    class wires), once; this is the only transaction manager.
     """
-
-    #: Commit externalization callback handed to the commit pipeline;
-    #: None here (the pipeline then skips it with one ``is not None``).
-    _externalize: "Callable[[str, list[ManagedObject]], None] | None" = None
-    #: Whether this class admits READs lock-free, i.e. may be handed
-    #: ``GTMConfig(mvcc_reads=True)``.
-    serves_lock_free_reads = False
 
     def __init__(self, config: GTMConfig | None = None,
                  clock: "Callable[[], float] | Clock | None" = None,
                  sst_executor: SSTExecutor | None = None,
                  observer: GTMObserver | None = None) -> None:
         self.config = config or GTMConfig()
-        if self.config.mvcc_reads and not self.serves_lock_free_reads:
-            raise GTMError(
-                "GTMConfig(mvcc_reads=True) needs MVCCTransactionManager "
-                "(build_transaction_manager selects it); "
-                f"{type(self).__name__} would lock every READ")
         # Definition 1 condition 3: a class that commutes with itself
         # must have a reconciler — catch misconfiguration at startup.
         self.config.registry.validate_against(self.config.matrix)
@@ -183,8 +170,7 @@ class GlobalTransactionManager:
             pump_unlock=self.admission.pump_unlock,
             on_finished=self.deadlock_policy.on_finished,
             abort_from_committing=lambda txn, now, reason:
-                self.abort(txn.txn_id, reason=reason),
-            on_externalize=self._externalize)
+                self.abort(txn.txn_id, reason=reason))
         self.sleep_manager = SleepManager(
             checker=self.checker, bus=self.bus, history=self.history,
             pump_unlock=self.admission.pump_unlock,

@@ -118,19 +118,6 @@ class RecoveryError(LDBSError):
     """The WAL could not be replayed into a consistent state."""
 
 
-class SnapshotTooOld(LDBSError):
-    """A versioned read asked for a commit sequence number the version
-    ring no longer retains (the reader outlived the ring capacity)."""
-
-    def __init__(self, object_name: str, csn: int, oldest: int) -> None:
-        self.object_name = object_name
-        self.csn = csn
-        self.oldest = oldest
-        super().__init__(
-            f"snapshot as of csn {csn} on {object_name!r} is gone: "
-            f"oldest retained version is csn {oldest}")
-
-
 class WALError(LDBSError):
     """Malformed or out-of-order write-ahead-log operation."""
 
@@ -171,22 +158,6 @@ class IncompatibleOperations(GTMError):
 
 class ReconciliationError(GTMError):
     """A reconciliation algorithm could not produce a final value."""
-
-
-class CertificationError(GTMError):
-    """Commitment-ordering certification rejected a transaction: its
-    snapshot promotion would contradict an order another transaction
-    already externalized.  Raised by the MVCC manager's certifier;
-    schedulers observe it as an abort with a ``certification-*``
-    reason."""
-
-    def __init__(self, txn_id: str, reason: str = "") -> None:
-        self.txn_id = txn_id
-        self.reason = reason
-        message = f"certification failed for transaction {txn_id!r}"
-        if reason:
-            message = f"{message}: {reason}"
-        super().__init__(message)
 
 
 class SSTFailure(GTMError):

@@ -35,7 +35,6 @@ from repro.core.gtm import (
     GTMObserver,
     GrantOutcome,
 )
-from repro.core.mvcc import build_transaction_manager
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
 from repro.core.sst import SSTExecutor
@@ -181,7 +180,7 @@ class GTMScheduler(Scheduler):
             bindings = auto
             sst_executor = SSTExecutor(backend)
             self.last_backend = backend
-        gtm = build_transaction_manager(
+        gtm = GlobalTransactionManager(
             config=self.config.gtm_config,
             clock=engine.clock,
             sst_executor=sst_executor,

@@ -13,7 +13,6 @@ import asyncio
 import contextlib
 import sys
 
-from repro.core.gtm import GTMConfig
 from repro.driver.asyncio_driver import AsyncioDriver
 from repro.ldbs.backend import backend_names
 from repro.service.core import GTMService, ServiceConfig
@@ -24,8 +23,7 @@ async def _serve(args: argparse.Namespace) -> int:
     driver = AsyncioDriver()
     service = GTMService(driver, config=ServiceConfig(
         bto_timeout=args.bto_timeout,
-        ldbs_backend=args.backend,
-        gtm_config=GTMConfig(mvcc_reads=args.mvcc_reads)))
+        ldbs_backend=args.backend))
     for index in range(args.objects):
         service.create_object(f"o{index:05d}", value=args.initial_value)
     server = ServiceServer(service)
@@ -33,9 +31,7 @@ async def _serve(args: argparse.Namespace) -> int:
     backend = args.backend or "none (virtual objects)"
     print(f"gtm service listening on {host}:{port} "
           f"({args.objects} objects, bto={args.bto_timeout}s, "
-          f"ldbs backend: {backend}, "
-          f"mvcc reads: {'on' if args.mvcc_reads else 'off'})",
-          flush=True)
+          f"ldbs backend: {backend})", flush=True)
     stop = asyncio.Event()
     loop = asyncio.get_event_loop()
     with contextlib.suppress(NotImplementedError):
@@ -64,9 +60,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="run commits as real SSTs against this "
                              "LDBS backend (default: virtual objects, "
                              "no SSTs)")
-    parser.add_argument("--mvcc-reads", action="store_true",
-                        help="serve the READ class lock-free from "
-                             "versioned permanent state")
     args = parser.parse_args(argv)
     return asyncio.run(_serve(args))
 

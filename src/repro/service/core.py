@@ -36,8 +36,7 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.core.events import GTMObserver
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
-from repro.core.mvcc import build_transaction_manager
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome
 from repro.core.objects import ObjectBinding
 from repro.core.opclass import OperationClass
 from repro.core.sst import SSTExecutor
@@ -59,7 +58,8 @@ _OBJECTS_TABLE = "gtm_objects"
 
 @dataclass
 class ServiceConfig:
-    """Service-layer tunables (the protocol knobs live in GTMConfig)."""
+    """Service-layer tunables (the protocol knobs live in the ``gtm``'s
+    GTMConfig)."""
 
     #: Seconds a detached session may stay away before its sleeping
     #: transactions are aborted (the paper's bounded time-out for
@@ -86,10 +86,6 @@ class ServiceConfig:
     #: members, or non-numeric values, stay virtual: their commits run
     #: no SST).  None keeps the whole service virtual.
     ldbs_backend: str | None = None
-    #: Protocol knobs for a service-built GTM (ignored when an explicit
-    #: ``gtm`` is passed in).  ``GTMConfig(mvcc_reads=True)`` makes the
-    #: READ class never-blocking (see docs/PERFORMANCE.md §10).
-    gtm_config: GTMConfig | None = None
 
 
 class _ServiceObserver(GTMObserver):
@@ -127,12 +123,9 @@ class GTMService:
                 (Column("name", ColumnType.TEXT),
                  Column("value", ColumnType.FLOAT, nullable=True)),
                 primary_key="name"))
-            gtm = build_transaction_manager(
-                config=self.config.gtm_config,
-                clock=driver.clock,
-                sst_executor=SSTExecutor(self.backend))
-        self.gtm = gtm or build_transaction_manager(
-            config=self.config.gtm_config, clock=driver.clock)
+            gtm = GlobalTransactionManager(
+                clock=driver.clock, sst_executor=SSTExecutor(self.backend))
+        self.gtm = gtm or GlobalTransactionManager(clock=driver.clock)
         #: txn id -> {(object, member): FIFO of request ids} for
         #: queued ops (a list, so repeat ops on one member both get
         #: their late grant pushed); empty while no op is queued.
@@ -465,9 +458,8 @@ class GTMService:
 
     def _reply_op_aborted(self, session: Session, txn_id: str,
                           fid: Any) -> None:
-        """The kernel aborted the transaction inside ``invoke``: answer
-        with its reason — a deadlock victim or, under ``mvcc_reads``, a
-        stale or evicted snapshot — and count it under that reason."""
+        """The kernel aborted the transaction inside ``invoke``, as a
+        deadlock victim: answer with the reason and count it."""
         reason = self._responding_reason
         if reason == "deadlock-victim":
             reason = "deadlock"  # the wire's name for it

@@ -28,7 +28,6 @@ from math import isfinite
 from typing import Any, Callable
 
 from repro.errors import (
-    CertificationError,
     GTMError,
     IllegalTransition,
     IncompatibleOperations,
@@ -214,11 +213,6 @@ ERROR_SPECS: tuple[ErrorSpec, ...] = (
                                           f.get("target", "?"))),
     _message_spec(IncompatibleOperations, "gtm/incompatible-operations"),
     _message_spec(ReconciliationError, "gtm/reconciliation"),
-    ErrorSpec(
-        CertificationError, "gtm/certification",
-        fields=lambda e: {"txn": e.txn_id, "reason": e.reason},
-        build=lambda f: CertificationError(f.get("txn", "?"),
-                                           f.get("reason", ""))),
     ErrorSpec(
         SSTFailure, "gtm/sst-failure",
         fields=lambda e: {"txn": e.txn_id, "reason": e.reason},

@@ -13,10 +13,9 @@ runs schedule alike and only their logs differ.  Required of each pair:
   transaction), so folding may make the oracle stricter, never more
   lenient.
 
-The two fault-injection control legs — the reverted late-grant snapshot
-(``tests/check/test_injection.py``) and the certifier with
-``validate_promotions=False`` (``tests/federation/test_fault_injection.py``)
-— are included so that the rejection half is not vacuous.
+The fault-injection control leg — the reverted late-grant snapshot
+(``tests/check/test_injection.py``) — is included so that the rejection
+half is not vacuous.
 """
 
 import pytest
@@ -28,16 +27,8 @@ from repro.check.oracle import check_episode, record_gtm, \
 from repro.check.runner import build_scheduler
 from repro.core import history
 from repro.core.admission import AdmissionController
-from repro.core.gtm import GTMConfig
 from repro.core.history import serial_replay
-from repro.core.mvcc import CommitmentOrderCertifier
-from repro.schedulers.gtm_scheduler import GTMScheduler, \
-    GTMSchedulerConfig
 from tests.check.test_injection import INJECTION_CONFIG, _buggy_grant
-from tests.federation.test_fault_injection import (
-    CONFIG as PROMOTION_CONFIG,
-    SEED as PROMOTION_SEED,
-)
 
 EPISODES = 60
 
@@ -51,24 +42,6 @@ def _kernel_run(config, seed):
     return run
 
 
-def _mvcc_run(index):
-    spec = generate_episode(PROMOTION_CONFIG, PROMOTION_SEED, index)
-    scheduler = GTMScheduler(GTMSchedulerConfig(
-        gtm_config=GTMConfig(mvcc_reads=True),
-        wait_timeout=spec.wait_timeout))
-    scheduler.run(episode_workload(spec))
-    return scheduler.last_gtm
-
-
-def _no_promotion_check(monkeypatch):
-    original = CommitmentOrderCertifier.__init__
-
-    def sabotaged(self, validate_promotions=True):
-        original(self, validate_promotions=False)
-
-    monkeypatch.setattr(CommitmentOrderCertifier, "__init__", sabotaged)
-
-
 def _stale_snapshot(monkeypatch):
     monkeypatch.setattr(AdmissionController, "grant", _buggy_grant)
 
@@ -77,9 +50,7 @@ def _stale_snapshot(monkeypatch):
 LEGS = {
     "intact": (_kernel_run(FuzzConfig(scheduler="gtm", max_txns=8), 25),
                None),
-    "intact-mvcc": (_mvcc_run, None),
     "stale-snapshot": (_kernel_run(INJECTION_CONFIG, 42), _stale_snapshot),
-    "no-promotion-check": (_mvcc_run, _no_promotion_check),
 }
 
 

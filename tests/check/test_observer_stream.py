@@ -22,7 +22,7 @@ from repro.schedulers import gtm_scheduler
 
 SEED = 42
 EPISODES = 50
-_BUILD = gtm_scheduler.build_transaction_manager
+_BUILD = gtm_scheduler.GlobalTransactionManager
 
 #: The contended fuzz mixes: the default mix is where outages put
 #: transactions to sleep, ``contended`` queues two dozen transactions on
@@ -108,7 +108,7 @@ def record_stream(config: FuzzConfig, patch) -> list[str]:
         gtm.subscribe(recorder)
         return gtm
 
-    patch.setattr(gtm_scheduler, "build_transaction_manager",
+    patch.setattr(gtm_scheduler, "GlobalTransactionManager",
                   build_and_subscribe)
     for index in range(EPISODES):
         spec = generate_episode(config, SEED, index)

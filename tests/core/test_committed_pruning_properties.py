@@ -2,20 +2,16 @@
 
 ``X_committed`` keeps a commit record only while some transaction
 sleeps on X.  Random interleavings of invoke / commit / sleep / awake /
-abort on one object are replayed against the kernel and against its
-MVCC subclass (the lock-free read path on); the test keeps the
-*unpruned* history
-itself, from the commit notifications, and at every ⟨awake⟩ the
-predicate must answer the same on both lists.  The clock is the test's
+abort on one object are replayed against the kernel; the test keeps
+the *unpruned* history itself, from the commit notifications, and at
+every ⟨awake⟩ the predicate must answer the same on both lists.  The clock is the test's
 and often stands still, so ``X_tc == A_t_sleep`` ties are exercised.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.events import GTMObserver
 from repro.core.gtm import GlobalTransactionManager
-from repro.core.mvcc import MVCCTransactionManager
 from repro.core.objects import CommitRecord
 from repro.core.opclass import add, assign, multiply, read
 from repro.core.states import TransactionState
@@ -46,22 +42,13 @@ class History(GTMObserver):
             self.records.append(CommitRecord(txn.txn_id, ops, now))
 
 
-def build_monolith(clock, observer):
-    gtm = GlobalTransactionManager(clock=clock, observer=observer)
-    return gtm, gtm.sleep_manager
-
-
-def build_mvcc(clock, observer):
-    gtm = MVCCTransactionManager(clock=clock, observer=observer)
-    return gtm, gtm.sleep_manager
-
-
 class Driver:
-    def __init__(self, build) -> None:
+    def __init__(self) -> None:
         self.time = 1.0
         self.history = History()
-        self.gtm, self.sleep_manager = build(lambda: self.time,
-                                             self.history)
+        self.gtm = GlobalTransactionManager(clock=lambda: self.time,
+                                            observer=self.history)
+        self.sleep_manager = self.gtm.sleep_manager
         self.gtm.create_object("X", value=1)
         self.names = [f"T{index}" for index in range(N_TXNS)]
         for name in self.names:
@@ -111,11 +98,10 @@ class Driver:
         assert obj.sleeping or not obj.committed
 
 
-@pytest.mark.parametrize("build", [build_monolith, build_mvcc])
 @settings(max_examples=150, deadline=None)
 @given(steps)
-def test_pruned_history_gives_the_same_awake_verdicts(build, actions):
-    driver = Driver(build)
+def test_pruned_history_gives_the_same_awake_verdicts(actions):
+    driver = Driver()
     for index, action, advance in actions:
         driver.step(index, action, advance)
     for name in driver.names:               # wake whoever still sleeps
@@ -129,7 +115,7 @@ def test_pruned_history_gives_the_same_awake_verdicts(build, actions):
 def test_the_interleavings_do_reach_conflicting_awakes():
     """Guard against a vacuous property: a hand-written schedule in
     which the verdict is *conflict* only because of a commit record."""
-    driver = Driver(build_monolith)
+    driver = Driver()
     gtm = driver.gtm
     gtm.invoke("T0", "X", add(1))
     gtm.sleep("T0")

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.core.gtm import GlobalTransactionManager, GTMConfig
-from repro.core.mvcc import build_transaction_manager
+from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add, assign, multiply, read, subtract
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
@@ -249,13 +248,11 @@ class TestRequestCommitDriver:
 
 class TestEmptyCommit:
     """Benchmark finding F4: ⟨commit⟩ on a transaction that invoked
-    nothing commits trivially — under *both* managers, since both run
-    the one commit pipeline."""
+    nothing commits trivially."""
 
-    @pytest.fixture(params=[False, True], ids=["monolith", "mvcc"])
-    def gtm(self, request):
-        gtm = build_transaction_manager(
-            GTMConfig(mvcc_reads=request.param),
+    @pytest.fixture
+    def gtm(self):
+        gtm = GlobalTransactionManager(
             sst_executor=SSTExecutor(create_backend("memory")))
         gtm.create_object("X", value=100)
         return gtm

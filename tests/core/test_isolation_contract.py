@@ -8,26 +8,18 @@ class, so a write that *depends on a READ of another object* is not
 protected — and the oracle, which compares states and not the values
 reads returned, cannot see it.  The schedule below is the textbook write
 skew: no serial order lets both reads return 1, both transactions
-commit, and every check is clean.  This is documented behaviour, on the
-locking kernel and on the lock-free-READ one alike; the reads-from
-check that would tell the two apart is ROADMAP item 1.
+commit, and every check is clean.  This is documented behaviour; the
+reads-from check that would see it is ROADMAP item 2.
 """
 
-import pytest
-
 from repro.check.oracle import check_episode, record_gtm
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
-from repro.core.mvcc import build_transaction_manager
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome
 from repro.core.opclass import assign, read
 from repro.core.states import TransactionState
 
 
-@pytest.mark.parametrize("build", [
-    GlobalTransactionManager,
-    lambda: build_transaction_manager(GTMConfig(mvcc_reads=True)),
-], ids=["locking", "mvcc_reads"])
-def test_write_skew_commits_and_every_checker_passes(build):
-    gtm = build()
+def test_write_skew_commits_and_every_checker_passes():
+    gtm = GlobalTransactionManager()
     gtm.create_object("x", value=1)
     gtm.create_object("y", value=1)
     gtm.begin("T1")

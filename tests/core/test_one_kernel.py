@@ -1,12 +1,14 @@
-"""Structural pins for "one kernel" (ROADMAP item 2).
+"""Structural pins for "one kernel".
 
 Algorithms 1-11 are written once, in
 :class:`~repro.core.gtm.GlobalTransactionManager` and the subsystems it
-wires; the MVCC subclass inherits them.  These tests fail the moment a
-second copy of a driver, a second subsystem construction site, a
-second ``X_committed`` writer or a second way into the kernel appears.
+wires.  These tests fail the moment a second transaction manager, a
+second subsystem construction site, a second ``X_committed`` writer or
+a second way into the kernel appears.
 """
 
+import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -14,16 +16,19 @@ import pytest
 
 import repro
 from repro.core import events
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
-from repro.core.mvcc import MVCCTransactionManager, build_transaction_manager
-from repro.core.opclass import delete_object, read
-from repro.errors import GTMError
+from repro.core.gtm import GlobalTransactionManager, GTMConfig
+from repro.core.reconciliation import ReconcilerRegistry
+from repro.errors import GTMError, ReconciliationError
 
 SRC = Path(repro.__file__).resolve().parent
 
 KERNEL_DRIVERS = ("begin", "local_commit", "global_commit", "request_commit",
                   "try_finish_commit", "pump_commits", "local_abort",
                   "abort", "sleep")
+
+#: The protocol knobs; a field more is an option no benchmark asked for.
+GTM_CONFIG_FIELDS = ("matrix", "dependence", "registry", "grant_policy",
+                     "throttle", "deadlock_policy", "conflict_engine")
 
 
 def _call_sites(pattern: str) -> list[str]:
@@ -36,12 +41,38 @@ def _call_sites(pattern: str) -> list[str]:
         if regex.search(line))
 
 
+def _kernel_subclasses() -> list[ast.ClassDef]:
+    """Classes under ``src/`` that subclass the kernel, read with
+    :mod:`ast` so nothing is imported."""
+    return [
+        node
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any((base.id if isinstance(base, ast.Name)
+                 else getattr(base, "attr", None))
+                == "GlobalTransactionManager" for base in node.bases)]
+
+
 @pytest.mark.parametrize("name", KERNEL_DRIVERS)
 def test_the_federation_defines_no_algorithm_driver(name):
-    # "federation": the subclass's former name, kept in this test's id.
-    assert issubclass(MVCCTransactionManager, GlobalTransactionManager)
-    assert getattr(MVCCTransactionManager, name) \
-        is getattr(GlobalTransactionManager, name)
+    # "federation": the name of a former kernel subclass, kept in this
+    # test's id.  Each driver is written on the kernel itself, and no
+    # class under src/ carries a second copy of it.
+    assert callable(vars(GlobalTransactionManager).get(name))
+    copies = [f"{node.name}.{name}" for node in _kernel_subclasses()
+              for item in node.body
+              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and item.name == name]
+    assert copies == []
+
+
+def test_the_kernel_is_the_only_transaction_manager():
+    """No class under ``src/`` subclasses the kernel, and ``GTMConfig``
+    holds exactly the protocol knobs."""
+    assert [node.name for node in _kernel_subclasses()] == []
+    assert tuple(field.name for field in dataclasses.fields(GTMConfig)) \
+        == GTM_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("constructor", ["AdmissionController",
@@ -72,17 +103,14 @@ def test_the_kernel_has_one_way_in_its_methods():
 
 
 def test_the_kernel_refuses_a_config_it_will_not_honour():
-    """``mvcc_reads`` on the locking kernel used to be ignored in
-    silence: a READ behind a DELETE holder queued where the same config
-    through ``build_transaction_manager`` granted it."""
-    config = GTMConfig(mvcc_reads=True)
-    with pytest.raises(GTMError, match="mvcc_reads"):
-        GlobalTransactionManager(config)
-    MVCCTransactionManager()  # the default config stays legal
-    for gtm in (MVCCTransactionManager(config),
-                build_transaction_manager(config)):
-        gtm.create_object("x", value=7)
-        gtm.begin("w")
-        gtm.invoke("w", "x", delete_object())
-        gtm.begin("r")
-        assert gtm.invoke("r", "x", read()) == GrantOutcome.GRANTED
+    """A knob the kernel does not implement is refused at construction,
+    never ignored in silence: the removed ``mvcc_reads`` switch, an
+    unknown conflict engine, a registry that breaks Definition 1
+    condition 3."""
+    with pytest.raises(TypeError, match="mvcc_reads"):
+        GTMConfig(mvcc_reads=True)
+    with pytest.raises(GTMError, match="conflict engine"):
+        GlobalTransactionManager(GTMConfig(conflict_engine="mvcc"))
+    with pytest.raises(ReconciliationError, match="no reconciler"):
+        GlobalTransactionManager(GTMConfig(registry=ReconcilerRegistry()))
+    GlobalTransactionManager()  # the default config stays legal

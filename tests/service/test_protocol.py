@@ -293,8 +293,6 @@ def _public_gtm_error_classes():
 #: generically) keeps attribute payloads realistic.
 _EXEMPLARS = {
     "GTMError": lambda: GTMError("plain failure"),
-    "CertificationError": lambda: errors_module.CertificationError(
-        "t3", "snapshot of 'X' pinned at csn 2 is stale"),
     "ProtocolError": lambda: ProtocolError("awake", "not sleeping"),
     "IllegalTransition": lambda: IllegalTransition(
         "t1", "sleeping", "committed"),
