@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from repro.bench.registry import get_experiment, list_experiments
-from repro.parallel import parse_jobs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -27,11 +26,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output-dir", default=None,
                         help="also write each experiment's output to "
                              "<dir>/<id>.txt")
-    parser.add_argument("--jobs", type=parse_jobs, default=1,
-                        metavar="N|auto",
-                        help="worker processes for experiment sweeps "
-                             "(auto = CPU count); outputs are "
-                             "byte-identical to --jobs 1 (default 1)")
     arguments = parser.parse_args(argv)
 
     if not arguments.experiments:
@@ -53,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     for experiment_id in requested:
         experiment = get_experiment(experiment_id)
         banner = f"=== {experiment.paper_artifact}: {experiment.title} ==="
-        output = experiment.main(jobs=arguments.jobs)
+        output = experiment.main()
         print(banner)
         print(output)
         print()

@@ -434,8 +434,7 @@ def render_sst_recovery(results: list[SSTRecoveryResult]) -> str:
         rows, title="A4 — SST failure injection and recovery")
 
 
-def main(jobs: int | str = 1) -> str:
-    del jobs  # ablations are small targeted scenarios, run serially
+def main() -> str:
     blocks = [
         render_starvation(run_starvation()),
         render_constraints(run_constraints()),

@@ -98,8 +98,7 @@ def shape_checks(data: Figure2Data) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    del jobs  # closed-form model evaluation, not worth sharding
+def main() -> str:
     data = run()
     text = render(data)
     checks = shape_checks(data)

@@ -10,9 +10,7 @@ inter-arrival 0.5 s.
 
 ``n_transactions`` is configurable so the pytest benchmark can run a
 scaled-down grid quickly; ``python -m repro.bench fig3`` uses the paper's
-full 1000.  Grid points are independent seeded emulations, so
-``run(jobs=N)`` shards them across worker processes
-(:class:`repro.parallel.ParallelMap`) with byte-identical output.
+full 1000.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.metrics.report import render_table
-from repro.parallel import ParallelMap, require_results
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
@@ -93,29 +90,18 @@ def _run_point(alpha: float, beta: float, n: int, seed: int,
     )
 
 
-def _sweep_task(args: tuple) -> SweepPoint:
-    """Top-level grid-point task (spawn-picklable by reference)."""
-    return _run_point(*args)
-
-
-def run(config: Fig3Config | None = None, jobs: int | str = 1) -> Fig3Data:
-    """Run both sweeps of the Fig. 3 emulation (grid sharded over
-    ``jobs`` worker processes; output independent of ``jobs``)."""
+def run(config: Fig3Config | None = None) -> Fig3Data:
+    """Run both sweeps of the Fig. 3 emulation."""
     config = config or Fig3Config()
     data = Fig3Data(config=config)
-    items = [(alpha, config.fixed_beta, config.n_transactions,
-              config.seed, config.repetitions)
-             for alpha in config.alphas]
-    items += [(config.fixed_alpha, beta, config.n_transactions,
-               config.seed, config.repetitions)
-              for beta in config.betas]
-    points = require_results(
-        ParallelMap(jobs=jobs, chunk_size=1).map(_sweep_task, items),
-        "Fig. 3 grid point")
-    for alpha, point in zip(config.alphas, points):
+    for alpha in config.alphas:
+        point = _run_point(alpha, config.fixed_beta, config.n_transactions,
+                           config.seed, config.repetitions)
         point.x = alpha
         data.alpha_sweep.append(point)
-    for beta, point in zip(config.betas, points[len(config.alphas):]):
+    for beta in config.betas:
+        point = _run_point(config.fixed_alpha, beta, config.n_transactions,
+                           config.seed, config.repetitions)
         point.x = beta
         data.beta_sweep.append(point)
     return data
@@ -175,8 +161,8 @@ def shape_checks(data: Fig3Data) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    data = run(jobs=jobs)
+def main() -> str:
+    data = run()
     text = render(data)
     checks = shape_checks(data)
     lines = [text, "", "shape checks:"]

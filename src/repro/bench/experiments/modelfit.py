@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.analytic.model import our_execution_time, twopl_execution_time
 from repro.metrics.report import render_table
-from repro.parallel import ParallelMap, require_results
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
@@ -115,26 +114,15 @@ def _measure_alpha(config: ModelFitConfig, alpha: float) -> float:
             / max(gtm.stats.avg_execution_time, 1e-9))
 
 
-def _measure_alpha_task(args: tuple) -> float:
-    """Top-level alpha grid task (spawn-picklable by reference)."""
-    return _measure_alpha(*args)
-
-
-def run(config: ModelFitConfig | None = None,
-        jobs: int | str = 1) -> ModelFitData:
+def run(config: ModelFitConfig | None = None) -> ModelFitData:
     config = config or ModelFitConfig()
     data = ModelFitData()
-    items = [(config, alpha) for alpha in config.alphas]
-    measured_series = require_results(
-        ParallelMap(jobs=jobs, chunk_size=1).map(
-            _measure_alpha_task, items),
-        "model-fit grid point")
-    for alpha, measured in zip(config.alphas, measured_series):
+    for alpha in config.alphas:
         data.points.append(ModelFitPoint(
             alpha=alpha,
             predicted_advantage=predicted_advantage(
                 alpha, config.model_n, config.conflict_fraction),
-            measured_advantage=measured,
+            measured_advantage=_measure_alpha(config, alpha),
         ))
     data.spearman = spearman_correlation(
         [p.predicted_advantage for p in data.points],
@@ -170,8 +158,8 @@ def shape_checks(data: ModelFitData) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    data = run(jobs=jobs)
+def main() -> str:
+    data = run()
     checks = shape_checks(data)
     lines = [render(data), "", "shape checks:"]
     lines.extend(f"  {name}: {'PASS' if ok else 'FAIL'}"

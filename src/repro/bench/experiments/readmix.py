@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from repro.core.opclass import read, subtract
 from repro.metrics.report import render_table
-from repro.parallel import ParallelMap, require_results
 from repro.mobile.client import ThinkTimeModel
 from repro.mobile.session import SessionPlan
 from repro.schedulers import (
@@ -94,19 +93,11 @@ def _mix_point(config: ReadMixConfig, rho: float) -> ReadMixPoint:
     )
 
 
-def _mix_point_task(args: tuple) -> ReadMixPoint:
-    """Top-level mix-point task (spawn-picklable by reference)."""
-    return _mix_point(*args)
-
-
-def run(config: ReadMixConfig | None = None,
-        jobs: int | str = 1) -> ReadMixData:
+def run(config: ReadMixConfig | None = None) -> ReadMixData:
     config = config or ReadMixConfig()
     data = ReadMixData(config=config)
-    items = [(config, rho) for rho in config.read_fractions]
-    data.points = require_results(
-        ParallelMap(jobs=jobs, chunk_size=1).map(_mix_point_task, items),
-        "read-mix grid point")
+    data.points = [_mix_point(config, rho)
+                   for rho in config.read_fractions]
     return data
 
 
@@ -138,8 +129,8 @@ def shape_checks(data: ReadMixData) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    data = run(jobs=jobs)
+def main() -> str:
+    data = run()
     checks = shape_checks(data)
     lines = [render(data), "", "shape checks:"]
     lines.extend(f"  {name}: {'PASS' if ok else 'FAIL'}"

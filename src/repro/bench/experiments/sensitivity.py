@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.metrics.report import render_table
-from repro.parallel import ParallelMap, require_results
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
@@ -115,37 +114,26 @@ def _measure(workload_config: PaperWorkloadConfig,
     )
 
 
-def _measure_task(args: tuple) -> SensitivityRow:
-    """Top-level sweep-row task (spawn-picklable by reference)."""
-    return _measure(*args)
-
-
-def run(config: SensitivityConfig | None = None,
-        jobs: int | str = 1) -> SensitivityData:
+def run(config: SensitivityConfig | None = None) -> SensitivityData:
     config = config or SensitivityConfig()
     data = SensitivityData()
     base = dict(n_transactions=config.n_transactions, alpha=config.alpha,
                 beta=config.beta, seed=config.seed)
-
-    items: list[tuple] = []
     for work_mean in config.work_time_means:
-        items.append((
+        data.rows.append(_measure(
             PaperWorkloadConfig(work_time_mean=work_mean, **base),
             TwoPLSchedulerConfig(),
             "work_time_mean", f"{work_mean}s"))
     for interarrival in config.interarrivals:
-        items.append((
+        data.rows.append(_measure(
             PaperWorkloadConfig(interarrival=interarrival, **base),
             TwoPLSchedulerConfig(),
             "interarrival", f"{interarrival}s"))
     for outage, timeout in config.outage_vs_timeout:
-        items.append((
+        data.rows.append(_measure(
             PaperWorkloadConfig(disconnect_duration_fixed=outage, **base),
             TwoPLSchedulerConfig(sleep_timeout=timeout),
             "outage/timeout", f"outage={outage}s timeout={timeout}s"))
-    data.rows = require_results(
-        ParallelMap(jobs=jobs, chunk_size=1).map(_measure_task, items),
-        "sensitivity sweep row")
     return data
 
 
@@ -174,8 +162,8 @@ def shape_checks(data: SensitivityData) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    data = run(jobs=jobs)
+def main() -> str:
+    data = run()
     checks = shape_checks(data)
     lines = [render(data), "", "shape checks:"]
     lines.extend(f"  {name}: {'PASS' if ok else 'FAIL'}"

@@ -140,6 +140,5 @@ def render(result: Table2Result) -> str:
     return f"{table}\n\nmatches paper Table II: {verdict}"
 
 
-def main(jobs: int | str = 1) -> str:
-    del jobs  # single scripted scenario, runs in milliseconds
+def main() -> str:
     return render(run())

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.metrics.report import render_table
-from repro.parallel import ParallelMap, require_results
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
@@ -77,20 +76,11 @@ def _load_point(config: ThroughputConfig,
     )
 
 
-def _load_point_task(args: tuple) -> ThroughputPoint:
-    return _load_point(*args)
-
-
-def run(config: ThroughputConfig | None = None,
-        jobs: int | str = 1) -> ThroughputData:
+def run(config: ThroughputConfig | None = None) -> ThroughputData:
     config = config or ThroughputConfig()
     data = ThroughputData(config=config)
-    items = [(config, interarrival)
-             for interarrival in config.interarrivals]
-    data.points = require_results(
-        ParallelMap(jobs=jobs, chunk_size=1).map(_load_point_task,
-                                                 items),
-        "throughput grid point")
+    data.points = [_load_point(config, interarrival)
+                   for interarrival in config.interarrivals]
     return data
 
 
@@ -132,8 +122,8 @@ def shape_checks(data: ThroughputData) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    data = run(jobs=jobs)
+def main() -> str:
+    data = run()
     checks = shape_checks(data)
     lines = [render(data), "", "shape checks:"]
     lines.extend(f"  {name}: {'PASS' if ok else 'FAIL'}"

@@ -89,8 +89,7 @@ def shape_checks(generated: GeneratedWorkload) -> dict[str, bool]:
     }
 
 
-def main(jobs: int | str = 1) -> str:
-    del jobs  # one workload generation pass, not worth sharding
+def main() -> str:
     generated = run()
     checks = shape_checks(generated)
     lines = [render(generated), "", "shape checks:"]

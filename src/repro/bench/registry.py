@@ -13,18 +13,13 @@ from repro.bench.experiments import ablations, fig1, fig2, fig3, \
 
 @dataclass(frozen=True)
 class Experiment:
-    """One registered experiment.
-
-    ``main(jobs=N)`` regenerates the artifact; experiments with
-    parallelizable sweeps shard their grid points over ``jobs`` worker
-    processes (output is byte-identical for every ``jobs``), the rest
-    accept and ignore the knob so the CLI stays uniform.
-    """
+    """One registered experiment: ``main()`` regenerates the artifact
+    and returns its text."""
 
     id: str
     title: str
     paper_artifact: str
-    main: Callable[..., str]
+    main: Callable[[], str]
 
 
 EXPERIMENTS: dict[str, Experiment] = {

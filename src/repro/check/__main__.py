@@ -7,7 +7,7 @@ Examples::
     python -m repro.check --seed 7 --episodes 500 --trace-dir traces \\
         --emit-test tests/check/test_regression_auto.py
     python -m repro.check --backend-differential --scheduler all \\
-        --episodes 200 --jobs auto
+        --episodes 200
 
 ``--backend-differential`` switches from the oracle campaign to the
 memory-vs-SQLite LDBS differential: every episode runs once per
@@ -39,18 +39,13 @@ from pathlib import Path
 
 from repro.check.differential import run_backend_differential_campaign
 from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig
-from repro.check.runner import (
-    CampaignReport,
-    rehydrate_outcome,
-    run_campaign,
-)
+from repro.check.runner import CampaignReport, run_campaign
 from repro.check.service_fuzzer import (
     ServiceFuzzConfig,
     run_service_campaign,
 )
 from repro.metrics.trace import write_episode_trace
 from repro.obs.export import render_frame_summary
-from repro.parallel import parse_jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,14 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max objects per episode (default 3)")
     parser.add_argument("--max-failures", type=int, default=1,
                         help="stop a campaign after this many failures")
-    parser.add_argument("--jobs", type=parse_jobs, default=1,
-                        metavar="N|auto",
-                        help="worker processes per campaign (auto = CPU "
-                             "count); results are byte-identical to a "
-                             "serial run (default 1)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="episodes per dispatched work chunk "
-                             "(default: sized from --jobs)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip minimizing failing episodes")
     parser.add_argument("--emit-test", metavar="FILE",
@@ -109,17 +96,13 @@ def _report_failures(report: CampaignReport,
     for outcome in report.failures:
         print()
         print(outcome.summary())
-        if args.trace_dir:
-            # campaign outcomes are compact (no raw result crosses the
-            # worker boundary); re-run the pure spec to dump its trace.
-            full = rehydrate_outcome(outcome)
-            if full.result is not None:
-                trace_name = (f"episode-{report.config.scheduler}"
-                              f"-{outcome.spec.index}.json")
-                path = write_episode_trace(
-                    Path(args.trace_dir) / trace_name, full.result,
-                    description=outcome.spec.describe())
-                print(f"trace written to {path}")
+        if args.trace_dir and outcome.result is not None:
+            trace_name = (f"episode-{report.config.scheduler}"
+                          f"-{outcome.spec.index}.json")
+            path = write_episode_trace(
+                Path(args.trace_dir) / trace_name, outcome.result,
+                description=outcome.spec.describe())
+            print(f"trace written to {path}")
     if report.shrunk is not None:
         print()
         print(f"minimized: {report.shrunk.describe()}")
@@ -155,8 +138,7 @@ def _run_backend_differential(args: argparse.Namespace,
         report = run_backend_differential_campaign(
             config, args.seed, args.episodes,
             max_divergences=args.max_failures,
-            progress=progress, jobs=args.jobs,
-            chunk_size=args.chunk_size, observe=args.observe)
+            progress=progress, observe=args.observe)
         print(report.summary())
         if not report.ok:
             exit_code = 1
@@ -180,8 +162,7 @@ def _run_service_fuzz(args: argparse.Namespace) -> int:
         config, args.seed, args.episodes,
         max_failures=args.max_failures,
         shrink_failures=not args.no_shrink,
-        progress=progress, jobs=args.jobs,
-        chunk_size=args.chunk_size)
+        progress=progress)
     print(report.summary())
     if report.ok:
         return 0
@@ -230,9 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_campaign(config, args.seed, args.episodes,
                               max_failures=args.max_failures,
                               shrink_failures=not args.no_shrink,
-                              progress=progress, jobs=args.jobs,
-                              chunk_size=args.chunk_size,
-                              observe=args.observe)
+                              progress=progress, observe=args.observe)
         print(report.summary())
         if args.observe and report.metrics is not None:
             print(render_frame_summary(report.metrics))

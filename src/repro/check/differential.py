@@ -26,13 +26,9 @@ paper's "ordinary ACID transactions against the LDBS" claim, proven
 against a real database.  Every divergence this mode finds is a bug to
 fix and pin, in the PR 2/PR 5 style.
 
-Campaigns fan out across worker processes (``jobs=N``): each worker
-regenerates its episodes from the warm ``(config, seed)`` context and
-sends back only a verdict and a canonical SHA-256 digest of the full
-observable outcome (:func:`comparison_digest`) — never the traces
-themselves.  Divergent episodes are re-compared in the parent (episode
-runs are pure, so the rerun reproduces the worker's divergence
-exactly), which keeps the report identical to a serial run's.
+A campaign runs its episodes in order and folds each one's canonical
+SHA-256 digest of the full observable outcome
+(:func:`comparison_digest`) into a rolling campaign digest.
 """
 
 from __future__ import annotations
@@ -53,12 +49,6 @@ from repro.check.invariants import check_episode_invariants
 from repro.core.gtm import GTMConfig
 from repro.errors import WorkloadError
 from repro.metrics.trace import episode_trace
-from repro.parallel import (
-    ParallelMap,
-    WorkerContext,
-    WorkerCrash,
-    check_spec_concrete,
-)
 from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
 
 #: (label, GTMConfig overrides) for each GTM variant under comparison.
@@ -138,8 +128,7 @@ def comparison_digest(comparison: EpisodeComparison) -> str:
 
     Covers every variant's trace, permanent object state, invariant
     violations and crash text plus the computed diffs, serialized as
-    sorted-key JSON so dict ordering cannot leak into the hash.  This
-    is the compact form workers return instead of pickling traces back.
+    sorted-key JSON so dict ordering cannot leak into the hash.
     """
     payload = {
         "episode": comparison.spec.index,
@@ -170,26 +159,28 @@ def _gtm_variant_scheduler(spec: EpisodeSpec,
 
 def _run_variant(spec: EpisodeSpec, label: str,
                  build: Callable[[], Any]) -> VariantRun:
-    run = VariantRun(label=label)
-    scheduler = build()
+    """One variant's outcome; a crash anywhere in it (build, run,
+    trace, invariant sweep, LDBS dump) is recorded, never raised."""
     try:
+        scheduler = build()
         result = scheduler.run(episode_workload(spec))
-    except Exception:  # noqa: BLE001 - a variant-only crash IS a divergence
-        run.crash = traceback.format_exc(limit=8)
+        run = VariantRun(label=label, trace=episode_trace(result))
+        gtm = getattr(scheduler, "last_gtm", None)
+        if gtm is not None:
+            run.permanent = {
+                name: {"exists": obj.exists,
+                       "members": dict(obj.permanent)}
+                for name, obj in gtm.objects.items()}
+            run.violations = check_episode_invariants(gtm)
+            run.witness = list(gtm.history.commit_order)
+        backend = getattr(scheduler, "last_backend", None)
+        if backend is not None:
+            run.ldbs = backend.dump()
+            backend.close()
         return run
-    run.trace = episode_trace(result)
-    gtm = getattr(scheduler, "last_gtm", None)
-    if gtm is not None:
-        run.permanent = {
-            name: {"exists": obj.exists, "members": dict(obj.permanent)}
-            for name, obj in gtm.objects.items()}
-        run.violations = check_episode_invariants(gtm)
-        run.witness = list(gtm.history.commit_order)
-    backend = getattr(scheduler, "last_backend", None)
-    if backend is not None:
-        run.ldbs = backend.dump()
-        backend.close()
-    return run
+    except Exception:  # noqa: BLE001 - a variant-only crash IS a divergence
+        return VariantRun(label=label,
+                          crash=traceback.format_exc(limit=8))
 
 
 def compare_episode(spec: EpisodeSpec,
@@ -272,85 +263,38 @@ def _first_trace_diff(a: dict[str, Any] | None,
     return "(no differing key found)"
 
 
-def _init_differential_worker(config: FuzzConfig, seed: int,
-                              observe: bool = False,
-                              mode: str = "engine") -> None:
-    """Pool initializer: campaign constants, built once per worker."""
-    WorkerContext.install(config=config, seed=seed, observe=observe,
-                          mode=mode)
-
-
-def _differential_episode_task(index: int) -> tuple[bool, str]:
-    """Worker task: compare episode ``index``, return (ok, digest).
-
-    The full comparison (traces of every variant) stays worker-side;
-    only the verdict and the canonical digest cross the boundary.
-    """
-    spec = generate_episode(WorkerContext.get("config"),
-                            WorkerContext.get("seed"), index)
-    comparison = compare_episode(spec,
-                                 observe=WorkerContext.get("observe"),
-                                 mode=WorkerContext.get("mode"))
-    return comparison.ok, comparison_digest(comparison)
-
-
 def run_differential_campaign(
         config: FuzzConfig, seed: int, episodes: int,
         max_divergences: int = 5,
         progress: Callable[[int, bool], None] | None = None,
-        jobs: int | str = 1, chunk_size: int | None = None,
         observe: bool = False,
         mode: str = "engine",
 ) -> DifferentialReport:
-    """Run ``episodes`` seeded episodes through every variant.
+    """Run ``episodes`` seeded episodes, in order, through every variant.
 
     ``mode`` picks the comparison axis: conflict engines (``"engine"``,
     the default) or LDBS backends (``"backend"``, in-memory vs SQLite).
-    ``jobs`` shards episodes across worker processes; the merge runs in
-    episode order with the serial early-stop rule, so the report and
-    its rolling ``digest`` are identical for every ``jobs`` /
-    ``chunk_size``.  Divergent (or worker-crashed) episodes are
-    re-compared in the parent to rebuild the full comparison object.
-    ``progress`` receives ``(index, ok)`` per merged episode.
+    ``progress`` receives ``(index, ok)`` per episode.
     """
-    check_spec_concrete(config, "campaign config")
     if mode not in DIFFERENTIAL_MODES:
         raise WorkloadError(f"unknown differential mode {mode!r}; "
                             f"expected one of {DIFFERENTIAL_MODES}")
     report = DifferentialReport(config=config, seed=seed,
                                 episodes=episodes)
     rolling = hashlib.sha256()
-    mapper = ParallelMap(jobs=jobs, chunk_size=chunk_size,
-                         initializer=_init_differential_worker,
-                         initargs=(config, seed, observe, mode))
-    stream = mapper.imap(_differential_episode_task, range(episodes))
-    try:
-        for index, merged in stream:
-            if isinstance(merged, WorkerCrash):
-                # the worker died outside compare_episode's own crash
-                # capture; rerunning in the parent either reproduces a
-                # deterministic failure or records the worker loss.
-                comparison = _recompare_or_crash(config, seed, index,
-                                                 merged, mode)
-                ok, digest = comparison.ok, comparison_digest(comparison)
-            else:
-                ok, digest = merged
-                comparison = None
-            rolling.update(f"{index}|{int(ok)}|{digest}\n"
-                           .encode("utf-8"))
-            report.digest = rolling.hexdigest()
-            if progress is not None:
-                progress(index, ok)
-            if not ok:
-                if comparison is None:
-                    spec = generate_episode(config, seed, index)
-                    comparison = compare_episode(spec, observe=observe,
-                                                 mode=mode)
-                report.divergent.append(comparison)
-                if len(report.divergent) >= max_divergences:
-                    break
-    finally:
-        stream.close()
+    for index in range(episodes):
+        comparison = compare_episode(generate_episode(config, seed, index),
+                                     observe=observe, mode=mode)
+        rolling.update(f"{index}|{int(comparison.ok)}|"
+                       f"{comparison_digest(comparison)}\n"
+                       .encode("utf-8"))
+        report.digest = rolling.hexdigest()
+        if progress is not None:
+            progress(index, comparison.ok)
+        if not comparison.ok:
+            report.divergent.append(comparison)
+            if len(report.divergent) >= max_divergences:
+                break
     return report
 
 
@@ -361,16 +305,3 @@ def run_backend_differential_campaign(
     with ``mode="backend"`` (the CI ``backend-differential`` job)."""
     return run_differential_campaign(config, seed, episodes,
                                      mode="backend", **kwargs)
-
-
-def _recompare_or_crash(config: FuzzConfig, seed: int, index: int,
-                        crash: WorkerCrash,
-                        mode: str = "engine") -> EpisodeComparison:
-    spec = generate_episode(config, seed, index)
-    try:
-        return compare_episode(spec, mode=mode)
-    except Exception:  # noqa: BLE001 - deterministic harness failure
-        return EpisodeComparison(
-            spec=spec, runs=[],
-            diffs=[f"worker crashed running this episode:\n"
-                   f"{crash.traceback}"])

@@ -3,24 +3,16 @@
 :func:`run_episode` is a *pure function* of an :class:`EpisodeSpec`
 (specs are fully concrete; the schedulers are deterministic discrete-
 event simulations), which is what lets the shrinker treat "does this
-sub-episode still fail?" as a simple predicate — and what lets
-:func:`run_campaign` shard episodes across worker processes
-(``jobs=N``) while producing a report byte-identical to a serial run.
-
-Process-boundary discipline: workers receive bare episode indices (the
-campaign config and seed are installed once per worker by the pool
-initializer) and return *compact* outcomes — the raw
-:class:`SchedulerResult` never crosses the boundary.  Consumers that
-need the full result (the trace dumper) rehydrate it lazily via
-:func:`rehydrate_outcome`, which simply re-runs the pure spec.
+sub-episode still fail?" as a simple predicate, and what makes a
+campaign's rolling digest byte-identical from run to run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import traceback
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 from repro.check.fuzzer import (
     EpisodeSpec,
@@ -41,12 +33,6 @@ from repro.check.oracle import (
 from repro.check.shrinker import render_regression_test, shrink_episode
 from repro.errors import WorkloadError
 from repro.obs import ObsFrame, episode_frame, merge_frames
-from repro.parallel import (
-    ParallelMap,
-    WorkerContext,
-    WorkerCrash,
-    check_spec_concrete,
-)
 from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
 from repro.schedulers.optimistic import OptimisticScheduler
 from repro.schedulers.twopl_scheduler import (
@@ -117,93 +103,40 @@ def build_scheduler(spec: EpisodeSpec,
 
 
 def run_episode(spec: EpisodeSpec, observe: bool = False) -> EpisodeOutcome:
-    """Run one episode and verdict it (oracle + invariants)."""
-    workload = episode_workload(spec)
-    scheduler = build_scheduler(spec, observe=observe)
+    """Run one episode and verdict it (oracle + invariants).
+
+    A crash anywhere in the episode (building the workload or the
+    scheduler, the run, the oracle, the invariant sweeps) is returned
+    as a ``crash=`` finding, never raised: one poisoned episode must
+    not sink its campaign.
+    """
     try:
+        workload = episode_workload(spec)
+        scheduler = build_scheduler(spec, observe=observe)
         result = scheduler.run(workload)
+        if spec.scheduler == "gtm":
+            gtm = scheduler.last_gtm
+            recorded = record_gtm(gtm)
+            violations = check_episode_invariants(gtm)
+            config = scheduler.config.gtm_config
+            oracle = check_episode(recorded, matrix=config.matrix,
+                                   dependence=config.dependence)
+        else:
+            recorded = record_baseline(workload, result)
+            violations = []
+            oracle = check_episode(recorded)
+        # interval bookkeeping holds for every scheduler, bus-fed or not
+        violations.extend(check_timeline_invariants(result.collector))
+        return EpisodeOutcome(
+            spec, ok=oracle.serializable and not violations,
+            committed=len(result.collector.committed()),
+            aborted=len(result.collector.aborted()), oracle=oracle,
+            invariant_violations=violations, result=result,
+            obs_frame=(episode_frame(result, spec.scheduler) if observe
+                       else None))
     except Exception:  # noqa: BLE001 - unexpected crashes ARE findings
         return EpisodeOutcome(spec, ok=False,
                               crash=traceback.format_exc(limit=8))
-    if spec.scheduler == "gtm":
-        gtm = scheduler.last_gtm
-        recorded = record_gtm(gtm)
-        violations = check_episode_invariants(gtm)
-        config = scheduler.config.gtm_config
-        oracle = check_episode(recorded, matrix=config.matrix,
-                               dependence=config.dependence)
-    else:
-        recorded = record_baseline(workload, result)
-        violations = []
-        oracle = check_episode(recorded)
-    # interval bookkeeping holds for every scheduler, bus-fed or not
-    violations.extend(check_timeline_invariants(result.collector))
-    committed = len(result.collector.committed())
-    aborted = len(result.collector.aborted())
-    ok = oracle.serializable and not violations
-    obs_frame = episode_frame(result, spec.scheduler) if observe else None
-    return EpisodeOutcome(spec, ok=ok, committed=committed,
-                          aborted=aborted, oracle=oracle,
-                          invariant_violations=violations, result=result,
-                          obs_frame=obs_frame)
-
-
-def compact_outcome(outcome: EpisodeOutcome) -> EpisodeOutcome:
-    """The process-boundary form of an outcome: everything the report
-    and the shrinker need (spec, verdicts, counts, crash text), minus
-    the raw :class:`SchedulerResult`, which is big, slow to pickle and
-    reconstructible from the spec on demand."""
-    if outcome.result is None:
-        return outcome
-    return replace(outcome, result=None)
-
-
-def run_episode_compact(spec: EpisodeSpec,
-                        observe: bool = False) -> EpisodeOutcome:
-    """:func:`run_episode` without the raw result — the worker task.
-
-    The obs frame (small, picklable aggregates) survives compaction;
-    only the raw :class:`SchedulerResult` is dropped."""
-    return compact_outcome(run_episode(spec, observe=observe))
-
-
-def rehydrate_outcome(outcome: EpisodeOutcome) -> EpisodeOutcome:
-    """Recover the full outcome (raw result included) from a compact
-    one by re-running its pure spec; crashed episodes have no result
-    to recover and compact outcomes pass through unchanged."""
-    if outcome.result is not None or outcome.crash is not None:
-        return outcome
-    return run_episode(outcome.spec)
-
-
-# ---------------------------------------------------------------------------
-# campaign fan-out
-# ---------------------------------------------------------------------------
-
-
-def _init_campaign_worker(config: FuzzConfig, seed: int,
-                          crash_indices: tuple[int, ...],
-                          observe: bool = False) -> None:
-    """Pool initializer: campaign constants, built once per worker."""
-    WorkerContext.install(config=config, seed=seed,
-                          crash_indices=frozenset(crash_indices),
-                          observe=observe)
-
-
-def _campaign_episode_task(index: int) -> EpisodeOutcome:
-    """Worker task: regenerate episode ``index`` and run it compactly.
-
-    The spec is *regenerated inside the worker* from the warm config +
-    seed, so the only payload crossing the boundary inward is an int.
-    ``crash_indices`` is the fault-injection hook the crash-isolation
-    tests use to prove a poisoned episode cannot sink a campaign.
-    """
-    if index in WorkerContext.get("crash_indices"):
-        raise RuntimeError(f"injected worker crash at episode {index}")
-    spec = generate_episode(WorkerContext.get("config"),
-                            WorkerContext.get("seed"), index)
-    return run_episode_compact(spec,
-                               observe=WorkerContext.get("observe"))
 
 
 @dataclass
@@ -242,60 +175,33 @@ class CampaignReport:
 def run_campaign(config: FuzzConfig, seed: int, episodes: int,
                  max_failures: int = 1, shrink_failures: bool = True,
                  progress: Callable[[int, EpisodeOutcome], None] | None
-                 = None, jobs: int | str = 1,
-                 chunk_size: int | None = None,
-                 crash_indices: Iterable[int] = (),
-                 observe: bool = False) -> CampaignReport:
-    """Run ``episodes`` seeded episodes; stop after ``max_failures``.
+                 = None, observe: bool = False) -> CampaignReport:
+    """Run ``episodes`` seeded episodes in order; stop after
+    ``max_failures``.
 
-    ``jobs`` shards the episodes over worker processes (``"auto"`` =
-    CPU count).  The merge consumes worker results *in episode order*
-    and applies the same accounting and early-stop rule as a serial
-    run, so the report — summary, totals, failures, digest — is
-    byte-identical for every ``jobs``/``chunk_size`` combination.
-    Workers that crash (or raise) convert into ``crash=...`` outcomes
-    for their episodes only; ``crash_indices`` deliberately poisons
-    those episodes for the fault-isolation tests.
-
-    ``observe=True`` records per-episode observability frames in the
-    workers and merges them *in episode order* into
-    :attr:`CampaignReport.metrics`, so a ``jobs=N`` campaign reports
-    the same fleet-wide metrics as a serial one.  Frames never feed
-    the digest: observing is digest-neutral by contract.
+    ``observe=True`` records per-episode observability frames and
+    merges them in episode order into :attr:`CampaignReport.metrics`.
+    Frames never feed the digest: observing is digest-neutral by
+    contract.
     """
-    check_spec_concrete(config, "campaign config")
     report = CampaignReport(config=config, seed=seed, episodes=episodes)
     rolling = hashlib.sha256()
     frames: list[ObsFrame | None] = []
-    mapper = ParallelMap(
-        jobs=jobs, chunk_size=chunk_size,
-        initializer=_init_campaign_worker,
-        initargs=(config, seed, tuple(sorted(set(crash_indices))),
-                  observe))
-    stream = mapper.imap(_campaign_episode_task, range(episodes))
-    try:
-        for index, merged in stream:
-            if isinstance(merged, WorkerCrash):
-                outcome = EpisodeOutcome(
-                    generate_episode(config, seed, index), ok=False,
-                    crash=merged.traceback)
-            else:
-                outcome = merged
-            report.committed += outcome.committed
-            report.aborted += outcome.aborted
-            if observe:
-                frames.append(outcome.obs_frame)
-            rolling.update(f"{index}|{outcome.summary()}\n"
-                           .encode("utf-8"))
-            report.digest = rolling.hexdigest()
-            if progress is not None:
-                progress(index, outcome)
-            if not outcome.ok:
-                report.failures.append(outcome)
-                if len(report.failures) >= max_failures:
-                    break
-    finally:
-        stream.close()  # cancel undispatched work, shut the pool down
+    for index in range(episodes):
+        outcome = run_episode(generate_episode(config, seed, index),
+                              observe=observe)
+        report.committed += outcome.committed
+        report.aborted += outcome.aborted
+        if observe:
+            frames.append(outcome.obs_frame)
+        rolling.update(f"{index}|{outcome.summary()}\n".encode("utf-8"))
+        report.digest = rolling.hexdigest()
+        if progress is not None:
+            progress(index, outcome)
+        if not outcome.ok:
+            report.failures.append(outcome)
+            if len(report.failures) >= max_failures:
+                break
     if observe:
         report.metrics = merge_frames(frames)
     if report.failures and shrink_failures:

@@ -27,10 +27,9 @@ One episode interleaves, on a single virtual timeline:
   conflict retries and long bursts exhaust them into an SST failure;
 - transaction/session retirement on or off.
 
-The verdict glue lives in :mod:`repro.check.service_oracle`; campaign
-fan-out mirrors :mod:`repro.check.runner` exactly (worker context,
-compact outcomes, rolling digest), so ``--jobs N`` campaigns are
-byte-identical to serial ones.  Fuzz-level counters (episodes, drops,
+The verdict glue lives in :mod:`repro.check.service_oracle`; a
+campaign mirrors :mod:`repro.check.runner` (episodes in order, one
+rolling digest over their summaries).  Fuzz-level counters (episodes, drops,
 overflows, skipped actions) are recorded in the episode's own
 :class:`~repro.obs.registry.MetricsRegistry` alongside the service's
 counters and accumulated per campaign — no ad-hoc stat dicts.
@@ -42,7 +41,7 @@ import hashlib
 import json
 import traceback
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -57,8 +56,6 @@ from repro.check.service_oracle import (
 )
 from repro.errors import BackendConflictError
 from repro.obs.registry import accumulate_snapshot
-from repro.parallel import ParallelMap, WorkerContext, WorkerCrash, \
-    check_spec_concrete
 from repro.service.core import GTMService, ServiceConfig
 from repro.service.session import SessionState
 from repro.sim.engine import SimulationEngine
@@ -382,7 +379,7 @@ def frame_schedule(spec: ServiceEpisodeSpec) -> str:
 
     A pure function of the spec (no execution involved): the
     determinism tests assert byte-identity of this rendering and of
-    the executed transcript digest across reruns and jobs settings.
+    the executed transcript digest across reruns.
     """
     lines = [f"# {spec.describe()}"]
     for name, value, domain in spec.objects:
@@ -644,11 +641,11 @@ class ServiceEpisodeOutcome:
     oracle: OracleReport | None = None
     invariant_violations: list[str] = field(default_factory=list)
     crash: str | None = None
-    #: Full per-client transcripts (dropped at the worker boundary).
+    #: Full per-client transcripts.
     transcripts: Transcripts | None = field(default=None, repr=False)
-    #: Episode metrics snapshot (service + fuzz counters); compact and
-    #: picklable, excluded from :meth:`summary` so observability never
-    #: moves the campaign digest.
+    #: Episode metrics snapshot (service + fuzz counters), excluded
+    #: from :meth:`summary` so observability never moves the campaign
+    #: digest.
     metrics: dict[str, dict] | None = field(default=None, repr=False)
 
     def summary(self) -> str:
@@ -718,43 +715,6 @@ def run_service_episode(spec: ServiceEpisodeSpec) -> ServiceEpisodeOutcome:
         return outcome
 
 
-def compact_service_outcome(
-        outcome: ServiceEpisodeOutcome) -> ServiceEpisodeOutcome:
-    """Worker-boundary form: verdicts and counters, no transcripts."""
-    if outcome.transcripts is None:
-        return outcome
-    return replace(outcome, transcripts=None)
-
-
-def run_service_episode_compact(
-        spec: ServiceEpisodeSpec) -> ServiceEpisodeOutcome:
-    return compact_service_outcome(run_service_episode(spec))
-
-
-def rehydrate_service_outcome(
-        outcome: ServiceEpisodeOutcome) -> ServiceEpisodeOutcome:
-    """Recover full transcripts by re-running the pure spec."""
-    if outcome.transcripts is not None:
-        return outcome
-    return run_service_episode(outcome.spec)
-
-
-# ---------------------------------------------------------------------------
-# campaign fan-out (mirrors repro.check.runner)
-# ---------------------------------------------------------------------------
-
-
-def _init_service_worker(config: ServiceFuzzConfig, seed: int) -> None:
-    WorkerContext.install(service_config=config, service_seed=seed)
-
-
-def _service_episode_task(index: int) -> ServiceEpisodeOutcome:
-    spec = generate_service_episode(
-        WorkerContext.get("service_config"),
-        WorkerContext.get("service_seed"), index)
-    return run_service_episode_compact(spec)
-
-
 @dataclass
 class ServiceCampaignReport:
     """Aggregate of one service fuzz campaign."""
@@ -767,8 +727,7 @@ class ServiceCampaignReport:
     aborted: int = 0
     shrunk: ServiceEpisodeSpec | None = None
     regression_test: str | None = None
-    #: Rolling hash over every outcome summary in episode order —
-    #: byte-identical across jobs/chunking settings by construction.
+    #: Rolling hash over every outcome summary in episode order.
     digest: str = ""
     #: Accumulated per-episode registry snapshots (service counters +
     #: fuzz counters); campaign-wide, episode order, digest-neutral.
@@ -798,51 +757,33 @@ def run_service_campaign(
         config: ServiceFuzzConfig, seed: int, episodes: int,
         max_failures: int = 1, shrink_failures: bool = True,
         progress: Callable[[int, ServiceEpisodeOutcome], None] | None
-        = None, jobs: int | str = 1,
-        chunk_size: int | None = None) -> ServiceCampaignReport:
-    """Run ``episodes`` seeded service episodes; stop at the cap.
-
-    Identical merge discipline to :func:`repro.check.runner.run_campaign`:
-    outcomes are consumed in episode order, so report totals, digest
-    and failure selection match a serial run for every ``jobs`` and
-    ``chunk_size`` combination.
+        = None) -> ServiceCampaignReport:
+    """Run ``episodes`` seeded service episodes in order; stop at the
+    cap.  Same accounting as :func:`repro.check.runner.run_campaign`.
     """
     # delayed import: the shrinker renders specs, no cycle at runtime.
     from repro.check.shrinker import (
         render_service_regression_test,
         shrink_service_episode,
     )
-    check_spec_concrete(config, "service campaign config")
     report = ServiceCampaignReport(config=config, seed=seed,
                                    episodes=episodes)
     rolling = hashlib.sha256()
-    mapper = ParallelMap(jobs=jobs, chunk_size=chunk_size,
-                         initializer=_init_service_worker,
-                         initargs=(config, seed))
-    stream = mapper.imap(_service_episode_task, range(episodes))
-    try:
-        for index, merged in stream:
-            if isinstance(merged, WorkerCrash):
-                outcome = ServiceEpisodeOutcome(
-                    generate_service_episode(config, seed, index),
-                    ok=False, crash=merged.traceback)
-            else:
-                outcome = merged
-            report.committed += outcome.committed
-            report.aborted += outcome.aborted
-            if outcome.metrics:
-                accumulate_snapshot(report.metrics, outcome.metrics)
-            rolling.update(f"{index}|{outcome.summary()}\n"
-                           .encode("utf-8"))
-            report.digest = rolling.hexdigest()
-            if progress is not None:
-                progress(index, outcome)
-            if not outcome.ok:
-                report.failures.append(outcome)
-                if len(report.failures) >= max_failures:
-                    break
-    finally:
-        stream.close()
+    for index in range(episodes):
+        outcome = run_service_episode(
+            generate_service_episode(config, seed, index))
+        report.committed += outcome.committed
+        report.aborted += outcome.aborted
+        if outcome.metrics:
+            accumulate_snapshot(report.metrics, outcome.metrics)
+        rolling.update(f"{index}|{outcome.summary()}\n".encode("utf-8"))
+        report.digest = rolling.hexdigest()
+        if progress is not None:
+            progress(index, outcome)
+        if not outcome.ok:
+            report.failures.append(outcome)
+            if len(report.failures) >= max_failures:
+                break
     if report.failures and shrink_failures:
         first = report.failures[0]
         report.shrunk = shrink_service_episode(

@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping
 
-from repro.errors import GTMError, ProtocolError, SSTFailure
+from repro.errors import (
+    GTMError,
+    ProtocolError,
+    ReconciliationError,
+    SSTFailure,
+)
 from repro.core.events import EventBus
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject
@@ -148,11 +153,17 @@ class CommitPipeline:
         # X_read / A_temp / X_permanent, so staging first is safe).
         invocations = obj.stage_commit(txn_id)
         new_values: dict[str, Any] = {}
-        for invocation in invocations.values():
-            new_values.update(self.reconcile(txn, obj, invocation))
-            self.bus.on_reconcile(txn, obj, invocation, now)
-        # X_new^A: ⊥ until every member reconciled (a reconcile that
-        # raises leaves it unset); stage_commit made the map.
+        try:
+            for invocation in invocations.values():
+                new_values.update(self.reconcile(txn, obj, invocation))
+                self.bus.on_reconcile(txn, obj, invocation, now)
+        except ReconciliationError:
+            # X_new^A stays ⊥, so A can never commit: it aborts, with
+            # its reason, instead of holding X_committing for ever.
+            self._abort_from_committing(txn, now, "reconciliation")
+            raise
+        # X_new^A: ⊥ until every member reconciled; stage_commit made
+        # the map.
         obj.new[txn_id] = new_values
         # NOTE: Algorithm 3's postcondition clears A_temp and X_read here,
         # but the paper's own Table II shows both still populated on the
@@ -260,7 +271,10 @@ class CommitPipeline:
                 continue
             if txn_id not in obj.pending:
                 continue
-            self.local_commit(txn, obj, self._clock())
+            try:
+                self.local_commit(txn, obj, self._clock())
+            except ReconciliationError:
+                pass  # A aborted, and its abort pumped this queue
             # only one committer at a time: stop after a success
             break
 

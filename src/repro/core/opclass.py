@@ -84,6 +84,25 @@ del _bit, _op_class
 WHOLE_OBJECT_MASK = ((1 << OperationClass.INSERT.bit)
                      | (1 << OperationClass.DELETE.bit))
 
+#: The exact types of a number: a member value and an update operand.
+#: ``bool`` is not one, although it subclasses ``int``.
+NUMBER_TYPES = frozenset({int, float})
+
+#: Each class's operand domain, as the exact types its operand may
+#: have.  READ and DELETE ignore theirs, so it is absent or a number;
+#: INSERT carries an optional mapping of member values, each a number
+#: (:func:`~repro.service.protocol.build_invocation` checks the
+#: values); every update takes a number.  A value outside the domain
+#: would be granted and then fail in ``apply`` or at reconciliation.
+for _op_class in OperationClass:
+    if _op_class.is_update:
+        _op_class.operand_types = NUMBER_TYPES
+    elif _op_class is OperationClass.INSERT:
+        _op_class.operand_types = frozenset({type(None), dict})
+    else:
+        _op_class.operand_types = NUMBER_TYPES | {type(None)}
+del _op_class
+
 
 @dataclass(frozen=True, slots=True)
 class Invocation:

@@ -1,11 +1,10 @@
 """Exporters: episodes -> frames, frames -> fleet merge -> console.
 
-1. **Per-worker aggregation** — :class:`ObsFrame` is the small,
-   picklable unit a campaign worker ships back through
-   :mod:`repro.parallel.pmap`; :func:`episode_frame` builds one from an
-   observed run of any scheduler and :func:`merge_frames` folds frames
-   in episode order, so a ``--jobs N`` campaign reports the same
-   fleet-wide numbers as ``--jobs 1``.
+1. **Per-episode aggregation** — :class:`ObsFrame` is the small
+   observability summary of one episode; :func:`episode_frame` builds
+   one from an observed run of any scheduler and :func:`merge_frames`
+   folds a campaign's frames, in episode order, into one fleet-wide
+   view.
 2. **Console summaries** — :func:`render_metrics_summary` renders a
    registry snapshot through :mod:`repro.metrics.report`'s table
    renderer for humans.
@@ -21,12 +20,12 @@ from repro.obs.observers import fold_timelines
 from repro.obs.registry import MetricsRegistry, accumulate_snapshot
 
 
-# -- per-worker frames and the fleet merge -----------------------------------
+# -- per-episode frames and the fleet merge ----------------------------------
 
 
 @dataclass
 class ObsFrame:
-    """The picklable observability payload of one episode (or a merge)."""
+    """The observability payload of one episode (or a merge)."""
 
     episodes: int = 0
     #: registry snapshot (see :meth:`MetricsRegistry.snapshot`).

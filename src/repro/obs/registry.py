@@ -5,9 +5,8 @@ constraints shape it:
 
 1. **Determinism.**  Instruments are keyed by name and label string;
    snapshots serialize in sorted order and merging two snapshots is
-   commutative and associative, so per-worker frames from
-   :mod:`repro.parallel.pmap` fold into one fleet-wide view regardless
-   of worker count or chunking.
+   commutative and associative, so per-episode frames fold into one
+   fleet-wide view.
 2. **Neutrality.**  Instruments only ever *receive* already-computed
    values from observer hooks; nothing in the protocol reads them back.
 

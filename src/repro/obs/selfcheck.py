@@ -5,8 +5,7 @@ and demands byte-identical digests:
 
 - one ``gtm`` stress campaign, comparing :attr:`CampaignReport.digest`
   (rolling hash over episode summaries, which deliberately exclude obs
-  artifacts).  The observed side runs with ``--jobs`` workers, so the
-  per-worker frame merge is exercised; the merged fleet metrics are
+  artifacts).  The merged fleet metrics of the observed side are
   printed as evidence the aggregation pipeline works;
 - one differential campaign (every GTM engine variant), comparing
   :attr:`DifferentialReport.digest` (rolling hash over canonical
@@ -33,13 +32,13 @@ from repro.check.runner import CampaignReport, run_campaign
 from repro.obs.export import render_frame_summary
 
 
-def check_campaign_neutrality(seed: int, episodes: int, jobs: int
+def check_campaign_neutrality(seed: int, episodes: int
                               ) -> tuple[bool, str, CampaignReport]:
     """(ok, evidence, observed report) for the ``gtm`` stress campaign."""
     config = FuzzConfig(scheduler="gtm")
     baseline = run_campaign(config, seed, episodes, shrink_failures=False)
     observed = run_campaign(config, seed, episodes, shrink_failures=False,
-                            observe=True, jobs=jobs)
+                            observe=True)
     ok = baseline.digest == observed.digest
     lines = [f"[gtm] {episodes} episodes (seed {seed}): "
              f"{'digests identical' if ok else 'DIGEST MISMATCH'}"]
@@ -53,12 +52,12 @@ def check_campaign_neutrality(seed: int, episodes: int, jobs: int
     return ok, "\n".join(lines), observed
 
 
-def check_differential_neutrality(seed: int, episodes: int,
-                                  jobs: int) -> tuple[bool, str]:
+def check_differential_neutrality(seed: int, episodes: int
+                                  ) -> tuple[bool, str]:
     """(ok, evidence) for the full-trace differential digest."""
     config = FuzzConfig(scheduler="gtm")
-    baseline = run_differential_campaign(config, seed, episodes, jobs=jobs)
-    observed = run_differential_campaign(config, seed, episodes, jobs=jobs,
+    baseline = run_differential_campaign(config, seed, episodes)
+    observed = run_differential_campaign(config, seed, episodes,
                                          observe=True)
     ok = (baseline.digest == observed.digest
           and baseline.ok and observed.ok)
@@ -77,18 +76,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2008)
     parser.add_argument("--episodes", type=int, default=25,
                         help="episodes per campaign (default 25)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="workers for the observed campaigns "
-                        "(exercises the frame merge; default 2)")
     parser.add_argument("--summary", action="store_true",
                         help="print the merged fleet metrics table")
     args = parser.parse_args(argv)
 
     campaign_ok, evidence, observed = check_campaign_neutrality(
-        args.seed, args.episodes, args.jobs)
+        args.seed, args.episodes)
     print(evidence)
     differential_ok, evidence = check_differential_neutrality(
-        args.seed, args.episodes, args.jobs)
+        args.seed, args.episodes)
     print(evidence)
     if args.summary:
         print()

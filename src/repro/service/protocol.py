@@ -40,7 +40,7 @@ from repro.errors import (
     UnknownToken,
     WireFormatError,
 )
-from repro.core.opclass import Invocation, OperationClass
+from repro.core.opclass import NUMBER_TYPES, Invocation, OperationClass
 
 #: Hard cap on one encoded frame; longer lines are a protocol error
 #: (and the receiving end enforces it before parsing).
@@ -148,28 +148,39 @@ def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
 def build_invocation(frame: dict[str, Any]) -> Invocation:
     """Turn an ``op`` frame into an :class:`Invocation`.
 
-    Malformed shapes raise :class:`WireFormatError`; semantically
-    invalid operands (a zero multiplier, a missing operand) surface as
-    the core's own :class:`~repro.errors.GTMError` — both end up as
-    error frames, each under its own code.
+    This is the one place an operand is checked against its class's
+    domain (``OperationClass.operand_types``): an operand outside it,
+    which the GTM would grant and then fail on in ``apply`` or at
+    reconciliation, raises :class:`WireFormatError`.  A zero
+    multiplier is in the domain and surfaces as the core's own
+    :class:`~repro.errors.GTMError`; both end up as error frames, each
+    under its own code.
     """
     op_name = frame.get("op")
-    if op_name not in OP_NAMES:
+    op_class = OP_NAMES.get(op_name) if type(op_name) is str else None
+    if op_class is None:
         raise WireFormatError(
             f"unknown op {op_name!r}; known: {sorted(OP_NAMES)}")
     member = frame.get("member", "value")
     if not isinstance(member, str):
         raise WireFormatError(f"op member must be a string: {member!r}")
     operand = frame.get("operand")
+    kind = type(operand)
+    if kind not in op_class.operand_types:
+        raise WireFormatError(
+            f"{op_name!r} operand out of its domain: {operand!r}")
+    values = operand.values() if kind is dict else (operand,)
+    if kind is dict and not NUMBER_TYPES.issuperset(map(type, values)):
+        raise WireFormatError(
+            f"{op_name!r} member values must be numbers: {operand!r}")
     # The codec takes what ``json.loads`` takes, NaN, Infinity and
     # 1e999 included; a value that compares unequal to itself, once
     # committed, is a lost update that never heals.
-    for value in (operand.values() if isinstance(operand, dict)
-                  else (operand,)):
-        if isinstance(value, float) and not isfinite(value):
+    for value in values:
+        if type(value) is float and not isfinite(value):
             raise WireFormatError(
                 f"op operand must be finite: {operand!r}")
-    return Invocation(OP_NAMES[op_name], member=member, operand=operand)
+    return Invocation(op_class, member=member, operand=operand)
 
 
 # ---------------------------------------------------------------------------

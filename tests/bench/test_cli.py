@@ -38,14 +38,3 @@ class TestCLI:
         target = tmp_path / "nested" / "dir"
         assert main(["table1", "-o", str(target)]) == 0
         assert (target / "table1.txt").exists()
-
-    def test_jobs_flag_accepts_auto_and_ints(self, capsys):
-        assert main(["table1", "--jobs", "auto"]) == 0
-        assert main(["table1", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("matches paper Table I: PASS") == 2
-
-    def test_jobs_flag_rejects_garbage(self, capsys):
-        from repro.errors import GTMError
-        with pytest.raises((SystemExit, GTMError)):
-            main(["table1", "--jobs", "zero"])

@@ -71,14 +71,6 @@ def test_corrupted_backend_is_caught(monkeypatch):
     assert "LDBS state" in diffs or "permanent" in diffs
 
 
-def test_parallel_matches_serial_digest():
-    config = FuzzConfig(scheduler="gtm")
-    serial = run_backend_differential_campaign(config, 11, 24)
-    sharded = run_backend_differential_campaign(config, 11, 24, jobs=2)
-    assert serial.ok and sharded.ok
-    assert serial.digest == sharded.digest
-
-
 def test_unknown_mode_rejected():
     from repro.check.differential import run_differential_campaign
     with pytest.raises(WorkloadError):

@@ -3,7 +3,7 @@ interleaved compatible holders, deferral, and commit drivers."""
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReconciliationError
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add, assign, multiply, subtract
 from repro.core.states import TransactionState
@@ -132,3 +132,43 @@ class TestDriverPreconditions:
         gtm.local_commit("A", "X")          # Y not staged yet
         with pytest.raises(ProtocolError):
             gtm.global_commit("A")
+
+
+class TestFailedReconciliation:
+    """A reconcile that raises aborts its transaction: it used to leave
+    it Committing, holding X_committing, and every later committer on X
+    queued behind it for ever."""
+
+    def test_the_committer_aborts_and_frees_the_object(self):
+        gtm = make_gtm(0)
+        gtm.begin("A")
+        gtm.invoke("A", "X", multiply(2))
+        gtm.apply("A", "X", multiply(2))
+        with pytest.raises(ReconciliationError):
+            gtm.request_commit("A")   # Eq. (2) is undefined at X_read = 0
+        assert gtm.transaction("A").state is _S.ABORTED
+        assert not gtm.object("X").committing
+        gtm.begin("B")
+        gtm.invoke("B", "X", add(3))
+        gtm.apply("B", "X", add(3))
+        gtm.request_commit("B")
+        assert gtm.transaction("B").state is _S.COMMITTED
+        assert gtm.object("X").permanent_value() == 3
+        gtm.check_invariants()
+
+    def test_a_deferred_failure_does_not_sink_the_committer_it_queued_behind(
+            self):
+        gtm = GlobalTransactionManager()
+        gtm.create_object("X", members={"zero": 0, "five": 5})
+        for name, member, factor in (("A", "five", 2), ("B", "zero", 3)):
+            gtm.begin(name)
+            gtm.invoke(name, "X", multiply(factor, member=member))
+            gtm.apply(name, "X", multiply(factor, member=member))
+        assert gtm.local_commit("A", "X") is True
+        assert gtm.local_commit("B", "X") is False   # deferred behind A
+        gtm.global_commit("A")     # replays B's commit, whose Eq. (2) fails
+        assert gtm.transaction("A").state is _S.COMMITTED
+        assert gtm.transaction("B").state is _S.ABORTED
+        assert gtm.object("X").permanent == {"zero": 0, "five": 10}
+        assert not gtm.object("X").committing
+        gtm.check_invariants()

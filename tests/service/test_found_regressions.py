@@ -242,3 +242,86 @@ def test_bto_expiry_clears_queued_reply_state():
     assert service.connect({"type": "hello", "id": "h2"},
                            fresh.append) is not None
     assert fresh[0]["type"] == "welcome"
+
+
+# -- garbage operands (found by probing ``handle`` with wrongly typed
+# frames): each used to escape ``handle`` or wedge an object for every
+# client; now each is one ``wire/malformed`` error frame and nothing is
+# granted.
+
+
+def _served_value_object(value=5):
+    service = GTMService(SimulationEngine(), config=ServiceConfig(
+        ldbs_backend="memory"))
+    service.create_object("x", value=value)
+    frames = []
+    session = service.connect({"type": "hello", "id": 0}, frames.append)
+    service.handle(session, {"type": "begin", "txn": "t1", "id": 1})
+    return service, session, frames
+
+
+def _op(service, session, frames, txn, op, operand, fid):
+    service.handle(session, {"type": "op", "txn": txn, "object": "x",
+                             "op": op, "operand": operand, "id": fid})
+    return frames[-1]
+
+
+def _refused(service, session, frames, op, operand):
+    reply = _op(service, session, frames, "t1", op, operand, 2)
+    assert reply["type"] == "error" and reply["re"] == 2, reply
+    assert reply["code"] == "wire/malformed"
+    assert session.connected
+    assert service.gtm.object("x").pending == {}
+    # the transaction and the object both carry on
+    assert _op(service, session, frames, "t1", "add", 2, 3)["value"] == 7
+    service.handle(session, {"type": "commit", "txn": "t1", "id": 4})
+    assert frames[-1] == {"type": "committed", "txn": "t1", "re": 4}
+    assert service.gtm.object("x").permanent_value("value") == 7
+
+
+def test_non_string_op_is_an_error_frame():
+    """``"op": []`` raised an unhashable ``TypeError`` out of ``handle``
+    from the op-name lookup; over a socket the connection died."""
+    _refused(*_served_value_object(), [], 1)
+
+
+def test_string_operand_is_refused_not_granted():
+    """``add "x"`` was granted and recorded in X_pending, then
+    ``apply`` raised ``TypeError`` out of ``handle``: no reply, and a
+    later commit answered ``committed`` for an op never seen granted."""
+    _refused(*_served_value_object(), "add", "x")
+
+
+def test_list_operand_is_refused_not_granted():
+    """``mul [2]`` was granted with the value ``[2, 2, 2, 2, 2]`` (list
+    repetition), and its commit answered ``gtm/reconciliation``."""
+    _refused(*_served_value_object(), "mul", [2])
+
+
+def test_dict_assign_cannot_wedge_a_value_object():
+    """``assign {"v": 1}`` committed a dict into a value object.  Every
+    later ``add`` on it raised out of ``handle``, the next commit was
+    left Committing for ever, and the one after that never finished."""
+    _refused(*_served_value_object(), "assign", {"v": 1})
+
+
+def test_failed_reconciliation_aborts_instead_of_wedging():
+    """A well-typed op can still fail Eq. (2): ``mul`` on a zero
+    snapshot.  The commit used to answer ``gtm/reconciliation`` and
+    leave the transaction Committing, so every later writer of ``x``
+    queued behind it for ever.  Now the transaction aborts."""
+    service, session, frames = _served_value_object(value=0)
+    assert _op(service, session, frames, "t1", "mul", 2, 2)["type"] == \
+        "granted"
+    service.handle(session, {"type": "begin", "txn": "t2", "id": 3})
+    assert _op(service, session, frames, "t2", "assign", 4, 4)["type"] == \
+        "queued"
+    service.handle(session, {"type": "commit", "txn": "t1", "id": 5})
+    assert frames[-1]["code"] == "gtm/reconciliation"
+    assert service.gtm.transaction("t1").state is _TS.ABORTED
+    # t1's abort granted t2's queued assign, which now commits
+    assert frames[-2]["type"] == "granted" and frames[-2]["re"] == 4
+    service.handle(session, {"type": "commit", "txn": "t2", "id": 6})
+    assert frames[-1] == {"type": "committed", "txn": "t2", "re": 6}
+    assert service.gtm.object("x").permanent_value("value") == 4
+    assert service.backend.dump()["gtm_objects"]["x"]["value"] == 4.0

@@ -268,13 +268,29 @@ class TestBuildInvocation:
             build_invocation(frame)
 
     @pytest.mark.parametrize("operand", [
-        0, -3, 2.5, 1e308, 10 ** 400, True, "NaN",
-        {"value": 1.5}, {"value": None}])
+        0, -3, 2.5, 1e308, 10 ** 400, -7, 0.5, {"value": 1.5}])
     def test_finite_operands_pass(self, operand):
         name = "insert" if isinstance(operand, dict) else "assign"
         invocation = build_invocation(
             {"type": "op", "op": name, "operand": operand})
         assert invocation.operand == operand
+
+    @pytest.mark.parametrize("op, operand", [
+        ("assign", True), ("add", False), ("assign", "NaN"),
+        ("add", "x"), ("mul", [2]), ("assign", {"v": 1}),
+        ("add", None), ("insert", {"value": None}),
+        ("insert", {"value": "a"}), ("insert", 3), ("read", "x"),
+        ("delete", [])])
+    def test_out_of_domain_operand_refused(self, op, operand):
+        """Each class declares the types its operand may have; a bool
+        is not a number, and an INSERT's member values are numbers."""
+        with pytest.raises(WireFormatError, match="operand|member"):
+            build_invocation({"type": "op", "op": op, "operand": operand})
+
+    @pytest.mark.parametrize("op", [[], {}, 7, None])
+    def test_non_string_op_rejected(self, op):
+        with pytest.raises(WireFormatError, match="unknown op"):
+            build_invocation({"type": "op", "op": op})
 
 
 def _public_gtm_error_classes():

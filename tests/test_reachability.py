@@ -1,7 +1,7 @@
 """Every module under ``src/repro`` is reached from an entry point.
 
 Imports are read with :mod:`ast` — nothing is executed.  The roots are
-what somebody actually runs: the five ``python -m`` mains and every
+what somebody actually runs: the four ``python -m`` mains and every
 ``repro.*`` import under ``benchmarks/`` (the end-to-end load generator
 drives ``repro.service.client``, which no main imports — that is why
 the benchmarks are roots).  A module outside the import closure of
@@ -27,8 +27,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 MAINS = ("repro.bench.__main__", "repro.check.__main__",
-         "repro.service.__main__", "repro.obs.selfcheck",
-         "repro.parallel.selfcheck")
+         "repro.service.__main__", "repro.obs.selfcheck")
 
 
 def _module_name(path: Path) -> str:
