@@ -7,10 +7,7 @@ emulation times.
 
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add
-from repro.ldbs.engine import Database
 from repro.ldbs.locks import LockManager, LockMode
-from repro.ldbs.predicate import P
-from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.sim.engine import SimulationEngine
 
 
@@ -42,23 +39,6 @@ def test_bench_lock_manager_acquire_release(benchmark):
         return True
 
     assert benchmark(churn)
-
-
-def test_bench_ldbs_transaction_throughput(benchmark):
-    db = Database()
-    db.create_table(TableSchema(
-        "t", (Column("id", ColumnType.INT),
-              Column("v", ColumnType.INT)), primary_key="id"))
-    db.seed("t", [{"id": k, "v": 0} for k in range(100)])
-
-    def txn_churn():
-        for k in range(200):
-            with db.begin() as txn:
-                txn.update("t", P("id") == k % 100,
-                           lambda row: {"v": row["v"] + 1})
-        return True
-
-    assert benchmark(txn_churn)
 
 
 def test_bench_gtm_grant_commit_cycle(benchmark):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.objects import ObjectBinding
 from repro.core.sst import SSTExecutor
-from repro.ldbs.engine import Database
+from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.schedulers import GTMScheduler, GTMSchedulerConfig
 from repro.workload.generator import (
@@ -29,18 +29,18 @@ WORKLOAD_CONFIG = PaperWorkloadConfig(n_transactions=500, alpha=0.7,
 
 def build_ldbs_backing():
     """An LDBS with one row per workload object, plus the bindings."""
-    database = Database()
-    database.create_table(TableSchema(
+    backend = MemoryBackend()
+    backend.create_table(TableSchema(
         "objects", (Column("id", ColumnType.INT),
                     Column("val", ColumnType.FLOAT)),
         primary_key="id"))
     names = WORKLOAD_CONFIG.object_names()
-    database.seed("objects", [
+    backend.seed("objects", [
         {"id": index + 1, "val": WORKLOAD_CONFIG.initial_value}
         for index in range(len(names))])
     bindings = {name: ObjectBinding.cell("objects", index + 1, "val")
                 for index, name in enumerate(names)}
-    return database, bindings
+    return backend, bindings
 
 
 @pytest.fixture(scope="module")
@@ -56,13 +56,13 @@ def test_bench_gtm_without_sst(benchmark, generated):
 
 def test_bench_gtm_with_ldbs_sst(benchmark, generated):
     def run():
-        database, bindings = build_ldbs_backing()
+        backend, bindings = build_ldbs_backing()
         scheduler = GTMScheduler(GTMSchedulerConfig(
-            sst_executor=SSTExecutor(database),
+            sst_executor=SSTExecutor(backend),
             bindings=bindings))
-        return scheduler.run(generated.workload), database
+        return scheduler.run(generated.workload)
 
-    result, database = benchmark(run)
+    result = benchmark(run)
     assert result.stats.committed > 400
     # one SST per committed transaction actually hit the database
     assert result.extra["sst_executions"] == result.stats.committed
@@ -71,9 +71,9 @@ def test_bench_gtm_with_ldbs_sst(benchmark, generated):
 def test_virtual_time_identical_with_and_without_sst(generated):
     """SSTs cost real time only: the emulated metrics must not move."""
     plain = GTMScheduler(GTMSchedulerConfig()).run(generated.workload)
-    database, bindings = build_ldbs_backing()
+    backend, bindings = build_ldbs_backing()
     backed = GTMScheduler(GTMSchedulerConfig(
-        sst_executor=SSTExecutor(database),
+        sst_executor=SSTExecutor(backend),
         bindings=bindings)).run(generated.workload)
     assert plain.stats.avg_execution_time == pytest.approx(
         backed.stats.avg_execution_time)
@@ -81,6 +81,6 @@ def test_virtual_time_identical_with_and_without_sst(generated):
     assert plain.stats.abort_percentage == backed.stats.abort_percentage
     assert plain.final_values == backed.final_values
     # and the LDBS agrees with the middleware on every object
+    rows = backend.dump()["objects"]
     for index, name in enumerate(WORKLOAD_CONFIG.object_names()):
-        row = database.catalog.table("objects").get_by_key(index + 1)
-        assert row["val"] == backed.final_values[name]
+        assert rows[index + 1]["val"] == backed.final_values[name]

@@ -29,7 +29,7 @@ def main() -> None:
         {**agency.stock_objects, **agency.price_objects}.items()
     }
     scheduler = GTMScheduler(GTMSchedulerConfig(
-        sst_executor=SSTExecutor(agency.database),
+        sst_executor=SSTExecutor(agency.backend),
         bindings=bindings,
         wait_timeout=60.0,   # multi-object transactions: bound the waits
     ))
@@ -49,9 +49,9 @@ def main() -> None:
     # equal what the GTM believes.
     rows = []
     mismatches = 0
+    state = agency.backend.dump()
     for name, (table, key, column) in sorted(agency.stock_objects.items()):
-        db_value = agency.database.catalog.table(table).get_by_key(
-            key)[column]
+        db_value = state[table][key][column]
         gtm_value = result.final_values[name]
         if db_value != gtm_value:
             mismatches += 1

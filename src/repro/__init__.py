@@ -8,8 +8,9 @@ middleware and every substrate it depends on:
 - :mod:`repro.core` — the GTM: semantic operation classes, the Table I
   compatibility matrix, reconciliation (Eq. 1/2), sleeping transactions,
   and Algorithms 1-11;
-- :mod:`repro.ldbs` — an in-memory relational DBMS (strict 2PL, WAL,
-  recovery, constraints) playing the paper's Local DataBase System;
+- :mod:`repro.ldbs` — the paper's Local DataBase System behind one
+  seam: an in-memory dict-of-rows store or SQLite, with typed schemas
+  and CHECK constraints;
 - :mod:`repro.sim` — a discrete-event simulation kernel;
 - :mod:`repro.mobile` — disconnection / inactivity models for mobile
   clients;

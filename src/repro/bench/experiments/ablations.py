@@ -31,7 +31,7 @@ from repro.core.starvation import (
 from repro.core.throttle import NoThrottle, ValueThrottle
 from repro.errors import SSTFailure
 from repro.ldbs.constraints import NonNegative
-from repro.ldbs.engine import Database
+from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.core.objects import ObjectBinding
 from repro.metrics.report import render_table
@@ -149,18 +149,18 @@ class ConstraintResult:
 
 def _scarcity_setup(stock: int):
     """A flight with ``stock`` seats, bound to a constrained LDBS table."""
-    database = Database()
+    backend = MemoryBackend()
     schema = TableSchema(
         name="flight",
         columns=(Column("id", ColumnType.INT),
                  Column("free_tickets", ColumnType.INT)),
         primary_key="id")
-    database.create_table(schema,
-                          constraints=[NonNegative("flight",
-                                                   "free_tickets")])
-    database.seed("flight", [{"id": 1, "free_tickets": stock}])
+    backend.create_table(schema,
+                         constraints=[NonNegative("flight",
+                                                  "free_tickets")])
+    backend.seed("flight", [{"id": 1, "free_tickets": stock}])
     binding = ObjectBinding.cell("flight", 1, "free_tickets")
-    return database, binding
+    return backend, binding
 
 
 def run_constraints(stock: int = 5, buyers: int = 20
@@ -169,8 +169,8 @@ def run_constraints(stock: int = 5, buyers: int = 20
     results = []
     for label, throttle in (("off", NoThrottle()),
                             ("value-throttle", ValueThrottle())):
-        database, binding = _scarcity_setup(stock)
-        executor = SSTExecutor(database)
+        backend, binding = _scarcity_setup(stock)
+        executor = SSTExecutor(backend)
         gtm = GlobalTransactionManager(
             config=GTMConfig(throttle=throttle),
             sst_executor=executor)
@@ -217,8 +217,7 @@ def run_constraints(stock: int = 5, buyers: int = 20
                     committed += 1
                 except SSTFailure:
                     aborted += 1
-        final = database.catalog.table("flight").get_by_key(
-            1)["free_tickets"]
+        final = backend.dump()["flight"][1]["free_tickets"]
         results.append(ConstraintResult(
             throttle=label,
             committed=committed,
@@ -396,8 +395,8 @@ def run_sst_recovery() -> list[SSTRecoveryResult]:
         "permanent": FailureInjector(should_fail=lambda t, a: True),
     }
     for name, injector in scenarios.items():
-        database, binding = _scarcity_setup(stock=100)
-        executor = SSTExecutor(database, max_retries=2, injector=injector)
+        backend, binding = _scarcity_setup(stock=100)
+        executor = SSTExecutor(backend, max_retries=2, injector=injector)
         gtm = GlobalTransactionManager(sst_executor=executor)
         gtm.create_object("seats", value=100.0, binding=binding)
         gtm.begin("T")
@@ -412,8 +411,7 @@ def run_sst_recovery() -> list[SSTRecoveryResult]:
             committed = False
             attempts = executor.max_retries + 1
         gtm_value = gtm.object("seats").permanent_value()
-        ldbs_value = database.catalog.table("flight").get_by_key(
-            1)["free_tickets"]
+        ldbs_value = backend.dump()["flight"][1]["free_tickets"]
         results.append(SSTRecoveryResult(
             scenario=name,
             committed=committed,

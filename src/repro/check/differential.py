@@ -18,7 +18,7 @@ the campaign interface uniform.
 
 A second axis (``mode="backend"``) compares *LDBS backends* instead of
 conflict engines: each GTM episode runs once with SSTs bound to the
-in-memory engine and once bound to SQLite
+in-memory backend and once bound to SQLite
 (:mod:`repro.ldbs.sqlite_backend`), asserting identical traces,
 permanent object state, commit-order witness (PAPERS.md commitment
 ordering across sites), invariant sweeps *and* LDBS dumps — the

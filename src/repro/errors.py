@@ -2,7 +2,7 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch a single base class.  Subsystems refine the hierarchy:
-simulation-kernel errors, LDBS (storage / locking / recovery) errors, and
+simulation-kernel errors, LDBS (schema / storage / locking) errors, and
 GTM protocol errors are each grouped under their own intermediate class.
 """
 
@@ -48,7 +48,7 @@ class CatalogError(LDBSError):
 
 
 class StorageError(LDBSError):
-    """Row-level storage failure (unknown rid, duplicate key, ...)."""
+    """Row-level storage failure (missing row, duplicate key, ...)."""
 
 
 class TransactionError(LDBSError):
@@ -71,22 +71,8 @@ class LockError(TransactionError):
     """Base class for lock-manager failures."""
 
 
-class LockConflictError(LockError):
-    """A lock request conflicts and the caller asked not to wait."""
-
-
 class LockUpgradeError(LockError):
     """An unsupported or conflicting lock upgrade was requested."""
-
-
-class DeadlockError(TransactionError):
-    """A deadlock was detected; carries the victim transaction id."""
-
-    def __init__(self, victim: str, cycle: tuple[str, ...] = ()) -> None:
-        self.victim = victim
-        self.cycle = cycle
-        detail = f" (cycle: {' -> '.join(cycle)})" if cycle else ""
-        super().__init__(f"deadlock detected; victim {victim!r}{detail}")
 
 
 class ConstraintViolation(LDBSError):
@@ -112,14 +98,6 @@ class BackendConflictError(LockError):
     libres design, or SQLite's ``database is locked`` under
     ``BEGIN IMMEDIATE``.  Transient by definition: the SST executor's
     bounded retry loop re-runs the whole attempt."""
-
-
-class RecoveryError(LDBSError):
-    """The WAL could not be replayed into a consistent state."""
-
-
-class WALError(LDBSError):
-    """Malformed or out-of-order write-ahead-log operation."""
 
 
 # ---------------------------------------------------------------------------

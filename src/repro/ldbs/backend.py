@@ -3,11 +3,9 @@
 The paper's Secure System Transactions are "ordinary ACID transactions
 against the LDBS"; this module makes the LDBS itself replaceable.  An
 :class:`LDBSBackend` is anything that can create tables, open
-transactions and answer catalog questions; the default implementation
-(:class:`MemoryBackend`) wraps the in-memory strict-2PL engine
-(:class:`~repro.ldbs.engine.Database`), and
-:mod:`repro.ldbs.sqlite_backend` provides a real-database
-implementation on SQLite in WAL mode.
+transactions and answer catalog questions.  :class:`MemoryBackend`
+keeps the committed rows in one dict per table, and
+:mod:`repro.ldbs.sqlite_backend` runs them on SQLite in WAL mode.
 
 Following libres' design (SNIPPETS.md Snippets 1-2), the transaction
 API carries a **read/write path split**: ``begin(write=True)`` is the
@@ -15,10 +13,9 @@ serialized write path SSTs must use (``BEGIN IMMEDIATE`` on SQLite —
 the writer lock is taken up front, and losing it raises
 :class:`~repro.errors.BackendConflictError` for the executor's bounded
 retry loop), while ``begin(write=False)`` is the cheaper
-default-isolation read path (``BEGIN DEFERRED`` / a WAL snapshot).
-The in-memory engine has a single strict-2PL path, so it accepts and
-ignores the flag; the conformance suite in ``tests/ldbs`` pins the
-guarantees the two paths share.
+default-isolation read path (``BEGIN DEFERRED`` / a WAL snapshot on
+SQLite, read-committed on memory).  The conformance suite in
+``tests/ldbs`` pins the guarantees the two backends share.
 
 Transactions speak a deliberately narrow, key-oriented dialect
 (``has_key`` / ``get_row`` / ``insert`` / ``update_by_key`` /
@@ -31,11 +28,17 @@ found on the SST path; see ``docs/BACKENDS.md``).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
 
-from repro.errors import BackendError, StorageError
-from repro.ldbs.constraints import CheckConstraint
-from repro.ldbs.engine import Database, Transaction, TxnStatus
+from repro.errors import (
+    BackendConflictError,
+    BackendError,
+    CatalogError,
+    StorageError,
+    TransactionAborted,
+)
+from repro.ldbs.constraints import CheckConstraint, ConstraintSet
 from repro.ldbs.schema import TableSchema
 
 __all__ = [
@@ -90,7 +93,8 @@ class LDBSBackend(Protocol):
     use); ``begin(write=False)`` the default-isolation read path.
     ``dump()`` returns the committed permanent state in a canonical
     backend-independent form — the differential harness asserts
-    byte-identical dumps across backends.
+    byte-identical dumps across backends.  ``crash()`` drops every
+    open transaction and returns their ids.
     """
 
     name: str
@@ -109,7 +113,7 @@ class LDBSBackend(Protocol):
 
     def dump(self) -> dict[str, dict[Any, dict[str, Any]]]: ...
 
-    def crash(self) -> Any: ...
+    def crash(self) -> tuple[str, ...]: ...
 
     def close(self) -> None: ...
 
@@ -118,144 +122,253 @@ class LDBSBackend(Protocol):
 # the in-memory default backend
 # ---------------------------------------------------------------------------
 
+#: ``overlay.get`` default: this transaction has not written the key.
+_UNWRITTEN = object()
+
 
 class _MemoryTransaction:
-    """Key-oriented adapter over the engine's :class:`Transaction`."""
+    """One transaction on a :class:`MemoryBackend`.
 
-    def __init__(self, backend: "MemoryBackend", txn: Transaction) -> None:
+    Its writes go into an overlay (table -> key -> row, ``None`` for a
+    deleted key) that commit applies to the committed rows and abort
+    drops.  Reads look in the overlay first, then at the committed
+    rows: read-your-own-writes, and read-committed for everyone else.
+    """
+
+    def __init__(self, backend: "MemoryBackend", txn_id: str) -> None:
         self._backend = backend
-        self._txn = txn
-        self.txn_id = txn.txn_id
+        self.txn_id = txn_id
+        #: True while this transaction holds the backend's writer slot.
+        self.write = False
+        #: the overlay; None once the transaction has finished.
+        self._writes: dict[str, dict[Any, dict[str, Any] | None]] | None = {}
+
+    # -- reads (through the open transaction) -------------------------------
+
+    def _row(self, table: str, key: Any) -> dict[str, Any] | None:
+        """The row under ``key`` as this transaction sees it."""
+        writes = self._writes
+        if writes is None:
+            raise TransactionAborted(self.txn_id, reason="already finished")
+        overlay = writes.get(table)
+        if overlay is not None:
+            row = overlay.get(key, _UNWRITTEN)
+            if row is not _UNWRITTEN:
+                return row
+        try:
+            return self._backend._rows[table].get(key)
+        except KeyError:
+            raise CatalogError(f"table {table!r} does not exist") from None
 
     def has_key(self, table: str, key: Any) -> bool:
-        # probe through the transaction: an S lock on the row (upgraded
-        # to X by a following update), and read-your-own-writes since
-        # the heap is single-copy and mutated in place.
-        try:
-            self._txn.get_by_key(table, key)
-        except StorageError:
-            return False
-        return True
+        return self._row(table, key) is not None
 
     def get_row(self, table: str, key: Any) -> dict[str, Any]:
-        return dict(self._txn.get_by_key(table, key).as_dict())
+        row = self._row(table, key)
+        if row is None:
+            raise StorageError(
+                f"table {table!r} has no row with key {key!r}")
+        return dict(row)
+
+    # -- writes -------------------------------------------------------------
+
+    def _overlay(self, table: str) -> dict[Any, dict[str, Any] | None]:
+        """This transaction's writes to ``table``.  A read transaction
+        that writes takes the writer slot first, as SQLite's deferred
+        ``BEGIN`` takes the write lock at its first write."""
+        if not self.write:
+            self._backend._claim_writer(self)
+        overlay = self._writes.get(table)
+        if overlay is None:
+            overlay = self._writes[table] = {}
+        return overlay
 
     def insert(self, table: str, values: Mapping[str, Any]) -> None:
-        self._txn.insert(table, values)
+        """Insert a row: its constraints are checked before its key, as
+        on SQLite."""
+        backend = self._backend
+        schema = backend._schema(table)
+        row = schema.validate_row(values)
+        backend.constraints.validate(table, row)
+        key = row[schema.primary_key]
+        if self._row(table, key) is not None:
+            raise StorageError(
+                f"duplicate key {key!r} for table {table!r}")
+        self._overlay(table)[key] = row
 
     def update_by_key(self, table: str, key: Any,
                       changes: Mapping[str, Any]) -> int:
-        if not changes:
-            return int(self.has_key(table, key))
-        return int(self._txn.update_by_key(table, key, changes) is not None)
+        backend = self._backend
+        schema = backend._schema(table)
+        updated = schema.validate_update(changes)
+        current = self._row(table, key)
+        if current is None:
+            return 0
+        if not updated:
+            return 1
+        row = {**current, **updated}
+        backend.constraints.validate(table, row)
+        key_column = schema.primary_key
+        old_key, new_key = current[key_column], row[key_column]
+        if new_key != old_key and self._row(table, new_key) is not None:
+            raise StorageError(
+                f"duplicate key {new_key!r} for table {table!r}")
+        overlay = self._overlay(table)
+        if new_key != old_key:
+            overlay[old_key] = None
+        overlay[new_key] = row
+        return 1
 
     def delete_by_key(self, table: str, key: Any) -> int:
-        return self._txn.delete_by_key(table, key)
+        current = self._row(table, key)
+        if current is None:
+            return 0
+        key_column = self._backend._schemas[table].primary_key
+        self._overlay(table)[current[key_column]] = None
+        return 1
+
+    # -- completion ---------------------------------------------------------
+
+    def _finish(self) -> dict[str, dict[Any, dict[str, Any] | None]]:
+        writes = self._writes
+        if writes is None:
+            raise TransactionAborted(self.txn_id, reason="already finished")
+        self._writes = None
+        self._backend._transaction_finished(self)
+        return writes
 
     def commit(self) -> None:
-        self._txn.commit()
-        self._backend._transaction_finished()
+        for table, overlay in self._finish().items():
+            rows = self._backend._rows[table]
+            for key, row in overlay.items():
+                if row is None:
+                    rows.pop(key, None)
+                else:
+                    rows[key] = row
 
     def abort(self) -> None:
-        self._txn.abort()
-        self._backend._transaction_finished()
+        self._finish()
 
     def __enter__(self) -> "_MemoryTransaction":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        txn = self._txn
-        if txn.status is TxnStatus.ACTIVE:
+        if self._writes is not None:
             if exc_type is None:
-                txn.commit()
+                self.commit()
             else:
-                txn.abort()
-        self._backend._transaction_finished()
+                self.abort()
         return False
 
 
-#: WAL records after which the memory backend checkpoints the engine
-#: at the next quiescent moment.  SQLite's ``wal_autocheckpoint``
-#: default (there in pages); a constant, not a knob.
-WAL_AUTOCHECKPOINT = 1000
-
-
 class MemoryBackend:
-    """The in-memory strict-2PL engine behind the backend protocol.
+    """The LDBS in memory: one dict of rows per table, by primary key.
 
-    Wraps an existing :class:`~repro.ldbs.engine.Database` (or creates
-    a fresh one).  Strict 2PL has no cheaper read path, so the
-    ``write`` flag is accepted and ignored — every transaction runs at
-    the engine's single (serializable) isolation level.
-
-    The engine's WAL is bounded here: a transaction that finishes with
-    :data:`WAL_AUTOCHECKPOINT` or more records logged and no other
-    transaction open takes the engine's quiesced checkpoint (snapshot
-    every table, truncate the log), so a long-lived service retains
-    the rows and a bounded log suffix, not its whole write history.
+    One writer at a time: a second ``begin(write=True)`` while one is
+    open raises :class:`~repro.errors.BackendConflictError` at begin,
+    as SQLite's busy ``BEGIN IMMEDIATE`` does.  Readers never wait and
+    read committed rows.  Nothing is ever undone: abort and
+    :meth:`crash` drop the overlay the writer would have applied.
     """
 
     name = "memory"
 
-    def __init__(self, database: Database | None = None) -> None:
-        self.database = database or Database()
+    def __init__(self) -> None:
+        self._schemas: dict[str, TableSchema] = {}
+        #: table -> primary key -> committed row.
+        self._rows: dict[str, dict[Any, dict[str, Any]]] = {}
+        self.constraints = ConstraintSet()
+        self._ids = itertools.count(1)
+        #: open transactions, in begin order.
+        self._open: dict[_MemoryTransaction, None] = {}
+        self._writer: _MemoryTransaction | None = None
 
     # -- schema / seeding ---------------------------------------------------
 
     def create_table(self, schema: TableSchema,
                      constraints: Iterable[CheckConstraint] = ()) -> None:
-        self.database.create_table(schema, constraints=constraints)
+        if schema.name in self._schemas:
+            raise CatalogError(f"table {schema.name!r} already exists")
+        if schema.primary_key is None:
+            raise BackendError(
+                f"table {schema.name!r} has no primary key; the memory "
+                f"backend stores rows by key")
+        self._schemas[schema.name] = schema
+        self._rows[schema.name] = {}
+        for constraint in constraints:
+            if constraint.table not in self._schemas:
+                raise CatalogError(
+                    f"constraint targets unknown table "
+                    f"{constraint.table!r}")
+            self.constraints.add(constraint)
 
     def seed(self, table: str, rows: Iterable[Mapping[str, Any]]) -> None:
-        self.database.seed(table, rows)
-        self._transaction_finished()
+        with self.begin(write=True) as txn:
+            for values in rows:
+                txn.insert(table, values)
 
     # -- transactions -------------------------------------------------------
 
     def begin(self, txn_id: str | None = None, *,
               write: bool = False) -> _MemoryTransaction:
-        return _MemoryTransaction(self, self.database.begin(txn_id))
+        if txn_id is None:
+            txn_id = f"memory-{next(self._ids)}"
+        txn = _MemoryTransaction(self, txn_id)
+        if write:
+            self._claim_writer(txn)
+        self._open[txn] = None
+        return txn
 
-    def _transaction_finished(self) -> None:
-        """Checkpoint once the WAL is long enough and nothing is open."""
-        database = self.database
-        if (len(database.wal) >= WAL_AUTOCHECKPOINT
-                and not database.open_transactions()):
-            database.checkpoint()
+    def _claim_writer(self, txn: _MemoryTransaction) -> None:
+        if self._writer is not None:
+            raise BackendConflictError(
+                f"memory backend busy: {self._writer.txn_id!r} is "
+                f"writing; {txn.txn_id!r} cannot")
+        self._writer = txn
+        txn.write = True
+
+    def _transaction_finished(self, txn: _MemoryTransaction) -> None:
+        del self._open[txn]
+        if self._writer is txn:
+            self._writer = None
 
     # -- catalog introspection ----------------------------------------------
 
     def table_names(self) -> tuple[str, ...]:
-        return self.database.catalog.table_names()
+        return tuple(self._schemas)
+
+    def _schema(self, table: str) -> TableSchema:
+        try:
+            return self._schemas[table]
+        except KeyError:
+            raise CatalogError(f"table {table!r} does not exist") from None
 
     def key_column(self, table: str) -> str | None:
-        return self.database.catalog.table(table).schema.primary_key
+        return self._schema(table).primary_key
 
     # -- state / lifecycle --------------------------------------------------
 
     def dump(self) -> dict[str, dict[Any, dict[str, Any]]]:
         """Committed permanent state, canonically ordered by key."""
-        state: dict[str, dict[Any, dict[str, Any]]] = {}
-        for table in self.database.catalog:
-            column = table.schema.primary_key
-            rows = [dict(row.as_dict()) for row in table.scan()]
-            if column is not None:
-                rows.sort(key=lambda row: repr(row[column]))
-                state[table.name] = {row[column]: row for row in rows}
-            else:
-                state[table.name] = {rid: dict(table.get(rid).as_dict())
-                                     for rid in table.rids()}
-        return state
+        return {name: {key: dict(rows[key]) for key in sorted(rows, key=repr)}
+                for name, rows in self._rows.items()}
 
-    def crash(self) -> Any:
-        """Simulated crash + WAL recovery (open transactions are lost)."""
-        return self.database.crash()
+    def crash(self) -> tuple[str, ...]:
+        """Simulate a crash: every open transaction is lost with its
+        overlay, the committed rows survive.  Returns the lost ids."""
+        lost = tuple(txn.txn_id for txn in self._open)
+        for txn in self._open:
+            txn._writes = None
+        self._open.clear()
+        self._writer = None
+        return lost
 
     def close(self) -> None:
-        """Nothing to release for the in-memory engine."""
+        """Nothing to release in memory."""
 
     def __repr__(self) -> str:
-        return f"<MemoryBackend {self.database!r}>"
+        return (f"<MemoryBackend tables={sorted(self._schemas)} "
+                f"open={len(self._open)}>")
 
 
 # ---------------------------------------------------------------------------

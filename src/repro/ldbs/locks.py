@@ -1,9 +1,8 @@
 """Shared/exclusive lock manager with FIFO queues and upgrades.
 
-This is the classical lock manager used by the LDBS for strict two-phase
-locking, and reused by the 2PL *baseline scheduler* the paper compares
-against.  Locks are taken on opaque hashable resource ids; for the LDBS a
-resource is ``(table, rid)`` or ``(table, key, column)``.
+This is the classical strict two-phase-locking lock manager of the 2PL
+*baseline scheduler* the paper compares against.  Locks are taken on
+opaque hashable resource ids (the baseline locks object names).
 
 Grant policy:
 

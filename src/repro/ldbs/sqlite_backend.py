@@ -39,10 +39,10 @@ item 1).  Design, following ``travel_dbms`` and libres (SNIPPETS.md):
 - **Error mapping into the repro taxonomy** — ``database is locked`` /
   busy becomes :class:`~repro.errors.BackendConflictError` (retryable,
   the ``TransactionRollbackError`` analogue); UNIQUE violations become
-  :class:`~repro.errors.StorageError` like the heap's duplicate-key
-  error; CHECK-style constraints are validated in Python *before* the
-  SQL executes, via the same :class:`~repro.ldbs.constraints`
-  machinery the in-memory engine uses, so both backends raise the
+  :class:`~repro.errors.StorageError` like the memory backend's
+  duplicate-key error; CHECK-style constraints are validated in Python
+  *before* the SQL executes, via the same :class:`~repro.ldbs.constraints`
+  machinery the memory backend uses, so both backends raise the
   same :class:`~repro.errors.ConstraintViolation` at the same point.
 
 Values are validated through the :class:`~repro.ldbs.schema` layer on
@@ -175,8 +175,8 @@ class SQLiteTransaction:
         if not updated:
             return int(self.has_key(table, key))
         if backend.constraints.for_table(table):
-            # validate the post-image exactly like the eager in-memory
-            # engine: current row (read through this transaction) +
+            # validate the post-image exactly like the memory backend:
+            # current row (read through this transaction) +
             # changes.  Only a constrained table pays for the read; the
             # UPDATE's own rowcount says whether the key was there.
             try:
@@ -416,8 +416,8 @@ class SQLiteBackend:
         """Committed permanent state, canonically ordered by key.
 
         Read on a fresh snapshot connection, so open transactions'
-        uncommitted work is invisible — exactly the in-memory backend's
-        committed-heap dump.
+        uncommitted work is invisible — exactly the memory backend's
+        dump of its committed rows.
         """
         state: dict[str, dict[Any, dict[str, Any]]] = {}
         conn = self._connect()

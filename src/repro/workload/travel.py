@@ -26,7 +26,7 @@ from repro.core.gtm import GlobalTransactionManager
 from repro.core.objects import ObjectBinding
 from repro.core.opclass import assign, subtract
 from repro.ldbs.constraints import NonNegative
-from repro.ldbs.engine import Database
+from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.mobile.client import ThinkTimeModel
 from repro.mobile.network import BernoulliDisconnection
@@ -76,7 +76,7 @@ class TravelAgency:
 
     def __init__(self, config: TravelWorkloadConfig | None = None) -> None:
         self.config = config or TravelWorkloadConfig()
-        self.database = Database()
+        self.backend = MemoryBackend()
         self._build_schema()
         #: object name -> (table, key, stock column)
         self.stock_objects: dict[str, tuple[str, int, str]] = {}
@@ -93,7 +93,7 @@ class TravelAgency:
             columns.append(Column(stock_column, ColumnType.INT))
             schema = TableSchema(name=table, columns=tuple(columns),
                                  primary_key="id")
-            self.database.create_table(
+            self.backend.create_table(
                 schema, constraints=[NonNegative(table, stock_column)])
 
     def _seed_rows(self) -> None:
@@ -116,17 +116,14 @@ class TravelAgency:
                                                   stock_column)
                 price_name = f"{table}:{index + 1}.price"
                 self.price_objects[price_name] = (table, index + 1, "price")
-            self.database.seed(table, rows)
+            self.backend.seed(table, rows)
 
     def register_objects(self, gtm: GlobalTransactionManager) -> None:
         """Create one bound GTM object per reservable/priceable cell."""
-        for name, (table, key, column) in self.stock_objects.items():
-            row = self.database.catalog.table(table).get_by_key(key)
-            gtm.create_object(name, value=row[column],
-                              binding=ObjectBinding.cell(table, key, column))
-        for name, (table, key, column) in self.price_objects.items():
-            row = self.database.catalog.table(table).get_by_key(key)
-            gtm.create_object(name, value=row[column],
+        values = self.initial_values()
+        for name, (table, key, column) in {**self.stock_objects,
+                                           **self.price_objects}.items():
+            gtm.create_object(name, value=values[name],
                               binding=ObjectBinding.cell(table, key, column))
 
     def register_structured_objects(self,
@@ -140,10 +137,10 @@ class TravelAgency:
         concurrently because the members are not logically dependent.
         Object names are ``<table>:<key>``.
         """
+        state = self.backend.dump()
         for table, stock_column, _extras in _RESOURCES:
-            heap = self.database.catalog.table(table)
             for key in range(1, self.config.n_per_type + 1):
-                row = heap.get_by_key(key)
+                row = state[table][key]
                 gtm.create_object(
                     f"{table}:{key}",
                     members={"stock": row[stock_column],
@@ -154,14 +151,12 @@ class TravelAgency:
                                         "price": "price"}))
 
     def initial_values(self) -> dict[str, float]:
-        values: dict[str, float] = {}
-        for name, (table, key, column) in self.stock_objects.items():
-            values[name] = self.database.catalog.table(table).get_by_key(
-                key)[column]
-        for name, (table, key, column) in self.price_objects.items():
-            values[name] = self.database.catalog.table(table).get_by_key(
-                key)[column]
-        return values
+        """Every stock and price cell's committed value, by object name."""
+        state = self.backend.dump()
+        return {name: state[table][key][column]
+                for name, (table, key, column) in {**self.stock_objects,
+                                                   **self.price_objects
+                                                   }.items()}
 
     # -- workload construction ----------------------------------------------------
 

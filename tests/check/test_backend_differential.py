@@ -1,7 +1,7 @@
 """The memory-vs-SQLite backend differential (CI's bug-hunt job).
 
 Satellite of the pluggable-backend PR: every fuzzed episode runs twice
-through the *same* GTM — once with SSTs bound to the in-memory engine,
+through the *same* GTM — once with SSTs bound to the in-memory backend,
 once bound to SQLite — and any divergence in trace, permanent object
 state, commit-order witness, invariants, or the committed LDBS dump
 fails the episode.  The suite pins (a) a clean 200-episode campaign

@@ -20,7 +20,7 @@ from repro.core.opclass import (
 )
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
-from repro.ldbs.engine import Database
+from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 
 _S = TransactionState
@@ -156,7 +156,7 @@ class TestDelete:
 
 class TestSSTLifecycle:
     def make_bound(self, with_row=True):
-        db = Database()
+        db = MemoryBackend()
         db.create_table(TableSchema(
             "flight", (Column("id", ColumnType.INT),
                        Column("free", ColumnType.INT)),
@@ -174,7 +174,7 @@ class TestSSTLifecycle:
         gtm.begin("D")
         gtm.invoke("D", "X", delete_object())
         gtm.request_commit("D")
-        assert not db.catalog.table("flight").has_key(1)
+        assert db.dump()["flight"] == {}
 
     def test_committed_insert_creates_ldbs_row(self):
         gtm, db = self.make_bound(with_row=False)
@@ -182,4 +182,4 @@ class TestSSTLifecycle:
         gtm.invoke("I", "X", insert_object())
         gtm.apply("I", "X", insert_object({"value": 3}))
         gtm.request_commit("I")
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 3
+        assert db.dump()["flight"][1]["free"] == 3

@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.errors import GTMError, SSTFailure
+from repro.errors import SSTFailure
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.objects import ObjectBinding
 from repro.core.opclass import assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor, StagedWrite
 from repro.core.states import TransactionState
-from repro.ldbs.backend import create_backend
+from repro.ldbs.backend import MemoryBackend, create_backend
 from repro.ldbs.constraints import NonNegative
-from repro.ldbs.engine import Database
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 
 
-def make_db(stock: int = 10) -> Database:
-    db = Database()
+def make_db(stock: int = 10) -> MemoryBackend:
+    db = MemoryBackend()
     db.create_table(
         TableSchema("flight",
                     (Column("id", ColumnType.INT),
@@ -37,7 +36,7 @@ class TestExecutor:
         report = executor.execute("T", [
             StagedWrite("seats", binding(), {"value": 9})])
         assert report.rows_written == 1
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 9
+        assert db.dump()["flight"][1]["free"] == 9
 
     def test_unbound_write_skipped(self):
         db = make_db()
@@ -53,7 +52,7 @@ class TestExecutor:
         report = executor.execute("T", [
             StagedWrite("seats", binding(), {})])
         assert report.rows_written == 0
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+        assert db.dump()["flight"][1]["free"] == 10
 
     def test_delete_write(self):
         db = make_db()
@@ -61,19 +60,17 @@ class TestExecutor:
         report = executor.execute("T", [
             StagedWrite("seats", binding(), {}, delete=True)])
         assert report.rows_deleted == 1
-        assert not db.catalog.table("flight").has_key(1)
+        assert db.dump()["flight"] == {}
 
     def test_insert_when_key_missing(self):
         db = make_db()
-        db.run(lambda txn: txn.delete("flight",
-                                      __import__(
-                                          "repro.ldbs.predicate",
-                                          fromlist=["P"]).P("id") == 1))
+        with db.begin(write=True) as txn:
+            txn.delete_by_key("flight", 1)
         executor = SSTExecutor(db)
         report = executor.execute("T", [
             StagedWrite("seats", binding(), {"value": 5})])
         assert report.rows_written == 1
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 5
+        assert db.dump()["flight"][1]["free"] == 5
 
     def test_constraint_violation_fails_without_retry(self):
         db = make_db(0)
@@ -84,7 +81,7 @@ class TestExecutor:
         assert "constraint" in str(info.value)
         assert executor.failed == 1
         # no retries for deterministic failures
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 0
+        assert db.dump()["flight"][1]["free"] == 0
 
     def test_failed_attempt_leaves_no_partial_state(self):
         db = make_db(10)
@@ -103,7 +100,7 @@ class TestExecutor:
         with pytest.raises(SSTFailure):
             executor.execute("T", writes)
         # atomicity: the first write rolled back with the second
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+        assert db.dump()["flight"][1]["free"] == 10
 
 
 class TestFailureInjection:
@@ -115,7 +112,7 @@ class TestFailureInjection:
             StagedWrite("seats", binding(), {"value": 9})])
         assert report.attempts == 2
         assert report.injected_failures == 1
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 9
+        assert db.dump()["flight"][1]["free"] == 9
 
     def test_permanent_failure_exhausts_retries(self):
         db = make_db(10)
@@ -126,7 +123,7 @@ class TestFailureInjection:
             executor.execute("T", [
                 StagedWrite("seats", binding(), {"value": 9})])
         assert executor.injector.injected == 3  # 1 try + 2 retries
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+        assert db.dump()["flight"][1]["free"] == 10
 
     def test_invalid_failure_rate_rejected(self):
         with pytest.raises(Exception):
@@ -181,7 +178,7 @@ class TestGTMIntegration:
         gtm.apply("T", "seats", subtract(1))
         report = gtm.request_commit("T")
         assert report is not None
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 9
+        assert db.dump()["flight"][1]["free"] == 9
         assert gtm.object("seats").permanent_value() == 9
 
     def test_sst_failure_aborts_transaction_cleanly(self):
@@ -195,7 +192,7 @@ class TestGTMIntegration:
         assert gtm.transaction("T").state is TransactionState.ABORTED
         # neither side changed
         assert gtm.object("seats").permanent_value() == 10
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+        assert db.dump()["flight"][1]["free"] == 10
 
     def test_sst_failure_releases_object_for_others(self):
         gtm, _db = self.make_gtm(
@@ -222,26 +219,11 @@ class TestGTMIntegration:
         with pytest.raises(SSTFailure):       # B would drive it to -1
             gtm.request_commit("B")
             gtm.pump_commits()
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 0
+        assert db.dump()["flight"][1]["free"] == 0
 
 
 class TestBackendSeam:
     """The executor behind the pluggable-backend seam."""
-
-    def test_database_argument_is_wrapped(self):
-        db = make_db()
-        executor = SSTExecutor(db)
-        assert executor.backend.database is db
-        assert executor.database is db  # back-compat property
-
-    def test_database_property_requires_memory_backend(self):
-        backend = create_backend("sqlite")
-        try:
-            executor = SSTExecutor(backend)
-            with pytest.raises(GTMError):
-                executor.database
-        finally:
-            backend.close()
 
     def test_upsert_probe_reads_through_the_transaction(self):
         """Regression: two staged writes landing on the same *absent*
@@ -249,7 +231,7 @@ class TestBackendSeam:
         catalog (around the open transaction), missed the first
         write's uncommitted insert, and issued a second INSERT —
         a duplicate-key failure on every backend."""
-        db = Database()
+        db = MemoryBackend()
         db.create_table(TableSchema(
             "pair", (Column("id", ColumnType.INT),
                      Column("a", ColumnType.FLOAT, nullable=True),
@@ -265,7 +247,7 @@ class TestBackendSeam:
                 {"value": 2.0}),
         ])
         assert report.rows_written == 2
-        row = db.catalog.table("pair").get_by_key(1)
+        row = db.dump()["pair"][1]
         assert row["a"] == 1.0
         assert row["b"] == 2.0
 

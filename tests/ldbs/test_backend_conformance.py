@@ -1,15 +1,16 @@
 """Backend conformance: the guarantees both LDBS backends share.
 
 Every test in :class:`TestConformance` runs against the in-memory
-strict-2PL engine AND the SQLite WAL backend through the narrow
+dict-of-rows backend AND the SQLite WAL backend through the narrow
 :class:`~repro.ldbs.backend.BackendTransaction` dialect — atomicity,
-abort semantics, crash/WAL recovery, write-write conflict mapping into
-the :class:`~repro.errors.LockError` taxonomy, read-your-own-writes
-upsert probes, and canonical ``dump()`` parity.  SQLite-specific
-behaviour (the deferred read path not blocking the serialized write
-path, one statement per keyed update, conflict-at-begin, the long-lived writer connection and what
-``crash()``/``close()``/a failed COMMIT do to it) lives in
-:class:`TestSQLiteSpecific`.
+abort semantics, crash recovery, one writer at a time (the loser
+refused at begin with :class:`~repro.errors.BackendConflictError`),
+readers that read committed state behind an open writer,
+read-your-own-writes upsert probes, and canonical ``dump()`` parity.
+SQLite-specific behaviour (a reader keeping its snapshot while the
+writer commits, one statement per keyed update, the long-lived writer
+connection and what ``crash()``/``close()``/a failed COMMIT do to it)
+lives in :class:`TestSQLiteSpecific`.
 """
 
 import os
@@ -21,12 +22,10 @@ from repro.errors import (
     BackendConflictError,
     BackendError,
     ConstraintViolation,
-    LockError,
     StorageError,
 )
 from repro.ldbs.backend import (
     LDBSBackend,
-    MemoryBackend,
     backend_names,
     create_backend,
 )
@@ -61,6 +60,7 @@ def backend(request):
 
 class TestConformance:
     def test_registry_and_catalog(self, backend):
+        assert isinstance(backend, LDBSBackend)
         assert backend.name in BACKENDS
         assert backend.table_names() == ("obj",)
         assert backend.key_column("obj") == "id"
@@ -163,24 +163,48 @@ class TestConformance:
             txn.abort()
 
     def test_write_write_conflict_is_lock_error(self, backend):
-        """Two serialized writers on one row: the loser's error is in
-        the LockError taxonomy on every backend (BackendConflictError
-        for SQLite's busy begin, plain LockError for strict-2PL
-        nowait) — either way the SST retry loop can classify it."""
+        """Two serialized writers on one row: the loser is refused at
+        begin with a BackendConflictError, in the LockError taxonomy,
+        on every backend — the SST retry loop classifies it as
+        transient."""
         holder = backend.begin("W1", write=True)
         holder.update_by_key("obj", 1, {"value": 1.0})
-        with pytest.raises(LockError):
-            loser = backend.begin("W2", write=True)
-            loser.update_by_key("obj", 1, {"value": 2.0})
+        with pytest.raises(BackendConflictError):
+            backend.begin("W2", write=True)
         holder.commit()
         assert backend.dump()["obj"][1]["value"] == 1.0
+
+    def test_dump_shows_committed_state_only(self, backend):
+        """``dump()`` is the committed state: an open writer's update
+        and insert are not in it until it commits."""
+        writer = backend.begin("W", write=True)
+        writer.update_by_key("obj", 1, {"value": 99.0})
+        writer.insert("obj", {"id": 2, "value": 1.0})
+        assert backend.dump()["obj"] == {
+            1: {"id": 1, "value": 10.0, "label": "a", "flag": True}}
+        writer.commit()
+        assert sorted(backend.dump()["obj"]) == [1, 2]
+
+    def test_reader_behind_an_open_writer_reads_committed_state(
+            self, backend):
+        """The read path reads instead of refusing: committed values,
+        not the writer's, and the reader finishes — a crash then loses
+        only the writer."""
+        writer = backend.begin("W", write=True)
+        writer.update_by_key("obj", 1, {"value": 99.0})
+        writer.insert("obj", {"id": 2, "value": 1.0})
+        with backend.begin("R") as reader:
+            assert reader.get_row("obj", 1)["value"] == 10.0
+            assert not reader.has_key("obj", 2)
+        assert backend.crash() == ("W",)
+        assert backend.dump()["obj"][1]["value"] == 10.0
 
     def test_crash_recovers_committed_state_only(self, backend):
         with backend.begin("T1", write=True) as txn:
             txn.update_by_key("obj", 1, {"value": 5.0})
         open_txn = backend.begin("T2", write=True)
         open_txn.insert("obj", {"id": 2, "value": 0.0})
-        backend.crash()
+        assert backend.crash() == ("T2",)
         # the open transaction's work is gone, the commit survived
         assert backend.dump()["obj"] == {
             1: {"id": 1, "value": 5.0, "label": "a", "flag": True}}
@@ -243,20 +267,11 @@ class TestKeyedWriteContract:
         assert stock.dump() == before
 
     def test_empty_update_answers_one_and_writes_nothing(self, stock):
-        """It used to answer 1 on memory (logging an UPDATE and bumping
-        the row version for nothing) and 0 on SQLite — which the SST
-        reads as "no such row, insert it"."""
+        """It used to answer 0 on SQLite — which the SST reads as "no
+        such row, insert it"."""
         before = stock.dump()
-        memory = isinstance(stock, MemoryBackend)
-        if memory:
-            heap = stock.database.catalog.table("stock")
-            version = heap.get_by_key("a").version
-            logged = len(stock.database.wal)
         txn = stock.begin("T1", write=True)
         assert txn.update_by_key("stock", "a", {}) == 1
-        if memory:  # nothing but what begin logged
-            assert heap.get_by_key("a").version == version
-            assert len(stock.database.wal) == logged + 1
         txn.commit()
         assert stock.dump() == before
 
@@ -564,10 +579,3 @@ class TestSQLiteSpecific:
     def test_unknown_backend_name_rejected(self):
         with pytest.raises(BackendError):
             create_backend("postgres")
-
-    def test_memory_backend_wraps_existing_database(self):
-        from repro.ldbs.engine import Database
-        db = Database()
-        backend = MemoryBackend(db)
-        assert backend.database is db
-        assert isinstance(backend, LDBSBackend)

@@ -1,19 +1,10 @@
-"""The keyed write path is the predicate path, and SQLite agrees.
+"""SQLite answers what the memory backend answers.
 
-``Transaction.update_by_key`` / ``delete_by_key`` find their row
-through the heap's primary-key index; ``update`` / ``delete`` with
-``P(pk) == key`` find it through a predicate.  Everything after the
-row is found is one code path, and this file holds the two to that:
-random sequences of insert / update / re-key / delete / commit / abort
-/ ``crash()`` run on twin in-memory databases, one per path, must
-leave identical rows and row versions, an identical WAL record stream,
-identical locks while a transaction is open and none after it
-finished, and identical recovery.
-
-The same sequences through the backend seam, SQLite against memory:
+Random sequences of insert / update / re-key / delete / commit / abort
+/ ``crash()`` run through the backend seam, SQLite against memory:
 identical answers from every call — a refusal is the same exception
 class on both — and an identical ``dump()`` after every finish, on a
-table without a constraint (where SQLite no longer reads the row before
+table without a constraint (where SQLite does not read the row before
 it updates it) and on one with.
 """
 
@@ -23,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConstraintViolation, StorageError
 from repro.ldbs.backend import create_backend
 from repro.ldbs.constraints import NonNegative
-from repro.ldbs.engine import Database
-from repro.ldbs.predicate import P
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 
 SCHEMA = TableSchema("obj",
@@ -52,82 +41,6 @@ def _answer(call):
         return call()
     except (StorageError, ConstraintViolation) as exc:
         return type(exc).__name__
-
-
-class _Engine:
-    """One in-memory database, written through one of the two paths."""
-
-    def __init__(self, keyed, constrained):
-        self.keyed = keyed
-        self.db = Database()
-        self.db.create_table(SCHEMA, constraints=(
-            [NonNegative("obj", "value")] if constrained else []))
-        self.db.seed("obj", SEED_ROWS)
-        self.txn = None
-        self.begun = 0
-
-    def _open(self):
-        if self.txn is None:
-            self.begun += 1
-            self.txn = self.db.begin(f"T{self.begun}")
-        return self.txn
-
-    def step(self, action):
-        verb, *args = action
-        if verb == "insert":
-            key, value = args
-            return _answer(lambda: self._open().insert(
-                "obj", {"id": key, "value": value}).rid)
-        if verb in ("update", "rekey"):
-            key, new = args
-            changes = {"value": new} if verb == "update" else {"id": new}
-            if self.keyed:
-                return _answer(lambda: int(self._open().update_by_key(
-                    "obj", key, changes) is not None))
-            return _answer(lambda: len(self._open().update(
-                "obj", P("id") == key, changes)))
-        if verb == "delete":
-            (key,) = args
-            if self.keyed:
-                return _answer(
-                    lambda: self._open().delete_by_key("obj", key))
-            return _answer(
-                lambda: self._open().delete("obj", P("id") == key))
-        txn, self.txn = self.txn, None
-        if verb == "crash":
-            return self.db.crash()
-        if txn is not None:
-            txn.commit() if verb == "commit" else txn.abort()
-        assert not self.db.locks._resources  # nothing outlives a finish
-        return None
-
-    def state(self):
-        locks = self.db.locks
-        held = () if self.txn is None else tuple(sorted(
-            (resource, locks.mode_held(self.txn.txn_id, resource))
-            for resource in locks.resources_held_by(self.txn.txn_id)))
-        return {
-            "rows": self.db.catalog.table("obj").rows(),
-            "wal": [(r.lsn, r.type, r.txn_id, r.table, r.rid, r.before,
-                     r.after) for r in self.db.wal],
-            "held": held,
-        }
-
-
-@pytest.mark.parametrize("constrained", [False, True],
-                         ids=["unconstrained", "constrained"])
-@settings(max_examples=150, deadline=None)
-@given(actions=actions)
-def test_keyed_and_predicate_paths_are_one_engine(constrained, actions):
-    keyed = _Engine(keyed=True, constrained=constrained)
-    predicate = _Engine(keyed=False, constrained=constrained)
-    for action in actions:
-        assert keyed.step(action) == predicate.step(action), action
-        assert keyed.state() == predicate.state(), action
-    # and what is left recovers the same way
-    keyed.txn = predicate.txn = None
-    assert keyed.db.crash() == predicate.db.crash()
-    assert keyed.state() == predicate.state()
 
 
 class _Seam:
@@ -164,11 +77,12 @@ class _Seam:
             (key,) = args
             return _answer(lambda: self._open().delete_by_key("obj", key))
         txn, self.txn = self.txn, None
+        lost = None
         if verb == "crash":
-            self.backend.crash()
+            lost = self.backend.crash()
         elif txn is not None:
             txn.commit() if verb == "commit" else txn.abort()
-        return self.backend.dump()
+        return lost, self.backend.dump()
 
 
 @pytest.mark.parametrize("constrained", [False, True],

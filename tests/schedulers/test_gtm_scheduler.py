@@ -7,7 +7,7 @@ from repro.core.opclass import add, assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor
 from repro.core.objects import ObjectBinding
 from repro.ldbs.constraints import NonNegative
-from repro.ldbs.engine import Database
+from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
 from repro.metrics.collectors import Outcome
 from repro.mobile.network import DisconnectionEvent
@@ -189,7 +189,7 @@ class TestStaleWake:
 
 class TestSSTIntegration:
     def make_database(self, stock=10):
-        db = Database()
+        db = MemoryBackend()
         db.create_table(
             TableSchema("flight",
                         (Column("id", ColumnType.INT),
@@ -208,7 +208,7 @@ class TestSSTIntegration:
             [single_step_profile("T", 0.0, "X", subtract(1), plan())],
             initial=10.0, config=config)
         assert result.stats.committed == 1
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 9
+        assert db.dump()["flight"][1]["free"] == 9
 
     def test_sst_failure_recorded_as_abort(self):
         db = self.make_database(10)
@@ -222,7 +222,7 @@ class TestSSTIntegration:
             [single_step_profile("T", 0.0, "X", subtract(1), plan())],
             initial=10.0, config=config)
         assert result.stats.aborted == 1
-        assert db.catalog.table("flight").get_by_key(1)["free"] == 10
+        assert db.dump()["flight"][1]["free"] == 10
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
     def test_naming_a_backend_binds_it(self, backend):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import (
-    DeadlockError,
+    BackendConflictError,
     ProcessError,
     ReproError,
     SimulationError,
@@ -79,14 +79,9 @@ class TestNaNTimes:
 
 class TestErrorHierarchy:
     def test_everything_derives_from_repro_error(self):
-        for error in (SimulationError("x"), DeadlockError("T1"),
+        for error in (SimulationError("x"), BackendConflictError("T1"),
                       TransactionAborted("T1"), SSTFailure("T1")):
             assert isinstance(error, ReproError)
-
-    def test_deadlock_error_formats_cycle(self):
-        error = DeadlockError("B", cycle=("A", "B"))
-        assert error.victim == "B"
-        assert "A -> B" in str(error)
 
     def test_transaction_aborted_carries_reason(self):
         error = TransactionAborted("T1", reason="timeout")

@@ -27,7 +27,7 @@ def outcome():
         {**agency.stock_objects, **agency.price_objects}.items()
     }
     scheduler = GTMScheduler(GTMSchedulerConfig(
-        sst_executor=SSTExecutor(agency.database),
+        sst_executor=SSTExecutor(agency.backend),
         bindings=bindings,
         wait_timeout=120.0,
     ))
@@ -48,10 +48,10 @@ class TestTravelIntegration:
 
     def test_gtm_and_ldbs_agree_on_every_cell(self, outcome):
         agency, _scheduler, result = outcome
+        state = agency.backend.dump()
         for name, (table, key, column) in {**agency.stock_objects,
                                            **agency.price_objects}.items():
-            db_value = agency.database.catalog.table(table).get_by_key(
-                key)[column]
+            db_value = state[table][key][column]
             assert db_value == result.final_values[name], name
 
     def test_stock_accounting_exact(self, outcome):
@@ -69,9 +69,9 @@ class TestTravelIntegration:
             for step in profile.steps:
                 expected_sold[step.object_name] = \
                     expected_sold.get(step.object_name, 0) + 1
+        state = agency.backend.dump()
         for name, (table, key, column) in agency.stock_objects.items():
-            db_value = agency.database.catalog.table(table).get_by_key(
-                key)[column]
+            db_value = state[table][key][column]
             sold = agency.config.initial_stock - db_value
             assert sold == expected_sold.get(name, 0), name
 

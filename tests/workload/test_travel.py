@@ -14,17 +14,16 @@ def agency():
 
 class TestSubstrate:
     def test_tables_created(self, agency):
-        names = agency.database.catalog.table_names()
+        names = agency.backend.table_names()
         assert set(names) == {"flight", "hotel", "museum", "car"}
 
     def test_rows_seeded_with_stock(self, agency):
-        table = agency.database.catalog.table("flight")
-        assert len(table) == agency.config.n_per_type
-        row = table.get_by_key(1)
-        assert row["free_tickets"] == agency.config.initial_stock
+        rows = agency.backend.dump()["flight"]
+        assert len(rows) == agency.config.n_per_type
+        assert rows[1]["free_tickets"] == agency.config.initial_stock
 
     def test_constraints_installed(self, agency):
-        constraints = agency.database.constraints.for_table("flight")
+        constraints = agency.backend.constraints.for_table("flight")
         assert any("free_tickets" in c.name for c in constraints)
 
     def test_stock_and_price_objects_enumerated(self, agency):
@@ -119,7 +118,7 @@ class TestStructuredObjects:
         config = TravelWorkloadConfig(n_customers=1, seed=1)
         fresh = TravelAgency(config)
         gtm = GlobalTransactionManager(
-            sst_executor=SSTExecutor(fresh.database))
+            sst_executor=SSTExecutor(fresh.backend))
         fresh.register_structured_objects(gtm)
         gtm.begin("customer")
         gtm.begin("admin")
@@ -133,6 +132,6 @@ class TestStructuredObjects:
         gtm.pump_commits()
         gtm.request_commit("admin")
         gtm.pump_commits()
-        row = fresh.database.catalog.table("flight").get_by_key(1)
+        row = fresh.backend.dump()["flight"][1]
         assert row["free_tickets"] == config.initial_stock - 1
         assert row["price"] == 150.0
