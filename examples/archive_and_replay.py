@@ -7,7 +7,7 @@ Shows the workflow a downstream researcher would use:
 3. replay the archive through two schedulers and verify the outcomes
    are bit-identical to the original run;
 4. print the ASCII Gantt of the first transactions and check the run's
-   serializability with the serial-replay checker.
+   serializability by replaying its commit order serially.
 
 Run with::
 
@@ -17,7 +17,7 @@ Run with::
 import tempfile
 from pathlib import Path
 
-from repro.core.history import check_serializable
+from repro.check.oracle import check_episode, record_gtm
 from repro.metrics.trace import render_gantt
 from repro.schedulers import GTMScheduler, TwoPLScheduler
 from repro.workload import (
@@ -55,11 +55,11 @@ def main() -> None:
               f"committed, avg exec "
               f"{twopl.stats.avg_execution_time:.2f}s")
 
-    report = check_serializable(scheduler.last_gtm)
+    report = check_episode(record_gtm(scheduler.last_gtm))
     print(f"serializability check: "
           f"{'PASS' if report.serializable else 'FAIL'} "
-          f"({report.committed} commits, {report.replayed_ops} ops "
-          f"replayed serially)")
+          f"({report.committed} commits replayed serially in commit "
+          f"order)")
     assert report.serializable
 
     print()

@@ -46,11 +46,10 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro.check.oracle import OracleReport, check_episode, record_gtm
 from repro.check.service_oracle import (
-    OracleReport,
     Transcripts,
     check_service_gtm,
-    check_service_oracle,
     check_service_state,
     check_transcripts,
 )
@@ -656,9 +655,7 @@ class ServiceEpisodeOutcome:
         if self.crash:
             lines.append(f"CRASH: {self.crash}")
         if self.oracle is not None and not self.oracle.serializable:
-            lines.append(
-                f"NOT SERIALIZABLE after {self.oracle.orders_tried} "
-                f"serial orders:")
+            lines.append("NOT SERIALIZABLE in commit order:")
             lines.extend(f"  {m}" for m in self.oracle.mismatches)
         for violation in self.invariant_violations:
             lines.append(f"INVARIANT: {violation}")
@@ -686,7 +683,7 @@ def run_service_episode(spec: ServiceEpisodeSpec) -> ServiceEpisodeOutcome:
         service.shutdown()
         violations.extend(
             check_service_gtm(service, spec.retire_finished))
-        oracle = check_service_oracle(service)
+        oracle = check_episode(record_gtm(service.gtm))
         committed = int(
             metrics.counter("service_txn_committed").total())
         aborted = int(metrics.counter("service_txn_aborted").total())

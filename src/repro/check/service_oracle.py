@@ -16,11 +16,12 @@ The sweep runs in two stages around :meth:`GTMService.shutdown`:
    quiesced-but-still-open service, so stranded correlation state is
    caught *before* the graceful shutdown aborts (and thereby cleans
    up after) the transactions that carried it;
-2. **post-shutdown** — the regular object/quiescence invariant sweep
-   plus the serializability oracle over the recorded history.  When
-   the episode retires finished transactions the commit-order
-   residency check is skipped (retirement pops them from the registry
-   by design); everything else still applies.
+2. **post-shutdown** — the regular object/quiescence invariant sweep;
+   the fuzzer then runs the serializability oracle
+   (``check_episode(record_gtm(service.gtm))``) over the recorded
+   history.  When the episode retires finished transactions the
+   commit-order residency check is skipped (retirement pops them from
+   the registry by design); everything else still applies.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.check.invariants import (
     _quiescence_invariants,
     check_episode_invariants,
 )
-from repro.check.oracle import OracleReport, check_episode, record_gtm
 from repro.core.states import TransactionState
 from repro.service.session import SessionState
 
@@ -219,8 +219,3 @@ def check_service_gtm(service: "GTMService",
         # and quiescence sweeps still must hold.
         return _object_invariants(gtm) + _quiescence_invariants(gtm)
     return check_episode_invariants(gtm)
-
-
-def check_service_oracle(service: "GTMService") -> OracleReport:
-    """Serializability oracle over the service GTM's recorded history."""
-    return check_episode(record_gtm(service.gtm))

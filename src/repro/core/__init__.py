@@ -46,12 +46,7 @@ from repro.core.compatibility import (
 )
 from repro.core.events import EventBus, GTMObserver, ObserverError
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
-from repro.core.history import (
-    OperationLog,
-    SerializabilityReport,
-    check_serializable,
-    serial_replay,
-)
+from repro.core.history import OperationLog, serial_replay
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation, OperationClass
 from repro.core.reconciliation import (
@@ -103,9 +98,7 @@ __all__ = [
     "ObserverError",
     "OperationClass",
     "OperationLog",
-    "SerializabilityReport",
     "SleepManager",
-    "check_serializable",
     "serial_replay",
     "PriorityAgingPolicy",
     "Reconciler",

@@ -115,6 +115,9 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.timelines: dict[str, TxnTimeline] = {}
+        #: txn ids in the order the run committed them.  Finish times
+        #: cannot give it: two commits at one virtual instant tie.
+        self.commit_order: list[str] = []
 
     def arrival(self, txn_id: str, now: float) -> TxnTimeline:
         timeline = TxnTimeline(txn_id=txn_id, arrival=now)
@@ -221,6 +224,7 @@ class TimelineObserver(GTMObserver):
         timeline = self._timeline(txn.txn_id)
         if timeline is not None and timeline.outcome is Outcome.UNFINISHED:
             timeline.on_commit(now)
+            self.collector.commit_order.append(txn.txn_id)
 
     def on_global_abort(self, txn: "GTMTransaction", now: float,
                         reason: str) -> None:

@@ -159,7 +159,7 @@ class GTMScheduler(Scheduler):
     def __init__(self, config: GTMSchedulerConfig | None = None) -> None:
         self.config = config or GTMSchedulerConfig()
         #: the GTM of the most recent run (for post-run inspection,
-        #: e.g. repro.core.history.check_serializable).
+        #: e.g. repro.check.oracle.record_gtm).
         self.last_gtm: GlobalTransactionManager | None = None
         #: the auto-built LDBS backend of the most recent run (only set
         #: when ``ldbs_backend`` built one; its ``dump()`` is the SST-side

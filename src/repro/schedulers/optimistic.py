@@ -102,6 +102,7 @@ class OptimisticScheduler(Scheduler):
                 if ok:
                     values.update(staged)
                     timeline.on_commit(engine.now)
+                    collector.commit_order.append(profile.txn_id)
                 else:
                     constraint_aborts[0] += 1
                     timeline.on_abort(engine.now,

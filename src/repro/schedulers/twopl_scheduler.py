@@ -241,6 +241,7 @@ class TwoPLScheduler(Scheduler):
                 run.locks.release_all(txn_id)
                 run.detector.on_finished(txn_id)
                 timeline.on_commit(run.engine.now)
+                run.collector.commit_order.append(txn_id)
                 return
 
     def _schedule_sleep_abort(self, run: _Run, txn_id: str,

@@ -74,8 +74,8 @@ def test_a_folded_log_keeps_the_verdict(leg, monkeypatch):
         assert whole.final == folded.final
         folds += folded.log.folded > 0
         assert folded.log.committed == whole.log.committed
-        assert (replay_mismatches(folded, folded.log.commit_order)
-                == replay_mismatches(whole, whole.log.commit_order)), index
+        assert (replay_mismatches(folded)
+                == replay_mismatches(whole)), index
         whole_state = serial_replay(whole.log)
         folded_state = serial_replay(folded.log)
         assert folded_state.values == whole_state.values, index

@@ -1,0 +1,114 @@
+"""The eight golden digests: "same behaviour" is held by the suite.
+
+Each pin is the rolling SHA-256 a harness keeps over 200 episodes at
+seed 42, the campaigns CI runs.  What a pin sees depends on what its
+harness hashes per episode:
+
+- the three ``run_campaign`` pins and the service pin hash each
+  episode's ``summary()``: the spec, the commit and abort counts and the
+  verdicts.  They move when a count or a verdict moves, not when the
+  schedule does;
+- the four differential pins (``run_backend_differential_campaign`` per
+  scheduler, ``run_differential_campaign`` for the GTM) hash every
+  variant's full trace, permanent state and commit-order witness.  They
+  move when the schedule moves.
+
+The control leg flips the deadlock victim rule and shows the difference:
+the two GTM trace pins move, the other six hold.
+
+A change that moves a pin on purpose updates it here in the same commit
+and records old -> new in CHANGES.md, with the reason and the episodes
+that moved (``run_episode`` and ``compare_episode`` replay one).
+"""
+
+import pytest
+
+from repro.check.differential import (
+    compare_episode,
+    comparison_digest,
+    run_backend_differential_campaign,
+    run_differential_campaign,
+)
+from repro.check.fuzzer import FuzzConfig, generate_episode
+from repro.check.runner import run_campaign
+from repro.check.service_fuzzer import ServiceFuzzConfig, run_service_campaign
+from repro.core.policies import WaitForGraphPolicy
+from repro.ldbs.deadlock import VictimPolicy
+
+SEED = 42
+EPISODES = 200
+
+PINS = {
+    "campaign gtm":
+        "6ac8247c37f52b7059890dd63bee74b014f215f2948956cfcf235fcae2b67379",
+    "campaign 2pl":
+        "07f1e275b10d89aca4f10ddad92c006629e192bb662c558066a6be26be54fed5",
+    "campaign optimistic":
+        "f3fc9d1b68f9bc9edf5c2b51de5447d23338aea3c602d946f0928f9cfabaa144",
+    "backend-diff gtm":
+        "89db227aecd5abf2d45bf5beaa7de26f238c0654896c32ff068dbd2a793f9e21",
+    "backend-diff 2pl":
+        "fd40293f33ad0c8e7bc28823d9d0e9ae006552b7829a399be3b14bc051c18de2",
+    "backend-diff optimistic":
+        "d31f645d9c27c01b451cfcda8052bed009da02accd8e5d8c9f90c68482ee28ae",
+    "engine-diff gtm":
+        "802f7ffa527c5df1a86527f87257f51d6b9207d6cfa593e2eafac56c6845b701",
+    "service":
+        "b846ecf06ac048438b2fc98f3de6bbc92bafdef08269a36367ad271169eaebcc",
+}
+
+#: The differential mode behind each GTM trace pin.
+TRACE_PIN_MODES = {"backend-diff gtm": "backend", "engine-diff gtm": "engine"}
+
+
+def _digest(pin: str) -> str:
+    if pin == "service":
+        return run_service_campaign(ServiceFuzzConfig(), SEED, EPISODES,
+                                    shrink_failures=False).digest
+    harness, scheduler = pin.split()
+    config = FuzzConfig(scheduler=scheduler)
+    if harness == "campaign":
+        return run_campaign(config, SEED, EPISODES,
+                            shrink_failures=False).digest
+    if harness == "backend-diff":
+        return run_backend_differential_campaign(config, SEED,
+                                                 EPISODES).digest
+    return run_differential_campaign(config, SEED, EPISODES).digest
+
+
+def _oldest_victim(patch: pytest.MonkeyPatch) -> None:
+    """The mutant: ``WaitForGraphPolicy()`` picks the oldest victim."""
+    patch.setattr(WaitForGraphPolicy.__init__, "__defaults__",
+                  (VictimPolicy.OLDEST,))
+
+
+@pytest.mark.parametrize("pin", PINS)
+def test_pin_holds(pin):
+    assert _digest(pin) == PINS[pin]
+
+
+@pytest.mark.parametrize(
+    "pin", [pin for pin in PINS if pin not in TRACE_PIN_MODES])
+def test_a_victim_flip_keeps_the_pin(pin, monkeypatch):
+    """Summaries do not see which transaction a deadlock killed, and
+    the baselines never build a ``WaitForGraphPolicy``."""
+    _oldest_victim(monkeypatch)
+    assert _digest(pin) == PINS[pin]
+
+
+@pytest.mark.parametrize("pin", TRACE_PIN_MODES)
+def test_a_victim_flip_moves_the_trace_pin(pin):
+    """The rolling digest hashes every episode's comparison digest, so
+    one episode the flip moves moves the pin.  The walk stops there
+    rather than rerunning all 200 episodes under the mutant."""
+    mode = TRACE_PIN_MODES[pin]
+    config = FuzzConfig(scheduler="gtm")
+    for index in range(EPISODES):
+        spec = generate_episode(config, SEED, index)
+        intact = comparison_digest(compare_episode(spec, mode=mode))
+        with pytest.MonkeyPatch.context() as patch:
+            _oldest_victim(patch)
+            flipped = comparison_digest(compare_episode(spec, mode=mode))
+        if flipped != intact:
+            return
+    pytest.fail(f"{pin}: no episode moved under the OLDEST victim rule")

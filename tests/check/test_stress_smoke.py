@@ -1,27 +1,13 @@
-"""Small fixed-seed fuzz campaigns across all three schedulers.
+"""Fixed-seed fuzz campaigns are reproducible and seed-sensitive.
 
-This is the in-suite twin of the CI ``stress-smoke`` job: enough
-episodes to exercise grants, waits, outages, deadlock resolution and
-reconciliation, small enough to stay in the default test budget.  The
-full campaign is ``python -m repro.check --seed 42 --episodes 1000``.
+The in-suite twin of the CI ``stress-smoke`` job is
+``test_golden_digests.py``: it pins the 200-episode seed-42 campaign
+of every scheduler, and each pinned digest hashes every episode's
+verdict, so a failing episode moves it.
 """
 
-import pytest
-
-from repro.check.fuzzer import SCHEDULER_NAMES, FuzzConfig
+from repro.check.fuzzer import FuzzConfig
 from repro.check.runner import run_campaign
-
-EPISODES = 60
-
-
-@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-def test_smoke_campaign_is_clean(scheduler):
-    config = FuzzConfig(scheduler=scheduler)
-    report = run_campaign(config, seed=42, episodes=EPISODES,
-                          max_failures=1, shrink_failures=False)
-    assert report.ok, report.failures[0].summary()
-    assert report.episodes == EPISODES
-    assert report.committed > 0
 
 
 def test_campaigns_are_reproducible():

@@ -8,10 +8,10 @@ mutually compatible (constraint i).
 
 import pytest
 
+from repro.check.oracle import check_episode, record_gtm
 from repro.errors import ProtocolError
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
 from repro.core.compatibility import LogicalDependence
-from repro.core.history import check_serializable
 from repro.core.opclass import add, assign, read, subtract
 from repro.core.states import TransactionState
 
@@ -145,7 +145,7 @@ class TestHoldAndWait:
         gtm.request_commit("other")
         gtm.request_commit("T")
         gtm.pump_commits()
-        report = check_serializable(gtm)
+        report = check_episode(record_gtm(gtm))
         assert report.serializable, report.mismatches
 
     def test_reader_spans_members_freely(self):

@@ -9,9 +9,9 @@ committed on it.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.check.oracle import check_episode, record_gtm
 from repro.errors import ProtocolError
 from repro.core.gtm import GlobalTransactionManager
-from repro.core.history import check_serializable
 from repro.core.opclass import add, assign
 from repro.core.states import TransactionState
 
@@ -110,7 +110,7 @@ def test_random_multimember_schedules(actions):
             account(name)
 
     gtm.check_invariants()
-    report = check_serializable(gtm)
+    report = check_episode(record_gtm(gtm))
     assert report.serializable, report.mismatches
     obj = gtm.object("product")
     for member in MEMBERS:

@@ -2,12 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.check.oracle import check_episode, record_gtm
 from repro.core.gtm import GlobalTransactionManager
-from repro.core.history import (
-    OperationLog,
-    check_serializable,
-    serial_replay,
-)
+from repro.core.history import OperationLog, serial_replay
 from repro.core.opclass import (
     add,
     assign,
@@ -75,11 +72,13 @@ class TestSerialReplay:
 
 
 class TestCheckSerializable:
+    """The commit-order verdict on hand-driven GTM schedules."""
+
     def run_and_check(self, drive):
         gtm = GlobalTransactionManager()
         gtm.create_object("X", value=100)
         drive(gtm)
-        report = check_serializable(gtm)
+        report = check_episode(record_gtm(gtm))
         assert report.serializable, report.mismatches
         return report
 
@@ -136,17 +135,6 @@ class TestCheckSerializable:
                 gtm.pump_commits()
 
         self.run_and_check(drive)
-
-    def test_report_counts_replayed_ops(self):
-        def drive(gtm):
-            gtm.begin("A")
-            gtm.invoke("A", "X", add(1))
-            gtm.apply("A", "X", add(1))
-            gtm.apply("A", "X", add(2))
-            gtm.request_commit("A")
-
-        report = self.run_and_check(drive)
-        assert report.replayed_ops == 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -209,5 +197,5 @@ def test_random_schedules_are_serializable(actions):
             else:
                 gtm.abort(name)
     gtm.pump_commits()
-    report = check_serializable(gtm)
+    report = check_episode(record_gtm(gtm))
     assert report.serializable, report.mismatches

@@ -98,6 +98,21 @@ class TestBusDrivenTimelines:
         assert timeline.finished == 3.0
         assert timeline.execution_time == 3.0
 
+    def test_commit_order_is_the_global_commit_order(self):
+        """Two commits at one instant: the collector keeps the order
+        the GTM committed them in, not the txn ids'."""
+        gtm, collector, clock = observed_gtm()
+        for txn_id in ("T2", "T1"):
+            gtm.begin(txn_id)
+            gtm.invoke(txn_id, "X", add(1))
+            gtm.apply(txn_id, "X", add(1))
+        clock.advance(1.0)
+        for txn_id in ("T2", "T1"):
+            gtm.request_commit(txn_id)
+            gtm.pump_commits()
+        assert collector.commit_order == ["T2", "T1"]
+        assert collector.commit_order == gtm.history.commit_order
+
     def test_abort_records_reason(self):
         gtm, collector, clock = observed_gtm()
         gtm.begin("T1")

@@ -244,7 +244,7 @@ class TestSerializability:
     def test_emulated_run_is_serializable(self):
         """The full emulation's committed schedule must pass the serial
         replay check (paper Section V's serializability claim)."""
-        from repro.core.history import check_serializable
+        from repro.check.oracle import check_episode, record_gtm
         from repro.workload.generator import (
             PaperWorkloadConfig,
             generate_paper_workload,
@@ -253,7 +253,7 @@ class TestSerializability:
             n_transactions=250, alpha=0.7, beta=0.1, seed=31))
         scheduler = GTMScheduler()
         scheduler.run(generated.workload)
-        report = check_serializable(scheduler.last_gtm)
+        report = check_episode(record_gtm(scheduler.last_gtm))
         assert report.serializable, report.mismatches
         assert report.committed > 200
 

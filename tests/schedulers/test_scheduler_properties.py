@@ -10,7 +10,7 @@ For random (but valid) single-object workloads of additive operations:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.history import check_serializable
+from repro.check.oracle import check_episode, record_gtm
 from repro.core.opclass import add
 from repro.metrics.collectors import Outcome
 from repro.mobile.network import DisconnectionEvent
@@ -66,7 +66,7 @@ def test_gtm_accounting_and_serializability(raw):
     assert result.stats.unfinished == 0
     assert result.final_values["X"] == \
         1000.0 + committed_delta(result, raw)
-    report = check_serializable(scheduler.last_gtm)
+    report = check_episode(record_gtm(scheduler.last_gtm))
     assert report.serializable, report.mismatches
 
 

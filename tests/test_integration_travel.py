@@ -8,7 +8,7 @@ serializability checker over the whole run.
 
 import pytest
 
-from repro.core.history import check_serializable
+from repro.check.oracle import check_episode, record_gtm
 from repro.core.objects import ObjectBinding
 from repro.core.sst import SSTExecutor
 from repro.metrics.collectors import Outcome
@@ -82,7 +82,7 @@ class TestTravelIntegration:
 
     def test_run_is_serializable(self, outcome):
         _agency, scheduler, _result = outcome
-        report = check_serializable(scheduler.last_gtm)
+        report = check_episode(record_gtm(scheduler.last_gtm))
         assert report.serializable, report.mismatches
 
     def test_disconnected_customers_mostly_survive(self, outcome):
