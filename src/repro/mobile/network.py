@@ -39,14 +39,6 @@ class DisconnectionModel(Protocol):
         ...
 
 
-class NoDisconnection:
-    """Wired clients: never disconnect."""
-
-    def plan(self, rng: np.random.Generator,
-             work_time: float) -> Sequence[DisconnectionEvent]:
-        return ()
-
-
 class BernoulliDisconnection:
     """The paper's β model: at most one disconnection, probability β.
 

@@ -22,10 +22,12 @@ connected, subtraction disconnected, assignment}.  The paper states
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
+
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.core.opclass import Invocation, assign, subtract
+from repro.core.opclass import assign, subtract
 from repro.mobile.client import ThinkTimeModel
 from repro.mobile.network import BernoulliDisconnection, DisconnectionEvent
 from repro.mobile.session import SessionPlan
@@ -105,11 +107,21 @@ class PaperWorkloadConfig:
                 raise WorkloadError(
                     f"gamma needs {self.n_objects} entries, got "
                     f"{len(self.gamma)}")
+            if not all(math.isfinite(g) and g >= 0 for g in self.gamma):
+                raise WorkloadError(
+                    f"gamma entries must be finite and >= 0: {self.gamma}")
             if abs(sum(self.gamma) - 1.0) > 1e-9:
                 raise WorkloadError(
                     f"gamma must sum to 1, sums to {sum(self.gamma)}")
-        if self.interarrival <= 0:
-            raise WorkloadError("interarrival must be positive")
+        if not (math.isfinite(self.interarrival) and self.interarrival > 0):
+            raise WorkloadError(
+                f"interarrival must be positive and finite: "
+                f"{self.interarrival}")
+        fixed = self.disconnect_duration_fixed
+        if fixed is not None and not (math.isfinite(fixed) and fixed > 0):
+            raise WorkloadError(
+                f"disconnect_duration_fixed must be positive and finite: "
+                f"{fixed}")
 
     def object_names(self) -> tuple[str, ...]:
         return tuple(f"X{j + 1}" for j in range(self.n_objects))
@@ -178,26 +190,38 @@ def generate_paper_workload(
         duration_mean=config.disconnect_duration_mean,
         fixed_duration=config.disconnect_duration_fixed)
     object_names = config.object_names()
-    gamma = config.gamma_vector()
     classes = class_layout(config)
     census: dict[int, int] = {cls.class_id: 0 for cls in classes}
 
+    # One bulk draw per stream: Generator.choice/random fill an array
+    # from the same doubles, in the same order, as n scalar calls.  The
+    # disconnection stream is drawn only for subtractions.
+    # ``workload.session`` stays scalar: its work-time draws interleave
+    # with the outage and pause draws.
+    n = config.n_transactions
+    objects = rng_object.choice(config.n_objects, size=n,
+                                p=config.gamma_vector()).tolist()
+    subtractions = (rng_kind.random(n) < config.alpha).tolist()
+    disconnect_draws = iter(
+        rng_disconnect.random(sum(subtractions)).tolist())
+    # frozen value objects: every transaction of a kind shares one
+    subtraction = subtract(1)
+    assignment = assign(config.assign_value)
+
     profiles: list[TransactionProfile] = []
-    for index in range(config.n_transactions):
+    for index, (j, is_subtraction) in enumerate(zip(objects, subtractions)):
         label = index + 1  # the paper's λ ∈ 1..1000 arrival labels
         arrival = index * config.interarrival
-        j = int(rng_object.choice(config.n_objects, p=gamma))
         object_name = object_names[j]
-        is_subtraction = bool(rng_kind.random() < config.alpha)
         if is_subtraction:
-            disconnects = bool(rng_disconnect.random() < config.beta)
+            disconnects = next(disconnect_draws) < config.beta
             kind = (KIND_SUBTRACTION_DISCONNECTED if disconnects
                     else KIND_SUBTRACTION)
-            invocation: Invocation = subtract(1)
+            invocation = subtraction
         else:
             disconnects = False
             kind = KIND_ASSIGNMENT
-            invocation = assign(config.assign_value)
+            invocation = assignment
         work_time = think.work_time(rng_session)
         outages: list[DisconnectionEvent] = []
         if disconnects:

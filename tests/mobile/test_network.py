@@ -5,20 +5,12 @@ import pytest
 
 from repro.mobile.network import (
     BernoulliDisconnection,
-    NoDisconnection,
     RenewalDisconnection,
 )
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestNoDisconnection:
-    def test_never_plans_outages(self):
-        model = NoDisconnection()
-        for seed in range(10):
-            assert model.plan(rng(seed), work_time=100.0) == ()
 
 
 class TestBernoulliDisconnection:
