@@ -37,6 +37,7 @@ counters and accumulated per campaign — no ad-hoc stat dicts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import traceback
@@ -373,31 +374,6 @@ def _generate_client(rng: np.random.Generator,
     return ServiceClientSpec(name=name, actions=tuple(actions))
 
 
-def frame_schedule(spec: ServiceEpisodeSpec) -> str:
-    """Canonical text rendering of the planned schedule.
-
-    A pure function of the spec (no execution involved): the
-    determinism tests assert byte-identity of this rendering and of
-    the executed transcript digest across reruns.
-    """
-    lines = [f"# {spec.describe()}"]
-    for name, value, domain in spec.objects:
-        lines.append(f"object {name} = {value} ({domain})")
-    for client in spec.clients:
-        for ai, action in enumerate(client.actions):
-            parts = [f"{action.at:9.3f}", client.name, f"a{ai}",
-                     action.kind]
-            if action.txn is not None:
-                parts.append(f"txn={action.txn}")
-            if action.kind == "op":
-                parts.append(f"{action.object_name}.{action.op}"
-                             f"({action.operand!r})")
-            if action.late:
-                parts.append("late")
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # episode execution
 # ---------------------------------------------------------------------------
@@ -434,15 +410,21 @@ class _ConflictBurstBackend:
 
 
 class _Conn:
-    """One transport attachment: a sink plus overflow accounting."""
+    """One transport attachment: the session's sink, with overflow
+    accounting.  The connection is itself the sink, so no closure
+    refers back to it and a dropped connection is freed on release."""
 
-    __slots__ = ("serial", "alive", "unread", "sink")
+    __slots__ = ("serial", "alive", "unread", "_receive")
 
-    def __init__(self, serial: int) -> None:
+    def __init__(self, serial: int,
+                 receive: Callable[["_Conn", dict[str, Any]], None]) -> None:
         self.serial = serial
         self.alive = True
         self.unread = 0
-        self.sink: Callable[[dict[str, Any]], None] | None = None
+        self._receive = receive
+
+    def __call__(self, frame: dict[str, Any]) -> None:
+        self._receive(self, frame)
 
 
 class _ClientState:
@@ -484,31 +466,30 @@ class _EpisodeRunner:
 
     def _open_conn(self, client: _ClientState) -> _Conn:
         client.conn_count += 1
-        conn = _Conn(client.conn_count)
+        return _Conn(client.conn_count, functools.partial(self._deliver,
+                                                          client))
+
+    def _deliver(self, client: _ClientState, conn: _Conn,
+                 frame: dict[str, Any]) -> None:
         name = client.spec.name
-
-        def sink(frame: dict[str, Any]) -> None:
-            self.transcripts[name].append(
-                (self.engine.now, conn.serial, dict(frame)))
-            conn.unread += 1
-            if conn.alive and conn.unread > self.spec.max_outbox:
-                # Backpressure by disconnection: the server-side
-                # transport force-detaches a client that stopped
-                # reading.  Scheduled, not inline — the service may be
-                # mid-cascade when the overflowing push goes out.
-                conn.alive = False
-                self.metrics.counter("fuzz_outbox_overflows").inc()
-                self.engine.schedule_at(
-                    self.engine.now,
-                    lambda _e: self._force_detach(client, conn),
-                    priority=8, label=f"overflow:{name}")
-
-        conn.sink = sink
-        return conn
+        self.transcripts[name].append(
+            (self.engine.now, conn.serial, dict(frame)))
+        conn.unread += 1
+        if conn.alive and conn.unread > self.spec.max_outbox:
+            # Backpressure by disconnection: the server-side transport
+            # force-detaches a client that stopped reading.  Scheduled,
+            # not inline — the service may be mid-cascade when the
+            # overflowing push goes out.
+            conn.alive = False
+            self.metrics.counter("fuzz_outbox_overflows").inc()
+            self.engine.schedule_at(
+                self.engine.now,
+                lambda _e: self._force_detach(client, conn),
+                priority=8, label=f"overflow:{name}")
 
     def _force_detach(self, client: _ClientState, conn: _Conn) -> None:
         session = client.session
-        if session is None or session.sink is not conn.sink:
+        if session is None or session.sink is not conn:
             return  # a newer transport owns the session already
         if session.state is SessionState.CONNECTED:
             self.service.disconnect(session)
@@ -519,7 +500,7 @@ class _EpisodeRunner:
         return (client.conn is not None and client.conn.alive
                 and client.session is not None
                 and client.session.state is SessionState.CONNECTED
-                and client.session.sink is client.conn.sink)
+                and client.session.sink is client.conn)
 
     def _hello(self, client: _ClientState, fid: str,
                token: str | None) -> None:
@@ -527,7 +508,7 @@ class _EpisodeRunner:
         hello: dict[str, Any] = {"type": "hello", "id": fid}
         if token is not None:
             hello["token"] = token
-        session = self.service.connect(hello, conn.sink)
+        session = self.service.connect(hello, conn)
         if session is None:
             conn.alive = False
             return
@@ -563,7 +544,7 @@ class _EpisodeRunner:
             conn = self._open_conn(client)
             self.service.connect(
                 {"type": "hello", "id": fid, "token": "zz.bogus"},
-                conn.sink)
+                conn)
             conn.alive = False
         elif kind == "drop":
             conn = client.conn
@@ -574,7 +555,7 @@ class _EpisodeRunner:
             client.conn = None
             session = client.session
             self.metrics.counter("fuzz_drops_injected").inc()
-            if session is not None and session.sink is conn.sink \
+            if session is not None and session.sink is conn \
                     and session.state is SessionState.CONNECTED:
                 self.service.disconnect(session)
         elif kind in _FRAME_KINDS:

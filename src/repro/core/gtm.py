@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -151,9 +152,17 @@ class GlobalTransactionManager:
 
         self.deadlock_policy = (self.config.deadlock_policy
                                 or WaitForGraphPolicy())
+        # Ownership points one way: the subsystems wired below hold no
+        # strong reference to this facade, so dropping the last
+        # reference to it frees the kernel by reference counting.
+        transactions = self.transactions
         self.deadlock_policy.bind(
-            lambda t: (self.transactions[t].begin_time
-                       if t in self.transactions else 0.0))
+            lambda t: (transactions[t].begin_time
+                       if t in transactions else 0.0))
+        # The two real back-calls, a victim's and a failed commit's
+        # abort, look ``abort`` up on a weak proxy at each call (a bound
+        # method taken once would hold the facade).
+        facade = weakref.proxy(self)
         self.lock_table = LockTable()
         self.admission = AdmissionController(
             checker=self.checker,
@@ -161,7 +170,7 @@ class GlobalTransactionManager:
             throttle=self.config.throttle,
             deadlock_policy=self.deadlock_policy, bus=self.bus,
             transactions=self.transactions, clock=self.now,
-            abort_txn=self.abort)
+            abort_txn=lambda victim, reason: facade.abort(victim, reason))
         self.pipeline = CommitPipeline(
             registry=self.config.registry, history=self.history,
             bus=self.bus, transactions=self.transactions,
@@ -170,7 +179,7 @@ class GlobalTransactionManager:
             pump_unlock=self.admission.pump_unlock,
             on_finished=self.deadlock_policy.on_finished,
             abort_from_committing=lambda txn, now, reason:
-                self.abort(txn.txn_id, reason=reason))
+                facade.abort(txn.txn_id, reason=reason))
         self.sleep_manager = SleepManager(
             checker=self.checker, bus=self.bus, history=self.history,
             pump_unlock=self.admission.pump_unlock,

@@ -173,16 +173,3 @@ def multiply(factor: Any, member: str = "value") -> Invocation:
     return Invocation(OperationClass.UPDATE_MULDIV, member=member,
                       operand=factor)
 
-
-def insert_object(values: Any = None) -> Invocation:
-    """Shorthand for a whole-object INSERT.
-
-    ``values`` is a mapping of member values passed at apply time (it
-    rides on the operand); INSERT is exclusive against every class.
-    """
-    return Invocation(OperationClass.INSERT, operand=values)
-
-
-def delete_object() -> Invocation:
-    """Shorthand for a whole-object DELETE (exclusive against all)."""
-    return Invocation(OperationClass.DELETE)

@@ -73,18 +73,17 @@ class DeadlockPolicy(Protocol):
         ...
 
 
-class _TimestampedPolicy:
-    """Shared begin-time plumbing for the concrete policies."""
+class _PolicyBase:
+    """Shared defaults for the concrete policies."""
 
     #: Unknown policies are asked again about every stale waiter.
     settled = False
 
     def __init__(self) -> None:
         self.detections = 0
-        self._start_time_of: StartTimeOf = lambda txn_id: 0.0
 
     def bind(self, start_time_of: StartTimeOf) -> None:
-        self._start_time_of = start_time_of
+        pass  # a policy that names no victim needs no begin times
 
     def refresh_wait(self, waiter: str,
                      blockers: Sequence[str]) -> DeadlockResolution | None:
@@ -98,7 +97,7 @@ class _TimestampedPolicy:
         pass
 
 
-class NoDeadlockPolicy(_TimestampedPolicy):
+class NoDeadlockPolicy(_PolicyBase):
     """Never intervenes: waits are allowed to stand (or time out)."""
 
     def on_wait(self, waiter: str,
@@ -106,7 +105,7 @@ class NoDeadlockPolicy(_TimestampedPolicy):
         return None
 
 
-class WaitForGraphPolicy(_TimestampedPolicy):
+class WaitForGraphPolicy(_PolicyBase):
     """Detection via the :class:`~repro.ldbs.deadlock.WaitForGraph`.
 
     The seed's inline behaviour: record the wait edges, search for a
@@ -123,9 +122,12 @@ class WaitForGraphPolicy(_TimestampedPolicy):
                 "binds no lock count, so every victim would be the "
                 "smallest id; use YOUNGEST or OLDEST")
         super().__init__()
-        self.detector = DeadlockDetector(
-            policy=victim_policy,
-            start_time_of=lambda txn_id: self._start_time_of(txn_id))
+        self.detector = DeadlockDetector(policy=victim_policy)
+
+    def bind(self, start_time_of: StartTimeOf) -> None:
+        # straight to the detector: a lookup that called back through
+        # this policy would tie the policy into a reference cycle.
+        self.detector.start_time_of = start_time_of
 
     @property
     def settled(self) -> bool:

@@ -100,6 +100,10 @@ class AsyncioDriver:
         def _run() -> None:
             if timer.cancelled:
                 return
+            # the handle refers to this closure, which refers to the
+            # timer: drop the handle, so a fired timer is freed on
+            # release (a cancelled handle lets go of its callback).
+            timer._handle = None
             timer.dispatched = True
             self._timers_dispatched += 1
             callback(self)

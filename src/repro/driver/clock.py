@@ -39,11 +39,13 @@ class VirtualClock:
     are dispatched; user code reads it via :attr:`now`.
     """
 
-    __slots__ = ("_now", "_driver")
+    __slots__ = ("_now", "_owner")
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._driver = None
+        #: the owning driver's class name, for the refusal message (the
+        #: driver owns the clock, so the clock keeps no reference back).
+        self._owner: str | None = None
 
     @property
     def now(self) -> float:
@@ -64,7 +66,7 @@ class VirtualClock:
 
     def bind_driver(self, driver: object) -> None:
         """Hand ownership to a driver; bare :meth:`reset` is now illegal."""
-        self._driver = driver
+        self._owner = type(driver).__name__
 
     def reset(self, start: float = 0.0) -> None:
         """Reset a *standalone* clock (reuse between runs).
@@ -74,9 +76,9 @@ class VirtualClock:
         a driver's observers and pending events corrupts their
         timelines, so the bare call raises :class:`ClockError`.
         """
-        if self._driver is not None:
+        if self._owner is not None:
             raise ClockError(
-                f"clock is owned by {self._driver!r}; reset the driver, "
+                f"clock is owned by a {self._owner}; reset the driver, "
                 f"not the clock")
         self._now = float(start)
 

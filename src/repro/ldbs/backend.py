@@ -261,6 +261,10 @@ class _MemoryTransaction:
         return False
 
 
+def _closed_error() -> BackendError:
+    return BackendError("memory backend is closed")
+
+
 class MemoryBackend:
     """The LDBS in memory: one dict of rows per table, by primary key.
 
@@ -282,11 +286,14 @@ class MemoryBackend:
         #: open transactions, in begin order.
         self._open: dict[_MemoryTransaction, None] = {}
         self._writer: _MemoryTransaction | None = None
+        self._closed = False
 
     # -- schema / seeding ---------------------------------------------------
 
     def create_table(self, schema: TableSchema,
                      constraints: Iterable[CheckConstraint] = ()) -> None:
+        if self._closed:
+            raise _closed_error()
         if schema.name in self._schemas:
             raise CatalogError(f"table {schema.name!r} already exists")
         if schema.primary_key is None:
@@ -311,6 +318,8 @@ class MemoryBackend:
 
     def begin(self, txn_id: str | None = None, *,
               write: bool = False) -> _MemoryTransaction:
+        if self._closed:
+            raise _closed_error()
         if txn_id is None:
             txn_id = f"memory-{next(self._ids)}"
         txn = _MemoryTransaction(self, txn_id)
@@ -350,6 +359,8 @@ class MemoryBackend:
 
     def dump(self) -> dict[str, dict[Any, dict[str, Any]]]:
         """Committed permanent state, canonically ordered by key."""
+        if self._closed:
+            raise _closed_error()
         return {name: {key: dict(rows[key]) for key in sorted(rows, key=repr)}
                 for name, rows in self._rows.items()}
 
@@ -364,7 +375,12 @@ class MemoryBackend:
         return lost
 
     def close(self) -> None:
-        """Nothing to release in memory."""
+        """Lose every open transaction and let go of the committed rows,
+        as a closed SQLite backend removes its file.  A closed backend
+        refuses ``create_table``, ``begin``, ``seed`` and ``dump``."""
+        self.crash()
+        self._rows = {}
+        self._closed = True
 
     def __repr__(self) -> str:
         return (f"<MemoryBackend tables={sorted(self._schemas)} "

@@ -45,33 +45,6 @@ def NonNegative(table: str, column: str) -> CheckConstraint:
     )
 
 
-def Range(table: str, column: str, low: float | None = None,
-          high: float | None = None) -> CheckConstraint:
-    """A bounded-range constraint ``low <= column <= high``."""
-
-    def check(row: RowLike) -> bool:
-        value = row[column]
-        if value is None:
-            return True
-        if low is not None and value < low:
-            return False
-        if high is not None and value > high:
-            return False
-        return True
-
-    bounds = []
-    if low is not None:
-        bounds.append(f">={low}")
-    if high is not None:
-        bounds.append(f"<={high}")
-    return CheckConstraint(
-        name=f"{table}.{column}{','.join(bounds)}",
-        table=table,
-        check=check,
-        description=f"{table}.{column} must satisfy {' and '.join(bounds)}",
-    )
-
-
 class ConstraintSet:
     """All constraints of a database, indexed by table."""
 

@@ -1,9 +1,9 @@
-"""Deadlock handling: wait-for graphs and timeout policies.
+"""Deadlock handling: wait-for graphs and victim policies.
 
 The paper (Section VII) notes its model adds no deadlock conditions
 beyond 2PL and that "classical approaches as timeout or wait for graphs
-techniques can be used".  Both are implemented here and benchmarked
-against each other in ``benchmarks/test_ablation_deadlock.py``.
+techniques can be used".  Detection by wait-for graph lives here; a
+lock-wait timeout is the schedulers' ``wait_timeout``.
 """
 
 from __future__ import annotations
@@ -274,7 +274,9 @@ class DeadlockDetector:
                  lock_count_of: Callable[[str], int] | None = None) -> None:
         self.graph = WaitForGraph()
         self.policy = policy
-        self._start_time_of = start_time_of or (lambda txn: 0.0)
+        #: begin-time lookup for the age-based victim policies; public so
+        #: an owner can hand it over after construction.
+        self.start_time_of = start_time_of or (lambda txn: 0.0)
         self._lock_count_of = lock_count_of or (lambda txn: 0)
         self.detections = 0
 
@@ -306,39 +308,8 @@ class DeadlockDetector:
 
     def _choose_victim(self, cycle: tuple[str, ...]) -> str:
         if self.policy is VictimPolicy.YOUNGEST:
-            return max(cycle, key=lambda t: (self._start_time_of(t), t))
+            return max(cycle, key=lambda t: (self.start_time_of(t), t))
         if self.policy is VictimPolicy.OLDEST:
-            return min(cycle, key=lambda t: (self._start_time_of(t), t))
+            return min(cycle, key=lambda t: (self.start_time_of(t), t))
         return min(cycle, key=lambda t: (self._lock_count_of(t), t))
 
-
-class TimeoutPolicy:
-    """Deadlock handling by lock-wait timeout.
-
-    A transaction waiting longer than ``timeout`` simulated seconds is
-    aborted.  Cheap (no graph) but aborts innocents under contention;
-    the ablation bench quantifies the difference.
-    """
-
-    def __init__(self, timeout: float) -> None:
-        if timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.timeout = timeout
-        #: txn id -> virtual time the wait started
-        self._wait_started: dict[str, float] = {}
-
-    def on_wait(self, txn_id: str, now: float) -> None:
-        self._wait_started.setdefault(txn_id, now)
-
-    def on_stop_waiting(self, txn_id: str) -> None:
-        self._wait_started.pop(txn_id, None)
-
-    def expired(self, now: float) -> tuple[str, ...]:
-        """Transactions whose wait exceeded the timeout at time ``now``."""
-        return tuple(sorted(
-            txn for txn, started in self._wait_started.items()
-            if now - started >= self.timeout))
-
-    def deadline_of(self, txn_id: str) -> float | None:
-        started = self._wait_started.get(txn_id)
-        return None if started is None else started + self.timeout

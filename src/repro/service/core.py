@@ -24,7 +24,9 @@ closed) are dropped.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any
 
 from repro.errors import (
@@ -54,6 +56,9 @@ _TS = TransactionState
 #: wire, so their names need not be SQL identifiers — a per-object
 #: table (the scheduler scheme) would reject them.
 _OBJECTS_TABLE = "gtm_objects"
+#: The column map every value-only binding shares (read-only, so one
+#: map serves every object instead of one dict apiece).
+_VALUE_COLUMNS = MappingProxyType({"value": "value"})
 
 
 @dataclass
@@ -89,22 +94,33 @@ class ServiceConfig:
 
 
 class _ServiceObserver(GTMObserver):
-    """Bus tap: async grants and transaction outcomes become pushes."""
+    """Bus tap: async grants and transaction outcomes become pushes.
+
+    The service owns the GTM, whose bus owns this tap, so the tap holds
+    the service weakly; a ``gtm=`` passed in can outlive the service,
+    and a tap whose service is gone does nothing.
+    """
 
     def __init__(self, service: "GTMService") -> None:
-        self._service = service
+        self._service = weakref.ref(service)
         self._pending_ops = service._pending_ops
 
     def on_grant(self, txn, obj, invocation, now):
         # a grant with no op queued is synchronous: its reply covers it
         if self._pending_ops:
-            self._service._on_grant_hook(txn, obj, invocation)
+            service = self._service()
+            if service is not None:
+                service._on_grant_hook(txn, obj, invocation)
 
     def on_global_commit(self, txn, now):
-        self._service._on_finished(txn.txn_id, "committed", "")
+        service = self._service()
+        if service is not None:
+            service._on_finished(txn.txn_id, "committed", "")
 
     def on_global_abort(self, txn, now, reason):
-        self._service._on_finished(txn.txn_id, "aborted", reason)
+        service = self._service()
+        if service is not None:
+            service._on_finished(txn.txn_id, "aborted", reason)
 
 
 class GTMService:
@@ -188,7 +204,7 @@ class GTMService:
             self.backend.seed(_OBJECTS_TABLE,
                               [{"name": name, "value": float(value)}])
         return ObjectBinding(table=_OBJECTS_TABLE, key=name,
-                             member_columns={"value": "value"})
+                             member_columns=_VALUE_COLUMNS)
 
     def _ensure_object(self, name: Any, op_class: OperationClass) -> str:
         if not isinstance(name, str) or not name:
@@ -286,7 +302,9 @@ class GTMService:
             txn = self.gtm.transactions.get(txn_id)
             if txn is not None and txn.is_in(_TS.ACTIVE, _TS.WAITING):
                 self.gtm.sleep(txn_id)
-        if self.config.bto_timeout is not None:
+        if self.config.bto_timeout is not None and not self._shutting_down:
+            # a shutting-down service closes the transports itself; a
+            # timer armed for them would only keep it alive until fired.
             session.bto_timer = self.driver.schedule_after(
                 self.config.bto_timeout,
                 lambda _driver, s=session: self._bto_fire(s),

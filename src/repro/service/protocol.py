@@ -251,15 +251,6 @@ _SPEC_BY_CLASS: dict[type, ErrorSpec] = {s.cls: s for s in ERROR_SPECS}
 _SPEC_BY_CODE: dict[str, ErrorSpec] = {s.code: s for s in ERROR_SPECS}
 
 
-def error_code(exc: BaseException) -> str:
-    """The wire code for an exception (nearest registered ancestor)."""
-    for cls in type(exc).__mro__:
-        spec = _SPEC_BY_CLASS.get(cls)
-        if spec is not None:
-            return spec.code
-    return "gtm/error"
-
-
 def error_frame(exc: BaseException, *,
                 re: Any = None, **extra: Any) -> dict[str, Any]:
     """Encode an exception as one ``error`` frame.

@@ -322,14 +322,6 @@ class _Connection(asyncio.Protocol):
 Connector = Callable[[], Any]
 
 
-def tcp_connector(host: str, port: int) -> Connector:
-    async def _connect():
-        transport, _ = await asyncio.get_running_loop().create_connection(
-            asyncio.Protocol, host, port)
-        return (transport,)
-    return _connect
-
-
 def memory_connector(server: ServiceServer) -> Connector:
     async def _connect():
         return (server.connect_memory(),)

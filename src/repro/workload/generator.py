@@ -122,6 +122,30 @@ class PaperWorkloadConfig:
             raise WorkloadError(
                 f"disconnect_duration_fixed must be positive and finite: "
                 f"{fixed}")
+        # The draws below would otherwise fail halfway through
+        # generation with a bare ValueError, or carry a NaN into the run.
+        mean = self.work_time_mean
+        if not (math.isfinite(mean) and mean > 0):
+            raise WorkloadError(
+                f"work_time_mean must be positive and finite: {mean}")
+        jitter = self.work_time_jitter
+        if not (math.isfinite(jitter) and jitter >= 0):
+            raise WorkloadError(
+                f"work_time_jitter must be finite and >= 0: {jitter}")
+        outage = self.disconnect_duration_mean
+        if fixed is None and not (math.isfinite(outage) and outage > 0):
+            raise WorkloadError(
+                f"disconnect_duration_mean must be positive and finite: "
+                f"{outage}")
+        pause = self.inactivity_pause_mean
+        if self.inactivity_probability > 0 and not (
+                math.isfinite(pause) and pause >= 0):
+            raise WorkloadError(
+                f"inactivity_pause_mean must be finite and >= 0: {pause}")
+        for name in ("initial_value", "assign_value"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise WorkloadError(f"{name} must be finite: {value}")
 
     def object_names(self) -> tuple[str, ...]:
         return tuple(f"X{j + 1}" for j in range(self.n_objects))

@@ -15,7 +15,6 @@ import pytest
 
 from repro.check.service_fuzzer import (
     ServiceFuzzConfig,
-    frame_schedule,
     generate_service_episode,
     run_service_campaign,
     run_service_episode,
@@ -32,7 +31,6 @@ class TestDeterminism:
             first = generate_service_episode(config, seed, index)
             again = generate_service_episode(config, seed, index)
             assert first == again
-            assert frame_schedule(first) == frame_schedule(again)
 
     def test_episode_outcome_digest_is_stable(self, seed):
         spec = generate_service_episode(ServiceFuzzConfig(), seed, 3)

@@ -33,12 +33,11 @@ from repro.core.opclass import (
     OperationClass,
     add,
     assign,
-    delete_object,
-    insert_object,
     multiply,
     read,
 )
 from repro.errors import GTMError
+from tests.core.invocations import delete_object, insert_object
 
 DEPENDENCE = LogicalDependence.of({"m0", "m1"})
 

@@ -13,8 +13,6 @@ from repro.core.gtm import GlobalTransactionManager, GrantOutcome
 from repro.core.objects import ObjectBinding
 from repro.core.opclass import (
     add,
-    delete_object,
-    insert_object,
     read,
     subtract,
 )
@@ -22,6 +20,7 @@ from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
 from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
+from tests.core.invocations import delete_object, insert_object
 
 _S = TransactionState
 

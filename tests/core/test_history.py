@@ -8,12 +8,11 @@ from repro.core.history import OperationLog, serial_replay
 from repro.core.opclass import (
     add,
     assign,
-    delete_object,
-    insert_object,
     multiply,
     read,
     subtract,
 )
+from tests.core.invocations import delete_object, insert_object
 
 
 class TestOperationLog:

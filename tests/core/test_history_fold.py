@@ -16,12 +16,11 @@ from repro.core.history import OperationLog, serial_replay
 from repro.core.opclass import (
     add,
     assign,
-    delete_object,
-    insert_object,
     multiply,
     subtract,
 )
 from repro.core.states import TransactionState
+from tests.core.invocations import delete_object, insert_object
 
 _S = TransactionState
 

@@ -23,6 +23,7 @@ from repro.errors import (
     BackendError,
     ConstraintViolation,
     StorageError,
+    TransactionAborted,
 )
 from repro.ldbs.backend import (
     LDBSBackend,
@@ -221,6 +222,24 @@ class TestConformance:
         assert row == {"id": 2, "value": None, "label": None,
                        "flag": False}
         assert row["flag"] is False  # BOOL survives the INTEGER column
+
+    @pytest.mark.parametrize("verb", [
+        lambda backend: backend.begin("T1"),
+        lambda backend: backend.begin("T1", write=True),
+        lambda backend: backend.seed("obj", [{"id": 2, "value": 1.0}]),
+        lambda backend: backend.dump(),
+    ], ids=["begin-read", "begin-write", "seed", "dump"])
+    def test_a_closed_backend_refuses_work(self, backend, verb):
+        """One close contract: the closed backend has let go of its rows
+        (SQLite removed its file), so it serves none of them."""
+        open_txn = backend.begin("T0", write=True)
+        backend.close()
+        with pytest.raises(BackendError, match="closed"):
+            verb(backend)
+        # the transaction open at close was lost with its connection
+        with pytest.raises(TransactionAborted):
+            open_txn.get_row("obj", 1)
+        backend.close()  # closing twice is harmless
 
 
 def make_stock(name: str, constrained: bool) -> LDBSBackend:

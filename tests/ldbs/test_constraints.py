@@ -7,7 +7,6 @@ from repro.ldbs.constraints import (
     CheckConstraint,
     ConstraintSet,
     NonNegative,
-    Range,
 )
 
 
@@ -31,28 +30,6 @@ class TestNonNegative:
             assert exc.constraint == "flight.free>=0"
         else:  # pragma: no cover
             pytest.fail("expected ConstraintViolation")
-
-
-class TestRange:
-    def test_bounds_inclusive(self):
-        constraint = Range("t", "v", low=0, high=10)
-        constraint.validate({"v": 0})
-        constraint.validate({"v": 10})
-
-    def test_below_low_fails(self):
-        with pytest.raises(ConstraintViolation):
-            Range("t", "v", low=0).validate({"v": -1})
-
-    def test_above_high_fails(self):
-        with pytest.raises(ConstraintViolation):
-            Range("t", "v", high=10).validate({"v": 11})
-
-    def test_open_ended(self):
-        Range("t", "v", low=0).validate({"v": 10 ** 9})
-        Range("t", "v", high=0).validate({"v": -10 ** 9})
-
-    def test_none_passes(self):
-        Range("t", "v", low=0, high=1).validate({"v": None})
 
 
 class TestConstraintSet:

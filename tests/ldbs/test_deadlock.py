@@ -1,10 +1,7 @@
-"""Tests for wait-for graphs, victim policies and timeout policies."""
-
-import pytest
+"""Tests for wait-for graphs and victim policies."""
 
 from repro.ldbs.deadlock import (
     DeadlockDetector,
-    TimeoutPolicy,
     VictimPolicy,
     WaitForGraph,
 )
@@ -118,39 +115,3 @@ class TestDeadlockDetector:
         detector.on_finished("B")
         assert detector.on_wait("B", ["A"]) is None or True  # no crash
         assert detector.graph.waits_of("A") == frozenset()
-
-
-class TestTimeoutPolicy:
-    def test_rejects_non_positive_timeout(self):
-        with pytest.raises(ValueError):
-            TimeoutPolicy(0.0)
-
-    def test_expiry(self):
-        policy = TimeoutPolicy(5.0)
-        policy.on_wait("A", now=10.0)
-        assert policy.expired(now=14.0) == ()
-        assert policy.expired(now=15.0) == ("A",)
-
-    def test_stop_waiting_clears(self):
-        policy = TimeoutPolicy(5.0)
-        policy.on_wait("A", now=0.0)
-        policy.on_stop_waiting("A")
-        assert policy.expired(now=100.0) == ()
-
-    def test_on_wait_keeps_earliest_start(self):
-        policy = TimeoutPolicy(5.0)
-        policy.on_wait("A", now=0.0)
-        policy.on_wait("A", now=4.0)  # must not reset
-        assert policy.expired(now=5.0) == ("A",)
-
-    def test_deadline_of(self):
-        policy = TimeoutPolicy(5.0)
-        policy.on_wait("A", now=2.0)
-        assert policy.deadline_of("A") == 7.0
-        assert policy.deadline_of("B") is None
-
-    def test_expired_sorted(self):
-        policy = TimeoutPolicy(1.0)
-        policy.on_wait("B", now=0.0)
-        policy.on_wait("A", now=0.0)
-        assert policy.expired(now=2.0) == ("A", "B")

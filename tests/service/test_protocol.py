@@ -26,7 +26,6 @@ from repro.service.protocol import (
     build_invocation,
     decode_frame,
     encode_frame,
-    error_code,
     error_frame,
     frame_to_exception,
 )
@@ -352,7 +351,6 @@ class TestErrorTaxonomy:
         frame = error_frame(original, re=17)
         assert frame["type"] == "error"
         assert frame["re"] == 17
-        assert frame["code"] == error_code(original)
         # ... and across a real encode/decode cycle
         decoded = frame_to_exception(decode_frame(encode_frame(frame)))
         assert type(decoded) is type(original)

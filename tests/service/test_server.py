@@ -25,7 +25,7 @@ from repro.errors import GTMError, TokenInUse, WireFormatError
 from repro.service import GTMService, SessionState
 from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.protocol import decode_frame, encode_frame
-from repro.service.server import memory_connector, tcp_connector
+from repro.service.server import memory_connector
 from tests.service.wire import (
     LOST,
     StubTransport,
@@ -34,6 +34,7 @@ from tests.service.wire import (
     open_raw,
     settle,
     stub_connection,
+    tcp_connector,
     wait_until_detached,
 )
 

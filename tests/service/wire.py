@@ -15,12 +15,22 @@ import socket
 from repro.driver.asyncio_driver import AsyncioDriver
 from repro.service import GTMService, ServiceConfig
 from repro.service.protocol import encode_frame
-from repro.service.server import ServiceServer, _Connection, tcp_connector
+from repro.service.server import Connector, ServiceServer, _Connection
 
 #: The event a :class:`RawEnd` records when its transport is gone.
 LOST = "connection lost"
 
 TRANSPORTS = ("memory", "tcp")
+
+
+def tcp_connector(host: str, port: int) -> Connector:
+    """Opens TCP links to ``host:port`` (the in-memory twin is
+    ``repro.service.server.memory_connector``)."""
+    async def _connect():
+        transport, _ = await asyncio.get_running_loop().create_connection(
+            asyncio.Protocol, host, port)
+        return (transport,)
+    return _connect
 
 
 def make_server(**config) -> tuple[GTMService, ServiceServer]:

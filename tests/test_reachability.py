@@ -9,7 +9,13 @@ those roots is a door nobody walks through: delete it, or give it a
 caller.  An example documents the system; it does not keep a module
 alive, so the examples are checked against the closure, not added to it.
 
-One level down, for the two measurement packages: a name exported in
+One level down, every top-level function and class under ``src/``
+whose name is public must be named somewhere outside ``tests/``: in
+its own module, elsewhere under ``src/``, or under ``benchmarks/`` or
+``examples/``.  A definition only the tests call is a door too; a
+helper the tests need lives under ``tests/``.
+
+For the two measurement packages: a name exported in
 ``repro.obs.__all__`` or ``repro.metrics.__all__`` must be used by code
 outside that package — under ``src/``, ``benchmarks/`` or ``examples/``.
 An export only its own package and its tests touch is the same unused
@@ -122,3 +128,20 @@ def test_every_export_is_used_outside_its_package(package):
     assert not unused, (
         f"{package}.__all__ exports {unused}, which nothing outside "
         f"{package} uses: drop the export (or the code behind it)")
+
+
+def test_every_top_level_name_has_a_caller():
+    used: set[str] = set()
+    for root in (SRC, REPO / "benchmarks", REPO / "examples"):
+        for path in root.rglob("*.py"):
+            used |= _names_used(path)
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = sorted(
+        f"{module}.{node.name}"
+        for module, path in MODULES.items()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, definitions) and not node.name.startswith("_")
+        and node.name not in used)
+    assert not unused, (
+        f"nothing outside tests/ names {unused}: delete them, give them "
+        f"a caller, or move a test helper under tests/")

@@ -63,6 +63,29 @@ class TestConfigValidation:
         with pytest.raises(WorkloadError, match="disconnect_duration_fixed"):
             PaperWorkloadConfig(disconnect_duration_fixed=duration)
 
+    @pytest.mark.parametrize("overrides", [
+        {"work_time_mean": 0.0},
+        {"work_time_mean": -2.0},
+        {"work_time_mean": float("nan")},
+        {"work_time_jitter": -0.1},
+        {"work_time_jitter": float("nan")},
+        {"disconnect_duration_fixed": None, "disconnect_duration_mean": 0.0},
+        {"disconnect_duration_fixed": None,
+         "disconnect_duration_mean": -10.0},
+        {"inactivity_probability": 0.4, "inactivity_pause_mean": -1.0},
+        {"initial_value": float("nan")},
+        {"assign_value": float("nan")},
+        {"assign_value": float("inf")},
+    ], ids=lambda overrides: ",".join(
+        f"{key}={value}" for key, value in overrides.items()))
+    def test_timing_and_values_are_checked_at_construction(self, overrides):
+        """Each of these used to pass the config and then fail in
+        generation with a bare ``ValueError`` from numpy or the models,
+        or generate with a NaN (``initial_value``, ``assign_value``)."""
+        refused = list(overrides)[-1]  # the others arm it
+        with pytest.raises(WorkloadError, match=refused):
+            PaperWorkloadConfig(**overrides)
+
     def test_gamma_vector_uniform_default(self):
         vector = PaperWorkloadConfig().gamma_vector()
         assert len(vector) == 5
