@@ -94,7 +94,11 @@ class LDBSBackend(Protocol):
     ``dump()`` returns the committed permanent state in a canonical
     backend-independent form — the differential harness asserts
     byte-identical dumps across backends.  ``crash()`` drops every
-    open transaction and returns their ids.
+    open transaction and returns their ids.  ``seed(table, rows)``
+    writes rows, all or none, outside any transaction a caller sees:
+    every refusal comes from the call, and the rows are committed by
+    the next ``begin``, ``dump``, ``create_table``, ``crash`` or
+    ``close`` at the latest (docs/BACKENDS.md §1).
     """
 
     name: str
@@ -273,6 +277,7 @@ class MemoryBackend:
     as SQLite's busy ``BEGIN IMMEDIATE`` does.  Readers never wait and
     read committed rows.  Nothing is ever undone: abort and
     :meth:`crash` drop the overlay the writer would have applied.
+    :meth:`seed` opens no transaction: it writes committed rows.
     """
 
     name = "memory"
@@ -310,9 +315,32 @@ class MemoryBackend:
             self.constraints.add(constraint)
 
     def seed(self, table: str, rows: Iterable[Mapping[str, Any]]) -> None:
-        with self.begin(write=True) as txn:
-            for values in rows:
-                txn.insert(table, values)
+        """Write rows straight into the committed rows, all or none.
+
+        Each row is judged as ``insert`` judges it (schema, constraints,
+        then key, against the committed rows and this call's earlier
+        rows); no transaction is opened.  An open writer refuses the
+        seed as it refuses a second writer."""
+        if self._closed:
+            raise _closed_error()
+        if self._writer is not None:
+            raise BackendConflictError(
+                f"memory backend busy: {self._writer.txn_id!r} is "
+                f"writing; a seed cannot")
+        schema = self._schema(table)
+        committed = self._rows[table]
+        key_column = schema.primary_key
+        validate = self.constraints.validate
+        staged: dict[Any, dict[str, Any]] = {}
+        for values in rows:
+            row = schema.validate_row(values)
+            validate(table, row)
+            key = row[key_column]
+            if key in committed or key in staged:
+                raise StorageError(
+                    f"duplicate key {key!r} for table {table!r}")
+            staged[key] = row
+        committed.update(staged)
 
     # -- transactions -------------------------------------------------------
 

@@ -20,9 +20,9 @@ class ColumnType(enum.Enum):
     def validate(self, value: Any) -> Any:
         """Coerce/validate ``value`` for this type.
 
-        INT accepts bool-free integers; FLOAT accepts ints and floats and
-        normalizes to float; TEXT accepts str; BOOL accepts bool.  ``None``
-        is handled by the column's nullability, not here.
+        INT accepts bool-free integers; FLOAT accepts ints and floats but
+        not NaN and normalizes to float; TEXT accepts str; BOOL accepts
+        bool.  ``None`` is handled by the column's nullability, not here.
         """
         if self is ColumnType.INT:
             if isinstance(value, bool):
@@ -36,7 +36,11 @@ class ColumnType(enum.Enum):
         if self is ColumnType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected FLOAT, got {value!r}")
-            return float(value)
+            value = float(value)
+            if value != value:
+                # SQLite stores a bound NaN as NULL
+                raise SchemaError(f"expected FLOAT, got {value!r}")
+            return value
         if self is ColumnType.TEXT:
             if not isinstance(value, str):
                 raise SchemaError(f"expected TEXT, got {value!r}")

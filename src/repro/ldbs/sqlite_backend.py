@@ -32,6 +32,12 @@ item 1).  Design, following ``travel_dbms`` and libres (SNIPPETS.md):
   belongs to the thread that first used it: connections keep
   sqlite3's ``check_same_thread`` default, so misuse from another
   thread raises instead of sharing a connection silently.
+- **A seed writes rows, not transactions** — ``seed()`` runs its
+  INSERTs at the call, in one write transaction it keeps open on the
+  writer connection (a call of several rows under a SAVEPOINT, so it
+  lands whole or not at all), and the next ``begin``, ``dump``,
+  ``create_table``, ``crash`` or ``close`` commits it: seeding *N*
+  objects one call each is ``BEGIN IMMEDIATE``, *N* INSERTs, ``COMMIT``.
 - **Flush policy** — every connection, the writer included, comes from
   :meth:`SQLiteBackend._connect` and runs at SQLite's default
   ``synchronous=FULL``: a commit is on disk when ``commit()`` returns.
@@ -108,6 +114,14 @@ def _update_sql(table: str, key_column: str | None,
     return f'UPDATE "{table}" SET {assignments} WHERE "{key_column}" = ?'
 
 
+@lru_cache(maxsize=256)
+def _insert_sql(table: str, names: tuple[str, ...]) -> str:
+    """The INSERT of one (table, column set), built once."""
+    columns = ", ".join(f'"{name}"' for name in names)
+    slots = ", ".join("?" * len(names))
+    return f'INSERT INTO "{table}" ({columns}) VALUES ({slots})'
+
+
 class SQLiteTransaction:
     """One explicit SQLite transaction on a connection it holds until
     it finishes."""
@@ -126,9 +140,12 @@ class SQLiteTransaction:
             raise TransactionAborted(self.txn_id, reason="already finished")
         return self._conn
 
-    def _execute(self, sql: str, params: tuple = ()) -> sqlite3.Cursor:
+    def _execute(self, sql: str, params: Any = (),
+                 many: bool = False) -> sqlite3.Cursor:
         conn = self._require_open()
         try:
+            if many:
+                return conn.executemany(sql, params)
             return conn.execute(sql, params)
         except sqlite3.OperationalError as exc:
             raise _map_operational(exc) from exc
@@ -158,14 +175,10 @@ class SQLiteTransaction:
     # -- writes -------------------------------------------------------------
 
     def insert(self, table: str, values: Mapping[str, Any]) -> None:
-        schema = self._backend._schema(table)
-        row = schema.validate_row(values)
-        self._backend.constraints.validate(table, row)
-        columns = ", ".join(f'"{name}"' for name in row)
-        slots = ", ".join("?" for _ in row)
-        self._execute(
-            f'INSERT INTO "{table}" ({columns}) VALUES ({slots})',
-            tuple(self._backend._to_sql(value) for value in row.values()))
+        backend = self._backend
+        row = backend._schema(table).validate_row(values)
+        backend.constraints.validate(table, row)
+        self._execute(_insert_sql(table, tuple(row)), tuple(row.values()))
 
     def update_by_key(self, table: str, key: Any,
                       changes: Mapping[str, Any]) -> int:
@@ -187,7 +200,7 @@ class SQLiteTransaction:
             backend.constraints.validate(table, current)
         cursor = self._execute(
             _update_sql(table, schema.primary_key, tuple(updated)),
-            (*(backend._to_sql(v) for v in updated.values()), key))
+            (*updated.values(), key))
         return cursor.rowcount
 
     def delete_by_key(self, table: str, key: Any) -> int:
@@ -265,6 +278,9 @@ class SQLiteBackend:
         #: the idle writer connection (None while a write transaction
         #: holds it, and before the first one).
         self._writer: sqlite3.Connection | None = None
+        #: the write transaction ``seed`` has staged its rows in, until
+        #: the next begin, dump, create_table, crash or close commits it.
+        self._seeding: SQLiteTransaction | None = None
         self.commits = 0
         self.aborts = 0
         self._closed = False
@@ -298,6 +314,8 @@ class SQLiteBackend:
 
     def create_table(self, schema: TableSchema,
                      constraints: Iterable[CheckConstraint] = ()) -> None:
+        if self._seeding is not None:
+            self._commit_seed()     # the DDL needs the write lock
         if schema.name in self._schemas:
             raise CatalogError(f"table {schema.name!r} already exists")
         columns = []
@@ -327,14 +345,54 @@ class SQLiteBackend:
         self.constraints.add(constraint)
 
     def seed(self, table: str, rows: Iterable[Mapping[str, Any]]) -> None:
-        with self.begin(write=True) as txn:
-            for values in rows:
-                txn.insert(table, values)
+        """INSERT rows now, all or none; COMMIT them with the next
+        ``begin``, ``dump``, ``create_table``, ``crash`` or ``close``.
+
+        Rows are judged as ``insert`` judges them, and the INSERTs run
+        here, so a bad row or a duplicate key (committed or staged)
+        raises from this call.  Consecutive seeds share one write
+        transaction: a row costs an INSERT, not a COMMIT."""
+        schema = self._schema(table)
+        validate = self.constraints.validate
+        params = []
+        for values in rows:
+            row = schema.validate_row(values)
+            validate(table, row)
+            params.append(tuple(row.values()))
+        txn = self._seeding
+        if txn is None:
+            txn = self._seeding = self.begin(write=True)
+        # every validated row has the schema's columns, in its order
+        if len(params) == 1:
+            txn._execute(_insert_sql(table, tuple(row)), params[0])
+        elif params:
+            txn._execute("SAVEPOINT seed")
+            try:
+                txn._execute(_insert_sql(table, tuple(row)), params,
+                             many=True)
+            except Exception:
+                txn._execute("ROLLBACK TO seed")
+                raise
+            finally:
+                txn._execute("RELEASE seed")
+
+    def _commit_seed(self) -> None:
+        """Commit the staged seed.  A failed COMMIT rolls it back, frees
+        the write path, and raises :class:`~repro.errors.BackendError`
+        whatever SQLite called it: the rows are lost, not retryable."""
+        txn, self._seeding = self._seeding, None
+        try:
+            txn.commit()
+        except (BackendError, BackendConflictError) as exc:
+            raise BackendError(
+                f"seeded rows were rolled back: {exc}") from exc
 
     # -- transactions -------------------------------------------------------
 
     def begin(self, txn_id: str | None = None, *,
               write: bool = False) -> SQLiteTransaction:
+        if self._seeding is not None:
+            self._commit_seed()
         self._txn_counter += 1
         if txn_id is None:
             txn_id = f"sqlite-{self._txn_counter}"
@@ -396,12 +454,6 @@ class SQLiteBackend:
     # -- value canonicalization ---------------------------------------------
 
     @staticmethod
-    def _to_sql(value: Any) -> Any:
-        if isinstance(value, bool):
-            return int(value)
-        return value
-
-    @staticmethod
     def _from_sql(schema: TableSchema, raw: tuple) -> dict[str, Any]:
         row: dict[str, Any] = {}
         for column, value in zip(schema.columns, raw):
@@ -417,8 +469,10 @@ class SQLiteBackend:
 
         Read on a fresh snapshot connection, so open transactions'
         uncommitted work is invisible — exactly the memory backend's
-        dump of its committed rows.
+        dump of its committed rows.  A staged seed is committed first.
         """
+        if self._seeding is not None:
+            self._commit_seed()
         state: dict[str, dict[Any, dict[str, Any]]] = {}
         conn = self._connect()
         try:
@@ -443,35 +497,43 @@ class SQLiteBackend:
 
         SQLite's WAL recovery then does the real work on the next
         connection: committed transactions survive, uncommitted ones
-        vanish.  Returns the ids of the transactions that were lost.
+        vanish.  Seeded rows are committed first, so they survive and
+        are not among the returned ids of the transactions that were
+        lost.
         """
         lost = []
-        for txn in list(self._open):
-            conn = self._open_conns.pop(id(txn), None)
-            if conn is not None:
-                # a hard close without COMMIT == the process dying.
-                conn.close()
-            txn._conn = None
-            lost.append(txn.txn_id)
-            self.aborts += 1
-        self._open.clear()
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        try:
+            if self._seeding is not None:
+                self._commit_seed()
+        finally:
+            for txn in list(self._open):
+                conn = self._open_conns.pop(id(txn), None)
+                if conn is not None:
+                    # a hard close without COMMIT == the process dying.
+                    conn.close()
+                txn._conn = None
+                lost.append(txn.txn_id)
+                self.aborts += 1
+            self._open.clear()
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
         return tuple(lost)
 
     def close(self) -> None:
         """Release every connection and (for owned temp files) the file."""
         if self._closed:
             return
-        self.crash()
-        self._closed = True
-        if self._owns_file:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(self.path + suffix)
-                except OSError:
-                    pass
+        try:
+            self.crash()
+        finally:
+            self._closed = True
+            if self._owns_file:
+                for suffix in ("", "-wal", "-shm"):
+                    try:
+                        os.unlink(self.path + suffix)
+                    except OSError:
+                        pass
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

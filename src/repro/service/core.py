@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from math import isfinite
 from types import MappingProxyType
 from typing import Any
 
@@ -180,7 +181,15 @@ class GTMService:
     def create_object(self, name: str, value: Any = 0,
                       members: dict[str, Any] | None = None) -> None:
         """Register a managed object before (or while) serving.  A name
-        the GTM already holds is refused before the backend is touched."""
+        the GTM already holds, or a NaN or infinite initial value, is
+        refused before the GTM or the backend is touched."""
+        for initial in (value, *(members or {}).values()):
+            # as build_invocation refuses non-finite operands: the
+            # memory LDBS would hold NaN, SQLite NULL
+            if isinstance(initial, float) and not isfinite(initial):
+                raise GTMError(
+                    f"object {name!r}: initial value must be finite, "
+                    f"not {initial!r}")
         if name in self.gtm.lock_table:
             raise GTMError(f"object {name!r} already registered")
         binding = None

@@ -22,6 +22,7 @@ from repro.errors import (
     BackendConflictError,
     BackendError,
     ConstraintViolation,
+    SchemaError,
     StorageError,
     TransactionAborted,
 )
@@ -240,6 +241,143 @@ class TestConformance:
         with pytest.raises(TransactionAborted):
             open_txn.get_row("obj", 1)
         backend.close()  # closing twice is harmless
+
+
+def _fail_once(monkeypatch, failing: str, message: str) -> list:
+    """Make every connection ``_connect`` returns a proxy whose next
+    ``failing`` statement, once the returned list is armed (appended
+    to), raises ``sqlite3.OperationalError(message)`` instead of
+    running."""
+    armed = []
+
+    class FailingOnce:
+        def __init__(self, conn):
+            self._conn = conn
+
+        def execute(self, sql, *params):
+            if armed and sql == failing:
+                armed.clear()
+                raise sqlite3.OperationalError(message)
+            return self._conn.execute(sql, *params)
+
+        def __getattr__(self, name):
+            return getattr(self._conn, name)
+
+    connect = SQLiteBackend._connect
+    monkeypatch.setattr(SQLiteBackend, "_connect",
+                        lambda backend: FailingOnce(connect(backend)))
+    return armed
+
+
+class TestSeedContract:
+    """``seed`` writes rows and nothing else (docs/BACKENDS.md §1):
+    memory stores them at the call, SQLite INSERTs them at the call and
+    commits them with the next ``begin``, ``dump``, ``create_table``,
+    ``crash`` or ``close``.  Every refusal still comes from ``seed``
+    itself.  The fixture's own seed of row 1 is still staged on SQLite
+    when each test starts."""
+
+    @pytest.mark.parametrize("reader", [
+        lambda backend: backend.begin("R").get_row("obj", 2),
+        lambda backend: backend.begin("W", write=True).get_row("obj", 2),
+        lambda backend: backend.dump()["obj"][2],
+    ], ids=["begin-read", "begin-write", "dump"])
+    def test_rows_are_visible_to_the_next_call(self, backend, reader):
+        backend.seed("obj", [{"id": 2, "value": 2.0}])
+        assert reader(backend) == {"id": 2, "value": 2.0, "label": None,
+                                   "flag": None}
+
+    @pytest.mark.parametrize("earlier", ["committed", "staged"])
+    def test_a_duplicate_key_is_refused_at_the_call(self, backend,
+                                                    earlier):
+        if earlier == "committed":
+            backend.dump()
+        with pytest.raises(StorageError):
+            backend.seed("obj", [{"id": 1, "value": 0.0}])
+        with pytest.raises(StorageError):
+            backend.seed("obj", [{"id": 2, "value": 0.0},
+                                 {"id": 2, "value": 1.0}])
+        assert backend.dump()["obj"] == {
+            1: {"id": 1, "value": 10.0, "label": "a", "flag": True}}
+
+    @pytest.mark.parametrize("row, error", [
+        ({"id": 2, "value": "ten"}, SchemaError),
+        ({"id": 2, "value": float("nan")}, SchemaError),
+        ({"id": 2, "colour": "red"}, SchemaError),
+        ({"id": 2, "value": -1.0}, ConstraintViolation),
+    ], ids=["type", "nan", "column", "constraint"])
+    def test_schema_and_constraint_errors_are_raised_at_the_call(
+            self, backend, row, error):
+        with pytest.raises(error):
+            backend.seed("obj", [row])
+        assert sorted(backend.dump()["obj"]) == [1]
+
+    @pytest.mark.parametrize("last", [
+        {"id": 1, "value": 0.0},
+        {"id": 2, "value": 0.0},
+        {"id": 4, "value": -1.0},
+    ], ids=["duplicate-of-earlier-seed", "duplicate-in-call",
+            "constraint"])
+    def test_a_bad_last_row_leaves_none_of_the_call(self, backend, last):
+        with pytest.raises((StorageError, ConstraintViolation)):
+            backend.seed("obj", [{"id": 2, "value": 2.0},
+                                 {"id": 3, "value": 3.0}, last])
+        backend.seed("obj", [{"id": 5, "value": 5.0}])
+        assert sorted(backend.dump()["obj"]) == [1, 5]
+
+    def test_a_seed_while_a_writer_is_open_is_a_conflict(self, backend):
+        holder = backend.begin("W1", write=True)
+        with pytest.raises(BackendConflictError):
+            backend.seed("obj", [{"id": 2, "value": 2.0}])
+        holder.commit()
+        backend.seed("obj", [{"id": 2, "value": 2.0}])
+        assert sorted(backend.dump()["obj"]) == [1, 2]
+
+    def test_create_table_after_a_seed(self, backend):
+        """SQLite's DDL needs the write lock the staged seed holds."""
+        backend.seed("obj", [{"id": 2, "value": 2.0}])
+        backend.create_table(TableSchema(
+            "more", (Column("k", ColumnType.TEXT),), primary_key="k"))
+        backend.seed("more", [{"k": "a"}, {"k": "b"}])
+        state = backend.dump()
+        assert sorted(state["obj"]) == [1, 2]
+        assert sorted(state["more"]) == ["a", "b"]
+
+    def test_crash_keeps_seeded_rows_and_loses_no_transaction(
+            self, backend):
+        backend.seed("obj", [{"id": 2, "value": 2.0}])
+        assert backend.crash() == ()
+        assert sorted(backend.dump()["obj"]) == [1, 2]
+
+    @pytest.mark.parametrize("trigger", [
+        lambda backend: backend.begin("R"),
+        lambda backend: backend.begin("W", write=True),
+        lambda backend: backend.dump(),
+        lambda backend: backend.create_table(TableSchema(
+            "more", (Column("k", ColumnType.TEXT),), primary_key="k")),
+        lambda backend: backend.crash(),
+    ], ids=["begin-read", "begin-write", "dump", "create_table", "crash"])
+    def test_a_failed_deferred_commit_is_a_backend_error(
+            self, monkeypatch, request, trigger):
+        """SQLite only: the failed COMMIT rolls the staged rows back and
+        is a BackendError, never the retryable BackendConflictError,
+        even when SQLite calls it busy; the write path stays usable."""
+        armed = _fail_once(monkeypatch, "COMMIT", "database is locked")
+        sqlite = make_backend("sqlite")
+        request.addfinalizer(sqlite.close)
+        sqlite.seed("obj", [{"id": 2, "value": 2.0}])
+        armed.append(True)
+        with pytest.raises(BackendError) as caught:
+            trigger(sqlite)
+        assert not isinstance(caught.value, BackendConflictError)
+        assert sqlite.open_transactions() == ()
+        assert sqlite._writer is None or not sqlite._writer.in_transaction
+        assert sqlite.dump()["obj"] == {}
+        sqlite.seed("obj", [{"id": 3, "value": 3.0}])
+        with sqlite.begin("T", write=True) as txn:
+            txn.update_by_key("obj", 3, {"value": 4.0})
+        assert sqlite.dump()["obj"] == {
+            3: {"id": 3, "value": 4.0, "label": None, "flag": None}}
 
 
 def make_stock(name: str, constrained: bool) -> LDBSBackend:
@@ -521,30 +659,10 @@ class TestSQLiteSpecific:
         busy.  The writer must be released, or discarded when it is
         still inside a transaction."""
 
-        armed = []
-
-        class FailingOnce:
-            """What ``_connect`` returns: the connection, except that
-            the next ``failing`` statement, once armed, raises instead
-            of running."""
-
-            def __init__(self, conn):
-                self._conn = conn
-
-            def execute(self, sql, *params):
-                if armed and sql == failing:
-                    armed.clear()
-                    raise sqlite3.OperationalError(message)
-                return self._conn.execute(sql, *params)
-
-            def __getattr__(self, name):
-                return getattr(self._conn, name)
-
-        connect = SQLiteBackend._connect
-        monkeypatch.setattr(SQLiteBackend, "_connect",
-                            lambda backend: FailingOnce(connect(backend)))
+        armed = _fail_once(monkeypatch, failing, message)
         sqlite = make_backend("sqlite")     # so its writer is a proxy
         request.addfinalizer(sqlite.close)
+        sqlite.dump()       # commits the fixture's seed before arming
         armed.append(True)
         txn = sqlite.begin("T1", write=True)
         txn.update_by_key("obj", 1, {"value": 3.0})
@@ -569,7 +687,9 @@ class TestSQLiteSpecific:
         stock = make_stock("sqlite", constrained)
         statements = []
         # the writer: the seed opened it last, and every SST reuses it
-        connects[-1].set_trace_callback(statements.append)
+        writer = connects[-1]
+        stock.dump()        # commits the seed before the window opens
+        writer.set_trace_callback(statements.append)
         try:
             with stock.begin("T1", write=True) as txn:
                 txn.update_by_key("stock", "a", {"held": 3.0})

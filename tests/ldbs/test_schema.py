@@ -35,6 +35,13 @@ class TestColumnType:
         with pytest.raises(SchemaError):
             ColumnType.FLOAT.validate(False)
 
+    def test_float_rejects_nan(self):
+        """SQLite stores a bound NaN as NULL, so neither backend takes
+        one; infinities round-trip and stay allowed."""
+        with pytest.raises(SchemaError):
+            ColumnType.FLOAT.validate(float("nan"))
+        assert ColumnType.FLOAT.validate(float("-inf")) == float("-inf")
+
     def test_text_accepts_str(self):
         assert ColumnType.TEXT.validate("Naples") == "Naples"
 

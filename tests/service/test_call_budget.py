@@ -35,9 +35,12 @@ bit, Eq. 2 in integers
 the memory backend a dict of rows with an     369.1   377.5   333.6
 overlay per transaction (no lock, WAL
 record or row version per written row)
-budget (440 / 426 / 386 before the pump       376.6   384.6   344.6
+SQLite binds a bool itself (no conversion     369.1   369.1   333.6
+helper and generator per bound value)
+budget (440 / 426 / 386 before the pump       376.6   376.6   344.6
 line, lowered by 41.4; memory by 22.0
-more with the line above)
+more with the line above, SQLite by 8.0
+with the line before)
 ============================================  ======  ======  ==========
 
 What a re-added level costs, in calls per transaction: one more frame
@@ -55,6 +58,23 @@ client, the transport and asyncio included.
 
 The second test counts what SQLite itself is asked to run: one SST of
 *n* written rows is ``BEGIN IMMEDIATE``, *n* statements, ``COMMIT``.
+
+The last two price the set-up, ``GTMService.create_object`` of a value
+object, whose row ``seed`` writes: *N* objects seeded on SQLite are
+``BEGIN IMMEDIATE``, *N* ``INSERT`` statements and one ``COMMIT`` (it
+was one transaction per object, 3 *N* statements), and Python-level
+calls per object, counted as above:
+
+================================================  ======  ======
+                                                  memory  sqlite
+================================================  ======  ======
+one backend transaction per seeded object         28.0    39.0
+a seed writes rows and nothing else               17.0    19.0
+budget                                            19      21
+================================================  ======  ======
+
+A transaction per seed again would cost 11 (memory) or 20 (SQLite)
+calls per object.
 """
 
 import random
@@ -72,7 +92,10 @@ OBJECTS = 64
 OPS_PER_TXN = 4
 OP_MIX = ("read",) * 3 + ("add",) * 5 + ("assign", "mul")
 #: backend name (None = virtual service) -> calls per transaction.
-CALL_BUDGETS = {"memory": 376.6, "sqlite": 384.6, None: 344.6}
+CALL_BUDGETS = {"memory": 376.6, "sqlite": 376.6, None: 344.6}
+#: backend name -> calls per ``create_object`` (28.0 / 39.0 when every
+#: seed was a backend transaction).
+CREATE_BUDGETS = {"memory": 19, "sqlite": 21}
 
 
 def _scripts(count):
@@ -163,6 +186,7 @@ def test_a_sqlite_sst_of_n_rows_executes_n_plus_two_statements(monkeypatch):
 
     monkeypatch.setattr(SQLiteBackend, "_connect", traced_connect)
     wire = _WireSession("sqlite")
+    wire.service.backend.dump()     # commits the seed before the window
     try:
         for written in (1, 2, 3, 4):
             script = [("add" if index < written else "read",
@@ -175,3 +199,46 @@ def test_a_sqlite_sst_of_n_rows_executes_n_plus_two_statements(monkeypatch):
             assert all(s.startswith("UPDATE") for s in statements[1:-1])
     finally:
         wire.service.shutdown()
+
+
+def _service(backend):
+    return GTMService(SimulationEngine(), config=ServiceConfig(
+        retire_finished=True, ldbs_backend=backend))
+
+
+def test_seeding_n_objects_on_sqlite_runs_n_inserts_and_two_statements():
+    service = _service("sqlite")
+    try:
+        backend = service.backend
+        service.create_object("warm", value=1)
+        backend.dump()                  # the writer exists and is idle
+        statements = []
+        backend._writer.set_trace_callback(statements.append)
+        for index in range(OBJECTS):
+            service.create_object(f"o{index:03d}", value=index)
+        backend.dump()
+        assert len(statements) == OBJECTS + 2, statements
+        assert statements[0] == "BEGIN IMMEDIATE"
+        assert statements[-1] == "COMMIT"
+        assert all(s.startswith("INSERT") for s in statements[1:-1])
+        assert len(backend.dump()["gtm_objects"]) == OBJECTS + 1
+    finally:
+        service.shutdown()
+
+
+@pytest.mark.parametrize("backend", CREATE_BUDGETS)
+def test_create_object_stays_inside_its_call_budget(backend):
+    service = _service(backend)
+    try:
+        for index in range(8):  # warm: the INSERT text, the writer
+            service.create_object(f"w{index}", value=1)
+        calls = _counted(lambda: [
+            service.create_object(f"o{index:04d}", value=1)
+            for index in range(4 * OBJECTS)])
+        assert len(service.backend.dump()["gtm_objects"]) == 8 + 4 * OBJECTS
+    finally:
+        service.shutdown()
+    per_object = calls / (4 * OBJECTS)
+    assert per_object <= CREATE_BUDGETS[backend], (
+        f"{per_object:.1f} Python-level calls per create_object on "
+        f"backend {backend!r}, budget {CREATE_BUDGETS[backend]}")

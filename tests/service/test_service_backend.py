@@ -180,3 +180,23 @@ class TestServiceBackend:
         assert frames[-1]["type"] == "committed"
         assert service.backend.dump()["gtm_objects"]["b"] == {
             "name": "b", "value": 1.0}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")], ids=str)
+    def test_non_finite_initial_value_is_refused(self, served, value):
+        """``create_object("x", value=nan)`` used to register the object:
+        the memory row held ``nan``, the SQLite row ``NULL``, with no
+        error.  It is refused before the GTM or the backend is
+        touched, as a non-finite wire operand is."""
+        service, session, frames = served
+        before = service.backend.dump()
+        with pytest.raises(GTMError, match="finite"):
+            service.create_object("x", value=value)
+        with pytest.raises(GTMError, match="finite"):
+            service.create_object("y", members={"a": 1.0, "b": value})
+        assert "x" not in service.gtm.lock_table
+        assert "y" not in service.gtm.lock_table
+        assert service.backend.dump() == before
+        service.create_object("x", value=2.5)
+        assert service.backend.dump()["gtm_objects"]["x"] == {
+            "name": "x", "value": 2.5}
