@@ -12,7 +12,7 @@ rates grow with β and the GTM's stays below 2PL's.
 """
 
 from repro.bench.experiments import fig3
-from repro.schedulers import GTMScheduler, TwoPLScheduler
+from repro.schedulers import GTMScheduler, two_phase_locking
 from repro.workload.generator import (
     PaperWorkloadConfig,
     generate_paper_workload,
@@ -54,7 +54,7 @@ def test_bench_twopl_scheduler_full_run(benchmark):
         n_transactions=1000, alpha=0.7, beta=0.05))
 
     def run():
-        return TwoPLScheduler().run(generated.workload)
+        return two_phase_locking().run(generated.workload)
 
     result = benchmark(run)
     assert result.stats.committed + result.stats.aborted == 1000

@@ -1,13 +1,12 @@
 """Micro-benchmarks for the substrates under the GTM.
 
 Not a paper artifact — these keep an eye on the building blocks so a
-slow simulator or lock manager doesn't silently distort the Fig. 3
+slow simulator or kernel doesn't silently distort the Fig. 3
 emulation times.
 """
 
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.opclass import add
-from repro.ldbs.locks import LockManager, LockMode
 from repro.sim.engine import SimulationEngine
 
 
@@ -26,19 +25,6 @@ def test_bench_sim_engine_event_throughput(benchmark):
         return count[0]
 
     assert benchmark(run_10k_events) == 10_000
-
-
-def test_bench_lock_manager_acquire_release(benchmark):
-    def churn():
-        locks = LockManager()
-        for k in range(1000):
-            txn = f"T{k}"
-            locks.acquire(txn, "X", LockMode.S)
-            locks.acquire(txn, ("Y", k), LockMode.X)
-            locks.release_all(txn)
-        return True
-
-    assert benchmark(churn)
 
 
 def test_bench_gtm_grant_commit_cycle(benchmark):

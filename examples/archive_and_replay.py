@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.check.oracle import check_episode, record_gtm
 from repro.metrics.trace import render_gantt
-from repro.schedulers import GTMScheduler, TwoPLScheduler
+from repro.schedulers import GTMScheduler, two_phase_locking
 from repro.workload import (
     PaperWorkloadConfig,
     generate_paper_workload,
@@ -50,7 +50,7 @@ def main() -> None:
               f"{replayed.stats.aborted} aborted, "
               f"avg exec {replayed.stats.avg_execution_time:.2f}s")
 
-        twopl = TwoPLScheduler().run(restored)
+        twopl = two_phase_locking().run(restored)
         print(f"same archive under 2PL: {twopl.stats.committed} "
               f"committed, avg exec "
               f"{twopl.stats.avg_execution_time:.2f}s")

@@ -23,8 +23,7 @@ from repro.mobile.session import SessionPlan
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.spec import Workload, single_step_profile
 
@@ -96,8 +95,7 @@ def story_3_twopl_comparison() -> None:
     workload = Workload(profiles=list(profiles),
                         initial_values={"seats": 50.0})
     gtm_run = GTMScheduler(GTMSchedulerConfig()).run(workload)
-    twopl_run = TwoPLScheduler(
-        TwoPLSchedulerConfig(sleep_timeout=3.0)).run(workload)
+    twopl_run = two_phase_locking(hold_timeout=3.0).run(workload)
     from repro.metrics.trace import render_gantt
     for label, run in (("GTM", gtm_run), ("2PL", twopl_run)):
         user = run.collector.timelines["mobile-user"]

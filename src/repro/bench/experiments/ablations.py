@@ -17,10 +17,10 @@ we built all four and measure them here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
-from repro.core.opclass import assign, subtract
+from repro.core.opclass import assign, read, subtract
 from repro.core.sst import FailureInjector, SSTExecutor
 from repro.core.starvation import (
     FifoGrantPolicy,
@@ -38,8 +38,7 @@ from repro.metrics.report import render_table
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.mobile.session import SessionPlan
 from repro.workload.generator import PaperWorkloadConfig, \
@@ -279,19 +278,21 @@ def _crossing_workload(pairs: int = 20,
 def run_deadlock() -> list[DeadlockResult]:
     workload = _crossing_workload()
     results = []
-    configurations = {
-        "wait-for-graph": TwoPLSchedulerConfig(wait_timeout=None),
-        "timeout(3s)": TwoPLSchedulerConfig(wait_timeout=3.0),
-        "timeout(8s)": TwoPLSchedulerConfig(wait_timeout=8.0),
+    wait_timeouts = {
+        "wait-for-graph": None,
+        "timeout(3s)": 3.0,
+        "timeout(8s)": 8.0,
     }
-    for name, config in configurations.items():
-        outcome = TwoPLScheduler(config).run(workload)
+    for name, wait_timeout in wait_timeouts.items():
+        scheduler = two_phase_locking(wait_timeout=wait_timeout)
+        outcome = scheduler.run(workload)
         results.append(DeadlockResult(
             policy=name,
             committed=outcome.stats.committed,
             aborted=outcome.stats.aborted,
-            deadlocks_detected=outcome.extra["deadlocks"],
-            timeout_aborts=outcome.extra["timeout_aborts"],
+            deadlocks_detected=scheduler.last_gtm.deadlocks_detected,
+            timeout_aborts=outcome.stats.abort_reasons.get(
+                "wait-timeout", 0),
             avg_exec=outcome.stats.avg_execution_time,
         ))
     return results
@@ -323,6 +324,25 @@ class StrategyResult:
     avg_wait: float
 
 
+def browse_then_decide(workload: Workload) -> Workload:
+    """Section II's first strategy as a workload: each updating step
+    becomes a READ when the step starts (the user browses under a
+    shared lock) and the update at the decision point, right before the
+    commit.  Under :data:`~repro.core.compatibility.READ_WRITE` two
+    concurrent browsers of one resource then deadlock on the S -> X
+    upgrade, from the matrix alone."""
+    profiles = []
+    for profile in workload:
+        browse = tuple(
+            replace(step, invocation=read(step.invocation.member))
+            for step in profile.steps)
+        decide = tuple(
+            replace(step, work_fraction=0.0)
+            for step in profile.steps if step.invocation.op_class.mutates)
+        profiles.append(replace(profile, steps=browse + decide))
+    return replace(workload, profiles=profiles)
+
+
 def run_section2_strategies(n: int = 120,
                             seed: int = 29) -> list[StrategyResult]:
     """The motivating example's three designs on one booking workload.
@@ -335,23 +355,23 @@ def run_section2_strategies(n: int = 120,
     - *the GTM*: semantic compatibility — neither pathology.
     """
     from repro.schedulers.optimistic import OptimisticScheduler
-    generated = generate_paper_workload(PaperWorkloadConfig(
-        n_transactions=n, alpha=1.0, beta=0.0, seed=seed))
+    workload = generate_paper_workload(PaperWorkloadConfig(
+        n_transactions=n, alpha=1.0, beta=0.0, seed=seed)).workload
     results = []
     runs = {
-        "upgrade-2PL": TwoPLScheduler(TwoPLSchedulerConfig(
-            upgrade_mode=True)).run(generated.workload),
-        "exclusive-2PL": TwoPLScheduler(TwoPLSchedulerConfig()).run(
-            generated.workload),
-        "gtm": GTMScheduler(GTMSchedulerConfig()).run(generated.workload),
-        "freeze-optimistic": OptimisticScheduler().run(generated.workload),
+        "upgrade-2PL": (two_phase_locking(), browse_then_decide(workload)),
+        "exclusive-2PL": (two_phase_locking(), workload),
+        "gtm": (GTMScheduler(GTMSchedulerConfig()), workload),
+        "freeze-optimistic": (OptimisticScheduler(), workload),
     }
-    for name, outcome in runs.items():
+    for name, (scheduler, run_workload) in runs.items():
+        outcome = scheduler.run(run_workload)
+        gtm = getattr(scheduler, "last_gtm", None)
         results.append(StrategyResult(
             strategy=name,
             committed=outcome.stats.committed,
             aborted=outcome.stats.aborted,
-            deadlocks=outcome.extra.get("deadlocks", 0),
+            deadlocks=gtm.deadlocks_detected if gtm is not None else 0,
             avg_exec=outcome.stats.avg_execution_time,
             avg_wait=outcome.stats.avg_wait_time,
         ))

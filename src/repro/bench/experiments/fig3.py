@@ -21,8 +21,7 @@ from repro.metrics.report import render_table
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.generator import (
     PaperWorkloadConfig,
@@ -74,7 +73,7 @@ def _run_point(alpha: float, beta: float, n: int, seed: int,
         generated = generate_paper_workload(workload_config)
         gtm_result = GTMScheduler(GTMSchedulerConfig()).run(
             generated.workload)
-        twopl_result = TwoPLScheduler(TwoPLSchedulerConfig()).run(
+        twopl_result = two_phase_locking().run(
             generated.workload)
         gtm_exec += gtm_result.stats.avg_execution_time
         twopl_exec += twopl_result.stats.avg_execution_time

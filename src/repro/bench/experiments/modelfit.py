@@ -37,8 +37,7 @@ from repro.metrics.report import render_table
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.generator import (
     PaperWorkloadConfig,
@@ -108,7 +107,7 @@ def _measure_alpha(config: ModelFitConfig, alpha: float) -> float:
         n_transactions=config.n_transactions, alpha=alpha,
         beta=0.0, seed=config.seed))
     gtm = GTMScheduler(GTMSchedulerConfig()).run(generated.workload)
-    twopl = TwoPLScheduler(TwoPLSchedulerConfig()).run(
+    twopl = two_phase_locking().run(
         generated.workload)
     return (twopl.stats.avg_execution_time
             / max(gtm.stats.avg_execution_time, 1e-9))

@@ -27,8 +27,7 @@ from repro.mobile.session import SessionPlan
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.sim.rng import RandomStreams
 from repro.workload.spec import Workload, single_step_profile
@@ -83,7 +82,7 @@ def build_workload(config: ReadMixConfig, rho: float) -> Workload:
 def _mix_point(config: ReadMixConfig, rho: float) -> ReadMixPoint:
     workload = build_workload(config, rho)
     gtm = GTMScheduler(GTMSchedulerConfig()).run(workload)
-    twopl = TwoPLScheduler(TwoPLSchedulerConfig()).run(workload)
+    twopl = two_phase_locking().run(workload)
     return ReadMixPoint(
         read_fraction=rho,
         gtm_exec=gtm.stats.avg_execution_time,

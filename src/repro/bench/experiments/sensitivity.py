@@ -31,8 +31,7 @@ from repro.metrics.report import render_table
 from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.generator import (
     PaperWorkloadConfig,
@@ -97,11 +96,11 @@ class SensitivityData:
 
 
 def _measure(workload_config: PaperWorkloadConfig,
-             twopl_config: TwoPLSchedulerConfig,
-             dimension: str, setting: str) -> SensitivityRow:
+             dimension: str, setting: str,
+             **twopl_knobs: float) -> SensitivityRow:
     generated = generate_paper_workload(workload_config)
     gtm = GTMScheduler(GTMSchedulerConfig()).run(generated.workload)
-    twopl = TwoPLScheduler(twopl_config).run(generated.workload)
+    twopl = two_phase_locking(**twopl_knobs).run(generated.workload)
     return SensitivityRow(
         dimension=dimension,
         setting=setting,
@@ -122,18 +121,16 @@ def run(config: SensitivityConfig | None = None) -> SensitivityData:
     for work_mean in config.work_time_means:
         data.rows.append(_measure(
             PaperWorkloadConfig(work_time_mean=work_mean, **base),
-            TwoPLSchedulerConfig(),
             "work_time_mean", f"{work_mean}s"))
     for interarrival in config.interarrivals:
         data.rows.append(_measure(
             PaperWorkloadConfig(interarrival=interarrival, **base),
-            TwoPLSchedulerConfig(),
             "interarrival", f"{interarrival}s"))
     for outage, timeout in config.outage_vs_timeout:
         data.rows.append(_measure(
             PaperWorkloadConfig(disconnect_duration_fixed=outage, **base),
-            TwoPLSchedulerConfig(sleep_timeout=timeout),
-            "outage/timeout", f"outage={outage}s timeout={timeout}s"))
+            "outage/timeout", f"outage={outage}s timeout={timeout}s",
+            hold_timeout=timeout))
     return data
 
 

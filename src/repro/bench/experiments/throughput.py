@@ -22,8 +22,7 @@ from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
     OptimisticScheduler,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.generator import (
     PaperWorkloadConfig,
@@ -64,7 +63,7 @@ def _load_point(config: ThroughputConfig,
         beta=config.beta, interarrival=interarrival,
         seed=config.seed))
     gtm = GTMScheduler(GTMSchedulerConfig()).run(generated.workload)
-    twopl = TwoPLScheduler(TwoPLSchedulerConfig()).run(
+    twopl = two_phase_locking().run(
         generated.workload)
     optimistic = OptimisticScheduler().run(generated.workload)
     return ThroughputPoint(

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.states import TransactionState, can_transition
 from repro.errors import GTMError
+from repro.metrics.collectors import Outcome
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gtm import GlobalTransactionManager
@@ -95,6 +96,17 @@ def _quiescence_invariants(gtm: "GlobalTransactionManager") -> list[str]:
                 f"object {name!r}: deferred-commit queue not drained: "
                 f"{list(queue)}")
     return violations
+
+
+def check_liveness(collector: "MetricsCollector") -> list[str]:
+    """Every transaction ended: a timeline still unfinished when the
+    engine ran dry waits on something nothing will ever release (a
+    standing deadlock, a lost wake-up).  The serializability oracle
+    reads committed transactions only, so it cannot see this."""
+    return [f"txn {txn_id!r}: neither committed nor aborted when the "
+            f"engine ran dry (liveness)"
+            for txn_id, timeline in collector.timelines.items()
+            if timeline.outcome is Outcome.UNFINISHED]
 
 
 def check_timeline_invariants(collector: "MetricsCollector") -> list[str]:

@@ -64,9 +64,10 @@ def record_gtm(gtm: "GlobalTransactionManager") -> RecordedEpisode:
 
 def record_baseline(workload: "Workload",
                     result: "SchedulerResult") -> RecordedEpisode:
-    """Reconstruct an operation log for a 2PL / optimistic run.
+    """Reconstruct an operation log for an optimistic run.
 
-    The baselines do not keep an operation log, but their committed
+    The optimistic baseline keeps no operation log (the 2PL baseline is
+    the GTM and keeps the kernel's: :func:`record_gtm`), but its committed
     work is fully determined by the workload profiles: every applied
     step of a committed transaction, in program order.  The commit
     order is the order in which the run committed them

@@ -22,6 +22,7 @@ from repro.check.fuzzer import (
 )
 from repro.check.invariants import (
     check_episode_invariants,
+    check_liveness,
     check_timeline_invariants,
 )
 from repro.check.oracle import (
@@ -33,12 +34,12 @@ from repro.check.oracle import (
 from repro.check.shrinker import render_regression_test, shrink_episode
 from repro.errors import WorkloadError
 from repro.obs import ObsFrame, episode_frame, merge_frames
-from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
-from repro.schedulers.optimistic import OptimisticScheduler
-from repro.schedulers.twopl_scheduler import (
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+from repro.schedulers.gtm_scheduler import (
+    GTMScheduler,
+    GTMSchedulerConfig,
+    two_phase_locking,
 )
+from repro.schedulers.optimistic import OptimisticScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.schedulers.base import Scheduler, SchedulerResult
@@ -82,19 +83,17 @@ def build_scheduler(spec: EpisodeSpec,
                     observe: bool = False) -> "Scheduler":
     """The scheduler under test, configured from the spec.
 
-    ``observe`` switches on the :mod:`repro.obs` layer for the
-    scheduler that has an event bus to listen on (the GTM's); it must
-    never change the run itself — ``repro.obs.selfcheck`` holds us to
-    that.  2PL and optimistic runs need no switch: their frame is read
-    off the timelines they keep anyway.
+    ``observe`` switches on the :mod:`repro.obs` layer for the GTM
+    run; it must never change the run itself — ``repro.obs.selfcheck``
+    holds us to that.  2PL and optimistic runs need no switch: their
+    frame is read off the timelines they keep anyway.
     """
     if spec.scheduler == "gtm":
         return GTMScheduler(
             GTMSchedulerConfig(wait_timeout=spec.wait_timeout,
                                obs=observe))
     if spec.scheduler == "2pl":
-        return TwoPLScheduler(
-            TwoPLSchedulerConfig(wait_timeout=spec.wait_timeout))
+        return two_phase_locking(wait_timeout=spec.wait_timeout)
     if spec.scheduler == "optimistic":
         return OptimisticScheduler()
     raise WorkloadError(f"unknown scheduler {spec.scheduler!r}")
@@ -112,15 +111,18 @@ def run_episode(spec: EpisodeSpec, observe: bool = False) -> EpisodeOutcome:
         workload = episode_workload(spec)
         scheduler = build_scheduler(spec, observe=observe)
         result = scheduler.run(workload)
-        if spec.scheduler == "gtm":
-            gtm = scheduler.last_gtm
+        gtm = getattr(scheduler, "last_gtm", None)
+        if gtm is not None:
+            # the GTM and the 2PL baseline: one kernel, one sweep
             recorded = record_gtm(gtm)
             violations = check_episode_invariants(gtm)
         else:
             recorded = record_baseline(workload, result)
             violations = []
         oracle = check_episode(recorded)
-        # interval bookkeeping holds for every scheduler, bus-fed or not
+        # every transaction ends, and interval bookkeeping holds, for
+        # every scheduler, bus-fed or not
+        violations.extend(check_liveness(result.collector))
         violations.extend(check_timeline_invariants(result.collector))
         return EpisodeOutcome(
             spec, ok=oracle.serializable and not violations,

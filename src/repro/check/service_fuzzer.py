@@ -655,6 +655,14 @@ def run_service_episode(spec: ServiceEpisodeSpec) -> ServiceEpisodeOutcome:
         metrics = runner.metrics
         metrics.counter("fuzz_episodes").inc()
         violations = check_service_state(service, spec.bto_timeout)
+        # Liveness: every client script ends its transactions (commit,
+        # abort, bye, or a BTO expiry), so one still open when the
+        # engine ran dry hangs.  Shutdown would abort it unseen.
+        violations.extend(
+            f"txn {txn_id!r}: {txn.state.value}, neither committed nor "
+            f"aborted when the engine ran dry (liveness)"
+            for txn_id, txn in service.gtm.transactions.items()
+            if not txn.state.terminal)
         violations.extend(
             check_transcripts(service, runner.transcripts))
         # Graceful shutdown aborts whatever the clients left open, so

@@ -204,17 +204,28 @@ class AdmissionController:
         if obj.is_pending(txn.txn_id):
             held = obj.pending[txn.txn_id]
             existing = held.get(invocation.member)
+            upgrade = False
             if existing is not None and existing != invocation:
-                raise ProtocolError(
-                    "invoke",
-                    f"{txn.txn_id!r} already granted "
-                    f"{existing.describe()!r} on {obj.name!r}; at "
-                    f"most one pending invocation per data member")
-            if existing is None:
-                # a new member of the same object: the transaction's own
-                # operations must be mutually compatible (constraint i).
+                # A READ that conflicts with the member's next invocation
+                # (under a read/write matrix, not Table I) is a shared
+                # lock, and the invocation its upgrade: it replaces the
+                # READ once granted.
+                upgrade = (existing.op_class is OperationClass.READ
+                           and self.checker.in_conflict(invocation,
+                                                        existing))
+                if not upgrade:
+                    raise ProtocolError(
+                        "invoke",
+                        f"{txn.txn_id!r} already granted "
+                        f"{existing.describe()!r} on {obj.name!r}; at "
+                        f"most one pending invocation per data member")
+            if existing is None or upgrade:
+                # a new member of the same object, or an upgrade: the
+                # transaction's own operations must be mutually
+                # compatible (constraint i).
                 for own in held.values():
-                    if self.checker.in_conflict(invocation, own):
+                    if own is not existing \
+                            and self.checker.in_conflict(invocation, own):
                         raise ProtocolError(
                             "invoke",
                             f"{invocation.describe()!r} conflicts with "

@@ -111,6 +111,11 @@ class CompatibilityMatrix:
 #: The paper's matrix, shared default for the whole library.
 DEFAULT_MATRIX = CompatibilityMatrix()
 
+#: Classical read/write locking, the coarsest relation: only two reads
+#: commute (2PL's S/X rule).  Under it the GTM is the strict-2PL
+#: baseline Section II compares Table I against.
+READ_WRITE = CompatibilityMatrix([frozenset({_R})])
+
 
 @dataclass(frozen=True)
 class LogicalDependence:

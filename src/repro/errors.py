@@ -71,10 +71,6 @@ class LockError(TransactionError):
     """Base class for lock-manager failures."""
 
 
-class LockUpgradeError(LockError):
-    """An unsupported or conflicting lock upgrade was requested."""
-
-
 class ConstraintViolation(LDBSError):
     """An integrity constraint was violated by a write or a commit."""
 

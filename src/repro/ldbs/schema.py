@@ -36,7 +36,12 @@ class ColumnType(enum.Enum):
         if self is ColumnType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected FLOAT, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise SchemaError(
+                    f"expected FLOAT, got a {value.bit_length()}-bit int "
+                    f"no float can hold") from None
             if value != value:
                 # SQLite stores a bound NaN as NULL
                 raise SchemaError(f"expected FLOAT, got {value!r}")

@@ -7,21 +7,22 @@ transaction itineraries against:
 
 - :class:`~repro.schedulers.gtm_scheduler.GTMScheduler` — the paper's
   pre-serialization middleware;
-- :class:`~repro.schedulers.twopl_scheduler.TwoPLScheduler` — the
-  classical strict-2PL baseline the paper compares against (disconnected
-  transactions hold their locks and are aborted past a sleep timeout);
+- :func:`~repro.schedulers.gtm_scheduler.two_phase_locking` — the
+  classical strict-2PL baseline the paper compares against: the same
+  GTM under the read/write matrix, whose disconnected transactions hold
+  their locks and are aborted past a hold timeout;
 - :class:`~repro.schedulers.optimistic.OptimisticScheduler` — the
   Section II "freeze until commit" strategy (no locks during the
   interaction, constraint validation at commit).
 """
 
 from repro.schedulers.base import Scheduler, SchedulerResult
-from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
-from repro.schedulers.optimistic import OptimisticScheduler
-from repro.schedulers.twopl_scheduler import (
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+from repro.schedulers.gtm_scheduler import (
+    GTMScheduler,
+    GTMSchedulerConfig,
+    two_phase_locking,
 )
+from repro.schedulers.optimistic import OptimisticScheduler
 
 __all__ = [
     "GTMScheduler",
@@ -29,6 +30,5 @@ __all__ = [
     "OptimisticScheduler",
     "Scheduler",
     "SchedulerResult",
-    "TwoPLScheduler",
-    "TwoPLSchedulerConfig",
+    "two_phase_locking",
 ]

@@ -8,7 +8,10 @@ itinerary (invoke / work / sleep / commit) against a shared
   the GTM observer fires when ⟨unlock, X⟩ (Algorithm 11) grants it;
 - a disconnection emits ⟨sleep, A⟩, the reconnection ⟨awake, A⟩ — if the
   awakening detects conflicts (Algorithm 9, third case) the transaction
-  is aborted and the client gives up;
+  is aborted and the client gives up.  With ``hold_timeout`` set the
+  server never learns of the outage: the transaction holds its locks
+  and is aborted once the outage outlasts the timeout (the 2PL
+  baseline, :func:`two_phase_locking`);
 - the commit request may be deferred behind another committer on the
   same object (Algorithm 3); the process then retries on every
   commit-slot signal until its staging completes.
@@ -20,7 +23,8 @@ before any client reacts (no re-entrancy).
 Metrics are not collected here: a
 :class:`~repro.metrics.collectors.TimelineObserver` subscribed to the
 GTM's event bus builds every timeline, so the client processes contain
-only protocol driving.
+only protocol driving.  The one exception is a held outage, which the
+kernel never sees: its client records the sleep interval itself.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from repro.errors import SSTFailure
+from repro.core.compatibility import READ_WRITE
 from repro.core.gtm import (
     GlobalTransactionManager,
     GTMConfig,
@@ -42,7 +47,11 @@ from repro.core.states import TransactionState
 from repro.core.transaction import GTMTransaction
 from repro.ldbs.backend import LDBSBackend, create_backend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
-from repro.metrics.collectors import MetricsCollector, TimelineObserver
+from repro.metrics.collectors import (
+    MetricsCollector,
+    TimelineObserver,
+    TxnTimeline,
+)
 from repro.obs import Observability
 from repro.schedulers.base import (
     CommitAction,
@@ -114,6 +123,11 @@ class GTMSchedulerConfig:
     #: read-only, so enabling it cannot change grant order or digests
     #: (``python -m repro.obs.selfcheck`` proves it).
     obs: bool = False
+    #: How a disconnection is handled.  None: the paper's ⟨sleep⟩ /
+    #: ⟨awake⟩.  A number: the classical server, which cannot tell an
+    #: outage from a slow user, so the transaction keeps its locks and
+    #: is aborted ("sleep-timeout") once disconnected that long.
+    hold_timeout: float | None = None
 
 
 class _SignallingObserver(GTMObserver):
@@ -198,7 +212,7 @@ class GTMScheduler(Scheduler):
                               binding=bindings.get(name))
         self.last_gtm = gtm
         for profile in workload:
-            body = self._client(profile, gtm, observer)
+            body = self._client(profile, gtm, observer, collector)
             Process(engine, body, name=profile.txn_id,
                     start_delay=profile.arrival_time)
         makespan = engine.run()
@@ -222,10 +236,11 @@ class GTMScheduler(Scheduler):
 
     def _client(self, profile: TransactionProfile,
                 gtm: GlobalTransactionManager,
-                observer: _SignallingObserver) -> Generator[Any, Any, None]:
+                observer: _SignallingObserver,
+                collector: MetricsCollector) -> Generator[Any, Any, None]:
         txn_id = profile.txn_id
         wake = observer.signal_for(txn_id)
-        gtm.begin(txn_id, priority=profile.priority)
+        txn = gtm.begin(txn_id, priority=profile.priority)
         for action in build_itinerary(profile):
             if isinstance(action, InvokeAction):
                 outcome = gtm.invoke(txn_id, action.step.object_name,
@@ -244,14 +259,36 @@ class GTMScheduler(Scheduler):
             elif isinstance(action, WorkAction):
                 yield Timeout(action.duration)
             elif isinstance(action, SleepAction):
-                gtm.sleep(txn_id)
-                yield Timeout(action.duration)
-                if not gtm.awake(txn_id):
-                    # conflicts during the sleep: aborted (Algorithm 9)
-                    return
+                if self.config.hold_timeout is None:
+                    gtm.sleep(txn_id)
+                    yield Timeout(action.duration)
+                    if not gtm.awake(txn_id):
+                        # conflicts during the sleep: aborted (Algorithm 9)
+                        return
+                else:
+                    yield from self._hold(txn, action.duration, gtm,
+                                          observer.engine,
+                                          collector.of(txn_id))
+                    if txn.state is TransactionState.ABORTED:
+                        return
             elif isinstance(action, CommitAction):
                 yield from self._commit(txn_id, gtm, observer)
                 return
+
+    def _hold(self, txn: GTMTransaction, duration: float,
+              gtm: GlobalTransactionManager, engine: SimulationEngine,
+              timeline: TxnTimeline) -> Generator[Any, Any, None]:
+        """A disconnection the server cannot see: no ⟨sleep⟩, so the
+        transaction keeps its locks, and a timer aborts it once the
+        outage outlasts ``hold_timeout``.  The kernel never hears of
+        the outage, so the client records it on the timeline."""
+        timeline.on_sleep_start(engine.now)
+        timer = engine.schedule_after(
+            self.config.hold_timeout,
+            lambda _e: gtm.abort(txn.txn_id, reason="sleep-timeout"))
+        yield Timeout(duration)
+        timer.cancel()
+        timeline.on_sleep_end(engine.now)
 
     def _await_grant(self, txn_id: str, gtm: GlobalTransactionManager,
                      wake: Any) -> Generator[Any, Any, bool]:
@@ -291,3 +328,22 @@ class GTMScheduler(Scheduler):
             except SSTFailure:
                 return False
         return txn.state is TransactionState.COMMITTED
+
+
+def two_phase_locking(wait_timeout: float | None = None,
+                      hold_timeout: float = 3.0) -> GTMScheduler:
+    """The classical strict-2PL baseline the paper compares against.
+
+    It is the GTM under :data:`~repro.core.compatibility.READ_WRITE`
+    (readers share, everything else excludes, locks held until commit
+    or abort) whose disconnected transactions keep their locks and are
+    aborted past ``hold_timeout``.  The 3 s default is below the
+    workload's fixed 5 s outage, so every disconnected transaction
+    aborts (see EXPERIMENTS.md).  Deadlocks are broken by the GTM's
+    wait-for graph, youngest victim first.
+    """
+    scheduler = GTMScheduler(GTMSchedulerConfig(
+        gtm_config=GTMConfig(matrix=READ_WRITE),
+        wait_timeout=wait_timeout, hold_timeout=hold_timeout))
+    scheduler.name = "2pl"
+    return scheduler

@@ -20,6 +20,15 @@ from repro.service.server import ServiceServer
 
 
 async def _serve(args: argparse.Namespace) -> int:
+    # The handlers go in before anything is printed: a client that
+    # signals as soon as it reads the "listening" line must get the
+    # clean shutdown, not a KeyboardInterrupt traceback.
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    with contextlib.suppress(NotImplementedError):
+        import signal
+        loop.add_signal_handler(signal.SIGINT, stop.set)
+        loop.add_signal_handler(signal.SIGTERM, stop.set)
     driver = AsyncioDriver()
     service = GTMService(driver, config=ServiceConfig(
         bto_timeout=args.bto_timeout,
@@ -32,12 +41,6 @@ async def _serve(args: argparse.Namespace) -> int:
     print(f"gtm service listening on {host}:{port} "
           f"({args.objects} objects, bto={args.bto_timeout}s, "
           f"ldbs backend: {backend})", flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_event_loop()
-    with contextlib.suppress(NotImplementedError):
-        import signal
-        loop.add_signal_handler(signal.SIGINT, stop.set)
-        loop.add_signal_handler(signal.SIGTERM, stop.set)
     await stop.wait()
     print("shutting down...", flush=True)
     await server.shutdown()

@@ -181,8 +181,9 @@ class GTMService:
     def create_object(self, name: str, value: Any = 0,
                       members: dict[str, Any] | None = None) -> None:
         """Register a managed object before (or while) serving.  A name
-        the GTM already holds, or a NaN or infinite initial value, is
-        refused before the GTM or the backend is touched."""
+        the GTM already holds, a NaN or infinite initial value, or an
+        int no float can hold, is refused before the GTM or the backend
+        is touched."""
         for initial in (value, *(members or {}).values()):
             # as build_invocation refuses non-finite operands: the
             # memory LDBS would hold NaN, SQLite NULL
@@ -190,6 +191,14 @@ class GTMService:
                 raise GTMError(
                     f"object {name!r}: initial value must be finite, "
                     f"not {initial!r}")
+            if isinstance(initial, int):
+                # the LDBS value column is a FLOAT
+                try:
+                    float(initial)
+                except OverflowError:
+                    raise GTMError(
+                        f"object {name!r}: a {initial.bit_length()}-bit "
+                        f"initial value does not fit a float") from None
         if name in self.gtm.lock_table:
             raise GTMError(f"object {name!r} already registered")
         binding = None

@@ -1,7 +1,8 @@
 """Minimized episodes the stress harness found, pinned forever.
 
-Both were minimized by the shrinker from seed-42 episode 733 and are
-kept verbatim (shrinker output format) so the provenance stays visible.
+Each was minimized by the shrinker (the first two from seed-42 gtm
+episode 733, the last from seed-42 2pl episode 49) and is kept in the
+shrinker's output format so the provenance stays visible.
 """
 
 from repro.check.fuzzer import EpisodeSpec, OpSpec, TxnSpec
@@ -72,3 +73,44 @@ def test_cross_member_deadlock_closed_by_late_grant():
     # the deadlock is resolved by aborting a victim, not by hanging
     assert outcome.committed == 2
     assert outcome.aborted == 1
+
+
+def test_twopl_deadlock_left_standing_after_its_victim():
+    """The lock-manager 2PL baseline left T3 and T4 hanging here: T3
+    waited for X2 behind T4 with T1 queued ahead, T4 then asked for X0,
+    which T3 held, and the detector broke the cycle T4 -> T3 -> T1 -> T4
+    by aborting T1, the youngest.  The two-cycle T4 <-> T3 remained and
+    nothing looked at the graph again.  The 2PL baseline is now the GTM
+    under the read/write matrix, which re-polices every waiter after
+    each unlock."""
+    spec = EpisodeSpec(
+        scheduler='2pl',
+        objects=(('X0', (('value', 94),)), ('X2', (('value', 79),))),
+        txns=(
+            TxnSpec(txn_id='T1', arrival=5.611,
+                    ops=(OpSpec(object_name='X2', member='value', op='add',
+                                operand=-2, apply_op=True),),
+                    work_time=1.338, outages=(), priority=2),
+            TxnSpec(txn_id='T2', arrival=2.515,
+                    ops=(OpSpec(object_name='X0', member='value', op='add',
+                                operand=-4, apply_op=True),),
+                    work_time=1.618, outages=((0.156, 3.534),),
+                    priority=1),
+            TxnSpec(txn_id='T3', arrival=4.642,
+                    ops=(OpSpec(object_name='X0', member='value', op='add',
+                                operand=6, apply_op=True),
+                         OpSpec(object_name='X2', member='value',
+                                op='assign', operand=169, apply_op=True)),
+                    work_time=0.827, outages=(), priority=1),
+            TxnSpec(txn_id='T4', arrival=2.532,
+                    ops=(OpSpec(object_name='X2', member='value',
+                                op='assign', operand=155, apply_op=True),
+                         OpSpec(object_name='X0', member='value',
+                                op='assign', operand=188, apply_op=True)),
+                    work_time=1.286, outages=((0.499, 2.612),),
+                    priority=0)),
+        wait_timeout=None, seed=42, index=49)
+    outcome = run_episode(spec)
+    assert outcome.result.collector.unfinished() == []
+    assert outcome.oracle.serializable, outcome.summary()
+    assert outcome.ok, outcome.summary()

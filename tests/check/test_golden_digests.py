@@ -14,7 +14,9 @@ harness hashes per episode:
   move when the schedule moves.
 
 The control leg flips the deadlock victim rule and shows the difference:
-the two GTM trace pins move, the other six hold.
+the two GTM trace pins move, and so do the two 2PL pins, since the 2PL
+baseline is the GTM under the read/write matrix and its deadlocks span
+objects often enough to move a count.  The other four hold.
 
 A change that moves a pin on purpose updates it here in the same commit
 and records old -> new in CHANGES.md, with the reason and the episodes
@@ -30,7 +32,7 @@ from repro.check.differential import (
     run_differential_campaign,
 )
 from repro.check.fuzzer import FuzzConfig, generate_episode
-from repro.check.runner import run_campaign
+from repro.check.runner import run_campaign, run_episode
 from repro.check.service_fuzzer import ServiceFuzzConfig, run_service_campaign
 from repro.core.policies import WaitForGraphPolicy
 from repro.ldbs.deadlock import VictimPolicy
@@ -42,13 +44,13 @@ PINS = {
     "campaign gtm":
         "6ac8247c37f52b7059890dd63bee74b014f215f2948956cfcf235fcae2b67379",
     "campaign 2pl":
-        "07f1e275b10d89aca4f10ddad92c006629e192bb662c558066a6be26be54fed5",
+        "3407b196fd92abdc8a252cc6f4683192285013e0305bb0e48196bcadf1010317",
     "campaign optimistic":
         "f3fc9d1b68f9bc9edf5c2b51de5447d23338aea3c602d946f0928f9cfabaa144",
     "backend-diff gtm":
         "89db227aecd5abf2d45bf5beaa7de26f238c0654896c32ff068dbd2a793f9e21",
     "backend-diff 2pl":
-        "fd40293f33ad0c8e7bc28823d9d0e9ae006552b7829a399be3b14bc051c18de2",
+        "92ce16651551fe94ef75a429d6d56047cf2c8ddc93c68fc759ea19869968a334",
     "backend-diff optimistic":
         "d31f645d9c27c01b451cfcda8052bed009da02accd8e5d8c9f90c68482ee28ae",
     "engine-diff gtm":
@@ -59,6 +61,9 @@ PINS = {
 
 #: The differential mode behind each GTM trace pin.
 TRACE_PIN_MODES = {"backend-diff gtm": "backend", "engine-diff gtm": "engine"}
+
+#: The pins of the 2PL baseline, which builds a ``WaitForGraphPolicy``.
+TWOPL_PINS = ("campaign 2pl", "backend-diff 2pl")
 
 
 def _digest(pin: str) -> str:
@@ -88,27 +93,42 @@ def test_pin_holds(pin):
 
 
 @pytest.mark.parametrize(
-    "pin", [pin for pin in PINS if pin not in TRACE_PIN_MODES])
+    "pin", [pin for pin in PINS
+            if pin not in TRACE_PIN_MODES and pin not in TWOPL_PINS])
 def test_a_victim_flip_keeps_the_pin(pin, monkeypatch):
     """Summaries do not see which transaction a deadlock killed, and
-    the baselines never build a ``WaitForGraphPolicy``."""
+    the optimistic baseline never builds a ``WaitForGraphPolicy``."""
     _oldest_victim(monkeypatch)
     assert _digest(pin) == PINS[pin]
 
 
-@pytest.mark.parametrize("pin", TRACE_PIN_MODES)
-def test_a_victim_flip_moves_the_trace_pin(pin):
-    """The rolling digest hashes every episode's comparison digest, so
-    one episode the flip moves moves the pin.  The walk stops there
-    rather than rerunning all 200 episodes under the mutant."""
-    mode = TRACE_PIN_MODES[pin]
-    config = FuzzConfig(scheduler="gtm")
+def _first_moved_episode(pin: str, episode_digest) -> None:
+    """Walk the pin's episodes until the flip moves one.  The rolling
+    digest hashes every episode, so that episode moves the pin; the
+    walk stops there rather than rerunning all 200 under the mutant."""
+    config = FuzzConfig(scheduler=pin.split()[1])
     for index in range(EPISODES):
         spec = generate_episode(config, SEED, index)
-        intact = comparison_digest(compare_episode(spec, mode=mode))
+        intact = episode_digest(spec)
         with pytest.MonkeyPatch.context() as patch:
             _oldest_victim(patch)
-            flipped = comparison_digest(compare_episode(spec, mode=mode))
+            flipped = episode_digest(spec)
         if flipped != intact:
             return
     pytest.fail(f"{pin}: no episode moved under the OLDEST victim rule")
+
+
+@pytest.mark.parametrize("pin", TRACE_PIN_MODES)
+def test_a_victim_flip_moves_the_trace_pin(pin):
+    mode = TRACE_PIN_MODES[pin]
+    _first_moved_episode(pin, lambda spec: comparison_digest(
+        compare_episode(spec, mode=mode)))
+
+
+@pytest.mark.parametrize("pin", TWOPL_PINS)
+def test_a_victim_flip_moves_the_2pl_pin(pin):
+    if pin.startswith("campaign"):
+        _first_moved_episode(pin, lambda spec: run_episode(spec).summary())
+    else:
+        _first_moved_episode(pin, lambda spec: comparison_digest(
+            compare_episode(spec, mode="backend")))

@@ -1,12 +1,13 @@
 """The structural invariant suite, on clean and corrupted GTM states."""
 
 from repro.check.fuzzer import FuzzConfig, episode_workload, generate_episode
-from repro.check.invariants import check_episode_invariants
-from repro.check.runner import build_scheduler
+from repro.check.invariants import check_episode_invariants, check_liveness
+from repro.check.runner import build_scheduler, run_episode
 from repro.core.gtm import GlobalTransactionManager
 from repro.core.objects import WaitEntry
 from repro.core.opclass import add, assign
 from repro.core.states import TransactionState
+from repro.metrics.collectors import MetricsCollector
 
 
 def _finished_gtm():
@@ -78,3 +79,30 @@ class TestCorruptions:
             TransactionState.ACTIVE)  # COMMITTED->ACTIVE
         violations = check_episode_invariants(gtm)
         assert any("illegal recorded transition" in v for v in violations)
+
+
+class TestLiveness:
+    """Every transaction ends: the verdict ``run_episode`` gives all
+    three schedulers."""
+
+    def test_finished_timelines_are_clean(self):
+        collector = MetricsCollector()
+        collector.arrival("T1", 0.0).on_commit(1.0)
+        collector.arrival("T2", 0.0).on_abort(1.0, "deadlock-victim")
+        assert check_liveness(collector) == []
+
+    def test_unfinished_timeline_flagged(self):
+        """The control leg: one transaction left hanging is named."""
+        collector = MetricsCollector()
+        collector.arrival("T1", 0.0).on_commit(1.0)
+        collector.arrival("T2", 0.5)
+        violations = check_liveness(collector)
+        assert len(violations) == 1
+        assert "'T2'" in violations[0]
+
+    def test_every_scheduler_ends_every_transaction(self):
+        for scheduler in ("gtm", "2pl", "optimistic"):
+            config = FuzzConfig(scheduler=scheduler)
+            for index in range(10):
+                outcome = run_episode(generate_episode(config, 31, index))
+                assert check_liveness(outcome.result.collector) == []

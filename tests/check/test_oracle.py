@@ -8,12 +8,13 @@ from repro.check.oracle import (
     RecordedEpisode,
     check_episode,
     record_baseline,
+    record_gtm,
     replay_mismatches,
 )
 from repro.core.history import OperationLog
 from repro.core.opclass import add, assign, multiply
 from repro.mobile.session import SessionPlan
-from repro.schedulers import TwoPLScheduler
+from repro.schedulers import two_phase_locking
 from repro.schedulers.optimistic import OptimisticScheduler
 from repro.workload.spec import Workload, single_step_profile
 
@@ -149,7 +150,7 @@ class TestRecordBaseline:
         from repro.check.fuzzer import episode_workload
         from repro.check.runner import build_scheduler
 
-        spec = generate_episode(FuzzConfig(scheduler="2pl"), 3, 0)
+        spec = generate_episode(FuzzConfig(scheduler="optimistic"), 3, 0)
         workload = episode_workload(spec)
         result = build_scheduler(spec).run(workload)
         recorded = record_baseline(workload, result)
@@ -167,7 +168,10 @@ class TestRecordBaseline:
         assert result.final_values == {"X": 6}
         finished = {t.finished for t in result.collector.committed()}
         assert finished == {1.0}  # both commits at one instant
-        recorded = record_baseline(workload, result)
+        # the lock-based baseline is the GTM and keeps its own log
+        gtm = getattr(scheduler, "last_gtm", None)
+        recorded = (record_gtm(gtm) if gtm is not None
+                    else record_baseline(workload, result))
         return recorded.log.commit_order, check_episode(recorded)
 
     def test_optimistic_tie_keeps_the_engine_order(self):
@@ -187,7 +191,7 @@ class TestRecordBaseline:
     def test_twopl_tie_keeps_the_engine_order(self):
         """B holds X until its commit at t=1.0; the lock passes to A,
         which has no work left and commits at the same instant."""
-        order, report = self._tied(TwoPLScheduler(), [
+        order, report = self._tied(two_phase_locking(), [
             single_step_profile("B", 0.0, "X", assign(5),
                                 SessionPlan(work_time=1.0)),
             single_step_profile("A", 0.5, "X", add(1),

@@ -14,6 +14,9 @@ Two properties make ``--service-fuzz`` trustworthy:
 import pytest
 
 from repro.check.service_fuzzer import (
+    ClientActionSpec,
+    ServiceClientSpec,
+    ServiceEpisodeSpec,
     ServiceFuzzConfig,
     generate_service_episode,
     run_service_campaign,
@@ -69,3 +72,22 @@ class TestControlLeg:
         assert not report.ok
         assert any("not purged" in violation
                    for violation in report.failures[0].invariant_violations)
+
+    def test_transaction_left_open_is_caught(self):
+        """The liveness verdict: a script that never ends its
+        transaction leaves it Active when the engine runs dry, and the
+        episode names it (shutdown would have aborted it unseen)."""
+        spec = ServiceEpisodeSpec(
+            seed=0, index=0, objects=(("X0", 100, "add"),),
+            clients=(ServiceClientSpec(name="c0", actions=(
+                ClientActionSpec(at=0.0, kind="connect"),
+                ClientActionSpec(at=0.1, kind="begin", txn="c0t0"),
+                ClientActionSpec(at=0.2, kind="op", txn="c0t0",
+                                 object_name="X0", op="add", operand=1),
+            )),),
+            bto_timeout=None)
+        outcome = run_service_episode(spec)
+        assert not outcome.ok
+        assert outcome.invariant_violations == [
+            "txn 'c0t0': active, neither committed nor aborted when the "
+            "engine ran dry (liveness)"]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import GTMError, ProtocolError
-from repro.core.gtm import GlobalTransactionManager, GrantOutcome
+from repro.core.compatibility import READ_WRITE
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
 from repro.core.opclass import add, assign, multiply, read, subtract
 from repro.core.states import TransactionState
 
@@ -174,6 +175,49 @@ class TestIncompatibleInvocation:
         gtm.invoke("A", "X", add(1))
         gtm.local_commit("A", "X")     # A in X_committing, not pending
         assert gtm.invoke("B", "X", assign(0)) == GrantOutcome.QUEUED
+
+
+class TestReadUpgrade:
+    """Under the read/write matrix a READ is a shared lock and a later
+    update of the same member its upgrade (Section II's first
+    strategy); under Table I the two commute and the second invocation
+    is refused, one invocation per member."""
+
+    @staticmethod
+    def rw_gtm() -> GlobalTransactionManager:
+        gtm = GlobalTransactionManager(GTMConfig(matrix=READ_WRITE))
+        gtm.create_object("X", value=100)
+        return gtm
+
+    def test_lone_reader_upgrades_at_once(self):
+        gtm = self.rw_gtm()
+        gtm.begin("A")
+        assert gtm.invoke("A", "X", read()) == GrantOutcome.GRANTED
+        assert gtm.invoke("A", "X", subtract(1)) == GrantOutcome.GRANTED
+        assert gtm.object("X").pending["A"] == {"value": subtract(1)}
+        gtm.apply("A", "X", subtract(1))
+        gtm.request_commit("A")
+        assert gtm.object("X").permanent_value() == 99
+        gtm.check_invariants()
+
+    def test_two_readers_deadlock_on_the_upgrade(self):
+        gtm = self.rw_gtm()
+        for name in ("A", "B"):
+            gtm.begin(name)
+            assert gtm.invoke(name, "X", read()) == GrantOutcome.GRANTED
+        assert gtm.invoke("A", "X", subtract(1)) == GrantOutcome.QUEUED
+        # B's upgrade closes A -> B -> A; B, the youngest, is the victim
+        assert gtm.invoke("B", "X", subtract(1)) == GrantOutcome.ABORTED
+        assert gtm.deadlocks_detected == 1
+        assert gtm.transaction("A").state is _S.ACTIVE
+        assert gtm.object("X").pending == {"A": {"value": subtract(1)}}
+
+    def test_table_one_still_refuses_a_second_invocation(self):
+        gtm = make_gtm()
+        gtm.begin("A")
+        gtm.invoke("A", "X", read())
+        with pytest.raises(ProtocolError, match="at most one"):
+            gtm.invoke("A", "X", subtract(1))
 
 
 class TestApply:

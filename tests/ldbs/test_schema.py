@@ -42,6 +42,13 @@ class TestColumnType:
             ColumnType.FLOAT.validate(float("nan"))
         assert ColumnType.FLOAT.validate(float("-inf")) == float("-inf")
 
+    def test_float_rejects_an_int_no_float_holds(self):
+        """``float(10**400)`` raises OverflowError; the column says
+        SchemaError, as for every other value it refuses."""
+        with pytest.raises(SchemaError, match="FLOAT"):
+            ColumnType.FLOAT.validate(10 ** 400)
+        assert ColumnType.FLOAT.validate(2 ** 1000) == float(2 ** 1000)
+
     def test_text_accepts_str(self):
         assert ColumnType.TEXT.validate("Naples") == "Naples"
 

@@ -11,8 +11,7 @@ from repro.schedulers import (
     GTMScheduler,
     GTMSchedulerConfig,
     OptimisticScheduler,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.generator import (
     PaperWorkloadConfig,
@@ -25,7 +24,7 @@ def run_all(alpha=0.7, beta=0.05, n=200, seed=11):
         n_transactions=n, alpha=alpha, beta=beta, seed=seed))
     return {
         "gtm": GTMScheduler(GTMSchedulerConfig()).run(generated.workload),
-        "2pl": TwoPLScheduler(TwoPLSchedulerConfig()).run(
+        "2pl": two_phase_locking().run(
             generated.workload),
         "opt": OptimisticScheduler().run(generated.workload),
     }
@@ -102,7 +101,7 @@ class TestPaperClaims:
             n_transactions=40, alpha=0.6, beta=0.0,
             interarrival=100.0, seed=23))
         gtm = GTMScheduler().run(generated.workload)
-        twopl = TwoPLScheduler().run(generated.workload)
+        twopl = two_phase_locking().run(generated.workload)
         opt = OptimisticScheduler().run(generated.workload)
         assert gtm.final_values == twopl.final_values
         assert gtm.final_values == opt.final_values

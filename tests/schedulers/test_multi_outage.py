@@ -9,8 +9,7 @@ from repro.mobile.network import DisconnectionEvent, RenewalDisconnection
 from repro.mobile.session import SessionPlan
 from repro.schedulers import (
     GTMScheduler,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.workload.spec import Workload, single_step_profile
 
@@ -70,12 +69,11 @@ class TestGTMMultipleSleeps:
 
 class TestTwoPLMultipleSleeps:
     def test_first_short_outage_survives_second_long_one_kills(self):
-        config = TwoPLSchedulerConfig(sleep_timeout=1.5)
         workload = Workload(
             [single_step_profile("T", 0.0, "X", subtract(1),
                                  multi_outage_plan())],
             initial_values={"X": 10.0})
-        result = TwoPLScheduler(config).run(workload)
+        result = two_phase_locking(hold_timeout=1.5).run(workload)
         timeline = result.collector.timelines["T"]
         assert timeline.outcome is Outcome.ABORTED
         assert timeline.abort_reason == "sleep-timeout"
@@ -83,10 +81,9 @@ class TestTwoPLMultipleSleeps:
         assert timeline.finished == pytest.approx(5.5)
 
     def test_both_outages_below_timeout_commit(self):
-        config = TwoPLSchedulerConfig(sleep_timeout=3.0)
         workload = Workload(
             [single_step_profile("T", 0.0, "X", subtract(1),
                                  multi_outage_plan())],
             initial_values={"X": 10.0})
-        result = TwoPLScheduler(config).run(workload)
+        result = two_phase_locking(hold_timeout=3.0).run(workload)
         assert result.stats.committed == 1

@@ -18,8 +18,7 @@ from repro.mobile.session import SessionPlan
 from repro.schedulers import (
     GTMScheduler,
     OptimisticScheduler,
-    TwoPLScheduler,
-    TwoPLSchedulerConfig,
+    two_phase_locking,
 )
 from repro.schedulers.optimistic import OptimisticConfig
 from repro.workload.spec import Workload, single_step_profile
@@ -74,8 +73,7 @@ def test_gtm_accounting_and_serializability(raw):
 @given(workloads)
 def test_twopl_accounting(raw):
     workload = build_workload(raw)
-    result = TwoPLScheduler(TwoPLSchedulerConfig(
-        sleep_timeout=2.0)).run(workload)
+    result = two_phase_locking(hold_timeout=2.0).run(workload)
     assert result.stats.unfinished == 0
     assert result.final_values["X"] == \
         1000.0 + committed_delta(result, raw)
@@ -100,7 +98,6 @@ def test_gtm_commits_at_least_twopl_under_additive_load(raw):
     commutes), while 2PL may kill disconnected holders."""
     workload = build_workload(raw)
     gtm = GTMScheduler().run(workload)
-    twopl = TwoPLScheduler(TwoPLSchedulerConfig(
-        sleep_timeout=2.0)).run(workload)
+    twopl = two_phase_locking(hold_timeout=2.0).run(workload)
     assert gtm.stats.aborted == 0
     assert gtm.stats.committed >= twopl.stats.committed

@@ -1,4 +1,5 @@
-"""Tests for the classical strict-2PL baseline scheduler."""
+"""Tests for the classical strict-2PL baseline: the GTM under the
+read/write matrix, holding a disconnected transaction's locks."""
 
 import pytest
 
@@ -6,7 +7,8 @@ from repro.core.opclass import add, assign, read, subtract
 from repro.metrics.collectors import Outcome
 from repro.mobile.network import DisconnectionEvent
 from repro.mobile.session import SessionPlan
-from repro.schedulers import TwoPLScheduler, TwoPLSchedulerConfig
+from repro.bench.experiments.ablations import browse_then_decide
+from repro.schedulers import two_phase_locking
 from repro.workload.spec import (
     TransactionProfile,
     TransactionStep,
@@ -19,13 +21,18 @@ def plan(work=2.0, outages=()):
     return SessionPlan(work_time=work, outages=tuple(outages))
 
 
-def run_workload(profiles, initial=100.0, config=None,
-                 extra_objects=None):
+def run_workload(profiles, initial=100.0, extra_objects=None,
+                 rewrite=None, **knobs):
     initial_values = {"X": initial}
     if extra_objects:
         initial_values.update(extra_objects)
     workload = Workload(list(profiles), initial_values=initial_values)
-    return TwoPLScheduler(config or TwoPLSchedulerConfig()).run(workload)
+    if rewrite is not None:
+        workload = rewrite(workload)
+    scheduler = two_phase_locking(**knobs)
+    result = scheduler.run(workload)
+    result.deadlocks = scheduler.last_gtm.deadlocks_detected
+    return result
 
 
 class TestExclusion:
@@ -66,10 +73,9 @@ class TestExclusion:
 
 class TestNoStaleWake:
     def test_lock_taken_in_acquire_schedules_no_wake(self):
-        """The GTM scheduler's stale-wake schedule (its TestStaleWake):
-        2PL has no such hole — ``LockManager`` calls ``on_grant`` only
-        for a request it queued, and the wait loop matches the wake's
-        resource against the one awaited."""
+        """The GTM scheduler's stale-wake schedule (its TestStaleWake)
+        under the read/write matrix: the grant of X made inside the
+        client's own invoke must not end its later wait for Y."""
         holder = single_step_profile("H", 0.0, "Y", assign(5), plan(10.0))
         late = TransactionProfile(
             "T", 1.0,
@@ -87,38 +93,38 @@ class TestNoStaleWake:
 class TestSleepTimeout:
     def test_short_outage_survives(self):
         outage = DisconnectionEvent(0.5, 2.0)
-        config = TwoPLSchedulerConfig(sleep_timeout=3.0)
         result = run_workload(
             [single_step_profile("T", 0.0, "X", subtract(1),
                                  plan(2.0, [outage]))],
-            config=config)
+            hold_timeout=3.0)
         assert result.stats.committed == 1
+        # the kernel never sees a held outage; the client records it
+        timeline = result.collector.timelines["T"]
+        assert timeline.intervals == [("sleep", 1.0, 3.0)]
 
     def test_long_outage_aborted_at_timeout(self):
         outage = DisconnectionEvent(0.5, 10.0)
-        config = TwoPLSchedulerConfig(sleep_timeout=3.0)
         result = run_workload(
             [single_step_profile("T", 0.0, "X", subtract(1),
                                  plan(2.0, [outage]))],
-            config=config)
+            hold_timeout=3.0)
         timeline = result.collector.timelines["T"]
         assert timeline.outcome is Outcome.ABORTED
         assert timeline.abort_reason == "sleep-timeout"
         # aborted exactly at sleep start + timeout: 1.0 + 3.0
         assert timeline.finished == pytest.approx(4.0)
-        assert result.extra["sleep_aborts"] == 1
+        assert result.stats.abort_reasons == {"sleep-timeout": 1}
         assert result.final_values["X"] == 100  # no effect applied
 
     def test_disconnected_holder_blocks_others_until_timeout(self):
         outage = DisconnectionEvent(0.5, 10.0)
-        config = TwoPLSchedulerConfig(sleep_timeout=5.0)
         profiles = [
             single_step_profile("sleeper", 0.0, "X", subtract(1),
                                 plan(2.0, [outage])),
             single_step_profile("waiter", 0.5, "X", subtract(1),
                                 plan(1.0)),
         ]
-        result = run_workload(profiles, config=config)
+        result = run_workload(profiles, hold_timeout=5.0)
         waiter = result.collector.timelines["waiter"]
         assert waiter.outcome is Outcome.COMMITTED
         # the waiter sat blocked until the sleeper's timeout abort (t=6)
@@ -127,17 +133,16 @@ class TestSleepTimeout:
 
 class TestWaitTimeout:
     def test_wait_timeout_aborts_waiter(self):
-        config = TwoPLSchedulerConfig(wait_timeout=1.0)
         profiles = [
             single_step_profile("holder", 0.0, "X", assign(1),
                                 plan(10.0)),
             single_step_profile("waiter", 0.5, "X", assign(2), plan(1.0)),
         ]
-        result = run_workload(profiles, config=config)
+        result = run_workload(profiles, wait_timeout=1.0)
         waiter = result.collector.timelines["waiter"]
         assert waiter.outcome is Outcome.ABORTED
         assert waiter.abort_reason == "wait-timeout"
-        assert result.extra["timeout_aborts"] == 1
+        assert result.stats.abort_reasons == {"wait-timeout": 1}
 
 
 class TestDeadlocks:
@@ -158,7 +163,7 @@ class TestDeadlocks:
     def test_wait_for_graph_breaks_cycle(self):
         result = run_workload(self.crossing_profiles(),
                               extra_objects={"Y": 100.0})
-        assert result.extra["deadlocks"] >= 1
+        assert result.deadlocks >= 1
         outcomes = {t.txn_id: t.outcome
                     for t in result.collector.timelines.values()}
         assert Outcome.ABORTED in outcomes.values()
@@ -175,25 +180,24 @@ class TestDeadlocks:
 
 
 class TestUpgradeMode:
-    """Section II's read-lock-then-upgrade strategy."""
+    """Section II's read-lock-then-upgrade strategy: every update is
+    browsed under a READ first and upgraded at the decision point."""
 
     def test_lone_browser_upgrades_and_commits(self):
-        config = TwoPLSchedulerConfig(upgrade_mode=True)
         result = run_workload(
             [single_step_profile("T", 0.0, "X", subtract(1), plan())],
-            config=config)
+            rewrite=browse_then_decide)
         assert result.stats.committed == 1
         assert result.final_values["X"] == 99
 
     def test_two_browsers_deadlock_on_upgrade(self):
         """The paper's motivating deadlock: both hold S, both need X."""
-        config = TwoPLSchedulerConfig(upgrade_mode=True)
         profiles = [
             single_step_profile("A", 0.0, "X", subtract(1), plan(4.0)),
             single_step_profile("B", 1.0, "X", subtract(1), plan(4.0)),
         ]
-        result = run_workload(profiles, config=config)
-        assert result.extra["deadlocks"] == 1
+        result = run_workload(profiles, rewrite=browse_then_decide)
+        assert result.deadlocks == 1
         outcomes = {t.txn_id: t.outcome
                     for t in result.collector.timelines.values()}
         assert outcomes["A"] is Outcome.COMMITTED
@@ -203,22 +207,20 @@ class TestUpgradeMode:
     def test_browsers_share_while_browsing(self):
         """Before the decision point, readers coexist (that's the
         upgrade strategy's one advantage over exclusive locking)."""
-        config = TwoPLSchedulerConfig(upgrade_mode=True)
         profiles = [
             single_step_profile("A", 0.0, "X", subtract(1), plan(2.0)),
             # B arrives after A committed: no overlap, no deadlock
             single_step_profile("B", 3.0, "X", subtract(1), plan(2.0)),
         ]
-        result = run_workload(profiles, config=config)
+        result = run_workload(profiles, rewrite=browse_then_decide)
         assert result.stats.committed == 2
-        assert result.extra["deadlocks"] == 0
+        assert result.deadlocks == 0
 
     def test_reads_unaffected_by_upgrade_mode(self):
-        config = TwoPLSchedulerConfig(upgrade_mode=True)
         profiles = [
             single_step_profile(f"R{k}", 0.0, "X", read(), plan(2.0))
             for k in range(3)]
-        result = run_workload(profiles, config=config)
+        result = run_workload(profiles, rewrite=browse_then_decide)
         assert result.stats.committed == 3
         assert result.stats.avg_wait_time == 0.0
 
@@ -229,10 +231,11 @@ class TestUpgradeMode:
         )
         generated = generate_paper_workload(PaperWorkloadConfig(
             n_transactions=120, alpha=1.0, beta=0.0, seed=29))
-        config = TwoPLSchedulerConfig(upgrade_mode=True)
-        result = TwoPLScheduler(config).run(generated.workload)
-        assert result.extra["deadlocks"] > 10
-        assert result.stats.aborted == result.extra["deadlocks"]
+        scheduler = two_phase_locking()
+        result = scheduler.run(browse_then_decide(generated.workload))
+        result.deadlocks = scheduler.last_gtm.deadlocks_detected
+        assert result.deadlocks > 10
+        assert result.stats.aborted == result.deadlocks
 
 
 class TestAbortedVictimCleanup:

@@ -10,12 +10,14 @@ oracle.  (No pytest-asyncio here: each test drives its own loop via
 """
 
 import asyncio
+import contextlib
 import os
 import random
 import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -456,6 +458,36 @@ class TestServiceMain:
             assert pushed == {"type": "shutdown"}
             assert await asyncio.wait_for(served.wait(), 10.0) == 0
         run(check())
+
+    def test_sigint_right_after_the_banner_shuts_down_cleanly(self):
+        """A SIGINT sent the moment the "listening" line is read used to
+        land before the handlers were installed: a KeyboardInterrupt
+        traceback and a non-zero exit instead of the clean shutdown."""
+        served = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--objects", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        try:
+            # Poll the pipe rather than block on it: a blocked reader
+            # wakes late enough to hide the window.
+            fd = served.stdout.fileno()
+            os.set_blocking(fd, False)
+            banner = b""
+            deadline = time.monotonic() + 10.0
+            while not banner.endswith(b"\n") \
+                    and time.monotonic() < deadline:
+                with contextlib.suppress(BlockingIOError):
+                    banner += os.read(fd, 4096) or b""
+            served.send_signal(signal.SIGINT)
+            os.set_blocking(fd, True)
+            rest, errors = served.communicate(timeout=10.0)
+        finally:
+            served.kill()
+            served.wait()
+        assert b"listening on" in banner
+        assert rest == b"shutting down...\n", errors.decode()
+        assert served.returncode == 0, errors.decode()
 
     def test_the_service_imports_no_numerics(self):
         """The middleware sits beside mobile clients: numpy alone is a

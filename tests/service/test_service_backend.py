@@ -200,3 +200,20 @@ class TestServiceBackend:
         service.create_object("x", value=2.5)
         assert service.backend.dump()["gtm_objects"]["x"] == {
             "name": "x", "value": 2.5}
+
+    def test_int_too_large_for_a_float_is_refused(self, served):
+        """``create_object("big", value=10**400)`` died in the backend
+        row's ``float(value)`` with a bare OverflowError.  It is refused
+        with a GTMError before the GTM or the backend is touched."""
+        service, session, frames = served
+        before = service.backend.dump()
+        with pytest.raises(GTMError, match="does not fit a float"):
+            service.create_object("big", value=10 ** 400)
+        with pytest.raises(GTMError, match="does not fit a float"):
+            service.create_object("wide", members={"a": 1, "b": -10 ** 400})
+        assert "big" not in service.gtm.lock_table
+        assert "wide" not in service.gtm.lock_table
+        assert service.backend.dump() == before
+        service.create_object("big", value=10 ** 300)
+        assert service.backend.dump()["gtm_objects"]["big"] == {
+            "name": "big", "value": 1e300}
