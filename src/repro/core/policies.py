@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
-from repro.errors import GTMError
 from repro.ldbs.deadlock import (
     DeadlockDetector,
     DeadlockResolution,
@@ -110,17 +109,11 @@ class WaitForGraphPolicy(_PolicyBase):
 
     The seed's inline behaviour: record the wait edges, search for a
     cycle through the waiter, and pick the victim with ``victim_policy``
-    (youngest by default).  ``FEWEST_LOCKS`` is refused: the GTM has no
-    lock count to give it, so it would silently pick the smallest id.
+    (youngest by default).
     """
 
     def __init__(self,
                  victim_policy: VictimPolicy = VictimPolicy.YOUNGEST) -> None:
-        if victim_policy is VictimPolicy.FEWEST_LOCKS:
-            raise GTMError(
-                "WaitForGraphPolicy(victim_policy=FEWEST_LOCKS): the GTM "
-                "binds no lock count, so every victim would be the "
-                "smallest id; use YOUNGEST or OLDEST")
         super().__init__()
         self.detector = DeadlockDetector(policy=victim_policy)
 

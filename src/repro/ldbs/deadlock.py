@@ -21,8 +21,6 @@ class VictimPolicy(enum.Enum):
     YOUNGEST = "youngest"
     #: Abort the oldest transaction.
     OLDEST = "oldest"
-    #: Abort the transaction holding the fewest locks (least work lost).
-    FEWEST_LOCKS = "fewest_locks"
 
 
 class WaitForGraph:
@@ -270,14 +268,12 @@ class DeadlockDetector:
     """
 
     def __init__(self, policy: VictimPolicy = VictimPolicy.YOUNGEST,
-                 start_time_of: Callable[[str], float] | None = None,
-                 lock_count_of: Callable[[str], int] | None = None) -> None:
+                 start_time_of: Callable[[str], float] | None = None) -> None:
         self.graph = WaitForGraph()
         self.policy = policy
-        #: begin-time lookup for the age-based victim policies; public so
+        #: begin-time lookup for the victim policies; public so
         #: an owner can hand it over after construction.
         self.start_time_of = start_time_of or (lambda txn: 0.0)
-        self._lock_count_of = lock_count_of or (lambda txn: 0)
         self.detections = 0
 
     def on_wait(self, waiter: str,
@@ -309,7 +305,5 @@ class DeadlockDetector:
     def _choose_victim(self, cycle: tuple[str, ...]) -> str:
         if self.policy is VictimPolicy.YOUNGEST:
             return max(cycle, key=lambda t: (self.start_time_of(t), t))
-        if self.policy is VictimPolicy.OLDEST:
-            return min(cycle, key=lambda t: (self.start_time_of(t), t))
-        return min(cycle, key=lambda t: (self._lock_count_of(t), t))
+        return min(cycle, key=lambda t: (self.start_time_of(t), t))
 

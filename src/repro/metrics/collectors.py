@@ -74,14 +74,20 @@ class TxnTimeline:
             self._sleep_started = None
 
     def on_commit(self, now: float) -> None:
-        self.on_wait_end(now)
-        self.on_sleep_end(now)
+        # the open-interval tests inline: most transactions finish with
+        # neither open, and a call apiece is two frames per commit.
+        if self._wait_started is not None:
+            self.on_wait_end(now)
+        if self._sleep_started is not None:
+            self.on_sleep_end(now)
         self.finished = now
         self.outcome = Outcome.COMMITTED
 
     def on_abort(self, now: float, reason: str = "") -> None:
-        self.on_wait_end(now)
-        self.on_sleep_end(now)
+        if self._wait_started is not None:
+            self.on_wait_end(now)
+        if self._sleep_started is not None:
+            self.on_sleep_end(now)
         self.finished = now
         self.outcome = Outcome.ABORTED
         self.abort_reason = reason
@@ -146,7 +152,8 @@ class MetricsCollector:
         that transactions still waiting or sleeping at makespan report
         their accrued (not just their *closed*) wait and sleep time."""
         for timeline in self.timelines.values():
-            timeline.finalize(now)
+            if timeline.outcome is Outcome.UNFINISHED:
+                timeline.finalize(now)
 
     def __len__(self) -> int:
         return len(self.timelines)
@@ -164,22 +171,21 @@ class TimelineObserver(GTMObserver):
 
     def __init__(self, collector: MetricsCollector) -> None:
         self.collector = collector
-
-    def _timeline(self, txn_id: str) -> TxnTimeline | None:
-        return self.collector.timelines.get(txn_id)
+        # bound once: a lookup helper would be one frame per hook
+        self._timelines = collector.timelines
 
     def on_begin(self, txn: "GTMTransaction", now: float) -> None:
         self.collector.arrival(txn.txn_id, now)
 
     def on_wait(self, txn: "GTMTransaction", obj: "ManagedObject",
                 invocation: "Invocation", now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None:
             timeline.on_wait_start(now)
 
     def on_grant(self, txn: "GTMTransaction", obj: "ManagedObject",
                  invocation: "Invocation", now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is None:
             return
         # Close the wait interval only when the transaction has no
@@ -192,42 +198,42 @@ class TimelineObserver(GTMObserver):
         # across several objects, or the Algorithm 9 queue-jump regrant
         # firing before wake_survivor clears A_t_wait) must not end a
         # wait the transaction is still in.
-        if not txn.t_wait:
+        if not txn.t_wait and timeline._wait_started is not None:
             timeline.on_wait_end(now)
         if timeline.first_grant is None:
             timeline.first_grant = now
 
     def on_local_commit(self, txn: "GTMTransaction", obj: "ManagedObject",
                         now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None and timeline.commit_requested is None:
             timeline.commit_requested = now
 
     def on_commit_deferred(self, txn: "GTMTransaction",
                            obj: "ManagedObject", now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None and timeline.commit_requested is None:
             timeline.commit_requested = now
 
     def on_sleep(self, txn: "GTMTransaction", now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None:
             timeline.on_sleep_start(now)
 
     def on_awake(self, txn: "GTMTransaction", now: float,
                  survived: bool) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None:
             timeline.on_sleep_end(now)
 
     def on_global_commit(self, txn: "GTMTransaction", now: float) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None and timeline.outcome is Outcome.UNFINISHED:
             timeline.on_commit(now)
             self.collector.commit_order.append(txn.txn_id)
 
     def on_global_abort(self, txn: "GTMTransaction", now: float,
                         reason: str) -> None:
-        timeline = self._timeline(txn.txn_id)
+        timeline = self._timelines.get(txn.txn_id)
         if timeline is not None and timeline.outcome is Outcome.UNFINISHED:
             timeline.on_abort(now, reason)

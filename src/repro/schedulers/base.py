@@ -44,6 +44,9 @@ class CommitAction:
 
 Action = Union[InvokeAction, WorkAction, SleepAction, CommitAction]
 
+#: every itinerary's last action: it has no fields, so one serves all.
+_COMMIT = CommitAction()
+
 
 def build_itinerary(profile: TransactionProfile) -> list[Action]:
     """Expand a profile into the exact action sequence a client executes.
@@ -75,7 +78,7 @@ def build_itinerary(profile: TransactionProfile) -> list[Action]:
         cursor = step_end
     for outage in outages[outage_index:]:
         actions.append(SleepAction(outage.duration))
-    actions.append(CommitAction())
+    actions.append(_COMMIT)
     return actions
 
 

@@ -18,7 +18,11 @@ itinerary (invoke / work / sleep / commit) against a shared
 
 Observer callbacks never resume processes synchronously: they schedule
 signal fires at ``now + 0`` so the GTM's own event handling finishes
-before any client reacts (no re-entrancy).
+before any client reacts (no re-entrancy).  A fire is scheduled only
+when it can resume someone; a fire that would find no waiter is left
+out, so every GTM call happens at the instant and in the order it would
+with every fire scheduled (:class:`_SignallingObserver` says why each
+skipped fire finds nobody).
 
 Metrics are not collected here: a
 :class:`~repro.metrics.collectors.TimelineObserver` subscribed to the
@@ -131,14 +135,42 @@ class GTMSchedulerConfig:
 
 
 class _SignallingObserver(GTMObserver):
-    """Relays GTM events to per-transaction simulation signals."""
+    """Relays GTM events to per-transaction simulation signals.
+
+    Two kinds of fire are left out because they would wake nobody:
+
+    - the commit slot after a global commit or abort while no process
+      waits on it and no local commit is deferred.  X_committing is
+      held across events only by a transaction deferred on another
+      object, so with nothing deferred no commit can be deferred, and
+      no process can start waiting on the slot, before the next global
+      commit or abort;
+    - the wake of a *direct* grant: one made inside the requester's own
+      ``invoke`` (:attr:`invoking`) before the request queued (any
+      ``on_wait`` of it inside the call clears the mark).  The return
+      value answers it, and the client marks only an invoke whose next
+      action yields to the engine, so the wake would have found it
+      waiting on a timer or on the commit slot, or finished, never
+      waiting on its wake.
+
+    Every other grant, and every abort, still schedules its wake: a
+    grant made after the request queued (also one the abort cascade
+    makes before ``invoke`` returns QUEUED) is what ``_await_grant``
+    waits for.
+    """
 
     def __init__(self, engine: SimulationEngine) -> None:
         self.engine = engine
         self.wake_signals: dict[str, Signal] = {}
-        #: fired (deferred) after every global commit/abort: commit-slot
+        #: fired (deferred) after a global commit/abort: commit-slot
         #: waiters and grant retries piggyback on it.
         self.commit_slot = Signal("gtm.commit-slot")
+        #: the GTM's deferred local commits, per object (bound to
+        #: ``gtm.pipeline.deferred`` once the GTM is built).
+        self.deferred: dict[str, list[str]] = {}
+        #: the transaction whose own ``invoke`` is running, while a
+        #: grant made inside it needs no wake; None otherwise.
+        self.invoking: str | None = None
 
     def signal_for(self, txn_id: str) -> Signal:
         signal = self.wake_signals.get(txn_id)
@@ -152,16 +184,25 @@ class _SignallingObserver(GTMObserver):
 
     # -- GTMObserver hooks -----------------------------------------------------
 
+    def on_wait(self, txn: GTMTransaction, obj: ManagedObject,
+                invocation: Invocation, now: float) -> None:
+        if txn.txn_id == self.invoking:
+            self.invoking = None  # queued: its grant comes by a wake
+
     def on_grant(self, txn: GTMTransaction, obj: ManagedObject,
                  invocation: Invocation, now: float) -> None:
-        self._fire_later(self.signal_for(txn.txn_id), ("grant", obj.name))
+        if txn.txn_id != self.invoking:
+            self._fire_later(self.signal_for(txn.txn_id),
+                             ("grant", obj.name))
 
     def on_global_commit(self, txn: GTMTransaction, now: float) -> None:
-        self._fire_later(self.commit_slot, ("commit", txn.txn_id))
+        if self.commit_slot.waiters or any(self.deferred.values()):
+            self._fire_later(self.commit_slot, ("commit", txn.txn_id))
 
     def on_global_abort(self, txn: GTMTransaction, now: float,
                         reason: str) -> None:
-        self._fire_later(self.commit_slot, ("abort", txn.txn_id))
+        if self.commit_slot.waiters or any(self.deferred.values()):
+            self._fire_later(self.commit_slot, ("abort", txn.txn_id))
         self._fire_later(self.signal_for(txn.txn_id), ("aborted", reason))
 
 
@@ -196,10 +237,11 @@ class GTMScheduler(Scheduler):
             self.last_backend = backend
         gtm = GlobalTransactionManager(
             config=self.config.gtm_config,
-            clock=engine.clock,
+            clock=engine.read_clock,
             sst_executor=sst_executor,
             observer=observer,
         )
+        observer.deferred = gtm.pipeline.deferred
         gtm.subscribe(TimelineObserver(collector))
         obs = Observability() if self.config.obs else None
         if obs is not None:
@@ -239,18 +281,25 @@ class GTMScheduler(Scheduler):
                 observer: _SignallingObserver,
                 collector: MetricsCollector) -> Generator[Any, Any, None]:
         txn_id = profile.txn_id
-        wake = observer.signal_for(txn_id)
         txn = gtm.begin(txn_id, priority=profile.priority)
-        for action in build_itinerary(profile):
+        actions = build_itinerary(profile)
+        for index, action in enumerate(actions):
             if isinstance(action, InvokeAction):
+                # A grant made inside this invoke is answered by its
+                # return value.  Its wake is needed only when the next
+                # action invokes again in this same event, and may wait.
+                if not isinstance(actions[index + 1], InvokeAction):
+                    observer.invoking = txn_id
                 outcome = gtm.invoke(txn_id, action.step.object_name,
                                      action.step.invocation)
+                observer.invoking = None
                 if outcome == GrantOutcome.ABORTED:
                     # the request closed a wait-for cycle and this
                     # transaction was the chosen victim
                     return
                 if outcome == GrantOutcome.QUEUED:
-                    granted = yield from self._await_grant(txn_id, gtm, wake)
+                    granted = yield from self._await_grant(txn, gtm,
+                                                           observer)
                     if not granted:
                         return
                 if action.step.apply_op:
@@ -272,7 +321,13 @@ class GTMScheduler(Scheduler):
                     if txn.state is TransactionState.ABORTED:
                         return
             elif isinstance(action, CommitAction):
-                yield from self._commit(txn_id, gtm, observer)
+                try:
+                    gtm.request_commit(txn_id)
+                except SSTFailure:
+                    return  # the GTM already aborted and reported it
+                if txn.state is TransactionState.COMMITTING:
+                    # a local commit was deferred behind another committer
+                    yield from self._finish_commit(txn, gtm, observer)
                 return
 
     def _hold(self, txn: GTMTransaction, duration: float,
@@ -290,10 +345,15 @@ class GTMScheduler(Scheduler):
         timer.cancel()
         timeline.on_sleep_end(engine.now)
 
-    def _await_grant(self, txn_id: str, gtm: GlobalTransactionManager,
-                     wake: Any) -> Generator[Any, Any, bool]:
+    def _await_grant(self, txn: GTMTransaction,
+                     gtm: GlobalTransactionManager,
+                     observer: _SignallingObserver,
+                     ) -> Generator[Any, Any, bool]:
         """Wait until granted; handles timeout-abort and external abort."""
-        txn = gtm.transaction(txn_id)
+        txn_id = txn.txn_id
+        # built by the first wait, or by a wake scheduled before it: a
+        # transaction that never queues needs none
+        wake = observer.signal_for(txn_id)
         while True:
             payload = yield WaitEvent(wake, timeout=self.config.wait_timeout)
             if payload is WaitEvent.TIMED_OUT:
@@ -302,32 +362,28 @@ class GTMScheduler(Scheduler):
             kind = payload[0] if isinstance(payload, tuple) else payload
             if kind == "aborted":
                 return False
-            # A "grant" wake may be stale: every grant schedules one, also
-            # a grant made inside the client's own invoke, and that one
-            # arrives while the client already waits for something else.
-            # The kernel knows: a granted waiter has left Waiting.
+            # A "grant" wake may be stale: a grant made inside the
+            # client's own invoke still schedules one when the next
+            # action invokes again, and that wake arrives while the
+            # client already waits for something else.  The kernel
+            # knows: a granted waiter has left Waiting.
             if kind == "grant" and txn.state is not TransactionState.WAITING:
                 return True
 
-    def _commit(self, txn_id: str, gtm: GlobalTransactionManager,
-                observer: _SignallingObserver) -> Generator[Any, Any, bool]:
-        """Drive the commit to completion, retrying deferred staging."""
-        txn = gtm.transaction(txn_id)
-        try:
-            report = gtm.request_commit(txn_id)
-        except SSTFailure:
-            return False  # the GTM already aborted and reported it
-        if report is not None or txn.state is TransactionState.COMMITTED:
-            return True
+    def _finish_commit(self, txn: GTMTransaction,
+                       gtm: GlobalTransactionManager,
+                       observer: _SignallingObserver,
+                       ) -> Generator[Any, Any, None]:
+        """Retry a deferred commit on every commit-slot fire until its
+        staging completes."""
         while txn.state is TransactionState.COMMITTING:
             yield WaitEvent(observer.commit_slot)
             if txn.state is not TransactionState.COMMITTING:
-                break
+                return
             try:
-                gtm.try_finish_commit(txn_id)
+                gtm.try_finish_commit(txn.txn_id)
             except SSTFailure:
-                return False
-        return txn.state is TransactionState.COMMITTED
+                return  # the GTM already aborted and reported it
 
 
 def two_phase_locking(wait_timeout: float | None = None,

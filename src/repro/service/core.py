@@ -28,7 +28,7 @@ import weakref
 from dataclasses import dataclass
 from math import isfinite
 from types import MappingProxyType
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import (
     GTMError,
@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.core.events import GTMObserver
 from repro.core.gtm import GlobalTransactionManager, GrantOutcome
-from repro.core.objects import ObjectBinding
+from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import OperationClass
 from repro.core.sst import SSTExecutor
 from repro.core.states import TransactionState
@@ -60,6 +60,19 @@ _OBJECTS_TABLE = "gtm_objects"
 #: The column map every value-only binding shares (read-only, so one
 #: map serves every object instead of one dict apiece).
 _VALUE_COLUMNS = MappingProxyType({"value": "value"})
+
+
+def _refuse_unfit_ints(name: str, values: Iterable[Any], what: str) -> None:
+    """Refuse an int no float can hold: an LDBS value column is a FLOAT,
+    so such a value fails the row it is written to."""
+    for value in values:
+        if isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise GTMError(
+                    f"object {name!r}: a {value.bit_length()}-bit "
+                    f"{what} does not fit a float") from None
 
 
 @dataclass
@@ -184,21 +197,15 @@ class GTMService:
         the GTM already holds, a NaN or infinite initial value, or an
         int no float can hold, is refused before the GTM or the backend
         is touched."""
-        for initial in (value, *(members or {}).values()):
+        initials = (value, *(members or {}).values())
+        for initial in initials:
             # as build_invocation refuses non-finite operands: the
             # memory LDBS would hold NaN, SQLite NULL
             if isinstance(initial, float) and not isfinite(initial):
                 raise GTMError(
                     f"object {name!r}: initial value must be finite, "
                     f"not {initial!r}")
-            if isinstance(initial, int):
-                # the LDBS value column is a FLOAT
-                try:
-                    float(initial)
-                except OverflowError:
-                    raise GTMError(
-                        f"object {name!r}: a {initial.bit_length()}-bit "
-                        f"initial value does not fit a float") from None
+        _refuse_unfit_ints(name, initials, "initial value")
         if name in self.gtm.lock_table:
             raise GTMError(f"object {name!r} already registered")
         binding = None
@@ -224,7 +231,8 @@ class GTMService:
         return ObjectBinding(table=_OBJECTS_TABLE, key=name,
                              member_columns=_VALUE_COLUMNS)
 
-    def _ensure_object(self, name: Any, op_class: OperationClass) -> str:
+    def _ensure_object(self, name: Any,
+                       op_class: OperationClass) -> ManagedObject:
         if not isinstance(name, str) or not name:
             raise WireFormatError(f"op object must be a string: {name!r}")
         obj = self.gtm.lock_table.objects.get(name)
@@ -236,9 +244,7 @@ class GTMService:
             binding = self._bind_object(name, 0, exists=exists)
             obj = self.gtm.create_object(name, value=0, exists=exists,
                                          binding=binding)
-        # the name string the lock table already holds, not this
-        # frame's copy (as _own_txn does for transaction ids).
-        return obj.name
+        return obj
 
     # ------------------------------------------------------------------
     # connection lifecycle
@@ -447,8 +453,17 @@ class GTMService:
                    fid: Any) -> None:
         txn_id = self._own_txn(session, frame)
         invocation = build_invocation(frame)
-        object_name = self._ensure_object(frame.get("object"),
-                                          invocation.op_class)
+        obj = self._ensure_object(frame.get("object"), invocation.op_class)
+        # the name string the lock table already holds, not this
+        # frame's copy (as _own_txn does for transaction ids).
+        object_name = obj.name
+        if obj.binding is not None:
+            # refused before invoke: granted, it would fail the commit's
+            # SST and leave the transaction Committing, the object held
+            operand = invocation.operand
+            _refuse_unfit_ints(object_name,
+                               operand.values() if type(operand) is dict
+                               else (operand,), "operand")
         self._responding_txn = txn_id
         outcome = self.gtm.invoke(txn_id, object_name, invocation)
         if outcome == GrantOutcome.GRANTED:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import SimulationError
@@ -91,6 +92,11 @@ class SimulationEngine:
         # it, so a bare clock.reset() mid-run would silently rewind
         # their timelines.  Resetting goes through engine.reset().
         self.clock.bind_driver(self)
+        #: ``read_clock()``: the current virtual time, read off the
+        #: clock's slot by a C ``getattr`` — no Python frame per read.
+        #: What the GTM's clock seam takes.
+        self.read_clock: Callable[[], float] = partial(
+            getattr, self.clock, "_now")
         self._queue: list[tuple[float, int, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._events_dispatched = 0
@@ -106,7 +112,7 @@ class SimulationEngine:
     @property
     def now(self) -> float:
         """Current virtual time."""
-        return self.clock.now
+        return self.clock._now
 
     @property
     def pending(self) -> int:
@@ -131,10 +137,12 @@ class SimulationEngine:
         """Schedule ``callback`` at absolute virtual time ``when``."""
         # written so that NaN — for which every comparison is False —
         # is refused with everything else that is not "now or later".
-        if not (when >= self.clock.now):
+        # The clock's slot is read directly: the engine owns its clock,
+        # and a property read is one frame per scheduled event.
+        now = self.clock._now
+        if not (when >= now):
             raise SimulationError(
-                f"cannot schedule event in the past: {when} < {self.clock.now}"
-            )
+                f"cannot schedule event in the past: {when} < {now}")
         event = ScheduledEvent(when, callback, label, self)
         heapq.heappush(self._queue,
                        (when, priority, next(self._sequence), event))
@@ -147,7 +155,7 @@ class SimulationEngine:
         """Schedule ``callback`` ``delay`` seconds from now."""
         if not (delay >= 0):
             raise SimulationError(f"negative delay: {delay}")
-        when = self.clock.now + delay
+        when = self.clock._now + delay
         event = ScheduledEvent(when, callback, label, self)
         heapq.heappush(self._queue,
                        (when, priority, next(self._sequence), event))
@@ -197,7 +205,11 @@ class SimulationEngine:
                 if max_events is not None and dispatched >= max_events:
                     break
                 heappop(queue)
-                clock.advance_to(when)
+                # the slot written directly (a frame per event saved);
+                # advance_to is called only to refuse a step back.
+                if not (when >= clock._now):
+                    clock.advance_to(when)
+                clock._now = when
                 event.dispatched = True
                 self._live -= 1
                 self._events_dispatched += 1
@@ -205,7 +217,7 @@ class SimulationEngine:
                 event.callback(self)
         finally:
             self._running = False
-        return clock.now
+        return clock._now
 
     def stop(self) -> None:
         """Ask a running :meth:`run` loop to stop after the current event."""

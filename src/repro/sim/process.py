@@ -50,39 +50,38 @@ class Signal:
     the value of the ``yield`` expression in each waiter.
     """
 
-    __slots__ = ("name", "_waiters", "fire_count", "last_payload")
+    __slots__ = ("name", "waiters", "fire_count", "last_payload")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._waiters: list["Process"] = []
+        #: the processes the next :meth:`fire` resumes.  A process
+        #: joins it by yielding a :class:`WaitEvent`; others only read.
+        self.waiters: list["Process"] = []
         self.fire_count = 0
         self.last_payload: Any = None
 
     def fire(self, payload: Any = None) -> int:
         """Wake all current waiters.  Returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        waiters, self.waiters = self.waiters, []
         self.fire_count += 1
         self.last_payload = payload
         for process in waiters:
             process._resume_from_signal(self, payload)
         return len(waiters)
 
-    def _register(self, process: "Process") -> None:
-        self._waiters.append(process)
-
     def _unregister(self, process: "Process") -> None:
         try:
-            self._waiters.remove(process)
+            self.waiters.remove(process)
         except ValueError:
             pass
 
     @property
     def waiter_count(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""
-        return f"<Signal{name} waiters={len(self._waiters)}>"
+        return f"<Signal{name} waiters={len(self.waiters)}>"
 
 
 class WaitEvent:
@@ -115,26 +114,26 @@ class Process:
         self.finished = False
         self.result: Any = None
         self.error: BaseException | None = None
-        self.done_signal = Signal(f"{self.name}.done")
+        # built by the first joiner: most processes never have one
+        self._done_signal: Signal | None = None
         self._pending_timer: ScheduledEvent | None = None
         self._waiting_on: Signal | None = None
-        engine.schedule_after(start_delay, self._start)
+        engine.schedule_after(start_delay, self._advance)
+
+    @property
+    def done_signal(self) -> Signal:
+        """Fires with the result when the process finishes."""
+        if self._done_signal is None:
+            self._done_signal = Signal(f"{self.name}.done")
+        return self._done_signal
 
     # -- engine callbacks ---------------------------------------------------
 
-    def _start(self, _engine: SimulationEngine) -> None:
-        self._advance(None)
-
-    def _resume_from_timer(self, _engine: SimulationEngine) -> None:
-        self._pending_timer = None
-        self._advance(None)
-
     def _resume_from_timeout(self, _engine: SimulationEngine) -> None:
-        self._pending_timer = None
         if self._waiting_on is not None:
             self._waiting_on._unregister(self)
             self._waiting_on = None
-        self._advance(WaitEvent.TIMED_OUT)
+        self._advance(None, WaitEvent.TIMED_OUT)
 
     def _resume_from_signal(self, signal: Signal, payload: Any) -> None:
         if self._waiting_on is not signal:
@@ -142,14 +141,20 @@ class Process:
         self._waiting_on = None
         if self._pending_timer is not None:
             self._pending_timer.cancel()
-            self._pending_timer = None
-        self._advance(payload)
+        self._advance(None, payload)
 
     # -- the driver ---------------------------------------------------------
 
-    def _advance(self, value: Any) -> None:
+    def _advance(self, _engine: SimulationEngine | None = None,
+                 value: Any = None) -> None:
+        """Resume the body with ``value`` and carry out the command it
+        yields next.  The engine calls it at the start and when a timer
+        ends (passing itself, unused), so that neither costs a frame
+        more; a resume with a payload passes None for the engine."""
         if self.finished:
             return
+        # whatever woke the process, its timer is spent or cancelled
+        self._pending_timer = None
         try:
             command = self.body.send(value)
         except StopIteration as stop:
@@ -158,25 +163,22 @@ class Process:
         except BaseException as exc:  # propagate, but mark finished
             self._finish(error=exc)
             raise
-        self._apply(command)
-
-    def _apply(self, command: Any) -> None:
         if isinstance(command, Timeout):
             self._pending_timer = self.engine.schedule_after(
-                command.delay, self._resume_from_timer)
+                command.delay, self._advance)
         elif isinstance(command, WaitEvent):
             self._waiting_on = command.signal
-            command.signal._register(self)
+            command.signal.waiters.append(self)
             if command.timeout is not None:
                 self._pending_timer = self.engine.schedule_after(
                     command.timeout, self._resume_from_timeout)
         elif isinstance(command, Process):
             if command.finished:
                 self.engine.schedule_after(
-                    0.0, lambda _e, r=command.result: self._advance(r))
+                    0.0, lambda _e, r=command.result: self._advance(_e, r))
             else:
                 self._waiting_on = command.done_signal
-                command.done_signal._register(self)
+                command.done_signal.waiters.append(self)
         else:
             error = ProcessError(
                 f"process {self.name!r} yielded unknown command "
@@ -189,7 +191,8 @@ class Process:
         self.finished = True
         self.result = result
         self.error = error
-        self.done_signal.fire(result)
+        if self._done_signal is not None:
+            self._done_signal.fire(result)
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else "running"

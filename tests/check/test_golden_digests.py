@@ -48,13 +48,13 @@ PINS = {
     "campaign optimistic":
         "f3fc9d1b68f9bc9edf5c2b51de5447d23338aea3c602d946f0928f9cfabaa144",
     "backend-diff gtm":
-        "89db227aecd5abf2d45bf5beaa7de26f238c0654896c32ff068dbd2a793f9e21",
+        "726ccf33e5a2e8b07f9e41006a797c6c01ce0b7a55f4925cf2b1af34a6a1e401",
     "backend-diff 2pl":
-        "92ce16651551fe94ef75a429d6d56047cf2c8ddc93c68fc759ea19869968a334",
+        "c7c345f87597df86bd1ef4c80295b2935848a1fd7700fdfa342708f805ae6641",
     "backend-diff optimistic":
         "d31f645d9c27c01b451cfcda8052bed009da02accd8e5d8c9f90c68482ee28ae",
     "engine-diff gtm":
-        "802f7ffa527c5df1a86527f87257f51d6b9207d6cfa593e2eafac56c6845b701",
+        "ccb83e60659cbf0ad721ab1d940eac0623e52cb75e8d8f96bda4989b0bf10bb4",
     "service":
         "b846ecf06ac048438b2fc98f3de6bbc92bafdef08269a36367ad271169eaebcc",
 }

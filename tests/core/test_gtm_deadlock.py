@@ -64,13 +64,6 @@ class TestDetection:
         assert outcome == GrantOutcome.GRANTED
         assert gtm.object("X").is_pending("B")
 
-    def test_fewest_locks_is_refused_at_construction(self):
-        """The GTM binds no lock count, so FEWEST_LOCKS saw 0 for every
-        transaction and aborted the smallest id: with "A-many" holding
-        two objects and "Z-few" one, "A-many" was the victim."""
-        with pytest.raises(GTMError, match="FEWEST_LOCKS"):
-            WaitForGraphPolicy(victim_policy=VictimPolicy.FEWEST_LOCKS)
-
     def test_detection_disabled_leaves_both_waiting(self):
         gtm = make_gtm(deadlock_policy=NoDeadlockPolicy())
         outcome = build_cycle(gtm)

@@ -94,15 +94,6 @@ class TestDeadlockDetector:
         resolution = detector.on_wait("B", ["A"])
         assert resolution.victim == "A"
 
-    def test_fewest_locks_policy(self):
-        locks = {"A": 5, "B": 1}
-        detector = DeadlockDetector(
-            policy=VictimPolicy.FEWEST_LOCKS,
-            lock_count_of=lambda t: locks[t])
-        detector.on_wait("A", ["B"])
-        resolution = detector.on_wait("B", ["A"])
-        assert resolution.victim == "B"
-
     def test_stop_waiting_prevents_false_positives(self):
         detector = DeadlockDetector()
         detector.on_wait("A", ["B"])

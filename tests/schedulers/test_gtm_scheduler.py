@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.gtm import GTMConfig
+from repro.check.invariants import check_liveness
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome, GTMConfig
 from repro.core.opclass import add, assign, subtract
 from repro.core.sst import FailureInjector, SSTExecutor
+from repro.core.states import TransactionState
 from repro.core.objects import ObjectBinding
 from repro.ldbs.constraints import NonNegative
 from repro.ldbs.backend import MemoryBackend
@@ -13,6 +15,7 @@ from repro.metrics.collectors import Outcome
 from repro.mobile.network import DisconnectionEvent
 from repro.mobile.session import SessionPlan
 from repro.schedulers import GTMScheduler, GTMSchedulerConfig
+from repro.schedulers.gtm_scheduler import _SignallingObserver
 from repro.workload.spec import (
     TransactionProfile,
     TransactionStep,
@@ -145,22 +148,25 @@ class TestMultiStep:
 
 
 class TestStaleWake:
-    """Every grant schedules a wake for ``now + 0`` — also a grant made
-    inside the client's own ``invoke``.  That wake arrives when the
-    client, an instant later, already waits for something else, and must
-    not be taken for the grant it is waiting for (the client then
-    operated while Waiting: ``ProtocolError`` out of ``run``)."""
+    """A grant made inside the client's own ``invoke`` still schedules a
+    wake for ``now + 0`` when the client's next action invokes again in
+    the same event.  That wake arrives when the client already waits for
+    something else, and must not be taken for the grant it is waiting
+    for (the client then operated while Waiting: ``ProtocolError`` out
+    of ``run``)."""
 
-    def test_wake_for_another_object_is_not_the_awaited_grant(self):
+    @staticmethod
+    def _two_objects():
         holder = single_step_profile("H", 0.0, "y", assign(5), plan(10.0))
         late = TransactionProfile(
             "T", 1.0,
             (TransactionStep("x", add(1), 0.0),      # granted in invoke
              TransactionStep("y", assign(7), 1.0)),  # queued behind H
             plan(2.0))
-        workload = Workload([holder, late],
-                            initial_values={"x": 0.0, "y": 0.0})
-        result = GTMScheduler().run(workload)
+        return Workload([holder, late], initial_values={"x": 0.0, "y": 0.0})
+
+    def test_wake_for_another_object_is_not_the_awaited_grant(self):
+        result = GTMScheduler().run(self._two_objects())
         assert result.stats.committed == 2
         assert result.final_values == {"x": 1.0, "y": 7.0}
         # T got y when H committed at 10, not at its own arrival
@@ -185,6 +191,129 @@ class TestStaleWake:
             {"m1": 1.0, "m2": 7.0}
         assert result.collector.timelines["T"].wait_time == \
             pytest.approx(9.0)
+
+    def test_wake_for_another_object_under_a_wait_timeout(self):
+        """The same schedule with a wait timeout: the stale wake re-arms
+        the client's timer, at the same deadline.  The wake is still
+        delivered (two fires: the stale one and the grant of y), so
+        ``_await_grant``'s stale-wake branch runs under a timer too."""
+        scheduler = GTMScheduler(GTMSchedulerConfig(wait_timeout=30.0))
+        result = scheduler.run(self._two_objects())
+        assert result.stats.committed == 2
+        assert result.final_values == {"x": 1.0, "y": 7.0}
+        assert result.collector.timelines["T"].wait_time == \
+            pytest.approx(9.0)
+        wake = scheduler.last_gtm.observer.wake_signals["T"]
+        assert wake.fire_count == 2
+
+    def test_the_stale_wake_keeps_same_instant_calls_in_order(
+            self, monkeypatch):
+        """Without a timer the stale wake still decides an order.  At
+        t = 1, T's x is granted inside its invoke and its y queues
+        behind H's assign, next to U's add; then H's timer commits at
+        the same instant, and the pump grants U, then T.  The stale wake
+        of x, scheduled before both grants' wakes, resumes T first, so
+        T's apply of y precedes U's.  Skipping it would resume U
+        first."""
+        applied = []
+        real_apply = GlobalTransactionManager.apply
+
+        def apply(self, txn_id, object_name, invocation):
+            applied.append((txn_id, object_name))
+            return real_apply(self, txn_id, object_name, invocation)
+
+        monkeypatch.setattr(GlobalTransactionManager, "apply", apply)
+        holder = single_step_profile("H", 0.0, "y", assign(5), plan(1.0))
+        waiter = single_step_profile("U", 0.5, "y", add(1), plan(2.0))
+        late = TransactionProfile(
+            "T", 1.0,
+            (TransactionStep("x", add(1), 0.0),      # granted in invoke
+             TransactionStep("y", add(2), 1.0)),     # queued behind H
+            plan(2.0))
+        workload = Workload([holder, waiter, late],
+                            initial_values={"x": 0.0, "y": 0.0})
+        result = GTMScheduler().run(workload)
+        assert result.stats.committed == 3
+        assert applied == [("H", "y"), ("T", "x"), ("T", "y"), ("U", "y")]
+
+
+class TestScheduledFires:
+    """A fire that would wake nobody is not scheduled."""
+
+    def test_an_uncontended_transaction_takes_two_events(self):
+        """Its start and its work timer: the direct grant schedules no
+        wake and the commit no commit-slot fire."""
+        result = run_workload(
+            [single_step_profile("T", 0.0, "X", subtract(1), plan())])
+        assert result.stats.committed == 1
+        assert result.extra["events_dispatched"] == 2
+
+
+class TestCascadeGrant:
+    """A grant made *after* the request queued, but before ``invoke``
+    returns: the abort cascade (a victim's teardown pumps the unlock
+    queue) grants the requester while ``invoke`` still reports QUEUED.
+    ``_await_grant`` then waits for that grant's wake, so it must be
+    scheduled although nobody waits on it when it is.
+    ``tests/service/test_found_regressions.py::
+    test_cascade_grant_during_invoke_answers_queued_op`` reproduces the
+    same cascade at the same facade seam for the service."""
+
+    @staticmethod
+    def _episode(monkeypatch):
+        """B holds y; H holds x and queues for y; R's ``invoke`` of x
+        queues for real behind H, then H is aborted inside the call and
+        the pump grants R, and the call answers QUEUED."""
+        real_invoke = GlobalTransactionManager.invoke
+
+        def cascade_invoke(self, txn_id, object_name, invocation):
+            outcome = real_invoke(self, txn_id, object_name, invocation)
+            if txn_id == "R":
+                assert outcome == GrantOutcome.QUEUED
+                self.abort("H", reason="cascade")
+                assert self.transaction("R").state is \
+                    TransactionState.ACTIVE
+            return outcome
+
+        monkeypatch.setattr(GlobalTransactionManager, "invoke",
+                            cascade_invoke)
+        blocker = single_step_profile("B", 0.0, "y", assign(5), plan(20.0))
+        holder = TransactionProfile(
+            "H", 0.5,
+            (TransactionStep("x", assign(1), 0.0),
+             TransactionStep("y", assign(2), 1.0)),
+            plan(2.0))
+        requester = single_step_profile("R", 1.0, "x", assign(3), plan(2.0))
+        workload = Workload([blocker, holder, requester],
+                            initial_values={"x": 0.0, "y": 0.0})
+        return GTMScheduler().run(workload)
+
+    def test_a_grant_made_after_the_request_queued_wakes_the_client(
+            self, monkeypatch):
+        result = self._episode(monkeypatch)
+        assert check_liveness(result.collector) == []
+        timelines = result.collector.timelines
+        assert timelines["R"].outcome is Outcome.COMMITTED
+        assert timelines["R"].finished == pytest.approx(3.0)
+        assert timelines["H"].outcome is Outcome.ABORTED
+        assert timelines["B"].outcome is Outcome.COMMITTED
+        assert result.final_values == {"x": 3.0, "y": 5.0}
+
+    def test_no_wake_while_nobody_waits_strands_the_client(
+            self, monkeypatch):
+        """Control leg: the cruder rule, a grant wake only for a client
+        already waiting on it, leaves R waiting for ever, and the
+        liveness verdict names it."""
+
+        def on_grant(self, txn, obj, invocation, now):
+            signal = self.signal_for(txn.txn_id)
+            if signal.waiters:
+                self._fire_later(signal, ("grant", obj.name))
+
+        monkeypatch.setattr(_SignallingObserver, "on_grant", on_grant)
+        result = self._episode(monkeypatch)
+        assert [violation.split(":")[0] for violation
+                in check_liveness(result.collector)] == ["txn 'R'"]
 
 
 class TestSSTIntegration:

@@ -37,6 +37,9 @@ overlay per transaction (no lock, WAL
 record or row version per written row)
 SQLite binds a bool itself (no conversion     369.1   369.1   333.6
 helper and generator per bound value)
+an op on a bound object refuses an int        373.1   373.1   333.6
+operand no float can hold (one helper
+frame per op)
 budget (440 / 426 / 386 before the pump       376.6   376.6   344.6
 line, lowered by 41.4; memory by 22.0
 more with the line above, SQLite by 8.0
@@ -70,6 +73,7 @@ calls per object, counted as above:
 ================================================  ======  ======
 one backend transaction per seeded object         28.0    39.0
 a seed writes rows and nothing else               17.0    19.0
+the int rule in the helper the op shares          18.0    20.0
 budget                                            19      21
 ================================================  ======  ======
 

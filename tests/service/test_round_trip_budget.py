@@ -26,6 +26,10 @@ Eq. 2 on integers
 one coroutine per request, work-gated      620.0   606.5   562.6
 pump and grant hook, no edge clearing
 on a fresh grant, Eq. 2 in integers
+later server-side changes, the last an op   602.1   602.1   562.6
+on a bound object that refuses an int
+operand no float can hold (4 of these:
+one helper frame per op)
 budget (one frame per request above)        626     612.5   568.6
 =========================================  ======  ======  ==========
 

@@ -217,3 +217,55 @@ class TestServiceBackend:
         service.create_object("big", value=10 ** 300)
         assert service.backend.dump()["gtm_objects"]["big"] == {
             "name": "big", "value": 1e300}
+
+    def test_an_int_operand_no_float_holds_cannot_wedge_the_object(
+            self, served):
+        """``add 10**400`` on a backend-bound object was granted; the
+        commit's SST then failed in the FLOAT column, the commit
+        answered ``gtm/error``, and the transaction stayed Committing
+        with the object's ``committing`` set held for ever.  The op is
+        refused with one error frame before ``invoke``, so a second
+        session's ``assign`` on the object is granted at once."""
+        service, session, frames = served
+        service.create_object("pre", value=5)
+        service.handle(session, {"type": "begin", "id": 2})
+        txn = frames[-1]["txn"]
+        service.handle(session, {"type": "op", "id": 3, "txn": txn,
+                                 "op": "add", "object": "pre",
+                                 "operand": 10 ** 400})
+        refused = frames[-1]
+        service.handle(session, {"type": "commit", "id": 4, "txn": txn})
+        committed = frames[-1]
+        other_frames = []
+        other = service.connect({"type": "hello", "id": 1},
+                                other_frames.append)
+        service.handle(other, {"type": "begin", "id": 2})
+        other_txn = other_frames[-1]["txn"]
+        service.handle(other, {"type": "op", "id": 3, "txn": other_txn,
+                               "op": "assign", "object": "pre",
+                               "operand": 7})
+        assert other_frames[-1]["type"] == "granted"
+        assert refused["type"] == "error"
+        assert refused["code"] == "gtm/error"
+        assert refused["re"] == 3
+        assert "does not fit a float" in refused["message"]
+        assert committed == {"type": "committed", "txn": txn, "re": 4}
+        assert service.metrics.counter("service_error_frames").total() == 1
+        assert service.backend.dump()["gtm_objects"]["pre"] == {
+            "name": "pre", "value": 5.0}
+
+    def test_a_virtual_object_still_takes_any_int_operand(self, served):
+        """Only a bound object's row is a FLOAT: an object with its own
+        members stays virtual, and its operand is not refused."""
+        service, session, frames = served
+        service.create_object("multi", value=None, members={"a": 1})
+        service.handle(session, {"type": "begin", "id": 2})
+        txn = frames[-1]["txn"]
+        service.handle(session, {"type": "op", "id": 3, "txn": txn,
+                                 "op": "add", "object": "multi",
+                                 "member": "a", "operand": 10 ** 400})
+        assert frames[-1]["type"] == "granted"
+        service.handle(session, {"type": "commit", "id": 4, "txn": txn})
+        assert frames[-1]["type"] == "committed"
+        assert service.gtm.object("multi").permanent_value("a") == \
+            10 ** 400 + 1

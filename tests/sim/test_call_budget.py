@@ -9,7 +9,8 @@ process and under any ``PYTHONHASHSEED``, and needs no clock.
 Counted by ``sys.setprofile`` (``"call"`` events: Python functions,
 generator resumptions and comprehension frames; C functions are not
 counted) over ``GTMScheduler().run`` of the paper workload at α 0.5,
-β 0.3, seed 2008 — 1000 transactions, 4306 events:
+β 0.3, seed 2008 — 1000 transactions, 2878 events (4306 while every
+grant scheduled a wake and every global commit a commit-slot fire):
 
 ====================================================  =========
 before PR 22 (``ScheduledEvent.__lt__`` in the heap)   356.4
@@ -21,24 +22,32 @@ wait-for edges recorded through a ``ManagedObject``     195.6
 mutator (1.19 waits per transaction), X_aborting
 emptied through one (0.1 per transaction, two frames
 more where it leaves the object idle)
-budget (215, lowered by 9.4 and then by 3.1)            202.5
-observed (``GTMSchedulerConfig(obs=True)``), 3.11       201.2
-observed budget (220, lowered by 9.4 and then by 3.1)   207.5
+no fire that wakes nobody (no wake for a grant made     153.7
+in the requester's own invoke, no commit-slot fire
+with nothing deferred: 1428 events fewer), the GTM's
+clock read in C, no done signal, wake signal or
+``CommitAction`` per transaction, the engine on its
+clock's slot, a process's start and timers calling
+its driver directly
+budget (215, lowered by 9.4, by 3.1 and by 45.9)        156.6
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       159.3
+observed budget (220, lowered by 9.4, 3.1 and 45.3)     162.2
 ====================================================  =========
 
 What a re-added level costs, in calls per transaction: one more frame
 per *event* (a ``peek`` or ``step`` under ``run``, a ``schedule_at``
-under ``schedule_after``, a handle compared in Python) is 4.3 — a
-Python ``__lt__`` on the heap entry alone is 60; one more frame per
-*facade call* (a second wrapper, a lookup helper) is 4.2; one more frame
-per *clock read* is 4.2 for the kernel's reads and 4.3 for the engine's;
-a state test that is a call again (``txn.is_in`` delegating to a second
-object) is about 8.  The budget leaves room for one of these, not two.
+under ``schedule_after``, a handle compared in Python) is 2.9 — a
+Python ``__lt__`` on the heap entry alone was 60 at 4306 events; one
+more frame per *facade call* (a second wrapper, a lookup helper) is
+4.2; one more frame per *clock read* is 4.2 for the kernel's reads and
+2.9 for the engine's; a state test that is a call again (``txn.is_in``
+delegating to a second object) is about 8.  The budget leaves room for
+one event frame, not for a facade frame.
 CPython 3.12 inlines comprehensions and counts a few calls fewer.
 
 The observed leg runs the same workload with :mod:`repro.obs` attached:
 the observers ride the event bus, so they add calls, never events, and
-the same 4306 events must be dispatched.  Its budget is the observers'
+the same 2878 events must be dispatched.  Its budget is the observers'
 cost pinned the same way — a count, where a wall-clock overhead share
 swung by more than the overhead itself from run to run.  A second
 bus-fed interval tracker beside the timelines costs 15.6; a bus that
@@ -55,8 +64,8 @@ from repro.workload.generator import (
 )
 
 TRANSACTIONS = 1000
-CALLS_PER_TRANSACTION_BUDGET = 202.5
-OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 207.5
+CALLS_PER_TRANSACTION_BUDGET = 156.6
+OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 162.2
 
 
 def _counted_run(workload, config=None):
@@ -83,8 +92,10 @@ def _calls_per_transaction(config=None):
         seed=2008)).workload
     GTMScheduler(config).run(workload)  # warm: imports, hook caches
     calls, result = _counted_run(workload, config)
-    # events got cheaper, not fewer: the schedule itself is untouched
-    assert result.extra["events_dispatched"] == 4306
+    # fewer events, the same schedule: a fire that would wake nobody is
+    # not scheduled (4306 when each was), and every GTM call keeps its
+    # virtual instant and its order
+    assert result.extra["events_dispatched"] == 2878
     assert result.stats.total == TRANSACTIONS
     return calls / TRANSACTIONS
 

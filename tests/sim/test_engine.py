@@ -78,7 +78,7 @@ class TestHandleRepr:
         process = Process(engine, client(), name="T7")
         engine.step()  # start: the process now sleeps on its timer
         text = repr(process._pending_timer)
-        assert "_resume_from_timer" in text and "'T7'" in text
+        assert "Process._advance" in text and "'T7'" in text
         assert text.endswith("pending>")
 
 
