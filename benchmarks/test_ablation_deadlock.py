@@ -2,8 +2,8 @@
 (paper Section VII: "timeout or wait for graphs techniques").
 
 Crossing lock orders (X→Y vs Y→X) under strict 2PL.  The wait-for graph
-aborts exactly one victim per cycle; timeouts also abort innocent
-waiters under contention.  Prints the per-policy table.
+aborts exactly one victim per cycle; a wait timeout added to it also
+aborts innocent waiters under contention.  Prints the per-policy table.
 """
 
 from repro.bench.experiments import ablations
@@ -21,4 +21,4 @@ def test_ablation_deadlock_policies(benchmark):
     for name, result in by_policy.items():
         assert wfg.committed >= result.committed
     # timeouts abort innocents as collateral
-    assert by_policy["timeout(3s)"].timeout_aborts > 0
+    assert by_policy["graph + timeout(3s)"].timeout_aborts > 0

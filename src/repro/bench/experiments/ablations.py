@@ -8,8 +8,11 @@ we built all four and measure them here:
   mutually compatible transactions;
 - **A2 constraints** — reconciliation against a ``>= 0`` stock under
   scarcity, with and without the value-based concurrency throttle;
-- **A3 deadlock** — wait-for-graph detection vs plain wait timeouts on
-  a multi-object (travel-agency-like) workload under 2PL;
+- **A3 deadlock** — wait-for-graph detection alone vs the graph plus a
+  wait timeout on a multi-object (travel-agency-like) workload under
+  2PL.  The GTM always detects with its graph: plain timeouts without
+  it committed 1 of 40 at either timeout (EXPERIMENTS.md, A3), so no
+  switch keeps them;
 - **A4 SST recovery** — fault-injected SSTs with bounded retry, showing
   commits survive transient failures and abort cleanly on permanent
   ones.
@@ -280,8 +283,8 @@ def run_deadlock() -> list[DeadlockResult]:
     results = []
     wait_timeouts = {
         "wait-for-graph": None,
-        "timeout(3s)": 3.0,
-        "timeout(8s)": 8.0,
+        "graph + timeout(3s)": 3.0,
+        "graph + timeout(8s)": 8.0,
     }
     for name, wait_timeout in wait_timeouts.items():
         scheduler = two_phase_locking(wait_timeout=wait_timeout)

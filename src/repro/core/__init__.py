@@ -20,8 +20,8 @@ al. (ICDE 2008):
   dispatch (Algorithms 3 and 4);
 - :mod:`repro.core.sleep_manager` — the sleeping-transaction protocol
   (Algorithms 7-10);
-- :mod:`repro.core.policies` — pluggable deadlock policing (wait-for
-  graph, none);
+- :mod:`repro.core.deadlock` — Section VII deadlock detection: the
+  wait-for graph and its victim rule;
 - :mod:`repro.core.events` — the ⟨...⟩ event vocabulary, the observer
   contract and the fan-out :class:`~repro.core.events.EventBus`;
 - :mod:`repro.core.sst` — Secure System Transactions applying reconciled
@@ -62,11 +62,6 @@ from repro.core.starvation import (
     LockDenyPolicy,
     PriorityAgingPolicy,
 )
-from repro.core.policies import (
-    DeadlockPolicy,
-    NoDeadlockPolicy,
-    WaitForGraphPolicy,
-)
 from repro.core.sleep_manager import SleepManager
 from repro.core.states import TransactionState
 from repro.core.throttle import ValueThrottle
@@ -78,7 +73,6 @@ __all__ = [
     "CommitPipeline",
     "CompatibilityMatrix",
     "DEFAULT_MATRIX",
-    "DeadlockPolicy",
     "EventBus",
     "FifoGrantPolicy",
     "GTMConfig",
@@ -93,7 +87,6 @@ __all__ = [
     "LogicalDependence",
     "ManagedObject",
     "MultiplicativeReconciler",
-    "NoDeadlockPolicy",
     "ObjectBinding",
     "ObserverError",
     "OperationClass",
@@ -107,5 +100,4 @@ __all__ = [
     "SSTReport",
     "TransactionState",
     "ValueThrottle",
-    "WaitForGraphPolicy",
 ]

@@ -4,9 +4,9 @@ This layer owns everything that decides *who may operate*: the managed
 object registry (:class:`LockTable`), the conflict test against the
 effective lock set ``(pending − sleeping) ∪ committing``, the grant
 postcondition (snapshots + bookkeeping), the FIFO wait queues, and the
-⟨unlock, X⟩ pump that re-admits waiters.  Deadlock handling is delegated
-to a pluggable :class:`~repro.core.policies.DeadlockPolicy`; starvation
-shaping to the configured :class:`~repro.core.starvation.GrantPolicy`
+⟨unlock, X⟩ pump that re-admits waiters.  Deadlock detection is the
+GTM's :class:`~repro.core.deadlock.DeadlockPolicing`; starvation
+shaping is the configured :class:`~repro.core.starvation.GrantPolicy`
 and throttle.
 
 The commit pipeline and sleep manager call back into this layer only
@@ -20,10 +20,10 @@ from typing import Any, Callable, Mapping
 
 from repro.errors import GTMError, ProtocolError
 from repro.core.conflicts import ConflictChecker
+from repro.core.deadlock import DeadlockPolicing
 from repro.core.events import EventBus
 from repro.core.objects import ManagedObject, WaitEntry
 from repro.core.opclass import Invocation, OperationClass
-from repro.core.policies import DeadlockPolicy
 from repro.core.states import TransactionState
 from repro.core.transaction import GTMTransaction
 
@@ -117,14 +117,14 @@ class AdmissionController:
 
     def __init__(self, checker: ConflictChecker,
                  grant_policy: Any, throttle: Any,
-                 deadlock_policy: DeadlockPolicy, bus: EventBus,
+                 deadlocks: DeadlockPolicing, bus: EventBus,
                  transactions: Mapping[str, GTMTransaction],
                  clock: Callable[[], float],
                  abort_txn: Callable[[str, str], None]) -> None:
         self.checker = checker
         self.grant_policy = grant_policy
         self.throttle = throttle
-        self.deadlock_policy = deadlock_policy
+        self.deadlocks = deadlocks
         self.bus = bus
         self._transactions = transactions
         self._clock = clock
@@ -368,14 +368,15 @@ class AdmissionController:
         return edges
 
     # ------------------------------------------------------------------
-    # deadlock policing (delegated to the policy object)
+    # deadlock policing (the wait-for graph names the victims)
     # ------------------------------------------------------------------
 
     def _police_deadlock(self, txn: GTMTransaction, obj: ManagedObject,
                          invocation: Invocation,
                          scratch: "_SweepScratch | None" = None,
                          refresh: bool = False) -> str | None:
-        """Consult the policy until it rests; abort each chosen victim.
+        """Consult the wait-for graph until it names no victim; abort
+        each one it names.
 
         Returns :data:`GrantOutcome.ABORTED` when the requester itself is
         the victim, :data:`GrantOutcome.GRANTED` when killing another
@@ -385,7 +386,7 @@ class AdmissionController:
         the one consult, or None when a victim loop added a second set
         to the first (the union is not its blockers at any epoch).
 
-        ``refresh`` marks the re-police path: the first policy consult
+        ``refresh`` marks the re-police path: the first consult
         *replaces* the waiter's recorded edges (stale ones must go) where
         the request path only ever adds fresh ones.
         """
@@ -400,19 +401,17 @@ class AdmissionController:
                 if first and refresh:
                     # nothing blocks the waiter any more, but its stale
                     # recorded edges still must be dropped.
-                    self.deadlock_policy.on_stop_waiting(txn_id)
+                    self.deadlocks.on_stop_waiting(txn_id)
                 break
             if first and refresh:
-                resolution = self.deadlock_policy.refresh_wait(
-                    txn_id, blockers)
+                victim = self.deadlocks.refresh_wait(txn_id, blockers)
             else:
-                resolution = self.deadlock_policy.on_wait(txn_id, blockers)
+                victim = self.deadlocks.on_wait(txn_id, blockers)
             if first:
                 edges = blockers
             first = False
-            if resolution is None:
+            if victim is None:
                 break
-            victim = resolution.victim
             if victim != txn_id:
                 victim_txn = self._transactions.get(victim)
                 if victim_txn is not None and \
@@ -474,7 +473,7 @@ class AdmissionController:
                 invocation: Invocation, now: float) -> None:
         """Grant a transaction that waited (Algorithm 9's queue-jump):
         its wait-for edges go first."""
-        self.deadlock_policy.on_stop_waiting(txn.txn_id)
+        self.deadlocks.on_stop_waiting(txn.txn_id)
         self.grant(txn, obj, invocation, now)
 
     # ------------------------------------------------------------------
@@ -545,7 +544,7 @@ class AdmissionController:
             txn.transition(_TS.ACTIVE)
             txn.clear_wait(obj.name)
             # :meth:`regrant`, one frame shallower
-            self.deadlock_policy.on_stop_waiting(entry.txn_id)
+            self.deadlocks.on_stop_waiting(entry.txn_id)
             self.grant(txn, obj, entry.invocation, now)
             granted.append(entry.txn_id)
         if granted:
@@ -622,7 +621,7 @@ class AdmissionController:
         is skipped.  A stale one whose edges were exactly its blockers
         is asked only about the transactions whose claim moved since
         (:meth:`_edges_now`); when none of them entered its blocker set
-        or left it other than by finishing, and the policy is
+        or left it other than by finishing, and the graph is
         ``settled`` (a refresh that keeps the edges cannot find a
         deadlock), re-deriving and re-consulting would reproduce the
         graph it already holds, so only the record is renewed.
@@ -633,8 +632,8 @@ class AdmissionController:
         state = obj.repolice
         if state.swept_epoch == start_epoch:
             return
-        policy = self.deadlock_policy
-        settled = policy.settled
+        deadlocks = self.deadlocks
+        settled = deadlocks.settled
         refreshed = 0
         scratch = None
         for entry in list(obj.waiting):
@@ -662,7 +661,7 @@ class AdmissionController:
             # touches this object's edges).
             self._police_deadlock(txn, obj, entry.invocation,
                                   scratch, refresh=True)
-            settled = policy.settled
+            settled = deadlocks.settled
         state.swept_epoch = start_epoch
         # every waiter that could read the claim log was just recorded
         state.restart(obj.lock_epoch)

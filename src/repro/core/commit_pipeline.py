@@ -56,7 +56,7 @@ class CommitPipeline:
         self._get_object = get_object
         #: admission-layer coupling: ⟨unlock, X⟩ after a committer leaves.
         self._pump_unlock = pump_unlock
-        #: deadlock-policy / facade cleanup once a transaction ends.
+        #: wait-for graph cleanup once a transaction ends.
         self._on_finished = on_finished
         #: facade abort path for a failed SST.
         self._abort_from_committing = abort_from_committing

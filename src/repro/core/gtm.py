@@ -7,8 +7,8 @@ over the cooperating subsystems wired together here:
 :mod:`~repro.core.admission` (Table I semantic locking, Algorithms 2, 5
 and 11), :mod:`~repro.core.commit_pipeline` (Eq. (1)/(2) reconciliation
 and SSTs, Algorithms 3 and 4), :mod:`~repro.core.sleep_manager`
-(Algorithms 7-10) and :mod:`~repro.core.policies` (Section VII
-policing).  Observer callbacks are multiplexed through one
+(Algorithms 7-10) and :mod:`~repro.core.deadlock` (Section VII
+deadlock policing).  Observer callbacks are multiplexed through one
 :class:`~repro.core.events.EventBus`.  The paper-interpretation notes
 live in ``docs/PROTOCOL.md`` alongside the layer diagram.
 """
@@ -32,11 +32,11 @@ from repro.core.compatibility import (
     LogicalDependence,
 )
 from repro.core.conflicts import build_conflict_checker
+from repro.core.deadlock import DeadlockPolicing
 from repro.core.events import EventBus, GTMObserver
 from repro.core.history import OperationLog
 from repro.core.objects import ManagedObject, ObjectBinding
 from repro.core.opclass import Invocation
-from repro.core.policies import DeadlockPolicy, WaitForGraphPolicy
 from repro.core.reconciliation import ReconcilerRegistry, default_registry
 from repro.core.sleep_manager import SleepManager
 from repro.core.sst import SSTExecutor, SSTReport
@@ -90,10 +90,11 @@ class GTMConfig:
     The paper's defaults: ``matrix`` is Table I, ``dependence`` treats
     members as independent, ``registry`` holds the Eq. (1)/(2)
     reconcilers, ``grant_policy`` is FIFO θ and ``throttle`` admits
-    everything.  This repository's choices: Section VII names no
-    deadlock policy, so ``deadlock_policy`` defaults to a wait-for
-    graph; ``conflict_engine`` picks how Definition 1 is evaluated,
-    not what it decides.
+    everything.  This repository's choice: ``conflict_engine`` picks
+    how Definition 1 is evaluated, not what it decides.  Section VII
+    leaves deadlock handling open; every manager detects deadlocks
+    with its own wait-for graph (:mod:`repro.core.deadlock`), which no
+    field switches off.
     """
 
     matrix: CompatibilityMatrix = field(default_factory=lambda: DEFAULT_MATRIX)
@@ -102,11 +103,6 @@ class GTMConfig:
     registry: ReconcilerRegistry = field(default_factory=default_registry)
     grant_policy: GrantPolicy = field(default_factory=FifoGrantPolicy)
     throttle: Any = field(default_factory=NoThrottle)
-    #: Section VII deadlock policing (wait-for graph / none).  Policies
-    #: are stateful, so the default is None and each manager builds its
-    #: own ``WaitForGraphPolicy()`` — never share one instance between
-    #: managers through a config default.
-    deadlock_policy: DeadlockPolicy | None = None
     #: Conflict engine: ``"bitmask"`` (compiled Table I + lock-set
     #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
     #: kept as the differential-testing oracle).
@@ -150,13 +146,11 @@ class GlobalTransactionManager:
         #: operation log + commit order for serializability checking.
         self.history = OperationLog()
 
-        self.deadlock_policy = (self.config.deadlock_policy
-                                or WaitForGraphPolicy())
         # Ownership points one way: the subsystems wired below hold no
         # strong reference to this facade, so dropping the last
         # reference to it frees the kernel by reference counting.
         transactions = self.transactions
-        self.deadlock_policy.bind(
+        self.deadlocks = DeadlockPolicing(
             lambda t: (transactions[t].begin_time
                        if t in transactions else 0.0))
         # The two real back-calls, a victim's and a failed commit's
@@ -168,7 +162,7 @@ class GlobalTransactionManager:
             checker=self.checker,
             grant_policy=self.config.grant_policy,
             throttle=self.config.throttle,
-            deadlock_policy=self.deadlock_policy, bus=self.bus,
+            deadlocks=self.deadlocks, bus=self.bus,
             transactions=self.transactions, clock=self.now,
             abort_txn=lambda victim, reason: facade.abort(victim, reason))
         self.pipeline = CommitPipeline(
@@ -177,14 +171,14 @@ class GlobalTransactionManager:
             sst_executor=sst_executor, clock=self.now,
             get_object=self.lock_table.get,
             pump_unlock=self.admission.pump_unlock,
-            on_finished=self.deadlock_policy.on_finished,
+            on_finished=self.deadlocks.on_finished,
             abort_from_committing=lambda txn, now, reason:
                 facade.abort(txn.txn_id, reason=reason))
         self.sleep_manager = SleepManager(
             checker=self.checker, bus=self.bus, history=self.history,
             pump_unlock=self.admission.pump_unlock,
             regrant=self.admission.regrant,
-            on_finished=self.deadlock_policy.on_finished)
+            on_finished=self.deadlocks.on_finished)
 
     # -- compatibility views over the subsystems ------------------------
 
@@ -198,7 +192,7 @@ class GlobalTransactionManager:
 
     @property
     def deadlocks_detected(self) -> int:
-        return self.deadlock_policy.detections
+        return self.deadlocks.detections
 
     def subscribe(self, observer: GTMObserver) -> GTMObserver:
         """Attach one more observer to the GTM's event stream."""
@@ -339,7 +333,7 @@ class GlobalTransactionManager:
                 "global_abort",
                 f"{txn_id!r} is {txn.state.value}, not aborting")
         txn.finish(_TS.ABORTED, now)
-        self.deadlock_policy.on_finished(txn_id)
+        self.deadlocks.on_finished(txn_id)
         self.history.record_abort(txn_id)
         touched = self._involved_objects(txn)
         for obj in touched:
@@ -432,9 +426,7 @@ class GlobalTransactionManager:
                 raise GTMError(
                     f"P1: {stuck} grantable on {obj.name!r} but left "
                     f"waiting")
-        graph = (self.deadlock_policy.detector.graph
-                 if isinstance(self.deadlock_policy, WaitForGraphPolicy)
-                 else None)
+        graph = self.deadlocks.graph
         for txn in self.transactions.values():
             if txn.is_in(_TS.WAITING) and not txn.t_wait:
                 raise GTMError(
@@ -443,13 +435,13 @@ class GlobalTransactionManager:
                 raise GTMError(
                     f"{txn.txn_id!r} is Sleeping with t_sleep = ⊥")
             # a fresh grant drops no edges: it relies on this one
-            if graph is not None and graph.waits_of(txn.txn_id) \
+            if graph.waits_of(txn.txn_id) \
                     and not txn.is_in(_TS.WAITING, _TS.SLEEPING):
                 raise GTMError(
                     f"{txn.txn_id!r} is {txn.state.value} but waits on "
                     f"{sorted(graph.waits_of(txn.txn_id))} in the "
                     f"wait-for graph")
-            if graph is not None and txn.state is _TS.WAITING:
+            if txn.state is _TS.WAITING:
                 asleep = sorted(
                     blocker for blocker in graph.waits_of(txn.txn_id)
                     if (holder := self.transactions.get(blocker)) is not None

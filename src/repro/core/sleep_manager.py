@@ -43,7 +43,7 @@ class SleepManager:
         #: admission-layer callbacks (Algorithm 11 pump + case-1 regrant).
         self._pump_unlock = pump_unlock
         self._regrant = regrant
-        #: deadlock-policy cleanup once a conflicted sleeper aborts.
+        #: wait-for graph cleanup once a conflicted sleeper aborts.
         self._on_finished = on_finished
 
     # ------------------------------------------------------------------

@@ -21,8 +21,9 @@ class ColumnType(enum.Enum):
         """Coerce/validate ``value`` for this type.
 
         INT accepts bool-free integers; FLOAT accepts ints and floats but
-        not NaN and normalizes to float; TEXT accepts str; BOOL accepts
-        bool.  ``None`` is handled by the column's nullability, not here.
+        not NaN and normalizes to float (``-0.0`` to ``0.0``); TEXT
+        accepts str; BOOL accepts bool.  ``None`` is handled by the
+        column's nullability, not here.
         """
         if self is ColumnType.INT:
             if isinstance(value, bool):
@@ -45,7 +46,8 @@ class ColumnType(enum.Enum):
             if value != value:
                 # SQLite stores a bound NaN as NULL
                 raise SchemaError(f"expected FLOAT, got {value!r}")
-            return value
+            # + 0.0 turns -0.0 into 0.0, which SQLite reads back anyway
+            return value + 0.0
         if self is ColumnType.TEXT:
             if not isinstance(value, str):
                 raise SchemaError(f"expected TEXT, got {value!r}")

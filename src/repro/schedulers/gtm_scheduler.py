@@ -12,9 +12,10 @@ itinerary (invoke / work / sleep / commit) against a shared
   server never learns of the outage: the transaction holds its locks
   and is aborted once the outage outlasts the timeout (the 2PL
   baseline, :func:`two_phase_locking`);
-- the commit request may be deferred behind another committer on the
-  same object (Algorithm 3); the process then retries on every
-  commit-slot signal until its staging completes.
+- the commit request runs to completion inside the client's event: a
+  local commit is deferred (Algorithm 3) only behind a committer that
+  holds X_committing across events, and under this driver none does,
+  so no client ever waits for a commit slot.
 
 Observer callbacks never resume processes synchronously: they schedule
 signal fires at ``now + 0`` so the GTM's own event handling finishes
@@ -137,21 +138,13 @@ class GTMSchedulerConfig:
 class _SignallingObserver(GTMObserver):
     """Relays GTM events to per-transaction simulation signals.
 
-    Two kinds of fire are left out because they would wake nobody:
-
-    - the commit slot after a global commit or abort while no process
-      waits on it and no local commit is deferred.  X_committing is
-      held across events only by a transaction deferred on another
-      object, so with nothing deferred no commit can be deferred, and
-      no process can start waiting on the slot, before the next global
-      commit or abort;
-    - the wake of a *direct* grant: one made inside the requester's own
-      ``invoke`` (:attr:`invoking`) before the request queued (any
-      ``on_wait`` of it inside the call clears the mark).  The return
-      value answers it, and the client marks only an invoke whose next
-      action yields to the engine, so the wake would have found it
-      waiting on a timer or on the commit slot, or finished, never
-      waiting on its wake.
+    The wake of a *direct* grant is left out because it would wake
+    nobody: one made inside the requester's own ``invoke``
+    (:attr:`invoking`) before the request queued (any ``on_wait`` of it
+    inside the call clears the mark).  The return value answers it, and
+    the client marks only an invoke whose next action yields to the
+    engine, so the wake would have found it waiting on a timer, or
+    finished, never waiting on its wake.
 
     Every other grant, and every abort, still schedules its wake: a
     grant made after the request queued (also one the abort cascade
@@ -162,12 +155,6 @@ class _SignallingObserver(GTMObserver):
     def __init__(self, engine: SimulationEngine) -> None:
         self.engine = engine
         self.wake_signals: dict[str, Signal] = {}
-        #: fired (deferred) after a global commit/abort: commit-slot
-        #: waiters and grant retries piggyback on it.
-        self.commit_slot = Signal("gtm.commit-slot")
-        #: the GTM's deferred local commits, per object (bound to
-        #: ``gtm.pipeline.deferred`` once the GTM is built).
-        self.deferred: dict[str, list[str]] = {}
         #: the transaction whose own ``invoke`` is running, while a
         #: grant made inside it needs no wake; None otherwise.
         self.invoking: str | None = None
@@ -195,14 +182,8 @@ class _SignallingObserver(GTMObserver):
             self._fire_later(self.signal_for(txn.txn_id),
                              ("grant", obj.name))
 
-    def on_global_commit(self, txn: GTMTransaction, now: float) -> None:
-        if self.commit_slot.waiters or any(self.deferred.values()):
-            self._fire_later(self.commit_slot, ("commit", txn.txn_id))
-
     def on_global_abort(self, txn: GTMTransaction, now: float,
                         reason: str) -> None:
-        if self.commit_slot.waiters or any(self.deferred.values()):
-            self._fire_later(self.commit_slot, ("abort", txn.txn_id))
         self._fire_later(self.signal_for(txn.txn_id), ("aborted", reason))
 
 
@@ -241,7 +222,6 @@ class GTMScheduler(Scheduler):
             sst_executor=sst_executor,
             observer=observer,
         )
-        observer.deferred = gtm.pipeline.deferred
         gtm.subscribe(TimelineObserver(collector))
         obs = Observability() if self.config.obs else None
         if obs is not None:
@@ -324,10 +304,7 @@ class GTMScheduler(Scheduler):
                 try:
                     gtm.request_commit(txn_id)
                 except SSTFailure:
-                    return  # the GTM already aborted and reported it
-                if txn.state is TransactionState.COMMITTING:
-                    # a local commit was deferred behind another committer
-                    yield from self._finish_commit(txn, gtm, observer)
+                    pass  # the GTM already aborted and reported it
                 return
 
     def _hold(self, txn: GTMTransaction, duration: float,
@@ -369,21 +346,6 @@ class GTMScheduler(Scheduler):
             # knows: a granted waiter has left Waiting.
             if kind == "grant" and txn.state is not TransactionState.WAITING:
                 return True
-
-    def _finish_commit(self, txn: GTMTransaction,
-                       gtm: GlobalTransactionManager,
-                       observer: _SignallingObserver,
-                       ) -> Generator[Any, Any, None]:
-        """Retry a deferred commit on every commit-slot fire until its
-        staging completes."""
-        while txn.state is TransactionState.COMMITTING:
-            yield WaitEvent(observer.commit_slot)
-            if txn.state is not TransactionState.COMMITTING:
-                return
-            try:
-                gtm.try_finish_commit(txn.txn_id)
-            except SSTFailure:
-                return  # the GTM already aborted and reported it
 
 
 def two_phase_locking(wait_timeout: float | None = None,

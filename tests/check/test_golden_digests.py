@@ -34,8 +34,7 @@ from repro.check.differential import (
 from repro.check.fuzzer import FuzzConfig, generate_episode
 from repro.check.runner import run_campaign, run_episode
 from repro.check.service_fuzzer import ServiceFuzzConfig, run_service_campaign
-from repro.core.policies import WaitForGraphPolicy
-from repro.ldbs.deadlock import VictimPolicy
+from repro.core.deadlock import DeadlockPolicing, VictimPolicy
 
 SEED = 42
 EPISODES = 200
@@ -62,7 +61,7 @@ PINS = {
 #: The differential mode behind each GTM trace pin.
 TRACE_PIN_MODES = {"backend-diff gtm": "backend", "engine-diff gtm": "engine"}
 
-#: The pins of the 2PL baseline, which builds a ``WaitForGraphPolicy``.
+#: The pins of the 2PL baseline, whose GTM detects deadlocks too.
 TWOPL_PINS = ("campaign 2pl", "backend-diff 2pl")
 
 
@@ -82,9 +81,8 @@ def _digest(pin: str) -> str:
 
 
 def _oldest_victim(patch: pytest.MonkeyPatch) -> None:
-    """The mutant: ``WaitForGraphPolicy()`` picks the oldest victim."""
-    patch.setattr(WaitForGraphPolicy.__init__, "__defaults__",
-                  (VictimPolicy.OLDEST,))
+    """The mutant: the deadlock victim rule picks the oldest."""
+    patch.setattr(DeadlockPolicing, "victim_policy", VictimPolicy.OLDEST)
 
 
 @pytest.mark.parametrize("pin", PINS)
@@ -97,7 +95,7 @@ def test_pin_holds(pin):
             if pin not in TRACE_PIN_MODES and pin not in TWOPL_PINS])
 def test_a_victim_flip_keeps_the_pin(pin, monkeypatch):
     """Summaries do not see which transaction a deadlock killed, and
-    the optimistic baseline never builds a ``WaitForGraphPolicy``."""
+    the optimistic baseline runs no GTM."""
     _oldest_victim(monkeypatch)
     assert _digest(pin) == PINS[pin]
 

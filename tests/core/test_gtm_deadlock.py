@@ -2,18 +2,17 @@
 
 import pytest
 
-from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
+from repro.core.deadlock import DeadlockPolicing, VictimPolicy
+from repro.core.gtm import GlobalTransactionManager, GrantOutcome
 from repro.core.opclass import assign, multiply, subtract
-from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy
 from repro.core.states import TransactionState
 from repro.errors import GTMError
-from repro.ldbs.deadlock import VictimPolicy
 
 _S = TransactionState
 
 
-def make_gtm(**kwargs) -> GlobalTransactionManager:
-    gtm = GlobalTransactionManager(config=GTMConfig(**kwargs))
+def make_gtm() -> GlobalTransactionManager:
+    gtm = GlobalTransactionManager()
     gtm.create_object("X", value=100)
     gtm.create_object("Y", value=100)
     return gtm
@@ -55,22 +54,15 @@ class TestDetection:
         assert gtm.object("X").permanent_value() == 1
         assert gtm.object("Y").permanent_value() == 1
 
-    def test_oldest_victim_policy_kills_holder(self):
-        gtm = make_gtm(deadlock_policy=WaitForGraphPolicy(
-            victim_policy=VictimPolicy.OLDEST))
+    def test_oldest_victim_policy_kills_holder(self, monkeypatch):
+        monkeypatch.setattr(DeadlockPolicing, "victim_policy",
+                            VictimPolicy.OLDEST)
+        gtm = make_gtm()
         outcome = build_cycle(gtm)
         # A (oldest) dies; the requester B gets its grant on X
         assert gtm.transaction("A").state is _S.ABORTED
         assert outcome == GrantOutcome.GRANTED
         assert gtm.object("X").is_pending("B")
-
-    def test_detection_disabled_leaves_both_waiting(self):
-        gtm = make_gtm(deadlock_policy=NoDeadlockPolicy())
-        outcome = build_cycle(gtm)
-        assert outcome == GrantOutcome.QUEUED
-        assert gtm.transaction("A").state is _S.WAITING
-        assert gtm.transaction("B").state is _S.WAITING
-        assert gtm.deadlocks_detected == 0
 
     def test_no_false_positive_on_plain_wait(self):
         gtm = make_gtm()
@@ -132,7 +124,7 @@ class TestWaitForInvariant:
         gtm.begin("B")
         assert gtm.invoke("A", "X", assign(1)) == GrantOutcome.GRANTED
         gtm.check_invariants()
-        gtm.deadlock_policy.detector.graph.add_waits("A", ["B"])  # planted
+        gtm.deadlocks.graph.add_waits("A", ["B"])  # planted
         with pytest.raises(GTMError, match="'A' is active but waits on"):
             gtm.check_invariants()
 
@@ -142,7 +134,7 @@ class TestWaitForInvariant:
         gtm.begin("B")
         assert gtm.invoke("B", "Y", assign(2)) == GrantOutcome.GRANTED
         assert gtm.invoke("A", "Y", assign(1)) == GrantOutcome.QUEUED
-        graph = gtm.deadlock_policy.detector.graph
+        graph = gtm.deadlocks.graph
         assert graph.waits_of("A") == {"B"}
         gtm.check_invariants()  # A waits: its edge is legitimate
         gtm.request_commit("B")  # the pump grants A and drops the edge

@@ -28,7 +28,7 @@ KERNEL_DRIVERS = ("begin", "local_commit", "global_commit", "request_commit",
 
 #: The protocol knobs; a field more is an option no benchmark asked for.
 GTM_CONFIG_FIELDS = ("matrix", "dependence", "registry", "grant_policy",
-                     "throttle", "deadlock_policy", "conflict_engine")
+                     "throttle", "conflict_engine")
 
 
 def _call_sites(pattern: str) -> list[str]:

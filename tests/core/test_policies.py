@@ -1,87 +1,69 @@
-"""Tests for the pluggable deadlock policies (Section VII policing)."""
+"""Deadlock policing as the GTM wires it: the admission controller's
+guard around the victim the wait-for graph names, and one component per
+manager (Section VII)."""
 
+from repro.core.deadlock import DeadlockPolicing
 from repro.core.gtm import GlobalTransactionManager, GTMConfig, GrantOutcome
-from repro.core.policies import NoDeadlockPolicy, WaitForGraphPolicy
-from repro.ldbs.deadlock import DeadlockResolution
 from repro.core.opclass import assign
 from repro.core.states import TransactionState
 
 _S = TransactionState
 
 
-def make_gtm(policy) -> GlobalTransactionManager:
-    gtm = GlobalTransactionManager(
-        config=GTMConfig(deadlock_policy=policy))
+def make_gtm() -> GlobalTransactionManager:
+    gtm = GlobalTransactionManager()
     gtm.create_object("X", value=100)
     gtm.create_object("Y", value=100)
     return gtm
 
 
-def build_cycle(gtm) -> str:
-    """A (older) holds X, waits on Y; B (younger) holds Y, requests X."""
-    gtm.begin("A")
-    gtm.begin("B")
-    assert gtm.invoke("A", "X", assign(1)) == GrantOutcome.GRANTED
-    assert gtm.invoke("B", "Y", assign(2)) == GrantOutcome.GRANTED
-    gtm.invoke("A", "Y", assign(1))
-    return gtm.invoke("B", "X", assign(2))
-
-
 class TestCommitterProtection:
-    """The admission controller's own guard, whatever the policy says:
-    a transaction that is already Committing is never aborted as a
-    victim — it holds ``X_committing`` and finishes by itself."""
+    """The admission controller's own guard, whatever the victim rule
+    says: a transaction that is already Committing is never aborted as
+    a victim — it holds ``X_committing`` and finishes by itself.
 
-    class NameTheBlocker(NoDeadlockPolicy):
-        def on_wait(self, waiter, blockers):
-            return DeadlockResolution(victim=blockers[0],
-                                      cycle=(waiter, blockers[0]))
+    A committer is on no cycle of the live graph (it waits for nothing),
+    so each test plants its edge to the requester and makes the victim
+    rule name the blocker."""
 
-    def test_committing_blocker_is_never_the_victim(self):
-        gtm = make_gtm(self.NameTheBlocker())
+    @staticmethod
+    def _name_the_blocker(monkeypatch):
+        monkeypatch.setattr(DeadlockPolicing, "victim",
+                            lambda policing, cycle: "young")
+
+    def test_committing_blocker_is_never_the_victim(self, monkeypatch):
+        self._name_the_blocker(monkeypatch)
+        gtm = make_gtm()
         gtm.begin("old")
         gtm.begin("young")
         gtm.invoke("young", "X", assign(2))
         gtm.apply("young", "X", assign(2))
         gtm.local_commit("young", "X")      # young is now Committing
+        gtm.deadlocks.graph.add_waits("young", ["old"])  # planted
         assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.QUEUED
         assert gtm.transaction("young").state is _S.COMMITTING
 
-    def test_active_blocker_named_by_the_policy_is_aborted(self):
-        gtm = make_gtm(self.NameTheBlocker())
+    def test_active_blocker_named_by_the_policy_is_aborted(self,
+                                                           monkeypatch):
+        self._name_the_blocker(monkeypatch)
+        gtm = make_gtm()
         gtm.begin("old")
         gtm.begin("young")
         gtm.invoke("young", "X", assign(2))
+        gtm.deadlocks.graph.add_waits("young", ["old"])  # planted
         assert gtm.invoke("old", "X", assign(1)) == GrantOutcome.GRANTED
         assert gtm.transaction("young").state is _S.ABORTED
 
 
-class TestNoPolicy:
-    def test_cycle_left_standing(self):
-        gtm = make_gtm(NoDeadlockPolicy())
-        outcome = build_cycle(gtm)
-        assert outcome == GrantOutcome.QUEUED
-        assert gtm.transaction("A").state is _S.WAITING
-        assert gtm.transaction("B").state is _S.WAITING
-        assert gtm.deadlocks_detected == 0
-
-
 class TestBuildPolicy:
     def test_default_is_a_fresh_wait_for_graph_per_manager(self):
-        """Policies are stateful: the ``None`` default must never hand
-        two managers the same instance."""
+        """The component is stateful: two managers built from one
+        config never share it.  No config field reaches it
+        (``tests/core/test_one_kernel.py`` pins ``GTMConfig``'s
+        fields)."""
         config = GTMConfig()
-        assert config.deadlock_policy is None
         first = GlobalTransactionManager(config=config)
         second = GlobalTransactionManager(config=config)
-        assert isinstance(first.deadlock_policy, WaitForGraphPolicy)
-        assert first.deadlock_policy is not second.deadlock_policy
-
-    def test_explicit_policy_is_the_only_knob(self):
-        policy = NoDeadlockPolicy()
-        gtm = GlobalTransactionManager(
-            config=GTMConfig(deadlock_policy=policy))
-        assert gtm.deadlock_policy is policy
-        fields = GTMConfig.__dataclass_fields__
-        assert "deadlock_detection" not in fields
-        assert "victim_policy" not in fields
+        assert isinstance(first.deadlocks, DeadlockPolicing)
+        assert first.deadlocks is not second.deadlocks
+        assert first.deadlocks.graph is not second.deadlocks.graph

@@ -8,7 +8,7 @@ policing is cheap without timing anything:
 - removing a finished transaction touches its own edges and its
   in-neighbours', not every edge set in the graph;
 - a re-police sweep asks only about the transactions whose claim moved,
-  and consults the policy about no waiter whose blockers stayed put;
+  and consults the graph about no waiter whose blockers stayed put;
 - on a contended campaign the ordered DFS walks are a small fraction of
   what they were, and every episode detects exactly the same deadlocks.
 """
@@ -18,8 +18,7 @@ from repro.check.runner import build_scheduler
 from repro.core.events import GTMObserver
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.core.opclass import assign, read
-from repro.core.policies import WaitForGraphPolicy
-from repro.ldbs.deadlock import WaitForGraph
+from repro.core.deadlock import DeadlockPolicing, WaitForGraph
 
 WAITERS = 64
 
@@ -125,13 +124,13 @@ class TestPolicingCounts:
         gtm.subscribe(Sweeps())
         consults = {"n": 0}
         for name in ("on_wait", "refresh_wait"):
-            method = getattr(WaitForGraphPolicy, name)
+            method = getattr(DeadlockPolicing, name)
 
             def counted(policy, *args, _method=method):
                 consults["n"] += 1
                 return _method(policy, *args)
 
-            monkeypatch.setattr(WaitForGraphPolicy, name, counted)
+            monkeypatch.setattr(DeadlockPolicing, name, counted)
         # a READ commutes with the ASSIGNs: it is granted beside H0 and
         # commits, which moves the object's lock state and pumps its
         # queue, but it never blocks (or unblocks) any waiter.

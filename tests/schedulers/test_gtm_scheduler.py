@@ -11,11 +11,23 @@ from repro.core.objects import ObjectBinding
 from repro.ldbs.constraints import NonNegative
 from repro.ldbs.backend import MemoryBackend
 from repro.ldbs.schema import Column, ColumnType, TableSchema
-from repro.metrics.collectors import Outcome
+from repro.metrics.collectors import (
+    MetricsCollector,
+    Outcome,
+    TimelineObserver,
+)
 from repro.mobile.network import DisconnectionEvent
 from repro.mobile.session import SessionPlan
-from repro.schedulers import GTMScheduler, GTMSchedulerConfig
+from repro.schedulers import (
+    GTMScheduler,
+    GTMSchedulerConfig,
+    two_phase_locking,
+)
 from repro.schedulers.gtm_scheduler import _SignallingObserver
+from repro.workload.generator import (
+    PaperWorkloadConfig,
+    generate_paper_workload,
+)
 from repro.workload.spec import (
     TransactionProfile,
     TransactionStep,
@@ -242,11 +254,53 @@ class TestScheduledFires:
 
     def test_an_uncontended_transaction_takes_two_events(self):
         """Its start and its work timer: the direct grant schedules no
-        wake and the commit no commit-slot fire."""
+        wake, and the commit schedules nothing."""
         result = run_workload(
             [single_step_profile("T", 0.0, "X", subtract(1), plan())])
         assert result.stats.committed == 1
         assert result.extra["events_dispatched"] == 2
+
+
+class TestNoDeferredCommit:
+    """The scheduler keeps no retry path for a deferred local commit.
+
+    A commit is deferred (Algorithm 3) only behind a transaction that
+    holds X_committing across events, and under the simulated driver a
+    client's commit runs to completion inside its own event, so none
+    ever is.  Were one deferred, the liveness verdict would name the
+    stranded transaction."""
+
+    #: The paper_emulation benchmark's (α, β) grid and its first round
+    #: at seed 7 (episode seed 7 · 100000 + point).
+    GRID = tuple((alpha, beta) for alpha in (0.1, 0.5, 0.9)
+                 for beta in (0.05, 0.3))
+
+    def test_no_commit_is_deferred_on_the_paper_grid_or_under_2pl(
+            self, monkeypatch):
+        deferred = []
+        monkeypatch.setattr(
+            TimelineObserver, "on_commit_deferred",
+            lambda observer, txn, obj, now: deferred.append(txn.txn_id))
+        # the watched hook does hear a deferral made by hand
+        gtm = GlobalTransactionManager()
+        gtm.subscribe(TimelineObserver(MetricsCollector()))
+        gtm.create_object("X", value=0)
+        for txn_id in ("A", "B"):
+            gtm.begin(txn_id)
+            gtm.invoke(txn_id, "X", add(1))
+        gtm.local_commit("A", "X")
+        gtm.local_commit("B", "X")
+        assert deferred == ["B"]
+        deferred.clear()
+
+        workloads = [
+            generate_paper_workload(PaperWorkloadConfig(
+                alpha=alpha, beta=beta, seed=700_000 + point)).workload
+            for point, (alpha, beta) in enumerate(self.GRID)]
+        for workload in workloads:
+            assert GTMScheduler().run(workload).stats.unfinished == 0
+        assert two_phase_locking().run(workloads[3]).stats.unfinished == 0
+        assert deferred == []
 
 
 class TestCascadeGrant:

@@ -40,6 +40,9 @@ helper and generator per bound value)
 an op on a bound object refuses an int        373.1   373.1   333.6
 operand no float can hold (one helper
 frame per op)
+one deadlock component: a finished            371.1   371.1   331.6
+transaction leaves the wait-for graph
+with no wrapper frame between
 budget (440 / 426 / 386 before the pump       376.6   376.6   344.6
 line, lowered by 41.4; memory by 22.0
 more with the line above, SQLite by 8.0

@@ -30,6 +30,9 @@ later server-side changes, the last an op   602.1   602.1   562.6
 on a bound object that refuses an int
 operand no float can hold (4 of these:
 one helper frame per op)
+one deadlock component (no wrapper         600.1   600.1   560.6
+frame between a finished transaction
+and the wait-for graph)
 budget (one frame per request above)        626     612.5   568.6
 =========================================  ======  ======  ==========
 

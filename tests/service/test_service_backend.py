@@ -33,6 +33,15 @@ def served(request):
 
 
 class TestServiceBackend:
+    def test_negative_zero_dumps_alike_on_every_backend(self, served):
+        """SQLite reads a stored -0.0 back as 0.0, so the column type
+        normalises it for both backends: their dumps agree by ``repr``,
+        not only by ``==``."""
+        service, _, _ = served
+        service.create_object("z", value=-0.0)
+        assert repr(service.backend.dump()["gtm_objects"]["z"]["value"]) \
+            == "0.0"
+
     def test_virtual_by_default(self):
         service = GTMService(SimulationEngine())
         assert service.backend is None
