@@ -34,6 +34,7 @@ from repro.errors import (
     BackendConflictError,
     ConstraintViolation,
     GTMError,
+    ReproError,
     SSTFailure,
 )
 from repro.core.objects import ObjectBinding
@@ -137,7 +138,8 @@ class SSTExecutor:
 
     def execute(self, txn_id: str,
                 writes: Sequence[StagedWrite]) -> SSTReport:
-        """Run one SST.  Raises :class:`SSTFailure` after retries expire."""
+        """Run one SST.  Raises :class:`SSTFailure` after retries expire,
+        or at once on any other error the attempt raises."""
         report = SSTReport(txn_id=txn_id)
         last_error: Exception | None = None
         for attempt in range(1, self.max_retries + 2):
@@ -163,6 +165,13 @@ class SSTExecutor:
                 # without its traceback, which holds this very frame
                 last_error = exc.with_traceback(None)
                 continue
+            except ReproError as exc:
+                # Anything else an attempt raises (a closed backend, an
+                # I/O error, a binding without its column) is final too,
+                # and must surface as SSTFailure: only that makes the
+                # commit pipeline abort the transaction from Committing.
+                self.failed += 1
+                raise SSTFailure(txn_id, f"backend: {exc}") from exc
             else:
                 self.executed += 1
                 return report

@@ -74,8 +74,8 @@ def summarize(collector: MetricsCollector,
     committed = [t for t in timelines if t.outcome is Outcome.COMMITTED]
     aborted = [t for t in timelines if t.outcome is Outcome.ABORTED]
     unfinished = [t for t in timelines if t.outcome is Outcome.UNFINISHED]
-    exec_times = [t.execution_time for t in committed
-                  if t.execution_time is not None]
+    exec_times = [time for t in committed
+                  if (time := t.execution_time) is not None]
     finished_count = len(committed) + len(aborted)
     if makespan is None:
         ends = [t.finished for t in timelines if t.finished is not None]

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Any, Callable
 
+import orjson
+
 from repro.errors import (
     GTMError,
     IllegalTransition,
@@ -75,11 +77,13 @@ OP_NAMES: dict[str, OperationClass] = {
 # ---------------------------------------------------------------------------
 
 
-#: The compact UTF-8 encoder, and the C encoder ``JSONEncoder.encode``
-#: builds from it inside every call, built once.  No marker dict (the
-#: circular-reference check): frames are trees this package builds
-#: from scalars and decoded JSON.  Without the C accelerator the
-#: stdlib falls back to its Python encoder, and so does this.
+#: The stdlib's compact UTF-8 encoder, whose spelling the wire keeps,
+#: and the C encoder ``JSONEncoder.encode`` builds from it inside every
+#: call, built once: it writes what orjson would spell differently.
+#: No marker dict (the circular-reference check): frames are trees
+#: this package builds from scalars and decoded JSON.  Without the C
+#: accelerator the stdlib falls back to its Python encoder, and so
+#: does this.
 _encoder = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 if json.encoder.c_make_encoder is not None:
     _iterencode = json.encoder.c_make_encoder(
@@ -90,10 +94,23 @@ else:  # pragma: no cover - CPython ships the accelerator
     def _iterencode(frame: Any, _level: int) -> tuple[str]:
         return (_encoder.encode(frame),)
 
+#: Top-level value types orjson spells as the stdlib does.  A float
+#: does not qualify (``1e16`` for ``1e+16``, ``0.00001`` for
+#: ``1e-05``, ``null`` for NaN and ±inf), nor does a container, which
+#: could hold one.
+_SAME_SPELLING = frozenset({str, int, bool, type(None)})
+
 
 def encode_frame(frame: dict[str, Any]) -> bytes:
     """Serialize one frame to its wire form (compact JSON + newline)."""
-    data = "".join(_iterencode(frame, 0)).encode("utf-8")
+    data = None
+    if _SAME_SPELLING.issuperset(map(type, frame.values())):
+        try:
+            data = orjson.dumps(frame)
+        except orjson.JSONEncodeError:
+            pass  # an int beyond 64 bits, a non-str key, a surrogate
+    if data is None:
+        data = "".join(_iterencode(frame, 0)).encode("utf-8")
     if len(data) + 1 > MAX_FRAME_BYTES:
         raise WireFormatError(
             f"frame of {len(data)} bytes exceeds the "
@@ -101,28 +118,40 @@ def encode_frame(frame: dict[str, Any]) -> bytes:
     return data + b"\n"
 
 
-#: The scanner ``json.loads`` ends up in, without what it runs around
-#: it for every call (encoding detection, two whitespace regexes).
-_scan_json = json.JSONDecoder().raw_decode
-_JSON_WHITESPACE = " \t\n\r"
+#: orjson reads an integer outside [-2**63, 2**64) as a float, and any
+#: such integer is a run of at least 19 digits (digits map to "0").
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+_LONG_DIGIT_RUN = b"0" * 19
+#: orjson reads a text of any depth; ``json.loads`` raises
+#: RecursionError near the interpreter's recursion limit (1000 by
+#: default).  Nesting *d* deep takes at least 2 *d* characters, so no
+#: line this short nests deep enough to tell the two apart.
+_SHALLOW_LINE_BYTES = 1024
 
 
 def decode_frame(line: bytes | str) -> dict[str, Any]:
     """Parse one wire line into a frame dict, validating the envelope."""
-    if isinstance(line, bytes) and len(line) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame of {len(line)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit")
-    try:
-        text = line.decode("utf-8") if isinstance(line, bytes) else line
-        text = text.strip(_JSON_WHITESPACE)
-        frame, end = _scan_json(text)
-        if end != len(text):
-            raise ValueError("data after the frame")
-    except ValueError:
-        # Not one UTF-8 JSON value: BOMs, UTF-16/32 and every malformed
-        # line go the long way, so what is accepted and what each error
-        # says stay exactly ``json.loads``'s.
+    if isinstance(line, bytes):
+        if len(line) > MAX_FRAME_BYTES:
+            raise WireFormatError(
+                f"frame of {len(line)} bytes exceeds the "
+                f"{MAX_FRAME_BYTES}-byte limit")
+        data = line
+    else:
+        data = line.encode("utf-8", "surrogatepass")
+    frame = None
+    if (len(data) <= _SHALLOW_LINE_BYTES
+            and _LONG_DIGIT_RUN not in data.translate(_DIGITS_AS_ZERO)):
+        try:
+            frame = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    if frame is None:
+        # What orjson refuses or would read differently goes the long
+        # way: NaN, Infinity, 1e999, BOMs, UTF-16/32, lone surrogates,
+        # trailing garbage, every malformed line, and the two guards
+        # above, so what is accepted, what it decodes to and what each
+        # error says stay exactly ``json.loads``'s.
         try:
             frame = json.loads(line)
         except (ValueError, UnicodeDecodeError) as exc:

@@ -7,8 +7,8 @@ transaction is begin, four ops on distinct objects (read / add / assign
 goes ``encode_frame`` → ``decode_frame`` → ``GTMService.handle`` → sink
 → ``encode_frame`` → ``decode_frame``, in process: no loop, no clock.
 Counted by ``sys.setprofile`` (``"call"`` events: Python functions,
-generator resumptions, comprehension frames; C functions — the JSON
-scanner and encoder, ``sqlite3`` — are not counted), so the figure is a
+generator resumptions, comprehension frames; C functions — orjson,
+the stdlib's JSON scanner and encoder, ``sqlite3`` — are not counted), so the figure is a
 property of the code path and repeats exactly from process to process
 and under any ``PYTHONHASHSEED``.
 
@@ -43,16 +43,21 @@ frame per op)
 one deadlock component: a finished            371.1   371.1   331.6
 transaction leaves the wait-for graph
 with no wrapper frame between
-budget (440 / 426 / 386 before the pump       376.6   376.6   344.6
+the codec in C (orjson: no                    359.1   359.1   319.6
+``JSONDecoder.raw_decode`` frame per
+decoded frame)
+budget (440 / 426 / 386 before the pump       364.6   364.6   332.6
 line, lowered by 41.4; memory by 22.0
-more with the line above, SQLite by 8.0
-with the line before)
+more with the line above the one before,
+SQLite by 8.0 with the line before that,
+all three by 12.0 with the codec in C)
 ============================================  ======  ======  ==========
 
 What a re-added level costs, in calls per transaction: one more frame
-per *encoded frame* (``JSONEncoder.encode`` under ``encode_frame``) is
-12, per *decoded* one as many; one more frame per *request* is 6; one
-more per *written row* (a key-column helper, a ``get_row`` before the
+per *encoded frame* (the stdlib's ``JSONEncoder.encode`` back under
+``encode_frame``) is 12, per *decoded* one as many (the
+``raw_decode`` frame the C codec dropped); one more frame per
+*request* is 6; one more per *written row* (a key-column helper, a ``get_row`` before the
 ``UPDATE``; a predicate built, compared and applied was 5 of them) is
 2.8; one more per *SST* (a report helper, a second context manager) is
 1.  The budgets leave room for a frame per request or per row, not for
@@ -99,7 +104,7 @@ OBJECTS = 64
 OPS_PER_TXN = 4
 OP_MIX = ("read",) * 3 + ("add",) * 5 + ("assign", "mul")
 #: backend name (None = virtual service) -> calls per transaction.
-CALL_BUDGETS = {"memory": 376.6, "sqlite": 376.6, None: 344.6}
+CALL_BUDGETS = {"memory": 364.6, "sqlite": 364.6, None: 332.6}
 #: backend name -> calls per ``create_object`` (28.0 / 39.0 when every
 #: seed was a backend transaction).
 CREATE_BUDGETS = {"memory": 19, "sqlite": 21}

@@ -11,6 +11,8 @@ Provenance of the shrunk specs: campaign seed 42, default
 :class:`~repro.check.service_fuzzer.ServiceFuzzConfig`.
 """
 
+import pytest
+
 from repro.check.service_fuzzer import (
     ClientActionSpec,
     ServiceClientSpec,
@@ -325,3 +327,32 @@ def test_failed_reconciliation_aborts_instead_of_wedging():
     assert frames[-1] == {"type": "committed", "txn": "t2", "re": 6}
     assert service.gtm.object("x").permanent_value("value") == 4
     assert service.backend.dump()["gtm_objects"]["x"]["value"] == 4.0
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_backend_error_at_commit_aborts_instead_of_wedging(backend):
+    """A backend error other than a constraint or a lost race (here:
+    the backend was closed) escaped the SST executor as itself.  The
+    commit answered ``gtm/error`` and left the transaction Committing,
+    so every later writer of ``x`` queued behind it for ever.  Now the
+    SST fails and the transaction aborts."""
+    service = GTMService(SimulationEngine(), config=ServiceConfig(
+        ldbs_backend=backend))
+    service.create_object("x", value=5)
+    a_frames, b_frames = [], []
+    sa = service.connect({"type": "hello", "id": "a0"}, a_frames.append)
+    sb = service.connect({"type": "hello", "id": "b0"}, b_frames.append)
+    service.handle(sa, {"type": "begin", "txn": "tA", "id": "a1"})
+    service.handle(sa, {"type": "op", "txn": "tA", "object": "x",
+                        "op": "add", "operand": 1, "id": "a2"})
+    service.handle(sb, {"type": "begin", "txn": "tB", "id": "b1"})
+    service.backend.close()
+    service.handle(sa, {"type": "commit", "txn": "tA", "id": "a3"})
+    assert a_frames[-1]["re"] == "a3"
+    assert a_frames[-1]["code"] == "gtm/sst-failure"
+    assert "closed" in a_frames[-1]["reason"]
+    assert service.gtm.transaction("tA").state is _TS.ABORTED
+    assert not service.gtm.object("x").committing
+    service.handle(sb, {"type": "op", "txn": "tB", "object": "x",
+                        "op": "assign", "operand": 4, "id": "b2"})
+    assert b_frames[-1]["type"] == "granted" and b_frames[-1]["re"] == "b2"

@@ -1,6 +1,8 @@
 """Wire codec tests: frames, the op builder, and the error taxonomy."""
 
+import asyncio
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,9 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.core.opclass import OperationClass
+from repro.driver.asyncio_driver import AsyncioDriver
+from repro.service import GTMService, ServiceConfig, protocol
+from repro.service.client import ServiceClient
 from repro.service.protocol import (
     ERROR_SPECS,
     MAX_FRAME_BYTES,
@@ -29,6 +34,7 @@ from repro.service.protocol import (
     error_frame,
     frame_to_exception,
 )
+from repro.service.server import ServiceServer, memory_connector
 
 
 class TestFrameCodec:
@@ -93,6 +99,36 @@ class TestEncodingIsUnchanged:
         frame = {"type": "op", "object": "vol/à-β-東京", "operand": 0.1}
         assert encode_frame(frame) == reference_encoding(frame)
         assert "東京".encode("utf-8") in encode_frame(frame)
+
+    @pytest.mark.parametrize("frame", [
+        # orjson refuses ints beyond 64 bits: the stdlib writes them
+        pytest.param({"type": "op", "operand": 2**63 - 1}, id="2**63-1"),
+        pytest.param({"type": "op", "operand": 2**63}, id="2**63"),
+        pytest.param({"type": "op", "operand": 2**64 - 1}, id="2**64-1"),
+        pytest.param({"type": "op", "operand": 2**64}, id="2**64"),
+        pytest.param({"type": "op", "operand": -2**63}, id="-2**63"),
+        pytest.param({"type": "op", "operand": -2**63 - 1}, id="-2**63-1"),
+        # orjson spells these floats differently: 1e16, 0.00001, null
+        pytest.param({"type": "op", "operand": 1e16}, id="1e16"),
+        pytest.param({"type": "op", "operand": 1e-05}, id="1e-05"),
+        pytest.param({"type": "op", "operand": 5e-324}, id="5e-324"),
+        pytest.param({"type": "op", "operand": float("nan")}, id="nan"),
+        pytest.param({"type": "op", "operand": float("inf")}, id="inf"),
+        pytest.param({"type": "op", "operand": float("-inf")}, id="-inf"),
+        pytest.param({"type": "op", "operand": {"v": 1e16}},
+                     id="nested-1e16"),
+        pytest.param({"type": "op", "operand": [2**64]}, id="nested-2**64"),
+        pytest.param({"type": "op", 7: "seven"}, id="int-key"),
+        pytest.param({"type": "ping", "id": None}, id="none-value"),
+    ])
+    def test_named_corner(self, frame):
+        assert encode_frame(frame) == reference_encoding(frame)
+
+    def test_a_lone_surrogate_raises_as_before(self):
+        with pytest.raises(UnicodeEncodeError):
+            encode_frame({"type": "p\ud800"})
+        with pytest.raises(UnicodeEncodeError):
+            reference_encoding({"type": "p\ud800"})
 
     def test_limit_is_on_the_encoded_bytes(self):
         # 2 bytes per character: half the limit in characters is over
@@ -207,12 +243,60 @@ class TestDecodingIsUnchanged:
         b'{"id":3}\n', b'{"type":7}\n', b'{"type":null}\n',
         b'{"type":"ping"', b"{nope}\n",
         b'{"type":"ping","n":' + b"9" * 5000 + b"}\n",  # int digit limit
+        # orjson reads an int outside [-2**63, 2**64) as a float
+        pytest.param(b'{"type":"ping","n":9223372036854775807}',
+                     id="2**63-1"),
+        pytest.param(b'{"type":"ping","n":9223372036854775808}',
+                     id="2**63"),
+        pytest.param(b'{"type":"ping","n":18446744073709551615}',
+                     id="2**64-1"),
+        pytest.param(b'{"type":"ping","n":18446744073709551616}',
+                     id="2**64"),
+        pytest.param(b'{"type":"ping","n":-9223372036854775808}',
+                     id="-2**63"),
+        pytest.param(b'{"type":"ping","n":-9223372036854775809}',
+                     id="-2**63-1"),
+        pytest.param(b'{"type":"ping","n":1234567890123456789}',
+                     id="19-digit-run"),
+        pytest.param(b'{"type":"ping","n":12345678901234567890}',
+                     id="20-digit-run"),
+        pytest.param(b'{"type":"ping","n":0.12345678901234567890123}',
+                     id="20-digit-fraction"),
+        pytest.param(
+            b'{"type":"op","op":"insert","operand":'
+            b'{"a":18446744073709551616,"b":-9223372036854775809}}',
+            id="insert-operand-2**64"),
+        pytest.param(
+            '{"type":"op","op":"insert","operand":'
+            '{"a":18446744073709551615,"b":-9223372036854775808}}',
+            id="insert-operand-str-64-bit"),
+        pytest.param(
+            '{"type":"op","op":"insert","operand":'
+            '{"a":18446744073709551616,"b":-9223372036854775809}}',
+            id="insert-operand-str-2**64"),
         b'{"type":"ping","blob":"' + b"x" * MAX_FRAME_BYTES + b'"}\n',
         '{"type":"ping","blob":"' + "x" * MAX_FRAME_BYTES + '"}',
     ])
     def test_named_corner(self, line):
         assert decoding(decode_frame, line) == \
             decoding(reference_decode_frame, line)
+
+    @pytest.mark.parametrize("depth", [400, 600])
+    def test_nesting_decodes_as_before(self, depth):
+        line = (b'{"type":"ping","n":' + b"[" * depth + b"]" * depth
+                + b"}")
+        assert decoding(decode_frame, line) == \
+            decoding(reference_decode_frame, line)
+
+    def test_nesting_past_the_recursion_limit_raises_as_before(self):
+        # orjson would read it; json.loads cannot
+        depth = 4 * sys.getrecursionlimit()
+        line = (b'{"type":"ping","n":' + b"[" * depth + b"]" * depth
+                + b"}")
+        with pytest.raises(RecursionError):
+            reference_decode_frame(line)
+        with pytest.raises(RecursionError):
+            decode_frame(line)
 
     def test_the_fast_path_is_what_frames_take(self, monkeypatch):
         # every frame the program itself writes decodes without the
@@ -222,6 +306,38 @@ class TestDecodingIsUnchanged:
         frame = {"type": "op", "object": "vol/à-β-東京", "operand": 0.1}
         assert decode_frame(encode_frame(frame)) == frame
         assert decode_frame(' {"type": "ping"}\r\n') == {"type": "ping"}
+
+    def test_frames_between_client_and_service_take_orjson(self, monkeypatch):
+        # a transaction between the repository's own client and
+        # service, with the stdlib's encoder and json.loads unable to
+        # run: every frame either side builds is written and read by
+        # orjson (the differentials above would not notice a fast path
+        # that never succeeds)
+        def long_way(*args):
+            raise AssertionError(f"a frame went the long way: {args!r}")
+
+        monkeypatch.setattr(protocol, "_iterencode", long_way)
+        monkeypatch.setattr(json, "loads", long_way)
+        replies = asyncio.run(_one_transaction())
+        assert [reply["type"] for reply in replies] == [
+            "welcome", "granted", "granted", "committed", "goodbye"]
+
+
+async def _one_transaction():
+    service = GTMService(AsyncioDriver(), config=ServiceConfig(
+        ldbs_backend="memory"))
+    service.create_object("vol/à-β-東京", value=1)
+    service.create_object("x", value=5)
+    server = ServiceServer(service)
+    client = ServiceClient(*await memory_connector(server)())
+    replies = [await client.hello()]
+    txn = await client.begin()
+    replies.append(await client.op(txn, "read", "vol/à-β-東京", None))
+    replies.append(await client.op(txn, "add", "x", 2))
+    replies.append(await client.commit(txn))
+    replies.append(await client.bye())
+    await server.shutdown()
+    return replies
 
 
 class TestBuildInvocation:
