@@ -143,10 +143,11 @@ class AdmissionController:
                 invocation: Invocation, now: float) -> str:
         """Grant the invocation, queue it, or abort a deadlock victim."""
         self._validate(txn, obj, invocation)
-        if obj.is_pending(txn.txn_id):
-            existing = obj.pending[txn.txn_id].get(invocation.member)
-            if existing == invocation:
-                return GrantOutcome.GRANTED
+        # ``txn_id in obj.pending`` and ``obj.pending.get`` are
+        # ``ManagedObject.is_pending`` inline: every request tests it.
+        held = obj.pending.get(txn.txn_id)
+        if held is not None and held.get(invocation.member) == invocation:
+            return GrantOutcome.GRANTED
 
         # The three admission checks short-circuit in cost order: the
         # O(1) summary conflict test first, the throttle and the grant
@@ -166,7 +167,7 @@ class AdmissionController:
         txn.operations.setdefault(obj.name, {})[invocation.member] = \
             invocation
         obj.push_waiting(WaitEntry(txn.txn_id, invocation, now))
-        if not obj.is_pending(txn.txn_id):
+        if txn.txn_id not in obj.pending:
             txn.clear_temp(obj.name)  # A_temp^X = ⊥ (no grant held)
         self.bus.on_wait(txn, obj, invocation, now)
         if blocked:
@@ -201,8 +202,8 @@ class AdmissionController:
                 "invoke",
                 f"{invocation.describe()!r} on {obj.name!r}: the "
                 f"object does not exist (deleted or never inserted)")
-        if obj.is_pending(txn.txn_id):
-            held = obj.pending[txn.txn_id]
+        held = obj.pending.get(txn.txn_id)
+        if held is not None:
             existing = held.get(invocation.member)
             upgrade = False
             if existing is not None and existing != invocation:
@@ -488,7 +489,7 @@ class AdmissionController:
             raise ProtocolError(
                 "local_abort",
                 f"{txn_id!r} is {txn.state.value}; nothing to abort")
-        if not (obj.is_pending(txn_id) or obj.is_waiting(txn_id)
+        if not (txn_id in obj.pending or obj.is_waiting(txn_id)
                 or txn_id in obj.committing):
             raise ProtocolError(
                 "local_abort",

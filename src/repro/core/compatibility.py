@@ -169,9 +169,10 @@ class LogicalDependence:
     def dependent_members(self, member: str) -> tuple[str, ...]:
         """Every member ``member`` may conflict with (itself included).
 
-        The bitmask kernel sums per-member occupancy over exactly this
-        tuple; group sizes are small and fixed, so the summary conflict
-        test stays O(|group|), independent of holder count.
+        The bitmask kernel tables this tuple per member once, when its
+        checker is built, and sums per-member occupancy over exactly it;
+        group sizes are small and fixed, so the summary conflict test
+        stays O(|group|), independent of holder count.
         """
         group = self._group_members.get(member)
         if group is None:

@@ -144,12 +144,12 @@ class MaskRoundSet:
     member, independent of how many invocations were added.
     """
 
-    __slots__ = ("_masks", "_dependence", "_members", "_whole", "_all")
+    __slots__ = ("_masks", "_dependents", "_members", "_whole", "_all")
 
     def __init__(self, masks: tuple[int, ...],
-                 dependence: LogicalDependence) -> None:
+                 dependents: dict[str, tuple[str, ...]]) -> None:
         self._masks = masks
-        self._dependence = dependence
+        self._dependents = dependents
         self._members: dict[str, int] = {}
         self._whole = 0      # class occupancy of whole-object invocations
         self._all = 0        # class occupancy of every invocation
@@ -170,8 +170,12 @@ class MaskRoundSet:
         if mask & self._whole:
             return True
         members = self._members
-        for member in self._dependence.dependent_members(invocation.member):
-            if mask & members.get(member, 0):
+        member = invocation.member
+        group = self._dependents.get(member)
+        if group is None:
+            return bool(mask & members.get(member, 0))
+        for dependent in group:
+            if mask & members.get(dependent, 0):
                 return True
         return False
 
@@ -206,6 +210,14 @@ class BitmaskConflictChecker(ConflictChecker):
         self._all_bits = tuple(
             tuple(b.bit for b in OperationClass if (mask >> b.bit) & 1)
             for mask in self._masks)
+        #: Definition 1's member test as a table, built once per
+        #: interned checker: a member in a declared group -> the group
+        #: (``dependent_members``); a member in none is absent and
+        #: depends on itself alone.  A test is then one dict probe, not
+        #: a ``LogicalDependence`` call.
+        self._dependents: dict[str, tuple[str, ...]] = {
+            member: dependence.dependent_members(member)
+            for group in dependence.groups for member in group}
 
     # -- pairwise kernel ----------------------------------------------------
 
@@ -217,21 +229,23 @@ class BitmaskConflictChecker(ConflictChecker):
             return False
         if ((1 << a.bit) | (1 << b.bit)) & WHOLE_OBJECT_MASK:
             return True
-        return self.dependence.dependent(requested.member, granted.member)
+        member = requested.member
+        return (member == granted.member
+                or granted.member in self._dependents.get(member, ()))
 
     def conflicts_with_any(self, requested: Invocation,
                            granted: Iterable[Invocation]) -> bool:
         mask = self._masks[requested.op_class.bit]
         a_bit = requested.op_class.bit
-        dependence = self.dependence
         member = requested.member
+        group = self._dependents.get(member, ())
         for op in granted:
             b = op.op_class
             if not (mask >> b.bit) & 1:
                 continue
             if ((1 << a_bit) | (1 << b.bit)) & WHOLE_OBJECT_MASK:
                 return True
-            if dependence.dependent(member, op.member):
+            if member == op.member or op.member in group:
                 return True
         return False
 
@@ -253,11 +267,12 @@ class BitmaskConflictChecker(ConflictChecker):
         member_bits = self._member_bits[bit]
         masks = summary.member_masks
         counts = summary.member_counts
-        for member in self.dependence.dependent_members(invocation.member):
-            occupancy = masks.get(member)
+        member = invocation.member
+        for dependent in self._dependents.get(member) or (member,):
+            occupancy = masks.get(dependent)
             if not occupancy:
                 continue
-            row = counts[member]
+            row = counts[dependent]
             for b in member_bits:
                 if (occupancy >> b) & 1:
                     count += row[b]
@@ -326,7 +341,7 @@ class BitmaskConflictChecker(ConflictChecker):
         return blocked
 
     def new_round_set(self) -> "MaskRoundSet":
-        return MaskRoundSet(self._masks, self.dependence)
+        return MaskRoundSet(self._masks, self._dependents)
 
 
 #: Interned checkers keyed by ⟨engine, matrix, dependence⟩.  Checkers

@@ -66,6 +66,14 @@ def _ticked(method):
     ``on_grant``) just deepen the counter; only the outermost close
     sweeps.  Observer hooks are not part of this: the bus delivers each
     one when it is emitted.
+
+    Every facade call that can reach ⟨unlock, X⟩ ticks: ``invoke`` (a
+    deadlock victim's abort), the commit calls, the abort calls,
+    ``sleep``, ``awake`` and ``pump_commits``.  ``begin`` and ``apply``
+    do not: one creates a transaction and the other writes its virtual
+    copy, neither unlocks anything, so a tick around them would only
+    open and close an empty batch, on every op of every transaction.
+    A call re-entering from an observer hook opens its own tick.
     """
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
@@ -218,7 +226,12 @@ class GlobalTransactionManager:
                           binding=binding, exists=exists))
 
     def object(self, name: str) -> ManagedObject:
-        return self.lock_table.get(name)
+        # the lock table's dict read here, not through ``LockTable.get``:
+        # every facade call that names an object pays this lookup.
+        try:
+            return self.lock_table.objects[name]
+        except KeyError:
+            raise GTMError(f"unknown object {name!r}") from None
 
     def transaction(self, txn_id: str) -> GTMTransaction:
         try:
@@ -233,7 +246,6 @@ class GlobalTransactionManager:
     # Algorithm 1 — ⟨begin, A⟩
     # ------------------------------------------------------------------
 
-    @_ticked
     def begin(self, txn_id: str, priority: int = 0) -> GTMTransaction:
         """⟨begin, A⟩: create A in the Active state."""
         if txn_id in self.transactions:
@@ -260,7 +272,6 @@ class GlobalTransactionManager:
     # operating on virtual data
     # ------------------------------------------------------------------
 
-    @_ticked
     def apply(self, txn_id: str, object_name: str,
               invocation: Invocation) -> Any:
         """Perform one operation on A's virtual copy of X (A_temp)."""

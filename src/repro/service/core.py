@@ -164,13 +164,15 @@ class GTMService:
         self.sessions = SessionStore()
         self.metrics = MetricsRegistry()
         # The counters every frame or transaction bumps, resolved once
-        # (by name, each bump is a registry probe plus a kind check).
+        # to their unlabelled series (by name, each bump is a registry
+        # probe plus a kind check; through ``Counter.inc``, a call): a
+        # bump is ``series[""] = series.get("", 0.0) + 1.0``.
         counter = self.metrics.counter
-        self._frames = counter("service_frames")
-        self._txn_begun = counter("service_txn_begun")
-        self._ops_granted = counter("service_ops_granted")
+        self._frames = counter("service_frames").series
+        self._txn_begun = counter("service_txn_begun").series
+        self._ops_granted = counter("service_ops_granted").series
         self._txn_finished = {
-            outcome: counter(f"service_txn_{outcome}")
+            outcome: counter(f"service_txn_{outcome}").series
             for outcome in ("committed", "aborted")}
         #: txn id -> owning session.
         self._txn_session: dict[str, Session] = {}
@@ -378,7 +380,8 @@ class GTMService:
     def handle(self, session: Session, frame: dict[str, Any]) -> None:
         """Apply one decoded client frame; replies go to the sink."""
         fid = frame.get("id")
-        self._frames.inc()
+        series = self._frames
+        series[""] = series.get("", 0.0) + 1.0
         try:
             frame_type = frame.get("type")
             if frame_type == "ping":
@@ -446,7 +449,8 @@ class GTMService:
         self.gtm.begin(txn_id)
         session.txns.add(txn_id)
         self._txn_session[txn_id] = session
-        self._txn_begun.inc()
+        series = self._txn_begun
+        series[""] = series.get("", 0.0) + 1.0
         self._reply(session, {"type": "begun", "txn": txn_id}, fid)
 
     def _handle_op(self, session: Session, frame: dict[str, Any],
@@ -468,7 +472,8 @@ class GTMService:
         outcome = self.gtm.invoke(txn_id, object_name, invocation)
         if outcome == GrantOutcome.GRANTED:
             value = self.gtm.apply(txn_id, object_name, invocation)
-            self._ops_granted.inc()
+            series = self._ops_granted
+            series[""] = series.get("", 0.0) + 1.0
             self._reply(session, {
                 "type": "granted", "txn": txn_id,
                 "object": object_name, "member": invocation.member,
@@ -491,7 +496,8 @@ class GTMService:
                 # yet — so nothing was applied or pushed: apply and
                 # answer it here, or the id would dangle forever.
                 value = self.gtm.apply(txn_id, object_name, invocation)
-                self._ops_granted.inc()
+                series = self._ops_granted
+                series[""] = series.get("", 0.0) + 1.0
                 self._reply(session, {
                     "type": "granted", "txn": txn_id,
                     "object": object_name, "member": invocation.member,
@@ -660,7 +666,8 @@ class GTMService:
         except ReproError as exc:
             self._push_correlated(session, error_frame(exc, re=fid))
             return
-        self._ops_granted.inc()
+        series = self._ops_granted
+        series[""] = series.get("", 0.0) + 1.0
         push = {"type": "granted", "txn": txn.txn_id,
                 "object": obj.name, "member": invocation.member,
                 "value": value}
@@ -692,7 +699,8 @@ class GTMService:
         self._pending_ops.pop(txn_id, None)
         was_pending_commit = txn_id in self._pending_commits
         self._pending_commits.discard(txn_id)
-        self._txn_finished[outcome].inc()
+        series = self._txn_finished[outcome]
+        series[""] = series.get("", 0.0) + 1.0
         if self.config.retire_finished:
             self._retire.append(txn_id)
         if session is None:

@@ -124,8 +124,9 @@ _DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 _LONG_DIGIT_RUN = b"0" * 19
 #: orjson reads a text of any depth; ``json.loads`` raises
 #: RecursionError near the interpreter's recursion limit (1000 by
-#: default).  Nesting *d* deep takes at least 2 *d* characters, so no
-#: line this short nests deep enough to tell the two apart.
+#: default), which :func:`decode_frame` turns into a WireFormatError.
+#: Nesting *d* deep takes at least 2 *d* characters, so no line this
+#: short nests deep enough to tell the two apart.
 _SHALLOW_LINE_BYTES = 1024
 
 
@@ -151,12 +152,17 @@ def decode_frame(line: bytes | str) -> dict[str, Any]:
         # way: NaN, Infinity, 1e999, BOMs, UTF-16/32, lone surrogates,
         # trailing garbage, every malformed line, and the two guards
         # above, so what is accepted, what it decodes to and what each
-        # error says stay exactly ``json.loads``'s.
+        # error says stay exactly ``json.loads``'s.  One exception: a
+        # line nested past the recursion limit, which ``json.loads``
+        # answers with RecursionError, is a malformed frame like any
+        # other, not a dead connection.
         try:
             frame = json.loads(line)
         except (ValueError, UnicodeDecodeError) as exc:
             raise WireFormatError(
                 f"frame is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise WireFormatError("frame nests too deep") from None
     if not isinstance(frame, dict):
         raise WireFormatError(
             f"frame must be a JSON object, got {type(frame).__name__}")
@@ -174,6 +180,24 @@ def split_lines(data: bytes) -> tuple[list[bytes], bytes]:
     return lines, lines.pop()
 
 
+#: Most ⟨op, member, operand⟩ shapes :func:`build_invocation` keeps
+#: interned; past it, a new shape is built per frame.
+INTERNED_INVOCATIONS = 1024
+#: ⟨op name, member, operand⟩ -> the Invocation built and validated
+#: the first time that shape arrived.  An Invocation is immutable, so
+#: one table serves every service in the process and changes no
+#: answer, only its cost.  Keyed by the op's name, whose hash is C (an
+#: enum member's ``__hash__`` is a Python call).  Only ``None`` and
+#: ``int`` operands: a float key would merge ``0.0`` with ``-0.0`` and
+#: ``1`` with ``1.0``, and ``True`` with ``1`` (equal, hashed alike),
+#: which the wire tells apart.  An int of 64 bits or more and a member
+#: name over 64 characters are not kept, so no entry is one a frame
+#: made kilobytes long.
+_INTERNED: dict[tuple[str, str, int | None], Invocation] = {}
+_INTERNED_INT_LIMIT = 1 << 63
+_INTERNED_MEMBER_CHARS = 64
+
+
 def build_invocation(frame: dict[str, Any]) -> Invocation:
     """Turn an ``op`` frame into an :class:`Invocation`.
 
@@ -183,7 +207,9 @@ def build_invocation(frame: dict[str, Any]) -> Invocation:
     reconciliation, raises :class:`WireFormatError`.  A zero
     multiplier is in the domain and surfaces as the core's own
     :class:`~repro.errors.GTMError`; both end up as error frames, each
-    under its own code.
+    under its own code.  An invocation is immutable, so a shape with a
+    ``None`` or ``int`` operand that passed once is served from
+    ``_INTERNED``; one that raised was never stored and raises again.
     """
     op_name = frame.get("op")
     op_class = OP_NAMES.get(op_name) if type(op_name) is str else None
@@ -195,6 +221,14 @@ def build_invocation(frame: dict[str, Any]) -> Invocation:
         raise WireFormatError(f"op member must be a string: {member!r}")
     operand = frame.get("operand")
     kind = type(operand)
+    key = None
+    if ((operand is None or (kind is int and -_INTERNED_INT_LIMIT < operand
+                             < _INTERNED_INT_LIMIT))
+            and len(member) <= _INTERNED_MEMBER_CHARS):
+        key = (op_name, member, operand)
+        invocation = _INTERNED.get(key)
+        if invocation is not None:
+            return invocation
     if kind not in op_class.operand_types:
         raise WireFormatError(
             f"{op_name!r} operand out of its domain: {operand!r}")
@@ -209,7 +243,10 @@ def build_invocation(frame: dict[str, Any]) -> Invocation:
         if type(value) is float and not isfinite(value):
             raise WireFormatError(
                 f"op operand must be finite: {operand!r}")
-    return Invocation(op_class, member=member, operand=operand)
+    invocation = Invocation(op_class, member=member, operand=operand)
+    if key is not None and len(_INTERNED) < INTERNED_INVOCATIONS:
+        _INTERNED[key] = invocation
+    return invocation
 
 
 # ---------------------------------------------------------------------------

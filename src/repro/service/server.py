@@ -38,6 +38,7 @@ client/server conversation in one loop.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from typing import Any, Callable
 
 from repro.errors import ReproError, WireFormatError
@@ -59,15 +60,31 @@ _CONNECTED = SessionState.CONNECTED
 # ---------------------------------------------------------------------------
 
 
+#: Per event loop, the server ends that received a burst the loop has
+#: not delivered yet, in the order they first received bytes.  A loop
+#: turn drains its list in one callback (see :class:`MemoryTransport`).
+_DUE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class MemoryTransport:
     """One end of an in-memory link, duck-typed to an asyncio transport.
 
     The write buffer is whatever the peer has not received yet.  The
     client end receives in the writer's turn (its ``data_received`` only
-    fills mailboxes and sets futures); the server end receives in its
-    own next turn, one ``call_soon`` per burst, so a handler never runs
-    on a client's stack, a round trip cannot finish without yielding,
-    and a push sent mid-cascade cannot re-enter the service.
+    fills mailboxes and sets futures); the server end receives in a
+    later turn, so a handler never runs on a client's stack, a round
+    trip cannot finish without yielding, and a push sent mid-cascade
+    cannot re-enter the service.
+
+    One callback per loop turn delivers every server end with a burst,
+    in arrival order: an end that receives bytes joins its loop's due
+    list, and the first to join schedules the turn's ``call_soon`` on
+    its own ``_deliver``, which empties the list, delivers itself and
+    then the ends that joined after it.  A lone connection pays what
+    one callback per burst cost.  An end closed while listed is
+    skipped; bytes written to an end whose delivery already ran in
+    this turn wait for the next one.  The list holds an end only until
+    its turn, so it keeps no lost link alive.
 
     Once ``connection_lost`` has been delivered an end lets go of its
     protocol and its peer, as asyncio's own transports drop
@@ -76,13 +93,15 @@ class MemoryTransport:
     method stays safe to call on a lost end.
     """
 
-    __slots__ = ("_loop", "_own_turn", "_protocol", "_peer", "_inbound",
+    __slots__ = ("_loop", "_due", "_protocol", "_peer", "_inbound",
                  "_scheduled", "_reading", "_write_paused", "_closed")
 
     def __init__(self, loop: asyncio.AbstractEventLoop,
-                 own_turn: bool) -> None:
+                 due: "list[MemoryTransport] | None") -> None:
         self._loop = loop
-        self._own_turn = own_turn
+        #: the loop's due list (a server end), or None: the end receives
+        #: in the writer's turn (a client end).
+        self._due = due
         self._protocol: asyncio.BaseProtocol = asyncio.Protocol()
         self._peer = self  # the opposite end (see :func:`memory_pair`)
         self._inbound = b""  # written by the peer, not yet received
@@ -102,35 +121,49 @@ class MemoryTransport:
             return
         peer._inbound += data
         if peer._reading:
-            if not peer._own_turn:
+            due = peer._due
+            if due is None:
                 peer._deliver()
                 return
             if not peer._scheduled:
                 peer._scheduled = True
-                self._loop.call_soon(peer._deliver)
+                if not due:
+                    self._loop.call_soon(peer._deliver, due)
+                due.append(peer)
         if (len(peer._inbound) > MAX_FRAME_BYTES
                 and not self._write_paused):
             self._write_paused = True
             self._protocol.pause_writing()
 
-    def _deliver(self) -> None:
+    def _deliver(self, due: "list[MemoryTransport] | None" = None) -> None:
+        """Hand what arrived to the protocol.  Given its loop's due
+        list, this end opened the turn: it takes the listed ends out
+        first, then delivers itself and every end that joined after it.
+        An end that receives bytes after its own delivery ran therefore
+        joins the next turn's list, in order behind what it had."""
         self._scheduled = False
-        if self._closed or not self._reading or not self._inbound:
-            return
-        data, self._inbound = self._inbound, b""
-        peer = self._peer
-        if peer._write_paused:
-            peer._write_paused = False
-            peer._protocol.resume_writing()
-        try:
-            self._protocol.data_received(data)
-        except Exception as exc:
-            # As on a socket: a receiver that raises is a dead peer,
-            # never an exception inside whoever wrote the bytes.
-            self._loop.call_exception_handler({
-                "message": "receiver failed on an in-memory transport",
-                "exception": exc, "protocol": self._protocol})
-            self.abort()
+        if due is not None:
+            later = due[1:]
+            due.clear()
+        if not self._closed and self._reading and self._inbound:
+            data, self._inbound = self._inbound, b""
+            try:
+                peer = self._peer
+                if peer._write_paused:
+                    peer._write_paused = False
+                    peer._protocol.resume_writing()
+                self._protocol.data_received(data)
+            except Exception as exc:
+                # As on a socket: a protocol that raises is a dead link,
+                # never an exception inside whoever wrote the bytes, nor
+                # one that keeps the ends listed after it undelivered.
+                self._loop.call_exception_handler({
+                    "message": "receiver failed on an in-memory transport",
+                    "exception": exc, "protocol": self._protocol})
+                self.abort()
+        if due is not None:
+            for end in later:
+                end._deliver()
 
     def pause_reading(self) -> None:
         self._reading = False
@@ -180,8 +213,11 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
     """A connected link: ``(client_end, server_end)``, each waiting for
     its protocol (``set_protocol``) — no sockets, no fds."""
     loop = asyncio.get_running_loop()
-    client_end = MemoryTransport(loop, own_turn=False)
-    server_end = MemoryTransport(loop, own_turn=True)
+    due = _DUE.get(loop)
+    if due is None:
+        due = _DUE[loop] = []
+    client_end = MemoryTransport(loop, None)
+    server_end = MemoryTransport(loop, due)
     client_end._peer, server_end._peer = server_end, client_end
     return client_end, server_end
 

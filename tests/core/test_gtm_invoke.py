@@ -88,6 +88,24 @@ class TestCompatibleInvocation:
         with pytest.raises(GTMError):
             gtm.invoke("A", "ghost", add(1))
 
+    def test_every_object_lookup_names_the_unknown_object(self):
+        # ``GTM.object`` reads the lock table's dict itself; the error
+        # is still the lock table's, word for word
+        gtm = make_gtm()
+        gtm.begin("A")
+        with pytest.raises(GTMError) as by_table:
+            gtm.lock_table.get("ghost")
+        for call in (lambda: gtm.object("ghost"),
+                     lambda: gtm.invoke("A", "ghost", add(1)),
+                     lambda: gtm.apply("A", "ghost", add(1)),
+                     lambda: gtm.local_commit("A", "ghost")):
+            with pytest.raises(GTMError) as by_facade:
+                call()
+            assert type(by_facade.value) is GTMError
+            assert str(by_facade.value) == str(by_table.value) == \
+                "unknown object 'ghost'"
+            assert by_facade.value.__suppress_context__
+
     def test_unknown_member_raises(self):
         gtm = make_gtm()
         gtm.begin("A")

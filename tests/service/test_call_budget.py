@@ -46,23 +46,38 @@ with no wrapper frame between
 the codec in C (orjson: no                    359.1   359.1   319.6
 ``JSONDecoder.raw_decode`` frame per
 decoded frame)
-budget (440 / 426 / 386 before the pump       364.6   364.6   332.6
+a request pays once: one ``Invocation``       314.2   314.2   274.7
+per op shape (interned, not built and
+validated per frame), no tick around
+``begin`` and ``apply``, no lookup frame
+under ``GTM.object``, admission and
+Definition 1's member test inline, the
+service's counters bumped in place
+budget (440 / 426 / 386 before the pump       319.7   319.7   287.7
 line, lowered by 41.4; memory by 22.0
 more with the line above the one before,
 SQLite by 8.0 with the line before that,
-all three by 12.0 with the codec in C)
+all three by 12.0 with the codec in C and
+by 44.9 when a request paid once)
 ============================================  ======  ======  ==========
 
 What a re-added level costs, in calls per transaction: one more frame
 per *encoded frame* (the stdlib's ``JSONEncoder.encode`` back under
 ``encode_frame``) is 12, per *decoded* one as many (the
 ``raw_decode`` frame the C codec dropped); one more frame per
-*request* is 6; one more per *written row* (a key-column helper, a ``get_row`` before the
-``UPDATE``; a predicate built, compared and applied was 5 of them) is
-2.8; one more per *SST* (a report helper, a second context manager) is
-1.  The budgets leave room for a frame per request or per row, not for
-one per codec call.  CPython 3.12 inlines comprehensions and counts a
-few calls fewer.
+*request* is 6; an ``Invocation`` built per op frame again is 7.9 (its
+``__init__`` and ``__post_init__``, four ops); one more per *written
+row* (a key-column helper, a ``get_row`` before the ``UPDATE``; a
+predicate built, compared and applied was 5 of them) is 2.8; one more
+per *SST* (a report helper, a second context manager) is 1.  The
+budgets on a backend leave room for a frame per row, not for one per
+request; the one without a backend for a frame per request or per
+codec call, not for both.  CPython 3.12 inlines comprehensions and
+counts a few calls fewer.
+
+Each count starts from an empty ``build_invocation`` intern table, so
+the shapes the counted transactions meet first are built inside the
+count, whatever ran before in the process.
 
 ``test_round_trip_budget.py`` counts the same transaction with the
 client, the transport and asyncio included.
@@ -95,7 +110,7 @@ import sys
 import pytest
 
 from repro.ldbs.sqlite_backend import SQLiteBackend
-from repro.service import GTMService, ServiceConfig
+from repro.service import GTMService, ServiceConfig, protocol
 from repro.service.protocol import decode_frame, encode_frame
 from repro.sim.engine import SimulationEngine
 
@@ -104,7 +119,7 @@ OBJECTS = 64
 OPS_PER_TXN = 4
 OP_MIX = ("read",) * 3 + ("add",) * 5 + ("assign", "mul")
 #: backend name (None = virtual service) -> calls per transaction.
-CALL_BUDGETS = {"memory": 364.6, "sqlite": 364.6, None: 332.6}
+CALL_BUDGETS = {"memory": 319.7, "sqlite": 319.7, None: 287.7}
 #: backend name -> calls per ``create_object`` (28.0 / 39.0 when every
 #: seed was a backend transaction).
 CREATE_BUDGETS = {"memory": 19, "sqlite": 21}
@@ -170,7 +185,10 @@ def _counted(run):
 
 
 @pytest.mark.parametrize("backend", CALL_BUDGETS, ids=str)
-def test_a_wire_transaction_stays_inside_its_call_budget(backend):
+def test_a_wire_transaction_stays_inside_its_call_budget(backend,
+                                                         monkeypatch):
+    # the count starts from an empty intern table, whatever ran before
+    monkeypatch.setattr(protocol, "_INTERNED", {})
     wire = _WireSession(backend)
     try:
         for script in _scripts(8):  # warm: statement caches, lazy imports

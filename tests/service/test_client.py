@@ -220,3 +220,18 @@ class TestHostileFrames:
             assert await asyncio.wait_for(ping, timeout=5.0) == \
                 {"type": "pong", "re": fid}
         run(check())
+
+    def test_a_line_nested_past_the_recursion_limit_is_dropped(self):
+        """A line nested 1000 deep (2 KB, far under the frame limit)
+        made ``json.loads`` raise ``RecursionError`` out of
+        ``data_received``, which cost the client its transport; it is
+        an undecodable line like any other now."""
+        async def check():
+            server = ScriptedServer()
+            ping = asyncio.ensure_future(server.client.ping())
+            fid = (await server.next_request())["id"]
+            server.send(b'{"type":"pong","x":' + b"[" * 1000 + b"]" * 1000
+                        + b"}\n", {"type": "pong", "re": fid})
+            assert await asyncio.wait_for(ping, timeout=5.0) == \
+                {"type": "pong", "re": fid}
+        run(check())

@@ -2,7 +2,7 @@
 
 import asyncio
 import json
-import sys
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -288,14 +288,18 @@ class TestDecodingIsUnchanged:
         assert decoding(decode_frame, line) == \
             decoding(reference_decode_frame, line)
 
-    def test_nesting_past_the_recursion_limit_raises_as_before(self):
-        # orjson would read it; json.loads cannot
-        depth = 4 * sys.getrecursionlimit()
+    @pytest.mark.parametrize("depth", [1000, 4000])
+    def test_nesting_past_the_recursion_limit_is_a_wire_format_error(
+            self, depth):
+        # orjson would read it; json.loads raises RecursionError, which
+        # would kill the connection, so the codec answers it like any
+        # other malformed line (the one departure from json.loads)
         line = (b'{"type":"ping","n":' + b"[" * depth + b"]" * depth
                 + b"}")
+        assert len(line) < MAX_FRAME_BYTES
         with pytest.raises(RecursionError):
             reference_decode_frame(line)
-        with pytest.raises(RecursionError):
+        with pytest.raises(WireFormatError, match="nests too deep"):
             decode_frame(line)
 
     def test_the_fast_path_is_what_frames_take(self, monkeypatch):
@@ -406,6 +410,88 @@ class TestBuildInvocation:
     def test_non_string_op_rejected(self, op):
         with pytest.raises(WireFormatError, match="unknown op"):
             build_invocation({"type": "op", "op": op})
+
+
+class TestInternedInvocations:
+    """A repeated ⟨op, member, operand⟩ with a ``None`` or ``int``
+    operand is served the invocation built and validated the first
+    time; every other operand is built per frame."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_INTERNED", {})
+
+    def test_a_repeated_shape_is_one_invocation(self):
+        frame = {"type": "op", "op": "add", "operand": 3}
+        assert build_invocation(frame) is build_invocation(dict(frame))
+        read = {"type": "op", "op": "read", "member": "price"}
+        assert build_invocation(read) is build_invocation(dict(read))
+
+    def test_signed_zeros_keep_their_sign_on_the_wire(self):
+        async def check():
+            service = GTMService(AsyncioDriver(), config=ServiceConfig())
+            service.create_object("x", value=1.0)  # virtual: no binding
+            server = ServiceServer(service)
+            client = ServiceClient(*await memory_connector(server)())
+            await client.hello()
+            values = []
+            for zero in (0.0, -0.0, 0.0):
+                txn = await client.begin()
+                granted = await client.op(txn, "assign", "x", zero)
+                values.append(granted["value"])
+                await client.commit(txn)
+            await client.bye()
+            await server.shutdown()
+            return values
+        values = asyncio.run(check())
+        assert [math.copysign(1.0, value) for value in values] == \
+            [1.0, -1.0, 1.0]
+        assert protocol._INTERNED == {}
+
+    def test_one_true_and_one_point_zero_never_share_an_entry(self):
+        def build(operand):
+            return build_invocation(
+                {"type": "op", "op": "add", "operand": operand})
+
+        for _ in range(2):  # interned or not, the same three answers
+            as_int, as_float = build(1), build(1.0)
+            assert (type(as_int.operand), type(as_float.operand)) == \
+                (int, float)
+            assert as_int is not as_float
+            with pytest.raises(WireFormatError, match="domain"):
+                build(True)  # equal to 1 and hashed alike, not a number
+        assert list(protocol._INTERNED) == [("add", "value", 1)]
+
+    @pytest.mark.parametrize("frame, error, neighbour", [
+        ({"op": "insert", "operand": 3}, WireFormatError,
+         {"op": "add", "operand": 3}),
+        ({"op": "mul", "operand": 0}, GTMError,
+         {"op": "add", "operand": 0}),
+        ({"op": "add"}, WireFormatError, {"op": "read"}),
+    ])
+    def test_an_operand_that_raises_raises_on_every_frame(
+            self, frame, error, neighbour):
+        # a valid shape that differs only in its op is interned first
+        kept = build_invocation({"type": "op", **neighbour})
+        for _ in range(3):
+            with pytest.raises(error):
+                build_invocation({"type": "op", **frame})
+        assert list(protocol._INTERNED.values()) == [kept]
+
+    def test_the_table_stops_at_its_bound(self):
+        for operand in range(10 ** 5):
+            invocation = build_invocation(
+                {"type": "op", "op": "assign", "operand": operand})
+            assert invocation.operand == operand
+        assert len(protocol._INTERNED) == protocol.INTERNED_INVOCATIONS
+
+    def test_long_operands_and_members_are_not_kept(self):
+        for frame in ({"op": "assign", "operand": 2 ** 63},
+                      {"op": "assign", "operand": -2 ** 63},
+                      {"op": "assign", "operand": 10 ** 400},
+                      {"op": "read", "member": "m" * 65}):
+            build_invocation({"type": "op", **frame})
+        assert protocol._INTERNED == {}
 
 
 def _public_gtm_error_classes():

@@ -17,7 +17,11 @@ from repro.core.states import TransactionState
 from repro.service import SessionState
 from repro.service.client import ConnectionLost, ServiceClient
 from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
-from repro.service.server import memory_connector, memory_pair
+from repro.service.server import (
+    MemoryTransport,
+    memory_connector,
+    memory_pair,
+)
 from tests.service.wire import (
     LOST,
     TRANSPORTS,
@@ -152,6 +156,24 @@ class TestFraming:
             await server.shutdown()
         run(check())
 
+    def test_a_line_nested_past_the_recursion_limit_is_answered(self, kind):
+        # 2 KB, far under the frame limit: json.loads raised
+        # RecursionError on it, which killed the connection unanswered
+        async def check():
+            service, server = make_server()
+            raw = await greeted(server, kind)
+            raw.send(b'{"type":"ping","x":' + b"[" * 1000 + b"]" * 1000
+                     + b"}\n", {"type": "ping", "id": 2})
+            error = await raw.next()
+            assert (error["type"], error["code"]) == \
+                ("error", "wire/malformed")
+            assert "nests too deep" in error["message"]
+            assert await raw.next() == {"type": "pong", "re": 2}
+            (session,) = service.sessions.values()
+            assert session.connected
+            await server.shutdown()
+        run(check())
+
 
 class TestTurns:
     def test_every_complete_frame_is_handled_in_the_receiving_turn(self):
@@ -239,6 +261,119 @@ class TestTurns:
             await client.hello()
             assert (await client.ping())["type"] == "pong"
             await client.bye()
+            await server.shutdown()
+        run(check())
+
+
+class Recorder(RawEnd):
+    """A raw client end that logs, under its name, each receive."""
+
+    def __init__(self, transport, name: str, log: list) -> None:
+        super().__init__(transport)
+        self.name, self.log = name, log
+
+    def data_received(self, data: bytes) -> None:
+        self.log.append(self.name)
+        super().data_received(data)
+
+
+def counting_deliveries(loop) -> list:
+    """Patch ``loop.call_soon`` to log every in-memory delivery it is
+    asked to schedule; ``del loop.call_soon`` undoes it."""
+    scheduled = []
+    call_soon = loop.call_soon
+
+    def counting(callback, *args, **kwargs):
+        if getattr(callback, "__func__", None) is MemoryTransport._deliver:
+            scheduled.append(callback.__self__)
+        return call_soon(callback, *args, **kwargs)
+
+    loop.call_soon = counting
+    return scheduled
+
+
+class TestOneDeliveryPerTurn:
+    """Every server end that received a burst in a turn is delivered by
+    one loop callback, in the order the ends first received bytes
+    (docs/SERVICE.md §2)."""
+
+    CLIENTS = 16
+
+    async def clients(self, server, log):
+        raws = []
+        for index in range(self.CLIENTS):
+            raw = Recorder(server.connect_memory(), f"c{index}", log)
+            raw.send({"type": "hello", "id": 0})
+            raws.append(raw)
+        for raw in raws:
+            assert (await raw.next())["type"] == "welcome"
+        log.clear()
+        return raws
+
+    def test_sixteen_bursts_in_one_turn_take_one_callback(self):
+        async def check():
+            service, server = make_server()
+            log: list[str] = []
+            raws = await self.clients(server, log)
+            loop = asyncio.get_running_loop()
+            scheduled = counting_deliveries(loop)
+            try:
+                for raw in reversed(raws):  # arrival order, not creation
+                    raw.send({"type": "ping", "id": raw.name})
+                await asyncio.sleep(0)
+            finally:
+                del loop.call_soon
+            # one callback, on the end that received bytes first
+            assert scheduled == [raws[-1].transport._peer]
+            assert log == [raw.name for raw in reversed(raws)]
+            for raw in raws:
+                assert await raw.next() == {"type": "pong", "re": raw.name}
+            await server.shutdown()
+        run(check())
+
+    def test_an_end_closed_while_listed_is_skipped(self):
+        async def check():
+            service, server = make_server()
+            log: list[str] = []
+            first, second = (await self.clients(server, log))[:2]
+            first.send({"type": "ping", "id": 1})
+            second.send({"type": "ping", "id": 2})
+            # the end that opened the turn goes before it is delivered
+            first.transport._peer.abort()
+            assert await second.next() == {"type": "pong", "re": 2}
+            assert await first.next() == LOST
+            assert first.events == [] and log == ["c1"]
+            # the second ping was handled, the lost one not (``hello``
+            # goes through ``connect``, which this counter does not see)
+            assert service.metrics.counter("service_frames").total() == 1
+            await server.shutdown()
+        run(check())
+
+    def test_bytes_written_during_the_drain_arrive_next_turn_in_order(self):
+        class Echo(Recorder):
+            """Sends two more pings from inside its first receive."""
+
+            def data_received(self, data: bytes) -> None:
+                super().data_received(data)
+                if self.log.count(self.name) == 1:
+                    self.send({"type": "ping", "id": "a2"},
+                              {"type": "ping", "id": "a3"})
+
+        async def check():
+            service, server = make_server()
+            log: list[str] = []
+            raws = await self.clients(server, log)
+            first = Echo(raws[0].transport, "echo", log)
+            first.send({"type": "ping", "id": "a1"})
+            raws[1].send({"type": "ping", "id": "b1"})
+            handled = service.metrics.counter("service_frames")
+            await asyncio.sleep(0)  # one turn: the drain ran
+            assert log == ["echo", "c1"]
+            assert handled.total() == 2  # a2 and a3 wait for a turn
+            await asyncio.sleep(0)
+            assert handled.total() == 4
+            assert [frame["re"] for frame in first.events] == \
+                ["a1", "a2", "a3"]
             await server.shutdown()
         run(check())
 

@@ -35,21 +35,28 @@ wrapper frame between, and the scheduler
 subscribes to no global commit
 ``summarize`` reads a committed transaction's           147.4
 execution time once (it read the property twice)
-budget (215, lowered by 9.4, 3.1, 45.9, 5.4 and 0.9)    150.3
-observed (``GTMSchedulerConfig(obs=True)``), 3.11       153.0
-observed budget (220, lowered by 9.4, 3.1, 45.3, 5.4,   155.9
-0.9)
+a request pays once: no tick around ``begin`` and       135.4
+``apply``, no lookup frame under ``GTM.object``,
+admission's pending test and Definition 1's member
+test inline
+budget (215, lowered by 9.4, 3.1, 45.9, 5.4, 0.9 and    138.3
+12.0)
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       140.9
+observed budget (220, lowered by 9.4, 3.1, 45.3, 5.4,   143.8
+0.9 and 12.1)
 ====================================================  =========
 
 What a re-added level costs, in calls per transaction: one more frame
 per *event* (a ``peek`` or ``step`` under ``run``, a ``schedule_at``
 under ``schedule_after``, a handle compared in Python) is 2.9 — a
 Python ``__lt__`` on the heap entry alone was 60 at 4306 events; one
-more frame per *facade call* (a second wrapper, a lookup helper) is
-4.2; one more frame per *clock read* is 4.2 for the kernel's reads and
-2.9 for the engine's; a state test that is a call again (``txn.is_in``
-delegating to a second object) is about 8.  The budget leaves room for
-one event frame, not for a facade frame.
+more frame per *facade call* (a lookup helper such as
+``LockTable.get`` under ``GTM.object``) is 4.2, per *ticked* facade
+call (a second wrapper) 2.2, and the tick back on ``begin`` and
+``apply`` 2.0; one more frame per *clock read* is 4.2 for the kernel's
+reads and 2.9 for the engine's; a state test that is a call again
+(``txn.is_in`` delegating to a second object) is about 8.  The budget
+leaves room for one event frame, not for a facade frame.
 CPython 3.12 inlines comprehensions and counts a few calls fewer.
 
 The observed leg runs the same workload with :mod:`repro.obs` attached:
@@ -71,8 +78,8 @@ from repro.workload.generator import (
 )
 
 TRANSACTIONS = 1000
-CALLS_PER_TRANSACTION_BUDGET = 150.3
-OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 155.9
+CALLS_PER_TRANSACTION_BUDGET = 138.3
+OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 143.8
 
 
 def _counted_run(workload, config=None):
