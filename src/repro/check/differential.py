@@ -2,19 +2,21 @@
 
 The bitmask kernel and the incremental lock-set summaries are *pure*
 performance work: every scheduling decision must be bit-identical to
-the reference implementation.  This module proves it
-empirically — the same fuzz episodes the stress harness uses are run
-once per engine variant and the full observable outcome is compared:
+Definition 2 evaluated pair by pair (:mod:`repro.check.pairwise`).
+This module proves it empirically — the same fuzz episodes the stress
+harness uses are run once per engine variant and the full observable
+outcome is compared:
 
 - the episode trace (:func:`repro.metrics.trace.episode_trace`): final
   values, scheduler counters and every transaction timeline;
 - the permanent state of every managed object (values + existence);
 - the episode invariants, including the lock-set-summary drift check.
 
-Two GTM variants run per episode: the pairwise reference engine and
-the bitmask engine.  For the 2PL/optimistic baselines (which have no engine
-switch) the harness degrades to a run-twice determinism check, keeping
-the campaign interface uniform.
+Two GTM variants run per episode: the kernel with the pairwise oracle
+handed in (``GTMScheduler(checker=...)``) and the kernel with its own
+bitmask checker.  For the 2PL/optimistic baselines (which have no
+engine to swap) the harness degrades to a run-twice determinism check,
+keeping the campaign interface uniform.
 
 A second axis (``mode="backend"``) compares *LDBS backends* instead of
 conflict engines: each GTM episode runs once with SSTs bound to the
@@ -46,15 +48,17 @@ from repro.check.fuzzer import (
     generate_episode,
 )
 from repro.check.invariants import check_episode_invariants
-from repro.core.gtm import GTMConfig
+from repro.check.pairwise import PairwiseConflictChecker
 from repro.errors import WorkloadError
 from repro.metrics.trace import episode_trace
 from repro.schedulers.gtm_scheduler import GTMScheduler, GTMSchedulerConfig
 
-#: (label, GTMConfig overrides) for each GTM variant under comparison.
-GTM_VARIANTS: tuple[tuple[str, dict[str, Any]], ...] = (
-    ("reference", {"conflict_engine": "reference"}),
-    ("bitmask", {"conflict_engine": "bitmask"}),
+#: (label, checker handed to the kernel) for each GTM variant under
+#: comparison; None keeps the kernel's own.  Checkers are stateless, so
+#: every episode shares these.
+GTM_VARIANTS: tuple[tuple[str, Any], ...] = (
+    ("reference", PairwiseConflictChecker()),
+    ("bitmask", None),
 )
 
 #: The LDBS backends under comparison (``mode="backend"``): same engine,
@@ -147,14 +151,13 @@ def comparison_digest(comparison: EpisodeComparison) -> str:
 
 
 def _gtm_variant_scheduler(spec: EpisodeSpec,
-                           overrides: dict[str, Any],
+                           checker: Any = None,
                            observe: bool = False,
                            ldbs_backend: str | None = None) -> GTMScheduler:
     return GTMScheduler(GTMSchedulerConfig(
-        gtm_config=GTMConfig(**overrides),
         wait_timeout=spec.wait_timeout,
         ldbs_backend=ldbs_backend,
-        obs=observe))
+        obs=observe), checker=checker)
 
 
 def _run_variant(spec: EpisodeSpec, label: str,
@@ -206,14 +209,14 @@ def compare_episode(spec: EpisodeSpec,
         if mode == "backend":
             runs = [_run_variant(spec, name,
                                  lambda b=name:
-                                 _gtm_variant_scheduler(spec, {}, observe,
+                                 _gtm_variant_scheduler(spec, None, observe,
                                                         ldbs_backend=b))
                     for name in BACKEND_VARIANTS]
         else:
             runs = [_run_variant(spec, label,
-                                 lambda o=overrides:
-                                 _gtm_variant_scheduler(spec, o, observe))
-                    for label, overrides in GTM_VARIANTS]
+                                 lambda c=checker:
+                                 _gtm_variant_scheduler(spec, c, observe))
+                    for label, checker in GTM_VARIANTS]
     elif spec.scheduler in ("2pl", "optimistic"):
         from repro.check.runner import build_scheduler
         runs = [_run_variant(spec, f"{spec.scheduler}-run{i}",

@@ -527,13 +527,8 @@ class AdmissionController:
             # wake moves it: nobody will read the claim log before then.
             obj.repolice.restart(obj.lock_epoch)
             return ()
-        # Summary engines answer the per-waiter blocked test in O(1), so
-        # the pump skips materialising the holder_ops dict entirely.
-        holders = (None if self.checker.uses_summaries
-                   else obj.holder_ops(include_sleeping=False))
         now = self._clock()
-        batch = self.grant_policy.select(obj, candidates, self.checker,
-                                         now, holders)
+        batch = self.grant_policy.select(obj, candidates, self.checker, now)
         granted: list[str] = []
         for entry in batch:
             txn = self._transactions.get(entry.txn_id)

@@ -42,7 +42,7 @@ class CommitPipeline:
                  transactions: Mapping[str, GTMTransaction],
                  sst_executor: SSTExecutor | None,
                  clock: Callable[[], float],
-                 get_object: Callable[[str], ManagedObject],
+                 objects: Mapping[str, ManagedObject],
                  pump_unlock: Callable[[ManagedObject], tuple[str, ...]],
                  on_finished: Callable[[str], None],
                  abort_from_committing: Callable[[GTMTransaction, float,
@@ -53,7 +53,8 @@ class CommitPipeline:
         self._transactions = transactions
         self.sst_executor = sst_executor
         self._clock = clock
-        self._get_object = get_object
+        #: the lock table's own dict: a lookup is a subscript, no frame.
+        self._objects = objects
         #: admission-layer coupling: ⟨unlock, X⟩ after a committer leaves.
         self._pump_unlock = pump_unlock
         #: wait-for graph cleanup once a transaction ends.
@@ -67,10 +68,18 @@ class CommitPipeline:
         #: clean SST's report is returned to the caller, not kept.
         self.sst_reports: list[SSTReport] = []
 
-    def _involved(self, txn: GTMTransaction) -> list[ManagedObject]:
-        """A's involved objects in name order."""
-        get_object = self._get_object
-        return [get_object(name) for name in sorted(txn.involved)]
+    def involved(self, txn: GTMTransaction) -> list[ManagedObject]:
+        """A's involved objects in name order.
+
+        A name joins ``txn.involved`` only through a grant on a
+        registered object, and the lock table drops none, so the lookup
+        cannot miss; were one missing, the error would still name it.
+        """
+        objects = self._objects
+        try:
+            return [objects[name] for name in sorted(txn.involved)]
+        except KeyError as missing:
+            raise GTMError(f"unknown object {missing.args[0]!r}") from None
 
     # ------------------------------------------------------------------
     # operating on virtual data (feeds reconciliation at commit)
@@ -292,7 +301,7 @@ class CommitPipeline:
                       involved: list[ManagedObject],
                       now: float) -> SSTReport | None:
         """⟨commit, A⟩ plus the post-commit pumps on every X of
-        ``involved`` (:meth:`_involved`'s list, sorted once by the
+        ``involved`` (:meth:`involved`'s list, sorted once by the
         caller)."""
         report = self.global_commit(txn, involved, now)
         for obj in involved:
@@ -317,7 +326,7 @@ class CommitPipeline:
             raise ProtocolError(
                 "request_commit",
                 f"{txn_id!r} is waiting for an invocation (constraint iii)")
-        involved = self._involved(txn)
+        involved = self.involved(txn)
         all_staged = True
         for obj in involved:
             if txn_id in obj.committing:
@@ -344,8 +353,12 @@ class CommitPipeline:
         """True when every involved object has A staged in X_committing."""
         if not txn.is_in(_TS.COMMITTING):
             return False
-        return all(txn.txn_id in self._get_object(name).committing
-                   for name in txn.involved)
+        objects = self._objects
+        try:
+            return all(txn.txn_id in objects[name].committing
+                       for name in txn.involved)
+        except KeyError as missing:
+            raise GTMError(f"unknown object {missing.args[0]!r}") from None
 
     def pump_commits(self) -> list[str]:
         """Complete every transaction whose deferred commits have staged.
@@ -362,7 +375,7 @@ class CommitPipeline:
             progress = False
             for txn_id, txn in list(self._transactions.items()):
                 if txn.is_in(_TS.COMMITTING) and self.commit_ready(txn):
-                    self.finish_commit(txn, self._involved(txn),
+                    self.finish_commit(txn, self.involved(txn),
                                        self._clock())
                     completed.append(txn_id)
                     progress = True

@@ -4,20 +4,16 @@
 operating on X and B requests to perform an operation that is not
 compatible with the set of current operations of A, or vice-versa."
 
-Two engines implement the test:
+:class:`ConflictChecker` is the kernel's one evaluator of that rule:
+Table I folded into per-class conflict bitmasks
+(:meth:`~repro.core.compatibility.CompatibilityMatrix.conflict_masks`),
+and object-level tests answered from the object's incremental
+:class:`~repro.core.objects.LockSetSummary` in O(1) per request.
 
-- :class:`ConflictChecker` — the reference: Definition 1 evaluated
-  pairwise through :func:`~repro.core.compatibility.invocations_compatible`,
-  O(holders × members) per object-level test;
-- :class:`BitmaskConflictChecker` — the compiled kernel: Table I folded
-  into per-class conflict bitmasks
-  (:meth:`~repro.core.compatibility.CompatibilityMatrix.conflict_masks`)
-  and object-level tests answered from the object's incremental
-  :class:`~repro.core.objects.LockSetSummary` in O(1) per request.
-
-Both engines are semantically identical by construction; the property
-suite asserts pairwise agreement on every class pair and the
-differential fuzz harness (``repro.check.differential``) asserts
+Definition 1 evaluated literally, pair by pair, lives under ``check/``
+(:mod:`repro.check.pairwise`) as the oracle it is checked against: the
+property suite asserts agreement on every class pair and round set,
+and the engine differential (:mod:`repro.check.differential`) asserts
 trace-identical episodes.
 """
 
@@ -30,114 +26,19 @@ from repro.core.compatibility import (
     DEFAULT_MATRIX,
     INDEPENDENT_MEMBERS,
     LogicalDependence,
-    invocations_compatible,
 )
 from repro.core.opclass import WHOLE_OBJECT_MASK, Invocation, OperationClass
-from repro.errors import GTMError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.objects import LockSetSummary, ManagedObject
-
-#: Names accepted by :func:`build_conflict_checker` / ``GTMConfig``.
-CONFLICT_ENGINES = ("bitmask", "reference")
 
 #: Signature of the per-round blocked test built by
 #: :meth:`ConflictChecker.blocked_tester`.
 BlockedTester = Callable[[str, Invocation], bool]
 
 
-class ConflictChecker:
-    """Evaluates CONFLICT_X between a requested op and granted ops."""
-
-    #: True when the engine answers object-level tests from the
-    #: object's :class:`~repro.core.objects.LockSetSummary` — the
-    #: admission layer then skips building ``holder_ops`` dicts.
-    uses_summaries = False
-
-    def __init__(self, matrix: CompatibilityMatrix = DEFAULT_MATRIX,
-                 dependence: LogicalDependence = INDEPENDENT_MEMBERS) -> None:
-        self.matrix = matrix
-        self.dependence = dependence
-
-    def in_conflict(self, requested: Invocation,
-                    granted: Invocation) -> bool:
-        """Definition 2 for a single pair of invocations."""
-        return not invocations_compatible(requested, granted,
-                                          matrix=self.matrix,
-                                          dependence=self.dependence)
-
-    def conflicts_with_any(self, requested: Invocation,
-                           granted: Iterable[Invocation]) -> bool:
-        """True if ``requested`` conflicts with any of ``granted``."""
-        return any(self.in_conflict(requested, op) for op in granted)
-
-    def first_conflict(self, requested: Invocation,
-                       granted: dict[str, Invocation]) -> str | None:
-        """The first transaction id whose granted op conflicts, or None."""
-        for txn_id, op in granted.items():
-            if self.in_conflict(requested, op):
-                return txn_id
-        return None
-
-    def object_blocked(self, obj: "ManagedObject", txn_id: str,
-                       invocation: Invocation) -> bool:
-        """Does the effective lock set of *other* holders block this op?
-
-        The effective set is ``(pending − sleeping) ∪ committing`` with
-        ``txn_id``'s own invocations excluded — exactly the Algorithm 2
-        admission test.  The reference engine walks the holders.
-        """
-        holders = obj.holder_ops(exclude=txn_id, include_sleeping=False)
-        return any(self.conflicts_with_any(invocation, ops)
-                   for ops in holders.values())
-
-    def blocked_tester(self, obj: "ManagedObject",
-                       holders: dict[str, list[Invocation]] | None = None,
-                       ) -> BlockedTester:
-        """A reusable ``blocked(txn_id, invocation)`` test for one round.
-
-        The grant policies probe many waiters against the *same* object
-        state; building the tester once per round lets each engine hoist
-        the txn-independent part of the test out of the per-waiter loop.
-        The reference engine prebuilds the effective holder dict once;
-        the bitmask engine (override below) memoizes the summary count
-        per ⟨class, member⟩.  The tester must not be used across
-        mutations of the object's lock sets.
-        """
-        if holders is None:
-            holders = obj.holder_ops(include_sleeping=False)
-        conflicts_with_any = self.conflicts_with_any
-
-        def blocked(txn_id: str, invocation: Invocation) -> bool:
-            return any(conflicts_with_any(invocation, ops)
-                       for holder, ops in holders.items()
-                       if holder != txn_id)
-
-        return blocked
-
-    def new_round_set(self) -> "PairwiseRoundSet":
-        """An accumulator for one grant round (see ``GrantPolicy``)."""
-        return PairwiseRoundSet(self)
-
-
-class PairwiseRoundSet:
-    """Round accumulator for the reference engine: a list, probed O(n)."""
-
-    __slots__ = ("_checker", "_ops")
-
-    def __init__(self, checker: ConflictChecker) -> None:
-        self._checker = checker
-        self._ops: list[Invocation] = []
-
-    def add(self, invocation: Invocation) -> None:
-        self._ops.append(invocation)
-
-    def conflicts(self, invocation: Invocation) -> bool:
-        return self._checker.conflicts_with_any(invocation, self._ops)
-
-
 class MaskRoundSet:
-    """Round accumulator for the bitmask engine: O(1) add and probe.
+    """Round accumulator for one grant round: O(1) add and probe.
 
     Tracks per-member class-occupancy masks plus the whole-object and
     overall class masks; a probe is two ANDs plus one AND per dependent
@@ -180,8 +81,8 @@ class MaskRoundSet:
         return False
 
 
-class BitmaskConflictChecker(ConflictChecker):
-    """The compiled Table I kernel: one AND per pairwise test.
+class ConflictChecker:
+    """Evaluates CONFLICT_X: the compiled Table I, one AND per pair.
 
     ``in_conflict`` is a shift-and-mask on the matrix's compiled
     conflict masks; ``object_blocked`` counts conflicting effective
@@ -190,11 +91,8 @@ class BitmaskConflictChecker(ConflictChecker):
     independent of how many transactions hold the object.
     """
 
-    uses_summaries = True
-
     def __init__(self, matrix: CompatibilityMatrix = DEFAULT_MATRIX,
                  dependence: LogicalDependence = INDEPENDENT_MEMBERS) -> None:
-        super().__init__(matrix=matrix, dependence=dependence)
         self._masks = matrix.conflict_masks()
         #: per class, the conflicting classes split into whole-object
         #: bits (INSERT/DELETE) and member-scoped bit positions.
@@ -223,6 +121,7 @@ class BitmaskConflictChecker(ConflictChecker):
 
     def in_conflict(self, requested: Invocation,
                     granted: Invocation) -> bool:
+        """Definition 2 for a single pair of invocations."""
         a = requested.op_class
         b = granted.op_class
         if not (self._masks[a.bit] >> b.bit) & 1:
@@ -235,6 +134,7 @@ class BitmaskConflictChecker(ConflictChecker):
 
     def conflicts_with_any(self, requested: Invocation,
                            granted: Iterable[Invocation]) -> bool:
+        """True if ``requested`` conflicts with any of ``granted``."""
         mask = self._masks[requested.op_class.bit]
         a_bit = requested.op_class.bit
         member = requested.member
@@ -280,6 +180,12 @@ class BitmaskConflictChecker(ConflictChecker):
 
     def object_blocked(self, obj: "ManagedObject", txn_id: str,
                        invocation: Invocation) -> bool:
+        """Does the effective lock set of *other* holders block this op?
+
+        The effective set is ``(pending − sleeping) ∪ committing`` with
+        ``txn_id``'s own invocations excluded — exactly the Algorithm 2
+        admission test.
+        """
         total = self.summary_conflicts(obj.summary, invocation)
         if total == 0:
             return False
@@ -297,19 +203,17 @@ class BitmaskConflictChecker(ConflictChecker):
                        if self.in_conflict(invocation, op))
         return total > own
 
-    def blocked_tester(self, obj: "ManagedObject",
-                       holders: dict[str, list[Invocation]] | None = None,
-                       ) -> BlockedTester:
-        """Round tester memoizing the txn-independent summary count.
+    def blocked_tester(self, obj: "ManagedObject") -> BlockedTester:
+        """A reusable ``blocked(txn_id, invocation)`` test for one round.
 
-        ``summary_conflicts`` depends only on ⟨op class, member⟩, not on
-        the requester, so one summary probe serves every waiter asking
-        for the same invocation shape — this is the pump-regression fix:
-        the old path re-counted the summary per waiter, losing to the
-        reference engine's single prebuilt holder dict whenever the
-        holder count was small.  The per-waiter remainder (subtracting
-        the requester's own contribution) only runs when the count is
-        non-zero, and short-circuits for waiters that hold nothing.
+        The grant policies probe many waiters against the *same* object
+        state, so the tester memoizes the txn-independent summary count
+        per ⟨class, member⟩: one summary probe serves every waiter
+        asking for the same invocation shape.  The per-waiter remainder
+        (subtracting the requester's own contribution) only runs when
+        the count is non-zero, and short-circuits for waiters that hold
+        nothing.  The tester must not be used across mutations of the
+        object's lock sets.
         """
         summary = obj.summary
         memo: dict[tuple[int, str], int] = {}
@@ -340,44 +244,33 @@ class BitmaskConflictChecker(ConflictChecker):
 
         return blocked
 
-    def new_round_set(self) -> "MaskRoundSet":
+    def new_round_set(self) -> MaskRoundSet:
+        """An accumulator for one grant round (see ``GrantPolicy``)."""
         return MaskRoundSet(self._masks, self._dependents)
 
 
-#: Interned checkers keyed by ⟨engine, matrix, dependence⟩.  Checkers
-#: are stateless after construction (precomputed masks only), so
-#: every GTM with the same configuration shares one instance — profiling
-#: showed per-episode ``BitmaskConflictChecker`` construction at ~8% of
-#: fuzz-campaign runtime.  ``CompatibilityMatrix`` hashes by identity
-#: (the module singletons), ``LogicalDependence`` by value.
+#: Interned checkers keyed by ⟨matrix, dependence⟩.  Checkers are
+#: stateless after construction (precomputed masks only), so every GTM
+#: with the same configuration shares one instance — profiling showed
+#: per-episode checker construction at ~8% of fuzz-campaign runtime.
+#: ``CompatibilityMatrix`` hashes by identity (the module singletons),
+#: ``LogicalDependence`` by value.
 _CHECKER_CACHE: dict[tuple, ConflictChecker] = {}
 
 
-def build_conflict_checker(engine: str,
-                           matrix: CompatibilityMatrix = DEFAULT_MATRIX,
+def build_conflict_checker(matrix: CompatibilityMatrix = DEFAULT_MATRIX,
                            dependence: LogicalDependence
                            = INDEPENDENT_MEMBERS) -> ConflictChecker:
-    """Engine name -> interned checker.
-
-    ``"bitmask"`` is the default, ``"reference"`` the pairwise oracle.
-    """
+    """The interned checker for ⟨matrix, dependence⟩."""
     try:
-        key = (engine, matrix, dependence)
+        key = (matrix, dependence)
         cached = _CHECKER_CACHE.get(key)
     except TypeError:        # unhashable custom matrix/dependence
         key = None
         cached = None
     if cached is not None:
         return cached
-    if engine == "bitmask":
-        checker: ConflictChecker = BitmaskConflictChecker(
-            matrix=matrix, dependence=dependence)
-    elif engine == "reference":
-        checker = ConflictChecker(matrix=matrix, dependence=dependence)
-    else:
-        raise GTMError(
-            f"unknown conflict engine {engine!r}; expected one of "
-            f"{CONFLICT_ENGINES}")
+    checker = ConflictChecker(matrix=matrix, dependence=dependence)
     if key is not None:
         _CHECKER_CACHE[key] = checker
     return checker

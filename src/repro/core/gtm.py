@@ -31,7 +31,7 @@ from repro.core.compatibility import (
     INDEPENDENT_MEMBERS,
     LogicalDependence,
 )
-from repro.core.conflicts import build_conflict_checker
+from repro.core.conflicts import ConflictChecker, build_conflict_checker
 from repro.core.deadlock import DeadlockPolicing
 from repro.core.events import EventBus, GTMObserver
 from repro.core.history import OperationLog
@@ -98,11 +98,11 @@ class GTMConfig:
     The paper's defaults: ``matrix`` is Table I, ``dependence`` treats
     members as independent, ``registry`` holds the Eq. (1)/(2)
     reconcilers, ``grant_policy`` is FIFO θ and ``throttle`` admits
-    everything.  This repository's choice: ``conflict_engine`` picks
-    how Definition 1 is evaluated, not what it decides.  Section VII
-    leaves deadlock handling open; every manager detects deadlocks
-    with its own wait-for graph (:mod:`repro.core.deadlock`), which no
-    field switches off.
+    everything.  Definition 1 has one evaluator in the kernel, the
+    compiled :class:`~repro.core.conflicts.ConflictChecker`, which no
+    field switches.  Section VII leaves deadlock handling open; every
+    manager detects deadlocks with its own wait-for graph
+    (:mod:`repro.core.deadlock`), which no field switches off.
     """
 
     matrix: CompatibilityMatrix = field(default_factory=lambda: DEFAULT_MATRIX)
@@ -111,10 +111,6 @@ class GTMConfig:
     registry: ReconcilerRegistry = field(default_factory=default_registry)
     grant_policy: GrantPolicy = field(default_factory=FifoGrantPolicy)
     throttle: Any = field(default_factory=NoThrottle)
-    #: Conflict engine: ``"bitmask"`` (compiled Table I + lock-set
-    #: summaries, the default) or ``"reference"`` (pairwise Definition 1,
-    #: kept as the differential-testing oracle).
-    conflict_engine: str = "bitmask"
 
 
 class GlobalTransactionManager:
@@ -122,12 +118,18 @@ class GlobalTransactionManager:
 
     Every Algorithm 1-11 step is written here (or in the subsystems this
     class wires), once; this is the only transaction manager.
+
+    ``checker`` replaces the interned
+    :class:`~repro.core.conflicts.ConflictChecker` built from the
+    config's matrix and dependence; only the engine differential passes
+    one, its pairwise oracle (:mod:`repro.check.pairwise`).
     """
 
     def __init__(self, config: GTMConfig | None = None,
                  clock: "Callable[[], float] | Clock | None" = None,
                  sst_executor: SSTExecutor | None = None,
-                 observer: GTMObserver | None = None) -> None:
+                 observer: GTMObserver | None = None,
+                 checker: ConflictChecker | None = None) -> None:
         self.config = config or GTMConfig()
         # Definition 1 condition 3: a class that commutes with itself
         # must have a reconciler — catch misconfiguration at startup.
@@ -139,17 +141,17 @@ class GlobalTransactionManager:
             ticks = itertools.count(1)
             clock = lambda: float(next(ticks))  # noqa: E731
         elif not callable(clock):
-            clock_obj = clock
-            clock = lambda: clock_obj.now  # noqa: E731
+            # ``getattr`` is C: a read is the clock's ``now`` frame alone
+            clock = functools.partial(getattr, clock, "now")
         #: ``gtm.now()``: current time.  Bound here, not a method, so a
         #: read is the seam's own frames and no facade frame above them.
         self.now: Callable[[], float] = clock
         self.sst_executor = sst_executor
         self.observer = observer or GTMObserver()
         self.bus = EventBus([self.observer])
-        self.checker = build_conflict_checker(
-            self.config.conflict_engine, matrix=self.config.matrix,
-            dependence=self.config.dependence)
+        self.checker = (checker if checker is not None
+                        else build_conflict_checker(self.config.matrix,
+                                                    self.config.dependence))
         self.transactions: dict[str, GTMTransaction] = {}
         #: operation log + commit order for serializability checking.
         self.history = OperationLog()
@@ -177,7 +179,7 @@ class GlobalTransactionManager:
             registry=self.config.registry, history=self.history,
             bus=self.bus, transactions=self.transactions,
             sst_executor=sst_executor, clock=self.now,
-            get_object=self.lock_table.get,
+            objects=self.lock_table.objects,
             pump_unlock=self.admission.pump_unlock,
             on_finished=self.deadlocks.on_finished,
             abort_from_committing=lambda txn, now, reason:
@@ -239,9 +241,6 @@ class GlobalTransactionManager:
         except KeyError:
             raise GTMError(f"unknown transaction {txn_id!r}") from None
 
-    def _involved_objects(self, txn: GTMTransaction) -> list[ManagedObject]:
-        return [self.object(name) for name in sorted(txn.involved)]
-
     # ------------------------------------------------------------------
     # Algorithm 1 — ⟨begin, A⟩
     # ------------------------------------------------------------------
@@ -299,7 +298,7 @@ class GlobalTransactionManager:
     def global_commit(self, txn_id: str) -> SSTReport | None:
         """⟨commit, A⟩: apply X_new everywhere via the SST."""
         txn = self.transaction(txn_id)
-        return self.pipeline.finish_commit(txn, self._involved_objects(txn),
+        return self.pipeline.finish_commit(txn, self.pipeline.involved(txn),
                                            self.now())
 
     @_ticked
@@ -346,7 +345,7 @@ class GlobalTransactionManager:
         txn.finish(_TS.ABORTED, now)
         self.deadlocks.on_finished(txn_id)
         self.history.record_abort(txn_id)
-        touched = self._involved_objects(txn)
+        touched = self.pipeline.involved(txn)
         for obj in touched:
             obj.discard_aborting(txn_id)
         self.bus.on_global_abort(txn, now, reason)
@@ -377,7 +376,7 @@ class GlobalTransactionManager:
         """⟨sleep, A⟩ then ⟨sleep, X, A⟩ for every involved X.  The
         "oracle Ξ" of Algorithm 8 is the caller (disconnection start)."""
         txn = self.transaction(txn_id)
-        self.sleep_manager.sleep(txn, self._involved_objects(txn),
+        self.sleep_manager.sleep(txn, self.pipeline.involved(txn),
                                  self.now())
 
     @_ticked
@@ -391,7 +390,7 @@ class GlobalTransactionManager:
                 "awake", f"{txn_id!r} is {txn.state.value}, not sleeping")
         if txn.t_sleep is None:
             raise ProtocolError("awake", f"{txn_id!r} has no sleep time")
-        involved = self._involved_objects(txn)
+        involved = self.pipeline.involved(txn)
         if self.sleep_manager.revalidate(txn, involved, now):
             self.sleep_manager.abort_conflicted(txn, involved, now)
             return False
@@ -424,12 +423,10 @@ class GlobalTransactionManager:
                           if entry.txn_id not in obj.sleeping]
             if not candidates:
                 continue
-            holders = (None if self.checker.uses_summaries
-                       else obj.holder_ops(include_sleeping=False))
             latest = max(entry.arrival for entry in candidates)
             stuck = [
                 entry.txn_id for entry in admission.grant_policy.select(
-                    obj, candidates, self.checker, latest, holders)
+                    obj, candidates, self.checker, latest)
                 if (txn := self.transactions.get(entry.txn_id)) is not None
                 and txn.state is _TS.WAITING
                 and admission.throttle.would_admit(obj, entry.invocation)]

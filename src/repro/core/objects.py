@@ -58,9 +58,9 @@ class LockSetSummary:
     The effective set — ``(pending − sleeping) ∪ committing`` — is what
     every Table I admission test runs against.  Instead of rebuilding a
     ``holder_ops`` dict per test (O(holders × members)), the summary
-    keeps per-class occupancy counts that the bitmask conflict kernel
-    (:class:`~repro.core.conflicts.BitmaskConflictChecker`) consults in
-    O(1) per test:
+    keeps per-class occupancy counts that the kernel's conflict checker
+    (:class:`~repro.core.conflicts.ConflictChecker`) consults in O(1)
+    per test:
 
     - ``class_totals[bit]`` — effective invocations of that class,
       across all holders and members;

@@ -3,9 +3,9 @@
 Algorithm 11 grants "∀ A ∈ θ(X_waiting − X_sleeping)" — θ selects which
 waiters become pending at an unlock.  The baseline θ is FIFO: walk the
 queue in arrival order and grant each waiter that conflicts with nothing
-held by other transactions (the ``holders`` lock set) nor with anything
-granted earlier in the batch, stopping at the first blocked waiter (no
-overtaking).
+in the object's effective lock set held by other transactions nor with
+anything granted earlier in the batch, stopping at the first blocked
+waiter (no overtaking).
 
 Section VII names the starvation problem — "incompatible transactions
 that try to access resources locked by different compatible transactions"
@@ -25,34 +25,23 @@ the object busy — and sketches two mitigations, both implemented here:
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.core.conflicts import ConflictChecker
 from repro.core.objects import ManagedObject, WaitEntry
 from repro.core.opclass import Invocation
 
 
-HolderOps = Mapping[str, tuple[Invocation, ...]]
-
-#: Immutable shared default for the ``holders`` parameter (a plain ``{}``
-#: default is a mutable shared instance — ruff B006).
-EMPTY_HOLDERS: HolderOps = MappingProxyType({})
-
-
 class GrantPolicy(Protocol):
     """θ plus the optional invocation-time deny hook."""
 
     def select(self, obj: ManagedObject, candidates: Sequence[WaitEntry],
-               checker: ConflictChecker, now: float,
-               holders: HolderOps | None = EMPTY_HOLDERS) -> list[WaitEntry]:
+               checker: ConflictChecker, now: float) -> list[WaitEntry]:
         """Choose which waiters to grant when the object unlocks.
 
-        ``holders`` is the effective lock set (txn -> granted and
-        committing ops, sleepers excluded); a waiter's own entry must be
-        ignored when judging it.  ``holders=None`` means "consult the
-        object's lock-set summary via ``checker.object_blocked``" — the
-        pump passes None when the engine answers that test in O(1).
+        A waiter is judged against the object's effective lock set
+        (granted and committing ops, sleepers excluded) without its own
+        entry, through ``checker.blocked_tester``.
         """
         ...
 
@@ -68,8 +57,8 @@ class FifoGrantPolicy:
 
     A waiter (the head included) is granted iff it is compatible with
 
-    - the effective lock set of *other* transactions (``holders``:
-      pending − sleeping, plus committing) — the head is therefore *not*
+    - the effective lock set of *other* transactions (pending −
+      sleeping, plus committing) — the head is therefore *not*
       unconditionally granted: ⟨unlock, X⟩ also fires while compatible
       holders still operate, and overtaking them would break Table I;
     - every invocation granted earlier in this round; and
@@ -87,19 +76,16 @@ class FifoGrantPolicy:
     """
 
     def select(self, obj: ManagedObject, candidates: Sequence[WaitEntry],
-               checker: ConflictChecker, now: float,
-               holders: HolderOps | None = EMPTY_HOLDERS) -> list[WaitEntry]:
+               checker: ConflictChecker, now: float) -> list[WaitEntry]:
         granted: list[WaitEntry] = []
-        # The batch and blocked-ahead sets are round accumulators: the
-        # bitmask engine backs them with per-member occupancy masks, so
-        # judging each waiter is O(1) instead of pairwise against every
-        # earlier entry (the O(n²) of the pairwise reference engine).  The
-        # holder test is likewise built once per round: the engine hoists
-        # the txn-independent work (summary counts, holder snapshots) out
-        # of the per-waiter loop.
+        # The batch and blocked-ahead sets are round accumulators backed
+        # by per-member occupancy masks, so judging each waiter is O(1)
+        # instead of pairwise against every earlier entry.  The holder
+        # test is likewise built once per round: the checker hoists the
+        # txn-independent summary counts out of the per-waiter loop.
         batch_set = checker.new_round_set()
         blocked_set = checker.new_round_set()
-        blocked_by = checker.blocked_tester(obj, holders)
+        blocked_by = checker.blocked_tester(obj)
         for entry in candidates:
             if blocked_by(entry.txn_id, entry.invocation) \
                     or batch_set.conflicts(entry.invocation) \
@@ -171,12 +157,11 @@ class PriorityAgingPolicy(FifoGrantPolicy):
         return self._priority_of(entry.txn_id) + age * self.aging_rate
 
     def select(self, obj: ManagedObject, candidates: Sequence[WaitEntry],
-               checker: ConflictChecker, now: float,
-               holders: HolderOps | None = EMPTY_HOLDERS) -> list[WaitEntry]:
+               checker: ConflictChecker, now: float) -> list[WaitEntry]:
         ordered = sorted(
             candidates,
             key=lambda e: (-self._effective_priority(e, now), e.arrival))
-        return super().select(obj, ordered, checker, now, holders)
+        return super().select(obj, ordered, checker, now)
 
     def deny_fresh_invocation(self, obj: ManagedObject,
                               invocation: Invocation,

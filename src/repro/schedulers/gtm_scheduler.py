@@ -39,6 +39,7 @@ from typing import Any, Generator
 
 from repro.errors import SSTFailure
 from repro.core.compatibility import READ_WRITE
+from repro.core.conflicts import ConflictChecker
 from repro.core.gtm import (
     GlobalTransactionManager,
     GTMConfig,
@@ -192,8 +193,11 @@ class GTMScheduler(Scheduler):
 
     name = "gtm"
 
-    def __init__(self, config: GTMSchedulerConfig | None = None) -> None:
+    def __init__(self, config: GTMSchedulerConfig | None = None, *,
+                 checker: ConflictChecker | None = None) -> None:
         self.config = config or GTMSchedulerConfig()
+        #: handed to each run's GTM (``GlobalTransactionManager(checker=)``)
+        self.checker = checker
         #: the GTM of the most recent run (for post-run inspection,
         #: e.g. repro.check.oracle.record_gtm).
         self.last_gtm: GlobalTransactionManager | None = None
@@ -221,6 +225,7 @@ class GTMScheduler(Scheduler):
             clock=engine.read_clock,
             sst_executor=sst_executor,
             observer=observer,
+            checker=self.checker,
         )
         gtm.subscribe(TimelineObserver(collector))
         obs = Observability() if self.config.obs else None

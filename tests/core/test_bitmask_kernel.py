@@ -1,4 +1,4 @@
-"""The bitmask conflict kernel must agree with the reference everywhere.
+"""The bitmask conflict kernel must agree with the pairwise oracle everywhere.
 
 Exhaustive pairwise agreement over every OperationClass pair and member
 relation (same member, independent members, logically dependent
@@ -19,11 +19,10 @@ from repro.core.compatibility import (
     DEFAULT_MATRIX,
     LogicalDependence,
 )
+from repro.check.pairwise import PairwiseConflictChecker, PairwiseRoundSet
 from repro.core.conflicts import (
-    BitmaskConflictChecker,
     ConflictChecker,
     MaskRoundSet,
-    PairwiseRoundSet,
     build_conflict_checker,
 )
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
@@ -69,8 +68,8 @@ MEMBER_RELATIONS = (
 class TestPairwiseAgreement:
     @pytest.mark.parametrize("member_a,member_b", MEMBER_RELATIONS)
     def test_all_class_pairs_agree(self, member_a, member_b):
-        reference = ConflictChecker(dependence=DEPENDENCE)
-        bitmask = BitmaskConflictChecker(dependence=DEPENDENCE)
+        reference = PairwiseConflictChecker(dependence=DEPENDENCE)
+        bitmask = ConflictChecker(dependence=DEPENDENCE)
         for class_a in OperationClass:
             for class_b in OperationClass:
                 inv_a = make_invocation(class_a, member_a)
@@ -82,8 +81,8 @@ class TestPairwiseAgreement:
                 assert bitmask.in_conflict(inv_b, inv_a) == expected
 
     def test_conflicts_with_any_agrees_on_op_sets(self):
-        reference = ConflictChecker(dependence=DEPENDENCE)
-        bitmask = BitmaskConflictChecker(dependence=DEPENDENCE)
+        reference = PairwiseConflictChecker(dependence=DEPENDENCE)
+        bitmask = ConflictChecker(dependence=DEPENDENCE)
         rng = np.random.default_rng(11)
         classes = list(OperationClass)
         members = ("value", "m0", "m1", "m2")
@@ -117,7 +116,7 @@ class TestPairwiseAgreement:
     def test_custom_matrix_recompiles(self):
         # an everything-conflicts matrix: only the empty pair set
         matrix = CompatibilityMatrix(pairs=())
-        bitmask = BitmaskConflictChecker(matrix=matrix)
+        bitmask = ConflictChecker(matrix=matrix)
         for class_a in OperationClass:
             for class_b in OperationClass:
                 assert bitmask.in_conflict(make_invocation(class_a),
@@ -134,8 +133,8 @@ class TestObjectBlockedEquivalence:
 
     def test_randomized_lock_states_agree(self):
         rng = np.random.default_rng(2008)
-        reference = ConflictChecker(dependence=DEPENDENCE)
-        bitmask = BitmaskConflictChecker(dependence=DEPENDENCE)
+        reference = PairwiseConflictChecker(dependence=DEPENDENCE)
+        bitmask = ConflictChecker(dependence=DEPENDENCE)
         obj = ManagedObject("X", members={"m0": 1, "m1": 2, "m2": 3})
         txns = [f"T{i}" for i in range(6)]
         member_classes = (OperationClass.READ, OperationClass.UPDATE_ASSIGN,
@@ -167,7 +166,7 @@ class TestObjectBlockedEquivalence:
                     (prober, probe, obj.summary)
 
     def test_sleeping_holder_does_not_block(self):
-        bitmask = BitmaskConflictChecker()
+        bitmask = ConflictChecker()
         obj = ManagedObject("X", value=1)
         obj.grant_pending("A", assign(1))
         assert bitmask.object_blocked(obj, "B", assign(2))
@@ -177,7 +176,7 @@ class TestObjectBlockedEquivalence:
         assert bitmask.object_blocked(obj, "B", assign(2))
 
     def test_own_invocations_do_not_block(self):
-        bitmask = BitmaskConflictChecker()
+        bitmask = ConflictChecker()
         obj = ManagedObject("X", members={"m0": 1, "m1": 2})
         obj.grant_pending("A", assign(1, "m0"))
         # A's own assign never blocks A's next request on the object
@@ -206,14 +205,14 @@ class TestHotPathCounts:
         obj = gtm.object("hot")
         gtm.admission.pump_unlock(obj)  # reach the steady state
         calls = 0
-        summary_conflicts = BitmaskConflictChecker.summary_conflicts
+        summary_conflicts = ConflictChecker.summary_conflicts
 
         def counted(checker, summary, invocation):
             nonlocal calls
             calls += 1
             return summary_conflicts(checker, summary, invocation)
 
-        monkeypatch.setattr(BitmaskConflictChecker, "summary_conflicts",
+        monkeypatch.setattr(ConflictChecker, "summary_conflicts",
                             counted)
         assert gtm.admission.pump_unlock(obj) == ()
         assert len(obj.waiting) == self.WAITERS
@@ -228,7 +227,7 @@ class TestHotPathCounts:
             raise AssertionError("object_blocked walked the holders")
 
         monkeypatch.setattr(ManagedObject, "holder_ops", walked)
-        bitmask = BitmaskConflictChecker()
+        bitmask = ConflictChecker()
         # READ and ASSIGN commute with every READ holder: a holder walk
         # could not stop early on either
         assert not bitmask.object_blocked(obj, "probe", read())
@@ -239,8 +238,8 @@ class TestHotPathCounts:
 class TestRoundSets:
     def test_round_sets_agree_on_random_sequences(self):
         rng = np.random.default_rng(5)
-        reference = ConflictChecker(dependence=DEPENDENCE)
-        bitmask = BitmaskConflictChecker(dependence=DEPENDENCE)
+        reference = PairwiseConflictChecker(dependence=DEPENDENCE)
+        bitmask = ConflictChecker(dependence=DEPENDENCE)
         classes = list(OperationClass)
         members = ("value", "m0", "m1", "m2")
         for _ in range(200):
@@ -259,30 +258,27 @@ class TestRoundSets:
                     assert pairwise.conflicts(inv) == masked.conflicts(inv)
 
     def test_empty_round_set_conflicts_nothing(self):
-        bitmask = BitmaskConflictChecker()
+        bitmask = ConflictChecker()
         round_set = bitmask.new_round_set()
         for op_class in OperationClass:
             assert not round_set.conflicts(make_invocation(op_class))
 
 
+class TestInterning:
+    def test_managers_with_one_configuration_share_one_checker(self):
+        first = GlobalTransactionManager()
+        second = GlobalTransactionManager(GTMConfig())
+        assert first.checker is second.checker
+        assert type(first.checker) is ConflictChecker
+        assert build_conflict_checker(dependence=DEPENDENCE) \
+            is build_conflict_checker(dependence=DEPENDENCE) \
+            is not first.checker
+
+
 class TestEngineSelection:
-    def test_factory_builds_both_engines(self):
-        assert isinstance(build_conflict_checker("reference"),
-                          ConflictChecker)
-        assert isinstance(build_conflict_checker("bitmask"),
-                          BitmaskConflictChecker)
-
-    def test_factory_rejects_unknown_engine(self):
-        with pytest.raises(GTMError, match="unknown conflict engine"):
-            build_conflict_checker("quantum")
-
-    def test_gtm_config_selects_engine(self):
-        reference = GlobalTransactionManager(
-            GTMConfig(conflict_engine="reference"))
-        assert not reference.checker.uses_summaries
-        bitmask = GlobalTransactionManager(GTMConfig())
-        assert bitmask.checker.uses_summaries
-
     def test_gtm_config_rejects_unknown_engine(self):
-        with pytest.raises(GTMError, match="unknown conflict engine"):
-            GlobalTransactionManager(GTMConfig(conflict_engine="nope"))
+        # one checker and no switch: every engine name is refused at
+        # construction, the once-default "bitmask" as much as a made-up one
+        for engine in ("nope", "bitmask"):
+            with pytest.raises(TypeError, match="conflict_engine"):
+                GTMConfig(conflict_engine=engine)

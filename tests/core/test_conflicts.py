@@ -23,12 +23,6 @@ class TestConflictChecker:
         assert not checker.conflicts_with_any(subtract(1), granted)
         assert checker.conflicts_with_any(assign(0), granted)
 
-    def test_first_conflict_names_holder(self):
-        checker = ConflictChecker()
-        granted = {"A": add(1), "B": multiply(2)}
-        assert checker.first_conflict(assign(0), granted) == "A"
-        assert checker.first_conflict(read(), granted) is None
-
     def test_member_independence_respected(self):
         checker = ConflictChecker()
         assert not checker.in_conflict(add(-1, member="quantity"),

@@ -106,6 +106,28 @@ class TestCompatibleInvocation:
                 "unknown object 'ghost'"
             assert by_facade.value.__suppress_context__
 
+    def test_a_commit_names_an_involved_object_the_table_lost(self):
+        # the commit path subscripts the lock table's dict itself; an
+        # involved object cannot go missing (the table drops none), and
+        # were one missing, every commit-time lookup would still name it
+        gtm = make_gtm()
+        gtm.begin("A")
+        assert gtm.invoke("A", "X", add(1)) == GrantOutcome.GRANTED
+        gtm.apply("A", "X", add(1))
+        gtm.local_commit("A", "X")
+        assert gtm.transaction("A").state is _S.COMMITTING
+        del gtm.lock_table.objects["X"]
+        for call in (lambda: gtm.commit_ready("A"),
+                     lambda: gtm.pump_commits(),
+                     lambda: gtm.request_commit("A"),
+                     lambda: gtm.global_commit("A"),
+                     lambda: gtm.abort("A")):
+            with pytest.raises(GTMError) as lost:
+                call()
+            assert type(lost.value) is GTMError
+            assert str(lost.value) == "unknown object 'X'"
+            assert lost.value.__suppress_context__
+
     def test_unknown_member_raises(self):
         gtm = make_gtm()
         gtm.begin("A")

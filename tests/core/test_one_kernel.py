@@ -18,7 +18,7 @@ import repro
 from repro.core import events
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.core.reconciliation import ReconcilerRegistry
-from repro.errors import GTMError, ReconciliationError
+from repro.errors import ReconciliationError
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -28,7 +28,7 @@ KERNEL_DRIVERS = ("begin", "local_commit", "global_commit", "request_commit",
 
 #: The protocol knobs; a field more is an option no benchmark asked for.
 GTM_CONFIG_FIELDS = ("matrix", "dependence", "registry", "grant_policy",
-                     "throttle", "conflict_engine")
+                     "throttle")
 
 
 def _call_sites(pattern: str) -> list[str]:
@@ -104,13 +104,13 @@ def test_the_kernel_has_one_way_in_its_methods():
 
 def test_the_kernel_refuses_a_config_it_will_not_honour():
     """A knob the kernel does not implement is refused at construction,
-    never ignored in silence: the removed ``mvcc_reads`` switch, an
-    unknown conflict engine, a registry that breaks Definition 1
+    never ignored in silence: the removed ``mvcc_reads`` and
+    ``conflict_engine`` switches, a registry that breaks Definition 1
     condition 3."""
     with pytest.raises(TypeError, match="mvcc_reads"):
         GTMConfig(mvcc_reads=True)
-    with pytest.raises(GTMError, match="conflict engine"):
-        GlobalTransactionManager(GTMConfig(conflict_engine="mvcc"))
+    with pytest.raises(TypeError, match="conflict_engine"):
+        GTMConfig(conflict_engine="reference")
     with pytest.raises(ReconciliationError, match="no reconciler"):
         GlobalTransactionManager(GTMConfig(registry=ReconcilerRegistry()))
     GlobalTransactionManager()  # the default config stays legal

@@ -52,10 +52,10 @@ class TestFifoGrantPolicy:
         behind it).  Pins the behaviour the docstring used to contradict."""
         policy = FifoGrantPolicy()
         obj = ManagedObject("X", value=0)
+        obj.grant_pending("A", add(5))
         chosen = policy.select(
             obj, [entry("B", assign(1)), entry("C", add(1))],
-            ConflictChecker(), now=0.0,
-            holders={"A": (add(5),)})
+            ConflictChecker(), now=0.0)
         assert chosen == []
 
     def test_head_own_holder_entry_ignored(self):
@@ -63,20 +63,20 @@ class TestFifoGrantPolicy:
         hold one member while queued for another)."""
         policy = FifoGrantPolicy()
         obj = ManagedObject("X", value=0)
+        obj.grant_pending("B", add(5))
         chosen = policy.select(
             obj, [entry("B", assign(1))],
-            ConflictChecker(), now=0.0,
-            holders={"B": (add(5),)})
+            ConflictChecker(), now=0.0)
         assert [e.txn_id for e in chosen] == ["B"]
 
     def test_unblocked_head_granted_with_compatible_holders(self):
         policy = FifoGrantPolicy()
         obj = ManagedObject("X", value=0)
+        obj.grant_pending("A", add(3))
         chosen = policy.select(
             obj, [entry("B", add(1)), entry("C", subtract(2)),
                   entry("D", assign(9))],
-            ConflictChecker(), now=0.0,
-            holders={"A": (add(3),)})
+            ConflictChecker(), now=0.0)
         assert [e.txn_id for e in chosen] == ["B", "C"]
 
 
@@ -171,12 +171,12 @@ class TestPriorityAgingPolicy:
         overrides Table I."""
         policy = PriorityAgingPolicy(aging_rate=1.0)
         obj = ManagedObject("X", value=0)
+        obj.grant_pending("H", add(5))
         chosen = policy.select(
             obj,
             [entry("YOUNG", add(1), arrival=9.0),
              entry("OLD", assign(0), arrival=0.0)],
-            ConflictChecker(), now=10.0,
-            holders={"H": (add(5),)})
+            ConflictChecker(), now=10.0)
         # OLD outranks YOUNG but conflicts with holder H; FIFO-style
         # no-overtake then blocks YOUNG behind it too.
         assert chosen == []

@@ -53,12 +53,19 @@ validated per frame), no tick around
 under ``GTM.object``, admission and
 Definition 1's member test inline, the
 service's counters bumped in place
-budget (440 / 426 / 386 before the pump       319.7   319.7   287.7
+one commit-time lookup: the kernel's          304.2   304.2   264.7
+clock read is the clock's own frame (no
+lambda above it), and the commit pipeline
+subscripts the lock table's dict (no
+``LockTable.get`` frame per involved
+object)
+budget (440 / 426 / 386 before the pump       309.7   309.7   277.7
 line, lowered by 41.4; memory by 22.0
 more with the line above the one before,
 SQLite by 8.0 with the line before that,
-all three by 12.0 with the codec in C and
-by 44.9 when a request paid once)
+all three by 12.0 with the codec in C,
+by 44.9 when a request paid once and by
+10.0 with one commit-time lookup)
 ============================================  ======  ======  ==========
 
 What a re-added level costs, in calls per transaction: one more frame
@@ -119,7 +126,7 @@ OBJECTS = 64
 OPS_PER_TXN = 4
 OP_MIX = ("read",) * 3 + ("add",) * 5 + ("assign", "mul")
 #: backend name (None = virtual service) -> calls per transaction.
-CALL_BUDGETS = {"memory": 319.7, "sqlite": 319.7, None: 287.7}
+CALL_BUDGETS = {"memory": 309.7, "sqlite": 309.7, None: 277.7}
 #: backend name -> calls per ``create_object`` (28.0 / 39.0 when every
 #: seed was a backend transaction).
 CREATE_BUDGETS = {"memory": 19, "sqlite": 21}

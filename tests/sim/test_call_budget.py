@@ -39,11 +39,17 @@ a request pays once: no tick around ``begin`` and       135.4
 ``apply``, no lookup frame under ``GTM.object``,
 admission's pending test and Definition 1's member
 test inline
-budget (215, lowered by 9.4, 3.1, 45.9, 5.4, 0.9 and    138.3
-12.0)
-observed (``GTMSchedulerConfig(obs=True)``), 3.11       140.9
-observed budget (220, lowered by 9.4, 3.1, 45.3, 5.4,   143.8
-0.9 and 12.1)
+one involved-object lookup: the commit pipeline         134.2
+subscripts the lock table's dict (no
+``LockTable.get`` frame per involved object), and
+the facade's sleep, awake, abort and global commit
+take the pipeline's list (no ``GTM.object`` frame
+per object)
+budget (215, lowered by 9.4, 3.1, 45.9, 5.4, 0.9,       137.1
+12.0 and 1.2)
+observed (``GTMSchedulerConfig(obs=True)``), 3.11       139.7
+observed budget (220, lowered by 9.4, 3.1, 45.3, 5.4,   142.6
+0.9, 12.1 and 1.2)
 ====================================================  =========
 
 What a re-added level costs, in calls per transaction: one more frame
@@ -78,8 +84,8 @@ from repro.workload.generator import (
 )
 
 TRANSACTIONS = 1000
-CALLS_PER_TRANSACTION_BUDGET = 138.3
-OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 143.8
+CALLS_PER_TRANSACTION_BUDGET = 137.1
+OBSERVED_CALLS_PER_TRANSACTION_BUDGET = 142.6
 
 
 def _counted_run(workload, config=None):
